@@ -1,11 +1,13 @@
-"""Print a perf-trend diff: working-tree BENCH_*.json vs the committed ones.
+"""Print a perf-trend diff: fresh ``benchmarks/out/BENCH_*.json`` vs the
+committed baselines.
 
-The bench suite rewrites ``benchmarks/BENCH_*.json`` in place, so after a
-CI bench run the working tree holds fresh numbers while ``HEAD`` holds the
-snapshots the PR was based on.  This script walks every numeric leaf of
-each snapshot pair and prints old -> new with a percentage delta, so a
-PR's perf trajectory is visible straight from the job log (the JSON files
-themselves are uploaded as workflow artifacts).
+The bench suite writes its snapshots to the gitignored ``benchmarks/out/``;
+the committed ``benchmarks/BENCH_*.json`` files are the baseline and are
+never rewritten by a test run (refreshing one is a manual copy from
+``out/``).  This script walks every numeric leaf of each snapshot pair and
+prints old -> new with a percentage delta, so a PR's perf trajectory is
+visible straight from the job log (the fresh JSON files themselves are
+uploaded as workflow artifacts).
 
 Informative, never gating: shared runners make timing numbers noisy, so
 the script always exits 0 unless ``--strict`` is given (then a missing or
@@ -27,6 +29,7 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).parent.resolve()
+OUT_DIR = BENCH_DIR / "out"
 REPO_ROOT = BENCH_DIR.parent
 
 
@@ -45,8 +48,8 @@ def numeric_leaves(payload, prefix: str = "") -> dict[str, float]:
 
 
 def committed_snapshot(ref: str, path: Path) -> dict | None:
-    """The snapshot as committed at ``ref``; None if absent or unparsable
-    there (a corrupt baseline must degrade to "no baseline", never crash
+    """The baseline ``path`` as committed at ``ref``; None if absent or
+    unparsable there (a corrupt baseline must degrade to "no baseline", never crash
     the non-gating trend report)."""
     relative = path.relative_to(REPO_ROOT).as_posix()
     proc = subprocess.run(
@@ -159,9 +162,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     failures = 0
-    snapshots = sorted(BENCH_DIR.glob("BENCH_*.json"))
+    snapshots = sorted(OUT_DIR.glob("BENCH_*.json"))
     if not snapshots:
-        print("no BENCH_*.json snapshots found", file=sys.stderr)
+        print(f"no BENCH_*.json snapshots found in {OUT_DIR}", file=sys.stderr)
         failures += 1
     for path in snapshots:
         try:
@@ -170,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"== {path.name} == unreadable: {exc}", file=sys.stderr)
             failures += 1
             continue
-        baseline = committed_snapshot(args.against, path)
+        baseline = committed_snapshot(args.against, BENCH_DIR / path.name)
         if baseline is None:
             print(f"== {path.name} == not in {args.against} (new snapshot)")
             continue

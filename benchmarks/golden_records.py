@@ -3,8 +3,8 @@
 ``benchmarks/golden/<name>.json`` pins the canonical (deterministic) record
 portion of each experiment's bench-scale run at seed 0.  The regeneration
 benches assert the serial runner reproduces those bytes; the determinism
-bench asserts the thread and process runners do too, for varying worker
-counts.  Regenerate with ``benchmarks/golden/regenerate.py`` after an
+bench asserts the process runner does too, for varying worker counts, and
+that both runners' drained streams do.  Regenerate with ``benchmarks/golden/regenerate.py`` after an
 intentional change.
 """
 

@@ -166,8 +166,8 @@ def validate_events(path: str | Path) -> list[str]:
                 errors.append(f"{where}: field {key!r} is not a JSON scalar")
         ts = obj.get("ts")
         if isinstance(ts, (int, float)):
-            # Re-emitted shard events keep original timestamps, so the file
-            # is only *approximately* ordered; a wildly regressing clock
+            # Re-emitted events keep original timestamps, so the file is
+            # only *approximately* ordered; a wildly regressing clock
             # still indicates corruption.
             if previous_ts is not None and ts < previous_ts - 3600:
                 errors.append(f"{where}: ts regresses by more than an hour")

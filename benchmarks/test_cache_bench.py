@@ -1,6 +1,6 @@
 """Perf snapshot for the artifact cache and the vectorized strip pre-check.
 
-Two measurements land in ``benchmarks/BENCH_cache.json``:
+Two measurements land in ``benchmarks/out/BENCH_cache.json``:
 
 * **Seed sweep, cached vs uncached** — a Table-2-style sweep (every
   benchmark family at 4 qubits, p = 0.9, three pipeline seeds per circuit)
@@ -33,7 +33,7 @@ from repro.online.percolation import sample_lattice
 from repro.online.renormalize import strip_spans, strip_spans_dsu
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
 
-SNAPSHOT = Path(__file__).parent / "BENCH_cache.json"
+SNAPSHOT = Path(__file__).parent / "out" / "BENCH_cache.json"
 
 FAMILIES = ("qaoa", "qft", "rca", "vqe")
 SEEDS = (0, 1, 2)  # pipeline seeds; the circuits themselves stay fixed
@@ -72,13 +72,17 @@ def test_cached_sweep_throughput_snapshot():
     uncached = Pipeline(SETTINGS)
     uncached.compile(sweep[0], seed=seeds[0])  # warm-up: lazy imports, dispatch
 
-    uncached_s = _seconds(lambda: uncached.compile_many(sweep, seeds=seeds))
+    def compile_sweep(pipeline):
+        for circuit, seed in zip(sweep, seeds):
+            pipeline.compile(circuit, seed=seed)
+
+    uncached_s = _seconds(lambda: compile_sweep(uncached))
 
     cache = MemoryCache()
     cached = uncached.with_cache(cache)
-    cold_s = _seconds(lambda: cached.compile_many(sweep, seeds=seeds))
+    cold_s = _seconds(lambda: compile_sweep(cached))
     cold_hits, cold_misses = cache.hits, cache.misses
-    warm_s = _seconds(lambda: cached.compile_many(sweep, seeds=seeds))
+    warm_s = _seconds(lambda: compile_sweep(cached))
     warm_hits = cache.hits - cold_hits
 
     warm_speedup = uncached_s / warm_s
@@ -138,6 +142,7 @@ def test_cached_sweep_throughput_snapshot():
             "vector_over_dsu": precheck_speedup,
         },
     }
+    SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     # The cold run's prefix sharing: every circuit's translate/rewrite/

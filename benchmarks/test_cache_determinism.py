@@ -3,8 +3,8 @@
 The artifact cache's contract is bit-exactness: for a given (experiment,
 scale, seed) the canonical records must be byte-identical with the cache
 off (already held by the regeneration and determinism benches), cache on
-cold, cache on warm, and across the serial/thread/process runners at
-varying worker counts.  Each test walks one experiment through the matrix
+cold, cache on warm, and across the serial and process runners at varying
+worker counts.  Each test walks one experiment through the matrix
 in order (cold fills what warm reads) against one shared cache, asserting
 the golden snapshot after every leg and checking the per-record hit/miss
 provenance says what the leg should have done.
@@ -12,7 +12,7 @@ provenance says what the leg should have done.
 fig14 (compile jobs on tiny RSLs plus fn jobs) covers the full matrix
 cheaply; table2 — the paper's headline sweep, with OneQ baseline jobs whose
 repeat-until-success runs are the expensive part — covers the disk cache
-shared from a serial cold run into warm thread and process runs.
+shared from a serial cold run into warm process runs at two pool widths.
 """
 
 from golden_records import assert_matches_golden
@@ -45,11 +45,6 @@ def test_fig14_matrix_memory_and_disk(tmp_path):
     _assert_all(warm_serial, "fig14", "cache_hits")
     assert warm_serial.cache_stats()["hit_rate"] == 1.0
 
-    warm_thread = experiment.run(
-        "bench", 0, make_runner("thread", max_workers=3, cache=memory)
-    )
-    _assert_all(warm_thread, "fig14", "cache_hits")
-
     disk = DiskCache(tmp_path / "fig14")
     cold_process = experiment.run(
         "bench", 0, make_runner("process", max_workers=2, cache=disk)
@@ -77,14 +72,9 @@ def test_table2_disk_cache_shared_across_runners(tmp_path):
     # (OnePerc vs OneQ share each circuit's translate artifact).
     assert cold.cache_stats()["hits"] > 0
 
-    warm_thread = experiment.run(
-        "bench", 0, make_runner("thread", max_workers=2, cache=disk)
-    )
-    _assert_all(warm_thread, "table2", "cache_hits")
-    assert warm_thread.cache_stats()["hit_rate"] == 1.0
-
-    warm_process = experiment.run(
-        "bench", 0, make_runner("process", max_workers=4, cache=disk)
-    )
-    _assert_all(warm_process, "table2", "cache_hits")
-    assert warm_process.cache_stats()["hit_rate"] == 1.0
+    for workers in (2, 4):
+        warm_process = experiment.run(
+            "bench", 0, make_runner("process", max_workers=workers, cache=disk)
+        )
+        _assert_all(warm_process, "table2", "cache_hits")
+        assert warm_process.cache_stats()["hit_rate"] == 1.0

@@ -1,12 +1,14 @@
-"""Determinism suite: every runner backend reproduces the golden records.
+"""Determinism suite: both runner backends reproduce the golden records.
 
-For each registered experiment, the bench-scale run is executed on the
-thread and process runners (with per-experiment worker counts, so several
-pool widths are exercised across the suite) and the canonical records are
-asserted byte-identical to the checked-in golden snapshots — which the
-regeneration benches already hold the *serial* runner to.  Together that is
-the paper-level guarantee: scale/seed fix the records; the backend and the
-worker count are pure wall-clock knobs.
+The regeneration benches hold the *serial* runner to the checked-in golden
+snapshots.  Here every registered experiment is additionally run on the
+process runner at two per-experiment worker counts (so several pool widths
+are exercised across the suite), once blocking and once as a drained
+``iter_records`` stream folded back through
+``ExperimentResult.from_stream``; the serial runner is streamed too.  The
+canonical records must be byte-identical to the goldens every time — the
+paper-level guarantee: scale/seed fix the records; the backend, the worker
+count, and streaming are pure wall-clock knobs.
 """
 
 import pytest
@@ -14,10 +16,16 @@ import pytest
 from golden_records import assert_matches_golden
 
 from repro import obs
-from repro.experiments import experiment_names, get_experiment, make_runner
+from repro.experiments import (
+    ExperimentResult,
+    experiment_names,
+    get_experiment,
+    make_runner,
+)
 
-#: Worker counts per experiment — deliberately varied so the suite covers
-#: single-worker pools, odd widths, and more workers than jobs-per-group.
+#: Process-pool widths per experiment, (streamed, blocking) — deliberately
+#: varied so the suite covers single-worker pools, odd widths, and more
+#: workers than jobs-per-group.
 WORKER_COUNTS = {
     "table2": (2, 3),
     "table3": (3, 2),
@@ -32,17 +40,8 @@ WORKER_COUNTS = {
 
 
 @pytest.mark.parametrize("name", experiment_names())
-def test_thread_runner_matches_golden(name, once):
-    # .get: an experiment registered after this table still gets covered.
-    thread_workers, _ = WORKER_COUNTS.get(name, (2, 2))
-    runner = make_runner("thread", max_workers=thread_workers)
-    result = once(get_experiment(name).run, "bench", 0, runner)
-    assert result.runner == "thread"
-    assert_matches_golden(name, result.records)
-
-
-@pytest.mark.parametrize("name", experiment_names())
 def test_process_runner_matches_golden(name, once):
+    # .get: an experiment registered after this table still gets covered.
     _, process_workers = WORKER_COUNTS.get(name, (2, 2))
     runner = make_runner("process", max_workers=process_workers)
     result = once(get_experiment(name).run, "bench", 0, runner)
@@ -50,52 +49,66 @@ def test_process_runner_matches_golden(name, once):
     assert_matches_golden(name, result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "thread", "process", "sharded"])
+@pytest.mark.parametrize("name", experiment_names())
+@pytest.mark.parametrize("runner_kind", ["serial", "process"])
+def test_streamed_records_match_golden(runner_kind, name, once):
+    experiment = get_experiment(name)
+    workers, _ = WORKER_COUNTS.get(name, (2, 2))
+    runner = make_runner(runner_kind, max_workers=workers)
+
+    def drain():
+        return ExperimentResult.from_stream(
+            experiment, experiment.iter_records("bench", 0, runner), runner=runner
+        )
+
+    result = once(drain)
+    assert result.runner == runner_kind
+    assert_matches_golden(name, result.records)
+    # The streamed fold reproduces the blocking result shape, not just the
+    # records: same provenance and same rendered text.
+    assert (result.experiment, result.scale, result.seed) == (name, "bench", 0)
+    assert result.text == experiment.render(result.records)
+
+
+@pytest.mark.parametrize("runner_kind", ["serial", "process"])
 def test_scalar_pathfind_matches_golden_on_every_runner(runner_kind):
     """The scalar path-search oracle reproduces the golden records — which
     the regeneration bench pins to the default *vector* pathfinder — on
-    every backend.  fig14 is the probe: it exercises renormalize through
+    both backends.  fig14 is the probe: it exercises renormalize through
     compile jobs (panel a) and through modular/non-modular FnJobs with the
     visited-sites proxy as a deterministic field (panel b), so any
     divergence in paths or accounting shows up byte-for-byte."""
-    kwargs = {"shards": 2} if runner_kind == "sharded" else {"max_workers": 2}
-    if runner_kind == "serial":
-        kwargs = {}
-    runner = make_runner(runner_kind, **kwargs)
+    runner = make_runner(runner_kind, max_workers=2)
     result = get_experiment("fig14").run("bench", 0, runner, pathfind="scalar")
     assert result.runner == runner_kind
     assert_matches_golden("fig14", result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "thread", "process", "sharded"])
+@pytest.mark.parametrize("runner_kind", ["serial", "process"])
 def test_rewrite_off_matches_golden_on_every_runner(runner_kind):
     """Disabling the pattern-rewrite pass reproduces the golden records —
     which the regeneration bench pins to the default ``rewrite="on"`` chain
-    — on every backend.  That is the rewrite's oracle contract: on the
+    — on both backends.  That is the rewrite's oracle contract: on the
     (simplified) golden workloads the contraction finds nothing, so the
     rewritten and unrewritten pipelines must emit identical bytes, the
     same way ``--pathfind scalar`` oracles the vector pathfinder.  fig14
     again: compile jobs pick the override up through settings, FnJobs are
     (by design) left untouched."""
-    kwargs = {"shards": 2} if runner_kind == "sharded" else {"max_workers": 2}
-    if runner_kind == "serial":
-        kwargs = {}
-    runner = make_runner(runner_kind, **kwargs)
+    runner = make_runner(runner_kind, max_workers=2)
     result = get_experiment("fig14").run("bench", 0, runner, rewrite="off")
     assert result.runner == runner_kind
     assert_matches_golden("fig14", result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "sharded"])
+@pytest.mark.parametrize("runner_kind", ["serial", "process"])
 def test_telemetry_session_leaves_golden_records_untouched(runner_kind):
     """Telemetry is out-of-band: running under an active ``obs.session()``
-    — which turns on span collection in every pipeline, cache hit/miss
-    events, and cross-process telemetry merge for sharded children — must
-    leave the canonical records byte-identical to the golden snapshot.
-    fig14 again: compile jobs and FnJobs, so both record shapes are
-    covered, on the in-process serial path and the subprocess shard path."""
-    kwargs = {"shards": 2} if runner_kind == "sharded" else {}
-    runner = make_runner(runner_kind, **kwargs)
+    — which turns on span collection in every pipeline (shipped to
+    process-pool workers as the chunk's telemetry flag) and cache hit/miss
+    events — must leave the canonical records byte-identical to the golden
+    snapshot.  fig14 again: compile jobs and FnJobs, so both record shapes
+    are covered, on the in-process serial path and the process-pool path."""
+    runner = make_runner(runner_kind, max_workers=2)
     with obs.session() as tele:
         result = get_experiment("fig14").run("bench", 0, runner)
     assert result.runner == runner_kind

@@ -1,6 +1,6 @@
 """Perf snapshot for the pass ecosystem: what the pattern rewrite buys.
 
-Three measurements land in ``benchmarks/BENCH_passes.json``:
+Three measurements land in ``benchmarks/out/BENCH_passes.json``:
 
 * **Shrink** — every benchmark family at 4 qubits, lowered to {J, CZ}
   *without* peephole simplification (the shape an external front end that
@@ -34,7 +34,7 @@ from repro.mbqc.optimize import optimize_pattern
 from repro.mbqc.translate import translate_circuit
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
 
-SNAPSHOT = Path(__file__).parent / "BENCH_passes.json"
+SNAPSHOT = Path(__file__).parent / "out" / "BENCH_passes.json"
 
 FAMILIES = ("qaoa", "qft", "rca", "vqe")
 NUM_QUBITS = 4
@@ -119,6 +119,7 @@ def test_rewrite_shrink_and_reshape_snapshot():
             "warm_hits": warm_hits,
         },
     }
+    SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     for name, row in shrink.items():

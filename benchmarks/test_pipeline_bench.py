@@ -5,7 +5,7 @@ both path-search implementations on size-48 RSLs (the 4-qubit @ p = 0.75
 configuration of Table 1), asserts the vectorized flood fill and the
 wavefront path search each hold their >= 3x advantage over the scalar
 references, and records the throughputs (plus the qaoa4 per-pass seconds,
-including ``online-reshape``) to ``benchmarks/BENCH_pipeline.json`` so
+including ``online-reshape``) to ``benchmarks/out/BENCH_pipeline.json`` so
 later PRs can track the trajectory.
 """
 
@@ -22,7 +22,7 @@ from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
 from repro.pipeline import Pipeline, PipelineSettings
 
-SNAPSHOT = Path(__file__).parent / "BENCH_pipeline.json"
+SNAPSHOT = Path(__file__).parent / "out" / "BENCH_pipeline.json"
 
 RSL_SIZE = 48
 TARGET = 4  # node side 12, the paper's p = 0.90 multiplier
@@ -90,6 +90,7 @@ def test_components_speedup_and_snapshot():
         "pathfind_speedup": pathfind_speedup,
         "compile_qaoa4_pass_seconds": result.timings_by_pass,
     }
+    SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     assert speedup >= 3.0, (

@@ -1,6 +1,6 @@
 """Perf snapshot for the compile service (``repro.serve``).
 
-Three measurements land in ``benchmarks/BENCH_serve.json`` (picked up by
+Three measurements land in ``benchmarks/out/BENCH_serve.json`` (picked up by
 ``bench_trend.py`` alongside the other snapshots):
 
 * **Cold vs warm request latency** — one compile-heavy experiment request
@@ -33,7 +33,7 @@ from repro.experiments.api import canonical_json, get_experiment
 from repro.pipeline.cache import DiskCache
 from repro.serve import ServeClient, ServeConfig, ServerThread
 
-SNAPSHOT = Path(__file__).parent / "BENCH_serve.json"
+SNAPSHOT = Path(__file__).parent / "out" / "BENCH_serve.json"
 
 #: Compile-heavy request for the cold/warm latency pair.  table2 is all
 #: CompileJobs, so its warm pass is nearly pure cache replay (fig14/fig15
@@ -131,6 +131,7 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path):
             "singleflight_coalesced": flight["coalesced"],
         },
     }
+    SNAPSHOT.parent.mkdir(exist_ok=True)
     SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     assert warm_speedup >= WARM_FLOOR, (

@@ -1,8 +1,7 @@
 """Regenerate every table and figure of the paper's evaluation.
 
 Run:  python examples/reproduce_all.py [bench|paper] [output.md]
-                                       [--runner serial|thread|process|sharded]
-                                       [--workers N] [--shards N]
+                                       [--runner serial|process] [--workers N]
                                        [--cache-dir DIR]
 
 ``bench`` (default) uses the scaled-down parameters (a few minutes);
@@ -16,10 +15,8 @@ pick the execution backend (records are identical for every backend).
 ``--cache-dir`` points every experiment of the run at one shared disk
 artifact cache (see ARCHITECTURE.md's "Artifact cache") — a re-run after a
 crash or parameter-study iteration then skips every compilation stage it
-has already seen, with records byte-identical either way.  ``--runner
-sharded --shards N`` partitions each experiment across N subprocesses that
-exchange artifacts through per-shard views of that same cache directory
-(requires ``--cache-dir``, or runs uncached).
+has already seen, with records byte-identical either way; with ``--runner
+process`` every pool worker reads and feeds that same directory.
 """
 
 import argparse
@@ -38,19 +35,14 @@ def main() -> None:
     parser.add_argument("--runner", default="serial", choices=list(RUNNERS))
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument(
-        "--shards", type=int, default=None, help="shard count for --runner sharded"
-    )
-    parser.add_argument(
         "--cache-dir", default=None, help="shared disk artifact cache directory"
     )
     args = parser.parse_args()
 
     cache = DiskCache(args.cache_dir) if args.cache_dir else None
     try:
-        runner = make_runner(
-            args.runner, max_workers=args.workers, cache=cache, shards=args.shards
-        )
-    except ReproError as exc:  # bad runner/shard/cache combination
+        runner = make_runner(args.runner, max_workers=args.workers, cache=cache)
+    except ReproError as exc:  # nonpositive worker count
         raise SystemExit(f"reproduce_all: {exc}") from exc
     sections: list[str] = []
     cache_hits = cache_misses = 0

@@ -15,8 +15,8 @@ Usage (also via ``python -m repro.cli``)::
     python -m repro.cli experiment --name fig16 --out fig16.csv
     python -m repro.cli experiment --name table2 --cache memory --json
     python -m repro.cli experiment --name table2 --cache disk --cache-dir .cache
-    python -m repro.cli experiment --name table2 --runner sharded --shards 4 \\
-        --cache-dir .cache --stream --out table2.jsonl
+    python -m repro.cli experiment --name table2 --runner process --workers 2 \\
+        --cache disk --cache-dir .cache --stream --out table2.jsonl
     python -m repro.cli experiment --name fig14 --trace-out trace.jsonl \\
         --events-out events.jsonl
     python -m repro.cli telemetry summarize --trace trace.jsonl --events events.jsonl
@@ -144,7 +144,7 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--events-out",
         metavar="FILE",
-        help="stream lifecycle events (job/shard/cache) to FILE as JSON "
+        help="stream lifecycle events (run/job/cache) to FILE as JSON "
         "Lines, flushed per event",
     )
 
@@ -394,12 +394,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             args.runner,
             max_workers=args.workers,
             cache=cache,
-            shards=args.shards,
-            chunk_size=args.chunk_size,
         )
     except ReproError as exc:
-        # A bad runner/cache/shard combination (memory cache on the sharded
-        # runner, --shards with a non-sharded runner, ...) is a usage error.
+        # A nonpositive worker count is a usage error.
         print(f"experiment: {exc}", file=sys.stderr)
         return 2
     if cache is not None and cache.name == "memory" and args.runner == "process":
@@ -411,14 +408,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if args.workers is not None and args.runner == "serial":
         print(
             "note: the serial runner ignores --workers; pass "
-            "--runner thread|process for a parallel run",
+            "--runner process for a parallel run",
             file=sys.stderr,
         )
     if args.runner != "serial":
         print(
-            "note: pool runners measure wall-clock timings under contention; "
-            "deterministic fields are unaffected, but use --runner serial "
-            "when the seconds columns are the point (Figs. 14-15)",
+            "note: the process runner measures wall-clock timings under "
+            "contention; deterministic fields are unaffected, but use "
+            "--runner serial when the seconds columns are the point "
+            "(Figs. 14-15)",
             file=sys.stderr,
         )
     with _telemetry_session(args):
@@ -434,9 +432,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             )
     payload = result.to_json_obj()
     if cache is not None:
-        # The cache object's own session totals: for the sharded runner
-        # these now include every shard's folded counts, so they reconcile
-        # with the record-derived "cache" block above.
+        # The cache object's own session totals (coordinator-side lookups
+        # only: process-pool workers count in their own copies; the
+        # record-derived "cache" block above is the complete tally).
         payload["cache_session"] = cache.stats()
     if args.out and not args.stream:
         if args.out.lower().endswith(".csv"):
@@ -528,7 +526,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 0
 
     # The telemetry session wraps the whole server lifetime, so the trace
-    # written at exit covers startup sweep, every request, and the drain.
+    # written at exit covers startup cache verification, every request,
+    # and the drain.
     with _telemetry_session(args):
         try:
             return asyncio.run(_run())
@@ -548,7 +547,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "runner": args.runner,
             "workers": args.workers,
-            "shards": args.shards,
             "pathfind": args.pathfind,
             "rewrite": args.rewrite,
         }
@@ -730,25 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for pool runners (records are identical for any N)",
-    )
-    experiment_parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="jobs per pool dispatch for --runner thread|process "
-        "(default: auto-sized ~jobs/(4*workers); records are identical "
+        help="worker count for --runner process (records are identical "
         "for any N)",
-    )
-    experiment_parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="shard count for --runner sharded: jobs are partitioned by a "
-        "stable hash of the job key and each shard runs in its own "
-        "subprocess (records are identical for any N)",
     )
     experiment_parser.add_argument(
         "--stream",
@@ -780,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     summarize_parser = telemetry_commands.add_parser(
         "summarize",
-        help="per-pass wall/CPU time, per-shard jobs, and cache hit rate "
+        help="per-pass wall/CPU time, per-run jobs, and cache hit rate "
         "from a JSONL trace",
     )
     summarize_parser.add_argument(
@@ -868,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side execution backend for experiment requests",
     )
     submit_parser.add_argument("--workers", type=int, default=None, metavar="N")
-    submit_parser.add_argument("--shards", type=int, default=None, metavar="N")
     submit_parser.add_argument(
         "--pathfind", default=None, choices=list(PATHFINDS)
     )

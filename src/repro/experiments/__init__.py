@@ -49,14 +49,8 @@ from repro.experiments.runners import (
     ProcessRunner,
     Runner,
     SerialRunner,
-    ShardedRunner,
-    ShardOutcome,
-    ShardTask,
-    ThreadRunner,
     make_runner,
     run_chunk,
-    run_shard,
-    shard_for,
 )
 from repro.experiments.streams import (
     CsvStreamWriter,
@@ -81,10 +75,6 @@ __all__ = [
     "Runner",
     "SCALES",
     "SerialRunner",
-    "ShardOutcome",
-    "ShardTask",
-    "ShardedRunner",
-    "ThreadRunner",
     "UnknownExperimentError",
     "canonical_json",
     "override_pathfind",
@@ -106,8 +96,6 @@ __all__ = [
     "register",
     "run_chunk",
     "run_experiment",
-    "run_shard",
-    "shard_for",
     "shutdown_pools",
     "table2",
     "table3",

@@ -3,11 +3,10 @@
 An :class:`Experiment` describes one table/figure of the paper's evaluation
 declaratively: it *builds jobs* (units of work) and *reduces records*
 (structured results) — it never executes anything itself.  Execution belongs
-to a pluggable runner (:mod:`repro.experiments.runners`): compile jobs are
-batched through ``Pipeline.compile_many`` and function jobs through the
-runner's shared pool, so the same job list can run serially, across a
-thread pool, a process pool, or a sharded subprocess fleet with
-bit-identical records.  Execution also *streams*:
+to a runner (:mod:`repro.experiments.runners`): compile jobs run through
+``Pipeline.compile`` and function jobs call their function, so the same
+job list runs serially or across a process pool with bit-identical
+records.  Execution also *streams*:
 :meth:`Experiment.iter_records` yields records in canonical order as jobs
 finish, and :meth:`ExperimentResult.from_stream` folds a drained stream
 into the same result a blocking run produces.
@@ -20,8 +19,8 @@ randomness.
 Two job kinds exist:
 
 * :class:`CompileJob` — one (benchmark circuit, :class:`PipelineSettings`)
-  compilation, OnePerc or the OneQ baseline.  Runners group these by
-  settings and dispatch each group as one ``compile_many`` batch.
+  compilation, OnePerc or the OneQ baseline.  Runners share one pipeline
+  per ``(settings, baseline)`` group across its jobs.
 * :class:`FnJob` — an arbitrary *module-level* function (picklable for the
   process pool) returning a dict of record fields, optionally paired with a
   dict of wall-clock timings.
@@ -77,9 +76,9 @@ class Job:
 class CompileJob(Job):
     """Compile one benchmark circuit under one settings object.
 
-    Runners group compile jobs by ``(settings, baseline)`` and execute each
-    group as a single ``Pipeline.compile_many`` batch, which is where the
-    backend (serial/thread/process) and worker count plug in.
+    Runners group compile jobs by ``(settings, baseline)`` and compile
+    every job of a group on that group's one shared (cache-wrapped)
+    pipeline, in-line or in a process-pool worker.
     """
 
     family: str
@@ -232,8 +231,8 @@ class ExperimentResult:
         byte-identical to a blocking ``run`` of the same experiment.
 
         ``summary`` round-trips a serve summary frame: its
-        ``cache_session`` and ``metrics`` payloads attach to the result
-        (mirroring the ``ShardOutcome`` fold), so a remote result reports
+        ``cache_session`` and ``metrics`` payloads attach to the result,
+        so a remote result reports
         the producing session's cache/telemetry view alongside the
         record-derived :meth:`cache_stats` it reconstructs exactly.
         """
@@ -385,7 +384,7 @@ class Experiment(ABC):
         """Stream records in canonical job order as execution completes.
 
         The generator half of :meth:`run`: a long sweep yields each record
-        the moment its job (or, on the sharded runner, its shard) finishes
+        the moment its job (or, on the process runner, its chunk) finishes
         instead of materializing the whole list first, so a service or an
         incremental writer can observe partial results mid-sweep.  Record
         content and order are exactly ``run``'s — finish the stream with

@@ -10,7 +10,7 @@ Three sweeps over the same compiled benchmarks:
   lattices, so #RSL falls as the rate rises from 0.66 to 0.78.
 
 Every sweep point is one :class:`CompileJob`; points sharing a settings
-object (the families at each x) batch through ``Pipeline.compile_many``.
+object (the families at each x) share one pipeline in the runner.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@
 
 Panels (a) and (c) are Monte-Carlo :class:`FnJob`\\ s, each deriving its own
 random stream from (seed, panel, sweep point) so any runner backend yields
-the same records; panel (b) is one ``compile_many`` batch of
-:class:`CompileJob`\\ s.
+the same records; panel (b) is one settings group of
+:class:`CompileJob`\\ s sharing a pipeline.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ class Fig13Experiment(Experiment):
         # renormalization in the regime where per-RSL success is genuinely
         # probabilistic (the paper's PL plateau near 3 reflects that regime,
         # not a comfortable oversized node).  One settings object covers the
-        # whole sweep, so it runs as a single compile_many batch.
+        # whole sweep, so the runner compiles it on a single pipeline.
         families, qubit_counts, rate_b = SCALE_13B[scale]
         settings = PipelineSettings(
             fusion_success_rate=rate_b,

@@ -8,7 +8,7 @@ that: #RSL as a function of the loss rate, down to where the effective rate
 crosses the viability region.
 
 Every point is a :class:`CompileJob`; points sharing a loss rate share a
-settings object, so each loss level runs as one ``compile_many`` batch.
+settings object, so each loss level compiles on one shared pipeline.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class LossExperiment(Experiment):
         jobs: list[Job] = []
         # Family-outer keeps each benchmark's loss curve contiguous in the
         # rendered table; equal settings objects still hash together, so the
-        # runner batches one compile_many group per loss rate regardless.
+        # runner shares one pipeline per loss rate regardless.
         for family in families:
             for loss_rate in loss_rates:
                 settings = PipelineSettings(

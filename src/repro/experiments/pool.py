@@ -1,26 +1,23 @@
-"""Warm persistent worker pools: spin up once, reuse for every sweep.
+"""Warm persistent process pools: spin up once, reuse for every sweep.
 
-``BENCH_experiments.json`` exposed the bug this module fixes: the thread
-and process runners *lost* to serial at bench scale because every
-``iter_jobs`` call (and every ``compile_many`` batch) paid executor
-startup — worker spawn, module imports in each child — before the first
-job ran, and tore it all down afterwards.  For sweeps whose serial wall
-clock is a fraction of a second, the fixed cost dwarfed the parallel win.
+Without this registry the process runner *lost* to serial at bench scale:
+every ``iter_jobs`` call paid executor startup — worker spawn, module
+imports in each child — before the first job ran, and tore it all down
+afterwards.  For sweeps whose serial wall clock is a fraction of a second,
+the fixed cost dwarfed the parallel win.
 
 The registry here makes pools **process-lifetime resources**: one
-executor per ``(kind, worker count)``, created on first use and reused by
-every runner, every ``compile_many`` batch, and every sweep until
-:func:`shutdown_pools` (installed as an ``atexit`` hook) retires them.
-Process-pool workers pre-import the heavy compile modules at spawn
-(:func:`_warm_worker`), so even a spawn-start-method child answers its
-first job warm.
+executor per worker count, created on first use and reused by every
+runner and every sweep until :func:`shutdown_pools` (installed as an
+``atexit`` hook) retires them.  Workers pre-import the heavy compile
+modules at spawn (:func:`_warm_worker`), so even a spawn-start-method
+child answers its first job warm.
 
-The companion knob is the **dispatch quantum**: :func:`chunk_size_for`
+The companion policy is the **dispatch quantum**: :func:`chunk_size_for`
 sizes job chunks to amortize IPC — about ``jobs / (4 * workers)`` per
 round trip, so each worker sees ~4 submissions (enough slack for the
 scheduler to balance uneven jobs) instead of one pickle round trip per
-job.  Callers override it with an explicit chunk size (CLI:
-``--chunk-size``).
+job.
 
 Pools are shared infrastructure, so error handling is explicit: a caller
 that poisons a pool (a failed job cancels the rest of its sweep) retires
@@ -36,17 +33,14 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Iterator, Sequence, TypeVar
 
 from repro.errors import ReproError
 
 T = TypeVar("T")
 
-#: The executor kinds the registry hands out.
-POOL_KINDS = ("thread", "process")
-
-_pools: dict[tuple[str, int], Executor] = {}
+_pools: dict[int, Executor] = {}
 _lock = threading.Lock()
 
 
@@ -72,8 +66,8 @@ def resolve_workers(max_workers: int | None) -> int:
     return max_workers
 
 
-def get_pool(kind: str, max_workers: int | None = None) -> Executor:
-    """The warm executor for ``(kind, workers)``, created on first use.
+def get_pool(max_workers: int | None = None) -> Executor:
+    """The warm process pool for ``max_workers`` workers, created on first use.
 
     Never wrap the returned pool in a ``with`` block and never call
     ``shutdown`` on it directly — it is shared by every caller in the
@@ -81,23 +75,11 @@ def get_pool(kind: str, max_workers: int | None = None) -> Executor:
     use :func:`discard_pool`; to retire everything, :func:`shutdown_pools`.
     """
     workers = resolve_workers(max_workers)
-    if kind not in POOL_KINDS:
-        raise ReproError(
-            f"unknown pool kind {kind!r}; use one of: {', '.join(POOL_KINDS)}"
-        )
-    key = (kind, workers)
     with _lock:
-        pool = _pools.get(key)
+        pool = _pools.get(workers)
         if pool is None:
-            if kind == "thread":
-                pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-warm"
-                )
-            else:
-                pool = ProcessPoolExecutor(
-                    max_workers=workers, initializer=_warm_worker
-                )
-            _pools[key] = pool
+            pool = ProcessPoolExecutor(max_workers=workers, initializer=_warm_worker)
+            _pools[workers] = pool
         return pool
 
 
@@ -140,20 +122,13 @@ def shutdown_pools() -> int:
 atexit.register(shutdown_pools)
 
 
-def chunk_size_for(
-    num_jobs: int, workers: int, override: int | None = None
-) -> int:
+def chunk_size_for(num_jobs: int, workers: int) -> int:
     """The dispatch quantum: jobs per pool round trip.
 
-    Auto-sizing targets ~4 chunks per worker — big enough to amortize
-    submission and pickle overhead, small enough that uneven job costs
-    still balance across the pool — and never goes below 1.  ``override``
-    (the CLI's ``--chunk-size``) wins when given.
+    Targets ~4 chunks per worker — big enough to amortize submission and
+    pickle overhead, small enough that uneven job costs still balance
+    across the pool — and never goes below 1.
     """
-    if override is not None:
-        if override < 1:
-            raise ReproError(f"chunk size must be >= 1, got {override}")
-        return override
     return max(1, num_jobs // (4 * workers))
 
 

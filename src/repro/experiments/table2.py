@@ -8,7 +8,7 @@ program size.  OnePerc spends *more* fusions than OneQ on 4-qubit programs
 
 Each cell is two :class:`CompileJob`\\ s (OnePerc + the OneQ baseline); one
 settings object serves every benchmark of a (rate, cap, node side) group, so
-runners batch each group through ``Pipeline.compile_many``.
+runners compile each group on one shared pipeline.
 """
 
 from __future__ import annotations

@@ -1,13 +1,12 @@
 """Lifecycle event stream: an in-memory log with a per-event-flush sink.
 
 Events are the narrative half of telemetry — job started/finished, cache
-hit, shard merged — one flat JSON object per event with an epoch ``ts``
-and a ``kind``.  The log always buffers in memory (a subprocess returns
-its buffer through the same pickle channel its records travel; the parent
-re-emits with a shard tag); when a ``path`` is given, every event is also
-written and flushed immediately, following the per-record-flush discipline
-of :mod:`repro.experiments.streams` — the file is tail-able mid-run and
-survives a crash with everything emitted so far.
+hit, run started/finished — one flat JSON object per event with an epoch
+``ts`` and a ``kind``.  The log always buffers in memory; when a ``path``
+is given, every event is also written and flushed immediately, following
+the per-record-flush discipline of :mod:`repro.experiments.streams` — the
+file is tail-able mid-run and survives a crash with everything emitted so
+far.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ class EventLog:
         self._lock = threading.Lock()
 
     def emit(self, kind: str, _ts: float | None = None, **fields: Any) -> dict[str, Any]:
-        """Record one event; ``_ts`` preserves an original timestamp when a
-        parent re-emits a subprocess's buffered events."""
+        """Record one event; ``_ts`` preserves an original timestamp when
+        re-emitting an event recorded earlier."""
         event = {"ts": time.time() if _ts is None else _ts, "kind": kind, **fields}
         with self._lock:
             self.events.append(event)

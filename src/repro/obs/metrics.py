@@ -6,11 +6,10 @@ flight), and **histograms** (frontier-BFS wavefront sizes, reorder-buffer
 depth) with stdlib-only summary statistics — count/sum/min/max, enough for
 hit-rate and latency tables without reservoir sampling.
 
-Everything is snapshot/merge oriented: a subprocess's registry serializes
-to a plain dict (:meth:`MetricsRegistry.snapshot`) that travels the same
-pickle channels its records do, and the parent folds it back with
-:meth:`MetricsRegistry.merge` — counters add, histograms combine, gauges
-keep the receiver's value (gauges describe *this* process's live state).
+A registry serializes to a plain dict (:meth:`MetricsRegistry.snapshot`)
+for trace files and the serve ``stats`` frame.  Telemetry from a process
+pool's workers does not merge registries: it rides each record's
+``metrics`` and is folded in at adoption (see :mod:`repro.obs`).
 
 When no telemetry session is active the module-level helpers in
 :mod:`repro.obs` short-circuit before ever touching a registry, so the
@@ -55,28 +54,13 @@ class Histogram:
             "max": self.maximum,
         }
 
-    def merge(self, other: dict[str, Any]) -> None:
-        """Fold another histogram's snapshot into this one."""
-        self.count += int(other.get("count", 0))
-        self.total += float(other.get("sum", 0.0))
-        for key, pick in (("min", min), ("max", max)):
-            value = other.get(key)
-            if value is None:
-                continue
-            mine = self.minimum if key == "min" else self.maximum
-            merged = pick(mine, value) if mine is not None else value
-            if key == "min":
-                self.minimum = merged
-            else:
-                self.maximum = merged
-
 
 class MetricsRegistry:
     """Named counters/gauges/histograms behind one lock.
 
     Lazily creating on first touch keeps call sites declaration-free:
-    ``registry.inc("cache.hits")`` is the whole API.  The lock makes the
-    thread runner's concurrent bumps safe; per-operation cost is one
+    ``registry.inc("cache.hits")`` is the whole API.  The lock makes
+    concurrent bumps from the serve layer's worker threads safe; per-operation cost is one
     uncontended lock acquire — nothing on the disabled path, which never
     reaches a registry at all.
     """
@@ -130,21 +114,3 @@ class MetricsRegistry:
                     for name, histogram in self._histograms.items()
                 },
             }
-
-    def merge(self, snapshot: dict[str, Any] | None) -> None:
-        """Fold a child process's snapshot in: counters add, histograms
-        combine, gauges fill only gaps (a child's live-state gauge does not
-        overwrite the parent's)."""
-        if not snapshot:
-            return
-        with self._lock:
-            for name, value in snapshot.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, value in snapshot.get("gauges", {}).items():
-                self._gauges.setdefault(name, value)
-        for name, data in snapshot.get("histograms", {}).items():
-            with self._lock:
-                histogram = self._histograms.get(name)
-                if histogram is None:
-                    histogram = self._histograms[name] = Histogram()
-            histogram.merge(data)

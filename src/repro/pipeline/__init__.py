@@ -2,8 +2,9 @@
 
 The Fig. 2 flow — circuit -> MBQC pattern -> offline FlexLattice mapping ->
 online reshaping — expressed as first-class passes over a shared
-:class:`PassContext`, chained by a :class:`Pipeline` that also provides the
-batch entry point (``compile_many``) every sweep driver uses.
+:class:`PassContext`, chained by a :class:`Pipeline`.  Sweeps run through
+the experiment runners (:mod:`repro.experiments.runners`), which call
+``Pipeline.compile`` once per job.
 """
 
 from repro.pipeline.cache import (
@@ -11,7 +12,6 @@ from repro.pipeline.cache import (
     CachePass,
     DiskCache,
     MemoryCache,
-    ShardDiskCache,
     cache_summary,
     cached_passes,
     circuit_fingerprint,
@@ -53,7 +53,6 @@ __all__ = [
     "PassTiming",
     "Pipeline",
     "PipelineSettings",
-    "ShardDiskCache",
     "TranslatePass",
     "baseline_passes",
     "cache_summary",

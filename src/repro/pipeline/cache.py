@@ -20,20 +20,13 @@ the *seed axis* (same circuits, different online randomness) reuse the
 translate/offline-map prefix across every rollout.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
-dict; serves the serial and thread runners) and :class:`DiskCache` (a
-directory of pickle files with atomic writes; shareable across process
+dict; serves the serial runner and the serve layer) and :class:`DiskCache`
+(a directory of pickle files with atomic writes; shareable across process
 pools and across runs).  Both store *pickled bytes* and deserialize on
 every hit, so a cached artifact is never aliased between compilations —
-bit-identical results cannot be perturbed by downstream mutation.
-
-The disk store doubles as the **artifact wire format between shards** of a
-sharded run (see :class:`~repro.experiments.runners.ShardedRunner`): each
-shard works against a :class:`ShardDiskCache` — reads fall through to the
-coordinator's base directory, writes land in the shard's own delta
-directory — and the coordinator folds completed deltas back with
-:meth:`DiskCache.merge_from`.  A ``max_bytes`` budget with LRU eviction
-(recency = entry file mtime, refreshed on every hit) keeps long-running
-stores, merged shard caches included, bounded.
+bit-identical results cannot be perturbed by downstream mutation.  A
+``max_bytes`` budget with LRU eviction (recency = entry file mtime,
+refreshed on every hit) keeps long-running disk stores bounded.
 
 Hit/miss counts are recorded twice: on the cache object (session totals,
 for reports) and in each compilation's ``PassContext.metrics`` (per-job
@@ -46,11 +39,8 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import shutil
 import tempfile
 import threading
-import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -170,10 +160,10 @@ class ArtifactCache:
 class MemoryCache(ArtifactCache):
     """In-process backend: a dict of pickled payloads.
 
-    Shared by reference within one process (serial and thread runners); a
-    process pool pickles it *by value*, so workers see a snapshot and new
-    entries do not flow back — use :class:`DiskCache` to share across
-    processes.
+    Shared by reference within one process (the serial runner, the serve
+    layer's worker threads); a process pool pickles it *by value*, so
+    workers see a snapshot and new entries do not flow back — use
+    :class:`DiskCache` to share across processes.
     """
 
     name = "memory"
@@ -207,8 +197,8 @@ class DiskCache(ArtifactCache):
     simply overwrites identical content.  Pickles by *path*, which is what
     makes one cache shareable across a process pool and across runs.
 
-    ``max_bytes`` bounds the store: after every write (and every
-    :meth:`merge_from`) the least-recently-used entries are unlinked until
+    ``max_bytes`` bounds the store: after every write the
+    least-recently-used entries are unlinked until
     the total payload fits the budget.  Recency is the entry file's mtime,
     refreshed on every hit, so eviction tracks *use*, not insertion — a
     long-running service keeps its working set.  Evicted entries simply
@@ -240,8 +230,7 @@ class DiskCache(ArtifactCache):
         return {**super().stats(), "evictions": self.evictions}
 
     def _entries(self):
-        """Every entry file currently in the store (depth-2 ``*.pkl`` only,
-        so shard scratch under ``.shards/`` never counts as an entry)."""
+        """Every entry file currently in the store (depth-2 ``*.pkl`` only)."""
         return self.directory.glob("*/*.pkl")
 
     def __len__(self) -> int:
@@ -364,19 +353,6 @@ class DiskCache(ArtifactCache):
 
     # -- maintenance (long-running services) --------------------------------
 
-    def sweep_scratch(self) -> None:
-        """Remove stale shard scratch under this store's ``.shards/``.
-
-        A crashed sharded run (SIGKILL, OOM) skips ``shard_scratch``'s
-        cleanup; until the *next sharded run* against the same store, the
-        orphaned deltas sit outside the entry globs — invisible to the
-        ``max_bytes`` budget — and grow the directory without bound.  A
-        long-running service may never start a sharded run, so it sweeps
-        explicitly at startup (same age gate as ``shard_scratch``:
-        concurrent live runs' scratch is seconds old, never a day).
-        """
-        _sweep_stale_scratch(self.directory / ".shards")
-
     def verify(self) -> int:
         """Drop unreadable or truncated entries; returns how many.
 
@@ -413,149 +389,6 @@ class DiskCache(ArtifactCache):
             obs.count("cache.verify_dropped", dropped)
         obs.event("cache_verified", entries=checked, dropped=dropped)
         return dropped
-
-    # -- shard exchange -----------------------------------------------------
-
-    def merge_from(self, shard_dir: str | os.PathLike) -> int:
-        """Fold a shard's delta directory into this store and remove it.
-
-        The move is per-entry ``os.replace`` — atomic, last-write-wins, and
-        safe because keys are content addresses (two shards writing one key
-        wrote identical payloads) — with a copy-into-temp fallback when the
-        delta lives on a different filesystem (a remote-shipped delta
-        unpacked under ``/tmp``).  Entries larger than ``max_bytes`` are
-        dropped instead of merged, mirroring ``_write``'s skip: folding one
-        in would evict the whole warm store and then the entry itself.
-        Merged entries arrive with fresh mtimes, so a just-merged artifact
-        is the *newest* under LRU; the budget is re-applied afterwards so
-        merged stores stay bounded.  Returns the number of entries merged.
-        """
-        shard_root = Path(shard_dir)
-        merged = 0
-        if shard_root.exists():
-            for source in shard_root.glob("*/*.pkl"):
-                if self.max_bytes is not None:
-                    try:
-                        oversized = source.stat().st_size > self.max_bytes
-                    except OSError:
-                        continue
-                    if oversized:
-                        source.unlink(missing_ok=True)
-                        continue
-                target = _entry_path(self.directory, source.stem)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                try:
-                    os.replace(source, target)
-                except OSError:
-                    # EXDEV and friends: stage a copy next to the target so
-                    # the final replace stays atomic, then drop the source.
-                    handle = tempfile.NamedTemporaryFile(
-                        dir=target.parent, prefix=f".{source.stem[:8]}-", delete=False
-                    )
-                    handle.close()
-                    shutil.copy2(source, handle.name)
-                    os.replace(handle.name, target)
-                    source.unlink(missing_ok=True)
-                try:
-                    os.utime(target)
-                except OSError:
-                    pass
-                merged += 1
-            shutil.rmtree(shard_root, ignore_errors=True)
-        self._evict_to_budget()
-        return merged
-
-
-class ShardDiskCache(DiskCache):
-    """One shard's view of a sharded run's artifact store.
-
-    The sharded execution contract ships two directories per shard: a
-    read-only *base* (the coordinator's warm store, possibly copied to a
-    remote host) and the shard's own *delta* directory that travels back.
-    Reads check the delta first and fall through to the base; writes land
-    only in the delta — the base is never mutated by a shard, which is
-    what makes the directory pair a host-agnostic wire format.  The
-    coordinator folds completed deltas in with :meth:`DiskCache.merge_from`.
-    """
-
-    name = "disk-shard"
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        base: str | os.PathLike | None = None,
-    ) -> None:
-        super().__init__(directory)
-        self.base = Path(base) if base is not None else None
-
-    def _read(self, key: str) -> bytes | None:
-        blob = super()._read(key)
-        if blob is None and self.base is not None:
-            path = _entry_path(self.base, key)
-            try:
-                blob = path.read_bytes()
-            except FileNotFoundError:
-                return None
-            try:
-                # A fallthrough hit is a *use* of the base entry: refresh
-                # its recency so a budgeted coordinator store does not
-                # evict the working set its shards are actively reading.
-                os.utime(path)
-            except OSError:
-                pass  # read-only or remote-copied base — the hit stands
-        return blob
-
-
-#: Scratch from a run that died more than this long ago is fair game for
-#: the next run's startup sweep; any live run's scratch is far younger.
-STALE_SCRATCH_SECONDS = 24 * 3600
-
-
-def _sweep_stale_scratch(root: Path) -> None:
-    """Remove scratch left behind by crashed runs (best effort).
-
-    A SIGKILL/OOM mid-run skips ``shard_scratch``'s cleanup, and stale
-    deltas are invisible to the entry globs that ``max_bytes`` budgets —
-    without a sweep the store would grow without bound in exactly the
-    directory the budget claims to bound.  Age-gating keeps the sweep safe
-    for concurrent runs: their scratch is seconds old, not a day.
-    """
-    cutoff = time.time() - STALE_SCRATCH_SECONDS
-    try:
-        stale_candidates = list(root.iterdir())
-    except OSError:
-        return
-    for candidate in stale_candidates:
-        try:
-            if candidate.is_dir() and candidate.stat().st_mtime < cutoff:
-                shutil.rmtree(candidate, ignore_errors=True)
-        except OSError:
-            continue
-
-
-@contextmanager
-def shard_scratch(base: DiskCache | None, prefix: str):
-    """Per-run scratch root for shard delta directories, cleaned on exit.
-
-    The one definition of where shard deltas live: inside ``base``'s store
-    under ``.shards/`` (outside the two-level entry namespace, so entry
-    globs and byte accounting never see scratch) in a fresh tempdir, so
-    concurrent sharded runs against one store cannot collide.  Yields a
-    ``shard -> delta directory`` mapper — or a mapper returning ``None``
-    for every shard when there is no base store to exchange against.
-    Entry also sweeps day-old scratch that a crashed run left behind.
-    """
-    if base is None:
-        yield lambda shard: None
-        return
-    root = base.directory / ".shards"
-    root.mkdir(parents=True, exist_ok=True)
-    _sweep_stale_scratch(root)
-    scratch = Path(tempfile.mkdtemp(prefix=prefix, dir=root))
-    try:
-        yield lambda shard: scratch / f"shard-{shard}"
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
 
 #: CLI ``--cache`` vocabulary -> constructor behavior (see :func:`make_cache`).
@@ -625,7 +458,7 @@ class CachePass(CompilerPass):
             self._count(ctx, "cache_hits")
             # Event only, never a registry counter: ``cache.*`` counters
             # derive exclusively from record metrics at adoption time, so
-            # all four runner backends reconcile to one source of truth.
+            # both runner backends reconcile to one source of truth.
             obs.event("cache_hit", stage=self.name, circuit=ctx.circuit.name)
             return
         obs.event("cache_miss", stage=self.name, circuit=ctx.circuit.name)

@@ -1,22 +1,19 @@
-"""The pass pipeline: ordered stages over a shared context, plus batch runs.
+"""The pass pipeline: ordered stages over a shared context.
 
 ``Pipeline`` is the composition point of the compiler: a
 :class:`~repro.pipeline.settings.PipelineSettings` (the knobs), an ordered
 pass list (the stages), and the machinery that stamps out one
 :class:`~repro.pipeline.context.PassContext` per compilation, validates each
-pass's artifact contract, and times every stage.  ``compile_many`` fans a
-sweep of (circuit, seed) jobs over a thread or process pool; determinism is
-preserved because each job derives its own RNG streams from its seed and
-circuit name — execution order never feeds the randomness.
+pass's artifact contract, and times every stage.  Each compilation derives
+its own RNG streams from its seed and circuit name, so sweeps (see
+:mod:`repro.experiments.runners`) may run compilations in any order or
+process without changing a result.
 """
 
 from __future__ import annotations
 
-import copy
-import functools
 import time
-from collections.abc import Iterable, Sequence
-from concurrent.futures import as_completed
+from collections.abc import Sequence
 
 from repro import obs
 from repro.baseline.retry import BaselineResult
@@ -33,56 +30,6 @@ from repro.pipeline.passes import (
 )
 from repro.pipeline.result import CompilationResult
 from repro.pipeline.settings import PipelineSettings
-
-
-def _compile_one(
-    pipeline: "Pipeline", baseline: bool, circuit: Circuit, seed: int | None
-):
-    """One batch job (module-level so process pools can pickle it).
-
-    Batch failures must name their job: a sweep of dozens of circuits is
-    undebuggable from a bare per-pass exception.
-    """
-    one = pipeline.compile_baseline if baseline else pipeline.compile
-    try:
-        return one(circuit, seed)
-    except Exception as exc:
-        raise CompilationError(f"compiling {circuit.name}: {exc}") from exc
-
-
-def _compile_chunk(
-    pipeline: "Pipeline", baseline: bool, items: list[tuple[int, Circuit, int | None]]
-):
-    """One warm-pool dispatch quantum: a contiguous slice compiled in-worker.
-
-    Module-level so process pools pickle it by reference.  One chunk costs
-    one submit/pickle round trip however many jobs it carries — the lever
-    that makes pool backends profitable for short jobs (see
-    :mod:`repro.experiments.pool`).
-    """
-    return [
-        (index, _compile_one(pipeline, baseline, circuit, seed))
-        for index, circuit, seed in items
-    ]
-
-
-def _compile_shard(
-    pipeline: "Pipeline", baseline: bool, items: list[tuple[int, Circuit, int | None]]
-):
-    """One sharded-backend task: compile a slice of the batch serially.
-
-    Module-level (process pools pickle it by reference) and self-contained:
-    the pipeline it receives is already bound to the shard's own cache
-    view.  Flowing back are the indexed results plus the shard cache's
-    session counters — the coordinator folds them into its own cache
-    object so sharded batch runs report complete hit/miss totals.
-    """
-    pairs = [
-        (index, _compile_one(pipeline, baseline, circuit, seed))
-        for index, circuit, seed in items
-    ]
-    stats = pipeline.cache.stats() if pipeline.cache is not None else None
-    return pairs, stats
 
 
 def default_passes(rewrite: str = "on") -> tuple[CompilerPass, ...]:
@@ -415,249 +362,3 @@ class Pipeline:
         result.metrics = dict(ctx.metrics)
         result.spans = list(ctx.spans)
         return result
-
-    # -- batch execution ----------------------------------------------------
-
-    def compile_many(
-        self,
-        circuits: Iterable[Circuit],
-        seeds: int | Sequence[int | None] | None = None,
-        max_workers: int | None = None,
-        baseline: bool = False,
-        backend: str | None = None,
-        executor=None,
-        as_futures: bool = False,
-        cache=None,
-        shards: int | None = None,
-        chunk_size: int | None = None,
-    ) -> list[CompilationResult] | list[BaselineResult] | list:
-        """Compile a batch of circuits, optionally across a worker pool.
-
-        ``seeds`` is either one root seed shared by every job (each job's
-        streams stay independent because they are keyed by circuit name) or
-        a per-circuit sequence.  ``backend`` selects the execution strategy:
-        ``"serial"``, ``"thread"``, ``"process"`` (contexts are
-        self-contained and picklable, so the process pool is a pure runner
-        swap), or ``"sharded"`` — the batch is deterministically
-        partitioned into ``shards`` slices (round-robin by batch index,
-        default ``max_workers`` or 2), each compiled serially in its own
-        subprocess; with a ``DiskCache`` on the pipeline, every shard reads
-        through the shared store, writes a private delta directory, and the
-        deltas merge back as shards finish (the sharded runner's artifact
-        exchange, at the batch level); ``None`` keeps the legacy inference
-        — a thread pool when ``max_workers > 1``, serial otherwise.  A caller managing many
-        batches can pass a live ``executor``
-        instead; with ``as_futures=True`` the batch is submitted without
-        blocking and the input-ordered ``Future`` list comes back, letting
-        the caller keep the pool saturated across batches.  The thread and
-        process backends draw their executor from the **warm pool
-        registry** (:mod:`repro.experiments.pool`) — one pool per worker
-        count, created on first use and reused by every later batch, so
-        startup is paid once per process — and submit jobs in contiguous
-        chunks (auto ~``len(jobs)/(4*workers)`` apiece, or ``chunk_size``)
-        to amortize per-submit pickling.  Results come
-        back in input order and are identical for any backend, pool,
-        ``max_workers``, and chunk size — the per-job RNG derivation never
-        sees the scheduler.  ``cache`` (an :class:`~repro.pipeline.cache.
-        ArtifactCache`) makes every job of the batch share one artifact
-        store, so a sweep over the seed axis reuses the deterministic
-        translate/offline-map prefix instead of recompiling it per seed;
-        results are bit-identical with the cache on or off.
-        """
-        if not self.telemetry and obs.active() is not None:
-            # A session is collecting: opt the whole batch in so spans come
-            # back on every result, wherever the job runs.  A shallow copy
-            # keeps the caller's pipeline (and its cache binding) untouched.
-            clone = copy.copy(self)
-            clone.telemetry = True
-            return clone.compile_many(
-                circuits,
-                seeds=seeds,
-                max_workers=max_workers,
-                baseline=baseline,
-                backend=backend,
-                executor=executor,
-                as_futures=as_futures,
-                cache=cache,
-                shards=shards,
-                chunk_size=chunk_size,
-            )
-        if cache is not None and cache is not self.cache:
-            if self.cache is not None:
-                raise CompilationError(
-                    "compile_many cache conflicts with the pipeline's own cache"
-                )
-            return self.with_cache(cache).compile_many(
-                circuits,
-                seeds=seeds,
-                max_workers=max_workers,
-                baseline=baseline,
-                backend=backend,
-                executor=executor,
-                as_futures=as_futures,
-                shards=shards,
-                chunk_size=chunk_size,
-            )
-        jobs = list(circuits)
-        if seeds is None or isinstance(seeds, int):
-            job_seeds: list[int | None] = [seeds] * len(jobs)  # type: ignore[list-item]
-        else:
-            job_seeds = list(seeds)
-            if len(job_seeds) != len(jobs):
-                raise CompilationError(
-                    f"{len(jobs)} circuits but {len(job_seeds)} seeds supplied"
-                )
-        runner = functools.partial(_compile_one, self, baseline)
-        if as_futures and executor is None:
-            raise CompilationError("as_futures=True requires an executor")
-        if shards is not None and shards < 1:
-            raise CompilationError(f"shard count must be >= 1, got {shards}")
-        if chunk_size is not None and chunk_size < 1:
-            raise CompilationError(f"chunk size must be >= 1, got {chunk_size}")
-        if executor is not None and (
-            backend is not None
-            or max_workers is not None
-            or shards is not None
-            or chunk_size is not None
-        ):
-            raise CompilationError(
-                "executor conflicts with backend/max_workers/shards/"
-                "chunk_size: the supplied pool already fixes the execution "
-                "strategy"
-            )
-        if executor is not None:
-            futures = [
-                executor.submit(runner, circuit, seed)
-                for circuit, seed in zip(jobs, job_seeds)
-            ]
-            if as_futures:
-                return futures
-            return [future.result() for future in futures]
-        if backend is None:
-            backend = "thread" if max_workers is not None and max_workers > 1 else "serial"
-        if shards is not None and backend != "sharded":
-            raise CompilationError(
-                f"shards only applies to backend='sharded', not {backend!r}"
-            )
-        if chunk_size is not None and backend not in ("thread", "process"):
-            raise CompilationError(
-                f"chunk_size only applies to the pool backends "
-                f"('thread', 'process'), not {backend!r}"
-            )
-        if backend == "sharded":
-            return self._compile_sharded(
-                jobs, job_seeds, baseline, shards or max_workers or 2
-            )
-        if backend == "serial":
-            return [runner(circuit, seed) for circuit, seed in zip(jobs, job_seeds)]
-        if backend not in ("thread", "process"):
-            raise CompilationError(
-                f"unknown compile_many backend {backend!r}; "
-                "use 'serial', 'thread', 'process', or 'sharded'"
-            )
-        # Lazy import: repro.experiments.pool lives in a package whose
-        # __init__ imports this module — importing it at module scope would
-        # be circular.  The registry hands back a warm, shared executor.
-        from repro.experiments.pool import (
-            chunk_size_for,
-            chunked,
-            discard_pool,
-            get_pool,
-            resolve_workers,
-        )
-
-        if not jobs:
-            return []
-        pool = get_pool(backend, max_workers)
-        size = chunk_size_for(len(jobs), resolve_workers(max_workers), chunk_size)
-        indexed = list(zip(range(len(jobs)), jobs, job_seeds))
-        futures = [
-            pool.submit(_compile_chunk, self, baseline, chunk)
-            for chunk in chunked(indexed, size)
-        ]
-        results: list = [None] * len(jobs)
-        try:
-            for future in futures:
-                for index, result in future.result():
-                    results[index] = result
-        except BaseException:
-            # Fail fast and retire the poisoned pool: queued chunks are
-            # cancelled so the error surfaces now, and the next batch gets
-            # a fresh executor (see repro.experiments.pool.discard_pool).
-            for future in futures:
-                future.cancel()
-            discard_pool(pool)
-            raise
-        return results
-
-    def _compile_sharded(
-        self,
-        jobs: list[Circuit],
-        job_seeds: list[int | None],
-        baseline: bool,
-        shards: int,
-    ) -> list:
-        """Partition the batch round-robin into subprocess shards.
-
-        Each shard compiles its slice serially against its own
-        :class:`~repro.pipeline.cache.ShardDiskCache` view of the
-        pipeline's disk store (reads fall through to the shared base,
-        writes land in a private delta merged back on completion) — the
-        same directory-pair wire format the experiments-layer
-        ``ShardedRunner`` uses, applied to a raw circuit batch.  Results
-        come back in input order, byte-identical for any shard count.
-        """
-        from repro.pipeline.cache import DiskCache, ShardDiskCache, shard_scratch
-
-        if self.cache is not None and not isinstance(self.cache, DiskCache):
-            # Same guard as the experiments-layer ShardedRunner: a
-            # per-process cache snapshot cannot exchange artifacts, and
-            # silently degrading would look like a cache that never warms.
-            raise CompilationError(
-                "the sharded backend exchanges artifacts through DiskCache "
-                "directories; use a disk cache or none at all"
-            )
-        base = self.cache
-        members: dict[int, list[tuple[int, Circuit, int | None]]] = {}
-        for index, (circuit, seed) in enumerate(zip(jobs, job_seeds)):
-            members.setdefault(index % shards, []).append((index, circuit, seed))
-        from repro.experiments.pool import discard_pool, get_pool
-
-        results: list = [None] * len(jobs)
-        with shard_scratch(base, prefix="batch-") as delta_for:
-            pool = get_pool("process", min(shards, len(members) or 1))
-            futures = {}
-            try:
-                for shard, items in sorted(members.items()):
-                    delta = delta_for(shard)
-                    worker = self
-                    if delta is not None:
-                        worker = self.with_cache(
-                            ShardDiskCache(delta, base=base.directory),
-                            self.cache_only,
-                        )
-                    futures[
-                        pool.submit(_compile_shard, worker, baseline, items)
-                    ] = delta
-                for future in as_completed(futures):
-                    delta = futures[future]
-                    pairs, stats = future.result()
-                    if base is not None and delta is not None:
-                        base.merge_from(delta)
-                    if base is not None and stats is not None:
-                        # Shard caches count in their own process; without
-                        # this fold the coordinator's session totals would
-                        # read zero after a fully-cached sharded batch.
-                        with base._lock:
-                            base.hits += stats.get("hits", 0)
-                            base.misses += stats.get("misses", 0)
-                    for index, result in pairs:
-                        results[index] = result
-            except BaseException:
-                # Fail fast: cancel the shards still queued and retire the
-                # pool so the failure surfaces immediately.
-                for future in futures:
-                    future.cancel()
-                discard_pool(pool)
-                raise
-        return results

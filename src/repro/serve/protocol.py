@@ -224,7 +224,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "seed": ((int,), 0),
             "runner": ((str,), "serial"),
             "workers": ((int, _NoneType), None),
-            "shards": ((int, _NoneType), None),
             "pathfind": ((str, _NoneType), None),
             "rewrite": ((str, _NoneType), None),
         },

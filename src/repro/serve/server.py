@@ -14,9 +14,8 @@ request's key hashes the *circuit fingerprint* plus the resolved settings
 cache keys on), an experiment request's key hashes the normalized request,
 so simultaneous identical requests cost one compile and N subscriptions.
 Repeat traffic that misses the single-flight window still hits the shared
-artifact cache — the server holds one cache for its whole lifetime, swept
-(stale shard scratch) and verified (unreadable entries dropped, counted)
-at startup.
+artifact cache — the server holds one cache for its whole lifetime,
+verified (unreadable entries dropped, counted) at startup.
 
 Shutdown is a drain, not a guillotine: listeners close first (no new
 connections), in-flight requests run to their terminal frame (bounded by
@@ -106,8 +105,8 @@ def request_key(request: dict[str, Any]) -> str:
             *(
                 f"{name}={request[name]!r}"
                 for name in (
-                    "name", "scale", "seed", "runner", "workers", "shards",
-                    "pathfind", "rewrite",
+                    "name", "scale", "seed", "runner", "workers", "pathfind",
+                    "rewrite",
                 )
             ),
         ]
@@ -184,7 +183,7 @@ class ReproServer:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind listeners, sweep/verify the cache, spin up the worker pool.
+        """Bind listeners, verify the cache, spin up the worker pool.
 
         The server always runs under a telemetry session — the stats
         request serves the registry snapshot — joining the active one
@@ -198,10 +197,8 @@ class ReproServer:
             self._own_session.__enter__()
         self._tele = obs.active()
         if isinstance(self.cache, DiskCache):
-            # A crashed run's scratch and a torn entry both surface as
-            # service pathologies (unbounded growth, mid-request unpickle
-            # errors) — startup is the one moment to sweep and verify.
-            self.cache.sweep_scratch()
+            # A torn entry would surface as a mid-request unpickle error;
+            # startup is the one moment to verify the whole store.
             self.cache.verify()
         self._pool = ThreadPoolExecutor(
             max_workers=self.config.max_inflight, thread_name_prefix="serve"
@@ -412,7 +409,6 @@ class ReproServer:
             request["runner"],
             max_workers=request["workers"],
             cache=self.cache,
-            shards=request["shards"],
         )
         hits = misses = seq = 0
         for record in experiment.iter_records(

@@ -1,7 +1,7 @@
 """Unit tests for the content-addressed artifact cache (tiny parameters).
 
-The bench-scale golden matrix (cache off / cold / warm x serial / thread /
-process) lives in benchmarks/test_cache_determinism.py; these tests pin the
+The bench-scale golden matrix (cache off / cold / warm x serial / process)
+lives in benchmarks/test_cache_determinism.py; these tests pin the
 cache's own contract: key derivation, backend behavior, hit replay fidelity,
 pipeline wiring, and the process-pool pickling rules.
 """
@@ -208,70 +208,34 @@ class TestCachedCompilation:
         assert _metrics(unbound.compile(CIRCUIT, seed=0)) == _metrics(result)
         assert first.lookups == 0  # truly uncached, not silently reading first
 
-    def test_compile_many_cache_kwarg(self):
-        cache = MemoryCache()
-        pipeline = Pipeline(SETTINGS)
-        circuits = [CIRCUIT, CIRCUIT, CIRCUIT]
-        batch = pipeline.compile_many(circuits, seeds=[0, 1, 2], cache=cache)
-        assert [_metrics(r) for r in batch] == [
-            _metrics(pipeline.compile(CIRCUIT, seed=s)) for s in (0, 1, 2)
-        ]
-        assert cache.hits > 0  # the seed axis shared the prefix
-
-    def test_compile_many_conflicting_caches_rejected(self):
-        pipeline = Pipeline(SETTINGS, cache=MemoryCache())
-        with pytest.raises(CompilationError, match="conflicts"):
-            pipeline.compile_many([CIRCUIT], cache=MemoryCache())
-
     def test_disk_cache_through_process_backend(self, tmp_path):
+        from repro.experiments import CompileJob, make_runner
+
+        jobs = [
+            CompileJob(
+                key=f"qaoa4/s{seed}",
+                family="qaoa",
+                num_qubits=4,
+                settings=SETTINGS,
+                seed=seed,
+                circuit_seed=0,
+            )
+            for seed in (0, 1)
+        ]
         cache = DiskCache(tmp_path)
-        pipeline = Pipeline(SETTINGS, cache=cache)
-        circuits = [CIRCUIT, CIRCUIT]
-        cold = pipeline.compile_many(circuits, seeds=[0, 1], backend="process", max_workers=2)
-        warm = pipeline.compile_many(circuits, seeds=[0, 1], backend="process", max_workers=2)
-        serial = Pipeline(SETTINGS).compile_many(circuits, seeds=[0, 1])
-        assert [_metrics(r) for r in serial] == [_metrics(r) for r in cold]
-        assert [_metrics(r) for r in serial] == [_metrics(r) for r in warm]
+        runner = make_runner("process", max_workers=2, cache=cache)
+        kwargs = dict(experiment="cache-probe", scale="bench", seed=0)
+        cold = runner.run_jobs(jobs, **kwargs)
+        warm = runner.run_jobs(jobs, **kwargs)
+        serial = [Pipeline(SETTINGS).compile(CIRCUIT, seed=s) for s in (0, 1)]
+        expected = [(r.rsl_count, r.fusion_count) for r in serial]
+        for records in (cold, warm):
+            assert [
+                (r.fields["rsl_count"], r.fields["fusion_count"]) for r in records
+            ] == expected
         # Workers wrote through to the shared directory, so the warm pass
         # hit every stage of every job.
         assert all(r.metrics.get("cache_hits", 0) == 4 for r in warm)
-
-    def test_sharded_backend_matches_serial_and_warms(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        pipeline = Pipeline(SETTINGS, cache=cache)
-        circuits = [make_benchmark("qaoa", 4, seed=s) for s in range(4)]
-        seeds = [0, 1, 2, 3]
-        serial = Pipeline(SETTINGS).compile_many(circuits, seeds=seeds)
-        for shards in (1, 2, 3):
-            batch = pipeline.compile_many(
-                circuits, seeds=seeds, backend="sharded", shards=shards
-            )
-            assert [_metrics(r) for r in batch] == [_metrics(r) for r in serial]
-        # Shard deltas merged back after the cold run, so later sharded runs
-        # (any shard count) hit every stage of every job.
-        warm = pipeline.compile_many(circuits, seeds=seeds, backend="sharded", shards=2)
-        assert all(r.metrics.get("cache_hits", 0) == 4 for r in warm)
-        # Scratch directories are cleaned up; only real entries remain.
-        assert not list((tmp_path / ".shards").glob("*"))
-
-    def test_shards_param_requires_sharded_backend(self):
-        with pytest.raises(CompilationError, match="sharded"):
-            Pipeline(SETTINGS).compile_many([CIRCUIT], backend="serial", shards=2)
-
-    def test_sharded_backend_rejects_memory_cache(self):
-        pipeline = Pipeline(SETTINGS, cache=MemoryCache())
-        with pytest.raises(CompilationError, match="DiskCache"):
-            pipeline.compile_many([CIRCUIT], backend="sharded", shards=2)
-
-    def test_invalid_shard_counts_and_executor_conflict(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with pytest.raises(CompilationError, match=">= 1"):
-            Pipeline(SETTINGS).compile_many([CIRCUIT], backend="sharded", shards=0)
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # An explicit shard request must never be silently ignored.
-            with pytest.raises(CompilationError, match="executor conflicts"):
-                Pipeline(SETTINGS).compile_many([CIRCUIT], executor=pool, shards=2)
 
 
 class TestEviction:
@@ -399,82 +363,8 @@ class TestEviction:
         assert cache.fetch("key") is not None
 
 
-class TestShardExchange:
-    """ShardDiskCache read-through/write-local views and merge_from."""
-
-    def test_reads_fall_through_writes_stay_local(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        base.store("warm", {"artifacts": {"x": 1}, "metrics": {}})
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        assert shard.fetch("warm") == {"artifacts": {"x": 1}, "metrics": {}}
-        shard.store("fresh", {"artifacts": {"y": 2}, "metrics": {}})
-        assert len(base) == 1  # the base never sees shard writes...
-        assert base.fetch("fresh") is None
-        assert shard.fetch("fresh") is not None  # ...but the shard sees both
-
-    def test_merge_from_folds_delta_and_removes_it(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        shard.store("a", {"artifacts": {}, "metrics": {}})
-        shard.store("b", {"artifacts": {}, "metrics": {}})
-        assert base.merge_from(shard.directory) == 2
-        assert base.fetch("a") is not None and base.fetch("b") is not None
-        assert not shard.directory.exists()
-
-    def test_merge_applies_the_budget(self, tmp_path):
-        base = DiskCache(tmp_path / "base", max_bytes=500)
-        delta = DiskCache(tmp_path / "delta")
-        for index in range(10):
-            delta.store(
-                f"k{index}", {"artifacts": {"x": b"a" * 200}, "metrics": {}}
-            )
-        base.merge_from(delta.directory)
-        assert base.total_bytes() <= 500
-
-    def test_merge_skips_oversized_entries_without_thrashing(self, tmp_path):
-        base = DiskCache(tmp_path / "base", max_bytes=2000)
-        self._warm = ["w1", "w2", "w3"]
-        for name in self._warm:
-            base.store(name, {"artifacts": {"x": b"a" * 300}, "metrics": {}})
-        survivors = len(base)
-        delta = DiskCache(tmp_path / "delta")
-        delta.store("huge", {"artifacts": {"x": b"a" * 5000}, "metrics": {}})
-        merged = base.merge_from(delta.directory)
-        assert merged == 0  # the oversized entry was dropped, not folded in
-        assert base.fetch("huge") is None
-        assert len(base) == survivors  # the warm set was not sacrificed
-        assert not delta.directory.exists()
-
-    def test_fallthrough_hit_refreshes_base_recency(self, tmp_path):
-        import os
-
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        base.store("warm", {"artifacts": {}, "metrics": {}})
-        entry = base._path("warm")
-        os.utime(entry, (1, 1))  # ancient mtime: first in line for eviction
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        assert shard.fetch("warm") is not None
-        # The shard's use must count as recency on the coordinator's store.
-        assert entry.stat().st_mtime > 1
-
-    def test_shard_cache_pickles(self, tmp_path):
-        from repro.pipeline import ShardDiskCache
-
-        base = DiskCache(tmp_path / "base")
-        base.store("k", {"artifacts": {}, "metrics": {}})
-        shard = ShardDiskCache(tmp_path / "delta", base=base.directory)
-        clone = pickle.loads(pickle.dumps(shard))
-        assert clone.fetch("k") is not None  # read-through survives pickling
-
-
 class TestMaintenance:
-    """Startup hygiene for long-running stores: sweep + verify."""
+    """Startup hygiene for long-running stores: verify."""
 
     def test_verify_drops_corrupt_entries_and_counts(self, tmp_path):
         from repro import obs
@@ -509,25 +399,3 @@ class TestMaintenance:
         cache._path("00k").write_bytes(b"garbage")
         cache.verify()
         assert cache._approx_bytes == cache.total_bytes() == 0
-
-    def test_sweep_scratch_removes_stale_but_not_fresh(self, tmp_path):
-        import os
-        import time as _time
-
-        from repro.pipeline.cache import STALE_SCRATCH_SECONDS
-
-        cache = DiskCache(tmp_path)
-        shards = tmp_path / ".shards"
-        stale = shards / "batch-dead"
-        fresh = shards / "batch-live"
-        for scratch in (stale, fresh):
-            scratch.mkdir(parents=True)
-            (scratch / "shard-0").mkdir()
-        old = _time.time() - STALE_SCRATCH_SECONDS - 60
-        os.utime(stale, (old, old))
-        cache.sweep_scratch()
-        assert not stale.exists()  # crashed run's leftovers are gone
-        assert fresh.exists()  # a live run's scratch is untouched
-
-    def test_sweep_scratch_without_shards_dir(self, tmp_path):
-        DiskCache(tmp_path).sweep_scratch()  # no .shards/: nothing to do

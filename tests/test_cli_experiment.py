@@ -43,13 +43,13 @@ class TestRegistrySurface:
 class TestStructuredOutputs:
     def test_json_records(self, capsys):
         code = main(
-            ["experiment", "--name", "fig15", "--json", "--runner", "thread",
+            ["experiment", "--name", "fig15", "--json", "--runner", "process",
              "--workers", "2"]
         )
         record = json.loads(capsys.readouterr().out)
         assert code == 0
         assert record["experiment"] == "fig15"
-        assert record["runner"] == "thread"
+        assert record["runner"] == "process"
         assert record["records"][0]["fields"]["logical_layers"] > 0
         assert record["cache"] == {"hits": 0, "misses": 0, "hit_rate": 0.0}
 
@@ -224,87 +224,43 @@ class TestPathfindFlag:
 
 
 class TestShardedFlags:
-    def test_sharded_runner_json_fields_match_serial(self, capsys, tmp_path):
-        cache_dir = str(tmp_path / "artifacts")
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "3", "--cache-dir", cache_dir]
-        )
-        cold = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert cold["runner"] == "sharded"
-        assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
-        # Warm re-run at a different shard count: the merged shard deltas
-        # serve every lookup, and the deterministic fields are unchanged.
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "2", "--cache-dir", cache_dir]
-        )
-        warm = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert warm["cache"]["hit_rate"] == 1.0
-        assert [entry["fields"] for entry in warm["records"]] == [
-            entry["fields"] for entry in cold["records"]
-        ]
-
-    def test_shards_with_other_runner_is_usage_error(self, capsys):
-        code = main(["experiment", "--name", "fig15", "--shards", "2"])
-        assert code == 2
-        assert "sharded" in capsys.readouterr().err
-
-    def test_chunk_size_records_identical_to_serial(self, capsys):
-        code = main(["experiment", "--name", "fig14", "--json"])
-        serial = json.loads(capsys.readouterr().out)
-        assert code == 0
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "thread",
-             "--workers", "2", "--chunk-size", "2"]
-        )
-        chunked = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert [entry["fields"] for entry in chunked["records"]] == [
-            entry["fields"] for entry in serial["records"]
-        ]
-
-    def test_chunk_size_with_serial_runner_is_usage_error(self, capsys):
-        code = main(["experiment", "--name", "fig15", "--chunk-size", "2"])
-        assert code == 2
-        assert "thread, process" in capsys.readouterr().err
+    """Worker counts are validated, and the removed sharded-execution flags
+    (``--shards``, ``--chunk-size``, ``--runner sharded``) are usage errors
+    rather than silently ignored."""
 
     def test_nonpositive_counts_are_usage_errors(self, capsys):
-        for flags in (
-            ["--runner", "process", "--workers", "0"],
-            ["--runner", "sharded", "--shards", "0"],
-            ["--runner", "thread", "--chunk-size", "0"],
-        ):
-            code = main(["experiment", "--name", "fig15", *flags])
-            assert code == 2
-            assert ">= 1" in capsys.readouterr().err
-
-    def test_memory_cache_with_sharded_runner_is_usage_error(self, capsys):
         code = main(
-            ["experiment", "--name", "fig15", "--runner", "sharded",
-             "--cache", "memory"]
+            ["experiment", "--name", "fig15", "--runner", "process", "--workers", "0"]
         )
         assert code == 2
-        assert "DiskCache" in capsys.readouterr().err
+        assert ">= 1" in capsys.readouterr().err
 
-    def test_sharded_session_totals_fold_into_cache_session(self, capsys, tmp_path):
-        # Satellite fix: the per-shard subprocess hit/miss counts used to be
-        # dropped after merge_from; now cache_session reports the whole run.
-        cache_dir = str(tmp_path / "artifacts")
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--runner", "sharded",
-             "--shards", "2", "--cache-dir", cache_dir]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        session = payload["cache_session"]
-        assert session["backend"] == "disk"
-        assert session["hits"] == payload["cache"]["hits"]
-        assert session["misses"] == payload["cache"]["misses"]
-        assert session["misses"] > 0
-        assert "evictions" in session
+    def test_runner_choices_are_serial_and_process(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--name", "fig15", "--runner", "thread"])
+        assert exit_info.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
+
+    def test_shards_with_other_runner_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--name", "fig15", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_chunk_size_with_serial_runner_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiment", "--name", "fig15", "--chunk-size", "2"])
+        assert exit_info.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
+    def test_memory_cache_with_sharded_runner_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["experiment", "--name", "fig15", "--runner", "sharded",
+                 "--cache", "memory"]
+            )
+        assert exit_info.value.code == 2
+        assert "'serial', 'process'" in capsys.readouterr().err
 
 
 class TestTelemetryFlags:

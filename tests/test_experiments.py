@@ -19,7 +19,6 @@ from repro.experiments import (
     FnJob,
     ProcessRunner,
     SerialRunner,
-    ThreadRunner,
     UnknownExperimentError,
     canonical_json,
     experiment_names,
@@ -153,9 +152,9 @@ class TestRunners:
         experiment = ToyExperiment()
         reference = experiment.run("bench", seed=3, runner=SerialRunner())
         for runner in (
-            ThreadRunner(max_workers=2),
-            ThreadRunner(max_workers=4),
+            ProcessRunner(max_workers=1),
             ProcessRunner(max_workers=2),
+            ProcessRunner(max_workers=4),
         ):
             result = experiment.run("bench", seed=3, runner=runner)
             assert canonical_json(result.records) == canonical_json(reference.records)
@@ -189,14 +188,16 @@ class TestRunners:
         for fn_record in result.records[:-1]:
             assert fn_record.metrics == {}
 
-    @pytest.mark.parametrize("runner_name", ["serial", "thread"])
+    # A MemoryCache only shares within one process, so the process runner
+    # is covered with a DiskCache below.
+    @pytest.mark.parametrize("runner_name", ["serial"])
     def test_cached_runner_matches_uncached_and_counts(self, runner_name):
         from repro.pipeline import MemoryCache
 
         experiment = ToyExperiment()
         reference = experiment.run("bench", seed=3, runner=SerialRunner())
         cache = MemoryCache()
-        runner = make_runner(runner_name, max_workers=2, cache=cache)
+        runner = make_runner(runner_name, cache=cache)
         cold = experiment.run("bench", seed=3, runner=runner)
         warm = experiment.run("bench", seed=3, runner=runner)
         assert canonical_json(cold.records) == canonical_json(reference.records)
@@ -226,8 +227,8 @@ class TestRunners:
         assert warm.cache_stats()["hit_rate"] == 1.0
 
     def test_runner_by_name_and_unknown(self):
-        assert make_runner("thread", 2).max_workers == 2
-        with pytest.raises(ReproError, match="serial, thread, process"):
+        assert make_runner("process", 2).max_workers == 2
+        with pytest.raises(ReproError, match="serial, process"):
             make_runner("gpu")
 
     def test_result_exports(self):
@@ -251,7 +252,7 @@ class TestRunners:
         with pytest.raises(ReproError, match="supports scales"):
             experiment.run("paper")
 
-    @pytest.mark.parametrize("runner", [SerialRunner(), ThreadRunner(max_workers=2)])
+    @pytest.mark.parametrize("runner", [SerialRunner(), ProcessRunner(max_workers=2)])
     def test_failures_name_the_job(self, runner):
         jobs = [FnJob(key="boom/1", fn=_exploding_point, kwargs={})]
         with pytest.raises(ReproError, match="boom/1"):
@@ -274,7 +275,7 @@ class TestJobBuilders:
         jobs = get_experiment("table2").build_jobs("bench", seed=0)
         distinct = {(job.settings, job.baseline) for job in jobs}
         # One settings object per (rate, cap, node side) group, times the
-        # baseline flag — that is what compile_many batches on.
+        # baseline flag — the runner shares one pipeline per group.
         assert len(distinct) == 2 * len(table2.SCALE_SETTINGS["bench"])
 
     def test_fig13_mixes_job_kinds(self):

@@ -5,14 +5,14 @@ Pins the tentpole guarantees:
 * collection primitives work standalone (span nesting and parent links,
   counter/gauge/histogram registry semantics, per-event-flush logs);
 * trace files round-trip (JSONL and Chrome ``trace_event``) and summarize
-  into per-pass / per-shard / cache tables;
+  into per-pass / per-run / cache tables;
 * the pipeline's pass spans carry the *same* clock reads as
   ``PassContext.timings``, so traces reconcile with timings exactly;
 * telemetry provenance survives every runner boundary: session counters
-  equal the record-derived sums for serial, thread, process, and sharded
-  backends alike, and each compile record brings its spans home;
+  equal the record-derived sums for the serial and process backends
+  alike, and each compile record brings its spans home;
 * **determinism**: canonical records are byte-identical with a telemetry
-  session active or not, on the serial and the sharded runner both.
+  session active or not, on the serial and the process runner both.
 """
 
 import json
@@ -26,11 +26,8 @@ from repro.errors import ReproError
 from repro.experiments import (
     CompileJob,
     Experiment,
-    ShardOutcome,
-    ShardTask,
     canonical_json,
     make_runner,
-    run_shard,
 )
 from repro.obs.summarize import (
     load_events,
@@ -155,24 +152,6 @@ class TestMetrics:
             "sum": 12.0,
             "min": 2.0,
             "max": 10.0,
-        }
-
-    def test_merge_adds_counters_and_combines_histograms(self):
-        ours = obs.MetricsRegistry()
-        ours.inc("hits", 2)
-        ours.observe("sizes", 5.0)
-        theirs = obs.MetricsRegistry()
-        theirs.inc("hits", 3)
-        theirs.inc("misses")
-        theirs.observe("sizes", 1.0)
-        ours.merge(theirs.snapshot())
-        snapshot = ours.snapshot()
-        assert snapshot["counters"] == {"hits": 5, "misses": 1}
-        assert snapshot["histograms"]["sizes"] == {
-            "count": 2,
-            "sum": 6.0,
-            "min": 1.0,
-            "max": 5.0,
         }
 
     def test_snapshot_is_picklable(self):
@@ -367,15 +346,13 @@ class TestTimingSplit:
 
 
 def _runner_for(name, tmp_path):
-    if name == "sharded":
-        return make_runner("sharded", cache=DiskCache(tmp_path / "cache"), shards=2)
     if name == "serial":
         return make_runner("serial", cache=MemoryCache())
     return make_runner(name, max_workers=2, cache=DiskCache(tmp_path / "cache"))
 
 
 class TestRunnerProvenance:
-    @pytest.mark.parametrize("name", ["serial", "thread", "process", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_counters_reconcile_and_spans_arrive(self, name, tmp_path):
         with obs.session() as tele:
             result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))
@@ -401,11 +378,8 @@ class TestRunnerProvenance:
         ) >= 1
         kinds = {event["kind"] for event in events}
         assert {"run_started", "run_finished", "job_started", "job_finished"} <= kinds
-        if name == "sharded":
-            assert {"shard_started", "shard_merged"} <= kinds
-            assert any(s["name"].startswith("shard:") for s in spans)
 
-    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "process"])
     def test_golden_records_identical_with_session_on_or_off(self, name, tmp_path):
         runner_off = _runner_for(name, tmp_path / "off")
         plain = TeleToy().run("bench", seed=3, runner=runner_off)
@@ -420,39 +394,6 @@ class TestRunnerProvenance:
             not any(key.startswith("m_spans") or key == "spans" for key in row)
             for row in (r.flat() for r in traced.records)
         )
-
-    def test_warm_cache_counts_hits_across_shards(self, tmp_path):
-        cache = DiskCache(tmp_path / "store")
-        TeleToy().run("bench", seed=3, runner=make_runner("sharded", cache=cache, shards=2))
-        cold = cache.stats()
-        with obs.session() as tele:
-            warm_runner = make_runner("sharded", cache=cache, shards=3)
-            result = TeleToy().run("bench", seed=3, runner=warm_runner)
-            counters = tele.metrics.snapshot()["counters"]
-        # Satellite fix: shard subprocess counters fold into the runner's
-        # cache object, so session totals cover the whole run.
-        assert cache.stats()["hits"] > cold["hits"]
-        hits = sum(r.metrics.get("cache_hits", 0) for r in result.records)
-        assert cache.stats()["hits"] - cold["hits"] == hits
-        assert counters.get("cache.hits", 0) == hits
-
-    def test_run_shard_outcome_carries_telemetry(self):
-        jobs = tuple(enumerate(TeleToy().build_jobs("bench", 3)))
-        task = ShardTask(
-            shard_index=0,
-            experiment="tele-toy",
-            scale="bench",
-            seed=3,
-            jobs=jobs,
-            telemetry=True,
-        )
-        outcome = run_shard(pickle.loads(pickle.dumps(task)))
-        assert isinstance(outcome, ShardOutcome)
-        outcome = pickle.loads(pickle.dumps(outcome))  # the return trip
-        assert outcome.metrics is not None
-        assert outcome.metrics["histograms"]["online.bfs_nodes"]["count"] > 0
-        assert any(event["kind"] == "job_finished" for event in outcome.events)
-        assert all(record.spans for _index, record in outcome.pairs)
 
     def test_trace_reconciles_with_record_timings(self, tmp_path):
         with obs.session() as tele:

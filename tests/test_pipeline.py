@@ -1,8 +1,8 @@
 """Tests for the composable compiler-pass pipeline.
 
 Covers the golden parity between ``Pipeline`` and the legacy
-``OnePercCompiler`` facade, the pass ordering / artifact contract, batch
-compilation determinism under thread workers, per-pass timings, and the
+``OnePercCompiler`` facade, the pass ordering / artifact contract, pickling
+for process-pool workers, per-pass timings, and the
 vectorized ``components()`` hot path against its union-find reference.
 """
 
@@ -152,118 +152,15 @@ class TestTimings:
         assert result.online_seconds > 0
 
 
-class TestCompileMany:
-    CIRCUITS = [
-        make_benchmark("qaoa", 4, seed=5),
-        make_benchmark("qft", 4, seed=5),
-        make_benchmark("vqe", 4, seed=5),
-        make_benchmark("rca", 4, seed=5),
-    ]
+class TestPickling:
+    CIRCUITS = [make_benchmark("qaoa", 4, seed=5)]
 
     @staticmethod
     def _metrics(results):
         return [(r.rsl_count, r.fusion_count, r.logical_layers) for r in results]
 
-    def test_workers_do_not_change_results(self):
-        pipeline = Pipeline(SETTINGS, seed=5)
-        sequential = pipeline.compile_many(self.CIRCUITS)
-        threaded = pipeline.compile_many(self.CIRCUITS, max_workers=4)
-        assert self._metrics(sequential) == self._metrics(threaded)
-
-    def test_matches_single_compiles(self):
-        pipeline = Pipeline(SETTINGS, seed=5)
-        batch = pipeline.compile_many(self.CIRCUITS, max_workers=3)
-        singles = [pipeline.compile(circuit) for circuit in self.CIRCUITS]
-        assert self._metrics(batch) == self._metrics(singles)
-
-    def test_per_circuit_seeds(self):
-        pipeline = Pipeline(SETTINGS)
-        seeded = pipeline.compile_many(self.CIRCUITS[:2], seeds=[1, 2], max_workers=2)
-        assert self._metrics(seeded) == self._metrics(
-            [pipeline.compile(c, seed=s) for c, s in zip(self.CIRCUITS[:2], (1, 2))]
-        )
-
-    def test_seed_count_mismatch_rejected(self):
-        with pytest.raises(CompilationError, match="seeds"):
-            Pipeline(SETTINGS).compile_many(self.CIRCUITS, seeds=[1])
-
-    def test_failures_name_the_job(self):
-        # max_rsl=1 cannot satisfy any demand; the error must say which
-        # circuit of the batch died.
-        pipeline = Pipeline(PipelineSettings(max_rsl=1), seed=0)
-        with pytest.raises(CompilationError, match="qaoa-4"):
-            pipeline.compile_many(self.CIRCUITS[:1])
-
-    def test_baseline_batch(self):
-        pipeline = Pipeline(
-            PipelineSettings(fusion_success_rate=0.9, max_rsl=10**4), seed=0
-        )
-        results = pipeline.compile_many(
-            self.CIRCUITS[:2], max_workers=2, baseline=True
-        )
-        assert all(r.rsl_count > 0 for r in results)
-
-    def test_process_backend_matches_serial(self):
-        pipeline = Pipeline(SETTINGS, seed=5)
-        serial = pipeline.compile_many(self.CIRCUITS, backend="serial")
-        processed = pipeline.compile_many(
-            self.CIRCUITS, backend="process", max_workers=2
-        )
-        assert self._metrics(serial) == self._metrics(processed)
-
-    def test_thread_backend_explicit(self):
-        pipeline = Pipeline(SETTINGS, seed=5)
-        threaded = pipeline.compile_many(
-            self.CIRCUITS, backend="thread", max_workers=1
-        )
-        assert self._metrics(threaded) == self._metrics(
-            pipeline.compile_many(self.CIRCUITS)
-        )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(CompilationError, match="backend"):
-            Pipeline(SETTINGS).compile_many(self.CIRCUITS[:1], backend="gpu")
-
-    def test_caller_owned_executor_and_futures(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pipeline = Pipeline(SETTINGS, seed=5)
-        serial = pipeline.compile_many(self.CIRCUITS)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            shared = pipeline.compile_many(self.CIRCUITS, executor=pool)
-            futures = pipeline.compile_many(
-                self.CIRCUITS, executor=pool, as_futures=True
-            )
-            gathered = [future.result() for future in futures]
-        assert self._metrics(serial) == self._metrics(shared)
-        assert self._metrics(serial) == self._metrics(gathered)
-
-    def test_as_futures_requires_executor(self):
-        with pytest.raises(CompilationError, match="executor"):
-            Pipeline(SETTINGS).compile_many(self.CIRCUITS[:1], as_futures=True)
-
-    def test_executor_conflicts_with_backend_knobs(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            with pytest.raises(CompilationError, match="conflicts"):
-                Pipeline(SETTINGS).compile_many(
-                    self.CIRCUITS[:1], executor=pool, backend="process"
-                )
-            with pytest.raises(CompilationError, match="conflicts"):
-                Pipeline(SETTINGS).compile_many(
-                    self.CIRCUITS[:1], executor=pool, max_workers=8
-                )
-
-    def test_process_backend_failures_name_the_job(self):
-        pipeline = Pipeline(PipelineSettings(max_rsl=1), seed=0)
-        with pytest.raises(CompilationError, match="qaoa-4"):
-            pipeline.compile_many(
-                self.CIRCUITS[:1], backend="process", max_workers=2
-            )
-
     def test_jobs_and_results_are_picklable(self):
-        # The process backend's contract: pipelines, circuits, and both
+        # The process runner's contract: pipelines, circuits, and both
         # result types round-trip through pickle unchanged where it counts.
         import pickle
 

@@ -1,17 +1,19 @@
 """Warm worker pools and chunked dispatch: the pool registry contract.
 
-Pins the PR's tentpole guarantees at toy scale:
+Pins the guarantees at toy scale:
 
-* the registry hands back *the same* executor for the same ``(kind,
-  workers)`` key — pool startup is paid once per process, not per run;
+* the registry hands back *the same* process pool for the same worker
+  count — pool startup is paid once per process, not per run;
 * ``shutdown_pools()`` is idempotent and the registry re-warms after it;
 * records are byte-identical across two consecutive runs on one warm
-  pool (no state leaks between sweeps) and across any chunk size;
+  pool (no state leaks between sweeps) and across chunk sizes — forced
+  through ``chunk_size_for``, so uneven last chunks and one-job chunks
+  both pass through the reorder buffer;
 * a poisoned job fails fast — queued chunks are cancelled, the pool is
   retired from the registry — while an abandoned consumer
   (``GeneratorExit``) leaves the shared pool warm;
-* ``make_runner``/``compile_many`` validate worker, shard, and chunk
-  counts up front instead of silently reinterpreting them.
+* ``make_runner`` validates worker counts up front instead of silently
+  reinterpreting them.
 """
 
 import time
@@ -26,6 +28,7 @@ from repro.experiments import (
     SerialRunner,
     canonical_json,
     make_runner,
+    runners,
     shutdown_pools,
 )
 from repro.experiments.common import stream_for
@@ -36,7 +39,7 @@ from repro.experiments.pool import (
     get_pool,
     resolve_workers,
 )
-from repro.pipeline import Pipeline, PipelineSettings
+from repro.pipeline import PipelineSettings
 
 
 def _point(x: int, seed: int) -> dict:
@@ -88,31 +91,34 @@ class PoolToy(Experiment):
 REFERENCE = PoolToy().run("bench", seed=5, runner=SerialRunner())
 
 
+def _force_chunk_size(monkeypatch, size):
+    """Pin the process runner's dispatch quantum (auto-sized by default)."""
+    monkeypatch.setattr(runners, "chunk_size_for", lambda _jobs, _workers: size)
+
+
 class TestRegistry:
     def test_same_key_same_pool(self):
-        assert get_pool("thread", 2) is get_pool("thread", 2)
-        assert get_pool("process", 2) is get_pool("process", 2)
+        assert get_pool(2) is get_pool(2)
 
     def test_distinct_keys_distinct_pools(self):
-        assert get_pool("thread", 2) is not get_pool("thread", 3)
-        assert get_pool("thread", 2) is not get_pool("process", 2)
+        assert get_pool(2) is not get_pool(3)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ReproError, match="thread, process"):
-            get_pool("fiber", 2)
+        with pytest.raises(ReproError, match="serial, process"):
+            make_runner("thread")
 
     def test_shutdown_is_idempotent_and_registry_rewarms(self):
-        get_pool("thread", 2)
-        get_pool("process", 2)
+        get_pool(1)
+        get_pool(2)
         assert shutdown_pools() >= 2
         assert shutdown_pools() == 0  # nothing left: a clean no-op
-        fresh = get_pool("thread", 2)  # the registry simply re-warms
+        fresh = get_pool(2)  # the registry simply re-warms
         assert fresh.submit(int, "7").result() == 7
 
     def test_discard_pool_retires_and_tolerates_repeats(self):
-        pool = get_pool("thread", 2)
+        pool = get_pool(1)
         discard_pool(pool)
-        assert get_pool("thread", 2) is not pool
+        assert get_pool(1) is not pool
         discard_pool(pool)  # already gone from the registry: still safe
 
     def test_resolve_workers(self):
@@ -127,11 +133,6 @@ class TestChunking:
         assert chunk_size_for(80, 2) == 10  # 80 / (4*2)
         assert chunk_size_for(3, 8) == 1  # never below one job per chunk
 
-    def test_override_wins_and_is_validated(self):
-        assert chunk_size_for(80, 2, override=7) == 7
-        with pytest.raises(ReproError, match=">= 1"):
-            chunk_size_for(80, 2, override=0)
-
     def test_chunks_are_contiguous_and_total(self):
         items = list(range(10))
         chunks = list(chunked(items, 3))
@@ -142,9 +143,9 @@ class TestWarmPoolDeterminism:
     @pytest.mark.parametrize(
         "runner_name,kwargs",
         [
-            ("thread", {"max_workers": 2}),
+            ("process", {"max_workers": 1}),
             ("process", {"max_workers": 2}),
-            ("sharded", {"shards": 2}),
+            ("process", {"max_workers": 3}),
         ],
     )
     def test_two_consecutive_runs_on_one_warm_pool(self, runner_name, kwargs):
@@ -160,15 +161,25 @@ class TestWarmPoolDeterminism:
         assert canonical_json(first.records) == reference
         assert canonical_json(second.records) == reference
 
-    @pytest.mark.parametrize("chunk_size", [1, 2, 5, None])
-    def test_records_identical_for_any_chunk_size(self, chunk_size):
-        runner = make_runner("thread", max_workers=2, chunk_size=chunk_size)
-        result = PoolToy().run("bench", seed=5, runner=runner)
-        assert canonical_json(result.records) == canonical_json(REFERENCE.records)
+    @pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, None])
+    def test_records_identical_for_any_chunk_size(self, chunk_size, monkeypatch):
+        # 7 jobs: size 1 sends one job per round trip, 2/3/5 leave a short
+        # last chunk, None keeps the auto size.
+        if chunk_size is not None:
+            _force_chunk_size(monkeypatch, chunk_size)
+        runner = make_runner("process", max_workers=2)
+        jobs = PoolToy().build_jobs("bench", 5)
+        streamed = list(
+            runner.iter_jobs(jobs, experiment="pool-toy", scale="bench", seed=5)
+        )
+        assert [record.job for record in streamed] == [job.key for job in jobs]
+        assert canonical_json(streamed) == canonical_json(REFERENCE.records)
 
 
 class TestFailFast:
-    def test_poisoned_job_cancels_queued_chunks_and_retires_pool(self, tmp_path):
+    def test_poisoned_job_cancels_queued_chunks_and_retires_pool(
+        self, tmp_path, monkeypatch
+    ):
         marker = tmp_path / "ran.txt"
         jobs = [FnJob(key="boom/0", fn=_boom, kwargs={})] + [
             FnJob(
@@ -178,105 +189,37 @@ class TestFailFast:
             )
             for x in range(1, 12)
         ]
-        runner = make_runner("thread", max_workers=1, chunk_size=1)
-        healthy = get_pool("thread", 1)
+        _force_chunk_size(monkeypatch, 1)
+        runner = make_runner("process", max_workers=1)
+        healthy = get_pool(1)
         with pytest.raises(ReproError, match="boom/0"):
             list(
                 runner.iter_jobs(jobs, experiment="pool-toy", scale="bench", seed=0)
             )
         # The failure cancelled the queue instead of draining it: with one
-        # worker, at most the chunk already picked up when the error
+        # worker, at most the chunks already picked up when the error
         # surfaced can still run.
         ran = len(marker.read_text().splitlines()) if marker.exists() else 0
         assert ran < len(jobs) - 1
         # ...and the poisoned pool left the registry; the next run warms a
         # fresh one.
-        assert get_pool("thread", 1) is not healthy
-
-    def test_poisoned_shard_retires_the_process_pool(self):
-        jobs = [FnJob(key="boom/1", fn=_boom, kwargs={})]
-        runner = make_runner("sharded", shards=1)
-        before = get_pool("process", 1)
-        with pytest.raises(ReproError, match="boom/1"):
-            runner.run_jobs(jobs, experiment="pool-toy", scale="bench", seed=0)
-        assert get_pool("process", 1) is not before
+        assert get_pool(1) is not healthy
 
     def test_abandoned_consumer_keeps_the_pool_warm(self):
         # Closing the generator mid-stream is not an error: in-flight work
         # is cancelled but the shared pool stays registered and healthy.
         jobs = PoolToy().build_jobs("bench", 5)
-        runner = make_runner("thread", max_workers=2)
-        pool = get_pool("thread", 2)
+        runner = make_runner("process", max_workers=2)
+        pool = get_pool(2)
         stream = runner.iter_jobs(jobs, experiment="pool-toy", scale="bench", seed=5)
         next(stream)
         stream.close()
-        assert get_pool("thread", 2) is pool
+        assert get_pool(2) is pool
         assert pool.submit(int, "7").result() == 7
 
 
 class TestValidation:
     def test_make_runner_rejects_nonpositive_counts(self):
-        with pytest.raises(ReproError, match=">= 1"):
-            make_runner("process", max_workers=0)
-        with pytest.raises(ReproError, match=">= 1"):
-            make_runner("sharded", max_workers=0)
-        with pytest.raises(ReproError, match=">= 1"):
-            make_runner("sharded", shards=0)
-        with pytest.raises(ReproError, match=">= 1"):
-            make_runner("thread", chunk_size=0)
-
-    def test_chunk_size_only_for_pool_runners(self):
-        assert make_runner("thread", chunk_size=3).chunk_size == 3
-        assert make_runner("process", chunk_size=3).chunk_size == 3
-        for name in ("serial", "sharded"):
-            with pytest.raises(ReproError, match="thread, process"):
-                make_runner(name, chunk_size=3)
-
-
-SETTINGS = PipelineSettings(
-    fusion_success_rate=0.9, rsl_size=24, virtual_size=2, max_rsl=10**5
-)
-
-
-class TestCompileManyChunks:
-    def _circuits(self):
-        from repro.circuits.benchmarks import make_benchmark
-
-        return [make_benchmark("qaoa", 4, seed=s) for s in range(3)]
-
-    def test_pool_backends_match_serial_for_any_chunk_size(self):
-        pipeline = Pipeline(SETTINGS)
-        circuits = self._circuits()
-        reference = pipeline.compile_many(circuits, seeds=0)
-        for backend in ("thread", "process"):
-            for chunk_size in (1, 2, None):
-                batch = pipeline.compile_many(
-                    circuits,
-                    seeds=0,
-                    backend=backend,
-                    max_workers=2,
-                    chunk_size=chunk_size,
-                )
-                assert [r.rsl_count for r in batch] == [
-                    r.rsl_count for r in reference
-                ]
-                assert [r.fusion_count for r in batch] == [
-                    r.fusion_count for r in reference
-                ]
-
-    def test_chunk_size_usage_errors(self):
-        from repro.errors import CompilationError
-
-        pipeline = Pipeline(SETTINGS)
-        circuits = self._circuits()
-        with pytest.raises(CompilationError, match=">= 1"):
-            pipeline.compile_many(circuits, backend="thread", chunk_size=0)
-        with pytest.raises(CompilationError, match="pool backends"):
-            pipeline.compile_many(circuits, backend="serial", chunk_size=2)
-        with pytest.raises(CompilationError, match="pool backends"):
-            pipeline.compile_many(
-                circuits, backend="sharded", shards=2, chunk_size=2
-            )
-        pool = get_pool("thread", 2)
-        with pytest.raises(CompilationError, match="executor conflicts"):
-            pipeline.compile_many(circuits, executor=pool, chunk_size=2)
+        for name in ("serial", "process"):
+            with pytest.raises(ReproError, match=">= 1"):
+                make_runner(name, max_workers=0)

@@ -292,7 +292,7 @@ class TestCoalescing:
     def test_request_key_separates_different_work(self):
         base = {"op": "experiment", "name": "serve-toy", "scale": "bench",
                 "seed": 0, "runner": "serial", "workers": None,
-                "shards": None, "pathfind": None, "rewrite": None}
+                "pathfind": None, "rewrite": None}
         assert request_key(base) == request_key(dict(base))
         assert request_key(base) != request_key({**base, "seed": 1})
         assert request_key(base) != request_key({**base, "name": "serve-gated"})
@@ -355,6 +355,34 @@ class TestLifecycle:
                 # same socket still serves a valid request
                 sock.sendall(json.dumps({"op": "stats"}).encode() + b"\n")
                 assert decode_frame(reader.readline())["frame"] == "ack"
+                assert decode_frame(reader.readline())["frame"] == "stats"
+
+    def test_removed_runner_options_are_error_frames(self):
+        import socket
+
+        with ServerThread(ServeConfig(port=0)) as st:
+            _client(st)  # waits until up
+            with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                reader = sock.makefile("rb")
+
+                def send(request):
+                    sock.sendall(json.dumps(request).encode() + b"\n")
+                    return decode_frame(reader.readline())
+
+                assert decode_frame(reader.readline())["frame"] == "hello"
+                error = send({"op": "experiment", "name": "serve-toy", "shards": 2})
+                assert error["frame"] == "error"
+                assert error["kind"] == "protocol"
+                assert "shards" in error["error"]
+                ack = send(
+                    {"op": "experiment", "name": "serve-toy", "runner": "thread"}
+                )
+                assert ack["frame"] == "ack"
+                error = decode_frame(reader.readline())
+                assert error["frame"] == "error"
+                assert "serial, process" in error["error"]
+                # the connection and the server keep serving after both
+                assert send({"op": "stats"})["frame"] == "ack"
                 assert decode_frame(reader.readline())["frame"] == "stats"
 
     def test_client_side_validation_rejects_before_the_network(self):

@@ -1,14 +1,12 @@
-"""Streaming and sharded execution: the runner contract, end to end.
+"""Streaming execution: the runner contract, end to end.
 
-Pins the tentpole guarantees at toy scale (bench-scale golden coverage
-lives in benchmarks/test_sharded_determinism.py):
+Pins the guarantees at toy scale (bench-scale golden coverage lives in
+benchmarks/test_experiment_determinism.py):
 
 * ``iter_jobs`` yields records in canonical order, byte-identical to
-  ``run_jobs``, for every backend and for varying worker/shard counts;
+  ``run_jobs``, for both backends and for varying worker counts;
 * records really stream — the serial generator yields record N before job
-  N+1 runs, and pool generators drain through the reorder buffer;
-* the sharded runner's artifact exchange works: per-shard delta
-  directories merge into one base store that makes re-runs fully warm;
+  N+1 runs, and the process generator drains through the reorder buffer;
 * ``Experiment.iter_records`` + ``ExperimentResult.from_stream`` rebuild
   the exact result of a blocking ``run``;
 * the incremental stream writers flush per record (CSV fixed-header
@@ -16,7 +14,6 @@ lives in benchmarks/test_sharded_determinism.py):
 """
 
 import json
-import pickle
 
 import pytest
 
@@ -26,13 +23,10 @@ from repro.experiments import (
     Experiment,
     ExperimentResult,
     FnJob,
+    ProcessRunner,
     SerialRunner,
-    ShardedRunner,
-    ShardTask,
     canonical_json,
     make_runner,
-    run_shard,
-    shard_for,
 )
 from repro.experiments.common import stream_for
 from repro.experiments.streams import (
@@ -40,7 +34,7 @@ from repro.experiments.streams import (
     JsonlStreamWriter,
     make_stream_writer,
 )
-from repro.pipeline import DiskCache, MemoryCache, PipelineSettings
+from repro.pipeline import PipelineSettings
 
 #: Jobs append their key here as they *execute*; tests that prove records
 #: stream before the sweep finishes read it mid-iteration (serial runner
@@ -59,7 +53,7 @@ def _boom() -> dict:
 
 
 class StreamToy(Experiment):
-    """Mixed fn/compile toy sweep: enough shape to exercise every backend."""
+    """Mixed fn/compile toy sweep: enough shape to exercise both backends."""
 
     name = "stream-toy"
     description = "streaming contract probe"
@@ -92,19 +86,15 @@ REFERENCE = StreamToy().run("bench", seed=5, runner=SerialRunner())
 
 
 class TestIterJobs:
-    """iter_jobs == run_jobs, for every backend and width."""
+    """iter_jobs == run_jobs, for both backends and several widths."""
 
     @pytest.mark.parametrize(
         "runner_name,kwargs",
         [
             ("serial", {}),
-            ("thread", {"max_workers": 2}),
-            ("thread", {"max_workers": 4}),
+            ("process", {"max_workers": 1}),
+            ("process", {"max_workers": 4}),
             ("process", {"max_workers": 2}),
-            ("sharded", {"shards": 1}),
-            ("sharded", {"shards": 2}),
-            ("sharded", {"shards": 3}),
-            ("sharded", {"shards": 5, "max_workers": 2}),
         ],
     )
     def test_stream_matches_blocking_canonical_order(self, runner_name, kwargs):
@@ -130,10 +120,10 @@ class TestIterJobs:
         assert len(EXECUTED) == 6  # every fn job ran exactly once
 
     def test_pool_stream_restores_canonical_order(self):
-        # Thread workers finish out of order; the reorder buffer must hide
+        # Pool workers finish out of order; the reorder buffer must hide
         # that entirely.
         jobs = StreamToy().build_jobs("bench", 5)
-        runner = make_runner("thread", max_workers=4)
+        runner = make_runner("process", max_workers=4)
         keys = [
             record.job
             for record in runner.iter_jobs(
@@ -144,70 +134,13 @@ class TestIterJobs:
 
     def test_failures_name_the_job(self):
         jobs = [FnJob(key="boom/1", fn=_boom, kwargs={})]
-        for runner in (SerialRunner(), make_runner("sharded", shards=2)):
+        for runner in (SerialRunner(), make_runner("process", max_workers=2)):
             with pytest.raises(ReproError, match="boom/1"):
                 list(
                     runner.iter_jobs(
                         jobs, experiment="stream-toy", scale="bench", seed=0
                     )
                 )
-
-
-class TestShardedRunner:
-    def test_partition_is_stable_and_total(self):
-        keys = [f"job/{i}" for i in range(40)]
-        for shards in (1, 2, 3, 7):
-            assignment = [shard_for(key, shards) for key in keys]
-            assert assignment == [shard_for(key, shards) for key in keys]
-            assert all(0 <= shard < shards for shard in assignment)
-        # More than one shard actually gets work for a realistic key set.
-        assert len({shard_for(key, 4) for key in keys}) > 1
-
-    def test_shard_task_is_picklable_contract(self):
-        jobs = tuple(enumerate(StreamToy().build_jobs("bench", 5)))
-        task = ShardTask(
-            shard_index=0,
-            experiment="stream-toy",
-            scale="bench",
-            seed=5,
-            jobs=jobs,
-        )
-        clone = pickle.loads(pickle.dumps(task))
-        outcome = run_shard(clone)
-        # The outcome itself must make the return trip intact.
-        outcome = pickle.loads(pickle.dumps(outcome))
-        assert [index for index, _record in outcome.pairs] == list(range(len(jobs)))
-        records = [record for _index, record in outcome.pairs]
-        assert canonical_json(records) == canonical_json(REFERENCE.records)
-        # No cache and no telemetry were asked for; the outcome says so.
-        assert outcome.cache is None
-        assert outcome.metrics is None
-        assert outcome.events == []
-
-    def test_artifact_exchange_warms_across_runs_and_shard_counts(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cold = StreamToy().run(
-            "bench", seed=5, runner=ShardedRunner(cache=cache, shards=3)
-        )
-        assert canonical_json(cold.records) == canonical_json(REFERENCE.records)
-        assert cold.cache_stats()["misses"] > 0
-        warm = StreamToy().run(
-            "bench", seed=5, runner=ShardedRunner(cache=cache, shards=2)
-        )
-        assert canonical_json(warm.records) == canonical_json(REFERENCE.records)
-        assert warm.cache_stats() == {"hits": 4, "misses": 0, "hit_rate": 1.0}
-        # Scratch deltas were merged and removed; the store holds entries only.
-        assert not any((tmp_path / ".shards").iterdir())
-
-    def test_memory_cache_rejected(self):
-        with pytest.raises(ReproError, match="DiskCache"):
-            ShardedRunner(cache=MemoryCache())
-
-    def test_shards_flag_rejected_elsewhere(self):
-        with pytest.raises(ReproError, match="sharded"):
-            make_runner("thread", shards=2)
-        with pytest.raises(ReproError, match=">= 1"):
-            ShardedRunner(shards=0)
 
 
 class TestStreamedResults:
@@ -228,9 +161,9 @@ class TestStreamedResults:
         experiment = StreamToy()
         records = list(experiment.iter_records("bench", seed=5))
         result = ExperimentResult.from_stream(
-            experiment, records, runner=ShardedRunner(shards=2)
+            experiment, records, runner=ProcessRunner(max_workers=2)
         )
-        assert result.runner == "sharded"
+        assert result.runner == "process"
         with pytest.raises(ReproError, match="no records"):
             ExperimentResult.from_stream(experiment, [])
 
