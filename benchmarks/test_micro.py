@@ -11,6 +11,7 @@ from repro.circuits import qaoa
 from repro.graphstate import GraphState, Tableau
 from repro.mbqc import translate_circuit
 from repro.offline import OfflineMapper
+from repro.online.modular import modular_renormalize
 from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
 from repro.utils.dsu import DisjointSet
@@ -47,6 +48,16 @@ def test_renormalize_96(benchmark):
 
     def run():
         return renormalize(sample_lattice(96, 0.75, rng), 6)
+
+    benchmark(run)
+
+
+def test_modular_renormalize_48(benchmark):
+    """Four modules plus their corridor joins (fig14's modular panel)."""
+    rng = np.random.default_rng(0)
+
+    def run():
+        return modular_renormalize(sample_lattice(48, 0.75, rng), 4, 4, 7.0)
 
     benchmark(run)
 

@@ -11,11 +11,12 @@ join along it succeeds, which is the resource overhead Fig. 13(c) quantifies.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import RenormalizationError
-from repro.online.percolation import PercolatedLattice
+from repro.online.percolation import PercolatedLattice, frontier_bfs, frontier_move_csr
 from repro.online.renormalize import RenormalizationResult, renormalize
 from repro.utils.gridgeom import Coord2D
 
@@ -118,31 +119,53 @@ def _corridor_connected(
     (both paths are single logical wires), so the search starts from every
     source-path site inside the window and accepts any target-path site.
     Returns (reached, sites visited).
+
+    The window (clipped to the lattice) becomes one move table over its
+    usable bonds, in :meth:`PercolatedLattice.neighbors` order (right,
+    left, down, up), with a virtual super-source wired to the in-window
+    alive sources in path order; one
+    :func:`~repro.online.percolation.frontier_bfs` then answers the join.
+    The first target's pop position is the per-cell BFS's visited count.
+    ``sources`` is a simple path (no repeated sites).
     """
+    size = lattice.size
+    top, bottom = max(row_range[0], 0), min(row_range[1], size)
+    left, right = max(col_range[0], 0), min(col_range[1], size)
+    if top >= bottom or left >= right:
+        return False, 0
+    height, width = bottom - top, right - left
+    total = height * width
+    alive = lattice.sites[top:bottom, left:right]
+    across = lattice.horizontal[top:bottom, left : right - 1] & alive[:, :-1] & alive[:, 1:]
+    down = lattice.vertical[top : bottom - 1, left:right] & alive[:-1, :] & alive[1:, :]
 
-    def inside(coord: Coord2D) -> bool:
-        return (
-            row_range[0] <= coord[0] < row_range[1]
-            and col_range[0] <= coord[1] < col_range[1]
-        )
+    def window_cells(coords) -> np.ndarray:
+        """Flat window indices of the in-window alive ``coords``, in order."""
+        rows, cols = np.array(coords, dtype=np.int64).reshape(-1, 2).T - [[top], [left]]
+        inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
+        rows, cols = rows[inside], cols[inside]
+        return (rows * width + cols)[alive[rows, cols]]
 
-    queue: deque[Coord2D] = deque()
-    seen: set[Coord2D] = set()
-    for coord in sources:
-        if inside(coord) and lattice.sites[coord]:
-            queue.append(coord)
-            seen.add(coord)
-    visited = 0
-    while queue:
-        current = queue.popleft()
-        visited += 1
-        if current in targets:
-            return True, visited
-        for neighbor in lattice.neighbors(current):
-            if neighbor not in seen and inside(neighbor):
-                seen.add(neighbor)
-                queue.append(neighbor)
-    return False, visited
+    starts = window_cells(sources)
+    if not starts.size:
+        return False, 0
+    flat = np.arange(total, dtype=np.int32).reshape(height, width)
+    moves = np.full((height, width, 4), -1, dtype=np.int32)
+    moves[:, :-1, 0] = np.where(across, flat[:, 1:], -1)
+    moves[:, 1:, 1] = np.where(across, flat[:, :-1], -1)
+    moves[:-1, :, 2] = np.where(down, flat[1:, :], -1)
+    moves[1:, :, 3] = np.where(down, flat[:-1, :], -1)
+    is_target = np.zeros(total + 1, dtype=bool)
+    is_target[window_cells(list(targets))] = True
+
+    indptr, indices = frontier_move_csr(moves.reshape(total, 4), starts)
+    order, _ = frontier_bfs(indptr, indices, total)
+    hits = is_target[order]
+    first = int(hits.argmax())
+    if hits[first]:
+        return True, first
+    # Pop 0 is the super-source, which costs nothing.
+    return False, len(order) - 1
 
 
 def modular_renormalize(
@@ -158,8 +181,8 @@ def modular_renormalize(
     ``module_size // node_size`` coarse nodes per axis).  The joined lattice
     keeps a global row (column) only if every module on it succeeded and all
     its ``g - 1`` corridor joins connected.  ``pathfind`` forwards to
-    :func:`~repro.online.renormalize.renormalize` per module; the small
-    corridor-join BFS stays scalar (it is nowhere near the hot path).
+    :func:`~repro.online.renormalize.renormalize` per module; corridor joins
+    run on the same compiled frontier engine (:func:`_corridor_connected`).
     """
     layout = ModularLayout.fit(lattice.size, num_modules, mi_ratio)
     g = layout.modules_per_side

@@ -82,6 +82,36 @@ def frontier_adjacency(
     return indptr, indices
 
 
+def frontier_move_csr(
+    moves: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR adjacency ``(indptr, indices)`` from a per-node move table.
+
+    ``moves`` is ``(N, k)`` int32: ``moves[v, j]`` is the target of node
+    ``v``'s ``j``-th move, ``-1`` where that move has no edge.  Node ``N``
+    is a virtual super-source whose out-edges are ``starts``, in order.
+    Row-major extraction keeps each node's edges in move order — the
+    tie-break contract of :func:`frontier_bfs` — without the edge lists and
+    stable sort of :func:`frontier_adjacency`.
+    """
+    valid = moves >= 0
+    node_count, move_count = moves.shape
+    # Column adds and ``compress``: several times cheaper than a row
+    # ``sum`` and a boolean-mask gather at the few-hundred-row sizes of a
+    # strip query.
+    per_node = valid[:, 0].astype(np.int32)
+    for column in range(1, move_count):
+        per_node += valid[:, column]
+    indptr = np.empty(node_count + 2, dtype=np.int32)
+    indptr[0] = 0
+    np.cumsum(per_node, out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + starts.shape[0]
+    indices = np.concatenate(
+        [moves.compress(valid.ravel()), starts.astype(np.int32, copy=False)]
+    )
+    return indptr, indices
+
+
 def _frontier_bfs_python(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,12 +194,12 @@ def grid_spans_from_usable(
 ) -> bool:
     """:func:`grid_spans` on pre-masked bonds (both endpoints known alive).
 
-    The split exists so the vectorized path search can hand over the very
-    masks it is about to expand the wavefront with — a positive pre-check
-    then seeds the search instead of being recomputed from scratch.  With
-    scipy present the answer is one compiled BFS from a virtual source
-    hooked to the first row; otherwise it falls back to the same label
-    propagation that powers ``PercolatedLattice.components()``.
+    The split exists so the vectorized path search, whose failed searches
+    fall back to this check, can hand over the usable-bond masks it has
+    already built its move table from.  With scipy present the answer is
+    one compiled BFS from a virtual source hooked to the first row;
+    otherwise it falls back to the same label propagation that powers
+    ``PercolatedLattice.components()``.
     """
     if alive.size == 0 or not alive.any():
         return False

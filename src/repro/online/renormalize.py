@@ -9,13 +9,16 @@ every other qubit is measured out in Z.
 
 Two mechanics from the paper:
 
-* **connectivity check before search** — a per-strip spanning check answers
-  "is there any path at all?" cheaply before the BFS runs (negative checks
-  are the common case near threshold).  The hot path is the same vectorized
-  numpy label propagation that powers ``PercolatedLattice.components()``
-  (:func:`strip_spans`); the original scalar union-find survives as the
-  oracle (:func:`strip_spans_dsu`) behind ``renormalize``'s ``precheck``
-  switch;
+* **connectivity check** — a per-strip spanning check answers "is there
+  any path at all?" on the relaxed graph that ignores crossing rules, and
+  the Fig. 14 cost proxy charges it the full strip area.  The scalar oracle
+  runs it before its BFS; the vectorized search runs it only after a
+  *failed* search (a found path already proves the strip spans), where it
+  decides whether the search's pops are charged — the same accounting,
+  with one traversal per query in the common case.  The check itself is
+  :func:`~repro.online.percolation.grid_spans_from_usable`, with the
+  original scalar union-find (:func:`strip_spans_dsu`) as the oracle
+  behind ``renormalize``'s ``precheck`` switch;
 * **tangling prevention** — distinct same-orientation paths must stay
   disjoint, and a path may touch a perpendicular path only by crossing it
   straight through (the crossing site becoming a renormalized node).  The
@@ -30,14 +33,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import RenormalizationError
 from repro.online.percolation import (
     PercolatedLattice,
-    frontier_adjacency,
     frontier_bfs,
+    frontier_move_csr,
     grid_spans,
     grid_spans_from_usable,
 )
@@ -88,8 +93,8 @@ def strip_spans(
     axis is always rows) to :func:`~repro.online.percolation.grid_spans` —
     the same frontier engine the vectorized path search expands with, and
     the same one that powers ``PercolatedLattice.components()`` when scipy
-    is absent.  Negative checks dominate near threshold, which is what
-    makes this the renormalization hot path worth vectorizing.
+    is absent.  The scalar path search calls it before every query; the
+    vectorized search calls the same engine only after a failed search.
     """
     alive, across, along = _strip_arrays(lattice, vertical, low, high)
     if alive.size == 0:
@@ -192,16 +197,63 @@ _VIEW_MOVES = {
 }
 
 
-def _shift(array: np.ndarray, d_span: int, d_lane: int) -> np.ndarray:
-    """``array`` sampled at ``cell + d``, indexed at ``cell`` (OOB -> False)."""
-    rows, cols = array.shape
-    out = np.zeros((rows, cols), dtype=bool)
-    r_lo, r_hi = max(d_span, 0), rows + min(d_span, 0)
-    c_lo, c_hi = max(d_lane, 0), cols + min(d_lane, 0)
-    out[r_lo - d_span : r_hi - d_span, c_lo - d_lane : c_hi - d_lane] = array[
-        r_lo:r_hi, c_lo:c_hi
-    ]
-    return out
+#: Layout of the stacked boolean frames a vectorized path query gathers
+#: from: usable bonds along the span and across lanes (each stored at its
+#: lower/left endpoint), free cells, cells a one-hop move may enter (free,
+#: or perpendicular-owned on the goal row: the far-edge crossing), and
+#: cells a two-hop move may cross (perpendicular-owned, off the goal row).
+_ALONG, _ACROSS, _FREE_FRAME, _ENTER, _CROSS = range(5)
+
+
+class _MoveGeometry(NamedTuple):
+    """Shape-only half of a strip's move table, rows = cells, cols = moves.
+
+    Gather indices address the flattened ``(5, n + 4, w + 4)`` frame stack
+    of :meth:`_Carver._find_path_vector` (two cells of ``False`` padding on
+    every side); targets are flat strip-view cell indices.
+    """
+
+    bond: np.ndarray  # the cell -> cell + d bond
+    enter: np.ndarray  # cell + d, one-hop enterable
+    cross: np.ndarray  # cell + d, two-hop crossable
+    onward_bond: np.ndarray  # the cell + d -> cell + 2d bond
+    landing: np.ndarray  # cell + 2d, free
+    one_hop: np.ndarray  # flat target cell + d (int32)
+    two_hop: np.ndarray  # flat target cell + 2d (int32)
+
+
+@lru_cache(maxsize=4)
+def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
+    """The :class:`_MoveGeometry` of an ``(n, width)`` strip view.
+
+    Depends only on the strip's shape and orientation (whose view-space
+    move order is ``_VIEW_MOVES[vertical]``), so it is built once per shape
+    and every query reduces to gathers from its own frames.  Four entries
+    hold one ``renormalize`` call's strips (at most two widths, two
+    orientations); on the bench workload a 16-entry cache saved under 0.3%
+    of the builds and raised peak RSS by about 3 MB.
+    """
+    padded = width + 4
+    frame_size = (n + 4) * padded
+    span = np.arange(n).repeat(width).reshape(-1, 1)
+    lane = np.tile(np.arange(width), n).reshape(-1, 1)
+    cell = (span + 2) * padded + lane + 2
+    d_span, d_lane = np.array(_VIEW_MOVES[vertical]).T
+    step = d_span * padded + d_lane
+    # The bond between x and x + d is stored at x + min(d, 0).
+    back = np.minimum(d_span, 0) * padded + np.minimum(d_lane, 0)
+    bonds = np.where(d_span != 0, _ALONG, _ACROSS) * frame_size + back
+    flat = span * width + lane
+    flat_step = d_span * width + d_lane
+    return _MoveGeometry(
+        bond=cell + bonds,
+        enter=cell + step + _ENTER * frame_size,
+        cross=cell + step + _CROSS * frame_size,
+        onward_bond=cell + step + bonds,
+        landing=cell + 2 * step + _FREE_FRAME * frame_size,
+        one_hop=(flat + flat_step).astype(np.int32),
+        two_hop=(flat + 2 * flat_step).astype(np.int32),
+    )
 
 
 class _Carver:
@@ -259,12 +311,6 @@ class _Carver:
         """
         self.visited_sites += self.size * (high - low)
         return self._precheck(self.lattice, vertical, low, high)
-
-    def _alive(self, coord: Coord2D) -> bool:
-        row, col = coord
-        if not (0 <= row < self.size and 0 <= col < self.size):
-            return False
-        return self.owner[coord] != _DEAD
 
     # -- BFS path search ----------------------------------------------------
 
@@ -397,18 +443,26 @@ class _Carver:
     ) -> list[Coord2D] | None:
         """Numpy wavefront search — byte-identical to the scalar deque BFS.
 
-        The whole strip is compiled into one CSR frontier graph whose
-        per-node edge order encodes the scalar BFS's deterministic
-        tie-breaks (enqueue order within a level is lexicographic in
-        (parent pop order, move index)), then a single compiled breadth-
-        first traversal (:func:`~repro.online.percolation.frontier_bfs`)
-        replaces the per-cell Python loop.  Ownership semantics — one-hop
-        moves onto free sites, far-edge crossings ending on perpendicular-
-        owned sites, and two-hop straight-through crossings — become shifted
-        boolean masks over the ``owner`` view; a virtual super-source node
-        carries the near-edge start cells in lane order.  The strip
-        pre-check runs on the very same usable-bond masks, so a positive
-        check seeds the wavefront instead of being thrown away.
+        The strip is compiled into one CSR frontier graph whose per-node
+        edge order encodes the scalar BFS's deterministic tie-breaks
+        (enqueue order within a level is lexicographic in (parent pop
+        order, move index)), then a single compiled breadth-first traversal
+        (:func:`~repro.online.percolation.frontier_bfs`) replaces the
+        per-cell Python loop.  A cell has at most one edge per move — a
+        one-hop move onto a free site, a far-edge crossing ending on a
+        perpendicular-owned site, or a two-hop straight-through crossing —
+        so the graph is an ``(n * w, 4)`` move table, gathered at
+        shape-only indices (:func:`_move_geometry`) from padded boolean
+        frames of usable bonds and enterable, crossable and free cells; a
+        virtual super-source carries the near-edge start cells in lane
+        order.
+
+        The search runs *before* the strip pre-check: any path it finds
+        also spans the relaxed graph, so the pre-check would have said yes.
+        Only a failed search runs the pre-check, which then decides whether
+        the search's pops are charged — the visited-site accounting of the
+        check-first scalar oracle, with one traversal per query instead of
+        two in the common case.
         """
         low, high = self._strip_range(index, count)
         if high - low < 1:
@@ -419,146 +473,105 @@ class _Carver:
             self.lattice, vertical, low, high
         )
         owner = self.owner[:, low:high] if vertical else self.owner[low:high, :].T
-
-        # Pre-check on the shared strip views.  The cost proxy charges the
-        # full strip area exactly as _strip_connected does, and a negative
-        # answer gates the search identically — only the positive case
-        # changes, reusing the masks the wavefront is about to expand with.
+        # The cost proxy charges the full strip area up front, exactly as
+        # the scalar oracle's pre-check does.
         self.visited_sites += n * width
-        usable_along = bonds_along & alive[:-1, :] & alive[1:, :]
-        usable_across = bonds_across & alive[:, :-1] & alive[:, 1:]
-        if self._precheck_name == "vector":
-            if not grid_spans_from_usable(alive, usable_across, usable_along):
-                return None
-        elif not strip_spans_dsu(self.lattice, vertical, low, high):
-            return None
-
         other_owner = _HORIZONTAL if vertical else _VERTICAL
-        free = owner == _FREE
-        other = owner == other_owner
-
-        def to_grid(flat_index: int) -> Coord2D:
-            span, lane = divmod(flat_index, width)
-            return (span, low + lane) if vertical else (low + lane, span)
 
         if n == 1:
             # Degenerate 1-wide lattice: the first perpendicular-owned lane
             # spans it outright (before any BFS pop); otherwise the first
             # free lane is popped once and immediately found to be the goal.
-            owned_lanes = np.flatnonzero(other[0])
+            # Either way the pre-check (any alive site) would have said yes.
+            owned_lanes = np.flatnonzero(owner[0] == other_owner)
             if owned_lanes.size:
-                return [to_grid(int(owned_lanes[0]))]
-            free_lanes = np.flatnonzero(free[0])
+                return self._to_grid(owned_lanes[:1], vertical, low, width)
+            free_lanes = np.flatnonzero(owner[0] == _FREE)
             if free_lanes.size:
                 self.visited_sites += 1
-                return [to_grid(int(free_lanes[0]))]
+                return self._to_grid(free_lanes[:1], vertical, low, width)
             return None
 
-        goal_row = n - 1
-        total = n * width
-        flat = np.arange(total, dtype=np.int64).reshape(n, width)
+        usable_along = bonds_along & alive[:-1, :] & alive[1:, :]
+        usable_across = bonds_across & alive[:, :-1] & alive[:, 1:]
+        geometry = _move_geometry(n, width, vertical)
+        frames = np.zeros((5, n + 4, width + 4), dtype=bool)
+        frames[_ALONG, 2 : n + 1, 2:-2] = usable_along
+        frames[_ACROSS, 2:-2, 2 : width + 1] = usable_across
+        free = frames[_FREE_FRAME, 2:-2, 2:-2]
+        np.equal(owner, _FREE, out=free)
+        other = owner == other_owner
+        frames[_ENTER, 2:-2, 2:-2] = free
+        frames[_ENTER, n + 1, 2:-2] |= other[-1]
+        frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
+        flat_frames = frames.ravel()
+        bonded = flat_frames[geometry.bond] & free.reshape(-1, 1)
+        one = bonded & flat_frames[geometry.enter]
+        two = (
+            bonded
+            & flat_frames[geometry.cross]
+            & flat_frames[geometry.onward_bond]
+            & flat_frames[geometry.landing]
+        )
+        moves = np.where(one, geometry.one_hop, np.where(two, geometry.two_hop, -1))
 
-        def bond_step(d_span: int, d_lane: int) -> np.ndarray:
-            """(n, w) mask over sources: usable bond from cell to cell + d."""
-            mask = np.zeros((n, width), dtype=bool)
-            if d_span == -1:
-                mask[1:, :] = usable_along
-            elif d_span == 1:
-                mask[:-1, :] = usable_along
-            elif d_lane == -1:
-                mask[:, 1:] = usable_across
-            else:
-                mask[:, :-1] = usable_across
-            return mask
-
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        for d_span, d_lane in _VIEW_MOVES[vertical]:
-            bonded = bond_step(d_span, d_lane)
-            can = free & bonded
-            d_flat = d_span * width + d_lane
-            # One hop onto a free site.
-            one = can & _shift(free, d_span, d_lane)
-            hop = flat[one]
-            sources.append(hop)
-            targets.append(hop + d_flat)
-            step_other = can & _shift(other, d_span, d_lane)
-            # Crossing right at the far edge: the perpendicular path's site
-            # serves as the endpoint (only reachable stepping down from
-            # goal_row - 1 or sideways along goal_row).
-            if d_span == 1:
-                edge = flat[goal_row - 1][step_other[goal_row - 1]]
-                sources.append(edge)
-                targets.append(edge + width)
-            elif d_span == 0:
-                edge = flat[goal_row][step_other[goal_row]]
-                sources.append(edge)
-                targets.append(edge + d_lane)
-            # Cross the perpendicular path straight through: stepped-on site
-            # owned and not at the goal row, a usable bond onward, and a
-            # free landing two cells out.
-            two = (
-                step_other
-                & _shift(bonded, d_span, d_lane)
-                & _shift(free, 2 * d_span, 2 * d_lane)
-            )
-            if d_span == 1:
-                two[goal_row - 1] = False
-            elif d_span == 0:
-                two[goal_row] = False
-            cross = flat[two]
-            sources.append(cross)
-            targets.append(cross + 2 * d_flat)
-
-        # Start cells on the near edge, in lane order, hung off a virtual
+        # Start cells on the near edge, in lane order, hung off the virtual
         # super-source: free cells start normally; perpendicular-owned cells
         # are entered one row inward (the owned cell rejoins the path as a
         # reconstruction prefix).
-        lane_free = free[0]
+        lanes = np.arange(width)
         lane_inward = other[0] & free[1] & usable_along[0]
-        start = np.where(lane_free, flat[0], np.where(lane_inward, flat[1], -1))
+        start = np.where(free[0], lanes, np.where(lane_inward, lanes + width, -1))
         start = start[start >= 0]
-        crossing_entry = {
-            int(flat[1, lane]): int(flat[0, lane])
-            for lane in np.flatnonzero(lane_inward)
-        }
-        sources.append(np.full(start.size, total, dtype=np.int64))
-        targets.append(start)
 
-        indptr, indices = frontier_adjacency(
-            np.concatenate(sources), np.concatenate(targets), total + 1
-        )
+        total = n * width
+        indptr, indices = frontier_move_csr(moves, start)
         pop_order, parents = frontier_bfs(indptr, indices, total)
-        hits = np.flatnonzero(pop_order // width == goal_row)
-        if not hits.size:
-            # Every enqueued cell was popped without reaching the far edge;
-            # the super-source itself (pop 0) costs nothing.
-            self.visited_sites += len(pop_order) - 1
+        is_goal = (pop_order >= total - width) & (pop_order < total)
+        found = int(is_goal.argmax())
+        if not is_goal[found]:
+            # Every enqueued cell was popped without reaching the far edge.
+            # Only a spanning relaxed graph charges those pops (the
+            # super-source, pop 0, costs nothing); otherwise the pre-check
+            # alone would have answered.
+            if self._precheck_name == "vector":
+                spans = grid_spans_from_usable(alive, usable_across, usable_along)
+            else:
+                spans = strip_spans_dsu(self.lattice, vertical, low, high)
+            if spans:
+                self.visited_sites += len(pop_order) - 1
             return None
-        found = int(hits[0])
         # Pops up to (and including) the goal: the goal's position in the
         # FIFO order *is* the scalar BFS's visited count, super-source aside.
         self.visited_sites += found
 
-        path: list[int] = []
+        chain: list[int] = []
         node = int(pop_order[found])
         while node != total:
-            path.append(node)
-            parent = int(parents[node])
-            if parent == total:
-                entry = crossing_entry.get(node)
-                if entry is not None:
-                    path.append(entry)
-            else:
-                # Two-hop edges differ by 2 on exactly one view axis; the
-                # skipped crossing site is their midpoint.
-                node_span, node_lane = divmod(node, width)
-                parent_span, parent_lane = divmod(parent, width)
-                if abs(node_span - parent_span) == 2 or abs(node_lane - parent_lane) == 2:
-                    path.append((node + parent) // 2)
-            node = parent
-        path.reverse()
-        return [to_grid(flat_index) for flat_index in path]
+            chain.append(node)
+            node = int(parents[node])
+        path = np.array(chain[::-1], dtype=np.int64)
+        if path[0] >= width:
+            # Entered one row inward across a perpendicular-owned start cell.
+            path = np.concatenate([path[:1] - width, path])
+        # Two-hop edges move two cells along one view axis: 2 * width flat
+        # along the span, 2 across lanes (which needs width > 2).  The
+        # skipped crossing site is their midpoint.
+        steps = np.abs(path[1:] - path[:-1])
+        jumps = np.flatnonzero((steps == 2 * width) | ((steps == 2) & (width > 2)))
+        if jumps.size:
+            path = np.insert(path, jumps + 1, (path[jumps] + path[jumps + 1]) // 2)
+        return self._to_grid(path, vertical, low, width)
+
+    @staticmethod
+    def _to_grid(
+        flat: np.ndarray, vertical: bool, low: int, width: int
+    ) -> list[Coord2D]:
+        """Strip-view flat indices -> lattice coordinates, as python ints."""
+        spans, lanes = np.divmod(flat, width)
+        lanes = (lanes + low).tolist()
+        spans = spans.tolist()
+        return list(zip(spans, lanes)) if vertical else list(zip(lanes, spans))
 
     def claim(self, path: list[Coord2D], vertical: bool) -> None:
         """Mark a found path's sites with their orientation ownership.
@@ -567,9 +580,12 @@ class _Carver:
         their original owner — they are exactly the renormalized nodes.
         """
         marker = _VERTICAL if vertical else _HORIZONTAL
-        for coord in path:
-            if self.owner[coord] == _FREE:
-                self.owner[coord] = marker
+        sites = np.fromiter(
+            (row * self.size + col for row, col in path), dtype=np.intp, count=len(path)
+        )
+        owner = self.owner.reshape(-1)
+        current = owner[sites]
+        owner[sites] = np.where(current == _FREE, marker, current)
 
 
 def renormalize(

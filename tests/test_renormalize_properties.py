@@ -1,11 +1,17 @@
 """Property tests of the renormalization carving invariants, the vectorized
-strip pre-check against its scalar DSU oracle, and the vectorized wavefront
-path search against the scalar deque-BFS oracle."""
+strip pre-check against its scalar DSU oracle, the vectorized wavefront
+path search against the scalar deque-BFS oracle, and the compiled corridor
+join against its per-cell BFS oracle."""
+
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import corridor_connected_scalar
 
-from repro.online import percolation, renormalize, sample_lattice
+from repro.online import PercolatedLattice, percolation, renormalize, sample_lattice
+from repro.online.modular import _corridor_connected
 from repro.online.renormalize import (
     PATHFINDS,
     PRECHECKS,
@@ -172,6 +178,18 @@ def _result_tuple(result):
     )
 
 
+@contextmanager
+def _engine(name):
+    """Run the body on the compiled ("scipy") or pure-python frontier engine."""
+    original = percolation._FRONTIER_ENGINE
+    if name == "python":
+        percolation._FRONTIER_ENGINE = False  # simulate a missing scipy
+    try:
+        yield
+    finally:
+        percolation._FRONTIER_ENGINE = original
+
+
 @st.composite
 def pathfind_cases(draw):
     """Randomized lattices (with loss), targets, and work budgets.
@@ -221,13 +239,138 @@ def test_pure_python_frontier_engine_is_identical(case):
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     compiled = renormalize(lattice.copy(), target, work_budget=budget)
-    original = percolation._FRONTIER_ENGINE
-    percolation._FRONTIER_ENGINE = False  # simulate a missing scipy
-    try:
+    with _engine("python"):
         fallback = renormalize(lattice.copy(), target, work_budget=budget)
-    finally:
-        percolation._FRONTIER_ENGINE = original
     assert _result_tuple(fallback) == _result_tuple(compiled)
+
+
+def _three_by_three(horizontal):
+    """A 3x3 lattice whose only vertical bonds run down the middle column.
+
+    With ``target_size=1`` the vertical search claims that column as its
+    path after 5 pops; the horizontal search must then cross it straight
+    through, which ``horizontal`` (row-major ``(r, c)-(r, c+1)`` bonds)
+    decides.
+    """
+    return PercolatedLattice(
+        sites=np.ones((3, 3), dtype=bool),
+        horizontal=np.array(horizontal, dtype=bool),
+        vertical=np.array([[0, 1, 0], [0, 1, 0]], dtype=bool),
+    )
+
+
+def _assert_pathfinds_agree_at_every_budget(lattice, visited):
+    """vector == scalar under both prechecks, unbudgeted and with a work
+    budget placed at, just below and just above every query boundary."""
+    for budget in [None, *range(visited + 2)]:
+        results = [
+            _result_tuple(
+                renormalize(
+                    lattice.copy(),
+                    1,
+                    work_budget=budget,
+                    precheck=precheck,
+                    pathfind=pathfind,
+                )
+            )
+            for pathfind in PATHFINDS
+            for precheck in PRECHECKS
+        ]
+        assert all(result == results[0] for result in results), budget
+
+
+def test_failed_search_on_non_spanning_strip_charges_the_area_only():
+    """The band's relaxed graph reaches the middle column but never the far
+    edge, so the pre-check after the failed search says no: the horizontal
+    query costs its strip area and nothing more."""
+    lattice = _three_by_three([[1, 0], [0, 0], [0, 0]])
+    assert not strip_spans(lattice, False, 0, 3)
+    result = renormalize(lattice.copy(), 1)
+    assert not result.success
+    assert result.vertical_paths == [[(0, 1), (1, 1), (2, 1)]]
+    assert result.horizontal_paths == []
+    assert result.visited_sites == (9 + 5) + 9
+    _assert_pathfinds_agree_at_every_budget(lattice, result.visited_sites)
+
+
+def test_failed_search_on_spanning_strip_charges_the_pops():
+    """The band's relaxed graph spans only by travelling along the claimed
+    vertical path, which the crossing rules forbid: the search fails after
+    popping its 3 start cells, the pre-check says yes, and those pops are
+    charged on top of the strip area."""
+    lattice = _three_by_three([[1, 0], [0, 0], [0, 1]])
+    assert strip_spans(lattice, False, 0, 3)
+    result = renormalize(lattice.copy(), 1)
+    assert not result.success
+    assert result.vertical_paths == [[(0, 1), (1, 1), (2, 1)]]
+    assert result.horizontal_paths == []
+    assert result.visited_sites == (9 + 5) + (9 + 3)
+    _assert_pathfinds_agree_at_every_budget(lattice, result.visited_sites)
+
+
+def _random_simple_path(rng, size):
+    """A self-avoiding walk over grid adjacency (bonds ignored)."""
+    cell = (int(rng.integers(size)), int(rng.integers(size)))
+    path, seen = [cell], {cell}
+    for _ in range(int(rng.integers(0, 3 * size))):
+        row, col = path[-1]
+        options = [
+            step
+            for step in ((row + 1, col), (row - 1, col), (row, col + 1), (row, col - 1))
+            if 0 <= step[0] < size and 0 <= step[1] < size and step not in seen
+        ]
+        if not options:
+            break
+        step = options[int(rng.integers(len(options)))]
+        path.append(step)
+        seen.add(step)
+    return path
+
+
+@st.composite
+def corridor_cases(draw):
+    """Lossy lattices, two random simple paths, and a window that may run
+    past the lattice edge on any side (or be empty)."""
+    size = draw(st.integers(1, 24))
+    bond_probability = draw(st.sampled_from([0.4, 0.6, 0.75, 0.9, 1.0]))
+    loss = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    window = []
+    for _axis in range(2):
+        low = draw(st.integers(-3, size // 2))
+        window.append((low, draw(st.integers(low - 1, size + 3))))
+    return size, bond_probability, loss, seed, window
+
+
+@pytest.mark.parametrize("engine", ["scipy", "python"])
+@given(case=corridor_cases())
+@settings(max_examples=100, deadline=None)
+def test_corridor_join_matches_scalar_oracle(engine, case):
+    """The compiled corridor join must report the per-cell BFS's (reached,
+    visited) exactly — on scipy and on the pure-python engine."""
+    size, bond_probability, loss, seed, (rows, cols) = case
+    lattice = _lattice_with_loss(size, bond_probability, loss, seed)
+    rng = np.random.default_rng(seed)
+    sources = _random_simple_path(rng, size)
+    targets = set(_random_simple_path(rng, size))
+    expected = corridor_connected_scalar(lattice, sources, targets, rows, cols)
+    with _engine(engine):
+        actual = _corridor_connected(lattice, sources, targets, rows, cols)
+    assert actual == expected
+
+
+@pytest.mark.parametrize("engine", ["scipy", "python"])
+def test_corridor_join_pops_in_neighbor_order(engine):
+    """From the centre of a full 3x3 lattice the pops go right, left, down,
+    up — ``PercolatedLattice.neighbors`` order — so each neighbour as the
+    lone target is reached at its own visited count."""
+    lattice = sample_lattice(3, 1.0, rng=np.random.default_rng(0))
+    expected = {(1, 2): 2, (1, 0): 3, (2, 1): 4, (0, 1): 5}
+    with _engine(engine):
+        for target, visited in expected.items():
+            args = (lattice, [(1, 1)], {target}, (0, 3), (0, 3))
+            assert _corridor_connected(*args) == (True, visited)
+            assert corridor_connected_scalar(*args) == (True, visited)
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
