@@ -2,13 +2,15 @@
 
 These use pytest-benchmark's normal statistical repetition (they are pure
 and fast) and track the constants behind Fig. 14/15: bond sampling, the
-renormalization path search, the tableau, and the mapper inner loop.
+renormalization path search, the RSL merge loop, the tableau, and the
+mapper inner loop.
 """
 
 import numpy as np
 
 from repro.circuits import qaoa
-from repro.graphstate import GraphState, Tableau
+from repro.graphstate import GraphState, ResourceStateSpec, Tableau
+from repro.hardware import FusionDevice, HardwareConfig, RSGArray
 from repro.mbqc import translate_circuit
 from repro.offline import OfflineMapper
 from repro.online.modular import modular_renormalize
@@ -50,6 +52,15 @@ def test_renormalize_96(benchmark):
         return renormalize(sample_lattice(96, 0.75, rng), 6)
 
     benchmark(run)
+
+
+def test_merge_layers_36(benchmark):
+    """Root-leaf merging of 4-qubit stars into one 36x36 layer at p 0.75,
+    the shape of a ``serve-mixed`` cold compile (two merges with retries)."""
+    config = HardwareConfig(rsl_size=36, resource_state=ResourceStateSpec(4))
+    array = RSGArray(config)
+    device = FusionDevice(0.75, rng=0)
+    benchmark(lambda: array.merge_layers(device))
 
 
 def test_modular_renormalize_48(benchmark):

@@ -81,41 +81,50 @@ class RSGArray:
 
         A site stays alive if every chain join eventually succeeded; its
         remaining ``degrees`` is the leaf budget left for lattice bonds.
+
+        Each merge's retry rounds run on the shrinking vector of pending
+        sites (flat row-major indices) with per-site ``degree`` and
+        ``joiner`` budgets; a site leaves it when its join succeeds or its
+        budget runs out, and only then is written back.  Attempts are drawn
+        in row-major order of the pending sites, round by round.
         """
         config = self.config
         n = config.rsl_size
         star_degree = config.resource_state.max_degree
         merges = config.merged_rsls_per_layer - 1
 
-        alive = np.ones((n, n), dtype=bool)
-        degrees = np.full((n, n), star_degree, dtype=np.int64)
+        alive = np.ones(n * n, dtype=bool)
+        degrees = np.full(n * n, star_degree, dtype=np.int64)
         merge_fusions = 0
-        if merges == 0:
-            return MergeResult(alive=alive, degrees=degrees, merge_fusions=0)
-
         for _ in range(merges):
             # Budget for each join: a failed root-leaf fusion costs one leaf
             # of the accumulated star and one of the joiner; retries continue
             # while both sides keep >= 1 leaf to offer (collective retry,
             # Section 4.3).  On success the joiner's remaining leaves attach
             # to the accumulated root: degree -> degree - 1 + joiner_leaves.
-            joiner = np.full((n, n), star_degree, dtype=np.int64)
-            pending = alive.copy()
-            while pending.any():
-                attemptable = pending & (degrees >= 1) & (joiner >= 1)
-                exhausted = pending & ~attemptable
-                alive[exhausted] = False
-                pending[exhausted] = False
-                count = int(attemptable.sum())
-                if count == 0:
-                    break
-                outcomes = device.attempt_batch(count, "root-leaf")
-                merge_fusions += count
-                success = np.zeros((n, n), dtype=bool)
-                success[attemptable] = outcomes
-                failure = attemptable & ~success
-                degrees[success] += joiner[success] - 1
-                pending[success] = False
-                degrees[failure] -= 1
-                joiner[failure] -= 1
-        return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)
+            sites = np.flatnonzero(alive)
+            degree = degrees[sites]
+            joiner = np.full(sites.shape[0], star_degree, dtype=np.int64)
+            while sites.shape[0]:
+                attemptable = (degree >= 1) & (joiner >= 1)
+                if not attemptable.all():
+                    exhausted = ~attemptable
+                    alive[sites[exhausted]] = False
+                    degrees[sites[exhausted]] = degree[exhausted]
+                    sites = sites[attemptable]
+                    degree = degree[attemptable]
+                    joiner = joiner[attemptable]
+                    if not sites.shape[0]:
+                        break
+                outcomes = device.attempt_batch(sites.shape[0], "root-leaf")
+                merge_fusions += sites.shape[0]
+                degrees[sites[outcomes]] = degree[outcomes] + joiner[outcomes] - 1
+                failed = ~outcomes
+                sites = sites[failed]
+                degree = degree[failed] - 1
+                joiner = joiner[failed] - 1
+        return MergeResult(
+            alive=alive.reshape(n, n),
+            degrees=degrees.reshape(n, n),
+            merge_fusions=merge_fusions,
+        )

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import RenormalizationError
-from repro.online.percolation import PercolatedLattice, frontier_bfs, frontier_move_csr
+from repro.online.percolation import (
+    PercolatedLattice,
+    frontier_bfs,
+    move_table_indptr,
+    move_table_pops,
+)
 from repro.online.renormalize import RenormalizationResult, renormalize
 from repro.utils.gridgeom import Coord2D
 
@@ -120,12 +125,14 @@ def _corridor_connected(
     source-path site inside the window and accepts any target-path site.
     Returns (reached, sites visited).
 
-    The window (clipped to the lattice) becomes one move table over its
-    usable bonds, in :meth:`PercolatedLattice.neighbors` order (right,
-    left, down, up), with a virtual super-source wired to the in-window
-    alive sources in path order; one
-    :func:`~repro.online.percolation.frontier_bfs` then answers the join.
-    The first target's pop position is the per-cell BFS's visited count.
+    The window (clipped to the lattice) becomes one fixed-stride move
+    table over its usable bonds: four slots per cell in
+    :meth:`PercolatedLattice.neighbors` order (right, left, down, up), a
+    virtual super-source whose slots are the in-window alive sources in
+    path order, and a sink (no out-edges) that every slot without a bond
+    points at.  One :func:`~repro.online.percolation.frontier_bfs` then
+    answers the join.  The first target's pop position is the per-cell
+    BFS's visited count, less one if the sink popped before it.
     ``sources`` is a simple path (no repeated sites).
     """
     size = lattice.size
@@ -135,6 +142,7 @@ def _corridor_connected(
         return False, 0
     height, width = bottom - top, right - left
     total = height * width
+    sink = total + 1
     alive = lattice.sites[top:bottom, left:right]
     across = lattice.horizontal[top:bottom, left : right - 1] & alive[:, :-1] & alive[:, 1:]
     down = lattice.vertical[top : bottom - 1, left:right] & alive[:-1, :] & alive[1:, :]
@@ -150,22 +158,21 @@ def _corridor_connected(
     if not starts.size:
         return False, 0
     flat = np.arange(total, dtype=np.int32).reshape(height, width)
-    moves = np.full((height, width, 4), -1, dtype=np.int32)
-    moves[:, :-1, 0] = np.where(across, flat[:, 1:], -1)
-    moves[:, 1:, 1] = np.where(across, flat[:, :-1], -1)
-    moves[:-1, :, 2] = np.where(down, flat[1:, :], -1)
-    moves[1:, :, 3] = np.where(down, flat[:-1, :], -1)
-    is_target = np.zeros(total + 1, dtype=bool)
+    moves = np.full((height, width, 4), sink, dtype=np.int32)
+    moves[:, :-1, 0] = np.where(across, flat[:, 1:], sink)
+    moves[:, 1:, 1] = np.where(across, flat[:, :-1], sink)
+    moves[:-1, :, 2] = np.where(down, flat[1:, :], sink)
+    moves[1:, :, 3] = np.where(down, flat[:-1, :], sink)
+    is_target = np.zeros(total + 2, dtype=bool)
     is_target[window_cells(list(targets))] = True
 
-    indptr, indices = frontier_move_csr(moves.reshape(total, 4), starts)
-    order, _ = frontier_bfs(indptr, indices, total)
+    indices = np.concatenate((moves.ravel(), starts.astype(np.int32)))
+    order, parents = frontier_bfs(move_table_indptr(total, starts.size), indices, total)
     hits = is_target[order]
     first = int(hits.argmax())
     if hits[first]:
-        return True, first
-    # Pop 0 is the super-source, which costs nothing.
-    return False, len(order) - 1
+        return True, move_table_pops(order, parents, first + 1)
+    return False, move_table_pops(order, parents, len(order))
 
 
 def modular_renormalize(
@@ -203,7 +210,9 @@ def modular_renormalize(
 
     # Join corridors.  A global coarse row r = (mi, local j) survives iff all
     # g modules in that module-row succeeded and all g-1 horizontal joins of
-    # that local path connected; columns symmetrically.
+    # that local path connected; columns symmetrically.  Module-local path
+    # coordinates shift by their module's origins into RSL coordinates.
+    origins = [layout.module_origin(index) for index in range(g)]
     join_work = 0
     surviving_rows = 0
     surviving_cols = 0
@@ -215,12 +224,12 @@ def modular_renormalize(
             ok = True
             for mj in range(g - 1):
                 left = [
-                    _to_global(c, layout, mi, mj)
-                    for c in results[mi][mj].horizontal_paths[local]
+                    (row + origins[mi], col + origins[mj])
+                    for row, col in results[mi][mj].horizontal_paths[local]
                 ]
                 right = {
-                    _to_global(c, layout, mi, mj + 1)
-                    for c in results[mi][mj + 1].horizontal_paths[local]
+                    (row + origins[mi], col + origins[mj + 1])
+                    for row, col in results[mi][mj + 1].horizontal_paths[local]
                 }
                 fringe = max(1, node_size)
                 corridor_cols = (
@@ -247,12 +256,12 @@ def modular_renormalize(
             ok = True
             for mi in range(g - 1):
                 upper = [
-                    _to_global(c, layout, mi, mj)
-                    for c in results[mi][mj].vertical_paths[local]
+                    (row + origins[mi], col + origins[mj])
+                    for row, col in results[mi][mj].vertical_paths[local]
                 ]
                 lower = {
-                    _to_global(c, layout, mi + 1, mj)
-                    for c in results[mi + 1][mj].vertical_paths[local]
+                    (row + origins[mi + 1], col + origins[mj])
+                    for row, col in results[mi + 1][mj].vertical_paths[local]
                 }
                 fringe = max(1, node_size)
                 corridor_rows = (
@@ -280,12 +289,4 @@ def modular_renormalize(
         module_results=flat_results,
         wall_visited_sites=max_module_work + join_work,
         total_visited_sites=total_work + join_work,
-    )
-
-
-def _to_global(coord: Coord2D, layout: ModularLayout, mi: int, mj: int) -> Coord2D:
-    """Module-local coordinate -> RSL coordinate."""
-    return (
-        coord[0] + layout.module_origin(mi),
-        coord[1] + layout.module_origin(mj),
     )

@@ -22,6 +22,7 @@ own scalar DSU kept as the oracle in :mod:`repro.online.renormalize`.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,9 +42,55 @@ DEAD_LABEL = -1
 #: drop-in interchangeable).
 NO_PREDECESSOR = -9999
 
+#: Edge slots per cell in a fixed-stride move table (see
+#: :func:`move_table_indptr`): the four grid moves.
+MOVE_SLOTS = 4
+
 #: Lazily resolved compiled BFS engine: ``(csr_array, breadth_first_order)``
 #: from scipy.sparse, or ``False`` once the import is known to fail.
 _FRONTIER_ENGINE: tuple | bool | None = None
+
+#: Scipy graphs a thread keeps for reuse by :func:`frontier_bfs`, one per
+#: node count.  A ``renormalize`` call touches at most two strip shapes
+#: plus the pre-check's and the corridor joins' graphs.
+_GRAPH_POOL_SIZE = 4
+
+
+class _GraphPool(threading.local):
+    """One thread's reusable ``csr_array`` objects and their ones buffer.
+
+    Per thread because reuse rebinds a graph's arrays before each
+    traversal: ``repro serve`` compiles on a thread pool, and two threads
+    sharing one graph would traverse each other's edges.
+    """
+
+    def __init__(self) -> None:
+        self.graphs: dict[int, object] = {}
+        self.ones = np.ones(0)
+
+    def graph(self, csr_array, indptr: np.ndarray, indices: np.ndarray):
+        """A graph of ``indptr.shape[0] - 1`` nodes holding these arrays."""
+        edge_count = indices.shape[0]
+        if self.ones.shape[0] < edge_count:
+            self.ones = np.ones(max(edge_count, 2 * self.ones.shape[0]))
+        data = self.ones[:edge_count]
+        node_count = indptr.shape[0] - 1
+        graph = self.graphs.get(node_count)
+        if graph is None:
+            graph = csr_array((data, indices, indptr), shape=(node_count, node_count))
+            if len(self.graphs) >= _GRAPH_POOL_SIZE:
+                del self.graphs[next(iter(self.graphs))]
+            self.graphs[node_count] = graph
+        else:
+            # Public attributes; scipy's graph validation then passes the
+            # graph through (already CSR, float64) without a copy.
+            graph.indptr = indptr
+            graph.indices = indices
+            graph.data = data
+        return graph
+
+
+_GRAPHS = _GraphPool()
 
 
 def _frontier_engine() -> tuple | None:
@@ -71,9 +118,11 @@ def frontier_adjacency(
     """CSR adjacency ``(indptr, indices)`` from directed edge lists.
 
     The stable sort keeps each node's out-edges in the order they appear in
-    ``sources``/``targets`` — that order is the tie-break contract of
-    :func:`frontier_bfs`, which is how the renormalization path search
-    encodes the scalar BFS's deterministic move order into the graph.
+    ``sources``/``targets`` — the tie-break contract of :func:`frontier_bfs`.
+    The path search and the corridor joins no longer come through here
+    (they build fixed-stride move tables, :func:`move_table_indptr`); the
+    strip pre-check's spanning BFS (:func:`grid_spans_from_usable`) and the
+    engine-parity test do.
     """
     order = np.argsort(sources, kind="stable")
     indices = targets[order].astype(np.int32, copy=False)
@@ -82,34 +131,35 @@ def frontier_adjacency(
     return indptr, indices
 
 
-def frontier_move_csr(
-    moves: np.ndarray, starts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """CSR adjacency ``(indptr, indices)`` from a per-node move table.
+def move_table_indptr(cells: int, start_count: int) -> np.ndarray:
+    """``indptr`` of a fixed-stride move table with a super-source and a sink.
 
-    ``moves`` is ``(N, k)`` int32: ``moves[v, j]`` is the target of node
-    ``v``'s ``j``-th move, ``-1`` where that move has no edge.  Node ``N``
-    is a virtual super-source whose out-edges are ``starts``, in order.
-    Row-major extraction keeps each node's edges in move order — the
-    tie-break contract of :func:`frontier_bfs` — without the edge lists and
-    stable sort of :func:`frontier_adjacency`.
+    Cells ``0 .. cells - 1`` own :data:`MOVE_SLOTS` edge slots each, in
+    move order; node ``cells`` is the virtual super-source with
+    ``start_count`` slots; node ``cells + 1`` is the sink, the target of
+    every slot that has no edge, and has no out-edges itself.  The
+    matching ``indices`` are one ``concatenate`` of the raveled
+    ``(cells, MOVE_SLOTS)`` move table and the start row.
     """
-    valid = moves >= 0
-    node_count, move_count = moves.shape
-    # Column adds and ``compress``: several times cheaper than a row
-    # ``sum`` and a boolean-mask gather at the few-hundred-row sizes of a
-    # strip query.
-    per_node = valid[:, 0].astype(np.int32)
-    for column in range(1, move_count):
-        per_node += valid[:, column]
-    indptr = np.empty(node_count + 2, dtype=np.int32)
-    indptr[0] = 0
-    np.cumsum(per_node, out=indptr[1:-1])
-    indptr[-1] = indptr[-2] + starts.shape[0]
-    indices = np.concatenate(
-        [moves.compress(valid.ravel()), starts.astype(np.int32, copy=False)]
+    indptr = np.arange(0, MOVE_SLOTS * (cells + 2) + 1, MOVE_SLOTS, dtype=np.int32)
+    indptr[cells + 1 :] = MOVE_SLOTS * cells + start_count
+    return indptr
+
+
+def move_table_pops(order: np.ndarray, predecessors: np.ndarray, end: int) -> int:
+    """Cell pops among ``order[:end]`` of a traversal of a fixed-stride table.
+
+    ``order`` and ``predecessors`` come from :func:`frontier_bfs` on a
+    :func:`move_table_indptr` graph, started at its super-source (pop 0).
+    The sink, the last node, is reached exactly when its predecessor is
+    set, and it enqueues nothing, so the cells keep their relative pop
+    order: the count is ``end - 1``, less one if the sink popped in range.
+    """
+    sink = predecessors.shape[0] - 1
+    sink_popped = predecessors[sink] != NO_PREDECESSOR and bool(
+        (order[:end] == sink).any()
     )
-    return indptr, indices
+    return end - 1 - int(sink_popped)
 
 
 def _frontier_bfs_python(
@@ -153,16 +203,25 @@ def frontier_bfs(
     oracle's paths and visited-site counts byte-for-byte.  Runs on scipy's
     compiled ``breadth_first_order`` when available, else on the identical
     pure-python loop.
+
+    The compiled engine builds no graph per call: each thread keeps a few
+    ``csr_array`` objects keyed by node count and rebinds their arrays, so
+    a call costs the traversal plus a fixed handful of attribute writes.
+
+    A fixed-stride move table (:func:`move_table_indptr`) routes every
+    missing edge to its sink node, so the sink appears in the pop order
+    (and in the ``online.bfs_nodes`` histogram) whenever some slot
+    lacked an edge; callers subtract it from their pop counts.
     """
     engine = _frontier_engine()
     if engine is None:
         order, predecessors = _frontier_bfs_python(indptr, indices, source)
     else:
         csr_array, breadth_first_order = engine
-        node_count = indptr.shape[0] - 1
-        graph = csr_array(
-            (np.ones(indices.shape[0], dtype=np.float64), indices, indptr),
-            shape=(node_count, node_count),
+        graph = _GRAPHS.graph(
+            csr_array,
+            np.ascontiguousarray(indptr, dtype=np.int32),
+            np.ascontiguousarray(indices, dtype=np.int32),
         )
         order, predecessors = breadth_first_order(
             graph, source, directed=True, return_predecessors=True

@@ -42,9 +42,10 @@ from repro.errors import RenormalizationError
 from repro.online.percolation import (
     PercolatedLattice,
     frontier_bfs,
-    frontier_move_csr,
     grid_spans,
     grid_spans_from_usable,
+    move_table_indptr,
+    move_table_pops,
 )
 from repro.utils.gridgeom import Coord2D
 
@@ -210,7 +211,9 @@ class _MoveGeometry(NamedTuple):
 
     Gather indices address the flattened ``(5, n + 4, w + 4)`` frame stack
     of :meth:`_Carver._find_path_vector` (two cells of ``False`` padding on
-    every side); targets are flat strip-view cell indices.
+    every side); targets are flat strip-view cell indices.  ``indptr`` is
+    the strip's fixed-stride CSR row pointer: four slots per cell, ``w``
+    for the super-source ``n * w``, none for the sink ``n * w + 1``.
     """
 
     bond: np.ndarray  # the cell -> cell + d bond
@@ -220,6 +223,8 @@ class _MoveGeometry(NamedTuple):
     landing: np.ndarray  # cell + 2d, free
     one_hop: np.ndarray  # flat target cell + d (int32)
     two_hop: np.ndarray  # flat target cell + 2d (int32)
+    lanes: np.ndarray  # near-edge start cells, lane order (int32)
+    indptr: np.ndarray  # fixed-stride CSR row pointer (int32)
 
 
 @lru_cache(maxsize=4)
@@ -228,10 +233,11 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
 
     Depends only on the strip's shape and orientation (whose view-space
     move order is ``_VIEW_MOVES[vertical]``), so it is built once per shape
-    and every query reduces to gathers from its own frames.  Four entries
-    hold one ``renormalize`` call's strips (at most two widths, two
-    orientations); on the bench workload a 16-entry cache saved under 0.3%
-    of the builds and raised peak RSS by about 3 MB.
+    and every query reduces to gathers from its own frames plus one
+    ``concatenate`` of the move table and start row under the cached
+    ``indptr``.  Four entries hold one ``renormalize`` call's strips (at
+    most two widths, two orientations); on the bench workload a 16-entry
+    cache saved under 0.3% of the builds and raised peak RSS by about 3 MB.
     """
     padded = width + 4
     frame_size = (n + 4) * padded
@@ -253,6 +259,8 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
         landing=cell + 2 * step + _FREE_FRAME * frame_size,
         one_hop=(flat + flat_step).astype(np.int32),
         two_hop=(flat + 2 * flat_step).astype(np.int32),
+        lanes=np.arange(width, dtype=np.int32),
+        indptr=move_table_indptr(n * width, width),
     )
 
 
@@ -453,9 +461,16 @@ class _Carver:
         perpendicular-owned site, or a two-hop straight-through crossing —
         so the graph is an ``(n * w, 4)`` move table, gathered at
         shape-only indices (:func:`_move_geometry`) from padded boolean
-        frames of usable bonds and enterable, crossable and free cells; a
-        virtual super-source carries the near-edge start cells in lane
-        order.
+        frames of usable bonds and enterable, crossable and free cells.
+        The layout is fixed-stride: every cell row has exactly four slots in
+        move order, a virtual super-source ``n * w`` has one slot per lane in
+        lane order, and each slot without an edge (a missing move, or a lane
+        that is no start) points at the sink ``n * w + 1``, a node with no
+        out-edges.  The row pointer is then shape-only too, and the CSR
+        ``indices`` are one ``concatenate``.  Popping the sink enqueues
+        nothing, so the other nodes keep the scalar BFS's relative order and
+        the visited-site counts subtract the sink's one pop where it came
+        first.
 
         The search runs *before* the strip pre-check: any path it finds
         also spans the relaxed graph, so the pre-check would have said yes.
@@ -513,55 +528,56 @@ class _Carver:
             & flat_frames[geometry.onward_bond]
             & flat_frames[geometry.landing]
         )
-        moves = np.where(one, geometry.one_hop, np.where(two, geometry.two_hop, -1))
+        total = n * width
+        sink = total + 1
+        moves = np.where(one, geometry.one_hop, np.where(two, geometry.two_hop, sink))
 
-        # Start cells on the near edge, in lane order, hung off the virtual
+        # Start cells on the near edge, one slot per lane of the virtual
         # super-source: free cells start normally; perpendicular-owned cells
         # are entered one row inward (the owned cell rejoins the path as a
-        # reconstruction prefix).
-        lanes = np.arange(width)
+        # reconstruction prefix); other lanes point at the sink.
+        lanes = geometry.lanes
         lane_inward = other[0] & free[1] & usable_along[0]
-        start = np.where(free[0], lanes, np.where(lane_inward, lanes + width, -1))
-        start = start[start >= 0]
+        start = np.where(free[0], lanes, np.where(lane_inward, lanes + width, sink))
 
-        total = n * width
-        indptr, indices = frontier_move_csr(moves, start)
-        pop_order, parents = frontier_bfs(indptr, indices, total)
+        indices = np.concatenate((moves.ravel(), start))
+        pop_order, parents = frontier_bfs(geometry.indptr, indices, total)
         is_goal = (pop_order >= total - width) & (pop_order < total)
         found = int(is_goal.argmax())
         if not is_goal[found]:
             # Every enqueued cell was popped without reaching the far edge.
-            # Only a spanning relaxed graph charges those pops (the
-            # super-source, pop 0, costs nothing); otherwise the pre-check
-            # alone would have answered.
+            # Only a spanning relaxed graph charges those pops; otherwise
+            # the pre-check alone would have answered.
             if self._precheck_name == "vector":
                 spans = grid_spans_from_usable(alive, usable_across, usable_along)
             else:
                 spans = strip_spans_dsu(self.lattice, vertical, low, high)
             if spans:
-                self.visited_sites += len(pop_order) - 1
+                self.visited_sites += move_table_pops(pop_order, parents, len(pop_order))
             return None
-        # Pops up to (and including) the goal: the goal's position in the
-        # FIFO order *is* the scalar BFS's visited count, super-source aside.
-        self.visited_sites += found
+        # Cell pops up to (and including) the goal are the scalar BFS's
+        # visited count.
+        self.visited_sites += move_table_pops(pop_order, parents, found + 1)
 
-        chain: list[int] = []
+        # One walk from the goal back to the super-source.  Two-hop edges
+        # move two cells along one view axis: 2 * width flat along the
+        # span, 2 across lanes (which needs width > 2); the skipped
+        # crossing site is their midpoint.
         node = int(pop_order[found])
-        while node != total:
-            chain.append(node)
-            node = int(parents[node])
-        path = np.array(chain[::-1], dtype=np.int64)
-        if path[0] >= width:
+        path = [node]
+        previous = int(parents[node])
+        while previous != total:
+            step = node - previous
+            if step in (2 * width, -2 * width) or (width > 2 and step in (2, -2)):
+                path.append((node + previous) // 2)
+            path.append(previous)
+            node = previous
+            previous = int(parents[node])
+        if node >= width:
             # Entered one row inward across a perpendicular-owned start cell.
-            path = np.concatenate([path[:1] - width, path])
-        # Two-hop edges move two cells along one view axis: 2 * width flat
-        # along the span, 2 across lanes (which needs width > 2).  The
-        # skipped crossing site is their midpoint.
-        steps = np.abs(path[1:] - path[:-1])
-        jumps = np.flatnonzero((steps == 2 * width) | ((steps == 2) & (width > 2)))
-        if jumps.size:
-            path = np.insert(path, jumps + 1, (path[jumps] + path[jumps + 1]) // 2)
-        return self._to_grid(path, vertical, low, width)
+            path.append(node - width)
+        path.reverse()
+        return self._to_grid(np.array(path), vertical, low, width)
 
     @staticmethod
     def _to_grid(
@@ -580,9 +596,8 @@ class _Carver:
         their original owner — they are exactly the renormalized nodes.
         """
         marker = _VERTICAL if vertical else _HORIZONTAL
-        sites = np.fromiter(
-            (row * self.size + col for row, col in path), dtype=np.intp, count=len(path)
-        )
+        rows, cols = np.array(path).T
+        sites = rows * self.size + cols
         owner = self.owner.reshape(-1)
         current = owner[sites]
         owner[sites] = np.where(current == _FREE, marker, current)

@@ -1,14 +1,20 @@
 """Test-only reference implementations the product kernels are pinned to.
 
-Each oracle is the original per-cell formulation of a kernel that now runs
-on the compiled frontier engine; the property suites assert the two agree
-exactly, including the work counts the Fig. 14 cost proxy is built from.
+Each oracle is the original formulation of a kernel that now runs on the
+compiled frontier engine or on shrinking index vectors; the property suites
+assert the two agree exactly, including the work counts the Fig. 14 cost
+proxy is built from and the fusion draws the device RNG makes.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
+from repro.hardware.architecture import HardwareConfig
+from repro.hardware.fusion import FusionDevice
+from repro.hardware.rsg import MergeResult
 from repro.online.percolation import PercolatedLattice
 from repro.utils.gridgeom import Coord2D
 
@@ -51,3 +57,40 @@ def corridor_connected_scalar(
                 seen.add(neighbor)
                 queue.append(neighbor)
     return False, visited
+
+
+def merge_layers_masks(config: HardwareConfig, device: FusionDevice) -> MergeResult:
+    """Full-mask twin of ``repro.hardware.rsg.RSGArray.merge_layers``.
+
+    Every retry round recomputes ``(n, n)`` masks of the pending,
+    attemptable, exhausted, succeeded and failed sites; attempts are drawn
+    for the attemptable sites in row-major order.
+    """
+    n = config.rsl_size
+    star_degree = config.resource_state.max_degree
+    merges = config.merged_rsls_per_layer - 1
+
+    alive = np.ones((n, n), dtype=bool)
+    degrees = np.full((n, n), star_degree, dtype=np.int64)
+    merge_fusions = 0
+    for _ in range(merges):
+        joiner = np.full((n, n), star_degree, dtype=np.int64)
+        pending = alive.copy()
+        while pending.any():
+            attemptable = pending & (degrees >= 1) & (joiner >= 1)
+            exhausted = pending & ~attemptable
+            alive[exhausted] = False
+            pending[exhausted] = False
+            count = int(attemptable.sum())
+            if count == 0:
+                break
+            outcomes = device.attempt_batch(count, "root-leaf")
+            merge_fusions += count
+            success = np.zeros((n, n), dtype=bool)
+            success[attemptable] = outcomes
+            failure = attemptable & ~success
+            degrees[success] += joiner[success] - 1
+            pending[success] = False
+            degrees[failure] -= 1
+            joiner[failure] -= 1
+    return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)

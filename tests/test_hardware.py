@@ -1,6 +1,9 @@
 """Tests for the hardware model: config, fusion device, delay lines, RSGs."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import merge_layers_masks
 
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
@@ -192,3 +195,34 @@ class TestRSGArray:
         assert not result.alive.all()
         assert result.alive.any()
         assert (result.degrees[result.alive] >= 1).all()
+
+
+@given(
+    rsl_size=st.integers(2, 40),
+    star_size=st.integers(3, 7),
+    rate=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_merge_layers_matches_full_mask_oracle(rsl_size, star_size, rate, seed):
+    """The pending-vector merge loop must reproduce the full-mask loop: the
+    same sites, leaf budgets and fusion count, the same tally, and the
+    device RNG left at the same point of its stream.  Star sizes 3-7 span
+    three merges down to none."""
+    config = HardwareConfig(
+        rsl_size=rsl_size, resource_state=ResourceStateSpec(star_size)
+    )
+    device = FusionDevice(rate, rng=seed)
+    reference = FusionDevice(rate, rng=seed)
+    result = RSGArray(config).merge_layers(device)
+    expected = merge_layers_masks(config, reference)
+    assert result.alive.shape == result.degrees.shape == (rsl_size, rsl_size)
+    assert result.alive.dtype == expected.alive.dtype
+    assert result.degrees.dtype == expected.degrees.dtype
+    assert np.array_equal(result.alive, expected.alive)
+    assert np.array_equal(result.degrees, expected.degrees)
+    assert result.merge_fusions == expected.merge_fusions
+    assert device.tally.attempted == reference.tally.attempted
+    assert device.tally.succeeded == reference.tally.succeeded
+    assert device.tally.by_kind == reference.tally.by_kind
+    assert device.rng.random() == reference.rng.random()

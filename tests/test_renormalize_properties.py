@@ -1,8 +1,12 @@
 """Property tests of the renormalization carving invariants, the vectorized
 strip pre-check against its scalar DSU oracle, the vectorized wavefront
-path search against the scalar deque-BFS oracle, and the compiled corridor
-join against its per-cell BFS oracle."""
+path search against the scalar deque-BFS oracle, the compiled corridor
+join against its per-cell BFS oracle, and the frontier engine's per-thread
+graph reuse and fixed-stride sink accounting."""
 
+import importlib
+import sys
+import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,6 +23,11 @@ from repro.online.renormalize import (
     strip_spans,
     strip_spans_dsu,
 )
+
+# ``repro.online`` re-exports the ``renormalize`` function under the
+# submodule's name, so the modules are fetched by their full names.
+renormalize_module = importlib.import_module("repro.online.renormalize")
+modular_module = importlib.import_module("repro.online.modular")
 
 
 @st.composite
@@ -244,6 +253,31 @@ def test_pure_python_frontier_engine_is_identical(case):
     assert _result_tuple(fallback) == _result_tuple(compiled)
 
 
+@contextmanager
+def _recorded_bfs(module):
+    """Record every ``(indptr, order, predecessors)`` ``module`` traverses."""
+    calls = []
+    original = module.frontier_bfs
+
+    def recording(indptr, indices, source):
+        order, predecessors = original(indptr, indices, source)
+        calls.append((indptr, order, predecessors))
+        return order, predecessors
+
+    module.frontier_bfs = recording
+    try:
+        yield calls
+    finally:
+        module.frontier_bfs = original
+
+
+def _sink_position(indptr, order):
+    """Pop index of a fixed-stride graph's sink node, or None if unreached."""
+    sink = indptr.shape[0] - 2
+    hits = np.flatnonzero(order == sink)
+    return int(hits[0]) if hits.size else None
+
+
 def _three_by_three(horizontal):
     """A 3x3 lattice whose only vertical bonds run down the middle column.
 
@@ -297,14 +331,56 @@ def test_failed_search_on_spanning_strip_charges_the_pops():
     """The band's relaxed graph spans only by travelling along the claimed
     vertical path, which the crossing rules forbid: the search fails after
     popping its 3 start cells, the pre-check says yes, and those pops are
-    charged on top of the strip area."""
+    charged on top of the strip area.  The failed search also pops the
+    sink (the start cells' missing moves point there), which is not
+    charged."""
     lattice = _three_by_three([[1, 0], [0, 0], [0, 1]])
     assert strip_spans(lattice, False, 0, 3)
-    result = renormalize(lattice.copy(), 1)
+    with _recorded_bfs(renormalize_module) as calls:
+        result = renormalize(lattice.copy(), 1)
+    indptr, order, predecessors = calls[1]
+    assert _sink_position(indptr, order) is not None
+    assert predecessors[indptr.shape[0] - 2] != percolation.NO_PREDECESSOR
+    assert len(order) == 1 + 3 + 1  # super-source, three cells, sink
     assert not result.success
     assert result.vertical_paths == [[(0, 1), (1, 1), (2, 1)]]
     assert result.horizontal_paths == []
     assert result.visited_sites == (9 + 5) + (9 + 3)
+    _assert_pathfinds_agree_at_every_budget(lattice, result.visited_sites)
+
+
+def test_sink_pops_before_the_goal():
+    """On a full 3x3 lattice the first popped start cell's "up" slot is
+    the sink, which therefore pops ahead of the goal row; the vector
+    search must not count that pop."""
+    lattice = sample_lattice(3, 1.0, rng=np.random.default_rng(0))
+    with _recorded_bfs(renormalize_module) as calls:
+        result = renormalize(lattice.copy(), 1)
+    assert result.success
+    indptr, order, _ = calls[0]
+    sink = _sink_position(indptr, order)
+    goal = int(np.flatnonzero((order >= 6) & (order < 9))[0])
+    assert sink is not None and sink < goal
+    _assert_pathfinds_agree_at_every_budget(lattice, result.visited_sites)
+
+
+def test_goal_pops_before_the_sink():
+    """On a 2x2 lattice whose vertical path takes column 0, the horizontal
+    search enters one column inward straight onto the goal column: the
+    goal is the first pop, ahead of any sink."""
+    lattice = PercolatedLattice(
+        sites=np.ones((2, 2), dtype=bool),
+        horizontal=np.array([[1], [0]], dtype=bool),
+        vertical=np.array([[1, 0]], dtype=bool),
+    )
+    with _recorded_bfs(renormalize_module) as calls:
+        result = renormalize(lattice.copy(), 1)
+    assert result.success
+    assert result.horizontal_paths == [[(0, 0), (0, 1)]]
+    indptr, order, _ = calls[1]
+    sink = _sink_position(indptr, order)
+    assert order[1] == 2  # view cell span 1, lane 0 = (0, 1): the goal
+    assert sink == 2  # lane 1 has no start: its slot is the sink
     _assert_pathfinds_agree_at_every_budget(lattice, result.visited_sites)
 
 
@@ -391,6 +467,96 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     order, pred = percolation.frontier_bfs(indptr, indices, source)
     assert np.array_equal(order, python_order)
     assert np.array_equal(pred, python_pred)
+
+
+def _random_frontier_graph(seed, nodes, edges):
+    """A random directed CSR graph and a source node, from one seed."""
+    rng = np.random.default_rng(seed)
+    sources = rng.integers(0, nodes, edges)
+    targets = rng.integers(0, nodes, edges)
+    indptr, indices = percolation.frontier_adjacency(sources, targets, nodes)
+    return indptr, indices, int(rng.integers(0, nodes))
+
+
+def _assert_bfs_matches_python(graph):
+    indptr, indices, source = graph
+    expected = percolation._frontier_bfs_python(indptr, indices, source)
+    actual = percolation.frontier_bfs(indptr, indices, source)
+    assert np.array_equal(actual[0], expected[0])
+    assert np.array_equal(actual[1], expected[1])
+
+
+def test_frontier_bfs_reuses_graphs_across_edge_counts():
+    """Back-to-back traversals of graphs with one node count but different
+    edge counts reuse one engine graph; each must see only its own edges."""
+    graphs = [
+        _random_frontier_graph(seed, 50, edges)
+        for seed, edges in ((1, 40), (2, 160), (3, 0), (4, 90), (5, 160))
+    ]
+    for _round in range(3):
+        for graph in graphs:
+            _assert_bfs_matches_python(graph)
+
+
+def test_frontier_bfs_graph_reuse_is_per_thread():
+    """Two threads traverse different graphs of one node count 3,000 times
+    each with a tiny switch interval; a graph shared between the threads
+    would hand one thread the other's edges mid-call."""
+    calls = 3000
+    graphs = [_random_frontier_graph(seed, 64, 150) for seed in (11, 12)]
+    expected = [percolation._frontier_bfs_python(*graph) for graph in graphs]
+    assert not np.array_equal(expected[0][0], expected[1][0])
+    mismatches = [0, 0]
+    done = [0, 0]
+
+    def worker(slot):
+        indptr, indices, source = graphs[slot]
+        order_ref, pred_ref = expected[slot]
+        for _ in range(calls):
+            order, pred = percolation.frontier_bfs(indptr, indices, source)
+            if not (np.array_equal(order, order_ref) and np.array_equal(pred, pred_ref)):
+                mismatches[slot] += 1
+            done[slot] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert done == [calls, calls]
+    assert mismatches == [0, 0]
+
+
+@pytest.mark.parametrize("engine", ["scipy", "python"])
+@pytest.mark.parametrize(
+    "targets, reached",
+    [({(2, 2)}, True), ({(0, 2)}, False)],
+)
+def test_corridor_join_through_the_sink(engine, targets, reached):
+    """A window with missing bonds routes slots to the sink, which pops
+    before the target (or among a failed join's pops); the join's counts
+    must still equal the per-cell BFS's."""
+    lattice = PercolatedLattice(
+        sites=np.ones((3, 3), dtype=bool),
+        horizontal=np.array([[0, 0], [1, 0], [0, 1]], dtype=bool),
+        vertical=np.array([[0, 0, 0], [0, 1, 0]], dtype=bool),
+    )
+    args = (lattice, [(1, 0)], targets, (0, 3), (0, 3))
+    with _engine(engine), _recorded_bfs(modular_module) as calls:
+        actual = _corridor_connected(*args)
+    assert actual == corridor_connected_scalar(*args)
+    assert actual[0] is reached
+    indptr, order, _ = calls[0]
+    sink = _sink_position(indptr, order)
+    assert sink is not None
+    if reached:
+        assert sink < int(np.flatnonzero(order == 8)[0])
 
 
 def _intersections_quadratic(vertical_paths, horizontal_paths):
