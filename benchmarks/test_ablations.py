@@ -1,4 +1,5 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the design choices ARCHITECTURE.md's "Design
+substitutions" section calls out.
 
 Each ablation disables one mechanism and measures the cost, quantifying why
 the mechanism exists:

@@ -2,8 +2,8 @@
 
 These use pytest-benchmark's normal statistical repetition (they are pure
 and fast) and track the constants behind Fig. 14/15: bond sampling, the
-renormalization path search, the RSL merge loop, the tableau, and the
-mapper inner loop.
+renormalization path search, the RSL merge loop, one online RSL cycle,
+the tableau, and the mapper inner loop.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.graphstate import GraphState, ResourceStateSpec, Tableau
 from repro.hardware import FusionDevice, HardwareConfig, RSGArray
 from repro.mbqc import translate_circuit
 from repro.offline import OfflineMapper
+from repro.online.fusion_strategy import form_layer
 from repro.online.modular import modular_renormalize
 from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
@@ -61,6 +62,22 @@ def test_merge_layers_36(benchmark):
     array = RSGArray(config)
     device = FusionDevice(0.75, rng=0)
     benchmark(lambda: array.merge_layers(device))
+
+
+def test_online_rsl_cycle_24(benchmark):
+    """One RSL of the online pass: ``form_layer`` (merging with retries,
+    bond sampling) plus one ``renormalize`` to a 2x2 virtual layer, with
+    4-qubit stars at p 0.9 on a 24x24 RSL — the unit of work of a
+    ``serve-mixed`` cold compile."""
+    config = HardwareConfig(
+        rsl_size=24, resource_state=ResourceStateSpec(4), fusion_success_rate=0.9
+    )
+    device = FusionDevice(config.effective_fusion_rate, rng=0)
+
+    def run():
+        return renormalize(form_layer(config, device).lattice, 2)
+
+    benchmark(run)
 
 
 def test_modular_renormalize_48(benchmark):

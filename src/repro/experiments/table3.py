@@ -44,7 +44,7 @@ REFRESH_EVERY = 50
 PL_RATIO = 3.0
 
 #: Our calibrated unit: bytes accounted per stored node per waited layer
-#: (see DESIGN.md's substitution table).
+#: (see the "Design substitutions" section of ARCHITECTURE.md).
 BYTES_PER_NODE_LAYER = 2**20  # 1 MiB
 
 #: The enforced budget, per scale.  At bench scale 1.25 GiB plays the role

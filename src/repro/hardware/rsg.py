@@ -83,9 +83,12 @@ class RSGArray:
         remaining ``degrees`` is the leaf budget left for lattice bonds.
 
         Each merge's retry rounds run on the shrinking vector of pending
-        sites (flat row-major indices) with per-site ``degree`` and
-        ``joiner`` budgets; a site leaves it when its join succeeds or its
-        budget runs out, and only then is written back.  Attempts are drawn
+        sites (flat row-major indices) with per-site ``degree`` budgets; a
+        site leaves it when its join succeeds or its budget runs out, and
+        only then is written back.  The joiner's budget is one scalar: in
+        retry round ``r`` every pending site has burnt ``r`` of its
+        joiner's leaves, so it is ``star_degree - r`` for all of them, and
+        the sites still pending when it reaches 0 die.  Attempts are drawn
         in row-major order of the pending sites, round by round.
         """
         config = self.config
@@ -104,25 +107,25 @@ class RSGArray:
             # to the accumulated root: degree -> degree - 1 + joiner_leaves.
             sites = np.flatnonzero(alive)
             degree = degrees[sites]
-            joiner = np.full(sites.shape[0], star_degree, dtype=np.int64)
-            while sites.shape[0]:
-                attemptable = (degree >= 1) & (joiner >= 1)
+            for joiner in range(star_degree, 0, -1):
+                attemptable = degree >= 1
                 if not attemptable.all():
                     exhausted = ~attemptable
                     alive[sites[exhausted]] = False
                     degrees[sites[exhausted]] = degree[exhausted]
                     sites = sites[attemptable]
                     degree = degree[attemptable]
-                    joiner = joiner[attemptable]
-                    if not sites.shape[0]:
-                        break
+                if not sites.shape[0]:
+                    break
                 outcomes = device.attempt_batch(sites.shape[0], "root-leaf")
                 merge_fusions += sites.shape[0]
-                degrees[sites[outcomes]] = degree[outcomes] + joiner[outcomes] - 1
+                degrees[sites[outcomes]] = degree[outcomes] + (joiner - 1)
                 failed = ~outcomes
                 sites = sites[failed]
                 degree = degree[failed] - 1
-                joiner = joiner[failed] - 1
+            # The joiner has no leaf left: the still-pending sites die.
+            alive[sites] = False
+            degrees[sites] = degree
         return MergeResult(
             alive=alive.reshape(n, n),
             degrees=degrees.reshape(n, n),

@@ -40,8 +40,9 @@ from repro.utils.gridgeom import Coord2D, Coord3D
 
 #: Classical bytes accounted per stored node per elapsed layer: the physical
 #: qubits of a stored wire grow by one layer's worth of graph bookkeeping per
-#: RSL the node waits.  Calibrated once (see DESIGN.md / Table 3) so the
-#: paper's 32 GB budget separates 25-qubit from 64-qubit benchmarks.
+#: RSL the node waits.  Calibrated once (see the "Design substitutions"
+#: section of ARCHITECTURE.md, and Table 3) so the paper's 32 GB budget
+#: separates 25-qubit from 64-qubit benchmarks.
 DEFAULT_BYTES_PER_NODE_LAYER = 4 * 2**20  # 4 MiB
 
 

@@ -25,8 +25,8 @@ Two mechanics from the paper:
   artifact implements this by deleting each path's surrounding qubits; we
   get the same guarantee structurally, by confining each vertical path to
   its own column strip (and each horizontal path to its own row band) and by
-  restricting perpendicular contact to straight crossings.  DESIGN.md
-  records this substitution.
+  restricting perpendicular contact to straight crossings.  The "Design
+  substitutions" section of ARCHITECTURE.md records this substitution.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.errors import RenormalizationError
 from repro.online.percolation import (
+    MOVE_SLOTS,
     PercolatedLattice,
     frontier_bfs,
     grid_spans,
@@ -213,7 +214,9 @@ class _MoveGeometry(NamedTuple):
     of :meth:`_Carver._find_path_vector` (two cells of ``False`` padding on
     every side); targets are flat strip-view cell indices.  ``indptr`` is
     the strip's fixed-stride CSR row pointer: four slots per cell, ``w``
-    for the super-source ``n * w``, none for the sink ``n * w + 1``.
+    for the super-source ``n * w``, none for the sink ``n * w + 1``;
+    ``sinks`` is the matching CSR ``indices`` with every slot at the sink,
+    which a query copies and overwrites where it has edges.
     """
 
     bond: np.ndarray  # the cell -> cell + d bond
@@ -224,7 +227,10 @@ class _MoveGeometry(NamedTuple):
     one_hop: np.ndarray  # flat target cell + d (int32)
     two_hop: np.ndarray  # flat target cell + 2d (int32)
     lanes: np.ndarray  # near-edge start cells, lane order (int32)
+    inward: np.ndarray  # the cells one row inward of the lanes (int32)
     indptr: np.ndarray  # fixed-stride CSR row pointer (int32)
+    sinks: np.ndarray  # CSR indices, every slot at the sink (int32)
+    one_hop_steps: frozenset  # flat index steps of the one-hop moves
 
 
 @lru_cache(maxsize=4)
@@ -233,11 +239,11 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
 
     Depends only on the strip's shape and orientation (whose view-space
     move order is ``_VIEW_MOVES[vertical]``), so it is built once per shape
-    and every query reduces to gathers from its own frames plus one
-    ``concatenate`` of the move table and start row under the cached
-    ``indptr``.  Four entries hold one ``renormalize`` call's strips (at
-    most two widths, two orientations); on the bench workload a 16-entry
-    cache saved under 0.3% of the builds and raised peak RSS by about 3 MB.
+    and every query reduces to gathers from its own frames plus masked
+    copies into a copy of ``sinks`` under the cached ``indptr``.  Four
+    entries hold one ``renormalize`` call's strips (at most two widths, two
+    orientations); on the bench workload a 16-entry cache saved under 0.3%
+    of the builds and raised peak RSS by about 3 MB.
     """
     padded = width + 4
     frame_size = (n + 4) * padded
@@ -260,7 +266,10 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
         one_hop=(flat + flat_step).astype(np.int32),
         two_hop=(flat + 2 * flat_step).astype(np.int32),
         lanes=np.arange(width, dtype=np.int32),
+        inward=np.arange(width, 2 * width, dtype=np.int32),
         indptr=move_table_indptr(n * width, width),
+        sinks=np.full(MOVE_SLOTS * n * width + width, n * width + 1, dtype=np.int32),
+        one_hop_steps=frozenset((1, -1, width, -width)),
     )
 
 
@@ -289,6 +298,21 @@ class _Carver:
         self._precheck = _PRECHECK_FNS[precheck]
         self._precheck_name = precheck
         self._pathfind_name = pathfind
+        #: Flat lattice site indices of every claimed path, per orientation
+        #: (``True`` = vertical), in claim order.
+        self.claimed: dict[bool, list[np.ndarray]] = {True: [], False: []}
+        if pathfind == "vector":
+            # Per-call strip views, axis 0 along the spanning direction:
+            # ``(alive, usable across, usable along, owner)``, each sliced
+            # ``[:, low:high]`` (across: ``[:, low:high - 1]``) per query.
+            # The usable-bond masks are built once; row bands transpose.
+            usable_h, usable_v = lattice.usable_bonds()
+            self._views = {
+                True: (lattice.sites, usable_h, usable_v, self.owner),
+                False: (lattice.sites.T, usable_v.T, usable_h.T, self.owner.T),
+            }
+            #: Padded ``(5, n + 4, w + 4)`` frame stacks, one per strip width.
+            self._frames: dict[int, np.ndarray] = {}
 
     # -- generic helpers --------------------------------------------------
 
@@ -322,20 +346,27 @@ class _Carver:
 
     # -- BFS path search ----------------------------------------------------
 
-    def find_path(self, vertical: bool, index: int, count: int) -> list[Coord2D] | None:
+    def find_path(
+        self, vertical: bool, index: int, count: int
+    ) -> tuple[list[Coord2D], np.ndarray] | None:
         """Shortest spanning path for strip/band ``index`` (None if blocked).
 
-        A vertical path may step on horizontal-path sites only by crossing
-        them straight through (and vice versa); it may never travel along
-        them, which is the tangling the surround-removal of the paper
-        prevents.  Dispatches to the configured implementation — the numpy
-        wavefront search (``pathfind="vector"``) or the original deque BFS
-        (``"scalar"``); the two produce byte-identical paths, ownership,
-        and visited-site accounting.
+        Returns the path as lattice coordinates and as flat lattice site
+        indices (``row * size + col``).  A vertical path may step on
+        horizontal-path sites only by crossing them straight through (and
+        vice versa); it may never travel along them, which is the tangling
+        the surround-removal of the paper prevents.  Dispatches to the
+        configured implementation — the numpy wavefront search
+        (``pathfind="vector"``) or the original deque BFS (``"scalar"``);
+        the two produce byte-identical paths, ownership, and visited-site
+        accounting.
         """
         if self._pathfind_name == "vector":
             return self._find_path_vector(vertical, index, count)
-        return self._find_path_scalar(vertical, index, count)
+        path = self._find_path_scalar(vertical, index, count)
+        if path is None:
+            return None
+        return path, _flat_sites(path, self.size)
 
     def _find_path_scalar(
         self, vertical: bool, index: int, count: int
@@ -448,7 +479,7 @@ class _Carver:
 
     def _find_path_vector(
         self, vertical: bool, index: int, count: int
-    ) -> list[Coord2D] | None:
+    ) -> tuple[list[Coord2D], np.ndarray] | None:
         """Numpy wavefront search — byte-identical to the scalar deque BFS.
 
         The strip is compiled into one CSR frontier graph whose per-node
@@ -467,10 +498,20 @@ class _Carver:
         lane order, and each slot without an edge (a missing move, or a lane
         that is no start) points at the sink ``n * w + 1``, a node with no
         out-edges.  The row pointer is then shape-only too, and the CSR
-        ``indices`` are one ``concatenate``.  Popping the sink enqueues
+        ``indices`` are a copy of the shape's all-sink template with masked
+        copies of the one-hop, two-hop and start targets written over it
+        (the three kinds never compete for a slot).  Popping the sink enqueues
         nothing, so the other nodes keep the scalar BFS's relative order and
         the visited-site counts subtract the sink's one pop where it came
         first.
+
+        Per-call state keeps the per-query work to the strip itself: the
+        usable-bond masks are sliced from the carver's views, and the frame
+        stack of each strip width is allocated once and only its interior
+        overwritten (the padding, the along-bond row of the goal row and
+        the crossable goal row are never written, so they stay ``False``).
+        A strip with no perpendicular-owned cell has no crossings, so its
+        two-hop gathers are skipped.
 
         The search runs *before* the strip pre-check: any path it finds
         also spans the relaxed graph, so the pre-check would have said yes.
@@ -484,10 +525,8 @@ class _Carver:
             raise RenormalizationError("strip is empty; target size too large")
         n = self.size
         width = high - low
-        alive, bonds_across, bonds_along = _strip_arrays(
-            self.lattice, vertical, low, high
-        )
-        owner = self.owner[:, low:high] if vertical else self.owner[low:high, :].T
+        sites, across, along, owner = self._views[vertical]
+        owner = owner[:, low:high]
         # The cost proxy charges the full strip area up front, exactly as
         # the scalar oracle's pre-check does.
         self.visited_sites += n * width
@@ -507,40 +546,48 @@ class _Carver:
                 return self._to_grid(free_lanes[:1], vertical, low, width)
             return None
 
-        usable_along = bonds_along & alive[:-1, :] & alive[1:, :]
-        usable_across = bonds_across & alive[:, :-1] & alive[:, 1:]
+        usable_along = along[:, low:high]
+        usable_across = across[:, low : high - 1]
         geometry = _move_geometry(n, width, vertical)
-        frames = np.zeros((5, n + 4, width + 4), dtype=bool)
+        frames = self._frames.get(width)
+        if frames is None:
+            frames = self._frames[width] = np.zeros((5, n + 4, width + 4), dtype=bool)
         frames[_ALONG, 2 : n + 1, 2:-2] = usable_along
         frames[_ACROSS, 2:-2, 2 : width + 1] = usable_across
-        free = frames[_FREE_FRAME, 2:-2, 2:-2]
-        np.equal(owner, _FREE, out=free)
-        other = owner == other_owner
+        free = owner == _FREE
+        frames[_FREE_FRAME, 2:-2, 2:-2] = free
         frames[_ENTER, 2:-2, 2:-2] = free
-        frames[_ENTER, n + 1, 2:-2] |= other[-1]
-        frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
+        other = owner == other_owner
+        crossings = bool(other.any())
+        if crossings:
+            frames[_ENTER, n + 1, 2:-2] |= other[-1]
+            frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
         flat_frames = frames.ravel()
         bonded = flat_frames[geometry.bond] & free.reshape(-1, 1)
         one = bonded & flat_frames[geometry.enter]
-        two = (
-            bonded
-            & flat_frames[geometry.cross]
-            & flat_frames[geometry.onward_bond]
-            & flat_frames[geometry.landing]
-        )
         total = n * width
-        sink = total + 1
-        moves = np.where(one, geometry.one_hop, np.where(two, geometry.two_hop, sink))
 
-        # Start cells on the near edge, one slot per lane of the virtual
-        # super-source: free cells start normally; perpendicular-owned cells
-        # are entered one row inward (the owned cell rejoins the path as a
-        # reconstruction prefix); other lanes point at the sink.
-        lanes = geometry.lanes
-        lane_inward = other[0] & free[1] & usable_along[0]
-        start = np.where(free[0], lanes, np.where(lane_inward, lanes + width, sink))
+        # The CSR indices start with every slot at the sink; the move table
+        # is their first ``4 * n * w`` slots and the super-source's start
+        # row the last ``w``.  Start cells on the near edge, one slot per
+        # lane: free cells start normally; perpendicular-owned cells are
+        # entered one row inward (the owned cell rejoins the path as a
+        # reconstruction prefix); other lanes stay at the sink.
+        indices = geometry.sinks.copy()
+        moves = indices[:-width].reshape(total, MOVE_SLOTS)
+        start = indices[-width:]
+        if crossings:
+            two = (
+                bonded
+                & flat_frames[geometry.cross]
+                & flat_frames[geometry.onward_bond]
+                & flat_frames[geometry.landing]
+            )
+            np.copyto(moves, geometry.two_hop, where=two)
+            np.copyto(start, geometry.inward, where=other[0] & free[1] & usable_along[0])
+        np.copyto(moves, geometry.one_hop, where=one)
+        np.copyto(start, geometry.lanes, where=free[0])
 
-        indices = np.concatenate((moves.ravel(), start))
         pop_order, parents = frontier_bfs(geometry.indptr, indices, total)
         is_goal = (pop_order >= total - width) & (pop_order < total)
         found = int(is_goal.argmax())
@@ -549,7 +596,9 @@ class _Carver:
             # Only a spanning relaxed graph charges those pops; otherwise
             # the pre-check alone would have answered.
             if self._precheck_name == "vector":
-                spans = grid_spans_from_usable(alive, usable_across, usable_along)
+                spans = grid_spans_from_usable(
+                    sites[:, low:high], usable_across, usable_along
+                )
             else:
                 spans = strip_spans_dsu(self.lattice, vertical, low, high)
             if spans:
@@ -559,16 +608,15 @@ class _Carver:
         # visited count.
         self.visited_sites += move_table_pops(pop_order, parents, found + 1)
 
-        # One walk from the goal back to the super-source.  Two-hop edges
-        # move two cells along one view axis: 2 * width flat along the
-        # span, 2 across lanes (which needs width > 2); the skipped
-        # crossing site is their midpoint.
+        # One walk from the goal back to the super-source.  A step that is
+        # no one-hop move is a two-hop edge, two cells along one view axis;
+        # the skipped crossing site is its midpoint.
+        one_hop_steps = geometry.one_hop_steps
         node = int(pop_order[found])
         path = [node]
         previous = int(parents[node])
         while previous != total:
-            step = node - previous
-            if step in (2 * width, -2 * width) or (width > 2 and step in (2, -2)):
+            if node - previous not in one_hop_steps:
                 path.append((node + previous) // 2)
             path.append(previous)
             node = previous
@@ -579,28 +627,33 @@ class _Carver:
         path.reverse()
         return self._to_grid(np.array(path), vertical, low, width)
 
-    @staticmethod
     def _to_grid(
-        flat: np.ndarray, vertical: bool, low: int, width: int
-    ) -> list[Coord2D]:
-        """Strip-view flat indices -> lattice coordinates, as python ints."""
-        spans, lanes = np.divmod(flat, width)
-        lanes = (lanes + low).tolist()
-        spans = spans.tolist()
-        return list(zip(spans, lanes)) if vertical else list(zip(lanes, spans))
+        self, flat: np.ndarray, vertical: bool, low: int, width: int
+    ) -> tuple[list[Coord2D], np.ndarray]:
+        """Strip-view flat indices -> lattice coordinates and site indices.
 
-    def claim(self, path: list[Coord2D], vertical: bool) -> None:
+        The coordinates are python-int ``(row, col)`` tuples; the site
+        indices are the flat lattice indices ``row * size + col`` that
+        :meth:`claim` and :func:`_intersections` index with.
+        """
+        spans = flat // width
+        lanes = flat - spans * width + low
+        rows, cols = (spans, lanes) if vertical else (lanes, spans)
+        return list(zip(rows.tolist(), cols.tolist())), rows * self.size + cols
+
+    def claim(self, sites: np.ndarray, vertical: bool) -> None:
         """Mark a found path's sites with their orientation ownership.
 
-        Crossing sites (already owned by the perpendicular orientation) keep
-        their original owner — they are exactly the renormalized nodes.
+        ``sites`` are the path's flat lattice indices, recorded in
+        :attr:`claimed`.  Crossing sites (already owned by the perpendicular
+        orientation) keep their original owner — they are exactly the
+        renormalized nodes.
         """
         marker = _VERTICAL if vertical else _HORIZONTAL
-        rows, cols = np.array(path).T
-        sites = rows * self.size + cols
         owner = self.owner.reshape(-1)
         current = owner[sites]
         owner[sites] = np.where(current == _FREE, marker, current)
+        self.claimed[vertical].append(sites)
 
 
 def renormalize(
@@ -654,8 +707,8 @@ def renormalize(
                     horizontal_paths=horizontal_paths,
                     visited_sites=carver.visited_sites,
                 )
-            path = carver.find_path(vertical, index, target_size)
-            if path is None:
+            found = carver.find_path(vertical, index, target_size)
+            if found is None:
                 achieved = min(len(vertical_paths), len(horizontal_paths))
                 return RenormalizationResult(
                     success=False,
@@ -665,10 +718,15 @@ def renormalize(
                     horizontal_paths=horizontal_paths,
                     visited_sites=carver.visited_sites,
                 )
-            carver.claim(path, vertical)
+            path, sites = found
+            carver.claim(sites, vertical)
             (vertical_paths if vertical else horizontal_paths).append(path)
 
-    node_sites = _intersections(vertical_paths, horizontal_paths)
+    node_sites = _intersections(
+        vertical_paths,
+        horizontal_paths,
+        (lattice.size, carver.claimed[True], carver.claimed[False]),
+    )
     if len(node_sites) < target_size * target_size:
         achieved = int(len(node_sites) ** 0.5)
         return RenormalizationResult(
@@ -694,27 +752,48 @@ def renormalize(
 def _intersections(
     vertical_paths: list[list[Coord2D]],
     horizontal_paths: list[list[Coord2D]],
+    flat: tuple[int, list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> dict[tuple[int, int], Coord2D]:
     """First shared site of each (vertical, horizontal) path pair.
 
-    One ``coord -> v_index`` map over all vertical paths replaces the old
-    every-horizontal-against-every-vertical-set rescan, making this linear
-    in total path length instead of quadratic in the path count.  "First"
-    still means first along the horizontal path (vertical paths are
-    disjoint, so each site maps to at most one v_index), and the node dict
-    keeps the old (ascending ``v_index``) insertion order per ``h_index``.
+    ``flat`` is ``(size, vertical_sites, horizontal_sites)``: the same
+    paths as flat site indices ``row * size + col``, which the carver
+    records as it claims them; without it they are derived from the
+    coordinates.  One ``site -> v_index`` grid over all vertical paths
+    (the lowest index wins a shared site) is gathered at each horizontal
+    path's sites; only the handful of hits is then walked in Python, in
+    path order, keeping each ``v_index``'s first hit.  "First" means first
+    along the horizontal path, and the node dict keeps ascending
+    ``v_index`` insertion order per ``h_index``.
     """
+    if not vertical_paths or not horizontal_paths:
+        return {}
+    if flat is None:
+        size = 1 + max(
+            max(coord) for path in vertical_paths + horizontal_paths for coord in path
+        )
+        flat = (
+            size,
+            [_flat_sites(path, size) for path in vertical_paths],
+            [_flat_sites(path, size) for path in horizontal_paths],
+        )
+    size, vertical_sites, horizontal_sites = flat
+    site_to_v = np.full(size * size, -1, dtype=np.int64)
+    for v_index in range(len(vertical_sites) - 1, -1, -1):
+        site_to_v[vertical_sites[v_index]] = v_index
     nodes: dict[tuple[int, int], Coord2D] = {}
-    site_to_v: dict[Coord2D, int] = {}
-    for v_index, v_path in enumerate(vertical_paths):
-        for coord in v_path:
-            site_to_v.setdefault(coord, v_index)
-    for h_index, h_path in enumerate(horizontal_paths):
-        found: dict[int, Coord2D] = {}
-        for coord in h_path:
-            v_index = site_to_v.get(coord)
-            if v_index is not None and v_index not in found:
-                found[v_index] = coord
+    for h_index, (h_path, sites) in enumerate(zip(horizontal_paths, horizontal_sites)):
+        hits = site_to_v[sites]
+        positions = np.flatnonzero(hits >= 0)
+        found: dict[int, int] = {}
+        for v_index, position in zip(hits[positions].tolist(), positions.tolist()):
+            found.setdefault(v_index, position)
         for v_index in sorted(found):
-            nodes[(v_index, h_index)] = found[v_index]
+            nodes[(v_index, h_index)] = h_path[found[v_index]]
     return nodes
+
+
+def _flat_sites(path: list[Coord2D], size: int) -> np.ndarray:
+    """A coordinate path as flat site indices ``row * size + col``."""
+    rows, cols = np.array(path).T
+    return rows * size + cols

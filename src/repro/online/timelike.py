@@ -171,7 +171,10 @@ class OnlineReshaper:
         Each connection fuses ``TEMPORAL_FANOUT`` qubits around the preceding
         node to the candidate layer and succeeds if any of them does; the
         subsequent in-layer path search is guaranteed by the successful
-        renormalization (all logical nodes are long-range connected).
+        renormalization (all logical nodes are long-range connected).  All
+        connections are drawn in one batch, connection by connection: the
+        device RNG consumes its doubles in sequence, so the stream and the
+        tally are those of one ``TEMPORAL_FANOUT`` draw per connection.
         """
         total = demand.adjacent_connections + demand.cross_connections
         if total > self.virtual_size * self.virtual_size:
@@ -179,11 +182,10 @@ class OnlineReshaper:
                 f"demand of {total} connections exceeds the "
                 f"{self.virtual_size}x{self.virtual_size} virtual layer"
             )
-        ok = True
-        for _ in range(total):
-            outcomes = self.device.attempt_batch(TEMPORAL_FANOUT, "temporal")
-            if not outcomes.any():
-                ok = False
+        if total == 0:
+            return True
+        outcomes = self.device.attempt_batch(total * TEMPORAL_FANOUT, "temporal")
+        ok = bool(outcomes.reshape(total, TEMPORAL_FANOUT).any(axis=1).all())
         if not ok:
             metrics.connection_failures += 1
         return ok

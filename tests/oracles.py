@@ -1,9 +1,10 @@
 """Test-only reference implementations the product kernels are pinned to.
 
 Each oracle is the original formulation of a kernel that now runs on the
-compiled frontier engine or on shrinking index vectors; the property suites
-assert the two agree exactly, including the work counts the Fig. 14 cost
-proxy is built from and the fusion draws the device RNG makes.
+compiled frontier engine, on shrinking index vectors or on one batched
+draw; the property suites assert the two agree exactly, including the work
+counts the Fig. 14 cost proxy is built from and the fusion draws the
+device RNG makes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ from repro.hardware.architecture import HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
 from repro.online.percolation import PercolatedLattice
+from repro.online.timelike import (
+    TEMPORAL_FANOUT,
+    LayerDemand,
+    OnlineReshaper,
+    ReshapeMetrics,
+)
 from repro.utils.gridgeom import Coord2D
 
 
@@ -94,3 +101,23 @@ def merge_layers_masks(config: HardwareConfig, device: FusionDevice) -> MergeRes
             degrees[failure] -= 1
             joiner[failure] -= 1
     return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)
+
+
+def establish_connections_loop(
+    reshaper: OnlineReshaper, demand: LayerDemand, metrics: ReshapeMetrics
+) -> bool:
+    """Per-connection twin of ``OnlineReshaper._establish_connections``.
+
+    One ``attempt_batch(TEMPORAL_FANOUT, "temporal")`` per demanded
+    connection; the layer qualifies only if every connection had at least
+    one successful fusion.  The demand must fit the virtual layer.
+    """
+    total = demand.adjacent_connections + demand.cross_connections
+    ok = True
+    for _ in range(total):
+        outcomes = reshaper.device.attempt_batch(TEMPORAL_FANOUT, "temporal")
+        if not outcomes.any():
+            ok = False
+    if not ok:
+        metrics.connection_failures += 1
+    return ok

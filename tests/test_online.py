@@ -4,6 +4,7 @@ fusion strategy, and the time-like reshaper."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import establish_connections_loop
 
 from repro.errors import HardwareError, RenormalizationError
 from repro.graphstate import ResourceStateSpec
@@ -19,6 +20,7 @@ from repro.online import (
     spanning_probability,
 )
 from repro.online.modular import ModularLayout
+from repro.online.timelike import ReshapeMetrics
 
 
 class TestPercolatedLattice:
@@ -291,3 +293,33 @@ class TestOnlineReshaper:
         metrics = OnlineReshaper(config, virtual_size=2, rng=0).run([])
         assert metrics.rsl_consumed == 0
         assert metrics.pl_ratio != metrics.pl_ratio  # NaN
+
+
+@given(
+    total=st.integers(0, 9),
+    cross=st.integers(0, 9),
+    rate=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_connection_batch_matches_per_connection_loop(total, cross, rate, seed):
+    """One draw for a layer's connections must equal one draw per
+    connection: the verdict, the failure count, the tally (no
+    ``"temporal"`` key when nothing was demanded) and the RNG's next draw."""
+    cross = min(cross, total)
+    demand = LayerDemand(adjacent_connections=total - cross, cross_connections=cross)
+    config = HardwareConfig(rsl_size=8, fusion_success_rate=rate)
+    batched = OnlineReshaper(config, virtual_size=3, rng=seed)
+    looped = OnlineReshaper(config, virtual_size=3, rng=seed)
+    batched_metrics, looped_metrics = ReshapeMetrics(), ReshapeMetrics()
+    ok = batched._establish_connections(demand, batched_metrics)
+    expected = establish_connections_loop(looped, demand, looped_metrics)
+    assert ok is expected
+    assert batched_metrics.connection_failures == looped_metrics.connection_failures
+    tally, reference = batched.device.tally, looped.device.tally
+    assert tally.attempted == reference.attempted
+    assert tally.succeeded == reference.succeeded
+    assert tally.by_kind == reference.by_kind
+    if total == 0:
+        assert "temporal" not in tally.by_kind
+    assert batched.device.rng.random() == looped.device.rng.random()

@@ -1,8 +1,9 @@
 """Property tests of the renormalization carving invariants, the vectorized
 strip pre-check against its scalar DSU oracle, the vectorized wavefront
 path search against the scalar deque-BFS oracle, the compiled corridor
-join against its per-cell BFS oracle, and the frontier engine's per-thread
-graph reuse and fixed-stride sink accounting."""
+join against its per-cell BFS oracle, the frontier engine's per-thread
+graph reuse and fixed-stride sink accounting, and the carver's per-width
+frame reuse and flat-site node grid."""
 
 import importlib
 import sys
@@ -610,3 +611,92 @@ def test_visited_work_scales_with_lattice(case):
     result = renormalize(lattice, target)
     assert result.visited_sites > 0
     assert result.visited_sites <= 6 * size * size * max(1, target)
+
+
+def _strip_widths(size, count):
+    carver = renormalize_module._Carver(_full_lattice(size))
+    ranges = [carver._strip_range(index, count) for index in range(count)]
+    return [high - low for low, high in ranges]
+
+
+def _full_lattice(size):
+    return PercolatedLattice(
+        sites=np.ones((size, size), dtype=bool),
+        horizontal=np.ones((size, size - 1), dtype=bool),
+        vertical=np.ones((size - 1, size), dtype=bool),
+    )
+
+
+def _assert_vector_matches_scalar(lattice, target):
+    vector = renormalize(lattice.copy(), target, pathfind="vector")
+    scalar = renormalize(lattice.copy(), target, pathfind="scalar")
+    assert _result_tuple(vector) == _result_tuple(scalar)
+    assert list(vector.node_sites) == list(scalar.node_sites)
+    return vector
+
+
+@pytest.mark.parametrize("seed", [None, *range(8)])
+def test_frame_reuse_across_alternating_strip_widths(seed):
+    """n=7, k=3 cuts strips of widths 2, 2 and 3, so one carver reuses the
+    width-2 frame stack for four queries of both orientations before the
+    width-3 stack is allocated; stale interiors must never leak into a
+    later query's move table."""
+    assert _strip_widths(7, 3) == [2, 2, 3]
+    if seed is None:
+        lattice = _full_lattice(7)
+    else:
+        lattice = _lattice_with_loss(7, 0.85, 0.05, seed)
+    result = _assert_vector_matches_scalar(lattice, 3)
+    if seed is None:
+        assert result.success
+        assert len(result.node_sites) == 9
+
+
+def test_first_vertical_query_has_no_crossings_later_ones_do(monkeypatch):
+    """The first vertical query sees no perpendicular-owned cell (the
+    two-hop gathers are skipped); every later query on the full lattice
+    has one, and crosses it.  Both kinds must match the scalar oracle."""
+    owned = []
+    original = renormalize_module._Carver._find_path_vector
+
+    def recording(carver, vertical, index, count):
+        low, high = carver._strip_range(index, count)
+        strip = carver.owner[:, low:high] if vertical else carver.owner[low:high, :]
+        other = renormalize_module._HORIZONTAL if vertical else renormalize_module._VERTICAL
+        owned.append(int((strip == other).sum()))
+        return original(carver, vertical, index, count)
+
+    lattice = _full_lattice(9)
+    monkeypatch.setattr(renormalize_module._Carver, "_find_path_vector", recording)
+    result = _assert_vector_matches_scalar(lattice, 3)
+    assert result.success
+    assert owned[0] == 0
+    assert len(owned) == 6 and all(count > 0 for count in owned[1:])
+    # The second horizontal path crosses the (earlier claimed) middle
+    # vertical path away from both of its far edges, which only a two-hop
+    # move can do.
+    crossing = result.node_sites[(1, 1)]
+    assert 0 < crossing[1] < lattice.size - 1
+
+
+@given(pathfind_cases())
+@settings(max_examples=60, deadline=None)
+def test_node_sites_match_quadratic_reference_from_paths(case):
+    """The flat-site intersection pass inside ``renormalize`` must pin the
+    node grid the quadratic rescan computes from the returned coordinate
+    paths — values and insertion order — on lossy lattices, partial
+    carves and work-budget cuts alike."""
+    size, target, bond_probability, loss, budget, seed = case
+    lattice = _lattice_with_loss(size, bond_probability, loss, seed)
+    result = renormalize(lattice, target, work_budget=budget)
+    if len(result.vertical_paths) == target and len(result.horizontal_paths) == target:
+        expected = _intersections_quadratic(
+            result.vertical_paths, result.horizontal_paths
+        )
+        assert result.node_sites == expected
+        assert list(result.node_sites) == list(expected)
+        assert all(
+            type(value) is int for coord in result.node_sites.values() for value in coord
+        )
+    else:
+        assert result.node_sites == {}
