@@ -8,13 +8,21 @@ sweep.  Micro-benchmarks (benchmarks/test_micro.py) use normal repetition.
 Regenerated tables are printed so ``pytest benchmarks/ --benchmark-only -s``
 doubles as the paper-reproduction report; EXPERIMENTS.md records a checked-in
 copy.
+
+The timing floors measure the product against the test-only reference
+implementations in ``tests/oracles.py``, so ``tests/`` goes on ``sys.path``
+here: ``pytest benchmarks`` alone does not put it there.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 _BENCH_DIR = Path(__file__).parent.resolve()
+_TESTS_DIR = str(_BENCH_DIR.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.insert(0, _TESTS_DIR)
 
 
 def pytest_collection_modifyitems(items):

@@ -14,9 +14,11 @@ Two measurements land in ``benchmarks/out/BENCH_cache.json``:
 
 * **Strip pre-check, vector vs DSU** — the renormalization connectivity
   pre-check measured standalone over percolated lattices near threshold
-  (negative checks dominate there, which is why this is the hot path), the
-  numpy label propagation against the scalar union-find oracle, with a
-  no-regression floor on the speedup.
+  (negative checks dominate there, which is why this is the hot path): the
+  product's ``grid_spans_from_usable``, reached per strip through
+  ``strip_spans``, against the scalar union-find oracle ``strip_spans_dsu``
+  (both in ``tests/oracles.py``), with a no-regression floor on the
+  speedup.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import strip_spans, strip_spans_dsu
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.online.percolation import sample_lattice
-from repro.online.renormalize import strip_spans, strip_spans_dsu
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
 
 SNAPSHOT = Path(__file__).parent / "out" / "BENCH_cache.json"

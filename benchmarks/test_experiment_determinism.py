@@ -14,6 +14,7 @@ count, and streaming are pure wall-clock knobs.
 import pytest
 
 from golden_records import assert_matches_golden
+from oracles import ScalarCarver, renormalize_module
 
 from repro import obs
 from repro.experiments import (
@@ -70,17 +71,17 @@ def test_streamed_records_match_golden(runner_kind, name, once):
     assert result.text == experiment.render(result.records)
 
 
-@pytest.mark.parametrize("runner_kind", ["serial", "process"])
-def test_scalar_pathfind_matches_golden_on_every_runner(runner_kind):
-    """The scalar path-search oracle reproduces the golden records — which
-    the regeneration bench pins to the default *vector* pathfinder — on
-    both backends.  fig14 is the probe: it exercises renormalize through
-    compile jobs (panel a) and through modular/non-modular FnJobs with the
-    visited-sites proxy as a deterministic field (panel b), so any
-    divergence in paths or accounting shows up byte-for-byte."""
-    runner = make_runner(runner_kind, max_workers=2)
-    result = get_experiment("fig14").run("bench", 0, runner, pathfind="scalar")
-    assert result.runner == runner_kind
+def test_scalar_oracle_matches_fig14_golden(monkeypatch):
+    """The scalar deque-BFS oracle carver reproduces the golden records —
+    which the regeneration bench pins to the product's wavefront search.
+    fig14 is the probe: it exercises renormalize through compile jobs
+    (panel a) and through modular/non-modular FnJobs with the visited-sites
+    proxy as a deterministic field (panel b), so any divergence in paths or
+    accounting shows up byte-for-byte.  The serial runner keeps every job
+    in this process, where the oracle is swapped in."""
+    monkeypatch.setattr(renormalize_module, "_Carver", ScalarCarver)
+    result = get_experiment("fig14").run("bench", 0, "serial")
+    assert result.runner == "serial"
     assert_matches_golden("fig14", result.records)
 
 
@@ -90,8 +91,7 @@ def test_rewrite_off_matches_golden_on_every_runner(runner_kind):
     which the regeneration bench pins to the default ``rewrite="on"`` chain
     — on both backends.  That is the rewrite's oracle contract: on the
     (simplified) golden workloads the contraction finds nothing, so the
-    rewritten and unrewritten pipelines must emit identical bytes, the
-    same way ``--pathfind scalar`` oracles the vector pathfinder.  fig14
+    rewritten and unrewritten pipelines must emit identical bytes.  fig14
     again: compile jobs pick the override up through settings, FnJobs are
     (by design) left untouched."""
     runner = make_runner(runner_kind, max_workers=2)

@@ -8,6 +8,8 @@ the tableau, and the mapper inner loop.
 
 import numpy as np
 
+from oracles import components_dsu
+
 from repro.circuits import qaoa
 from repro.graphstate import GraphState, ResourceStateSpec, Tableau
 from repro.hardware import FusionDevice, HardwareConfig, RSGArray
@@ -32,9 +34,9 @@ def test_components_vectorized_48(benchmark):
 
 
 def test_components_dsu_48(benchmark):
-    """The pre-vectorization union-find reference, kept for comparison."""
+    """The pre-vectorization union-find oracle, kept for comparison."""
     lattice = sample_lattice(48, 0.75, np.random.default_rng(0))
-    benchmark(lattice.components_dsu)
+    benchmark(components_dsu, lattice)
 
 
 def test_renormalize_48(benchmark):

@@ -1,9 +1,10 @@
 """Perf-trajectory snapshot for the online hot path and the pass pipeline.
 
-Times the two ``components()`` implementations and ``renormalize`` under
-both path-search implementations on size-48 RSLs (the 4-qubit @ p = 0.75
-configuration of Table 1), asserts the vectorized flood fill and the
-wavefront path search each hold their >= 3x advantage over the scalar
+Times ``components()`` against the union-find oracle and ``renormalize``
+against the scalar deque-BFS oracle carver behind the product's strip
+check (both in ``tests/oracles.py``) on size-48 RSLs (the 4-qubit @ p =
+0.75 configuration of Table 1), asserts the vectorized flood fill and the
+wavefront path search each hold their >= 3x advantage over those scalar
 references, and records the throughputs (plus the qaoa4 per-pass seconds,
 including ``online-reshape``) to ``benchmarks/out/BENCH_pipeline.json`` so
 later PRs can track the trajectory.
@@ -17,6 +18,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from oracles import ScalarCarverStripCheck, components_dsu, renormalize_scalar
 
 from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
@@ -49,15 +51,16 @@ def test_components_speedup_and_snapshot():
 
     # Warm-up excludes one-time numpy dispatch costs from the measurement.
     lattices[0].components()
-    lattices[0].components_dsu()
+    components_dsu(lattices[0])
 
     vec_ops, vec_ms = _throughput(lambda lat: lat.components(), lattices)
-    dsu_ops, dsu_ms = _throughput(lambda lat: lat.components_dsu(), lattices)
+    dsu_ops, dsu_ms = _throughput(components_dsu, lattices)
     renorm_ops, renorm_ms = _throughput(
         lambda lat: renormalize(lat.copy(), TARGET), lattices
     )
     scalar_ops, scalar_ms = _throughput(
-        lambda lat: renormalize(lat.copy(), TARGET, pathfind="scalar"), lattices
+        lambda lat: renormalize_scalar(lat.copy(), TARGET, carver=ScalarCarverStripCheck),
+        lattices,
     )
 
     # One end-to-end compile for per-pass seconds context.

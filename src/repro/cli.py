@@ -47,7 +47,6 @@ from repro.errors import CompilationError, ReproError
 from repro.experiments.common import SCALES
 from repro.experiments.runners import RUNNERS, make_runner
 from repro.experiments.streams import CsvStreamWriter, make_stream_writer
-from repro.online.renormalize import PATHFINDS
 from repro.passes import (
     REWRITES,
     DeviceValidatorPass,
@@ -74,13 +73,6 @@ def _add_common_compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rsl-size", type=int, default=None)
     parser.add_argument("--virtual-size", type=int, default=None)
     parser.add_argument("--max-rsl", type=int, default=10**6)
-    parser.add_argument(
-        "--pathfind",
-        default="vector",
-        choices=list(PATHFINDS),
-        help="renormalization path-search implementation (results are "
-        "byte-identical; 'scalar' is the slow parity oracle)",
-    )
     parser.add_argument(
         "--rewrite",
         default="on",
@@ -204,7 +196,6 @@ def _build_pipeline(args: argparse.Namespace) -> Pipeline:
         rsl_size=args.rsl_size,
         virtual_size=args.virtual_size,
         max_rsl=args.max_rsl,
-        pathfind=args.pathfind,
         rewrite=args.rewrite,
     )
     pipeline = Pipeline(settings, seed=args.seed, cache=_cache_from(args))
@@ -343,11 +334,7 @@ def _run_streamed(experiment, args: argparse.Namespace, runner) -> ExperimentRes
     records = []
     try:
         stream = experiment.iter_records(
-            args.scale,
-            seed=args.seed,
-            runner=runner,
-            pathfind=args.pathfind,
-            rewrite=args.rewrite,
+            args.scale, seed=args.seed, runner=runner, rewrite=args.rewrite
         )
         for record in stream:
             records.append(record)
@@ -424,11 +411,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             result = _run_streamed(experiment, args, runner)
         else:
             result = experiment.run(
-                args.scale,
-                seed=args.seed,
-                runner=runner,
-                pathfind=args.pathfind,
-                rewrite=args.rewrite,
+                args.scale, seed=args.seed, runner=runner, rewrite=args.rewrite
             )
     payload = result.to_json_obj()
     if cache is not None:
@@ -547,7 +530,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "runner": args.runner,
             "workers": args.workers,
-            "pathfind": args.pathfind,
             "rewrite": args.rewrite,
         }
     if args.benchmark:
@@ -559,7 +541,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "stars": args.stars,
             "seed": args.seed,
             "max_rsl": args.max_rsl,
-            "pathfind": args.pathfind or "vector",
             "rewrite": args.rewrite or "on",
             "passes": args.passes,
         }
@@ -704,13 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--scale", default="bench", choices=list(SCALES))
     experiment_parser.add_argument("--seed", type=int, default=0)
     experiment_parser.add_argument(
-        "--pathfind",
-        default=None,
-        choices=list(PATHFINDS),
-        help="force one renormalization path-search implementation on every "
-        "job (records are byte-identical; 'scalar' is the parity oracle)",
-    )
-    experiment_parser.add_argument(
         "--rewrite",
         default=None,
         choices=list(REWRITES),
@@ -849,9 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side execution backend for experiment requests",
     )
     submit_parser.add_argument("--workers", type=int, default=None, metavar="N")
-    submit_parser.add_argument(
-        "--pathfind", default=None, choices=list(PATHFINDS)
-    )
     submit_parser.add_argument(
         "--rewrite", default=None, choices=list(REWRITES)
     )

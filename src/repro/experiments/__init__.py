@@ -32,7 +32,6 @@ from repro.experiments.api import (
     experiment_names,
     get_experiment,
     group_cells,
-    override_pathfind,
     override_rewrite,
     register,
     run_experiment,
@@ -77,7 +76,6 @@ __all__ = [
     "SerialRunner",
     "UnknownExperimentError",
     "canonical_json",
-    "override_pathfind",
     "override_rewrite",
     "passes_ablation",
     "chunk_size_for",

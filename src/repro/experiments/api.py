@@ -351,23 +351,16 @@ class Experiment(ABC):
         scale: str = "bench",
         seed: int = 0,
         runner: "Runner | str | None" = None,
-        pathfind: str | None = None,
         rewrite: str | None = None,
     ) -> ExperimentResult:
         """Build jobs, execute them on ``runner``, reduce the records.
 
-        ``pathfind`` (when given) rewrites every job to the named
-        renormalization path-search implementation — see
-        :func:`override_pathfind`.  ``rewrite`` likewise forces the
-        pattern-rewrite pass on or off for every compile job — see
-        :func:`override_rewrite`.  Records are byte-identical either way;
-        both knobs exist for parity audits and benchmarking.
+        ``rewrite`` (when given) forces the pattern-rewrite pass on or off
+        for every compile job — see :func:`override_rewrite`.
         """
         self._check_scale(scale)
         runner = _resolve_runner(runner)
-        jobs = override_rewrite(
-            override_pathfind(self.build_jobs(scale, seed), pathfind), rewrite
-        )
+        jobs = override_rewrite(self.build_jobs(scale, seed), rewrite)
         records = runner.run_jobs(jobs, experiment=self.name, scale=scale, seed=seed)
         result = self.reduce(records)
         result.runner = runner.name
@@ -378,7 +371,6 @@ class Experiment(ABC):
         scale: str = "bench",
         seed: int = 0,
         runner: "Runner | str | None" = None,
-        pathfind: str | None = None,
         rewrite: str | None = None,
     ) -> Iterator[ExperimentRecord]:
         """Stream records in canonical job order as execution completes.
@@ -394,46 +386,8 @@ class Experiment(ABC):
         """
         self._check_scale(scale)
         runner = _resolve_runner(runner)
-        jobs = override_rewrite(
-            override_pathfind(self.build_jobs(scale, seed), pathfind), rewrite
-        )
+        jobs = override_rewrite(self.build_jobs(scale, seed), rewrite)
         return runner.iter_jobs(jobs, experiment=self.name, scale=scale, seed=seed)
-
-
-def override_pathfind(jobs: list[Job], pathfind: str | None) -> list[Job]:
-    """Rewrite a job list to force one renormalization path-search impl.
-
-    ``None`` means "leave the experiment's defaults alone" and returns the
-    list unchanged.  Compile jobs get their frozen settings replaced;
-    function jobs are updated only when the target function actually
-    accepts a ``pathfind`` keyword (signature-checked), so helpers that
-    never touch the renormalizer pass through untouched.  Because results
-    are byte-identical across implementations, this is an execution knob,
-    not a sweep axis — job keys and record fields stay the same.
-    """
-    if pathfind is None:
-        return jobs
-    from repro.online.renormalize import PATHFINDS
-
-    if pathfind not in PATHFINDS:
-        raise ReproError(
-            f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
-        )
-    import dataclasses
-    import inspect
-
-    rewritten: list[Job] = []
-    for job in jobs:
-        if isinstance(job, CompileJob):
-            settings = dataclasses.replace(job.settings, pathfind=pathfind)
-            rewritten.append(dataclasses.replace(job, settings=settings))
-        elif isinstance(job, FnJob) and "pathfind" in inspect.signature(job.fn).parameters:
-            rewritten.append(
-                dataclasses.replace(job, kwargs={**job.kwargs, "pathfind": pathfind})
-            )
-        else:
-            rewritten.append(job)
-    return rewritten
 
 
 def override_rewrite(jobs: list[Job], rewrite: str | None) -> list[Job]:
@@ -527,10 +481,7 @@ def run_experiment(
     scale: str = "bench",
     seed: int = 0,
     runner: "Runner | str | None" = None,
-    pathfind: str | None = None,
     rewrite: str | None = None,
 ) -> ExperimentResult:
     """One-call entry point: ``run_experiment("fig14", "bench")``."""
-    return get_experiment(name).run(
-        scale=scale, seed=seed, runner=runner, pathfind=pathfind, rewrite=rewrite
-    )
+    return get_experiment(name).run(scale=scale, seed=seed, runner=runner, rewrite=rewrite)

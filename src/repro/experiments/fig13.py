@@ -64,7 +64,6 @@ def suitable_node_size(
     trials: int,
     rng,
     threshold: float = SUITABLE_SUCCESS,
-    pathfind: str = "vector",
 ) -> int:
     """Smallest node side whose renormalization success rate >= threshold.
 
@@ -76,9 +75,7 @@ def suitable_node_size(
         if target < 1:
             break
         hits = sum(
-            renormalize(
-                sample_lattice(rsl_size, rate, rng), target, pathfind=pathfind
-            ).success
+            renormalize(sample_lattice(rsl_size, rate, rng), target).success
             for _ in range(trials)
         )
         if hits / trials >= threshold:
@@ -87,13 +84,11 @@ def suitable_node_size(
 
 
 def suitable_node_size_case(
-    rsl_size: int, rate: float, trials: int, seed: int, pathfind: str = "vector"
+    rsl_size: int, rate: float, trials: int, seed: int
 ) -> dict[str, Any]:
     """One Fig. 13(a) point, on its own derived stream."""
     rng = stream_for("fig13", seed).child("a", rsl_size, rate).generator
-    return {
-        "node_side": suitable_node_size(rsl_size, rate, trials, rng, pathfind=pathfind)
-    }
+    return {"node_side": suitable_node_size(rsl_size, rate, trials, rng)}
 
 
 def _averaged(fn, rsl: int, rate: float, trials: int, rng) -> tuple[float, float]:
@@ -124,13 +119,10 @@ def _modular_means(
     rate: float,
     trials: int,
     seed: int,
-    pathfind: str = "vector",
 ) -> tuple[float, float]:
     rng = stream_for("fig13", seed).child("c", "modular", modules, mi_ratio).generator
     return _averaged(
-        lambda lat: _modular_stats(
-            modular_renormalize(lat, node, modules, mi_ratio, pathfind=pathfind)
-        ),
+        lambda lat: _modular_stats(modular_renormalize(lat, node, modules, mi_ratio)),
         rsl,
         rate,
         trials,
@@ -138,12 +130,10 @@ def _modular_means(
     )
 
 
-def panel_c_unlimited(
-    rsl: int, node: int, rate: float, trials: int, seed: int, pathfind: str = "vector"
-):
+def panel_c_unlimited(rsl: int, node: int, rate: float, trials: int, seed: int):
     rng = stream_for("fig13", seed).child("c", "unlimited").generator
     nodes_mean, wall = _averaged(
-        lambda lat: _renorm_stats(renormalize(lat, rsl // node, pathfind=pathfind)),
+        lambda lat: _renorm_stats(renormalize(lat, rsl // node)),
         rsl,
         rate,
         trials,
@@ -160,11 +150,8 @@ def panel_c_modular(
     rate: float,
     trials: int,
     seed: int,
-    pathfind: str = "vector",
 ):
-    nodes_mean, wall = _modular_means(
-        rsl, node, modules, mi_ratio, rate, trials, seed, pathfind=pathfind
-    )
+    nodes_mean, wall = _modular_means(rsl, node, modules, mi_ratio, rate, trials, seed)
     return {
         "setting": f"modules={modules} MI={mi_ratio}",
         "nodes_mean": nodes_mean,
@@ -172,23 +159,17 @@ def panel_c_modular(
     }
 
 
-def panel_c_restricted(
-    rsl: int, node: int, rate: float, trials: int, seed: int, pathfind: str = "vector"
-):
+def panel_c_restricted(rsl: int, node: int, rate: float, trials: int, seed: int):
     """Time-restricted non-modular: same wall budget as the 4-module MI=7 run.
 
     The budget is recomputed here on the *same derived stream* as that
     modular job, so this job stays self-contained (no cross-job data flow)
     while using the identical budget value on every runner backend.
     """
-    _nodes, budget = _modular_means(
-        rsl, node, BUDGET_MODULES, BUDGET_MI, rate, trials, seed, pathfind=pathfind
-    )
+    _nodes, budget = _modular_means(rsl, node, BUDGET_MODULES, BUDGET_MI, rate, trials, seed)
     rng = stream_for("fig13", seed).child("c", "restricted").generator
     nodes_mean, wall = _averaged(
-        lambda lat: _renorm_stats(
-            renormalize(lat, rsl // node, work_budget=int(budget), pathfind=pathfind)
-        ),
+        lambda lat: _renorm_stats(renormalize(lat, rsl // node, work_budget=int(budget))),
         rsl,
         rate,
         trials,

@@ -50,7 +50,6 @@ def online_attempts(
     rate: float,
     trials: int,
     seed: int,
-    pathfind: str = "vector",
 ) -> tuple[dict[str, Any], dict[str, float]]:
     """One Fig. 14(b) point: timed renormalization attempts on fresh RSLs.
 
@@ -67,13 +66,11 @@ def online_attempts(
         lattice = sample_lattice(rsl, rate, rng)
         start = time.perf_counter()
         if modules == 1:
-            outcome = renormalize(lattice, max(1, rsl // node), pathfind=pathfind)
+            outcome = renormalize(lattice, max(1, rsl // node))
             wall_visited += outcome.visited_sites
             total_visited += outcome.visited_sites
         else:
-            outcome = modular_renormalize(
-                lattice, node, modules, mi_ratio, pathfind=pathfind
-            )
+            outcome = modular_renormalize(lattice, node, modules, mi_ratio)
             wall_visited += outcome.wall_visited_sites
             total_visited += outcome.total_visited_sites
         seconds += time.perf_counter() - start

@@ -32,14 +32,11 @@ def success_rate(
     fusion_rate: float,
     trials: int,
     rng,
-    pathfind: str = "vector",
 ) -> float:
     """Monte-Carlo renormalization success rate at one sweep point."""
     target = max(1, rsl_size // node_side)
     hits = sum(
-        renormalize(
-            sample_lattice(rsl_size, fusion_rate, rng), target, pathfind=pathfind
-        ).success
+        renormalize(sample_lattice(rsl_size, fusion_rate, rng), target).success
         for _ in range(trials)
     )
     return hits / trials
@@ -51,15 +48,10 @@ def success_rate_case(
     fusion_rate: float,
     trials: int,
     seed: int,
-    pathfind: str = "vector",
 ) -> dict[str, Any]:
     """One Fig. 16 point, on its own derived stream."""
     rng = stream_for("fig16", seed).child(rsl_size, node_side, fusion_rate).generator
-    return {
-        "success_rate": success_rate(
-            rsl_size, node_side, fusion_rate, trials, rng, pathfind=pathfind
-        )
-    }
+    return {"success_rate": success_rate(rsl_size, node_side, fusion_rate, trials, rng)}
 
 
 @register

@@ -10,8 +10,7 @@ which is how the shrink propagates into online work (fewer layers = fewer
 RSLs consumed).  The rewrite's own wall clock rides in the timings (out of
 band, like every timing).
 
-This is the registry's third execution-vs-sweep axis: ``runner`` and
-``pathfind`` are execution knobs (byte-identical records), while here
+``runner`` is an execution knob (byte-identical records), while here
 ``rewrite`` is swept as a *field*, so the records quantify what the knob
 buys.  That is also why :func:`~repro.experiments.api.override_rewrite`
 never touches FnJobs — forcing one value would collapse this axis.

@@ -150,10 +150,10 @@ class _MapperState:
             idle = 0 if progress else idle + 1
             if idle > self.mapper.max_idle_layers:
                 raise MappingError(
-                    f"no progress for {idle} layers: "
+                    f"no progress for {idle} layers (at layer {self.layer}): "
                     f"{total - len(self.consumed)} nodes unmapped, "
                     f"{len(self.deferred_edges)} edges deferred "
-                    f"(virtual hardware too small?)"
+                    f"(virtual hardware too small?){self._stuck_edges()}"
                 )
             self._account_memory()
             if self._refresh_due():
@@ -419,6 +419,20 @@ class _MapperState:
             if not self.memory[g_node].pending:
                 del self.memory[g_node]
         return True
+
+    def _stuck_edges(self, limit: int = 8) -> str:
+        """The first ``limit`` deferred edges, sorted, with both homes."""
+        if not self.deferred_edges:
+            return ""
+
+        def home(node: int) -> str:
+            entry = self.memory.get(node)
+            return "untracked" if entry is None else str(entry.home)
+
+        edges = sorted(tuple(sorted(edge)) for edge in self.deferred_edges)
+        shown = ", ".join(f"{u}@{home(u)}-{v}@{home(v)}" for u, v in edges[:limit])
+        more = f", ... {len(edges) - limit} more" if len(edges) > limit else ""
+        return f"; stuck edges (node@home): {shown}{more}"
 
     def _try_realize_deferred(
         self,

@@ -180,16 +180,15 @@ def modular_renormalize(
     node_size: int,
     num_modules: int,
     mi_ratio: float,
-    pathfind: str = "vector",
 ) -> ModularResult:
     """Renormalize ``lattice`` module-by-module and join across intervals.
 
     ``node_size`` is the average-node side (each module targets
     ``module_size // node_size`` coarse nodes per axis).  The joined lattice
     keeps a global row (column) only if every module on it succeeded and all
-    its ``g - 1`` corridor joins connected.  ``pathfind`` forwards to
-    :func:`~repro.online.renormalize.renormalize` per module; corridor joins
-    run on the same compiled frontier engine (:func:`_corridor_connected`).
+    its ``g - 1`` corridor joins connected.  Each module runs
+    :func:`~repro.online.renormalize.renormalize`; corridor joins run on the
+    same compiled frontier engine (:func:`_corridor_connected`).
     """
     layout = ModularLayout.fit(lattice.size, num_modules, mi_ratio)
     g = layout.modules_per_side
@@ -202,7 +201,7 @@ def modular_renormalize(
         row_results = []
         for mj in range(g):
             sub = _module_lattice(lattice, layout, mi, mj)
-            result = renormalize(sub, per_module_target, pathfind=pathfind)
+            result = renormalize(sub, per_module_target)
             row_results.append(result)
             total_work += result.visited_sites
             max_module_work = max(max_module_work, result.visited_sites)

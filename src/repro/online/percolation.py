@@ -8,16 +8,14 @@ the square-lattice bond percolation threshold of 1/2 [40], the lattice has a
 giant long-range-connected component — the raw material the renormalization
 pass carves into a regular grid (Section 5.1).
 
-Connectivity is computed two ways: :meth:`PercolatedLattice.components` runs
-a vectorized numpy label propagation — the primitive behind every spanning
-sweep and cluster-fraction estimate (autotuning, Figs. 13(a)/16, the
-threshold tests), which sample thousands of lattices per curve — while
-:meth:`PercolatedLattice.components_dsu` keeps the original per-bond
-union-find as the reference implementation and micro-benchmark baseline.
-Both expose the same query interface.  The renormalization pass's per-strip
-connectivity pre-check rides the same vectorized primitive
-(:func:`label_grid_components`, which handles rectangular strips), with its
-own scalar DSU kept as the oracle in :mod:`repro.online.renormalize`.
+:meth:`PercolatedLattice.components` runs a vectorized numpy label
+propagation (:func:`label_grid_components`) — the primitive behind every
+spanning sweep and cluster-fraction estimate (autotuning, Figs. 13(a)/16,
+the threshold tests), which sample thousands of lattices per curve.  The
+renormalization pass's path search and per-strip spanning check run on
+:func:`frontier_bfs`, scipy's compiled ``breadth_first_order``.  The
+original per-bond union-find, the pure-python BFS twin and the scalar strip
+checks are the parity oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +25,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro import obs
 from repro.errors import RenormalizationError
-from repro.utils.dsu import DisjointSet
 from repro.utils.gridgeom import Coord2D
 from repro.utils.rng import ensure_rng
 
@@ -38,17 +37,12 @@ from repro.utils.rng import ensure_rng
 DEAD_LABEL = -1
 
 #: Null-predecessor marker in a :func:`frontier_bfs` predecessor array
-#: (the same sentinel scipy.sparse.csgraph uses, so the two engines are
-#: drop-in interchangeable).
+#: (scipy.sparse.csgraph's sentinel).
 NO_PREDECESSOR = -9999
 
 #: Edge slots per cell in a fixed-stride move table (see
 #: :func:`move_table_indptr`): the four grid moves.
 MOVE_SLOTS = 4
-
-#: Lazily resolved compiled BFS engine: ``(csr_array, breadth_first_order)``
-#: from scipy.sparse, or ``False`` once the import is known to fail.
-_FRONTIER_ENGINE: tuple | bool | None = None
 
 #: Scipy graphs a thread keeps for reuse by :func:`frontier_bfs`, one per
 #: node count.  A ``renormalize`` call touches at most two strip shapes
@@ -68,7 +62,7 @@ class _GraphPool(threading.local):
         self.graphs: dict[int, object] = {}
         self.ones = np.ones(0)
 
-    def graph(self, csr_array, indptr: np.ndarray, indices: np.ndarray):
+    def graph(self, indptr: np.ndarray, indices: np.ndarray):
         """A graph of ``indptr.shape[0] - 1`` nodes holding these arrays."""
         edge_count = indices.shape[0]
         if self.ones.shape[0] < edge_count:
@@ -93,25 +87,6 @@ class _GraphPool(threading.local):
 _GRAPHS = _GraphPool()
 
 
-def _frontier_engine() -> tuple | None:
-    """The compiled frontier engine (scipy.sparse.csgraph), if importable.
-
-    scipy is an optional accelerator, never a requirement: every caller has
-    a numpy/pure-python fallback with identical answers, and the resolution
-    is cached so the import cost is paid at most once per process.
-    """
-    global _FRONTIER_ENGINE
-    if _FRONTIER_ENGINE is None:
-        try:
-            from scipy.sparse import csr_array
-            from scipy.sparse.csgraph import breadth_first_order
-
-            _FRONTIER_ENGINE = (csr_array, breadth_first_order)
-        except ImportError:  # pragma: no cover - exercised via monkeypatch
-            _FRONTIER_ENGINE = False
-    return _FRONTIER_ENGINE or None
-
-
 def frontier_adjacency(
     sources: np.ndarray, targets: np.ndarray, node_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,8 +96,7 @@ def frontier_adjacency(
     ``sources``/``targets`` — the tie-break contract of :func:`frontier_bfs`.
     The path search and the corridor joins no longer come through here
     (they build fixed-stride move tables, :func:`move_table_indptr`); the
-    strip pre-check's spanning BFS (:func:`grid_spans_from_usable`) and the
-    engine-parity test do.
+    strip pre-check's spanning BFS (:func:`grid_spans_from_usable`) does.
     """
     order = np.argsort(sources, kind="stable")
     indices = targets[order].astype(np.int32, copy=False)
@@ -162,35 +136,6 @@ def move_table_pops(order: np.ndarray, predecessors: np.ndarray, end: int) -> in
     return end - 1 - int(sink_popped)
 
 
-def _frontier_bfs_python(
-    indptr: np.ndarray, indices: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-python twin of scipy's ``breadth_first_order``.
-
-    Bit-for-bit the same contract: FIFO pops, per-node edges walked in CSR
-    storage order, the first discoverer becoming the predecessor.  Kept as
-    the no-scipy fallback and as the reference the engine-parity test pins
-    scipy's (undocumented but load-bearing) tie-break behaviour against.
-    """
-    node_count = indptr.shape[0] - 1
-    predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
-    indptr_list = indptr.tolist()
-    indices_list = indices.tolist()
-    seen = bytearray(node_count)
-    seen[source] = 1
-    order = [source]
-    head = 0
-    while head < len(order):
-        node = order[head]
-        head += 1
-        for neighbor in indices_list[indptr_list[node] : indptr_list[node + 1]]:
-            if not seen[neighbor]:
-                seen[neighbor] = 1
-                predecessors[neighbor] = node
-                order.append(neighbor)
-    return np.array(order, dtype=np.int32), predecessors
-
-
 def frontier_bfs(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,31 +146,25 @@ def frontier_bfs(
     — exactly the semantics of a scalar ``deque`` BFS, which is what lets
     the vectorized renormalization path search reproduce the scalar
     oracle's paths and visited-site counts byte-for-byte.  Runs on scipy's
-    compiled ``breadth_first_order`` when available, else on the identical
-    pure-python loop.
+    compiled ``breadth_first_order``, whose tie-breaks the property suite
+    pins against a pure-python twin.
 
-    The compiled engine builds no graph per call: each thread keeps a few
-    ``csr_array`` objects keyed by node count and rebinds their arrays, so
-    a call costs the traversal plus a fixed handful of attribute writes.
+    It builds no graph per call: each thread keeps a few ``csr_array``
+    objects keyed by node count and rebinds their arrays, so a call costs
+    the traversal plus a fixed handful of attribute writes.
 
     A fixed-stride move table (:func:`move_table_indptr`) routes every
     missing edge to its sink node, so the sink appears in the pop order
     (and in the ``online.bfs_nodes`` histogram) whenever some slot
     lacked an edge; callers subtract it from their pop counts.
     """
-    engine = _frontier_engine()
-    if engine is None:
-        order, predecessors = _frontier_bfs_python(indptr, indices, source)
-    else:
-        csr_array, breadth_first_order = engine
-        graph = _GRAPHS.graph(
-            csr_array,
-            np.ascontiguousarray(indptr, dtype=np.int32),
-            np.ascontiguousarray(indices, dtype=np.int32),
-        )
-        order, predecessors = breadth_first_order(
-            graph, source, directed=True, return_predecessors=True
-        )
+    graph = _GRAPHS.graph(
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        np.ascontiguousarray(indices, dtype=np.int32),
+    )
+    order, predecessors = breadth_first_order(
+        graph, source, directed=True, return_predecessors=True
+    )
     if obs.active() is not None:
         # Out-of-band wavefront-size telemetry; the ``active`` gate keeps
         # the untraced hot path to one global read.
@@ -233,45 +172,22 @@ def frontier_bfs(
     return order, predecessors
 
 
-def grid_spans(
-    alive: np.ndarray, horizontal: np.ndarray, vertical: np.ndarray
-) -> bool:
-    """Do the first and last rows of a rectangular bond grid touch at all?
-
-    Shapes follow :func:`label_grid_components` (``alive`` is ``(R, C)``,
-    ``horizontal`` bonds along axis 1, ``vertical`` along axis 0).  This is
-    the relaxed spanning question behind the renormalization strip
-    pre-check; see :func:`grid_spans_from_usable` for the engine.
-    """
-    usable_across = horizontal & alive[:, :-1] & alive[:, 1:]
-    usable_down = vertical & alive[:-1, :] & alive[1:, :]
-    return grid_spans_from_usable(alive, usable_across, usable_down)
-
-
 def grid_spans_from_usable(
     alive: np.ndarray, usable_across: np.ndarray, usable_down: np.ndarray
 ) -> bool:
-    """:func:`grid_spans` on pre-masked bonds (both endpoints known alive).
+    """Do the first and last rows of a rectangular bond grid touch at all?
 
-    The split exists so the vectorized path search, whose failed searches
-    fall back to this check, can hand over the usable-bond masks it has
-    already built its move table from.  With scipy present the answer is
-    one compiled BFS from a virtual source hooked to the first row;
-    otherwise it falls back to the same label propagation that powers
-    ``PercolatedLattice.components()``.
+    ``alive`` is ``(R, C)``; ``usable_across[r, c]`` bonds ``(r, c)`` to
+    ``(r, c+1)`` and ``usable_down[r, c]`` bonds ``(r, c)`` to ``(r+1, c)``,
+    both already masked to bonds whose endpoints are alive.  This is the
+    relaxed spanning question behind the renormalization strip pre-check;
+    the path search, whose failed searches fall back to it, hands over the
+    usable-bond masks it has already built its move table from.  The answer
+    is one compiled BFS from a virtual source hooked to the first row.
     """
     if alive.size == 0 or not alive.any():
         return False
     rows, cols = alive.shape
-    if _frontier_engine() is None:
-        labels = label_grid_components(alive, usable_across, usable_down)
-        first = labels[0]
-        last = labels[-1]
-        first_roots = np.unique(first[first != DEAD_LABEL])
-        last_roots = np.unique(last[last != DEAD_LABEL])
-        if not first_roots.size or not last_roots.size:
-            return False
-        return bool(np.intersect1d(first_roots, last_roots, assume_unique=True).size)
     total = rows * cols
     flat = np.arange(total, dtype=np.int64).reshape(rows, cols)
     across = flat[:, :-1][usable_across]
@@ -300,9 +216,7 @@ def label_grid_components(
     (``labels = labels[labels]``) so chains collapse in logarithmically
     many rounds instead of one round per grid diameter.
 
-    This is the shared primitive behind :meth:`PercolatedLattice.
-    label_components` (square lattices) and the renormalization pass's
-    per-strip spanning pre-check (rectangular strips).
+    This is the primitive behind :meth:`PercolatedLattice.label_components`.
     """
     rows, cols = alive.shape
     total = rows * cols
@@ -359,11 +273,11 @@ def label_grid_components(
 class GridComponents:
     """Connected components of a grid, backed by a flat label array.
 
-    Quacks like the :class:`~repro.utils.dsu.DisjointSet` the callers were
-    written against — ``connected``, ``find``, ``largest_component``,
-    ``component_size``, ``components``, ``len`` — but every query is an
-    array lookup on the ``(N, N)`` label grid produced by the vectorized
-    flood fill, with per-component sizes precomputed by ``bincount``.
+    Quacks like a :class:`~repro.utils.dsu.DisjointSet` — ``connected``,
+    ``find``, ``largest_component``, ``component_size``, ``components``,
+    ``len`` — but every query is an array lookup on the ``(N, N)`` label
+    grid produced by the vectorized flood fill, with per-component sizes
+    precomputed by ``bincount``.
     """
 
     def __init__(self, labels: np.ndarray) -> None:
@@ -489,36 +403,19 @@ class PercolatedLattice:
     def label_components(self) -> np.ndarray:
         """Vectorized flood fill: component label per site, -1 where dead.
 
-        Delegates to :func:`label_grid_components` (the rectangular-grid
-        primitive shared with the renormalization strip pre-check); labels
-        are flat site indices, each component labelled by its minimum
-        index, so the labelling is deterministic.
+        Delegates to :func:`label_grid_components`; labels are flat site
+        indices, each component labelled by its minimum index, so the
+        labelling is deterministic.
         """
         return label_grid_components(self.sites, self.horizontal, self.vertical)
 
     def components(self) -> GridComponents:
         """Connected components of alive sites under usable bonds.
 
-        The vectorized online hot path; see :meth:`components_dsu` for the
-        original union-find formulation (same partition, same interface).
+        The vectorized online hot path; a per-bond union-find oracle
+        (``tests/oracles.py``) pins the partition.
         """
         return GridComponents(self.label_components())
-
-    def components_dsu(self) -> DisjointSet:
-        """Reference DSU over alive sites under usable bonds (pre-vectorization)."""
-        dsu: DisjointSet = DisjointSet()
-        alive_rows, alive_cols = np.nonzero(self.sites)
-        for row, col in zip(alive_rows.tolist(), alive_cols.tolist()):
-            dsu.add((row, col))
-        h_rows, h_cols = np.nonzero(self.horizontal)
-        for row, col in zip(h_rows.tolist(), h_cols.tolist()):
-            if self.sites[row, col] and self.sites[row, col + 1]:
-                dsu.union((row, col), (row, col + 1))
-        v_rows, v_cols = np.nonzero(self.vertical)
-        for row, col in zip(v_rows.tolist(), v_cols.tolist()):
-            if self.sites[row, col] and self.sites[row + 1, col]:
-                dsu.union((row, col), (row + 1, col))
-        return dsu
 
     def largest_cluster_fraction(self) -> float:
         """Size of the largest cluster over total sites (the order parameter)."""

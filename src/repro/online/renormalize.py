@@ -11,14 +11,13 @@ Two mechanics from the paper:
 
 * **connectivity check** — a per-strip spanning check answers "is there
   any path at all?" on the relaxed graph that ignores crossing rules, and
-  the Fig. 14 cost proxy charges it the full strip area.  The scalar oracle
-  runs it before its BFS; the vectorized search runs it only after a
-  *failed* search (a found path already proves the strip spans), where it
-  decides whether the search's pops are charged — the same accounting,
-  with one traversal per query in the common case.  The check itself is
-  :func:`~repro.online.percolation.grid_spans_from_usable`, with the
-  original scalar union-find (:func:`strip_spans_dsu`) as the oracle
-  behind ``renormalize``'s ``precheck`` switch;
+  the Fig. 14 cost proxy charges it the full strip area.  The check is
+  :func:`~repro.online.percolation.grid_spans_from_usable`; it runs only
+  after a *failed* path search (a found path already proves the strip
+  spans), where it decides whether the search's pops are charged — the
+  accounting of a check-first scalar BFS, with one traversal per query in
+  the common case.  The scalar formulations (a deque BFS after a per-strip
+  union-find) are the parity oracles in ``tests/oracles.py``;
 * **tangling prevention** — distinct same-orientation paths must stay
   disjoint, and a path may touch a perpendicular path only by crossing it
   straight through (the crossing site becoming a renormalized node).  The
@@ -31,7 +30,6 @@ Two mechanics from the paper:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,7 +41,6 @@ from repro.online.percolation import (
     MOVE_SLOTS,
     PercolatedLattice,
     frontier_bfs,
-    grid_spans,
     grid_spans_from_usable,
     move_table_indptr,
     move_table_pops,
@@ -52,120 +49,6 @@ from repro.utils.gridgeom import Coord2D
 
 #: Marker values for the orientation ownership grid.
 _FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
-
-#: Pre-check implementations accepted by :func:`renormalize` (the vectorized
-#: label propagation is the hot path; the scalar union-find is the oracle).
-PRECHECKS = ("vector", "dsu")
-
-#: Path-search implementations accepted by :func:`renormalize` (the numpy
-#: wavefront search is the hot path; the scalar deque BFS is the oracle).
-PATHFINDS = ("vector", "scalar")
-
-
-def _strip_arrays(
-    lattice: PercolatedLattice, vertical: bool, low: int, high: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Strip-view arrays with axis 0 along the spanning direction.
-
-    Returns ``(alive, across, along)``: the ``(n, w)`` liveness view, the
-    ``(n, w-1)`` bonds across the strip width, and the ``(n-1, w)`` bonds
-    along the spanning axis.  Row bands are transposed so both orientations
-    share one top-to-bottom geometry — the convention of both
-    :func:`strip_spans` and the vectorized path search.
-    """
-    if vertical:
-        alive = lattice.sites[:, low:high]
-        across = lattice.horizontal[:, low : max(low, high - 1)]
-        along = lattice.vertical[:, low:high]
-    else:
-        alive = lattice.sites[low:high, :].T
-        across = lattice.vertical[low : max(low, high - 1), :].T
-        along = lattice.horizontal[low:high, :].T
-    return alive, across, along
-
-
-def strip_spans(
-    lattice: PercolatedLattice, vertical: bool, low: int, high: int
-) -> bool:
-    """Vectorized strip pre-check: do the strip's two far edges touch at all?
-
-    Runs on the relaxed graph that ignores crossing constraints, so a
-    negative answer is definitive while a positive one still needs BFS.
-    The strip subgrid is handed (transposed for row bands, so the spanning
-    axis is always rows) to :func:`~repro.online.percolation.grid_spans` —
-    the same frontier engine the vectorized path search expands with, and
-    the same one that powers ``PercolatedLattice.components()`` when scipy
-    is absent.  The scalar path search calls it before every query; the
-    vectorized search calls the same engine only after a failed search.
-    """
-    alive, across, along = _strip_arrays(lattice, vertical, low, high)
-    if alive.size == 0:
-        return False
-    return grid_spans(alive, across, along)
-
-
-def strip_spans_dsu(
-    lattice: PercolatedLattice, vertical: bool, low: int, high: int
-) -> bool:
-    """Scalar oracle for :func:`strip_spans`: the original flat union-find.
-
-    Kept bit-for-bit equivalent in answer (the property suite cross-checks
-    the two over randomized lattices) and as the baseline the micro-bench
-    measures the vectorized path against.
-    """
-    n = lattice.size
-    width = high - low
-    if width <= 0:
-        return False
-    total = n * width
-    parent = list(range(total))
-
-    def find(node: int) -> int:
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def flat(a: int, b: int) -> int:
-        # a runs along the spanning axis, b across the strip width.
-        return a * width + (b - low)
-
-    dead = ~lattice.sites
-    for a in range(n):
-        for b in range(low, high):
-            coord = (a, b) if vertical else (b, a)
-            if dead[coord]:
-                continue
-            here = flat(a, b)
-            if a > 0:
-                back = (a - 1, b) if vertical else (b, a - 1)
-                if not dead[back] and lattice.has_bond(coord, back):
-                    ra, rb = find(here), find(flat(a - 1, b))
-                    if ra != rb:
-                        parent[ra] = rb
-            if b > low:
-                side = (a, b - 1) if vertical else (b - 1, a)
-                if not dead[side] and lattice.has_bond(coord, side):
-                    ra, rb = find(here), find(flat(a, b - 1))
-                    if ra != rb:
-                        parent[ra] = rb
-    first_roots = {
-        find(flat(0, b))
-        for b in range(low, high)
-        if not dead[(0, b) if vertical else (b, 0)]
-    }
-    return any(
-        find(flat(n - 1, b)) in first_roots
-        for b in range(low, high)
-        if not dead[(n - 1, b) if vertical else (b, n - 1)]
-    )
-
-
-#: Name -> implementation, for the ``precheck`` switch.
-_PRECHECK_FNS = {"vector": strip_spans, "dsu": strip_spans_dsu}
-
 
 @dataclass
 class RenormalizationResult:
@@ -188,11 +71,11 @@ class RenormalizationResult:
         return rsl / max(1, self.lattice_size)
 
 
-#: Scalar BFS move order, rewritten as (d_span, d_lane) steps in the strip
-#: view of :func:`_strip_arrays`.  The scalar generator walks grid moves
-#: ((-1,0),(1,0),(0,-1),(0,1)); for row bands the view is transposed, so the
-#: view-space order swaps — preserving this order is what keeps the
-#: vectorized search's tie-breaks byte-identical to the deque BFS.
+#: Grid move order ((-1,0),(1,0),(0,-1),(0,1)), rewritten as (d_span, d_lane)
+#: steps in the strip view (axis 0 along the spanning direction, so row bands
+#: are transposed and the view-space order swaps).  This order is the
+#: search's tie-break, which keeps it byte-identical to the scalar deque BFS
+#: oracle and the recorded paths stable.
 _VIEW_MOVES = {
     True: ((-1, 0), (1, 0), (0, -1), (0, 1)),
     False: ((0, -1), (0, 1), (-1, 0), (1, 0)),
@@ -211,7 +94,7 @@ class _MoveGeometry(NamedTuple):
     """Shape-only half of a strip's move table, rows = cells, cols = moves.
 
     Gather indices address the flattened ``(5, n + 4, w + 4)`` frame stack
-    of :meth:`_Carver._find_path_vector` (two cells of ``False`` padding on
+    of :meth:`_Carver.find_path` (two cells of ``False`` padding on
     every side); targets are flat strip-view cell indices.  ``indptr`` is
     the strip's fixed-stride CSR row pointer: four slots per cell, ``w``
     for the super-source ``n * w``, none for the sink ``n * w + 1``;
@@ -276,51 +159,26 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
 class _Carver:
     """Stateful path search over one percolated lattice."""
 
-    def __init__(
-        self,
-        lattice: PercolatedLattice,
-        precheck: str = "vector",
-        pathfind: str = "vector",
-    ) -> None:
-        if precheck not in _PRECHECK_FNS:
-            raise RenormalizationError(
-                f"unknown precheck {precheck!r}; use one of: {', '.join(PRECHECKS)}"
-            )
-        if pathfind not in PATHFINDS:
-            raise RenormalizationError(
-                f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
-            )
+    def __init__(self, lattice: PercolatedLattice) -> None:
         self.lattice = lattice
         self.size = lattice.size
         self.owner = np.full((self.size, self.size), _FREE, dtype=np.uint8)
         self.owner[~lattice.sites] = _DEAD
         self.visited_sites = 0
-        self._precheck = _PRECHECK_FNS[precheck]
-        self._precheck_name = precheck
-        self._pathfind_name = pathfind
         #: Flat lattice site indices of every claimed path, per orientation
         #: (``True`` = vertical), in claim order.
         self.claimed: dict[bool, list[np.ndarray]] = {True: [], False: []}
-        if pathfind == "vector":
-            # Per-call strip views, axis 0 along the spanning direction:
-            # ``(alive, usable across, usable along, owner)``, each sliced
-            # ``[:, low:high]`` (across: ``[:, low:high - 1]``) per query.
-            # The usable-bond masks are built once; row bands transpose.
-            usable_h, usable_v = lattice.usable_bonds()
-            self._views = {
-                True: (lattice.sites, usable_h, usable_v, self.owner),
-                False: (lattice.sites.T, usable_v.T, usable_h.T, self.owner.T),
-            }
-            #: Padded ``(5, n + 4, w + 4)`` frame stacks, one per strip width.
-            self._frames: dict[int, np.ndarray] = {}
-
-    # -- generic helpers --------------------------------------------------
-
-    def _bond(self, a: Coord2D, b: Coord2D) -> bool:
-        return self.lattice.has_bond(a, b)
-
-    def _free(self, coord: Coord2D) -> bool:
-        return self.owner[coord] == _FREE
+        # Per-call strip views, axis 0 along the spanning direction:
+        # ``(alive, usable across, usable along, owner)``, each sliced
+        # ``[:, low:high]`` (across: ``[:, low:high - 1]``) per query.
+        # The usable-bond masks are built once; row bands transpose.
+        usable_h, usable_v = lattice.usable_bonds()
+        self._views = {
+            True: (lattice.sites, usable_h, usable_v, self.owner),
+            False: (lattice.sites.T, usable_v.T, usable_h.T, self.owner.T),
+        }
+        #: Padded ``(5, n + 4, w + 4)`` frame stacks, one per strip width.
+        self._frames: dict[int, np.ndarray] = {}
 
     def _strip_range(self, index: int, count: int) -> tuple[int, int]:
         """Half-open coordinate range of strip/band ``index`` of ``count``."""
@@ -328,23 +186,7 @@ class _Carver:
         high = ((index + 1) * self.size) // count
         return low, high
 
-    # -- connectivity pre-check (disjoint-set, Section 5.1) ----------------
-
-    def _strip_connected(self, vertical: bool, low: int, high: int) -> bool:
-        """Connectivity pre-check: do the strip's two far edges touch at all?
-
-        Dispatches to the configured implementation (:func:`strip_spans` by
-        default, :func:`strip_spans_dsu` as the oracle); both answer the
-        same relaxed-graph question, so a negative answer is definitive
-        while a positive one still needs BFS.  The visited-site cost proxy
-        charges the full strip area either way — Fig. 14's accounting
-        models the work the check *represents*, not the constant factors
-        of whichever implementation ran it.
-        """
-        self.visited_sites += self.size * (high - low)
-        return self._precheck(self.lattice, vertical, low, high)
-
-    # -- BFS path search ----------------------------------------------------
+    # -- path search -------------------------------------------------------
 
     def find_path(
         self, vertical: bool, index: int, count: int
@@ -355,132 +197,10 @@ class _Carver:
         indices (``row * size + col``).  A vertical path may step on
         horizontal-path sites only by crossing them straight through (and
         vice versa); it may never travel along them, which is the tangling
-        the surround-removal of the paper prevents.  Dispatches to the
-        configured implementation — the numpy wavefront search
-        (``pathfind="vector"``) or the original deque BFS (``"scalar"``);
-        the two produce byte-identical paths, ownership, and visited-site
-        accounting.
-        """
-        if self._pathfind_name == "vector":
-            return self._find_path_vector(vertical, index, count)
-        path = self._find_path_scalar(vertical, index, count)
-        if path is None:
-            return None
-        return path, _flat_sites(path, self.size)
-
-    def _find_path_scalar(
-        self, vertical: bool, index: int, count: int
-    ) -> list[Coord2D] | None:
-        """The original per-cell deque BFS — kept as the parity oracle."""
-        low, high = self._strip_range(index, count)
-        if high - low < 1:
-            raise RenormalizationError("strip is empty; target size too large")
-        if not self._strip_connected(vertical, low, high):
-            return None
-
-        other_owner = _HORIZONTAL if vertical else _VERTICAL
-        n = self.size
-
-        def in_strip(coord: Coord2D) -> bool:
-            lane = coord[1] if vertical else coord[0]
-            return low <= lane < high
-
-        goal_axis = n - 1
-
-        def axis_of(coord: Coord2D) -> int:
-            return coord[0] if vertical else coord[1]
-
-        def in_bounds_cell(coord: Coord2D, size: int) -> bool:
-            return 0 <= coord[0] < size and 0 <= coord[1] < size
-
-        def moves(coord: Coord2D):
-            row, col = coord
-            for drow, dcol in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                step = (row + drow, col + dcol)
-                if not (0 <= step[0] < n and 0 <= step[1] < n):
-                    continue
-                if not in_strip(step):
-                    continue
-                if not self._bond(coord, step):
-                    continue
-                if self._free(step):
-                    yield step, (step,)
-                elif self.owner[step] == other_owner:
-                    if axis_of(step) == goal_axis:
-                        # Crossing right at the far edge: the perpendicular
-                        # path's site serves as the endpoint.
-                        yield step, (step,)
-                        continue
-                    # Cross the perpendicular path straight through.
-                    landing = (step[0] + drow, step[1] + dcol)
-                    if (
-                        0 <= landing[0] < n
-                        and 0 <= landing[1] < n
-                        and in_strip(landing)
-                        and self._free(landing)
-                        and self._bond(step, landing)
-                    ):
-                        yield landing, (step, landing)
-
-        # Start cells on the near edge: free cells start normally; cells
-        # owned by a perpendicular path are entered as crossings (step
-        # straight in, or end immediately on a 1-wide lattice).
-        parent: dict[Coord2D, tuple[Coord2D, tuple[Coord2D, ...]]] = {}
-        queue: deque[Coord2D] = deque()
-        seen: set[Coord2D] = set()
-        for lane in range(low, high):
-            cell = (0, lane) if vertical else (lane, 0)
-            if self._free(cell):
-                seen.add(cell)
-                queue.append(cell)
-            elif self.owner[cell] == other_owner:
-                if goal_axis == 0:
-                    # Degenerate 1-wide lattice: the crossing site alone
-                    # spans it.
-                    return [cell]
-                inward = (1, lane) if vertical else (lane, 1)
-                if (
-                    in_bounds_cell(inward, n)
-                    and in_strip(inward)
-                    and self._free(inward)
-                    and self._bond(cell, inward)
-                    and inward not in seen
-                ):
-                    seen.add(inward)
-                    parent[inward] = (cell, (inward,))
-                    seen.add(cell)
-                    queue.append(inward)
-        goal: Coord2D | None = None
-        while queue:
-            current = queue.popleft()
-            self.visited_sites += 1
-            if axis_of(current) == goal_axis:
-                goal = current
-                break
-            for landing, hops in moves(current):
-                if landing not in seen:
-                    seen.add(landing)
-                    parent[landing] = (current, hops)
-                    queue.append(landing)
-        if goal is None:
-            return None
-
-        # Reconstruct, including crossing sites, root to goal.
-        path: list[Coord2D] = [goal]
-        node = goal
-        while node in parent:
-            previous, hops = parent[node]
-            for hop in reversed(hops[:-1]):
-                path.append(hop)
-            path.append(previous)
-            node = previous
-        path.reverse()
-        return path
-
-    def _find_path_vector(
-        self, vertical: bool, index: int, count: int
-    ) -> tuple[list[Coord2D], np.ndarray] | None:
-        """Numpy wavefront search — byte-identical to the scalar deque BFS.
+        the surround-removal of the paper prevents.  The paths, ownership
+        and visited-site accounting are byte-identical to a per-cell deque
+        BFS behind a per-strip union-find (the oracles in
+        ``tests/oracles.py``).
 
         The strip is compiled into one CSR frontier graph whose per-node
         edge order encodes the scalar BFS's deterministic tie-breaks
@@ -516,9 +236,9 @@ class _Carver:
         The search runs *before* the strip pre-check: any path it finds
         also spans the relaxed graph, so the pre-check would have said yes.
         Only a failed search runs the pre-check, which then decides whether
-        the search's pops are charged — the visited-site accounting of the
-        check-first scalar oracle, with one traversal per query instead of
-        two in the common case.
+        the search's pops are charged — the visited-site accounting of a
+        check-first scalar BFS, with one traversal per query instead of two
+        in the common case.
         """
         low, high = self._strip_range(index, count)
         if high - low < 1:
@@ -527,8 +247,8 @@ class _Carver:
         width = high - low
         sites, across, along, owner = self._views[vertical]
         owner = owner[:, low:high]
-        # The cost proxy charges the full strip area up front, exactly as
-        # the scalar oracle's pre-check does.
+        # The cost proxy charges the full strip area up front: the work of
+        # the per-strip connectivity check.
         self.visited_sites += n * width
         other_owner = _HORIZONTAL if vertical else _VERTICAL
 
@@ -595,13 +315,7 @@ class _Carver:
             # Every enqueued cell was popped without reaching the far edge.
             # Only a spanning relaxed graph charges those pops; otherwise
             # the pre-check alone would have answered.
-            if self._precheck_name == "vector":
-                spans = grid_spans_from_usable(
-                    sites[:, low:high], usable_across, usable_along
-                )
-            else:
-                spans = strip_spans_dsu(self.lattice, vertical, low, high)
-            if spans:
+            if grid_spans_from_usable(sites[:, low:high], usable_across, usable_along):
                 self.visited_sites += move_table_pops(pop_order, parents, len(pop_order))
             return None
         # Cell pops up to (and including) the goal are the scalar BFS's
@@ -660,8 +374,6 @@ def renormalize(
     lattice: PercolatedLattice,
     target_size: int,
     work_budget: int | None = None,
-    precheck: str = "vector",
-    pathfind: str = "vector",
 ) -> RenormalizationResult:
     """Reshape ``lattice`` into a ``target_size x target_size`` coarse lattice.
 
@@ -674,16 +386,6 @@ def renormalize(
     lifetime limit on real-time processing (Fig. 13(c)'s time-restricted
     non-modular baseline): when exceeded, the partial result so far is
     returned as a failure.
-
-    ``precheck`` selects the per-strip connectivity implementation:
-    ``"vector"`` (the numpy hot path, the default) or ``"dsu"`` (the scalar
-    union-find oracle).  ``pathfind`` likewise selects the path search:
-    ``"vector"`` (the compiled wavefront over a CSR frontier graph, the
-    default) or ``"scalar"`` (the original deque BFS oracle).  Every
-    combination agrees on every lattice — the property suite asserts
-    full-result identity across the ``pathfind x precheck`` sweep — and the
-    visited-site accounting is implementation-independent, so swapping
-    them never perturbs results or the Fig. 14 cost proxy.
     """
     if target_size < 1:
         raise RenormalizationError(f"target size must be >= 1, got {target_size}")
@@ -691,7 +393,7 @@ def renormalize(
         raise RenormalizationError(
             f"target {target_size} exceeds lattice size {lattice.size}"
         )
-    carver = _Carver(lattice, precheck=precheck, pathfind=pathfind)
+    carver = _Carver(lattice)
     vertical_paths: list[list[Coord2D]] = []
     horizontal_paths: list[list[Coord2D]] = []
 

@@ -23,7 +23,7 @@ from repro.hardware.architecture import HardwareConfig
 from repro.hardware.delay import DelayLineBank
 from repro.hardware.fusion import FusionDevice
 from repro.online.fusion_strategy import form_layer
-from repro.online.renormalize import PATHFINDS, renormalize
+from repro.online.renormalize import renormalize
 from repro.utils.rng import ensure_rng
 
 #: Physical qubits fused per requested time-like connection (the "set of
@@ -94,7 +94,6 @@ class OnlineReshaper:
         virtual_size: int,
         rng=None,
         max_rsl: int = 10**6,
-        pathfind: str = "vector",
     ) -> None:
         if virtual_size < 1:
             raise HardwareError(f"virtual size must be >= 1, got {virtual_size}")
@@ -103,23 +102,18 @@ class OnlineReshaper:
                 f"virtual hardware {virtual_size} cannot exceed RSL size "
                 f"{config.rsl_size}"
             )
-        if pathfind not in PATHFINDS:
-            raise HardwareError(
-                f"unknown pathfind {pathfind!r}; use one of: {', '.join(PATHFINDS)}"
-            )
         self.config = config
         self.virtual_size = virtual_size
         self.device = FusionDevice(config.effective_fusion_rate, ensure_rng(rng))
         self.delay_lines = DelayLineBank(config.photon_lifetime)
         self.max_rsl = max_rsl
-        self.pathfind = pathfind
 
     def run(self, demands: list[LayerDemand]) -> ReshapeMetrics:
         """Produce one logical layer per demand; returns the full accounting."""
         metrics = ReshapeMetrics()
         fusion_baseline = self.device.tally.attempted
         for demand_index, demand in enumerate(demands):
-            self._produce_logical_layer(demand_index, demand, metrics)
+            self._produce_logical_layer(demand_index, len(demands), demand, metrics)
         metrics.fusions = self.device.tally.attempted - fusion_baseline
         return metrics
 
@@ -128,24 +122,24 @@ class OnlineReshaper:
     def _produce_logical_layer(
         self,
         demand_index: int,
+        demand_count: int,
         demand: LayerDemand,
         metrics: ReshapeMetrics,
     ) -> None:
-        """Consume RSLs until one qualifies as the next logical layer."""
+        """Consume RSLs until one qualifies as layer ``demand_index``."""
         while True:
             if metrics.rsl_consumed >= self.max_rsl:
                 raise HardwareError(
-                    f"online pass exceeded {self.max_rsl} RSLs; "
-                    "virtual hardware too large for this RSL size?"
+                    f"online pass exceeded {self.max_rsl} RSLs at logical layer "
+                    f"{demand_index} of {demand_count} ({metrics.rsl_consumed} "
+                    "RSLs consumed); virtual hardware too large for this RSL size?"
                 )
             formation = form_layer(self.config, self.device)
             metrics.rsl_consumed += formation.rsls_used
             self.delay_lines.advance(formation.rsls_used)
 
             metrics.renormalization_attempts += 1
-            result = renormalize(
-                formation.lattice, self.virtual_size, pathfind=self.pathfind
-            )
+            result = renormalize(formation.lattice, self.virtual_size)
             metrics.visited_sites_per_attempt.append(result.visited_sites)
 
             connections_ok = True

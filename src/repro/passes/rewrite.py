@@ -5,8 +5,7 @@ of the MBQC pattern (:func:`repro.mbqc.optimize.optimize_pattern`) before
 offline mapping sees it, shrinking both the mapping problem and the online
 reshape workload.  The contraction is a Pauli-frame simplification — it
 preserves program semantics exactly — so the unrewritten chain
-(``rewrite="off"``) stays available as a byte-identity oracle the same way
-``pathfind="scalar"`` does for the online search.
+(``rewrite="off"``) stays available as a byte-identity oracle.
 
 The pass is ``cacheable``: its output is a pure function of the incoming
 pattern and the settings, and because ``rewrite`` itself is a

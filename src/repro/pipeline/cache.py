@@ -52,8 +52,10 @@ from repro.pipeline.passes import CompilerPass
 #: Bump when the key derivation or payload schema changes: stale entries
 #: from older layouts must read as misses, never as wrong hits.  v2: the
 #: option vocabulary grew the ``rewrite`` knob (pattern-rewrite pass on or
-#: off), which keys rewritten and unrewritten chains apart.
-CACHE_SCHEMA_VERSION = 2
+#: off), which keys rewritten and unrewritten chains apart.  v3: the
+#: path-search selector left the option vocabulary (one renormalizer, its
+#: oracles test-only), so every key's option list changed.
+CACHE_SCHEMA_VERSION = 3
 
 
 def circuit_fingerprint(circuit) -> str:

@@ -120,7 +120,6 @@ class OnlineReshapePass(CompilerPass):
             virtual_size=ctx.virtual_size,
             rng=ctx.rng("online"),
             max_rsl=ctx.option("max_rsl", 10**6),
-            pathfind=ctx.option("pathfind", "vector"),
         )
         reshape = reshaper.run(ctx.require("mapping").demands)
         ctx.put("reshape", reshape)

@@ -38,7 +38,7 @@ def default_passes(rewrite: str = "on") -> tuple[CompilerPass, ...]:
     ``rewrite`` gates the pattern-rewrite optimization in the slot between
     translate and offline-map: ``"on"`` (the default) contracts zero-angle
     pairs before mapping, ``"off"`` is the unrewritten byte-identity
-    oracle — the same fast-default/oracle pairing as ``pathfind``.
+    oracle.
     """
     # Lazy import: repro.passes is built on top of this module.
     from repro.passes.rewrite import REWRITES, RewritePass

@@ -56,7 +56,6 @@ class PipelineSettings:
     photon_loss_rate: float = 0.0
     max_rsl: int = DEFAULT_RSL_CAP
     emit_instructions: bool = False
-    pathfind: str = "vector"
     #: Pattern-rewrite pass gate: "on" puts RewritePass in the default
     #: chain after translate, "off" is the unrewritten byte-identity
     #: oracle.  Rides in the context options, so rewritten and unrewritten
@@ -92,7 +91,6 @@ class PipelineSettings:
                 "bytes_per_node_layer": self.bytes_per_node_layer,
                 "max_rsl": self.max_rsl,
                 "emit_instructions": self.emit_instructions,
-                "pathfind": self.pathfind,
                 "rewrite": self.rewrite,
             },
         )

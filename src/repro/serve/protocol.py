@@ -224,7 +224,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "seed": ((int,), 0),
             "runner": ((str,), "serial"),
             "workers": ((int, _NoneType), None),
-            "pathfind": ((str, _NoneType), None),
             "rewrite": ((str, _NoneType), None),
         },
     ),
@@ -237,7 +236,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "rsl_size": ((int, _NoneType), None),
             "virtual_size": ((int, _NoneType), None),
             "max_rsl": ((int,), 10**6),
-            "pathfind": ((str,), "vector"),
             "rewrite": ((str,), "on"),
             "passes": ((str, _NoneType), None),
         },

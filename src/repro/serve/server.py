@@ -105,8 +105,7 @@ def request_key(request: dict[str, Any]) -> str:
             *(
                 f"{name}={request[name]!r}"
                 for name in (
-                    "name", "scale", "seed", "runner", "workers", "pathfind",
-                    "rewrite",
+                    "name", "scale", "seed", "runner", "workers", "rewrite",
                 )
             ),
         ]
@@ -131,7 +130,6 @@ def _settings_for(request: dict[str, Any]) -> PipelineSettings:
         rsl_size=request["rsl_size"],
         virtual_size=request["virtual_size"],
         max_rsl=request["max_rsl"],
-        pathfind=request["pathfind"],
         rewrite=request["rewrite"],
     )
 
@@ -415,7 +413,6 @@ class ReproServer:
             request["scale"],
             seed=request["seed"],
             runner=runner,
-            pathfind=request["pathfind"],
             rewrite=request["rewrite"],
         ):
             stream.publish(encode_frame(record_frame(seq, record)))

@@ -5,25 +5,48 @@ compiled frontier engine, on shrinking index vectors or on one batched
 draw; the property suites assert the two agree exactly, including the work
 counts the Fig. 14 cost proxy is built from and the fusion draws the
 device RNG makes.
+
+The renormalization oracles plug in without a product seam:
+:class:`ScalarCarver` subclasses the product's ``_Carver`` and
+:func:`carving` swaps it in as the module global ``renormalize`` builds,
+so ``renormalize`` and everything on top of it (modular renormalization,
+the online reshaper, the experiments) run the scalar search.
 """
 
 from __future__ import annotations
 
+import importlib
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 
 import numpy as np
 
+from repro.errors import RenormalizationError
 from repro.hardware.architecture import HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
-from repro.online.percolation import PercolatedLattice
+from repro.online.percolation import (
+    NO_PREDECESSOR,
+    PercolatedLattice,
+    grid_spans_from_usable,
+)
 from repro.online.timelike import (
     TEMPORAL_FANOUT,
     LayerDemand,
     OnlineReshaper,
     ReshapeMetrics,
 )
+from repro.utils.dsu import DisjointSet
 from repro.utils.gridgeom import Coord2D
+
+# ``repro.online`` re-exports the ``renormalize`` function under the
+# submodule's name, so the module is fetched by its full name.
+renormalize_module = importlib.import_module("repro.online.renormalize")
+_Carver = renormalize_module._Carver
+_FREE = renormalize_module._FREE
+_VERTICAL = renormalize_module._VERTICAL
+_HORIZONTAL = renormalize_module._HORIZONTAL
 
 
 def corridor_connected_scalar(
@@ -121,3 +144,314 @@ def establish_connections_loop(
     if not ok:
         metrics.connection_failures += 1
     return ok
+
+
+def frontier_bfs_python(
+    indptr: np.ndarray, indices: np.ndarray, source: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pure-python twin of scipy's ``breadth_first_order``.
+
+    Bit-for-bit the contract of ``repro.online.percolation.frontier_bfs``:
+    FIFO pops, per-node edges walked in CSR storage order, the first
+    discoverer becoming the predecessor.  The engine-parity tests pin
+    scipy's (undocumented but load-bearing) tie-break behaviour against it.
+    """
+    node_count = indptr.shape[0] - 1
+    predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
+    indptr_list = indptr.tolist()
+    indices_list = indices.tolist()
+    seen = bytearray(node_count)
+    seen[source] = 1
+    order = [source]
+    head = 0
+    while head < len(order):
+        node = order[head]
+        head += 1
+        for neighbor in indices_list[indptr_list[node] : indptr_list[node + 1]]:
+            if not seen[neighbor]:
+                seen[neighbor] = 1
+                predecessors[neighbor] = node
+                order.append(neighbor)
+    return np.array(order, dtype=np.int32), predecessors
+
+
+def components_dsu(lattice: PercolatedLattice) -> DisjointSet:
+    """Per-bond union-find twin of ``PercolatedLattice.components``."""
+    dsu: DisjointSet = DisjointSet()
+    alive_rows, alive_cols = np.nonzero(lattice.sites)
+    for row, col in zip(alive_rows.tolist(), alive_cols.tolist()):
+        dsu.add((row, col))
+    h_rows, h_cols = np.nonzero(lattice.horizontal)
+    for row, col in zip(h_rows.tolist(), h_cols.tolist()):
+        if lattice.sites[row, col] and lattice.sites[row, col + 1]:
+            dsu.union((row, col), (row, col + 1))
+    v_rows, v_cols = np.nonzero(lattice.vertical)
+    for row, col in zip(v_rows.tolist(), v_cols.tolist()):
+        if lattice.sites[row, col] and lattice.sites[row + 1, col]:
+            dsu.union((row, col), (row + 1, col))
+    return dsu
+
+
+def grid_spans(alive: np.ndarray, horizontal: np.ndarray, vertical: np.ndarray) -> bool:
+    """Do the first and last rows of a rectangular bond grid touch at all?
+
+    ``grid_spans_from_usable`` on raw sampled bonds: ``alive`` is ``(R, C)``,
+    ``horizontal`` bonds run along axis 1 and ``vertical`` along axis 0,
+    masked here to bonds whose endpoints are both alive.
+    """
+    usable_across = horizontal & alive[:, :-1] & alive[:, 1:]
+    usable_down = vertical & alive[:-1, :] & alive[1:, :]
+    return grid_spans_from_usable(alive, usable_across, usable_down)
+
+
+def _strip_arrays(
+    lattice: PercolatedLattice, vertical: bool, low: int, high: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Strip-view arrays with axis 0 along the spanning direction.
+
+    Returns ``(alive, across, along)``: the ``(n, w)`` liveness view, the
+    ``(n, w-1)`` bonds across the strip width, and the ``(n-1, w)`` bonds
+    along the spanning axis.  Row bands are transposed so both orientations
+    share one top-to-bottom geometry.
+    """
+    if vertical:
+        alive = lattice.sites[:, low:high]
+        across = lattice.horizontal[:, low : max(low, high - 1)]
+        along = lattice.vertical[:, low:high]
+    else:
+        alive = lattice.sites[low:high, :].T
+        across = lattice.vertical[low : max(low, high - 1), :].T
+        along = lattice.horizontal[low:high, :].T
+    return alive, across, along
+
+
+def strip_spans(lattice: PercolatedLattice, vertical: bool, low: int, high: int) -> bool:
+    """Strip pre-check on the product's spanning check: do the two far edges touch?
+
+    Runs on the relaxed graph that ignores crossing constraints, so a
+    negative answer is definitive while a positive one still needs a path
+    search.  The strip subgrid (transposed for row bands, so the spanning
+    axis is always rows) goes to :func:`grid_spans`.
+    """
+    alive, across, along = _strip_arrays(lattice, vertical, low, high)
+    if alive.size == 0:
+        return False
+    return grid_spans(alive, across, along)
+
+
+def strip_spans_dsu(
+    lattice: PercolatedLattice, vertical: bool, low: int, high: int
+) -> bool:
+    """Flat union-find twin of :func:`strip_spans`, one bond at a time."""
+    n = lattice.size
+    width = high - low
+    if width <= 0:
+        return False
+    total = n * width
+    parent = list(range(total))
+
+    def find(node: int) -> int:
+        root = node
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    def flat(a: int, b: int) -> int:
+        # a runs along the spanning axis, b across the strip width.
+        return a * width + (b - low)
+
+    dead = ~lattice.sites
+    for a in range(n):
+        for b in range(low, high):
+            coord = (a, b) if vertical else (b, a)
+            if dead[coord]:
+                continue
+            here = flat(a, b)
+            if a > 0:
+                back = (a - 1, b) if vertical else (b, a - 1)
+                if not dead[back] and lattice.has_bond(coord, back):
+                    ra, rb = find(here), find(flat(a - 1, b))
+                    if ra != rb:
+                        parent[ra] = rb
+            if b > low:
+                side = (a, b - 1) if vertical else (b - 1, a)
+                if not dead[side] and lattice.has_bond(coord, side):
+                    ra, rb = find(here), find(flat(a, b - 1))
+                    if ra != rb:
+                        parent[ra] = rb
+    first_roots = {
+        find(flat(0, b))
+        for b in range(low, high)
+        if not dead[(0, b) if vertical else (b, 0)]
+    }
+    return any(
+        find(flat(n - 1, b)) in first_roots
+        for b in range(low, high)
+        if not dead[(n - 1, b) if vertical else (b, n - 1)]
+    )
+
+
+class ScalarCarver(_Carver):
+    """Check-first per-cell deque BFS twin of ``_Carver.find_path``.
+
+    Every query charges the strip area and runs :attr:`precheck` first
+    (the union-find :func:`strip_spans_dsu`); only a spanning strip is
+    searched, cell by cell, each pop charged.  Moves are tried in grid
+    order ((-1,0),(1,0),(0,-1),(0,1)), which fixes the tie-breaks the
+    product's wavefront search reproduces.
+    """
+
+    precheck = staticmethod(strip_spans_dsu)
+
+    def find_path(
+        self, vertical: bool, index: int, count: int
+    ) -> tuple[list[Coord2D], np.ndarray] | None:
+        path = self._search(vertical, index, count)
+        if path is None:
+            return None
+        return path, renormalize_module._flat_sites(path, self.size)
+
+    def _bond(self, a: Coord2D, b: Coord2D) -> bool:
+        return self.lattice.has_bond(a, b)
+
+    def _free(self, coord: Coord2D) -> bool:
+        return self.owner[coord] == _FREE
+
+    def _search(self, vertical: bool, index: int, count: int) -> list[Coord2D] | None:
+        low, high = self._strip_range(index, count)
+        if high - low < 1:
+            raise RenormalizationError("strip is empty; target size too large")
+        self.visited_sites += self.size * (high - low)
+        if not self.precheck(self.lattice, vertical, low, high):
+            return None
+
+        other_owner = _HORIZONTAL if vertical else _VERTICAL
+        n = self.size
+
+        def in_strip(coord: Coord2D) -> bool:
+            lane = coord[1] if vertical else coord[0]
+            return low <= lane < high
+
+        goal_axis = n - 1
+
+        def axis_of(coord: Coord2D) -> int:
+            return coord[0] if vertical else coord[1]
+
+        def moves(coord: Coord2D):
+            row, col = coord
+            for drow, dcol in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                step = (row + drow, col + dcol)
+                if not (0 <= step[0] < n and 0 <= step[1] < n):
+                    continue
+                if not in_strip(step):
+                    continue
+                if not self._bond(coord, step):
+                    continue
+                if self._free(step):
+                    yield step, (step,)
+                elif self.owner[step] == other_owner:
+                    if axis_of(step) == goal_axis:
+                        # Crossing right at the far edge: the perpendicular
+                        # path's site serves as the endpoint.
+                        yield step, (step,)
+                        continue
+                    # Cross the perpendicular path straight through.
+                    landing = (step[0] + drow, step[1] + dcol)
+                    if (
+                        0 <= landing[0] < n
+                        and 0 <= landing[1] < n
+                        and in_strip(landing)
+                        and self._free(landing)
+                        and self._bond(step, landing)
+                    ):
+                        yield landing, (step, landing)
+
+        # Start cells on the near edge: free cells start normally; cells
+        # owned by a perpendicular path are entered as crossings (step
+        # straight in, or end immediately on a 1-wide lattice).
+        parent: dict[Coord2D, tuple[Coord2D, tuple[Coord2D, ...]]] = {}
+        queue: deque[Coord2D] = deque()
+        seen: set[Coord2D] = set()
+        for lane in range(low, high):
+            cell = (0, lane) if vertical else (lane, 0)
+            if self._free(cell):
+                seen.add(cell)
+                queue.append(cell)
+            elif self.owner[cell] == other_owner:
+                if goal_axis == 0:
+                    # Degenerate 1-wide lattice: the crossing site alone
+                    # spans it.
+                    return [cell]
+                inward = (1, lane) if vertical else (lane, 1)
+                if (
+                    0 <= inward[0] < n
+                    and 0 <= inward[1] < n
+                    and in_strip(inward)
+                    and self._free(inward)
+                    and self._bond(cell, inward)
+                    and inward not in seen
+                ):
+                    seen.add(inward)
+                    parent[inward] = (cell, (inward,))
+                    seen.add(cell)
+                    queue.append(inward)
+        goal: Coord2D | None = None
+        while queue:
+            current = queue.popleft()
+            self.visited_sites += 1
+            if axis_of(current) == goal_axis:
+                goal = current
+                break
+            for landing, hops in moves(current):
+                if landing not in seen:
+                    seen.add(landing)
+                    parent[landing] = (current, hops)
+                    queue.append(landing)
+        if goal is None:
+            return None
+
+        # Reconstruct, including crossing sites, root to goal.
+        path: list[Coord2D] = [goal]
+        node = goal
+        while node in parent:
+            previous, hops = parent[node]
+            for hop in reversed(hops[:-1]):
+                path.append(hop)
+            path.append(previous)
+            node = previous
+        path.reverse()
+        return path
+
+
+class ScalarCarverStripCheck(ScalarCarver):
+    """:class:`ScalarCarver` checking strips with :func:`strip_spans`."""
+
+    precheck = staticmethod(strip_spans)
+
+
+#: Both scalar oracles: the deque BFS behind either strip pre-check.
+SCALAR_CARVERS = (ScalarCarver, ScalarCarverStripCheck)
+
+
+@contextmanager
+def carving(carver: type = ScalarCarver) -> Iterator[None]:
+    """Run ``renormalize`` (and all built on it) with ``carver`` searching."""
+    original = renormalize_module._Carver
+    renormalize_module._Carver = carver
+    try:
+        yield
+    finally:
+        renormalize_module._Carver = original
+
+
+def renormalize_scalar(
+    lattice: PercolatedLattice,
+    target_size: int,
+    work_budget: int | None = None,
+    carver: type = ScalarCarver,
+):
+    """``renormalize`` with a scalar oracle carver swapped in."""
+    with carving(carver):
+        return renormalize_module.renormalize(lattice, target_size, work_budget)

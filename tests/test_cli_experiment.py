@@ -12,6 +12,7 @@ import csv
 import json
 
 import pytest
+from oracles import ScalarCarver, renormalize_module
 
 from repro.cli import main
 from repro.experiments import run_experiment
@@ -176,36 +177,37 @@ class TestStreamingFlags:
 
 
 class TestPathfindFlag:
+    """``--pathfind`` is gone: the product has one path search, and the
+    scalar deque-BFS oracle plugs in only from the tests."""
+
     def test_invalid_pathfind_on_experiment_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["experiment", "--name", "fig14", "--pathfind", "bogus"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--pathfind" in err
-        assert "vector" in err and "scalar" in err
+        for value in ("scalar", "vector", "bogus"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["experiment", "--name", "fig14", "--pathfind", value])
+            assert excinfo.value.code == 2
+            assert "--pathfind" in capsys.readouterr().err
 
     def test_invalid_pathfind_on_compile_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["compile", "--benchmark", "qaoa", "--qubits", "4",
-                 "--pathfind", "bogus"]
-            )
-        assert excinfo.value.code == 2
-        assert "--pathfind" in capsys.readouterr().err
+        for value in ("scalar", "vector", "bogus"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    ["compile", "--benchmark", "qaoa", "--qubits", "4",
+                     "--pathfind", value]
+                )
+            assert excinfo.value.code == 2
+            assert "--pathfind" in capsys.readouterr().err
 
-    def test_scalar_pathfind_records_identical_to_vector(self, capsys):
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--pathfind", "scalar"]
-        )
-        scalar = json.loads(capsys.readouterr().out)
-        assert code == 0
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--pathfind", "vector"]
-        )
+    def test_scalar_pathfind_records_identical_to_vector(self, capsys, monkeypatch):
+        code = main(["experiment", "--name", "fig14", "--json"])
         vector = json.loads(capsys.readouterr().out)
         assert code == 0
+        monkeypatch.setattr(renormalize_module, "_Carver", ScalarCarver)
+        code = main(["experiment", "--name", "fig14", "--json"])
+        scalar = json.loads(capsys.readouterr().out)
+        assert code == 0
         # The deterministic record portion (including the visited-sites cost
-        # proxy) is byte-identical; only wall-clock timings may differ.
+        # proxy) is byte-identical under the scalar oracle; only wall-clock
+        # timings may differ.
         assert [entry["job"] for entry in scalar["records"]] == [
             entry["job"] for entry in vector["records"]
         ]
@@ -213,12 +215,13 @@ class TestPathfindFlag:
             entry["fields"] for entry in vector["records"]
         ]
 
-    def test_compile_scalar_pathfind_matches_vector(self, capsys):
+    def test_compile_scalar_pathfind_matches_vector(self, capsys, monkeypatch):
         base = ["compile", "--benchmark", "qaoa", "--qubits", "4", "--json"]
-        assert main(base + ["--pathfind", "scalar"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert main(base + ["--pathfind", "vector"]) == 0
+        assert main(base) == 0
         vector = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(renormalize_module, "_Carver", ScalarCarver)
+        assert main(base) == 0
+        scalar = json.loads(capsys.readouterr().out)
         for field in ("rsl_count", "fusion_count", "logical_layers", "pl_ratio"):
             assert scalar[field] == vector[field], field
 

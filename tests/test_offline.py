@@ -1,5 +1,7 @@
 """Tests for the offline mapper, routing and refresh/memory accounting."""
 
+import re
+
 import pytest
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
@@ -7,6 +9,17 @@ from repro.errors import MappingError, MemoryBudgetExceeded
 from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import translate_circuit
 from repro.offline import LayerGrid, OfflineMapper, route
+from repro.passes.rewrite import RewritePass
+from repro.pipeline import OfflineMapPass, Pipeline, PipelineSettings, TranslatePass
+
+#: fig14's compile settings (every scale maps at ``virtual_size=2``).
+FIG14_SETTINGS = PipelineSettings(
+    fusion_success_rate=0.75,
+    resource_state_size=7,
+    rsl_size=96,
+    virtual_size=2,
+    max_rsl=10**5,
+)
 
 
 class TestLayerGrid:
@@ -193,3 +206,29 @@ class TestOfflineMapper:
         result = OfflineMapper(width=2).map_pattern(pattern)
         expected = {frozenset((u, v)) for u, v in pattern.graph.edges()}
         assert result.ir.connected_graph_pairs() == expected
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=MappingError,
+    reason="the mapper stalls meeting stored worldlines for a deferred edge",
+)
+@pytest.mark.parametrize("qubits, seed", [(9, 4), (16, 0)])
+def test_fig14_qaoa_offline_map_does_not_stall(qubits, seed):
+    """translate -> rewrite -> offline-map of fig14's qaoa jobs.  These two
+    stall today with every node placed and 11 (qaoa-9) or 18 (qaoa-16)
+    edges deferred; the error must list the stuck edges and their homes."""
+    pipeline = Pipeline(
+        FIG14_SETTINGS, passes=(TranslatePass(), RewritePass(), OfflineMapPass())
+    )
+    try:
+        pipeline.run_circuit(make_benchmark("qaoa", qubits, seed=seed), seed)
+    except MappingError as error:
+        message = str(error)
+        assert "0 nodes unmapped" in message
+        shown = re.search(r"stuck edges \(node@home\): (.*)", message).group(1)
+        edges = re.findall(r"(\d+)@\((\d+), (\d+)\)-(\d+)@\((\d+), (\d+)\)", shown)
+        assert len(edges) == 8
+        pairs = [(int(edge[0]), int(edge[3])) for edge in edges]
+        assert pairs == sorted(pairs) and all(u < v for u, v in pairs)
+        raise

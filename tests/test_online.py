@@ -288,6 +288,21 @@ class TestOnlineReshaper:
         with pytest.raises(HardwareError):
             reshaper.run([LayerDemand(0, 0)])
 
+    def test_max_rsl_error_names_the_layer(self):
+        """The cap's error says which logical layer hit it, out of how many,
+        after how many RSLs: with the cap at the RSL count that completed
+        layer 1, layer 2 is the one that cannot start."""
+        config = HardwareConfig(rsl_size=24, resource_state=ResourceStateSpec(7))
+        demands = [LayerDemand(1, 0)] * 4
+        marks = OnlineReshaper(config, virtual_size=2, rng=0).run(demands)
+        cap = marks.logical_layer_rsl_marks[1]
+        reshaper = OnlineReshaper(config, virtual_size=2, rng=0, max_rsl=cap)
+        with pytest.raises(
+            HardwareError,
+            match=rf"exceeded {cap} RSLs at logical layer 2 of 4 \({cap} RSLs consumed\)",
+        ):
+            reshaper.run(demands)
+
     def test_empty_demand_list(self):
         config = HardwareConfig(rsl_size=16)
         metrics = OnlineReshaper(config, virtual_size=2, rng=0).run([])

@@ -8,6 +8,7 @@ vectorized ``components()`` hot path against its union-find reference.
 
 import numpy as np
 import pytest
+from oracles import components_dsu
 
 from repro.circuits import make_benchmark
 from repro.compiler import OnePercCompiler
@@ -188,7 +189,7 @@ class TestVectorizedComponents:
         alive = rng.random((size, size)) < 0.85
         lattice = sample_lattice(size, float(rng.random()), rng, site_alive=alive)
         fast = lattice.components()
-        slow = lattice.components_dsu()
+        slow = components_dsu(lattice)
         assert len(fast) == len(slow)
         assert fast.component_count == slow.component_count
         fast_parts = {frozenset(sites) for sites in fast.components().values()}
@@ -220,7 +221,7 @@ class TestVectorizedComponents:
     def test_spans_rows_matches_pairwise_definition(self):
         for seed in range(12):
             lattice = sample_lattice(10, 0.5, rng=seed)
-            dsu = lattice.components_dsu()
+            dsu = components_dsu(lattice)
             top = [(0, c) for c in range(10) if lattice.sites[0, c]]
             bottom = [(9, c) for c in range(10) if lattice.sites[9, c]]
             brute = any(dsu.connected(a, b) for a in top for b in bottom)

@@ -1,9 +1,9 @@
-"""Property tests of the renormalization carving invariants, the vectorized
-strip pre-check against its scalar DSU oracle, the vectorized wavefront
-path search against the scalar deque-BFS oracle, the compiled corridor
-join against its per-cell BFS oracle, the frontier engine's per-thread
-graph reuse and fixed-stride sink accounting, and the carver's per-width
-frame reuse and flat-site node grid."""
+"""Property tests of the renormalization carving invariants, the strip
+pre-check against its scalar DSU oracle, the wavefront path search against
+the scalar deque-BFS oracle carvers, the compiled corridor join against its
+per-cell BFS oracle, scipy's BFS against its pure-python twin, the frontier
+engine's per-thread graph reuse and fixed-stride sink accounting, and the
+carver's per-width frame reuse and flat-site node grid."""
 
 import importlib
 import sys
@@ -13,17 +13,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import corridor_connected_scalar
-
-from repro.online import PercolatedLattice, percolation, renormalize, sample_lattice
-from repro.online.modular import _corridor_connected
-from repro.online.renormalize import (
-    PATHFINDS,
-    PRECHECKS,
-    _intersections,
+from oracles import (
+    SCALAR_CARVERS,
+    corridor_connected_scalar,
+    frontier_bfs_python,
+    renormalize_scalar,
     strip_spans,
     strip_spans_dsu,
 )
+
+from repro.online import PercolatedLattice, percolation, renormalize, sample_lattice
+from repro.online.modular import _corridor_connected
+from repro.online.renormalize import _intersections
 
 # ``repro.online`` re-exports the ``renormalize`` function under the
 # submodule's name, so the modules are fetched by their full names.
@@ -123,20 +124,32 @@ def _lattice_with_loss(size, bond_probability, loss, seed):
     return sample_lattice(size, bond_probability, rng, site_alive=alive)
 
 
+def _product_strip_spans(lattice, vertical, low, high):
+    """The carver's strip check: ``grid_spans_from_usable`` on its own views."""
+    sites, across, along, _owner = renormalize_module._Carver(lattice)._views[vertical]
+    return percolation.grid_spans_from_usable(
+        sites[:, low:high], across[:, low : high - 1], along[:, low:high]
+    )
+
+
 @given(strip_cases())
 @settings(max_examples=60, deadline=None)
 def test_vectorized_precheck_matches_dsu_oracle(case):
-    """The numpy label-propagation pre-check and the scalar union-find must
-    answer identically for every strip/band of every lattice."""
+    """The product's strip check (``grid_spans_from_usable`` on the carver's
+    usable-bond views), the oracle's raw-bond ``strip_spans`` and the scalar
+    union-find must answer identically for every strip/band of every
+    lattice."""
     size, bond_probability, loss, count, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     for vertical in (True, False):
         for index in range(count):
             low = (index * size) // count
             high = ((index + 1) * size) // count
-            assert strip_spans(lattice, vertical, low, high) == strip_spans_dsu(
-                lattice, vertical, low, high
-            ), (size, vertical, low, high)
+            expected = strip_spans_dsu(lattice, vertical, low, high)
+            assert _product_strip_spans(lattice, vertical, low, high) == expected, (
+                size, vertical, low, high
+            )
+            assert strip_spans(lattice, vertical, low, high) == expected
 
 
 def test_precheck_degenerate_strips():
@@ -161,18 +174,20 @@ def test_precheck_degenerate_strips():
 @given(carving_cases())
 @settings(max_examples=25, deadline=None)
 def test_full_renormalize_identical_for_either_precheck(case):
-    """Swapping pre-check implementations must not perturb *anything*:
-    success, paths, node grid, and the Fig. 14 visited-sites cost proxy."""
+    """The scalar oracle behind either strip pre-check must not differ from
+    the product in *anything*: success, paths, node grid, and the Fig. 14
+    visited-sites cost proxy."""
     size, target, probability, seed = case
     lattice = sample_lattice(size, probability, rng=np.random.default_rng(seed))
-    fast = renormalize(lattice.copy(), target, precheck="vector")
-    slow = renormalize(lattice.copy(), target, precheck="dsu")
-    assert fast.success == slow.success
-    assert fast.lattice_size == slow.lattice_size
-    assert fast.visited_sites == slow.visited_sites
-    assert fast.node_sites == slow.node_sites
-    assert fast.vertical_paths == slow.vertical_paths
-    assert fast.horizontal_paths == slow.horizontal_paths
+    fast = renormalize(lattice.copy(), target)
+    for carver in SCALAR_CARVERS:
+        slow = renormalize_scalar(lattice.copy(), target, carver=carver)
+        assert fast.success == slow.success
+        assert fast.lattice_size == slow.lattice_size
+        assert fast.visited_sites == slow.visited_sites
+        assert fast.node_sites == slow.node_sites
+        assert fast.vertical_paths == slow.vertical_paths
+        assert fast.horizontal_paths == slow.horizontal_paths
 
 
 def _result_tuple(result):
@@ -188,16 +203,22 @@ def _result_tuple(result):
     )
 
 
+_BFS_MODULES = (percolation, renormalize_module, modular_module)
+
+
 @contextmanager
 def _engine(name):
-    """Run the body on the compiled ("scipy") or pure-python frontier engine."""
-    original = percolation._FRONTIER_ENGINE
+    """Run the body on scipy ("scipy") or on the pure-python twin ("python"),
+    bound in place of every module's ``frontier_bfs``."""
+    originals = [module.frontier_bfs for module in _BFS_MODULES]
     if name == "python":
-        percolation._FRONTIER_ENGINE = False  # simulate a missing scipy
+        for module in _BFS_MODULES:
+            module.frontier_bfs = frontier_bfs_python
     try:
         yield
     finally:
-        percolation._FRONTIER_ENGINE = original
+        for module, original in zip(_BFS_MODULES, originals):
+            module.frontier_bfs = original
 
 
 @st.composite
@@ -220,32 +241,23 @@ def pathfind_cases(draw):
 @given(pathfind_cases())
 @settings(max_examples=50, deadline=None)
 def test_pathfind_precheck_sweep_full_result_identity(case):
-    """Every pathfind x precheck combination must agree on *everything*:
-    success, paths, node grid, visited-site count, and where a work budget
-    truncates the carve."""
+    """The product and the scalar deque-BFS oracle behind either strip
+    pre-check must agree on *everything*: success, paths, node grid,
+    visited-site count, and where a work budget truncates the carve."""
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
-    reference = None
-    for pathfind in PATHFINDS:
-        for precheck in PRECHECKS:
-            result = renormalize(
-                lattice.copy(),
-                target,
-                work_budget=budget,
-                precheck=precheck,
-                pathfind=pathfind,
-            )
-            if reference is None:
-                reference = _result_tuple(result)
-            else:
-                assert _result_tuple(result) == reference, (pathfind, precheck)
+    reference = _result_tuple(renormalize(lattice.copy(), target, work_budget=budget))
+    for carver in SCALAR_CARVERS:
+        result = renormalize_scalar(lattice.copy(), target, work_budget=budget, carver=carver)
+        assert _result_tuple(result) == reference, carver.__name__
 
 
 @given(pathfind_cases())
 @settings(max_examples=20, deadline=None)
 def test_pure_python_frontier_engine_is_identical(case):
-    """With scipy unavailable, the pure-python frontier fallback must
-    reproduce the compiled engine's results byte-for-byte."""
+    """Bound in place of scipy's BFS everywhere, the pure-python twin must
+    reproduce the product's results byte-for-byte: the tie-break contract
+    on the move tables and pre-check graphs ``renormalize`` builds."""
     size, target, bond_probability, loss, budget, seed = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     compiled = renormalize(lattice.copy(), target, work_budget=budget)
@@ -295,23 +307,14 @@ def _three_by_three(horizontal):
 
 
 def _assert_pathfinds_agree_at_every_budget(lattice, visited):
-    """vector == scalar under both prechecks, unbudgeted and with a work
-    budget placed at, just below and just above every query boundary."""
+    """The product == the scalar oracle under both pre-checks, unbudgeted
+    and with a work budget placed at, just below and just above every query
+    boundary."""
     for budget in [None, *range(visited + 2)]:
-        results = [
-            _result_tuple(
-                renormalize(
-                    lattice.copy(),
-                    1,
-                    work_budget=budget,
-                    precheck=precheck,
-                    pathfind=pathfind,
-                )
-            )
-            for pathfind in PATHFINDS
-            for precheck in PRECHECKS
-        ]
-        assert all(result == results[0] for result in results), budget
+        expected = _result_tuple(renormalize(lattice.copy(), 1, work_budget=budget))
+        for carver in SCALAR_CARVERS:
+            result = renormalize_scalar(lattice.copy(), 1, work_budget=budget, carver=carver)
+            assert _result_tuple(result) == expected, (budget, carver.__name__)
 
 
 def test_failed_search_on_non_spanning_strip_charges_the_area_only():
@@ -319,7 +322,7 @@ def test_failed_search_on_non_spanning_strip_charges_the_area_only():
     edge, so the pre-check after the failed search says no: the horizontal
     query costs its strip area and nothing more."""
     lattice = _three_by_three([[1, 0], [0, 0], [0, 0]])
-    assert not strip_spans(lattice, False, 0, 3)
+    assert not _product_strip_spans(lattice, False, 0, 3)
     result = renormalize(lattice.copy(), 1)
     assert not result.success
     assert result.vertical_paths == [[(0, 1), (1, 1), (2, 1)]]
@@ -336,7 +339,7 @@ def test_failed_search_on_spanning_strip_charges_the_pops():
     sink (the start cells' missing moves point there), which is not
     charged."""
     lattice = _three_by_three([[1, 0], [0, 0], [0, 1]])
-    assert strip_spans(lattice, False, 0, 3)
+    assert _product_strip_spans(lattice, False, 0, 3)
     with _recorded_bfs(renormalize_module) as calls:
         result = renormalize(lattice.copy(), 1)
     indptr, order, predecessors = calls[1]
@@ -424,7 +427,7 @@ def corridor_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_corridor_join_matches_scalar_oracle(engine, case):
     """The compiled corridor join must report the per-cell BFS's (reached,
-    visited) exactly — on scipy and on the pure-python engine."""
+    visited) exactly — on scipy and on its pure-python twin."""
     size, bond_probability, loss, seed, (rows, cols) = case
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     rng = np.random.default_rng(seed)
@@ -453,8 +456,8 @@ def test_corridor_join_pops_in_neighbor_order(engine):
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
-    """scipy's breadth_first_order and the pure-python twin must emit the
-    same pop order and the same first-discoverer predecessors — the
+    """scipy's breadth_first_order and the pure-python oracle twin must emit
+    the same pop order and the same first-discoverer predecessors — the
     tie-break contract the path search's byte-identity rests on."""
     rng = np.random.default_rng(seed)
     edge_count = int(degree * nodes)
@@ -462,9 +465,7 @@ def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
     targets = rng.integers(0, nodes, edge_count)
     indptr, indices = percolation.frontier_adjacency(sources, targets, nodes)
     source = int(rng.integers(0, nodes))
-    python_order, python_pred = percolation._frontier_bfs_python(
-        indptr, indices, source
-    )
+    python_order, python_pred = frontier_bfs_python(indptr, indices, source)
     order, pred = percolation.frontier_bfs(indptr, indices, source)
     assert np.array_equal(order, python_order)
     assert np.array_equal(pred, python_pred)
@@ -481,7 +482,7 @@ def _random_frontier_graph(seed, nodes, edges):
 
 def _assert_bfs_matches_python(graph):
     indptr, indices, source = graph
-    expected = percolation._frontier_bfs_python(indptr, indices, source)
+    expected = frontier_bfs_python(indptr, indices, source)
     actual = percolation.frontier_bfs(indptr, indices, source)
     assert np.array_equal(actual[0], expected[0])
     assert np.array_equal(actual[1], expected[1])
@@ -505,7 +506,7 @@ def test_frontier_bfs_graph_reuse_is_per_thread():
     would hand one thread the other's edges mid-call."""
     calls = 3000
     graphs = [_random_frontier_graph(seed, 64, 150) for seed in (11, 12)]
-    expected = [percolation._frontier_bfs_python(*graph) for graph in graphs]
+    expected = [frontier_bfs_python(*graph) for graph in graphs]
     assert not np.array_equal(expected[0][0], expected[1][0])
     mismatches = [0, 0]
     done = [0, 0]
@@ -628,8 +629,8 @@ def _full_lattice(size):
 
 
 def _assert_vector_matches_scalar(lattice, target):
-    vector = renormalize(lattice.copy(), target, pathfind="vector")
-    scalar = renormalize(lattice.copy(), target, pathfind="scalar")
+    vector = renormalize(lattice.copy(), target)
+    scalar = renormalize_scalar(lattice.copy(), target)
     assert _result_tuple(vector) == _result_tuple(scalar)
     assert list(vector.node_sites) == list(scalar.node_sites)
     return vector
@@ -657,7 +658,7 @@ def test_first_vertical_query_has_no_crossings_later_ones_do(monkeypatch):
     two-hop gathers are skipped); every later query on the full lattice
     has one, and crosses it.  Both kinds must match the scalar oracle."""
     owned = []
-    original = renormalize_module._Carver._find_path_vector
+    original = renormalize_module._Carver.find_path
 
     def recording(carver, vertical, index, count):
         low, high = carver._strip_range(index, count)
@@ -667,7 +668,7 @@ def test_first_vertical_query_has_no_crossings_later_ones_do(monkeypatch):
         return original(carver, vertical, index, count)
 
     lattice = _full_lattice(9)
-    monkeypatch.setattr(renormalize_module._Carver, "_find_path_vector", recording)
+    monkeypatch.setattr(renormalize_module._Carver, "find_path", recording)
     result = _assert_vector_matches_scalar(lattice, 3)
     assert result.success
     assert owned[0] == 0

@@ -106,7 +106,7 @@ class TestValidateRequest:
             {"op": "compile", "benchmark": "qaoa", "qubits": 4}
         )
         assert request["rate"] == 0.75
-        assert request["pathfind"] == "vector"
+        assert "pathfind" not in request
 
     def test_unknown_op_and_fields_rejected(self):
         with pytest.raises(ProtocolError, match="unknown op"):
@@ -115,6 +115,13 @@ class TestValidateRequest:
             validate_request(
                 {"op": "experiment", "name": "fig15", "bogus": 1}
             )
+        # the removed path-search selector is an unknown field like any other
+        for request in (
+            {"op": "experiment", "name": "fig15", "pathfind": "scalar"},
+            {"op": "compile", "benchmark": "qaoa", "qubits": 4, "pathfind": "vector"},
+        ):
+            with pytest.raises(ProtocolError, match=r"unknown fields \['pathfind'\]"):
+                validate_request(request)
 
     def test_type_errors_are_loud(self):
         with pytest.raises(ProtocolError, match="expected"):

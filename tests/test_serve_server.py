@@ -292,7 +292,7 @@ class TestCoalescing:
     def test_request_key_separates_different_work(self):
         base = {"op": "experiment", "name": "serve-toy", "scale": "bench",
                 "seed": 0, "runner": "serial", "workers": None,
-                "pathfind": None, "rewrite": None}
+                "rewrite": None}
         assert request_key(base) == request_key(dict(base))
         assert request_key(base) != request_key({**base, "seed": 1})
         assert request_key(base) != request_key({**base, "name": "serve-gated"})
@@ -300,7 +300,7 @@ class TestCoalescing:
         compile_req = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
                        "rate": 0.75, "stars": 4, "seed": 0, "rsl_size": None,
                        "virtual_size": None, "max_rsl": 10**6,
-                       "pathfind": "vector", "rewrite": "on", "passes": None}
+                       "rewrite": "on", "passes": None}
         assert request_key(compile_req) != request_key(
             {**compile_req, "op": "baseline"}
         )
@@ -374,6 +374,15 @@ class TestLifecycle:
                 assert error["frame"] == "error"
                 assert error["kind"] == "protocol"
                 assert "shards" in error["error"]
+                for request in (
+                    {"op": "experiment", "name": "serve-toy", "pathfind": "scalar"},
+                    {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                     "pathfind": "scalar"},
+                ):
+                    error = send(request)
+                    assert error["frame"] == "error"
+                    assert error["kind"] == "protocol"
+                    assert error["error"].endswith("unknown fields ['pathfind']")
                 ack = send(
                     {"op": "experiment", "name": "serve-toy", "runner": "thread"}
                 )
