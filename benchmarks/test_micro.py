@@ -2,8 +2,8 @@
 
 These use pytest-benchmark's normal statistical repetition (they are pure
 and fast) and track the constants behind Fig. 14/15: bond sampling, the
-renormalization path search, the RSL merge loop, one online RSL cycle,
-the tableau, and the mapper inner loop.
+renormalization path search, the RSL merge loop, one layer formation, one
+online RSL cycle, the tableau, and the mapper inner loop.
 """
 
 import numpy as np
@@ -64,6 +64,17 @@ def test_merge_layers_36(benchmark):
     array = RSGArray(config)
     device = FusionDevice(0.75, rng=0)
     benchmark(lambda: array.merge_layers(device))
+
+
+def test_form_layer_48(benchmark):
+    """One layer formation (merging with retries, bond sampling with the
+    retry round) of 4-qubit stars at p 0.75 on a 48x48 RSL, the
+    ``serve-mixed`` 4q/0.75 cold shape."""
+    config = HardwareConfig(
+        rsl_size=48, resource_state=ResourceStateSpec(4), fusion_success_rate=0.75
+    )
+    device = FusionDevice(config.effective_fusion_rate, rng=0)
+    benchmark(lambda: form_layer(config, device))
 
 
 def test_online_rsl_cycle_24(benchmark):

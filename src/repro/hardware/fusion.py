@@ -73,13 +73,13 @@ class FusionDevice:
         if count < 0:
             raise HardwareError(f"cannot attempt {count} fusions")
         outcomes = self.rng.random(count) < self.success_rate
-        self.tally.record(kind, count, int(outcomes.sum()))
+        self.tally.record(kind, count, int(np.count_nonzero(outcomes)))
         return outcomes
 
     def attempt_grid(self, shape: tuple[int, ...], kind: str) -> np.ndarray:
         """Attempts shaped like ``shape`` (used for whole-RSL bond sampling)."""
         outcomes = self.rng.random(shape) < self.success_rate
-        self.tally.record(kind, int(np.prod(shape)), int(outcomes.sum()))
+        self.tally.record(kind, outcomes.size, int(np.count_nonzero(outcomes)))
         return outcomes
 
     def attempt_with_retries(self, retries: int, kind: str) -> tuple[bool, int]:

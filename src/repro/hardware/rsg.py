@@ -82,50 +82,49 @@ class RSGArray:
         A site stays alive if every chain join eventually succeeded; its
         remaining ``degrees`` is the leaf budget left for lattice bonds.
 
-        Each merge's retry rounds run on the shrinking vector of pending
-        sites (flat row-major indices) with per-site ``degree`` budgets; a
-        site leaves it when its join succeeds or its budget runs out, and
-        only then is written back.  The joiner's budget is one scalar: in
-        retry round ``r`` every pending site has burnt ``r`` of its
-        joiner's leaves, so it is ``star_degree - r`` for all of them, and
-        the sites still pending when it reaches 0 die.  Attempts are drawn
-        in row-major order of the pending sites, round by round.
+        Each merge's retry rounds carry only the index vector of the sites
+        still failing plus a per-site failure count ``f`` (the sites that
+        fail round ``r`` get ``f = r + 1``).  A failed join burns one leaf
+        of the site's own star and one of its joiner's, so a site that wins
+        after ``f`` failures has degree ``start - f + (star - f - 1)``.  A
+        site dies once its own leaves (``start``) or its joiner's (``star``)
+        run out, i.e. after ``min(start, star)`` failures, and keeps
+        ``start - f``; a site already dead is never pending, so it keeps
+        ``f = 0`` and its degree.  ``alive`` and ``degrees`` are written
+        once per merge.  Attempts are drawn in row-major order of the
+        pending sites, round by round.
         """
         config = self.config
         n = config.rsl_size
-        star_degree = config.resource_state.max_degree
+        star = config.resource_state.max_degree
         merges = config.merged_rsls_per_layer - 1
 
         alive = np.ones(n * n, dtype=bool)
-        degrees = np.full(n * n, star_degree, dtype=np.int64)
+        degrees = np.full(n * n, star, dtype=np.int64)
         merge_fusions = 0
-        for _ in range(merges):
-            # Budget for each join: a failed root-leaf fusion costs one leaf
-            # of the accumulated star and one of the joiner; retries continue
-            # while both sides keep >= 1 leaf to offer (collective retry,
-            # Section 4.3).  On success the joiner's remaining leaves attach
-            # to the accumulated root: degree -> degree - 1 + joiner_leaves.
-            sites = np.flatnonzero(alive)
-            degree = degrees[sites]
-            for joiner in range(star_degree, 0, -1):
-                attemptable = degree >= 1
-                if not attemptable.all():
-                    exhausted = ~attemptable
-                    alive[sites[exhausted]] = False
-                    degrees[sites[exhausted]] = degree[exhausted]
-                    sites = sites[attemptable]
-                    degree = degree[attemptable]
-                if not sites.shape[0]:
+        for merge in range(merges):
+            if merge:
+                pending = alive.nonzero()[0]
+                limit = np.minimum(degrees, star)
+            else:
+                # Every site joins, starting from ``star`` leaves, so none
+                # can run out of its own leaves first.
+                pending = np.arange(n * n)
+                limit = star
+            fails = np.zeros(n * n, dtype=np.int64)
+            for r in range(star):
+                if merge and r:
+                    # Alive sites hold >= 1 leaf, so round 0 never drops one.
+                    pending = pending[degrees[pending] > r]
+                if not pending.shape[0]:
                     break
-                outcomes = device.attempt_batch(sites.shape[0], "root-leaf")
-                merge_fusions += sites.shape[0]
-                degrees[sites[outcomes]] = degree[outcomes] + (joiner - 1)
-                failed = ~outcomes
-                sites = sites[failed]
-                degree = degree[failed] - 1
-            # The joiner has no leaf left: the still-pending sites die.
-            alive[sites] = False
-            degrees[sites] = degree
+                won = device.attempt_batch(pending.shape[0], "root-leaf")
+                merge_fusions += pending.shape[0]
+                pending = pending[~won]
+                fails[pending] = r + 1
+            joined = (fails < limit) & alive
+            degrees = degrees - fails + joined * (star - 1 - fails)
+            alive = joined
         return MergeResult(
             alive=alive.reshape(n, n),
             degrees=degrees.reshape(n, n),

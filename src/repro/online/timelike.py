@@ -9,7 +9,10 @@ until the next renormalization succeeds.
 
 Cross-layer connections park the preceding node's qubits in delay lines until
 the first RSL after the relevant logical layer, so the photon lifetime bounds
-how many routing layers a connection can wait through.
+how many routing layers a connection can wait through.  The reshaper enforces
+that bound from the RSL count at which each logical layer completed
+(``ReshapeMetrics.logical_layer_rsl_marks``, checked by
+``OnlineReshaper._check_photon_lifetimes``); it keeps no per-photon store.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from repro.errors import HardwareError
 from repro.hardware.architecture import HardwareConfig
-from repro.hardware.delay import DelayLineBank
 from repro.hardware.fusion import FusionDevice
 from repro.online.fusion_strategy import form_layer
 from repro.online.renormalize import renormalize
@@ -105,7 +107,6 @@ class OnlineReshaper:
         self.config = config
         self.virtual_size = virtual_size
         self.device = FusionDevice(config.effective_fusion_rate, ensure_rng(rng))
-        self.delay_lines = DelayLineBank(config.photon_lifetime)
         self.max_rsl = max_rsl
 
     def run(self, demands: list[LayerDemand]) -> ReshapeMetrics:
@@ -136,7 +137,6 @@ class OnlineReshaper:
                 )
             formation = form_layer(self.config, self.device)
             metrics.rsl_consumed += formation.rsls_used
-            self.delay_lines.advance(formation.rsls_used)
 
             metrics.renormalization_attempts += 1
             result = renormalize(formation.lattice, self.virtual_size)

@@ -19,13 +19,15 @@ import importlib
 from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import RenormalizationError
-from repro.hardware.architecture import HardwareConfig
+from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
+from repro.online.fusion_strategy import TEMPORAL_RESERVE
 from repro.online.percolation import (
     NO_PREDECESSOR,
     PercolatedLattice,
@@ -126,6 +128,98 @@ def merge_layers_masks(config: HardwareConfig, device: FusionDevice) -> MergeRes
     return MergeResult(alive=alive, degrees=degrees, merge_fusions=merge_fusions)
 
 
+@dataclass
+class ReferenceFormation:
+    """The fields ``form_layer_reference`` returns, with the temporal budget
+    stored rather than derived."""
+
+    lattice: PercolatedLattice
+    rsls_used: int
+    merge_fusions: int
+    spatial_fusions: int
+    spatial_retries: int
+    temporal_budget: np.ndarray  # int (N, N): leaves left for temporal bonds
+
+
+def _attempt_bonds_with_retry_reference(
+    device: FusionDevice,
+    redundancy: np.ndarray,
+    endpoint_a: tuple[slice, slice],
+    endpoint_b: tuple[slice, slice],
+    shape: tuple[int, int],
+) -> tuple[np.ndarray, int, int]:
+    """Masked twin of ``repro.online.fusion_strategy._attempt_bonds_with_retry``.
+
+    ``endpoint_a``/``endpoint_b`` slice the site-indexed ``redundancy`` array
+    down to the two endpoint grids of the bond array (shape ``shape``).
+    Failed bonds retry once where *both* endpoints still hold a redundant
+    leaf, consuming one from each.  Returns (bond outcomes, attempts, retries).
+    """
+    outcomes = device.attempt_grid(shape, "leaf-leaf")
+    attempts = int(np.prod(shape))
+    red_a = redundancy[endpoint_a]
+    red_b = redundancy[endpoint_b]
+    retry_mask = (~outcomes) & (red_a >= 1) & (red_b >= 1)
+    retries = int(retry_mask.sum())
+    if retries:
+        red_a[retry_mask] -= 1
+        red_b[retry_mask] -= 1
+        second = device.attempt_batch(retries, "leaf-leaf")
+        outcomes[retry_mask] = second
+        attempts += retries
+    return outcomes, attempts, retries
+
+
+def form_layer_reference(
+    config: HardwareConfig, device: FusionDevice
+) -> ReferenceFormation:
+    """Masked twin of ``repro.online.fusion_strategy.form_layer``.
+
+    Merges with :func:`merge_layers_masks`, clips the redundancy to the
+    alive sites, samples horizontal then vertical bonds with one retry
+    round each, and stores the temporal budget per site.
+    """
+    n = config.rsl_size
+    merge = merge_layers_masks(config, device)
+
+    # Redundancy per site: leaves beyond the 4 spatial + 2 temporal demand.
+    redundancy = merge.degrees - (LATTICE_DEGREE_2D + TEMPORAL_RESERVE)
+    redundancy = np.clip(redundancy, 0, None)
+    redundancy[~merge.alive] = 0
+
+    horizontal, h_attempts, h_retries = _attempt_bonds_with_retry_reference(
+        device,
+        redundancy,
+        (slice(None), slice(0, n - 1)),
+        (slice(None), slice(1, n)),
+        (n, n - 1),
+    )
+    vertical, v_attempts, v_retries = _attempt_bonds_with_retry_reference(
+        device,
+        redundancy,
+        (slice(0, n - 1), slice(None)),
+        (slice(1, n), slice(None)),
+        (n - 1, n),
+    )
+
+    lattice = PercolatedLattice(
+        sites=merge.alive.copy(),
+        horizontal=horizontal,
+        vertical=vertical,
+    )
+    temporal_budget = np.full((n, n), TEMPORAL_RESERVE, dtype=np.int64)
+    temporal_budget += redundancy  # unspent retries remain usable temporally
+    temporal_budget[~merge.alive] = 0
+    return ReferenceFormation(
+        lattice=lattice,
+        rsls_used=config.merged_rsls_per_layer,
+        merge_fusions=merge.merge_fusions,
+        spatial_fusions=h_attempts + v_attempts,
+        spatial_retries=h_retries + v_retries,
+        temporal_budget=temporal_budget,
+    )
+
+
 def establish_connections_loop(
     reshaper: OnlineReshaper, demand: LayerDemand, metrics: ReshapeMetrics
 ) -> bool:
@@ -144,6 +238,26 @@ def establish_connections_loop(
     if not ok:
         metrics.connection_failures += 1
     return ok
+
+
+def check_reshape_metrics(metrics: ReshapeMetrics, config: HardwareConfig) -> None:
+    """Certificate for the accounting of one completed online run.
+
+    Raises ``AssertionError`` unless every attempt is a logical or a routing
+    layer, each formed from ``merged_rsls_per_layer`` RSLs, no more
+    renormalizations succeeded than were attempted, each logical layer left
+    one strictly increasing RSL mark, and no stored photon outlived the
+    configured lifetime.
+    """
+    attempts = metrics.renormalization_attempts
+    assert metrics.renormalization_successes <= attempts
+    assert metrics.logical_layers + metrics.routing_layers == attempts
+    assert metrics.rsl_consumed == attempts * config.merged_rsls_per_layer
+    assert len(metrics.visited_sites_per_attempt) == attempts
+    marks = metrics.logical_layer_rsl_marks
+    assert len(marks) == metrics.logical_layers
+    assert all(earlier < later for earlier, later in zip(marks, marks[1:]))
+    assert metrics.max_storage_cycles <= config.photon_lifetime
 
 
 def frontier_bfs_python(
