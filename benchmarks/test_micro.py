@@ -3,14 +3,14 @@
 These use pytest-benchmark's normal statistical repetition (they are pure
 and fast) and track the constants behind Fig. 14/15: bond sampling, the
 renormalization path search, the RSL merge loop, one layer formation, one
-online RSL cycle, the tableau, and the mapper inner loop.
+online RSL cycle, the tableau, and the mapper at a small and a paper size.
 """
 
 import numpy as np
 
 from oracles import components_dsu
 
-from repro.circuits import qaoa
+from repro.circuits import make_benchmark, qaoa
 from repro.graphstate import GraphState, ResourceStateSpec, Tableau
 from repro.hardware import FusionDevice, HardwareConfig, RSGArray
 from repro.mbqc import translate_circuit
@@ -19,6 +19,8 @@ from repro.online.fusion_strategy import form_layer
 from repro.online.modular import modular_renormalize
 from repro.online.percolation import sample_lattice
 from repro.online.renormalize import renormalize
+from repro.passes.rewrite import RewritePass
+from repro.pipeline import Pipeline, PipelineSettings, TranslatePass
 from repro.utils.dsu import DisjointSet
 
 
@@ -120,6 +122,23 @@ def test_tableau_fusion_chain(benchmark):
 def test_mapper_qaoa9(benchmark):
     pattern = translate_circuit(qaoa(9, seed=0))
     benchmark(lambda: OfflineMapper(width=3).map_pattern(pattern))
+
+
+def test_mapper_qft36_width2(benchmark):
+    """fig14's paper point: qft-36 (3,924 pattern nodes after the rewrite)
+    on the 2x2 virtual hardware, about one mapper layer per node — the size
+    at which a per-layer cost that grows with the pattern shows up."""
+    settings = PipelineSettings(
+        fusion_success_rate=0.75,
+        resource_state_size=7,
+        rsl_size=96,
+        virtual_size=2,
+        max_rsl=10**5,
+    )
+    front = Pipeline(settings, passes=(TranslatePass(), RewritePass()))
+    pattern = front.run_circuit(make_benchmark("qft", 36, seed=0), 0).require("pattern")
+    assert len(pattern.nodes) == 3924
+    benchmark(lambda: OfflineMapper(width=2).map_pattern(pattern))
 
 
 def test_dsu_union_heavy(benchmark):

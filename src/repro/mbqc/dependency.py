@@ -10,14 +10,12 @@ flow successor ``f(i)`` and every other neighbour of ``f(i)``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from repro.errors import TranslationError
 from repro.mbqc.pattern import MeasurementPattern
 
 
 class DependencyDAG:
-    """Flow-derived partial order with front-layer iteration for the mapper."""
+    """Flow-derived partial order; :class:`FrontLayer` iterates it."""
 
     def __init__(self, pattern: MeasurementPattern) -> None:
         self.pattern = pattern
@@ -69,19 +67,6 @@ class DependencyDAG:
                 ready.sort()
         return order
 
-    def front_layer(self, consumed: Iterable[int]) -> list[int]:
-        """Nodes ready to be mapped: all predecessors consumed, self not yet.
-
-        This is the set the dynamic scheduler draws from at every mapping
-        step; it shrinks and grows as the mapping consumes nodes.
-        """
-        done = set(consumed)
-        return sorted(
-            node
-            for node in self._predecessors
-            if node not in done and self._predecessors[node] <= done
-        )
-
     def depth(self) -> int:
         """Length of the longest dependency chain (a lower bound on layers)."""
         level: dict[int, int] = {}
@@ -89,3 +74,27 @@ class DependencyDAG:
             preds = self._predecessors[node]
             level[node] = 1 + max((level[p] for p in preds), default=0)
         return max(level.values(), default=0)
+
+
+class FrontLayer:
+    """The DAG's front layer, updated as the mapping consumes nodes.
+
+    ``ready`` holds the nodes whose predecessors are all consumed and which
+    are not consumed themselves — the set the dynamic scheduler draws from
+    at every mapping step.  A per-node count of unconsumed predecessors
+    makes :meth:`consume` cost the node's out-degree, not the DAG's size.
+    """
+
+    def __init__(self, dag: DependencyDAG) -> None:
+        self._successors = dag._successors
+        self._waiting = {node: len(preds) for node, preds in dag._predecessors.items()}
+        self.ready = {node for node, count in self._waiting.items() if count == 0}
+
+    def consume(self, node: int) -> None:
+        """Retire the ready ``node``; successors it was last to wait on join."""
+        self.ready.remove(node)
+        waiting = self._waiting
+        for later in self._successors[node]:
+            waiting[later] -= 1
+            if not waiting[later]:
+                self.ready.add(later)

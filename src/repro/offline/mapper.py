@@ -23,6 +23,7 @@ and consumes that cell on the current layer.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from repro.errors import MappingError, MemoryBudgetExceeded
@@ -32,7 +33,7 @@ from repro.ir.flexlattice import (
     ROLE_WORLDLINE,
     FlexLatticeIR,
 )
-from repro.mbqc.dependency import DependencyDAG
+from repro.mbqc.dependency import DependencyDAG, FrontLayer
 from repro.mbqc.pattern import MeasurementPattern
 from repro.offline.routing import LayerGrid, route
 from repro.online.timelike import LayerDemand
@@ -113,6 +114,38 @@ class OfflineMapper:
         return state.run()
 
 
+def placement_cell(
+    grid: LayerGrid,
+    anchors: list[Coord2D],
+    homes: Container[Coord2D],
+    neighbor_homes: Container[Coord2D],
+) -> Coord2D | None:
+    """Where a new node goes: the free cell nearest (total Manhattan
+    distance) to its mapped neighbours' ``anchors``.
+
+    Prefer cells that are nobody's home (a node may later need to retrieve
+    at its home cell on the same layer another node would occupy), then
+    cells that at least aren't a mapped neighbour's home, then any free
+    cell — placement must not deadlock, since edges can always be realized
+    later through worldline meetings.
+    """
+
+    def tier(cell: Coord2D) -> int:
+        if cell not in homes:
+            return 0
+        return 1 if cell not in neighbor_homes else 2
+
+    return grid.nearest_free(anchors, tier)
+
+
+def relocation_cell(
+    grid: LayerGrid, home: Coord2D, homes: Container[Coord2D]
+) -> Coord2D | None:
+    """A fresh home for a wire stuck at ``home``: the nearest free cell that
+    is nobody's home (``home`` itself included)."""
+    return grid.nearest_free([home], lambda cell: None if cell in homes else 0)
+
+
 class _MapperState:
     """One mapping run's mutable state (kept off the public mapper object)."""
 
@@ -120,10 +153,16 @@ class _MapperState:
         self.mapper = mapper
         self.pattern = pattern
         self.graph = pattern.graph
-        self.dag = DependencyDAG(pattern)
+        dag = DependencyDAG(pattern)
         self.ir = FlexLatticeIR(mapper.width)
         self.memory: dict[int, MemoryEntry] = {}
         self.consumed: set[int] = set()
+        # Kept up to date by ``_consume`` and ``_store``/``_forget`` so a
+        # layer costs what changed on it, not the pattern or memory size.
+        self.front = FrontLayer(dag)
+        self.mapped_neighbor_count = dict.fromkeys(pattern.nodes, 0)
+        self.homes: dict[Coord2D, int] = {}  # home -> stored nodes living there
+        self.stored_layer_sum = 0  # over memory entries
         self.deferred_edges: set[frozenset[int]] = set()
         self.demands: list[LayerDemand] = []
         self.layer = -1
@@ -134,11 +173,13 @@ class _MapperState:
         self.deferred_realized = 0
         self.ancilla_cells = 0
         if mapper.dynamic_scheduling:
-            self._static_order = None
+            self._static_position = None
         else:
             # OneQ-style static partition: one global topological order,
             # consumed strictly in sequence.
-            self._static_order = self.dag.topological_order()
+            self._static_position = {
+                node: index for index, node in enumerate(dag.topological_order())
+            }
 
     # -- top level -----------------------------------------------------
 
@@ -226,9 +267,11 @@ class _MapperState:
                 self.deferred_realized += 1
                 progress = True
 
-        # Phase 2: place new nodes from the scheduler's candidate list.
+        # Phase 2: place new nodes from the scheduler's candidate list.  A
+        # full layer has no cell left for any of them.
+        cell_count = self.mapper.width**2
         for g_node in self._candidates():
-            if incomplete_here >= limit:
+            if incomplete_here >= limit or len(grid.cells) == cell_count:
                 break
             outcome = self._try_place(g_node, grid, placed_here, note_connection)
             if outcome is None:
@@ -249,24 +292,46 @@ class _MapperState:
         return progress
 
     def _candidates(self) -> list[int]:
-        if self._static_order is not None:
+        if self._static_position is not None:
             # Static partition (the OneQ inheritance): the fixed topological
             # order, no priority reshuffling as the mapping evolves.
-            return [
-                node
-                for node in self._static_order
-                if node not in self.consumed
-                and self.dag.predecessors(node) <= self.consumed
-            ]
-        front = self.dag.front_layer(self.consumed)
+            return sorted(self.front.ready, key=self._static_position.__getitem__)
+        front = sorted(self.front.ready)
         # Prefer nodes with many already-mapped neighbours: they retire
         # pending edges (and therefore memory) fastest.
-        front.sort(
-            key=lambda node: -sum(
-                1 for nb in self.graph.neighbors(node) if nb in self.consumed
-            )
-        )
+        front.sort(key=self.mapped_neighbor_count.__getitem__, reverse=True)
         return front
+
+    def _consume(self, g_node: int) -> None:
+        """Mark ``g_node`` mapped: the front layer and neighbour counts follow."""
+        self.consumed.add(g_node)
+        self.front.consume(g_node)
+        mapped = self.mapped_neighbor_count
+        for nb in self.graph.neighbors(g_node):
+            mapped[nb] += 1
+
+    def _store(self, entry: MemoryEntry) -> None:
+        self.memory[entry.g_node] = entry
+        self.homes[entry.home] = self.homes.get(entry.home, 0) + 1
+        self.stored_layer_sum += entry.stored_layer
+
+    def _forget(self, g_node: int) -> None:
+        entry = self.memory.pop(g_node)
+        self._unhome(entry.home)
+        self.stored_layer_sum -= entry.stored_layer
+
+    def _restamp(self, entry: MemoryEntry, coord: Coord3D) -> None:
+        """Record ``coord``, on the current layer, as the entry's newest wire."""
+        self.stored_layer_sum += coord[2] - entry.stored_layer
+        entry.last_coord = coord
+        entry.stored_layer = coord[2]
+
+    def _unhome(self, home: Coord2D) -> None:
+        count = self.homes[home] - 1
+        if count:
+            self.homes[home] = count
+        else:
+            del self.homes[home]
 
     # -- placement --------------------------------------------------------
 
@@ -299,30 +364,16 @@ class _MapperState:
                     f"neighbour {nb} of {g_node} is mapped but untracked"
                 )
 
-        # Prefer cells that are nobody's home (a node may later need to
-        # retrieve at its home cell on the same layer another node would
-        # occupy), then cells that at least aren't a direct neighbour's home,
-        # then any free cell — placement must not deadlock, since edges can
-        # always be realized later through worldline meetings.
         neighbor_homes = {
             self.memory[nb].home for nb in mapped_neighbors if nb in self.memory
         }
-        all_homes = {entry.home for entry in self.memory.values()}
-        by_distance = sorted(
-            grid.free_cells(),
-            key=lambda c: sum(abs(c[0] - a[0]) + abs(c[1] - a[1]) for a in anchors),
-        )
-        cell = next((c for c in by_distance if c not in all_homes), None)
-        if cell is None:
-            cell = next((c for c in by_distance if c not in neighbor_homes), None)
-        if cell is None and by_distance:
-            cell = by_distance[0]
+        cell = placement_cell(grid, anchors, self.homes, neighbor_homes)
         if cell is None:
             return None
 
         grid.occupy(cell, g_node)
         self.ir.add_node((cell[0], cell[1], self.layer), ROLE_GRAPH, g_node)
-        self.consumed.add(g_node)
+        self._consume(g_node)
         placed_here[g_node] = cell
 
         def neighbor_position(nb: int) -> Coord2D:
@@ -340,12 +391,14 @@ class _MapperState:
 
         pending = set(neighbors) - realized
         if pending:
-            self.memory[g_node] = MemoryEntry(
-                g_node=g_node,
-                home=cell,
-                last_coord=(cell[0], cell[1], self.layer),
-                stored_layer=self.layer,
-                pending=set(pending),
+            self._store(
+                MemoryEntry(
+                    g_node=g_node,
+                    home=cell,
+                    last_coord=(cell[0], cell[1], self.layer),
+                    stored_layer=self.layer,
+                    pending=set(pending),
+                )
             )
         return pending
 
@@ -393,8 +446,7 @@ class _MapperState:
             self.ir.add_temporal_edge(entry.last_coord, coord)
             note_connection(layer - entry.last_coord[2])
             self.retrievals += 1
-            entry.last_coord = coord
-            entry.stored_layer = layer
+            self._restamp(entry, coord)
             placed_here[nb] = nb_cell
         previous = nb_cell
         for step in wire:
@@ -413,11 +465,11 @@ class _MapperState:
         if nb in self.memory:
             self.memory[nb].pending.discard(g_node)
             if not self.memory[nb].pending:
-                del self.memory[nb]
+                self._forget(nb)
         if g_node in self.memory:
             self.memory[g_node].pending.discard(nb)
             if not self.memory[g_node].pending:
-                del self.memory[g_node]
+                self._forget(g_node)
         return True
 
     def _stuck_edges(self, limit: int = 8) -> str:
@@ -481,8 +533,7 @@ class _MapperState:
             self.ir.add_temporal_edge(entry.last_coord, coord)
             note_connection(self.layer - entry.last_coord[2])
             self.retrievals += 1
-            entry.last_coord = coord
-            entry.stored_layer = self.layer
+            self._restamp(entry, coord)
             placed_here[node] = entry.home
         previous = positions[u]
         for step in wire:
@@ -503,7 +554,7 @@ class _MapperState:
                 entry = self.memory[node]
                 entry.pending.discard(other)
                 if not entry.pending:
-                    del self.memory[node]
+                    self._forget(node)
         return True
 
     def _relocate_home(
@@ -523,20 +574,7 @@ class _MapperState:
             return False
         if not grid.is_free(entry.home):
             return False
-        occupied_homes = {
-            other.home for other in self.memory.values() if other.g_node != g_node
-        }
-        target = next(
-            (
-                cell
-                for cell in sorted(
-                    grid.free_cells(),
-                    key=lambda c: abs(c[0] - entry.home[0]) + abs(c[1] - entry.home[1]),
-                )
-                if cell != entry.home and cell not in occupied_homes
-            ),
-            None,
-        )
+        target = relocation_cell(grid, entry.home, self.homes)
         if target is None:
             return False
         grid.occupy(entry.home, ("worldline", g_node))
@@ -565,9 +603,10 @@ class _MapperState:
         # keeps the program node's identity: it is the same logical wire.
         self.ir.add_node(new_coord, ROLE_WORLDLINE, g_node)
         self.ir.add_spatial_edge((previous[0], previous[1], layer), new_coord)
+        self._unhome(entry.home)
         entry.home = target
-        entry.last_coord = new_coord
-        entry.stored_layer = layer
+        self.homes[target] = 1
+        self._restamp(entry, new_coord)
         placed_here[g_node] = target
         return True
 
@@ -585,8 +624,9 @@ class _MapperState:
     # -- memory accounting and refresh ---------------------------------
 
     def _account_memory(self) -> None:
-        used = self.mapper.bytes_per_node_layer * sum(
-            (self.layer - entry.stored_layer + 1) for entry in self.memory.values()
+        # The sum over entries of their layers in memory, in O(1).
+        used = self.mapper.bytes_per_node_layer * (
+            len(self.memory) * (self.layer + 1) - self.stored_layer_sum
         )
         self.peak_memory = max(self.peak_memory, used)
         budget = self.mapper.memory_budget_bytes
@@ -630,8 +670,7 @@ class _MapperState:
                 else:
                     cross += 1
                 self.retrievals += 1
-                entry.last_coord = coord
-                entry.stored_layer = self.layer
+                self._restamp(entry, coord)
                 index += 1
             self.demands.append(
                 LayerDemand(adjacent_connections=adjacent, cross_connections=cross)

@@ -1,10 +1,10 @@
 """Test-only reference implementations the product kernels are pinned to.
 
 Each oracle is the original formulation of a kernel that now runs on the
-compiled frontier engine, on shrinking index vectors or on one batched
-draw; the property suites assert the two agree exactly, including the work
-counts the Fig. 14 cost proxy is built from and the fusion draws the
-device RNG makes.
+compiled frontier engine, on shrinking index vectors, on one batched draw
+or on incrementally kept state; the property suites assert the two agree
+exactly, including the work counts the Fig. 14 cost proxy is built from,
+the fusion draws the device RNG makes and every offline mapper decision.
 
 The renormalization oracles plug in without a product seam:
 :class:`ScalarCarver` subclasses the product's ``_Carver`` and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import importlib
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -27,6 +27,8 @@ from repro.errors import RenormalizationError
 from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
+from repro.mbqc.dependency import DependencyDAG
+from repro.offline.routing import LayerGrid
 from repro.online.fusion_strategy import TEMPORAL_RESERVE
 from repro.online.percolation import (
     NO_PREDECESSOR,
@@ -569,3 +571,60 @@ def renormalize_scalar(
     """``renormalize`` with a scalar oracle carver swapped in."""
     with carving(carver):
         return renormalize_module.renormalize(lattice, target_size, work_budget)
+
+
+def front_layer_scan(dag: DependencyDAG, consumed: Iterable[int]) -> list[int]:
+    """The mapper's original per-layer front: rescan every pattern node for
+    an unconsumed one whose predecessors are all consumed, sorted."""
+    done = set(consumed)
+    return sorted(
+        node
+        for node in dag.pattern.nodes
+        if node not in done and dag.predecessors(node) <= done
+    )
+
+
+def placement_cell_scan(
+    grid: LayerGrid,
+    anchors: list[Coord2D],
+    all_homes: set[Coord2D],
+    neighbor_homes: set[Coord2D],
+) -> Coord2D | None:
+    """The mapper's original placement choice: sort every free cell by total
+    Manhattan distance to ``anchors`` (stably, so row-major breaks ties),
+    then take the first that is nobody's home, else the first that is no
+    mapped neighbour's home, else the first."""
+    free = [
+        (row, col)
+        for row in range(grid.width)
+        for col in range(grid.width)
+        if grid.is_free((row, col))
+    ]
+    by_distance = sorted(
+        free,
+        key=lambda c: sum(abs(c[0] - a[0]) + abs(c[1] - a[1]) for a in anchors),
+    )
+    cell = next((c for c in by_distance if c not in all_homes), None)
+    if cell is None:
+        cell = next((c for c in by_distance if c not in neighbor_homes), None)
+    if cell is None and by_distance:
+        cell = by_distance[0]
+    return cell
+
+
+def relocation_cell_scan(
+    grid: LayerGrid, home: Coord2D, other_homes: set[Coord2D]
+) -> Coord2D | None:
+    """The mapper's original relocation target: the first free cell, sorted
+    stably by distance to ``home``, that is neither ``home`` nor another
+    stored node's home."""
+    free = [
+        (row, col)
+        for row in range(grid.width)
+        for col in range(grid.width)
+        if grid.is_free((row, col))
+    ]
+    by_distance = sorted(free, key=lambda c: abs(c[0] - home[0]) + abs(c[1] - home[1]))
+    return next(
+        (c for c in by_distance if c != home and c not in other_homes), None
+    )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import front_layer_scan
 
 from repro.circuits import (
     Circuit,
@@ -18,6 +19,7 @@ from repro.circuits import (
 from repro.errors import TranslationError
 from repro.mbqc import (
     DependencyDAG,
+    FrontLayer,
     run_pattern,
     translate_circuit,
 )
@@ -77,23 +79,61 @@ class TestTranslation:
                 assert position[node_id] < position[neighbor]
 
 
+@st.composite
+def jcz_patterns(draw, max_qubits=4, max_gates=12):
+    """Translated random {J, CZ} circuits."""
+    num_qubits = draw(st.integers(1, max_qubits))
+    circuit = Circuit(num_qubits, name="front")
+    for _ in range(draw(st.integers(0, max_gates))):
+        a = draw(st.integers(0, num_qubits - 1))
+        b = draw(st.integers(0, num_qubits - 1))
+        if a == b or draw(st.booleans()):
+            circuit.j(draw(st.sampled_from([0.0, 0.3, math.pi / 2])), a)
+        else:
+            circuit.cz(a, b)
+    return translate_circuit(circuit)
+
+
 class TestDependencyDAG:
     def test_front_layer_starts_with_inputs(self):
         pattern = translate_circuit(qft(2))
-        dag = DependencyDAG(pattern)
-        front = dag.front_layer(set())
-        assert set(pattern.inputs) <= set(front)
+        front = FrontLayer(DependencyDAG(pattern))
+        assert set(pattern.inputs) <= front.ready
 
     def test_front_layer_shrinks_and_grows(self):
         pattern = translate_circuit(qaoa(3, seed=0))
         dag = DependencyDAG(pattern)
-        order = dag.topological_order()
-        consumed = set()
-        for node in order:
-            front = dag.front_layer(consumed)
-            assert node in front
+        front = FrontLayer(dag)
+        for node in dag.topological_order():
+            assert node in front.ready
+            front.consume(node)
+        assert front.ready == set()
+
+    def test_consuming_an_unready_node_raises(self):
+        pattern = translate_circuit(qft(2))
+        dag = DependencyDAG(pattern)
+        front = FrontLayer(dag)
+        blocked = next(node for node in pattern.nodes if node not in front.ready)
+        with pytest.raises(KeyError):
+            front.consume(blocked)
+
+    @given(jcz_patterns(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_front_matches_scan(self, pattern, data):
+        """Along any valid consumption order, the incrementally kept ready
+        set equals the full rescan the mapper used to run per layer."""
+        dag = DependencyDAG(pattern)
+        front = FrontLayer(dag)
+        consumed: set[int] = set()
+        while True:
+            expected = front_layer_scan(dag, consumed)
+            assert sorted(front.ready) == expected
+            if not expected:
+                break
+            node = data.draw(st.sampled_from(expected))
+            front.consume(node)
             consumed.add(node)
-        assert dag.front_layer(consumed) == []
+        assert consumed == set(pattern.nodes)
 
     def test_topological_order_is_valid(self):
         pattern = translate_circuit(vqe(3, seed=0))

@@ -1,14 +1,21 @@
 """Tests for the offline mapper, routing and refresh/memory accounting."""
 
+import hashlib
+import json
 import re
+from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import placement_cell_scan, relocation_cell_scan
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
 from repro.errors import MappingError, MemoryBudgetExceeded
 from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import translate_circuit
 from repro.offline import LayerGrid, OfflineMapper, route
+from repro.offline.mapper import placement_cell, relocation_cell
 from repro.passes.rewrite import RewritePass
 from repro.pipeline import OfflineMapPass, Pipeline, PipelineSettings, TranslatePass
 
@@ -53,6 +60,43 @@ class TestLayerGrid:
             for col in range(2):
                 grid.occupy((row, col), "x")
         assert grid.nearest_free([(0, 0)]) is None
+
+    def test_nearest_free_tier_ranks_before_distance(self):
+        grid = LayerGrid(3)
+        far = (2, 2)
+        assert grid.nearest_free([(0, 0)], lambda c: 0 if c == far else 1) == far
+        assert grid.nearest_free([(0, 0)], lambda c: None if c != far else 5) == far
+        assert grid.nearest_free([(0, 0)], lambda c: None) is None
+
+
+@st.composite
+def layer_states(draw):
+    """A partly occupied layer, anchors, stored homes and the subset of
+    them that belong to a node's mapped neighbours."""
+    width = draw(st.integers(2, 5))
+    cells = [(row, col) for row in range(width) for col in range(width)]
+    grid = LayerGrid(width)
+    for cell in draw(st.sets(st.sampled_from(cells))):
+        grid.occupy(cell, "x")
+    anchors = draw(st.lists(st.sampled_from(cells), max_size=4))
+    homes = draw(st.sets(st.sampled_from(cells)))
+    neighbor_homes = draw(st.sets(st.sampled_from(sorted(homes)))) if homes else set()
+    return grid, anchors, homes, neighbor_homes
+
+
+@given(layer_states())
+@settings(max_examples=200, deadline=None)
+def test_single_pass_cell_choice_matches_sorted_scan(state):
+    """The one-pass chooser picks the cell the original sort-then-filter
+    formulation picked, for placements and for home relocations."""
+    grid, anchors, homes, neighbor_homes = state
+    assert placement_cell(grid, anchors, homes, neighbor_homes) == (
+        placement_cell_scan(grid, anchors, homes, neighbor_homes)
+    )
+    for home in homes:
+        assert relocation_cell(grid, home, homes) == (
+            relocation_cell_scan(grid, home, homes - {home})
+        )
 
 
 class TestRoute:
@@ -232,3 +276,98 @@ def test_fig14_qaoa_offline_map_does_not_stall(qubits, seed):
         pairs = [(int(edge[0]), int(edge[3])) for edge in edges]
         assert pairs == sorted(pairs) and all(u < v for u, v in pairs)
         raise
+
+
+# -- byte-level pin of the mapper's output ------------------------------------
+
+#: sha256 per case of :func:`mapping_dump`, generated before the mapper's
+#: incremental front layer landed; regenerate, after an intended change to
+#: the mapping only, with
+#: ``PYTHONPATH=src python tests/test_offline.py --write-digests``.
+DIGESTS_PATH = Path(__file__).parent / "data" / "mapping_digests.json"
+
+
+def mapping_dump(run) -> dict:
+    """Canonical JSON-ready dump of ``run()``'s ``MappingResult``, or of the
+    mapping error it raises."""
+    try:
+        result = run()
+    except MappingError as error:
+        return {"error": type(error).__name__, "message": str(error)}
+    nodes = [
+        [list(coord), node.role, node.g_node,
+         node.temporal_prev and list(node.temporal_prev),
+         node.temporal_next and list(node.temporal_next)]
+        for coord, node in result.ir.nodes.items()
+    ]
+    return {
+        "nodes": nodes,
+        "spatial_edges": sorted(sorted(map(list, edge)) for edge in result.ir.spatial_edges),
+        "demands": [
+            [demand.adjacent_connections, demand.cross_connections, list(demand.cross_gaps)]
+            for demand in result.demands
+        ],
+        "counters": [
+            result.layer_count,
+            result.refresh_layer_count,
+            result.peak_memory_bytes,
+            result.retrievals,
+            result.deferred_edge_realizations,
+            result.ancilla_cells,
+        ],
+    }
+
+
+def mapping_cases() -> dict[str, object]:
+    """Case id -> zero-argument callable running one mapping."""
+    cases = {}
+    for family in ("qaoa", "qft", "rca", "vqe"):
+        for qubits in (4, 9, 16):
+            pattern = translate_circuit(make_benchmark(family, qubits, seed=0))
+            for width in (2, 3, 5):
+                for dynamic in (True, False):
+                    for refresh in (None, 4):
+                        mapper = OfflineMapper(
+                            width=width, dynamic_scheduling=dynamic, refresh_every=refresh
+                        )
+                        key = (
+                            f"{family}{qubits}-w{width}-"
+                            f"{'dynamic' if dynamic else 'static'}-refresh{refresh}"
+                        )
+                        cases[key] = partial(mapper.map_pattern, pattern)
+    front = Pipeline(FIG14_SETTINGS, passes=(TranslatePass(), RewritePass()))
+    for qubits, seed in ((9, 4), (16, 0)):
+        circuit = make_benchmark("qaoa", qubits, seed=seed)
+        pattern = front.run_circuit(circuit, seed).require("pattern")
+        mapper = OfflineMapper(width=FIG14_SETTINGS.virtual_size)
+        cases[f"fig14-qaoa{qubits}-seed{seed}"] = partial(mapper.map_pattern, pattern)
+    return cases
+
+
+def mapping_digests() -> dict[str, str]:
+    return {
+        key: hashlib.sha256(
+            json.dumps(mapping_dump(run), sort_keys=True).encode()
+        ).hexdigest()
+        for key, run in mapping_cases().items()
+    }
+
+
+def test_mapping_digests_unchanged():
+    """Every placement, route, demand and counter of the 144 grid mappings
+    and fig14's two qaoa stalls is byte-identical to the pinned digests
+    (a case that raises pins its error type and message)."""
+    expected = json.loads(DIGESTS_PATH.read_text())
+    actual = mapping_digests()
+    assert sorted(actual) == sorted(expected)
+    changed = sorted(key for key in expected if actual[key] != expected[key])
+    assert not changed, f"mapping output changed for {changed}"
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--write-digests"]:
+        sys.exit("usage: python tests/test_offline.py --write-digests")
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    DIGESTS_PATH.write_text(json.dumps(mapping_digests(), indent=1, sort_keys=True) + "\n")
