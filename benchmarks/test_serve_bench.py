@@ -39,10 +39,13 @@ SNAPSHOT = Path(__file__).parent / "out" / "BENCH_serve.json"
 #: CompileJobs, so its warm pass is nearly pure cache replay (fig14/fig15
 #: mix in FnJobs whose Monte-Carlo loops never touch the artifact cache).
 LATENCY_EXPERIMENT = "table2"
-#: Fast request for the coalescing burst (compiles in ~a quarter second,
-#: so the serial comparison stays cheap at N clients).
+#: Fast request for the coalescing burst (runs in about 0.1 s, so the
+#: serial comparison stays cheap at N clients).
 BURST_EXPERIMENT = "fig15"
 BURST_CLIENTS = 4
+#: How long the held burst producer waits for the other clients to join
+#: its flight before it fails the burst.
+JOIN_TIMEOUT_S = 30.0
 
 #: Acceptance floors — deliberately far under the typical ratios (warm
 #: runs usually land >10x, coalesced bursts near Nx) so scheduler noise
@@ -58,7 +61,34 @@ def _submit_timed(client: ServeClient, request: dict) -> tuple[float, object]:
     return time.perf_counter() - start, run
 
 
-def test_serve_latency_and_coalescing_snapshot(tmp_path):
+def _hold_until_joined(server, joiners: int):
+    """Wrap ``server``'s experiment producer so it starts only once
+    ``joiners`` more requests have coalesced onto its flight.
+
+    The burst job finishes faster than a late client thread connects; a
+    client that finds the flight already retired opens a second one, whose
+    stream differs in its timing fields.  Holding the producer makes the
+    burst provably one flight.  A client that never joins fails the burst
+    after ``JOIN_TIMEOUT_S`` with an error frame.
+    """
+    produce = server._produce_experiment
+    before = server.singleflight.stats()["coalesced"]
+
+    def held(stream, request, start):
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
+        while server.singleflight.stats()["coalesced"] - before < joiners:
+            if time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"burst producer: fewer than {joiners} clients joined "
+                    f"within {JOIN_TIMEOUT_S}s"
+                )
+            time.sleep(0.001)
+        produce(stream, request, start)
+
+    return held
+
+
+def test_serve_latency_and_coalescing_snapshot(tmp_path, monkeypatch):
     request = {"op": "experiment", "name": LATENCY_EXPERIMENT}
 
     # -- cold vs warm latency against a disk-cached server ------------------
@@ -87,6 +117,11 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path):
             client.submit(burst_request).raise_for_error()
         serial_s = time.perf_counter() - serial_start
 
+        monkeypatch.setattr(
+            st.server,
+            "_produce_experiment",
+            _hold_until_joined(st.server, BURST_CLIENTS - 1),
+        )
         runs: list = [None] * BURST_CLIENTS
         barrier = threading.Barrier(BURST_CLIENTS)
 
@@ -110,6 +145,10 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path):
     # every client of the burst received the complete identical stream
     reference = runs[0].raw
     assert all(run.raw == reference for run in runs[1:])
+    # the serial repeats each started a flight; the burst shared one
+    assert flight["coalesced"] == BURST_CLIENTS - 1
+    assert flight["started"] == BURST_CLIENTS + 1
+    assert sum(run.coalesced for run in runs) == BURST_CLIENTS - 1
     coalesce_speedup = serial_s / burst_s
 
     snapshot = {

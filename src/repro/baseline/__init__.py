@@ -1,12 +1,6 @@
 """OneQ baseline: deterministic planner + repeat-until-success executor."""
 
 from repro.baseline.oneq import OneQLayerPlan, OneQPlan, plan_oneq, plan_width_for
-from repro.baseline.dynamic_retry import (
-    DynamicBuildResult,
-    build_with_dynamic_retry,
-    chain_edges,
-    triangle_edges,
-)
 from repro.baseline.retry import (
     DEFAULT_RSL_CAP,
     BaselineResult,
@@ -23,8 +17,4 @@ __all__ = [
     "BaselineResult",
     "DEFAULT_RSL_CAP",
     "expected_rsl",
-    "DynamicBuildResult",
-    "build_with_dynamic_retry",
-    "chain_edges",
-    "triangle_edges",
 ]

@@ -233,6 +233,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print(exc.to_json())
         print(f"compile: {exc}", file=sys.stderr)
         return 2
+    except ReproError as exc:
+        # A configuration the compile cannot honour (RSL cap, oversized
+        # virtual hardware, a mapper stall): one line, not a traceback.
+        print(f"compile: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(
             json.dumps(
@@ -295,6 +300,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         print(exc.to_json())
         print(f"baseline: {exc}", file=sys.stderr)
         return 2
+    except ReproError as exc:
+        print(f"baseline: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(
             json.dumps(

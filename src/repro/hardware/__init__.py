@@ -1,4 +1,4 @@
-"""Photonic hardware model: RSGs, layers, fusion devices, delay lines."""
+"""Photonic hardware model: RSGs, layers, fusion devices, folding."""
 
 from repro.hardware.architecture import (
     HYPER_ADVANCED_FUSION_RATE,
@@ -8,7 +8,6 @@ from repro.hardware.architecture import (
     HardwareConfig,
 )
 from repro.hardware.fusion import FusionDevice, FusionTally
-from repro.hardware.delay import DelayLineBank, StoredEntry
 from repro.hardware.rsg import MergeResult, ResourceStateLayer, RSGArray
 from repro.hardware.folding import (
     FoldingPlan,
@@ -25,8 +24,6 @@ __all__ = [
     "LATTICE_DEGREE_3D",
     "FusionDevice",
     "FusionTally",
-    "DelayLineBank",
-    "StoredEntry",
     "RSGArray",
     "ResourceStateLayer",
     "MergeResult",

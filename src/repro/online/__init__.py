@@ -24,26 +24,6 @@ from repro.online.timelike import (
     ReshapeMetrics,
     TEMPORAL_FANOUT,
 )
-from repro.online.lattice3d import (
-    CUBIC_BOND_THRESHOLD,
-    Percolated3D,
-    sample_lattice3d,
-    spanning_probability_3d,
-)
-from repro.online.exact_layer import (
-    ExactLayer,
-    ExactSite,
-    bond_consistency,
-    build_exact_layer,
-)
-from repro.online.autotune import (
-    NodeSizeChoice,
-    choose_node_side,
-    estimate_success,
-    rsl_size_for_virtual,
-    saturation_point,
-    success_curve,
-)
 
 __all__ = [
     "GridComponents",
@@ -63,18 +43,4 @@ __all__ = [
     "OnlineReshaper",
     "ReshapeMetrics",
     "TEMPORAL_FANOUT",
-    "NodeSizeChoice",
-    "choose_node_side",
-    "estimate_success",
-    "rsl_size_for_virtual",
-    "success_curve",
-    "saturation_point",
-    "Percolated3D",
-    "sample_lattice3d",
-    "spanning_probability_3d",
-    "CUBIC_BOND_THRESHOLD",
-    "ExactLayer",
-    "ExactSite",
-    "build_exact_layer",
-    "bond_consistency",
 ]

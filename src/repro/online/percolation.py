@@ -9,9 +9,10 @@ giant long-range-connected component — the raw material the renormalization
 pass carves into a regular grid (Section 5.1).
 
 :meth:`PercolatedLattice.components` runs a vectorized numpy label
-propagation (:func:`label_grid_components`) — the primitive behind every
-spanning sweep and cluster-fraction estimate (autotuning, Figs. 13(a)/16,
-the threshold tests), which sample thousands of lattices per curve.  The
+propagation (:func:`label_grid_components`) — the primitive behind the
+spanning sweeps and cluster-fraction estimates (:func:`spanning_probability`,
+the percolation example, the threshold tests), which sample thousands of
+lattices per curve; the compiler itself never calls it.  The
 renormalization pass's path search and per-strip spanning check run on
 :func:`frontier_bfs`, scipy's compiled ``breadth_first_order``.  The
 original per-bond union-find, the pure-python BFS twin and the scalar strip
@@ -412,8 +413,8 @@ class PercolatedLattice:
     def components(self) -> GridComponents:
         """Connected components of alive sites under usable bonds.
 
-        The vectorized online hot path; a per-bond union-find oracle
-        (``tests/oracles.py``) pins the partition.
+        A per-bond union-find oracle (``tests/oracles.py``) pins the
+        partition.
         """
         return GridComponents(self.label_components())
 

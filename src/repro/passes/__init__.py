@@ -14,22 +14,10 @@ two pass families, modeled on the braket emulator-pass shape:
 :data:`PASS_REGISTRY` names the insertable passes for the CLI's
 ``--passes`` flag; :func:`get_pass` resolves a name or raises
 :class:`UnknownPassError` listing the registry (the same contract as the
-experiment registry).  :func:`~repro.passes.frontdoor.make_pass_list` is
-the ``singledispatch`` front door accepting Circuit, MBQC pattern, or
-serialized IR.
+experiment registry).
 """
 
 from repro.errors import ReproError
-from repro.passes.frontdoor import (
-    CIRCUIT_IR_FORMAT,
-    PatternSourcePass,
-    circuit_from_ir,
-    circuit_to_ir,
-    compile_program,
-    make_pass_list,
-    pattern_fingerprint,
-    program_circuit,
-)
 from repro.passes.rewrite import REWRITES, RewritePass
 from repro.passes.validators import (
     DIAGNOSTICS_SCHEMA_VERSION,
@@ -44,7 +32,7 @@ from repro.passes.validators import (
 
 
 class UnknownPassError(ReproError):
-    """An unregistered pass name reached the front door."""
+    """An unregistered pass name was requested."""
 
 
 #: Insertable-by-name passes (the ``--passes`` vocabulary).  Values are
@@ -75,13 +63,11 @@ def get_pass(name: str) -> type:
 
 
 __all__ = [
-    "CIRCUIT_IR_FORMAT",
     "DIAGNOSTICS_SCHEMA_VERSION",
     "ConnectivityValidatorPass",
     "DeviceValidatorPass",
     "Diagnostic",
     "PASS_REGISTRY",
-    "PatternSourcePass",
     "REWRITES",
     "RewritePass",
     "RsgConstraintValidatorPass",
@@ -89,12 +75,6 @@ __all__ = [
     "StripBudgetValidatorPass",
     "UnknownPassError",
     "ValidationError",
-    "circuit_from_ir",
-    "circuit_to_ir",
-    "compile_program",
     "get_pass",
-    "make_pass_list",
     "pass_names",
-    "pattern_fingerprint",
-    "program_circuit",
 ]

@@ -6,6 +6,14 @@ or on incrementally kept state; the property suites assert the two agree
 exactly, including the work counts the Fig. 14 cost proxy is built from,
 the fusion draws the device RNG makes and every offline mapper decision.
 
+:func:`build_exact_layer` is the ground truth under the site/bond
+abstraction itself: it builds the real graph state of one small RSL with
+real type-II fusions on real star resource states, including the
+Section 4.2 cleanup (a failed root-leaf merge leaves the Fig. 8 cyclic
+structure, restored to a star by a local complementation recorded in a
+:class:`LocalOpLedger`).  Its bond map must match the root-to-root
+connectivity of that state, fusion for fusion.
+
 The renormalization oracles plug in without a product seam:
 :class:`ScalarCarver` subclasses the product's ``_Carver`` and
 :func:`carving` swaps it in as the module global ``renormalize`` builds,
@@ -19,11 +27,15 @@ import importlib
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import RenormalizationError
+from repro.errors import HardwareError, RenormalizationError
+from repro.graphstate.fusion import apply_fusion
+from repro.graphstate.graph import GraphState
+from repro.graphstate.local_ops import LocalOpLedger
+from repro.graphstate.resource import ResourceStateInstance, ResourceStateSpec, emit_star
 from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
@@ -628,3 +640,183 @@ def relocation_cell_scan(
     return next(
         (c for c in by_distance if c != home and c not in other_homes), None
     )
+
+
+#: Keep exact layers small: every qubit is a real graph node.
+MAX_EXACT_SIDE = 16
+
+
+@dataclass
+class ExactSite:
+    """One lattice site assembled from merged stars."""
+
+    coord: Coord2D
+    root: object | None  # None if the site died during merging
+    free_leaves: list = field(default_factory=list)
+    lc_cleanups: int = 0
+
+
+@dataclass
+class ExactLayer:
+    """A fully materialized physical layer."""
+
+    graph: GraphState
+    sites: dict[Coord2D, ExactSite]
+    ledger: LocalOpLedger
+    bonds: dict[frozenset[Coord2D], bool]
+    fusions_attempted: int
+
+    def site_alive(self, coord: Coord2D) -> bool:
+        return self.sites[coord].root is not None
+
+    def roots_connected(self, a: Coord2D, b: Coord2D) -> bool:
+        """Whether the two sites' roots share an edge in the real state."""
+        site_a, site_b = self.sites[a], self.sites[b]
+        if site_a.root is None or site_b.root is None:
+            return False
+        return self.graph.has_edge(site_a.root, site_b.root)
+
+
+def _merge_site(
+    graph: GraphState,
+    stars: list[ResourceStateInstance],
+    device: FusionDevice,
+    ledger: LocalOpLedger,
+) -> tuple[object | None, list, int, int]:
+    """Chain ``stars`` into one big star with root-leaf fusions.
+
+    Returns (root, free leaves, fusions attempted, LC cleanups).  On a
+    failed root-leaf fusion the joiner's orphaned clique (Fig. 8) is
+    restored to a star by local complementation on one of its members, with
+    the operators recorded in the ledger, and the merge retries while leaves
+    remain on both sides.
+    """
+    accumulated = stars[0]
+    root = accumulated.root
+    leaves = list(accumulated.leaves)
+    attempted = 0
+    cleanups = 0
+    for joiner in stars[1:]:
+        joiner_leaves = list(joiner.leaves)
+        joined = False
+        while leaves and joiner_leaves:
+            leaf = leaves.pop()
+            attempted += 1
+            success = device.attempt("root-leaf")
+            apply_fusion(graph, leaf, joiner.root, success)
+            if success:
+                # The joiner's leaves now hang off our root.
+                leaves.extend(joiner_leaves)
+                joined = True
+                break
+            # Failure: our leaf burned trivially (degree 1); the joiner's
+            # root vanished after an LC, leaving its leaves fully connected
+            # (Fig. 8's B).  Restore a star by LC at one surviving member
+            # and record the postponed operators.
+            survivor = joiner_leaves.pop()
+            if joiner_leaves:
+                ledger.record_local_complement(
+                    survivor, graph.neighbors(survivor)
+                )
+                graph.local_complement(survivor)
+                cleanups += 1
+                # survivor is now the root of a (smaller) star; use it as
+                # the joiner root for the retry.
+                joiner = ResourceStateInstance(root=survivor, leaves=joiner_leaves)
+            else:
+                break  # joiner exhausted
+        if not joined and not leaves:
+            return None, [], attempted, cleanups
+    return root, leaves, attempted, cleanups
+
+
+def build_exact_layer(
+    config: HardwareConfig,
+    device: FusionDevice | None = None,
+    rng=None,
+) -> ExactLayer:
+    """Materialize one merged layer of ``config`` as a real graph state.
+
+    Performs the same semi-static strategy as
+    :func:`repro.online.fusion_strategy.form_layer` — merge stars per site,
+    then leaf-leaf fuse right/down neighbours — but on actual qubits, so
+    every heralded outcome corresponds to a graph rewrite.
+    """
+    n = config.rsl_size
+    if n > MAX_EXACT_SIDE:
+        raise HardwareError(
+            f"exact layers are capped at {MAX_EXACT_SIDE}x{MAX_EXACT_SIDE} "
+            f"(got {n}); use the percolation abstraction at scale"
+        )
+    if device is None:
+        device = FusionDevice(config.effective_fusion_rate, rng)
+    graph = GraphState()
+    ledger = LocalOpLedger()
+    spec: ResourceStateSpec = config.resource_state
+    merge_count = config.merged_rsls_per_layer
+    sites: dict[Coord2D, ExactSite] = {}
+    attempted = 0
+
+    for row in range(n):
+        for col in range(n):
+            stars = [
+                emit_star(graph, spec, (layer_index, row, col))
+                for layer_index in range(merge_count)
+            ]
+            root, leaves, merge_attempts, cleanups = _merge_site(
+                graph, stars, device, ledger
+            )
+            attempted += merge_attempts
+            sites[(row, col)] = ExactSite(
+                coord=(row, col),
+                root=root,
+                free_leaves=leaves,
+                lc_cleanups=cleanups,
+            )
+
+    bonds: dict[frozenset[Coord2D], bool] = {}
+    for row in range(n):
+        for col in range(n):
+            here = sites[(row, col)]
+            for there_coord in (((row, col + 1)), ((row + 1, col))):
+                if there_coord[0] >= n or there_coord[1] >= n:
+                    continue
+                there = sites[there_coord]
+                key = frozenset(((row, col), there_coord))
+                if (
+                    here.root is None
+                    or there.root is None
+                    or not here.free_leaves
+                    or not there.free_leaves
+                ):
+                    bonds[key] = False
+                    continue
+                leaf_a = here.free_leaves.pop()
+                leaf_b = there.free_leaves.pop()
+                attempted += 1
+                success = device.attempt("leaf-leaf")
+                apply_fusion(graph, leaf_a, leaf_b, success)
+                bonds[key] = success
+    return ExactLayer(
+        graph=graph,
+        sites=sites,
+        ledger=ledger,
+        bonds=bonds,
+        fusions_attempted=attempted,
+    )
+
+
+def bond_consistency(layer: ExactLayer) -> float:
+    """Fraction of bonds whose heralded outcome matches real connectivity.
+
+    Should be exactly 1.0 — the test-suite asserts it — because a
+    successful leaf-leaf fusion of two star leaves joins precisely their
+    roots, and a failed one joins nothing.
+    """
+    total = 0
+    agree = 0
+    for key, heralded in layer.bonds.items():
+        a, b = tuple(key)
+        total += 1
+        agree += int(layer.roots_connected(a, b) == heralded)
+    return agree / total if total else 1.0

@@ -2,15 +2,11 @@
 
 import numpy as np
 import pytest
+from oracles import MAX_EXACT_SIDE, bond_consistency, build_exact_layer
 
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
 from repro.hardware import FusionDevice, HardwareConfig
-from repro.online.exact_layer import (
-    MAX_EXACT_SIDE,
-    bond_consistency,
-    build_exact_layer,
-)
 
 
 def config_for(size: int, stars: int, rate: float = 0.75) -> HardwareConfig:

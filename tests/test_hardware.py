@@ -1,4 +1,4 @@
-"""Tests for the hardware model: config, fusion device, delay lines, RSGs."""
+"""Tests for the hardware model: config, fusion device, RSGs."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from oracles import merge_layers_masks
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
 from repro.hardware import (
-    DelayLineBank,
     FusionDevice,
     FusionTally,
     HardwareConfig,
@@ -108,56 +107,6 @@ class TestFusionDevice:
         assert FusionTally().observed_rate != FusionTally().observed_rate
 
 
-class TestDelayLines:
-    def test_store_and_retrieve(self):
-        bank = DelayLineBank(photon_lifetime=10)
-        bank.store("node", qubit_count=4)
-        assert bank.stored_qubits == 4
-        entry = bank.retrieve("node")
-        assert entry.qubit_count == 4
-        assert len(bank) == 0
-
-    def test_double_store_rejected(self):
-        bank = DelayLineBank(10)
-        bank.store("a")
-        with pytest.raises(HardwareError):
-            bank.store("a")
-
-    def test_retrieve_missing_rejected(self):
-        with pytest.raises(HardwareError):
-            DelayLineBank(10).retrieve("ghost")
-
-    def test_capacity(self):
-        bank = DelayLineBank(10, capacity=3)
-        bank.store("a", qubit_count=2)
-        with pytest.raises(HardwareError):
-            bank.store("b", qubit_count=2)
-
-    def test_lifetime_expiry(self):
-        bank = DelayLineBank(photon_lifetime=5)
-        bank.store("a")
-        expired = bank.advance(6)
-        assert [entry.key for entry in expired] == ["a"]
-        assert "a" not in bank
-
-    def test_retrieve_expired_raises(self):
-        bank = DelayLineBank(photon_lifetime=5)
-        bank.store("a")
-        bank.cycle += 6  # advance without sweeping
-        with pytest.raises(HardwareError):
-            bank.retrieve("a")
-
-    def test_advance_backwards_rejected(self):
-        with pytest.raises(HardwareError):
-            DelayLineBank(10).advance(-1)
-
-    def test_keys_order(self):
-        bank = DelayLineBank(10)
-        bank.store("x")
-        bank.store("y")
-        assert bank.keys() == ["x", "y"]
-
-
 class TestRSGArray:
     def test_emit_layers_sequential(self):
         array = RSGArray(HardwareConfig(rsl_size=4))
@@ -208,7 +157,7 @@ def test_merge_layers_matches_full_mask_oracle(rsl_size, star_size, rate, seed):
     """The pending-vector merge loop must reproduce the full-mask loop: the
     same sites, leaf budgets and fusion count, the same tally, and the
     device RNG left at the same point of its stream.  Star sizes 3-7 span
-    three merges down to none."""
+    four merges down to none."""
     config = HardwareConfig(
         rsl_size=rsl_size, resource_state=ResourceStateSpec(star_size)
     )

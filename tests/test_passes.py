@@ -1,4 +1,4 @@
-"""The pass ecosystem: rewrite, device validators, and the front door."""
+"""The pass ecosystem: rewrite, device validators, and the pass registry."""
 
 import dataclasses
 import json
@@ -10,24 +10,16 @@ from repro.circuits.jcz import to_jcz
 from repro.errors import ReproError
 from repro.mbqc.translate import translate_circuit
 from repro.passes import (
-    CIRCUIT_IR_FORMAT,
     PASS_REGISTRY,
     ConnectivityValidatorPass,
     Diagnostic,
-    PatternSourcePass,
     RewritePass,
     RsgConstraintValidatorPass,
     StripBudgetValidatorPass,
     UnknownPassError,
     ValidationError,
-    circuit_from_ir,
-    circuit_to_ir,
-    compile_program,
     get_pass,
-    make_pass_list,
     pass_names,
-    pattern_fingerprint,
-    program_circuit,
 )
 from repro.passes.validators import DIAGNOSTICS_SCHEMA_VERSION
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
@@ -195,69 +187,3 @@ class TestRegistry:
         for name in pass_names():
             assert name in message
 
-
-class TestFrontDoor:
-    def test_circuit_chain_is_default(self):
-        names = [stage.name for stage in make_pass_list(CIRCUIT)]
-        assert names == [
-            "translate", "rewrite", "offline-map", "lower-ir", "online-reshape",
-        ]
-        assert "rewrite" not in [
-            stage.name for stage in make_pass_list(CIRCUIT, rewrite="off")
-        ]
-
-    def test_pattern_chain_replaces_translate(self):
-        pattern = translate_circuit(CIRCUIT)
-        chain = make_pass_list(pattern)
-        assert chain[0].name == "pattern-source"
-        assert isinstance(chain[0], PatternSourcePass)
-        assert "translate" not in [stage.name for stage in chain]
-
-    def test_unsupported_program_form_rejected(self):
-        with pytest.raises(ReproError, match="cannot build a pass list"):
-            make_pass_list(3.14)
-
-    def test_circuit_ir_round_trip(self):
-        restored = circuit_from_ir(circuit_to_ir(CIRCUIT))
-        assert restored.num_qubits == CIRCUIT.num_qubits
-        assert restored.gates == CIRCUIT.gates
-
-    def test_malformed_ir_rejected(self):
-        with pytest.raises(ReproError, match="unsupported circuit IR format"):
-            circuit_from_ir({"format": "other/v9"})
-        with pytest.raises(ReproError, match="malformed circuit IR"):
-            circuit_from_ir({"format": CIRCUIT_IR_FORMAT, "num_qubits": 2})
-        with pytest.raises(ReproError, match="not valid JSON"):
-            make_pass_list("{never closed")
-
-    def test_compile_program_equivalent_across_forms(self):
-        reference = Pipeline(SETTINGS).compile(CIRCUIT, seed=4)
-        via_circuit = compile_program(CIRCUIT, settings=SETTINGS, seed=4)
-        via_ir = compile_program(
-            json.dumps(circuit_to_ir(CIRCUIT)), settings=SETTINGS, seed=4
-        )
-        assert _deterministic(via_circuit) == _deterministic(reference)
-        assert _deterministic(via_ir) == _deterministic(reference)
-
-    def test_compile_program_from_pattern_leaves_caller_pattern_alone(self):
-        pattern = translate_circuit(UNSIMPLIFIED)
-        before = pattern.node_count
-        result = compile_program(pattern, settings=SETTINGS, seed=0)
-        assert result.metrics["rewrite_contracted_pairs"] > 0
-        assert pattern.node_count == before  # deep-copied, never mutated
-
-    def test_pattern_identity_keys_the_cache(self):
-        """Two different patterns with the same human name must not share
-        cache entries: the fingerprint rides in the stand-in circuit."""
-        a = translate_circuit(make_benchmark("qaoa", 4, seed=0))
-        b = translate_circuit(make_benchmark("vqe", 4, seed=0))
-        a.name = b.name = "same-name:pattern"
-        assert pattern_fingerprint(a) != pattern_fingerprint(b)
-        assert program_circuit(a).name != program_circuit(b).name
-        cache = MemoryCache()
-        first = compile_program(a, settings=SETTINGS, seed=0, cache=cache)
-        cross = compile_program(b, settings=SETTINGS, seed=0, cache=cache)
-        again = compile_program(a, settings=SETTINGS, seed=0, cache=cache)
-        assert cross.metrics.get("cache_hits", 0) == 0
-        assert again.metrics.get("cache_hits", 0) > 0
-        assert _deterministic(again) == _deterministic(first)

@@ -176,6 +176,34 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["compile", "--benchmark", "nope", "--qubits", "4"])
 
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["compile", "--benchmark", "qaoa", "--qubits", "4",
+              "--max-rsl", "3"], "RSLs at logical layer"),
+            (["compile", "--benchmark", "qaoa", "--qubits", "4",
+              "--virtual-size", "100", "--rsl-size", "24"],
+             "cannot exceed RSL size"),
+            (["compile", "--benchmark", "qaoa", "--qubits", "16",
+              "--rate", "0.75", "--virtual-size", "2", "--seed", "0"],
+             "no progress"),
+            (["baseline", "--benchmark", "qaoa", "--qubits", "16",
+              "--rsl-size", "4"], "OneQ could not embed"),
+        ],
+        ids=["rsl-cap", "oversized-virtual", "mapper-stall", "oneq-embed"],
+    )
+    def test_compile_failure_is_one_line(self, capsys, argv, kind):
+        """A config the compile cannot honour exits 1 with one stderr line
+        naming the command, not a traceback (usage errors keep exit 2)."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{argv[0]}: ")
+        assert kind in lines[0]
+
     def test_compile_json_reports_cache(self, capsys):
         import json
 
