@@ -68,16 +68,22 @@ def suitable_node_size(
     """Smallest node side whose renormalization success rate >= threshold.
 
     Mirrors Fig. 13(a)'s definition: the node size at which Fig. 16's curve
-    approaches 1.
+    approaches 1.  A node size stops renormalizing once the outcome is
+    settled — enough hits to pass, or too few trials left to — but every
+    trial's lattice is still sampled, so ``rng`` ends where running every
+    trial would leave it.
     """
     for node in range(4, rsl_size + 1, 2):
         target = rsl_size // node
         if target < 1:
             break
-        hits = sum(
-            renormalize(sample_lattice(rsl_size, rate, rng), target).success
-            for _ in range(trials)
-        )
+        hits = 0
+        for trial in range(trials):
+            lattice = sample_lattice(rsl_size, rate, rng)
+            passed = hits / trials >= threshold
+            failed = (hits + trials - trial) / trials < threshold
+            if not (passed or failed):
+                hits += renormalize(lattice, target).success
         if hits / trials >= threshold:
             return node
     return rsl_size

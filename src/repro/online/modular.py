@@ -23,7 +23,6 @@ from repro.online.percolation import (
     move_table_pops,
 )
 from repro.online.renormalize import RenormalizationResult, renormalize
-from repro.utils.gridgeom import Coord2D
 
 
 @dataclass(frozen=True)
@@ -113,8 +112,8 @@ def _module_lattice(
 
 def _corridor_connected(
     lattice: PercolatedLattice,
-    sources: list[Coord2D],
-    targets: set[Coord2D],
+    sources: tuple[np.ndarray, np.ndarray],
+    targets: tuple[np.ndarray, np.ndarray],
     row_range: tuple[int, int],
     col_range: tuple[int, int],
 ) -> tuple[bool, int]:
@@ -123,7 +122,9 @@ def _corridor_connected(
     Any physical connection between the two coarse paths realizes the join
     (both paths are single logical wires), so the search starts from every
     source-path site inside the window and accepts any target-path site.
-    Returns (reached, sites visited).
+    ``sources`` and ``targets`` are ``(rows, cols)`` arrays of lattice
+    coordinates, the sources in path order.  Returns (reached, sites
+    visited).
 
     The window (clipped to the lattice) becomes one fixed-stride move
     table over its usable bonds: four slots per cell in
@@ -147,9 +148,9 @@ def _corridor_connected(
     across = lattice.horizontal[top:bottom, left : right - 1] & alive[:, :-1] & alive[:, 1:]
     down = lattice.vertical[top : bottom - 1, left:right] & alive[:-1, :] & alive[1:, :]
 
-    def window_cells(coords) -> np.ndarray:
+    def window_cells(coords: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Flat window indices of the in-window alive ``coords``, in order."""
-        rows, cols = np.array(coords, dtype=np.int64).reshape(-1, 2).T - [[top], [left]]
+        rows, cols = coords[0] - top, coords[1] - left
         inside = (rows >= 0) & (rows < height) & (cols >= 0) & (cols < width)
         rows, cols = rows[inside], cols[inside]
         return (rows * width + cols)[alive[rows, cols]]
@@ -164,7 +165,7 @@ def _corridor_connected(
     moves[:-1, :, 2] = np.where(down, flat[1:, :], sink)
     moves[1:, :, 3] = np.where(down, flat[:-1, :], sink)
     is_target = np.zeros(total + 2, dtype=bool)
-    is_target[window_cells(list(targets))] = True
+    is_target[window_cells(targets)] = True
 
     indices = np.concatenate((moves.ravel(), starts.astype(np.int32)))
     order, parents = frontier_bfs(move_table_indptr(total, starts.size), indices, total)
@@ -209,9 +210,14 @@ def modular_renormalize(
 
     # Join corridors.  A global coarse row r = (mi, local j) survives iff all
     # g modules in that module-row succeeded and all g-1 horizontal joins of
-    # that local path connected; columns symmetrically.  Module-local path
-    # coordinates shift by their module's origins into RSL coordinates.
+    # that local path connected; columns symmetrically.  Module-local flat
+    # sites shift by their module's origins into RSL rows and columns.
     origins = [layout.module_origin(index) for index in range(g)]
+
+    def shifted(sites: np.ndarray, mi: int, mj: int) -> tuple[np.ndarray, np.ndarray]:
+        rows, cols = np.divmod(sites, layout.module_size)
+        return rows + origins[mi], cols + origins[mj]
+
     join_work = 0
     surviving_rows = 0
     surviving_cols = 0
@@ -222,14 +228,8 @@ def modular_renormalize(
                 continue
             ok = True
             for mj in range(g - 1):
-                left = [
-                    (row + origins[mi], col + origins[mj])
-                    for row, col in results[mi][mj].horizontal_paths[local]
-                ]
-                right = {
-                    (row + origins[mi], col + origins[mj + 1])
-                    for row, col in results[mi][mj + 1].horizontal_paths[local]
-                }
+                left = shifted(results[mi][mj].horizontal_sites[local], mi, mj)
+                right = shifted(results[mi][mj + 1].horizontal_sites[local], mi, mj + 1)
                 fringe = max(1, node_size)
                 corridor_cols = (
                     layout.module_origin(mj) + layout.module_size - fringe,
@@ -254,14 +254,8 @@ def modular_renormalize(
                 continue
             ok = True
             for mi in range(g - 1):
-                upper = [
-                    (row + origins[mi], col + origins[mj])
-                    for row, col in results[mi][mj].vertical_paths[local]
-                ]
-                lower = {
-                    (row + origins[mi + 1], col + origins[mj])
-                    for row, col in results[mi + 1][mj].vertical_paths[local]
-                }
+                upper = shifted(results[mi][mj].vertical_sites[local], mi, mj)
+                lower = shifted(results[mi + 1][mj].vertical_sites[local], mi + 1, mj)
                 fringe = max(1, node_size)
                 corridor_rows = (
                     layout.module_origin(mi) + layout.module_size - fringe,

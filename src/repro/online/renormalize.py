@@ -31,7 +31,7 @@ Two mechanics from the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -50,25 +50,54 @@ from repro.utils.gridgeom import Coord2D
 #: Marker values for the orientation ownership grid.
 _FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
 
-@dataclass
+
+@dataclass(eq=False)
 class RenormalizationResult:
-    """Outcome of one 2D renormalization attempt."""
+    """Outcome of one 2D renormalization attempt.
+
+    The carved paths and the node grid are stored as flat lattice site
+    indices ``row * side + col``, the form the search produces and the
+    callers on the compile path never read.  :attr:`vertical_paths`,
+    :attr:`horizontal_paths` and :attr:`node_sites` are their coordinate
+    views, python-int ``(row, col)`` tuples built on first access.
+    """
 
     success: bool
     target_size: int
     lattice_size: int  # achieved size (== target_size on success)
-    node_sites: dict[tuple[int, int], Coord2D] = field(default_factory=dict)
-    vertical_paths: list[list[Coord2D]] = field(default_factory=list)
-    horizontal_paths: list[list[Coord2D]] = field(default_factory=list)
     visited_sites: int = 0  # BFS + DSU work, the Fig. 14 cost proxy
+    side: int = 0  # side of the lattice the flat site indices address
+    vertical_sites: list[np.ndarray] = field(default_factory=list)
+    horizontal_sites: list[np.ndarray] = field(default_factory=list)
+    #: ``(v_index, h_index) -> flat site`` of each path crossing, in
+    #: ascending ``h_index``, then ``v_index``, order; empty unless all
+    #: ``2 * target_size`` paths were found.
+    nodes: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    @property
-    def average_node_size(self) -> float:
-        """``RSL_size / renormalized_lattice_size`` (paper's definition)."""
-        if not self.vertical_paths:
-            return float("nan")
-        rsl = max(len(path) for path in self.vertical_paths)
-        return rsl / max(1, self.lattice_size)
+    @cached_property
+    def vertical_paths(self) -> list[list[Coord2D]]:
+        return _coordinates(self.vertical_sites, self.side)
+
+    @cached_property
+    def horizontal_paths(self) -> list[list[Coord2D]]:
+        return _coordinates(self.horizontal_sites, self.side)
+
+    @cached_property
+    def node_sites(self) -> dict[tuple[int, int], Coord2D]:
+        if not self.nodes:
+            return {}
+        sites = np.fromiter(self.nodes.values(), dtype=np.int64, count=len(self.nodes))
+        return dict(zip(self.nodes, _coordinates([sites], self.side)[0]))
+
+
+def _coordinates(paths: list[np.ndarray], side: int) -> list[list[Coord2D]]:
+    """Flat site index arrays as lists of python-int ``(row, col)`` tuples."""
+    if not paths:
+        return []
+    rows, cols = np.divmod(np.concatenate(paths), side)
+    coords = list(zip(rows.tolist(), cols.tolist()))
+    bounds = np.cumsum([0, *(len(path) for path in paths)]).tolist()
+    return [coords[low:high] for low, high in zip(bounds, bounds[1:])]
 
 
 #: Grid move order ((-1,0),(1,0),(0,-1),(0,1)), rewritten as (d_span, d_lane)
@@ -93,26 +122,26 @@ _ALONG, _ACROSS, _FREE_FRAME, _ENTER, _CROSS = range(5)
 class _MoveGeometry(NamedTuple):
     """Shape-only half of a strip's move table, rows = cells, cols = moves.
 
-    Gather indices address the flattened ``(5, n + 4, w + 4)`` frame stack
-    of :meth:`_Carver.find_path` (two cells of ``False`` padding on
-    every side); targets are flat strip-view cell indices.  ``indptr`` is
-    the strip's fixed-stride CSR row pointer: four slots per cell, ``w``
-    for the super-source ``n * w``, none for the sink ``n * w + 1``;
-    ``sinks`` is the matching CSR ``indices`` with every slot at the sink,
-    which a query copies and overwrites where it has edges.
+    ``gather`` addresses the flattened ``(5, n + 4, w + 4)`` frame stack of
+    :meth:`_Carver.find_path` (two cells of ``False`` padding on every
+    side); its planes, in order, are the cell's bond to ``cell + d``,
+    ``cell + d`` one-hop enterable, ``cell + d`` two-hop crossable, the
+    onward bond to ``cell + 2d`` and ``cell + 2d`` free, so a strip with
+    no crossing gathers only the first two.  ``indptr`` is the strip's
+    fixed-stride CSR row pointer: four slots per cell, ``w`` for the
+    super-source ``n * w``, none for the sink ``n * w + 1``.  The one-hop
+    and two-hop offsets are the flat strip-view targets ``cell + d`` and
+    ``cell + 2d`` less the sink, so a query's CSR ``indices`` are the sink
+    plus the offsets of the moves it keeps.
     """
 
-    bond: np.ndarray  # the cell -> cell + d bond
-    enter: np.ndarray  # cell + d, one-hop enterable
-    cross: np.ndarray  # cell + d, two-hop crossable
-    onward_bond: np.ndarray  # the cell + d -> cell + 2d bond
-    landing: np.ndarray  # cell + 2d, free
-    one_hop: np.ndarray  # flat target cell + d (int32)
-    two_hop: np.ndarray  # flat target cell + 2d (int32)
+    gather: np.ndarray  # (5, n * w, 4) frame-stack indices
+    one_hop: np.ndarray  # flat target cell + d, less the sink (int32)
+    two_hop: np.ndarray  # flat target cell + 2d, less the sink (int32)
     lanes: np.ndarray  # near-edge start cells, lane order (int32)
     inward: np.ndarray  # the cells one row inward of the lanes (int32)
     indptr: np.ndarray  # fixed-stride CSR row pointer (int32)
-    sinks: np.ndarray  # CSR indices, every slot at the sink (int32)
+    sites: np.ndarray  # flat lattice site of each cell, strip at offset 0
     one_hop_steps: frozenset  # flat index steps of the one-hop moves
 
 
@@ -122,11 +151,11 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
 
     Depends only on the strip's shape and orientation (whose view-space
     move order is ``_VIEW_MOVES[vertical]``), so it is built once per shape
-    and every query reduces to gathers from its own frames plus masked
-    copies into a copy of ``sinks`` under the cached ``indptr``.  Four
-    entries hold one ``renormalize`` call's strips (at most two widths, two
-    orientations); on the bench workload a 16-entry cache saved under 0.3%
-    of the builds and raised peak RSS by about 3 MB.
+    and every query reduces to one gather from its own frames plus the
+    offsets of the moves it keeps.  Four entries hold one ``renormalize``
+    call's strips (at most two widths, two orientations); on the bench
+    workload a 16-entry cache saved under 0.3% of the builds and raised
+    peak RSS by about 3 MB.
     """
     padded = width + 4
     frame_size = (n + 4) * padded
@@ -140,18 +169,24 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
     bonds = np.where(d_span != 0, _ALONG, _ACROSS) * frame_size + back
     flat = span * width + lane
     flat_step = d_span * width + d_lane
+    sink = n * width + 1
+    sites = span * n + lane if vertical else lane * n + span
+    # Each plane is written in place: the stack is the geometry's largest
+    # array, and a stack of temporaries would double it at build time.
+    gather = np.empty((5, n * width, MOVE_SLOTS), dtype=np.intp)
+    np.add(cell, bonds, out=gather[0])
+    np.add(cell, step + _ENTER * frame_size, out=gather[1])
+    np.add(cell, step + _CROSS * frame_size, out=gather[2])
+    np.add(cell, step + bonds, out=gather[3])
+    np.add(cell, 2 * step + _FREE_FRAME * frame_size, out=gather[4])
     return _MoveGeometry(
-        bond=cell + bonds,
-        enter=cell + step + _ENTER * frame_size,
-        cross=cell + step + _CROSS * frame_size,
-        onward_bond=cell + step + bonds,
-        landing=cell + 2 * step + _FREE_FRAME * frame_size,
-        one_hop=(flat + flat_step).astype(np.int32),
-        two_hop=(flat + 2 * flat_step).astype(np.int32),
+        gather=gather,
+        one_hop=(flat + flat_step - sink).astype(np.int32),
+        two_hop=(flat + 2 * flat_step - sink).astype(np.int32),
         lanes=np.arange(width, dtype=np.int32),
         inward=np.arange(width, 2 * width, dtype=np.int32),
         indptr=move_table_indptr(n * width, width),
-        sinks=np.full(MOVE_SLOTS * n * width + width, n * width + 1, dtype=np.int32),
+        sites=sites.ravel(),
         one_hop_steps=frozenset((1, -1, width, -width)),
     )
 
@@ -188,18 +223,16 @@ class _Carver:
 
     # -- path search -------------------------------------------------------
 
-    def find_path(
-        self, vertical: bool, index: int, count: int
-    ) -> tuple[list[Coord2D], np.ndarray] | None:
+    def find_path(self, vertical: bool, index: int, count: int) -> np.ndarray | None:
         """Shortest spanning path for strip/band ``index`` (None if blocked).
 
-        Returns the path as lattice coordinates and as flat lattice site
-        indices (``row * size + col``).  A vertical path may step on
-        horizontal-path sites only by crossing them straight through (and
-        vice versa); it may never travel along them, which is the tangling
-        the surround-removal of the paper prevents.  The paths, ownership
-        and visited-site accounting are byte-identical to a per-cell deque
-        BFS behind a per-strip union-find (the oracles in
+        Returns the path's flat lattice site indices (``row * size +
+        col``), from the near edge to the far edge.  A vertical path may
+        step on horizontal-path sites only by crossing them straight
+        through (and vice versa); it may never travel along them, which is
+        the tangling the surround-removal of the paper prevents.  The
+        paths, ownership and visited-site accounting are byte-identical to
+        a per-cell deque BFS behind a per-strip union-find (the oracles in
         ``tests/oracles.py``).
 
         The strip is compiled into one CSR frontier graph whose per-node
@@ -210,7 +243,7 @@ class _Carver:
         per-cell Python loop.  A cell has at most one edge per move — a
         one-hop move onto a free site, a far-edge crossing ending on a
         perpendicular-owned site, or a two-hop straight-through crossing —
-        so the graph is an ``(n * w, 4)`` move table, gathered at
+        so the graph is an ``(n * w, 4)`` move table, gathered in one go at
         shape-only indices (:func:`_move_geometry`) from padded boolean
         frames of usable bonds and enterable, crossable and free cells.
         The layout is fixed-stride: every cell row has exactly four slots in
@@ -218,20 +251,23 @@ class _Carver:
         lane order, and each slot without an edge (a missing move, or a lane
         that is no start) points at the sink ``n * w + 1``, a node with no
         out-edges.  The row pointer is then shape-only too, and the CSR
-        ``indices`` are a copy of the shape's all-sink template with masked
-        copies of the one-hop, two-hop and start targets written over it
-        (the three kinds never compete for a slot).  Popping the sink enqueues
-        nothing, so the other nodes keep the scalar BFS's relative order and
-        the visited-site counts subtract the sink's one pop where it came
-        first.
+        ``indices`` are the sink plus the one-hop or two-hop offset of each
+        kept move (the two kinds never compete for a slot).  Popping the
+        sink enqueues nothing, so the other nodes keep the scalar BFS's
+        relative order and the visited-site counts subtract the sink's one
+        pop where it came first.
+
+        Only free cells are popped before the first goal: a cell that is
+        not free is entered only on the goal row, and a pop there ends the
+        search, so the move rows need no mask of their own cell.
 
         Per-call state keeps the per-query work to the strip itself: the
         usable-bond masks are sliced from the carver's views, and the frame
         stack of each strip width is allocated once and only its interior
         overwritten (the padding, the along-bond row of the goal row and
         the crossable goal row are never written, so they stay ``False``).
-        A strip with no perpendicular-owned cell has no crossings, so its
-        two-hop gathers are skipped.
+        A strip with no perpendicular-owned cell has no crossings, so it
+        gathers only the bond and enterable planes.
 
         The search runs *before* the strip pre-check: any path it finds
         also spans the relaxed graph, so the pre-check would have said yes.
@@ -253,17 +289,18 @@ class _Carver:
         other_owner = _HORIZONTAL if vertical else _VERTICAL
 
         if n == 1:
-            # Degenerate 1-wide lattice: the first perpendicular-owned lane
-            # spans it outright (before any BFS pop); otherwise the first
-            # free lane is popped once and immediately found to be the goal.
-            # Either way the pre-check (any alive site) would have said yes.
+            # Degenerate 1-wide lattice (so ``low`` is 0 and a lane is its
+            # own site): the first perpendicular-owned lane spans it
+            # outright (before any BFS pop); otherwise the first free lane
+            # is popped once and immediately found to be the goal.  Either
+            # way the pre-check (any alive site) would have said yes.
             owned_lanes = np.flatnonzero(owner[0] == other_owner)
             if owned_lanes.size:
-                return self._to_grid(owned_lanes[:1], vertical, low, width)
+                return owned_lanes[:1]
             free_lanes = np.flatnonzero(owner[0] == _FREE)
             if free_lanes.size:
                 self.visited_sites += 1
-                return self._to_grid(free_lanes[:1], vertical, low, width)
+                return free_lanes[:1]
             return None
 
         usable_along = along[:, low:high]
@@ -282,31 +319,30 @@ class _Carver:
         if crossings:
             frames[_ENTER, n + 1, 2:-2] |= other[-1]
             frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
-        flat_frames = frames.ravel()
-        bonded = flat_frames[geometry.bond] & free.reshape(-1, 1)
-        one = bonded & flat_frames[geometry.enter]
         total = n * width
+        sink = total + 1
 
-        # The CSR indices start with every slot at the sink; the move table
-        # is their first ``4 * n * w`` slots and the super-source's start
-        # row the last ``w``.  Start cells on the near edge, one slot per
-        # lane: free cells start normally; perpendicular-owned cells are
-        # entered one row inward (the owned cell rejoins the path as a
-        # reconstruction prefix); other lanes stay at the sink.
-        indices = geometry.sinks.copy()
+        # The CSR indices: the move table is their first ``4 * n * w``
+        # slots and the super-source's start row the last ``w``.  Start
+        # cells on the near edge, one slot per lane: free cells start
+        # normally; perpendicular-owned cells are entered one row inward
+        # (the owned cell rejoins the path as a reconstruction prefix);
+        # other lanes point at the sink.
+        indices = np.empty(MOVE_SLOTS * total + width, dtype=np.int32)
         moves = indices[:-width].reshape(total, MOVE_SLOTS)
-        start = indices[-width:]
+        flat_frames = frames.ravel()
         if crossings:
-            two = (
-                bonded
-                & flat_frames[geometry.cross]
-                & flat_frames[geometry.onward_bond]
-                & flat_frames[geometry.landing]
-            )
-            np.copyto(moves, geometry.two_hop, where=two)
-            np.copyto(start, geometry.inward, where=other[0] & free[1] & usable_along[0])
-        np.copyto(moves, geometry.one_hop, where=one)
-        np.copyto(start, geometry.lanes, where=free[0])
+            bond, enter, cross, onward_bond, landing = flat_frames.take(geometry.gather)
+            np.multiply(bond & enter, geometry.one_hop, out=moves)
+            moves += (bond & cross & onward_bond & landing) * geometry.two_hop
+            inward = other[0] & free[1] & usable_along[0]
+            start = np.where(inward, geometry.inward, sink)
+        else:
+            bond, enter = flat_frames.take(geometry.gather[:2])
+            np.multiply(bond & enter, geometry.one_hop, out=moves)
+            start = sink
+        moves += sink
+        indices[-width:] = np.where(free[0], geometry.lanes, start)
 
         pop_order, parents = frontier_bfs(geometry.indptr, indices, total)
         is_goal = (pop_order >= total - width) & (pop_order < total)
@@ -338,22 +374,9 @@ class _Carver:
         if node >= width:
             # Entered one row inward across a perpendicular-owned start cell.
             path.append(node - width)
-        path.reverse()
-        return self._to_grid(np.array(path), vertical, low, width)
-
-    def _to_grid(
-        self, flat: np.ndarray, vertical: bool, low: int, width: int
-    ) -> tuple[list[Coord2D], np.ndarray]:
-        """Strip-view flat indices -> lattice coordinates and site indices.
-
-        The coordinates are python-int ``(row, col)`` tuples; the site
-        indices are the flat lattice indices ``row * size + col`` that
-        :meth:`claim` and :func:`_intersections` index with.
-        """
-        spans = flat // width
-        lanes = flat - spans * width + low
-        rows, cols = (spans, lanes) if vertical else (lanes, spans)
-        return list(zip(rows.tolist(), cols.tolist())), rows * self.size + cols
+        # The strip's first lane shifts the shape's sites by ``low``
+        # columns (a column strip) or ``low`` rows (a row band).
+        return geometry.sites[path[::-1]] + (low if vertical else low * n)
 
     def claim(self, sites: np.ndarray, vertical: bool) -> None:
         """Mark a found path's sites with their orientation ownership.
@@ -368,6 +391,31 @@ class _Carver:
         current = owner[sites]
         owner[sites] = np.where(current == _FREE, marker, current)
         self.claimed[vertical].append(sites)
+
+    def result(
+        self, target_size: int, nodes: dict[tuple[int, int], int] | None = None
+    ) -> RenormalizationResult:
+        """The carve so far as a result; ``nodes`` is None while partial.
+
+        A partial carve achieves the smaller of its two path counts; a full
+        one succeeds iff its node grid is complete.
+        """
+        vertical, horizontal = self.claimed[True], self.claimed[False]
+        if nodes is None:
+            achieved = min(len(vertical), len(horizontal))
+            nodes = {}
+        else:
+            achieved = int(len(nodes) ** 0.5)
+        return RenormalizationResult(
+            success=len(nodes) == target_size * target_size,
+            target_size=target_size,
+            lattice_size=achieved,
+            visited_sites=self.visited_sites,
+            side=self.size,
+            vertical_sites=vertical,
+            horizontal_sites=horizontal,
+            nodes=nodes,
+        )
 
 
 def renormalize(
@@ -394,108 +442,44 @@ def renormalize(
             f"target {target_size} exceeds lattice size {lattice.size}"
         )
     carver = _Carver(lattice)
-    vertical_paths: list[list[Coord2D]] = []
-    horizontal_paths: list[list[Coord2D]] = []
-
     for index in range(target_size):
         for vertical in (True, False):
             if work_budget is not None and carver.visited_sites > work_budget:
-                achieved = min(len(vertical_paths), len(horizontal_paths))
-                return RenormalizationResult(
-                    success=False,
-                    target_size=target_size,
-                    lattice_size=achieved,
-                    vertical_paths=vertical_paths,
-                    horizontal_paths=horizontal_paths,
-                    visited_sites=carver.visited_sites,
-                )
-            found = carver.find_path(vertical, index, target_size)
-            if found is None:
-                achieved = min(len(vertical_paths), len(horizontal_paths))
-                return RenormalizationResult(
-                    success=False,
-                    target_size=target_size,
-                    lattice_size=achieved,
-                    vertical_paths=vertical_paths,
-                    horizontal_paths=horizontal_paths,
-                    visited_sites=carver.visited_sites,
-                )
-            path, sites = found
+                return carver.result(target_size)
+            sites = carver.find_path(vertical, index, target_size)
+            if sites is None:
+                return carver.result(target_size)
             carver.claim(sites, vertical)
-            (vertical_paths if vertical else horizontal_paths).append(path)
-
-    node_sites = _intersections(
-        vertical_paths,
-        horizontal_paths,
-        (lattice.size, carver.claimed[True], carver.claimed[False]),
-    )
-    if len(node_sites) < target_size * target_size:
-        achieved = int(len(node_sites) ** 0.5)
-        return RenormalizationResult(
-            success=False,
-            target_size=target_size,
-            lattice_size=achieved,
-            node_sites=node_sites,
-            vertical_paths=vertical_paths,
-            horizontal_paths=horizontal_paths,
-            visited_sites=carver.visited_sites,
-        )
-    return RenormalizationResult(
-        success=True,
-        target_size=target_size,
-        lattice_size=target_size,
-        node_sites=node_sites,
-        vertical_paths=vertical_paths,
-        horizontal_paths=horizontal_paths,
-        visited_sites=carver.visited_sites,
+    return carver.result(
+        target_size,
+        _intersections(lattice.size, carver.claimed[True], carver.claimed[False]),
     )
 
 
 def _intersections(
-    vertical_paths: list[list[Coord2D]],
-    horizontal_paths: list[list[Coord2D]],
-    flat: tuple[int, list[np.ndarray], list[np.ndarray]] | None = None,
-) -> dict[tuple[int, int], Coord2D]:
+    size: int, vertical_sites: list[np.ndarray], horizontal_sites: list[np.ndarray]
+) -> dict[tuple[int, int], int]:
     """First shared site of each (vertical, horizontal) path pair.
 
-    ``flat`` is ``(size, vertical_sites, horizontal_sites)``: the same
-    paths as flat site indices ``row * size + col``, which the carver
-    records as it claims them; without it they are derived from the
-    coordinates.  One ``site -> v_index`` grid over all vertical paths
-    (the lowest index wins a shared site) is gathered at each horizontal
-    path's sites; only the handful of hits is then walked in Python, in
-    path order, keeping each ``v_index``'s first hit.  "First" means first
-    along the horizontal path, and the node dict keeps ascending
-    ``v_index`` insertion order per ``h_index``.
+    Paths are flat site indices ``row * size + col``.  One ``site ->
+    v_index`` grid over all vertical paths (the lowest index wins a shared
+    site) is gathered at every horizontal path's sites at once; only the
+    handful of hits is then walked in Python, in path order, keeping each
+    ``(v_index, h_index)``'s first hit.  "First" means first along the
+    horizontal path, and the node dict keeps ascending ``v_index``
+    insertion order per ``h_index``.  The values are python ints.
     """
-    if not vertical_paths or not horizontal_paths:
-        return {}
-    if flat is None:
-        size = 1 + max(
-            max(coord) for path in vertical_paths + horizontal_paths for coord in path
-        )
-        flat = (
-            size,
-            [_flat_sites(path, size) for path in vertical_paths],
-            [_flat_sites(path, size) for path in horizontal_paths],
-        )
-    size, vertical_sites, horizontal_sites = flat
     site_to_v = np.full(size * size, -1, dtype=np.int64)
     for v_index in range(len(vertical_sites) - 1, -1, -1):
         site_to_v[vertical_sites[v_index]] = v_index
-    nodes: dict[tuple[int, int], Coord2D] = {}
-    for h_index, (h_path, sites) in enumerate(zip(horizontal_paths, horizontal_sites)):
-        hits = site_to_v[sites]
-        positions = np.flatnonzero(hits >= 0)
-        found: dict[int, int] = {}
-        for v_index, position in zip(hits[positions].tolist(), positions.tolist()):
-            found.setdefault(v_index, position)
-        for v_index in sorted(found):
-            nodes[(v_index, h_index)] = h_path[found[v_index]]
-    return nodes
-
-
-def _flat_sites(path: list[Coord2D], size: int) -> np.ndarray:
-    """A coordinate path as flat site indices ``row * size + col``."""
-    rows, cols = np.array(path).T
-    return rows * size + cols
+    crossing = np.concatenate(horizontal_sites)
+    hits = site_to_v[crossing]
+    positions = np.flatnonzero(hits >= 0)
+    ends = np.cumsum([len(sites) for sites in horizontal_sites])
+    h_indices = np.searchsorted(ends, positions, side="right")
+    found: dict[tuple[int, int], int] = {}
+    for h_index, v_index, site in zip(
+        h_indices.tolist(), hits[positions].tolist(), crossing[positions].tolist()
+    ):
+        found.setdefault((h_index, v_index), site)
+    return {(v_index, h_index): found[h_index, v_index] for h_index, v_index in sorted(found)}

@@ -19,6 +19,13 @@ The renormalization oracles plug in without a product seam:
 :func:`carving` swaps it in as the module global ``renormalize`` builds,
 so ``renormalize`` and everything on top of it (modular renormalization,
 the online reshaper, the experiments) run the scalar search.
+:func:`grid_path`, :func:`coordinate_intersections` and
+:func:`modular_renormalize_coordinates` are the eager coordinate
+construction and joins from before results kept flat site indices.
+
+:func:`check_renormalization` and :func:`check_reshape_metrics` are
+certificates rather than twins: they check one result's invariants
+without recomputing it.
 """
 
 from __future__ import annotations
@@ -42,10 +49,12 @@ from repro.hardware.rsg import MergeResult
 from repro.mbqc.dependency import DependencyDAG
 from repro.offline.routing import LayerGrid
 from repro.online.fusion_strategy import TEMPORAL_RESERVE
+from repro.online.modular import ModularLayout, ModularResult, _module_lattice
 from repro.online.percolation import (
     NO_PREDECESSOR,
     PercolatedLattice,
     grid_spans_from_usable,
+    sample_lattice,
 )
 from repro.online.timelike import (
     TEMPORAL_FANOUT,
@@ -433,13 +442,11 @@ class ScalarCarver(_Carver):
 
     precheck = staticmethod(strip_spans_dsu)
 
-    def find_path(
-        self, vertical: bool, index: int, count: int
-    ) -> tuple[list[Coord2D], np.ndarray] | None:
+    def find_path(self, vertical: bool, index: int, count: int) -> np.ndarray | None:
         path = self._search(vertical, index, count)
         if path is None:
             return None
-        return path, renormalize_module._flat_sites(path, self.size)
+        return flat_sites(path, self.size)
 
     def _bond(self, a: Coord2D, b: Coord2D) -> bool:
         return self.lattice.has_bond(a, b)
@@ -583,6 +590,190 @@ def renormalize_scalar(
     """``renormalize`` with a scalar oracle carver swapped in."""
     with carving(carver):
         return renormalize_module.renormalize(lattice, target_size, work_budget)
+
+
+def flat_sites(path: list[Coord2D], size: int) -> np.ndarray:
+    """A coordinate path as flat site indices ``row * size + col``."""
+    rows, cols = np.array(path).T
+    return rows * size + cols
+
+
+def grid_path(sites: np.ndarray, size: int) -> list[Coord2D]:
+    """Flat site indices as python-int ``(row, col)`` tuples: the per-path
+    zip ``find_path`` ran eagerly on every path it found, before results
+    kept flat sites and built coordinates on demand."""
+    rows = sites // size
+    cols = sites - rows * size
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def coordinate_intersections(
+    vertical_paths: list[list[Coord2D]], horizontal_paths: list[list[Coord2D]]
+) -> dict[tuple[int, int], Coord2D]:
+    """Coordinate twin of ``repro.online.renormalize._intersections``.
+
+    Rescans every horizontal path against every vertical path's site set:
+    the first shared site along the horizontal path is the pair's node,
+    inserted in ascending ``h_index``, then ``v_index``, order.
+    """
+    nodes = {}
+    vertical_sets = [set(path) for path in vertical_paths]
+    for h_index, h_path in enumerate(horizontal_paths):
+        for v_index, v_sites in enumerate(vertical_sets):
+            for coord in h_path:
+                if coord in v_sites:
+                    nodes[(v_index, h_index)] = coord
+                    break
+    return nodes
+
+
+def check_renormalization(lattice: PercolatedLattice, result) -> None:
+    """Certificate for one ``renormalize`` result on ``lattice``.
+
+    Raises ``AssertionError`` unless the paths are claimed as the carver
+    claims them, vertical and horizontal alternately from index 0:
+
+    * each path runs from the near edge to the far edge inside its own
+      column strip (vertical) or row band (horizontal), over alive sites
+      joined by usable bonds;
+    * same-orientation paths are disjoint;
+    * a site a path shares with an earlier perpendicular path is one of
+      its ends, or a two-hop crossing: passed straight through, between
+      two sites no earlier path owns;
+    * a result with all ``2 k`` paths has the complete ``k x k`` node
+      grid, each node the first site of its horizontal path on its
+      vertical path, and succeeds; any other result fails with the smaller
+      path count as its size.
+
+    A pair of paths may cross more than once (each crossing straight
+    through); the node is the first crossing along the horizontal path.
+    """
+    n, k = lattice.size, result.target_size
+    vertical_paths, horizontal_paths = result.vertical_paths, result.horizontal_paths
+    assert len(horizontal_paths) <= len(vertical_paths) <= len(horizontal_paths) + 1 <= k + 1
+    owner: dict[Coord2D, bool] = {}
+    claims = [(True, index) for index in range(len(vertical_paths))]
+    claims += [(False, index) for index in range(len(horizontal_paths))]
+    for vertical, index in sorted(claims, key=lambda claim: (claim[1], not claim[0])):
+        path = (vertical_paths if vertical else horizontal_paths)[index]
+        low, high = (index * n) // k, ((index + 1) * n) // k
+        spans = [coord[0] if vertical else coord[1] for coord in path]
+        assert spans[0] == 0 and spans[-1] == n - 1, "path does not span the lattice"
+        assert all(
+            low <= (coord[1] if vertical else coord[0]) < high for coord in path
+        ), "path leaves its strip"
+        assert len(set(path)) == len(path), "path revisits a site"
+        assert all(lattice.sites[coord] for coord in path), "path on a dead site"
+        for a, b in zip(path, path[1:]):
+            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 and lattice.has_bond(a, b), (
+                "path steps over a missing bond"
+            )
+        for position, coord in enumerate(path):
+            if coord not in owner:
+                continue
+            assert owner[coord] != vertical, "same-orientation paths share a site"
+            if 0 < position < len(path) - 1:
+                before, after = path[position - 1], path[position + 1]
+                assert 2 * coord[0] == before[0] + after[0], "crossing turns"
+                assert 2 * coord[1] == before[1] + after[1], "crossing turns"
+                assert before not in owner and after not in owner, (
+                    "crossing steps between owned sites"
+                )
+        for coord in path:
+            owner.setdefault(coord, vertical)
+    complete = len(vertical_paths) == len(horizontal_paths) == k
+    if not complete:
+        assert not result.success and result.node_sites == {}
+        assert result.lattice_size == min(len(vertical_paths), len(horizontal_paths))
+        return
+    assert result.success and result.lattice_size == k
+    assert result.node_sites == coordinate_intersections(vertical_paths, horizontal_paths)
+    assert list(result.node_sites) == [(v, h) for h in range(k) for v in range(k)]
+
+
+def modular_renormalize_coordinates(
+    lattice: PercolatedLattice, node_size: int, num_modules: int, mi_ratio: float
+) -> ModularResult:
+    """Coordinate twin of ``repro.online.modular.modular_renormalize``.
+
+    Each module runs the product ``renormalize``; the corridor joins shift
+    each module's *coordinate* paths by its origin and join them with the
+    per-cell BFS :func:`corridor_connected_scalar`, the way the product
+    joined them before results kept flat sites.
+    """
+    layout = ModularLayout.fit(lattice.size, num_modules, mi_ratio)
+    g, size = layout.modules_per_side, layout.module_size
+    target = max(1, size // node_size)
+    fringe = max(1, node_size)
+    origin = layout.module_origin
+    results = [
+        [
+            renormalize_module.renormalize(_module_lattice(lattice, layout, mi, mj), target)
+            for mj in range(g)
+        ]
+        for mi in range(g)
+    ]
+
+    def survivors(horizontal: bool) -> tuple[int, int]:
+        """(surviving global lines, join work) of one orientation."""
+        count = work = 0
+        for line in range(g):
+            modules = [results[line][m] if horizontal else results[m][line] for m in range(g)]
+            if not all(module.success for module in modules):
+                continue
+
+            def shifted(m: int, local: int) -> list[Coord2D]:
+                """Module ``m``'s path ``local`` in lattice coordinates."""
+                paths = modules[m].horizontal_paths if horizontal else modules[m].vertical_paths
+                d_row, d_col = (origin(line), origin(m)) if horizontal else (origin(m), origin(line))
+                return [(row + d_row, col + d_col) for row, col in paths[local]]
+
+            for local in range(target):
+                connected = True
+                for m in range(g - 1):
+                    along = (origin(line), origin(line) + size)
+                    across = (origin(m) + size - fringe, origin(m + 1) + fringe)
+                    rows, cols = (along, across) if horizontal else (across, along)
+                    reached, visited = corridor_connected_scalar(
+                        lattice, shifted(m, local), set(shifted(m + 1, local)), rows, cols
+                    )
+                    work += visited
+                    if not reached:
+                        connected = False
+                        break
+                count += connected
+        return count, work
+
+    surviving_rows, row_work = survivors(True)
+    surviving_cols, col_work = survivors(False)
+    module_results = [result for row in results for result in row]
+    module_work = [result.visited_sites for result in module_results]
+    return ModularResult(
+        layout=layout,
+        surviving_rows=surviving_rows,
+        surviving_cols=surviving_cols,
+        module_results=module_results,
+        wall_visited_sites=max(module_work) + row_work + col_work,
+        total_visited_sites=sum(module_work) + row_work + col_work,
+    )
+
+
+def suitable_node_size_exhaustive(
+    rsl_size: int, rate: float, trials: int, rng, threshold: float
+) -> int:
+    """Fig. 13(a)'s node-size search renormalizing every trial of every
+    node size tried, before trials stopped once a node size was decided."""
+    for node in range(4, rsl_size + 1, 2):
+        target = rsl_size // node
+        if target < 1:
+            break
+        hits = sum(
+            renormalize_module.renormalize(sample_lattice(rsl_size, rate, rng), target).success
+            for _ in range(trials)
+        )
+        if hits / trials >= threshold:
+            return node
+    return rsl_size
 
 
 def front_layer_scan(dag: DependencyDAG, consumed: Iterable[int]) -> list[int]:

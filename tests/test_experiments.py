@@ -8,7 +8,10 @@ behavior.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import suitable_node_size_exhaustive
 
 from repro.errors import ReproError
 from repro.experiments import (
@@ -332,6 +335,27 @@ class TestFigureHelpers:
 
         node = fig13.suitable_node_size(36, 0.78, trials=6, rng=ensure_rng(0))
         assert 4 <= node <= 36
+
+    @given(
+        rsl_size=st.integers(12, 36),
+        rate=st.floats(0.6, 0.85),
+        trials=st.integers(1, 10),
+        threshold=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_fig13_decided_trials_match_exhaustive_oracle(
+        self, rsl_size, rate, trials, threshold, seed
+    ):
+        """Trials of a node size stop renormalizing once its outcome is
+        settled, yet every lattice is still sampled: the node and the
+        generator's stream position equal the exhaustive loop's."""
+        product_rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        node = fig13.suitable_node_size(rsl_size, rate, trials, product_rng, threshold)
+        expected = suitable_node_size_exhaustive(rsl_size, rate, trials, oracle_rng, threshold)
+        assert node == expected
+        assert product_rng.random() == oracle_rng.random()
 
     def test_fig16_sigmoid_shape(self):
         from repro.utils.rng import ensure_rng

@@ -150,11 +150,6 @@ class TestRenormalize:
         assert not result.success
         assert result.visited_sites >= 10
 
-    def test_average_node_size(self):
-        lattice = sample_lattice(12, 1.0, rng=0)
-        result = renormalize(lattice, 3)
-        assert result.average_node_size == pytest.approx(4.0)
-
 
 class TestModular:
     def test_layout_fit(self):

@@ -1,9 +1,12 @@
-"""Property tests of the renormalization carving invariants, the strip
-pre-check against its scalar DSU oracle, the wavefront path search against
-the scalar deque-BFS oracle carvers, the compiled corridor join against its
-per-cell BFS oracle, scipy's BFS against its pure-python twin, the frontier
-engine's per-thread graph reuse and fixed-stride sink accounting, and the
-carver's per-width frame reuse and flat-site node grid."""
+"""Property tests of the renormalization carving invariants (every result
+passes the ``check_renormalization`` certificate), the strip pre-check
+against its scalar DSU oracle, the wavefront path search against the scalar
+deque-BFS oracle carvers, the compiled corridor join and the flat-site
+modular joins against their per-cell and coordinate oracles, scipy's BFS
+against its pure-python twin, the frontier engine's per-thread graph reuse
+and fixed-stride sink accounting, the carver's per-width frame reuse and
+flat-site node grid, and the on-demand coordinate views against the eager
+construction they replaced."""
 
 import importlib
 import sys
@@ -12,24 +15,39 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from oracles import (
     SCALAR_CARVERS,
+    check_renormalization,
+    coordinate_intersections,
     corridor_connected_scalar,
+    flat_sites,
     frontier_bfs_python,
+    grid_path,
+    modular_renormalize_coordinates,
     renormalize_scalar,
     strip_spans,
     strip_spans_dsu,
 )
 
-from repro.online import PercolatedLattice, percolation, renormalize, sample_lattice
-from repro.online.modular import _corridor_connected
+from repro.circuits import make_benchmark
+from repro.errors import RenormalizationError
+from repro.online import PercolatedLattice, percolation, sample_lattice
+from repro.online.modular import _corridor_connected, _module_lattice, modular_renormalize
 from repro.online.renormalize import _intersections
+from repro.pipeline import Pipeline, PipelineSettings
 
 # ``repro.online`` re-exports the ``renormalize`` function under the
 # submodule's name, so the modules are fetched by their full names.
 renormalize_module = importlib.import_module("repro.online.renormalize")
 modular_module = importlib.import_module("repro.online.modular")
+
+
+def renormalize(lattice, target, work_budget=None):
+    """The product ``renormalize``, its result checked by the certificate."""
+    result = renormalize_module.renormalize(lattice, target, work_budget)
+    check_renormalization(lattice, result)
+    return result
 
 
 @st.composite
@@ -407,6 +425,19 @@ def _random_simple_path(rng, size):
     return path
 
 
+def _rows_cols(coords):
+    """Coordinates (a path or a set) as the ``(rows, cols)`` arrays the
+    product's corridor join takes."""
+    rows, cols = np.array(list(coords), dtype=np.int64).reshape(-1, 2).T
+    return rows, cols
+
+
+def _as_arrays(args):
+    """Corridor-join arguments with the coordinate paths as row/col arrays."""
+    lattice, sources, targets, rows, cols = args
+    return lattice, _rows_cols(sources), _rows_cols(targets), rows, cols
+
+
 @st.composite
 def corridor_cases(draw):
     """Lossy lattices, two random simple paths, and a window that may run
@@ -435,7 +466,9 @@ def test_corridor_join_matches_scalar_oracle(engine, case):
     targets = set(_random_simple_path(rng, size))
     expected = corridor_connected_scalar(lattice, sources, targets, rows, cols)
     with _engine(engine):
-        actual = _corridor_connected(lattice, sources, targets, rows, cols)
+        actual = _corridor_connected(
+            lattice, _rows_cols(sources), _rows_cols(targets), rows, cols
+        )
     assert actual == expected
 
 
@@ -449,7 +482,7 @@ def test_corridor_join_pops_in_neighbor_order(engine):
     with _engine(engine):
         for target, visited in expected.items():
             args = (lattice, [(1, 1)], {target}, (0, 3), (0, 3))
-            assert _corridor_connected(*args) == (True, visited)
+            assert _corridor_connected(*_as_arrays(args)) == (True, visited)
             assert corridor_connected_scalar(*args) == (True, visited)
 
 
@@ -551,7 +584,7 @@ def test_corridor_join_through_the_sink(engine, targets, reached):
     )
     args = (lattice, [(1, 0)], targets, (0, 3), (0, 3))
     with _engine(engine), _recorded_bfs(modular_module) as calls:
-        actual = _corridor_connected(*args)
+        actual = _corridor_connected(*_as_arrays(args))
     assert actual == corridor_connected_scalar(*args)
     assert actual[0] is reached
     indptr, order, _ = calls[0]
@@ -561,32 +594,26 @@ def test_corridor_join_through_the_sink(engine, targets, reached):
         assert sink < int(np.flatnonzero(order == 8)[0])
 
 
-def _intersections_quadratic(vertical_paths, horizontal_paths):
-    """The pre-optimization reference: rescan every horizontal path against
-    every vertical path's site set."""
-    nodes = {}
-    vertical_sets = [set(path) for path in vertical_paths]
-    for h_index, h_path in enumerate(horizontal_paths):
-        for v_index, v_sites in enumerate(vertical_sets):
-            for coord in h_path:
-                if coord in v_sites:
-                    nodes[(v_index, h_index)] = coord
-                    break
-    return nodes
+def _node_coordinates(nodes, size):
+    """A flat-site node dict as coordinates, in the same key order."""
+    return {key: divmod(site, size) for key, site in nodes.items()}
 
 
 @given(carving_cases())
 @settings(max_examples=25, deadline=None)
 def test_intersections_map_matches_quadratic_reference(case):
-    """The coord->v_index intersection map must pin the exact node_sites of
-    the old quadratic scan — values *and* insertion order."""
+    """The flat-site intersection map must pin the exact node_sites of the
+    coordinate rescan oracle — values *and* insertion order."""
     size, target, probability, seed = case
     lattice = sample_lattice(size, probability, rng=np.random.default_rng(seed))
     result = renormalize(lattice, target)
-    expected = _intersections_quadratic(
-        result.vertical_paths, result.horizontal_paths
+    expected = coordinate_intersections(result.vertical_paths, result.horizontal_paths)
+    if not result.horizontal_sites:
+        assert expected == {}
+        return
+    actual = _node_coordinates(
+        _intersections(size, result.vertical_sites, result.horizontal_sites), size
     )
-    actual = _intersections(result.vertical_paths, result.horizontal_paths)
     assert actual == expected
     assert list(actual) == list(expected)
 
@@ -597,8 +624,11 @@ def test_intersections_first_site_along_horizontal_path():
     v0 = [(0, 1), (1, 1), (2, 1)]
     v1 = [(0, 3), (1, 3), (2, 3)]
     h0 = [(1, 4), (1, 3), (1, 2), (1, 1)]  # meets v1 before v0
-    nodes = _intersections([v0, v1], [h0])
-    assert nodes == {(0, 0): (1, 1), (1, 0): (1, 3)}
+    size = 5
+    nodes = _intersections(
+        size, [flat_sites(v0, size), flat_sites(v1, size)], [flat_sites(h0, size)]
+    )
+    assert _node_coordinates(nodes, size) == {(0, 0): (1, 1), (1, 0): (1, 3)}
     assert list(nodes) == [(0, 0), (1, 0)]
 
 
@@ -691,9 +721,7 @@ def test_node_sites_match_quadratic_reference_from_paths(case):
     lattice = _lattice_with_loss(size, bond_probability, loss, seed)
     result = renormalize(lattice, target, work_budget=budget)
     if len(result.vertical_paths) == target and len(result.horizontal_paths) == target:
-        expected = _intersections_quadratic(
-            result.vertical_paths, result.horizontal_paths
-        )
+        expected = coordinate_intersections(result.vertical_paths, result.horizontal_paths)
         assert result.node_sites == expected
         assert list(result.node_sites) == list(expected)
         assert all(
@@ -701,3 +729,107 @@ def test_node_sites_match_quadratic_reference_from_paths(case):
         )
     else:
         assert result.node_sites == {}
+
+
+def _result_coordinates(result):
+    """The eager construction the coordinate views replaced: one zip per
+    path, and the node grid rescanned from those coordinate paths."""
+    vertical = [grid_path(sites, result.side) for sites in result.vertical_sites]
+    horizontal = [grid_path(sites, result.side) for sites in result.horizontal_sites]
+    nodes = {}
+    if len(vertical) == len(horizontal) == result.target_size:
+        nodes = coordinate_intersections(vertical, horizontal)
+    return vertical, horizontal, nodes
+
+
+@given(pathfind_cases())
+@settings(max_examples=50, deadline=None)
+def test_coordinate_views_match_eager_construction(case):
+    """``vertical_paths``, ``horizontal_paths`` and ``node_sites`` are built
+    on first access from the stored flat sites; they must equal the eager
+    per-path construction — python-int tuples, same dict order — on lossy
+    lattices, partial carves and work-budget cuts alike."""
+    size, target, bond_probability, loss, budget, seed = case
+    lattice = _lattice_with_loss(size, bond_probability, loss, seed)
+    result = renormalize(lattice, target, work_budget=budget)
+    vertical, horizontal, nodes = _result_coordinates(result)
+    assert result.side == size
+    assert result.vertical_paths == vertical
+    assert result.horizontal_paths == horizontal
+    assert result.node_sites == nodes
+    assert list(result.node_sites) == list(nodes)
+    for paths in (result.vertical_paths, result.horizontal_paths, [result.node_sites.values()]):
+        assert all(type(value) is int for path in paths for coord in path for value in coord)
+    assert result.vertical_paths is result.vertical_paths  # built once
+
+
+@st.composite
+def modular_cases(draw):
+    size = draw(st.integers(10, 40))
+    node_size = draw(st.integers(2, 6))
+    modules = draw(st.sampled_from([1, 4, 9]))
+    mi_ratio = draw(st.sampled_from([2, 4, 7, 14]))
+    probability = draw(st.sampled_from([0.6, 0.72, 0.85, 1.0]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    try:
+        layout = modular_module.ModularLayout.fit(size, modules, mi_ratio)
+    except RenormalizationError:
+        assume(False)
+    return size, node_size, modules, mi_ratio, probability, seed, layout
+
+
+@given(modular_cases())
+@settings(max_examples=40, deadline=None)
+def test_modular_joins_match_coordinate_oracle(case):
+    """The corridor joins on module-local flat sites, shifted by the module
+    origins into row/col arrays, must survive exactly the rows and columns
+    the coordinate-path joins of the oracle do, with the same work counts;
+    every module result passes the certificate on its module lattice."""
+    size, node_size, modules, mi_ratio, probability, seed, layout = case
+    lattice = sample_lattice(size, probability, rng=np.random.default_rng(seed))
+    result = modular_renormalize(lattice, node_size, modules, mi_ratio)
+    expected = modular_renormalize_coordinates(lattice, node_size, modules, mi_ratio)
+    assert result.layout == expected.layout == layout
+    assert result.surviving_rows == expected.surviving_rows
+    assert result.surviving_cols == expected.surviving_cols
+    assert result.wall_visited_sites == expected.wall_visited_sites
+    assert result.total_visited_sites == expected.total_visited_sites
+    g = layout.modules_per_side
+    assert len(result.module_results) == len(expected.module_results) == g * g
+    for position, (module, reference) in enumerate(
+        zip(result.module_results, expected.module_results)
+    ):
+        assert _result_tuple(module) == _result_tuple(reference)
+        mi, mj = divmod(position, g)
+        check_renormalization(_module_lattice(lattice, layout, mi, mj), module)
+
+
+def test_compile_builds_no_coordinates(monkeypatch):
+    """The compile path reads only success, size and visited sites: a
+    qaoa-4 compile must never build a coordinate path or node."""
+
+    def refuse(paths, side):
+        raise AssertionError("the compile path built coordinates")
+
+    circuit = make_benchmark("qaoa", 4, seed=0)
+    expected = Pipeline(PipelineSettings(), seed=0).compile(circuit)
+    monkeypatch.setattr(renormalize_module, "_coordinates", refuse)
+    result = Pipeline(PipelineSettings(), seed=0).compile(circuit)
+    assert result.rsl_count == expected.rsl_count > 0
+    assert result.fusion_count == expected.fusion_count
+    with pytest.raises(AssertionError, match="built coordinates"):
+        renormalize_module.renormalize(sample_lattice(6, 1.0, rng=0), 1).vertical_paths
+
+
+def test_a_path_pair_may_cross_three_times():
+    """On this lossy 12x12 lattice the shortest horizontal path crosses the
+    vertical one at column 8 three times, each straight through; the
+    node is the first crossing along the horizontal path, and the product
+    agrees with the scalar oracles and passes the certificate."""
+    lattice = _lattice_with_loss(12, 0.6, 0.05, 2215)
+    result = _assert_vector_matches_scalar(lattice, 1)
+    assert result.success
+    vertical = set(result.vertical_paths[0])
+    shared = [coord for coord in result.horizontal_paths[0] if coord in vertical]
+    assert shared == [(5, 8), (3, 8), (1, 8)]
+    assert result.node_sites == {(0, 0): (5, 8)}
