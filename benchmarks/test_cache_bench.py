@@ -10,7 +10,11 @@ Two measurements land in ``benchmarks/out/BENCH_cache.json``:
   seed axis; the warm run hits every stage, which is the artifact cache's
   headline: re-running a sweep — the golden-determinism suite, a crashed
   sweep resumed, a what-if on the analysis side — costs deserialization,
-  not recompilation.  The floor asserts warm >= 3x uncached.
+  not recompilation.  The floor asserts warm >= 3x uncached.  The
+  uncached and warm sweeps are each timed as the best of
+  ``SWEEP_ROUNDS`` runs of the same work: the warm sweep takes a few
+  milliseconds, so a single timing can catch one scheduler hiccup and
+  read a fraction of the steady ratio.
 
 * **Strip pre-check, vector vs DSU** — the renormalization connectivity
   pre-check measured standalone over percolated lattices near threshold
@@ -49,6 +53,9 @@ WARM_FLOOR = 3.0
 #: No-regression floor for the vectorized pre-check micro-benchmark.
 PRECHECK_FLOOR = 1.3
 
+#: Timed runs of the uncached and warm sweeps; each reports its best.
+SWEEP_ROUNDS = 5
+
 #: Pre-check micro-benchmark shape: strips of a near-threshold lattice.
 PRECHECK_SIZE = 96
 PRECHECK_RATE = 0.55
@@ -69,6 +76,10 @@ def _seconds(fn) -> float:
     return time.perf_counter() - start
 
 
+def _best_seconds(fn) -> float:
+    return min(_seconds(fn) for _ in range(SWEEP_ROUNDS))
+
+
 def test_cached_sweep_throughput_snapshot():
     sweep, seeds = _sweep_jobs()
     uncached = Pipeline(SETTINGS)
@@ -78,14 +89,14 @@ def test_cached_sweep_throughput_snapshot():
         for circuit, seed in zip(sweep, seeds):
             pipeline.compile(circuit, seed=seed)
 
-    uncached_s = _seconds(lambda: compile_sweep(uncached))
+    uncached_s = _best_seconds(lambda: compile_sweep(uncached))
 
     cache = MemoryCache()
     cached = uncached.with_cache(cache)
     cold_s = _seconds(lambda: compile_sweep(cached))
     cold_hits, cold_misses = cache.hits, cache.misses
-    warm_s = _seconds(lambda: compile_sweep(cached))
-    warm_hits = cache.hits - cold_hits
+    warm_s = _best_seconds(lambda: compile_sweep(cached))
+    warm_hits = (cache.hits - cold_hits) // SWEEP_ROUNDS
 
     warm_speedup = uncached_s / warm_s
     cold_speedup = uncached_s / cold_s
@@ -150,7 +161,8 @@ def test_cached_sweep_throughput_snapshot():
     # The cold run's prefix sharing: every circuit's translate/rewrite/
     # offline-map computed once, then hit for the other seeds of the axis.
     assert cold_hits == 3 * len(FAMILIES) * (len(SEEDS) - 1)
-    assert warm_hits == 4 * len(sweep)  # every stage of every job
+    assert warm_hits == 4 * len(sweep)  # every stage of every job, every run
+    assert cache.misses == cold_misses
     assert warm_speedup >= WARM_FLOOR, (
         f"warm-cache sweep only {warm_speedup:.2f}x over uncached "
         f"(floor {WARM_FLOOR}x)"

@@ -164,7 +164,6 @@ class _MapperState:
         self.homes: dict[Coord2D, int] = {}  # home -> stored nodes living there
         self.stored_layer_sum = 0  # over memory entries
         self.deferred_edges: set[frozenset[int]] = set()
-        self.demands: list[LayerDemand] = []
         self.layer = -1
         self.layers_since_refresh = 0
         self.refresh_layers = 0
@@ -244,25 +243,16 @@ class _MapperState:
         self.layers_since_refresh += 1
         grid = LayerGrid(self.mapper.width)
         placed_here: dict[int, Coord2D] = {}  # g_node -> cell (residents + worldlines)
-        adjacent_connections = 0
-        cross_connections = 0
         incomplete_here = 0
         progress = False
         limit = max(1, int(self.mapper.occupancy_limit * self.mapper.width**2))
-
-        def note_connection(gap: int) -> None:
-            nonlocal adjacent_connections, cross_connections
-            if gap == 1:
-                adjacent_connections += 1
-            else:
-                cross_connections += 1
 
         # Phase 1: realize deferred edges between stored worldlines first —
         # retiring memory takes precedence over growing it, which keeps the
         # live population (and therefore refresh cost) bounded.
         for edge in sorted(self.deferred_edges, key=sorted):
             u, v = tuple(edge)
-            if self._try_realize_deferred(u, v, grid, placed_here, note_connection):
+            if self._try_realize_deferred(u, v, grid, placed_here):
                 self.deferred_edges.discard(edge)
                 self.deferred_realized += 1
                 progress = True
@@ -273,7 +263,7 @@ class _MapperState:
         for g_node in self._candidates():
             if incomplete_here >= limit or len(grid.cells) == cell_count:
                 break
-            outcome = self._try_place(g_node, grid, placed_here, note_connection)
+            outcome = self._try_place(g_node, grid, placed_here)
             if outcome is None:
                 continue
             progress = True
@@ -283,12 +273,6 @@ class _MapperState:
 
         # End of layer: every on-layer node with pending edges is stored.
         self._store_leftovers(placed_here)
-        self.demands.append(
-            LayerDemand(
-                adjacent_connections=adjacent_connections,
-                cross_connections=cross_connections,
-            )
-        )
         return progress
 
     def _candidates(self) -> list[int]:
@@ -340,7 +324,6 @@ class _MapperState:
         g_node: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> set[int] | None:
         """Attempt to place ``g_node`` and realize what edges it can.
 
@@ -386,7 +369,7 @@ class _MapperState:
             + abs(neighbor_position(nb)[1] - cell[1]),
         )
         for nb in ordered:
-            if self._realize_edge(g_node, nb, grid, placed_here, note_connection):
+            if self._realize_edge(g_node, nb, grid, placed_here):
                 realized.add(nb)
 
         pending = set(neighbors) - realized
@@ -408,7 +391,6 @@ class _MapperState:
         nb: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> bool:
         """Route the edge (g_node, nb) on the current layer (one transaction).
 
@@ -444,7 +426,6 @@ class _MapperState:
             coord = (nb_cell[0], nb_cell[1], layer)
             self.ir.add_node(coord, ROLE_WORLDLINE, nb)
             self.ir.add_temporal_edge(entry.last_coord, coord)
-            note_connection(layer - entry.last_coord[2])
             self.retrievals += 1
             self._restamp(entry, coord)
             placed_here[nb] = nb_cell
@@ -492,7 +473,6 @@ class _MapperState:
         v: int,
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
-        note_connection,
     ) -> bool:
         """Realize a deferred edge by meeting both worldlines on this layer."""
         positions: dict[int, Coord2D] = {}
@@ -531,7 +511,6 @@ class _MapperState:
             coord = (entry.home[0], entry.home[1], self.layer)
             self.ir.add_node(coord, ROLE_WORLDLINE, node)
             self.ir.add_temporal_edge(entry.last_coord, coord)
-            note_connection(self.layer - entry.last_coord[2])
             self.retrievals += 1
             self._restamp(entry, coord)
             placed_here[node] = entry.home
@@ -654,8 +633,6 @@ class _MapperState:
             self.layer += 1
             self.refresh_layers += 1
             used_homes: set[Coord2D] = set()
-            adjacent = 0
-            cross = 0
             while index < len(entries) and len(used_homes) < batch_capacity:
                 entry = entries[index]
                 if entry.home in used_homes:
@@ -664,15 +641,7 @@ class _MapperState:
                 coord = (entry.home[0], entry.home[1], self.layer)
                 self.ir.add_node(coord, ROLE_WORLDLINE, entry.g_node)
                 self.ir.add_temporal_edge(entry.last_coord, coord)
-                gap = self.layer - entry.last_coord[2]
-                if gap == 1:
-                    adjacent += 1
-                else:
-                    cross += 1
                 self.retrievals += 1
                 self._restamp(entry, coord)
                 index += 1
-            self.demands.append(
-                LayerDemand(adjacent_connections=adjacent, cross_connections=cross)
-            )
         self.layers_since_refresh = 0

@@ -14,20 +14,19 @@ spanning sweeps and cluster-fraction estimates (:func:`spanning_probability`,
 the percolation example, the threshold tests), which sample thousands of
 lattices per curve; the compiler itself never calls it.  The
 renormalization pass's path search and per-strip spanning check run on
-:func:`frontier_bfs`, scipy's compiled ``breadth_first_order``.  The
-original per-bond union-find, the pure-python BFS twin and the scalar strip
-checks are the parity oracles in ``tests/oracles.py``.
+:func:`frontier_bfs`, the compiled breadth-first kernel behind scipy's
+``breadth_first_order``, called without its graph wrapper.  The original
+per-bond union-find, the pure-python BFS twin and the scalar strip checks
+are the parity oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph._traversal import _breadth_first_directed
 
 from repro import obs
 from repro.errors import RenormalizationError
@@ -44,48 +43,6 @@ NO_PREDECESSOR = -9999
 #: Edge slots per cell in a fixed-stride move table (see
 #: :func:`move_table_indptr`): the four grid moves.
 MOVE_SLOTS = 4
-
-#: Scipy graphs a thread keeps for reuse by :func:`frontier_bfs`, one per
-#: node count.  A ``renormalize`` call touches at most two strip shapes
-#: plus the pre-check's and the corridor joins' graphs.
-_GRAPH_POOL_SIZE = 4
-
-
-class _GraphPool(threading.local):
-    """One thread's reusable ``csr_array`` objects and their ones buffer.
-
-    Per thread because reuse rebinds a graph's arrays before each
-    traversal: ``repro serve`` compiles on a thread pool, and two threads
-    sharing one graph would traverse each other's edges.
-    """
-
-    def __init__(self) -> None:
-        self.graphs: dict[int, object] = {}
-        self.ones = np.ones(0)
-
-    def graph(self, indptr: np.ndarray, indices: np.ndarray):
-        """A graph of ``indptr.shape[0] - 1`` nodes holding these arrays."""
-        edge_count = indices.shape[0]
-        if self.ones.shape[0] < edge_count:
-            self.ones = np.ones(max(edge_count, 2 * self.ones.shape[0]))
-        data = self.ones[:edge_count]
-        node_count = indptr.shape[0] - 1
-        graph = self.graphs.get(node_count)
-        if graph is None:
-            graph = csr_array((data, indices, indptr), shape=(node_count, node_count))
-            if len(self.graphs) >= _GRAPH_POOL_SIZE:
-                del self.graphs[next(iter(self.graphs))]
-            self.graphs[node_count] = graph
-        else:
-            # Public attributes; scipy's graph validation then passes the
-            # graph through (already CSR, float64) without a copy.
-            graph.indptr = indptr
-            graph.indices = indices
-            graph.data = data
-        return graph
-
-
-_GRAPHS = _GraphPool()
 
 
 def frontier_adjacency(
@@ -146,31 +103,36 @@ def frontier_bfs(
     storage order, the first discoverer of a node becoming its predecessor
     — exactly the semantics of a scalar ``deque`` BFS, which is what lets
     the vectorized renormalization path search reproduce the scalar
-    oracle's paths and visited-site counts byte-for-byte.  Runs on scipy's
-    compiled ``breadth_first_order``, whose tie-breaks the property suite
-    pins against a pure-python twin.
+    oracle's paths and visited-site counts byte-for-byte.  The property
+    suite pins the tie-breaks against a pure-python twin.
 
-    It builds no graph per call: each thread keeps a few ``csr_array``
-    objects keyed by node count and rebinds their arrays, so a call costs
-    the traversal plus a fixed handful of attribute writes.
+    Runs scipy's compiled kernel ``_breadth_first_directed`` (the loop
+    inside ``breadth_first_order``) on the caller's arrays directly: every
+    graph here is built in-process, so the public entry's ``csr_array``
+    and ``validate_graph`` round trip is pure overhead.  The output buffers
+    are allocated per call, so concurrent calls (``repro serve`` compiles
+    on a thread pool) share nothing.
 
     A fixed-stride move table (:func:`move_table_indptr`) routes every
     missing edge to its sink node, so the sink appears in the pop order
     (and in the ``online.bfs_nodes`` histogram) whenever some slot
     lacked an edge; callers subtract it from their pop counts.
     """
-    graph = _GRAPHS.graph(
-        np.ascontiguousarray(indptr, dtype=np.int32),
+    node_count = indptr.shape[0] - 1
+    order = np.empty(node_count, dtype=np.int32)
+    predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
+    length = _breadth_first_directed(
+        source,
         np.ascontiguousarray(indices, dtype=np.int32),
-    )
-    order, predecessors = breadth_first_order(
-        graph, source, directed=True, return_predecessors=True
+        np.ascontiguousarray(indptr, dtype=np.int32),
+        order,
+        predecessors,
     )
     if obs.active() is not None:
         # Out-of-band wavefront-size telemetry; the ``active`` gate keeps
         # the untraced hot path to one global read.
-        obs.observe("online.bfs_nodes", int(order.shape[0]))
-    return order, predecessors
+        obs.observe("online.bfs_nodes", length)
+    return order[:length], predecessors
 
 
 def grid_spans_from_usable(

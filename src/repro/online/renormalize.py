@@ -43,7 +43,6 @@ from repro.online.percolation import (
     frontier_bfs,
     grid_spans_from_usable,
     move_table_indptr,
-    move_table_pops,
 )
 from repro.utils.gridgeom import Coord2D
 
@@ -55,24 +54,31 @@ _FREE, _VERTICAL, _HORIZONTAL, _DEAD = 0, 1, 2, 3
 class RenormalizationResult:
     """Outcome of one 2D renormalization attempt.
 
-    The carved paths and the node grid are stored as flat lattice site
-    indices ``row * side + col``, the form the search produces and the
-    callers on the compile path never read.  :attr:`vertical_paths`,
-    :attr:`horizontal_paths` and :attr:`node_sites` are their coordinate
-    views, python-int ``(row, col)`` tuples built on first access.
+    The carved paths are stored as flat lattice site indices ``row * side
+    + col``, the form the search produces; the callers on the compile path
+    read only the flags and counts.  :attr:`nodes` (the node grid, in flat
+    sites) and the coordinate views :attr:`vertical_paths`,
+    :attr:`horizontal_paths` and :attr:`node_sites` (python-int ``(row,
+    col)`` tuples) are built from the paths on first access.
     """
 
-    success: bool
+    success: bool  # all ``2 * target_size`` paths were found
     target_size: int
-    lattice_size: int  # achieved size (== target_size on success)
+    lattice_size: int  # the smaller path count (== target_size on success)
     visited_sites: int = 0  # BFS + DSU work, the Fig. 14 cost proxy
     side: int = 0  # side of the lattice the flat site indices address
     vertical_sites: list[np.ndarray] = field(default_factory=list)
     horizontal_sites: list[np.ndarray] = field(default_factory=list)
-    #: ``(v_index, h_index) -> flat site`` of each path crossing, in
-    #: ascending ``h_index``, then ``v_index``, order; empty unless all
-    #: ``2 * target_size`` paths were found.
-    nodes: dict[tuple[int, int], int] = field(default_factory=dict)
+
+    @cached_property
+    def nodes(self) -> dict[tuple[int, int], int]:
+        """``(v_index, h_index) -> flat site`` of each path crossing, in
+        ascending ``h_index``, then ``v_index``, order; empty unless the
+        carve succeeded (every vertical path then crosses every horizontal
+        one, so the grid is complete)."""
+        if not self.success:
+            return {}
+        return _intersections(self.side, self.vertical_sites, self.horizontal_sites)
 
     @cached_property
     def vertical_paths(self) -> list[list[Coord2D]]:
@@ -113,9 +119,10 @@ _VIEW_MOVES = {
 
 #: Layout of the stacked boolean frames a vectorized path query gathers
 #: from: usable bonds along the span and across lanes (each stored at its
-#: lower/left endpoint), free cells, cells a one-hop move may enter (free,
-#: or perpendicular-owned on the goal row: the far-edge crossing), and
-#: cells a two-hop move may cross (perpendicular-owned, off the goal row).
+#: lower/left endpoint), free cells, the goal-row cells a one-hop move may
+#: enter (free, or perpendicular-owned: the far-edge crossing; only the
+#: goal row of this frame is written or read), and cells a two-hop move
+#: may cross (perpendicular-owned, off the goal row).
 _ALONG, _ACROSS, _FREE_FRAME, _ENTER, _CROSS = range(5)
 
 
@@ -125,7 +132,8 @@ class _MoveGeometry(NamedTuple):
     ``gather`` addresses the flattened ``(5, n + 4, w + 4)`` frame stack of
     :meth:`_Carver.find_path` (two cells of ``False`` padding on every
     side); its planes, in order, are the cell's bond to ``cell + d``,
-    ``cell + d`` one-hop enterable, ``cell + d`` two-hop crossable, the
+    ``cell + d`` one-hop enterable (read from the free frame off the goal
+    row, from the enterable frame on it), ``cell + d`` two-hop crossable, the
     onward bond to ``cell + 2d`` and ``cell + 2d`` free, so a strip with
     no crossing gathers only the first two.  ``indptr`` is the strip's
     fixed-stride CSR row pointer: four slots per cell, ``w`` for the
@@ -175,7 +183,8 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
     # array, and a stack of temporaries would double it at build time.
     gather = np.empty((5, n * width, MOVE_SLOTS), dtype=np.intp)
     np.add(cell, bonds, out=gather[0])
-    np.add(cell, step + _ENTER * frame_size, out=gather[1])
+    enter = np.where(span + d_span == n - 1, _ENTER, _FREE_FRAME)
+    np.add(cell, step + enter * frame_size, out=gather[1])
     np.add(cell, step + _CROSS * frame_size, out=gather[2])
     np.add(cell, step + bonds, out=gather[3])
     np.add(cell, 2 * step + _FREE_FRAME * frame_size, out=gather[4])
@@ -265,7 +274,9 @@ class _Carver:
         usable-bond masks are sliced from the carver's views, and the frame
         stack of each strip width is allocated once and only its interior
         overwritten (the padding, the along-bond row of the goal row and
-        the crossable goal row are never written, so they stay ``False``).
+        the crossable goal row are never written, so they stay ``False``;
+        of the enterable frame only the goal row is written, since one-hop
+        moves onto any other row read the free frame).
         A strip with no perpendicular-owned cell has no crossings, so it
         gathers only the bond and enterable planes.
 
@@ -313,12 +324,13 @@ class _Carver:
         frames[_ACROSS, 2:-2, 2 : width + 1] = usable_across
         free = owner == _FREE
         frames[_FREE_FRAME, 2:-2, 2:-2] = free
-        frames[_ENTER, 2:-2, 2:-2] = free
         other = owner == other_owner
         crossings = bool(other.any())
         if crossings:
-            frames[_ENTER, n + 1, 2:-2] |= other[-1]
+            np.logical_or(free[-1], other[-1], out=frames[_ENTER, n + 1, 2:-2])
             frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
+        else:
+            frames[_ENTER, n + 1, 2:-2] = free[-1]
         total = n * width
         sink = total + 1
 
@@ -345,32 +357,38 @@ class _Carver:
         indices[-width:] = np.where(free[0], geometry.lanes, start)
 
         pop_order, parents = frontier_bfs(geometry.indptr, indices, total)
-        is_goal = (pop_order >= total - width) & (pop_order < total)
-        found = int(is_goal.argmax())
-        if not is_goal[found]:
+        # The super-source pops first; after it, the only nodes numbered
+        # ``total - width`` or more are the sink and the goal-row cells.
+        marks = np.flatnonzero(pop_order >= total - width)[1:3].tolist()
+        sink_first = bool(marks) and pop_order.item(marks[0]) == sink
+        if sink_first:
+            del marks[0]
+        if not marks:
             # Every enqueued cell was popped without reaching the far edge.
             # Only a spanning relaxed graph charges those pops; otherwise
             # the pre-check alone would have answered.
             if grid_spans_from_usable(sites[:, low:high], usable_across, usable_along):
-                self.visited_sites += move_table_pops(pop_order, parents, len(pop_order))
+                self.visited_sites += len(pop_order) - 1 - sink_first
             return None
         # Cell pops up to (and including) the goal are the scalar BFS's
-        # visited count.
-        self.visited_sites += move_table_pops(pop_order, parents, found + 1)
+        # visited count: neither the super-source nor an earlier sink.
+        found = marks[0]
+        self.visited_sites += found - sink_first
 
         # One walk from the goal back to the super-source.  A step that is
         # no one-hop move is a two-hop edge, two cells along one view axis;
         # the skipped crossing site is its midpoint.
         one_hop_steps = geometry.one_hop_steps
-        node = int(pop_order[found])
+        parent_of = parents.item
+        node = pop_order.item(found)
         path = [node]
-        previous = int(parents[node])
+        previous = parent_of(node)
         while previous != total:
             if node - previous not in one_hop_steps:
                 path.append((node + previous) // 2)
             path.append(previous)
             node = previous
-            previous = int(parents[node])
+            previous = parent_of(node)
         if node >= width:
             # Entered one row inward across a perpendicular-owned start cell.
             path.append(node - width)
@@ -392,29 +410,24 @@ class _Carver:
         owner[sites] = np.where(current == _FREE, marker, current)
         self.claimed[vertical].append(sites)
 
-    def result(
-        self, target_size: int, nodes: dict[tuple[int, int], int] | None = None
-    ) -> RenormalizationResult:
-        """The carve so far as a result; ``nodes`` is None while partial.
+    def result(self, target_size: int) -> RenormalizationResult:
+        """The carve so far as a result.
 
-        A partial carve achieves the smaller of its two path counts; a full
-        one succeeds iff its node grid is complete.
+        A carve achieves the smaller of its two path counts and succeeds
+        with all ``2 * target_size`` paths: each vertical path spans every
+        row band, so it crosses every horizontal path and the node grid is
+        complete (``tests/oracles.py::check_renormalization`` certifies it).
         """
         vertical, horizontal = self.claimed[True], self.claimed[False]
-        if nodes is None:
-            achieved = min(len(vertical), len(horizontal))
-            nodes = {}
-        else:
-            achieved = int(len(nodes) ** 0.5)
+        achieved = min(len(vertical), len(horizontal))
         return RenormalizationResult(
-            success=len(nodes) == target_size * target_size,
+            success=achieved == target_size,
             target_size=target_size,
             lattice_size=achieved,
             visited_sites=self.visited_sites,
             side=self.size,
             vertical_sites=vertical,
             horizontal_sites=horizontal,
-            nodes=nodes,
         )
 
 
@@ -450,10 +463,7 @@ def renormalize(
             if sites is None:
                 return carver.result(target_size)
             carver.claim(sites, vertical)
-    return carver.result(
-        target_size,
-        _intersections(lattice.size, carver.claimed[True], carver.claimed[False]),
-    )
+    return carver.result(target_size)
 
 
 def _intersections(

@@ -286,7 +286,7 @@ def check_reshape_metrics(metrics: ReshapeMetrics, config: HardwareConfig) -> No
 def frontier_bfs_python(
     indptr: np.ndarray, indices: np.ndarray, source: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-python twin of scipy's ``breadth_first_order``.
+    """Pure-python twin of scipy's compiled breadth-first kernel.
 
     Bit-for-bit the contract of ``repro.online.percolation.frontier_bfs``:
     FIFO pops, per-node edges walked in CSR storage order, the first

@@ -3,10 +3,10 @@ passes the ``check_renormalization`` certificate), the strip pre-check
 against its scalar DSU oracle, the wavefront path search against the scalar
 deque-BFS oracle carvers, the compiled corridor join and the flat-site
 modular joins against their per-cell and coordinate oracles, scipy's BFS
-against its pure-python twin, the frontier engine's per-thread graph reuse
-and fixed-stride sink accounting, the carver's per-width frame reuse and
-flat-site node grid, and the on-demand coordinate views against the eager
-construction they replaced."""
+kernel against its pure-python twin (also from two threads at once), the
+frontier engine's fixed-stride sink accounting, the carver's per-width
+frame reuse and flat-site node grid, and the on-demand node grid and
+coordinate views against the eager construction they replaced."""
 
 import importlib
 import sys
@@ -489,9 +489,10 @@ def test_corridor_join_pops_in_neighbor_order(engine):
 @given(st.integers(0, 2**31 - 1), st.integers(1, 40), st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
 def test_frontier_bfs_engines_agree_on_random_graphs(seed, nodes, degree):
-    """scipy's breadth_first_order and the pure-python oracle twin must emit
-    the same pop order and the same first-discoverer predecessors — the
-    tie-break contract the path search's byte-identity rests on."""
+    """scipy's breadth-first kernel (through ``frontier_bfs``) and the
+    pure-python oracle twin must emit the same pop order and the same
+    first-discoverer predecessors — the tie-break contract the path
+    search's byte-identity rests on."""
     rng = np.random.default_rng(seed)
     edge_count = int(degree * nodes)
     sources = rng.integers(0, nodes, edge_count)
@@ -523,7 +524,7 @@ def _assert_bfs_matches_python(graph):
 
 def test_frontier_bfs_reuses_graphs_across_edge_counts():
     """Back-to-back traversals of graphs with one node count but different
-    edge counts reuse one engine graph; each must see only its own edges."""
+    edge counts must each see only their own edges."""
     graphs = [
         _random_frontier_graph(seed, 50, edges)
         for seed, edges in ((1, 40), (2, 160), (3, 0), (4, 90), (5, 160))
@@ -535,8 +536,8 @@ def test_frontier_bfs_reuses_graphs_across_edge_counts():
 
 def test_frontier_bfs_graph_reuse_is_per_thread():
     """Two threads traverse different graphs of one node count 3,000 times
-    each with a tiny switch interval; a graph shared between the threads
-    would hand one thread the other's edges mid-call."""
+    each with a tiny switch interval; any buffer shared between the
+    threads would hand one thread the other's pops mid-call."""
     calls = 3000
     graphs = [_random_frontier_graph(seed, 64, 150) for seed in (11, 12)]
     expected = [frontier_bfs_python(*graph) for graph in graphs]
@@ -565,6 +566,46 @@ def test_frontier_bfs_graph_reuse_is_per_thread():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert done == [calls, calls]
+    assert mismatches == [0, 0]
+
+
+@given(
+    st.integers(0, 2**31 - 1),
+    st.lists(st.tuples(st.integers(1, 80), st.integers(0, 240)), min_size=2, max_size=2),
+)
+@settings(max_examples=10, deadline=None)
+def test_frontier_bfs_from_two_threads_matches_python_twin(seed, shapes):
+    """Two threads start together and traverse their own random graphs 200
+    times each, with a tiny switch interval: every call must match the
+    pure-python twin, so the per-call output buffers share no state."""
+    graphs = [
+        _random_frontier_graph(seed + slot, nodes, edges)
+        for slot, (nodes, edges) in enumerate(shapes)
+    ]
+    expected = [frontier_bfs_python(*graph) for graph in graphs]
+    start = threading.Barrier(2)
+    mismatches = [0, 0]
+
+    def worker(slot):
+        indptr, indices, source = graphs[slot]
+        order_ref, pred_ref = expected[slot]
+        start.wait()
+        for _ in range(200):
+            order, pred = percolation.frontier_bfs(indptr, indices, source)
+            if not (np.array_equal(order, order_ref) and np.array_equal(pred, pred_ref)):
+                mismatches[slot] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     assert mismatches == [0, 0]
 
 
@@ -763,6 +804,32 @@ def test_coordinate_views_match_eager_construction(case):
     assert result.vertical_paths is result.vertical_paths  # built once
 
 
+@pytest.mark.parametrize("loss", [0.0, 0.05, 0.3])
+@given(pathfind_cases())
+@settings(max_examples=25, deadline=None)
+def test_flags_and_lazy_node_grid_match_eager_definition(loss, case):
+    """``success`` and ``lattice_size`` come from the path counts, and the
+    node grid is built on first read; on lossless and lossy lattices,
+    partial carves and work-budget cuts they must equal the eager
+    definition: a full carve succeeds iff its intersection grid is
+    complete, and its size is that grid's side."""
+    size, target, bond_probability, _, budget, seed = case
+    lattice = _lattice_with_loss(size, bond_probability, loss, seed)
+    result = renormalize(lattice, target, work_budget=budget)
+    vertical, horizontal = result.vertical_sites, result.horizontal_sites
+    if len(vertical) == len(horizontal) == target:
+        eager = _intersections(size, vertical, horizontal)
+        assert result.success == (len(eager) == target * target)
+        assert result.lattice_size == int(len(eager) ** 0.5)
+    else:
+        eager = {}
+        assert not result.success
+        assert result.lattice_size == min(len(vertical), len(horizontal))
+    assert result.nodes == eager
+    assert list(result.nodes) == list(eager)
+    assert result.nodes is result.nodes  # built once
+
+
 @st.composite
 def modular_cases(draw):
     size = draw(st.integers(10, 40))
@@ -806,19 +873,27 @@ def test_modular_joins_match_coordinate_oracle(case):
 
 def test_compile_builds_no_coordinates(monkeypatch):
     """The compile path reads only success, size and visited sites: a
-    qaoa-4 compile must never build a coordinate path or node."""
+    qaoa-4 compile must never build a coordinate path, nor run
+    ``_intersections`` for a node grid."""
 
     def refuse(paths, side):
         raise AssertionError("the compile path built coordinates")
 
+    def refuse_grid(size, vertical_sites, horizontal_sites):
+        raise AssertionError("the compile path built a node grid")
+
     circuit = make_benchmark("qaoa", 4, seed=0)
     expected = Pipeline(PipelineSettings(), seed=0).compile(circuit)
     monkeypatch.setattr(renormalize_module, "_coordinates", refuse)
+    monkeypatch.setattr(renormalize_module, "_intersections", refuse_grid)
     result = Pipeline(PipelineSettings(), seed=0).compile(circuit)
     assert result.rsl_count == expected.rsl_count > 0
     assert result.fusion_count == expected.fusion_count
+    carved = renormalize_module.renormalize(sample_lattice(6, 1.0, rng=0), 1)
     with pytest.raises(AssertionError, match="built coordinates"):
-        renormalize_module.renormalize(sample_lattice(6, 1.0, rng=0), 1).vertical_paths
+        carved.vertical_paths
+    with pytest.raises(AssertionError, match="built a node grid"):
+        carved.nodes
 
 
 def test_a_path_pair_may_cross_three_times():
