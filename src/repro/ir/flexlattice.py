@@ -43,12 +43,15 @@ class VNode:
     temporal_next: Coord3D | None = None
 
     def __post_init__(self) -> None:
-        if self.role not in (ROLE_GRAPH, ROLE_WORLDLINE, ROLE_ANCILLA):
-            raise IRError(f"unknown node role {self.role!r}")
-        if self.role in (ROLE_GRAPH, ROLE_WORLDLINE) and self.g_node is None:
-            raise IRError(f"{self.role} node at {self.coord} must carry a g_node id")
-        if self.role == ROLE_ANCILLA and self.g_node is not None:
-            raise IRError(f"ancilla at {self.coord} cannot carry a g_node id")
+        role = self.role
+        if role == ROLE_ANCILLA:
+            if self.g_node is not None:
+                raise IRError(f"ancilla at {self.coord} cannot carry a g_node id")
+        elif role == ROLE_GRAPH or role == ROLE_WORLDLINE:
+            if self.g_node is None:
+                raise IRError(f"{role} node at {self.coord} must carry a g_node id")
+        else:
+            raise IRError(f"unknown node role {role!r}")
 
 
 class FlexLatticeIR:
@@ -70,20 +73,17 @@ class FlexLatticeIR:
             return 0
         return 1 + max(coord[2] for coord in self.nodes)
 
-    def _check_coord(self, coord: Coord3D) -> None:
-        row, col, layer = coord
-        if not (0 <= row < self.width and 0 <= col < self.width):
-            raise IRError(f"{coord} outside the {self.width}x{self.width} layer")
-        if layer < 0:
-            raise IRError(f"negative layer in {coord}")
-
     def add_node(self, coord: Coord3D, role: str, g_node: int | None = None) -> VNode:
         """Place a node; each coordinate can be used at most once."""
-        self._check_coord(coord)
+        row, col, layer = coord
+        width = self.width
+        if not (0 <= row < width and 0 <= col < width):
+            raise IRError(f"{coord} outside the {width}x{width} layer")
+        if layer < 0:
+            raise IRError(f"negative layer in {coord}")
         if coord in self.nodes:
             raise IRError(f"coordinate {coord} is already occupied")
-        node = VNode(coord=coord, role=role, g_node=g_node)
-        self.nodes[coord] = node
+        node = self.nodes[coord] = VNode(coord, role, g_node)
         return node
 
     def node_at(self, coord: Coord3D) -> VNode:
@@ -92,9 +92,16 @@ class FlexLatticeIR:
         except KeyError as exc:
             raise IRError(f"no node at {coord}") from exc
 
+    # The two edge methods run once per wire step of a mapping, so they
+    # check membership inline rather than through ``node_at``.
+
     def add_spatial_edge(self, a: Coord3D, b: Coord3D) -> None:
         """Join two 4-adjacent nodes of the same layer."""
-        node_a, node_b = self.node_at(a), self.node_at(b)
+        nodes = self.nodes
+        if a not in nodes:
+            raise IRError(f"no node at {a}")
+        if b not in nodes:
+            raise IRError(f"no node at {b}")
         if a[2] != b[2]:
             raise IRError(f"spatial edge {a}-{b} spans layers")
         if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
@@ -103,15 +110,20 @@ class FlexLatticeIR:
         if key in self.spatial_edges:
             raise IRError(f"spatial edge {a}-{b} already enabled")
         self.spatial_edges.add(key)
-        del node_a, node_b
 
     def add_temporal_edge(self, earlier: Coord3D, later: Coord3D) -> None:
         """Join two nodes at the same 2D coordinate on different layers.
 
         Enforces rule 3: one temporal edge per direction per node.
         """
-        node_earlier, node_later = self.node_at(earlier), self.node_at(later)
-        if (earlier[0], earlier[1]) != (later[0], later[1]):
+        nodes = self.nodes
+        node_earlier = nodes.get(earlier)
+        if node_earlier is None:
+            raise IRError(f"no node at {earlier}")
+        node_later = nodes.get(later)
+        if node_later is None:
+            raise IRError(f"no node at {later}")
+        if earlier[0] != later[0] or earlier[1] != later[1]:
             raise IRError(
                 f"temporal edge {earlier}-{later} must keep the 2D coordinate"
             )

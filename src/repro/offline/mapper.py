@@ -129,13 +129,7 @@ def placement_cell(
     cell — placement must not deadlock, since edges can always be realized
     later through worldline meetings.
     """
-
-    def tier(cell: Coord2D) -> int:
-        if cell not in homes:
-            return 0
-        return 1 if cell not in neighbor_homes else 2
-
-    return grid.nearest_free(anchors, tier)
+    return grid.nearest_free(anchors, homes, neighbor_homes)
 
 
 def relocation_cell(
@@ -143,7 +137,7 @@ def relocation_cell(
 ) -> Coord2D | None:
     """A fresh home for a wire stuck at ``home``: the nearest free cell that
     is nobody's home (``home`` itself included)."""
-    return grid.nearest_free([home], lambda cell: None if cell in homes else 0)
+    return grid.nearest_free([home], homes, None)
 
 
 class _MapperState:
@@ -155,6 +149,8 @@ class _MapperState:
         self.graph = pattern.graph
         dag = DependencyDAG(pattern)
         self.ir = FlexLatticeIR(mapper.width)
+        # An entry is forgotten as soon as its pending set empties, so every
+        # stored node still owes an edge.
         self.memory: dict[int, MemoryEntry] = {}
         self.consumed: set[int] = set()
         # Kept up to date by ``_consume`` and ``_store``/``_forget`` so a
@@ -163,7 +159,9 @@ class _MapperState:
         self.mapped_neighbor_count = dict.fromkeys(pattern.nodes, 0)
         self.homes: dict[Coord2D, int] = {}  # home -> stored nodes living there
         self.stored_layer_sum = 0  # over memory entries
-        self.deferred_edges: set[frozenset[int]] = set()
+        # ``(lo, hi) -> (u, v)``: each deferred edge with the endpoint order
+        # it is attempted in (see ``_store_leftovers``).
+        self.deferred_edges: dict[tuple[int, int], tuple[int, int]] = {}
         self.layer = -1
         self.layers_since_refresh = 0
         self.refresh_layers = 0
@@ -185,7 +183,7 @@ class _MapperState:
     def run(self) -> MappingResult:
         total = len(self.pattern.nodes)
         idle = 0
-        while len(self.consumed) < total or self.deferred_edges or self._memory_dirty():
+        while len(self.consumed) < total or self.deferred_edges or self.memory:
             progress = self._map_one_layer()
             idle = 0 if progress else idle + 1
             if idle > self.mapper.max_idle_layers:
@@ -212,17 +210,23 @@ class _MapperState:
     def _derive_demands(self) -> list[LayerDemand]:
         """Per-layer time-like connection demands, read off the final IR.
 
-        Cross-layer connections also carry their layer gaps so the online
-        pass can enforce the delay-line photon lifetime.
+        Cross-layer connections also carry their layer gaps, in the order of
+        their sorted ``(earlier, later)`` coordinates, so the online pass
+        can enforce the delay-line photon lifetime.
         """
         adjacent = [0] * (self.layer + 1)
-        cross_gaps: list[list[int]] = [[] for _ in range(self.layer + 1)]
-        for earlier, later in self.ir.temporal_edges():
-            gap = later[2] - earlier[2]
-            if gap == 1:
+        cross: list[tuple[Coord3D, Coord3D]] = []
+        for node in self.ir.nodes.values():
+            later = node.temporal_next
+            if later is None:
+                continue
+            if later[2] - node.coord[2] == 1:
                 adjacent[later[2]] += 1
             else:
-                cross_gaps[later[2]].append(gap)
+                cross.append((node.coord, later))
+        cross_gaps: list[list[int]] = [[] for _ in range(self.layer + 1)]
+        for earlier, later in sorted(cross):
+            cross_gaps[later[2]].append(later[2] - earlier[2])
         return [
             LayerDemand(
                 adjacent_connections=adjacent[index],
@@ -231,10 +235,6 @@ class _MapperState:
             )
             for index in range(self.layer + 1)
         ]
-
-    def _memory_dirty(self) -> bool:
-        """Whether any stored node still owes edges."""
-        return any(entry.pending for entry in self.memory.values())
 
     # -- per-layer mapping ------------------------------------------------
 
@@ -250,25 +250,24 @@ class _MapperState:
         # Phase 1: realize deferred edges between stored worldlines first —
         # retiring memory takes precedence over growing it, which keeps the
         # live population (and therefore refresh cost) bounded.
-        for edge in sorted(self.deferred_edges, key=sorted):
-            u, v = tuple(edge)
+        deferred = self.deferred_edges
+        for key in sorted(deferred):
+            u, v = deferred[key]
             if self._try_realize_deferred(u, v, grid, placed_here):
-                self.deferred_edges.discard(edge)
+                del deferred[key]
                 self.deferred_realized += 1
                 progress = True
 
         # Phase 2: place new nodes from the scheduler's candidate list.  A
         # full layer has no cell left for any of them.
-        cell_count = self.mapper.width**2
         for g_node in self._candidates():
-            if incomplete_here >= limit or len(grid.cells) == cell_count:
+            if incomplete_here >= limit or grid.full:
                 break
-            outcome = self._try_place(g_node, grid, placed_here)
-            if outcome is None:
+            pending = self._try_place(g_node, grid, placed_here)
+            if pending is None:
                 continue
             progress = True
-            pending_after = outcome
-            if pending_after:
+            if pending:
                 incomplete_here += 1
 
         # End of layer: every on-layer node with pending edges is stored.
@@ -317,6 +316,41 @@ class _MapperState:
         else:
             del self.homes[home]
 
+    def _retrieve(self, entry: MemoryEntry) -> None:
+        """Re-emerge a stored node at its home on the current layer: a
+        worldline node, temporally joined to the node's newest wire."""
+        home = entry.home
+        coord = (home[0], home[1], self.layer)
+        self.ir.add_node(coord, ROLE_WORLDLINE, entry.g_node)
+        self.ir.add_temporal_edge(entry.last_coord, coord)
+        self.retrievals += 1
+        self._restamp(entry, coord)
+
+    def _lay_wire(self, start: Coord2D, wire: list[Coord2D], grid: LayerGrid) -> Coord3D:
+        """Ancillas on ``wire``'s cells, spatially chained from ``start``;
+        returns the coordinate of the chain's last node."""
+        layer = self.layer
+        ir = self.ir
+        previous = (start[0], start[1], layer)
+        for step in wire:
+            grid.occupy(step, "ancilla")
+            coord = (step[0], step[1], layer)
+            ir.add_node(coord, ROLE_ANCILLA, None)
+            ir.add_spatial_edge(previous, coord)
+            previous = coord
+        self.ancilla_cells += len(wire)
+        return previous
+
+    def _retire(self, u: int, v: int) -> None:
+        """The edge (u, v) is realized: neither endpoint owes it any more."""
+        memory = self.memory
+        for node, other in ((u, v), (v, u)):
+            entry = memory.get(node)
+            if entry is not None:
+                entry.pending.discard(other)
+                if not entry.pending:
+                    self._forget(node)
+
     # -- placement --------------------------------------------------------
 
     def _try_place(
@@ -334,22 +368,28 @@ class _MapperState:
         empty), ``None`` if no cell was available this layer.
         """
         neighbors = self.graph.neighbors(g_node)
-        mapped_neighbors = [nb for nb in neighbors if nb in self.consumed]
-
+        consumed = self.consumed
+        memory = self.memory
+        mapped_neighbors: list[int] = []
         anchors: list[Coord2D] = []
-        for nb in mapped_neighbors:
-            if nb in placed_here:
+        neighbor_homes: set[Coord2D] = set()
+        for nb in neighbors:
+            if nb not in consumed:
+                continue
+            # A stored node on this layer sits at its home, so the home is
+            # its position either way.
+            entry = memory.get(nb)
+            if entry is not None:
+                anchors.append(entry.home)
+                neighbor_homes.add(entry.home)
+            elif nb in placed_here:
                 anchors.append(placed_here[nb])
-            elif nb in self.memory:
-                anchors.append(self.memory[nb].home)
             else:
                 raise MappingError(
                     f"neighbour {nb} of {g_node} is mapped but untracked"
                 )
+            mapped_neighbors.append(nb)
 
-        neighbor_homes = {
-            self.memory[nb].home for nb in mapped_neighbors if nb in self.memory
-        }
         cell = placement_cell(grid, anchors, self.homes, neighbor_homes)
         if cell is None:
             return None
@@ -359,20 +399,19 @@ class _MapperState:
         self._consume(g_node)
         placed_here[g_node] = cell
 
-        def neighbor_position(nb: int) -> Coord2D:
-            return placed_here[nb] if nb in placed_here else self.memory[nb].home
-
-        realized: set[int] = set()
+        # Nearest neighbours first; ties keep the neighbour order.
+        row, col = cell
         ordered = sorted(
-            mapped_neighbors,
-            key=lambda nb: abs(neighbor_position(nb)[0] - cell[0])
-            + abs(neighbor_position(nb)[1] - cell[1]),
+            zip(
+                [abs(r - row) + abs(c - col) for r, c in anchors],
+                range(len(anchors)),
+                mapped_neighbors,
+            )
         )
-        for nb in ordered:
+        pending = neighbors  # a copy: the graph's own set is untouched
+        for _, _, nb in ordered:
             if self._realize_edge(g_node, nb, grid, placed_here):
-                realized.add(nb)
-
-        pending = set(neighbors) - realized
+                pending.discard(nb)
         if pending:
             self._store(
                 MemoryEntry(
@@ -380,7 +419,7 @@ class _MapperState:
                     home=cell,
                     last_coord=(cell[0], cell[1], self.layer),
                     stored_layer=self.layer,
-                    pending=set(pending),
+                    pending=pending,
                 )
             )
         return pending
@@ -398,59 +437,30 @@ class _MapperState:
         retrieved from memory at its home cell.  On failure nothing changes.
         """
         cell = placed_here[g_node]
-        retrieved = False
-        if nb in placed_here:
-            nb_cell = placed_here[nb]
-        elif nb in self.memory:
-            entry = self.memory[nb]
-            if not grid.is_free(entry.home):
+        entry = None  # set when nb is retrieved
+        nb_cell = placed_here.get(nb)
+        if nb_cell is None:
+            entry = self.memory.get(nb)
+            if entry is None or not grid.is_free(entry.home):
                 return False
             nb_cell = entry.home
-            retrieved = True
-        else:
-            return False
         if nb_cell == cell:
             return False
 
-        if retrieved:
+        if entry is not None:
             grid.occupy(nb_cell, ("worldline", nb))
         wire = route(grid, nb_cell, cell)
         if wire is None:
-            if retrieved:
+            if entry is not None:
                 grid.release(nb_cell)
             return False
 
-        layer = self.layer
-        if retrieved:
-            entry = self.memory[nb]
-            coord = (nb_cell[0], nb_cell[1], layer)
-            self.ir.add_node(coord, ROLE_WORLDLINE, nb)
-            self.ir.add_temporal_edge(entry.last_coord, coord)
-            self.retrievals += 1
-            self._restamp(entry, coord)
+        if entry is not None:
+            self._retrieve(entry)
             placed_here[nb] = nb_cell
-        previous = nb_cell
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            self.ir.add_node((step[0], step[1], layer), ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], layer), (step[0], step[1], layer)
-            )
-            previous = step
-            self.ancilla_cells += 1
-        self.ir.add_spatial_edge(
-            (previous[0], previous[1], layer), (cell[0], cell[1], layer)
-        )
-
-        # Retire the pending obligation on both sides.
-        if nb in self.memory:
-            self.memory[nb].pending.discard(g_node)
-            if not self.memory[nb].pending:
-                self._forget(nb)
-        if g_node in self.memory:
-            self.memory[g_node].pending.discard(nb)
-            if not self.memory[g_node].pending:
-                self._forget(g_node)
+        previous = self._lay_wire(nb_cell, wire, grid)
+        self.ir.add_spatial_edge(previous, (cell[0], cell[1], self.layer))
+        self._retire(nb, g_node)
         return True
 
     def _stuck_edges(self, limit: int = 8) -> str:
@@ -462,7 +472,7 @@ class _MapperState:
             entry = self.memory.get(node)
             return "untracked" if entry is None else str(entry.home)
 
-        edges = sorted(tuple(sorted(edge)) for edge in self.deferred_edges)
+        edges = sorted(self.deferred_edges)
         shown = ", ".join(f"{u}@{home(u)}-{v}@{home(v)}" for u, v in edges[:limit])
         more = f", ... {len(edges) - limit} more" if len(edges) > limit else ""
         return f"; stuck edges (node@home): {shown}{more}"
@@ -474,66 +484,58 @@ class _MapperState:
         grid: LayerGrid,
         placed_here: dict[int, Coord2D],
     ) -> bool:
-        """Realize a deferred edge by meeting both worldlines on this layer."""
-        positions: dict[int, Coord2D] = {}
-        to_retrieve: list[int] = []
-        for node in (u, v):
-            if node in placed_here:
-                positions[node] = placed_here[node]
-            elif node in self.memory:
-                entry = self.memory[node]
-                if not grid.is_free(entry.home):
-                    return False
-                positions[node] = entry.home
-                to_retrieve.append(node)
-            else:
-                raise MappingError(f"deferred edge endpoint {node} untracked")
-        if positions[u] == positions[v]:
+        """Realize a deferred edge by meeting both worldlines on this layer.
+
+        A stored endpoint re-emerges at its home, so the attempt ends before
+        touching the layer when that cell is taken (most attempts do).  The
+        wire is routed from ``u`` to ``v``.
+        """
+        memory = self.memory
+        u_entry = v_entry = None  # set for an endpoint retrieved from memory
+        u_cell = placed_here.get(u)
+        if u_cell is None:
+            u_entry = memory.get(u)
+            if u_entry is None:
+                raise MappingError(f"deferred edge endpoint {u} untracked")
+            u_cell = u_entry.home
+            if not grid.is_free(u_cell):
+                return False
+        v_cell = placed_here.get(v)
+        if v_cell is None:
+            v_entry = memory.get(v)
+            if v_entry is None:
+                raise MappingError(f"deferred edge endpoint {v} untracked")
+            v_cell = v_entry.home
+            if not grid.is_free(v_cell):
+                return False
+        if u_cell == v_cell:
             # Both wires live at the same coordinate (placed there on
             # different layers).  Relocate one of them to a fresh home so the
             # edge becomes realizable on a later layer.
-            mover = u if u in self.memory else v
+            mover = u if u in memory else v
             return self._relocate_home(mover, grid, placed_here)
 
-        allocations: list[Coord2D] = []
-        for node in to_retrieve:
-            home = self.memory[node].home
-            grid.occupy(home, ("worldline", node))
-            allocations.append(home)
-        wire = route(grid, positions[u], positions[v])
+        if u_entry is not None:
+            grid.occupy(u_cell, ("worldline", u))
+        if v_entry is not None:
+            grid.occupy(v_cell, ("worldline", v))
+        wire = route(grid, u_cell, v_cell)
         if wire is None:
-            for cell in allocations:
-                grid.release(cell)
+            if u_entry is not None:
+                grid.release(u_cell)
+            if v_entry is not None:
+                grid.release(v_cell)
             return False
 
-        for node in to_retrieve:
-            entry = self.memory[node]
-            coord = (entry.home[0], entry.home[1], self.layer)
-            self.ir.add_node(coord, ROLE_WORLDLINE, node)
-            self.ir.add_temporal_edge(entry.last_coord, coord)
-            self.retrievals += 1
-            self._restamp(entry, coord)
-            placed_here[node] = entry.home
-        previous = positions[u]
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            coord = (step[0], step[1], self.layer)
-            self.ir.add_node(coord, ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], self.layer), coord
-            )
-            previous = step
-            self.ancilla_cells += 1
-        self.ir.add_spatial_edge(
-            (previous[0], previous[1], self.layer),
-            (positions[v][0], positions[v][1], self.layer),
-        )
-        for node, other in ((u, v), (v, u)):
-            if node in self.memory:
-                entry = self.memory[node]
-                entry.pending.discard(other)
-                if not entry.pending:
-                    self._forget(node)
+        if u_entry is not None:
+            self._retrieve(u_entry)
+            placed_here[u] = u_cell
+        if v_entry is not None:
+            self._retrieve(v_entry)
+            placed_here[v] = v_cell
+        previous = self._lay_wire(u_cell, wire, grid)
+        self.ir.add_spatial_edge(previous, (v_cell[0], v_cell[1], self.layer))
+        self._retire(u, v)
         return True
 
     def _relocate_home(
@@ -551,38 +553,27 @@ class _MapperState:
         entry = self.memory.get(g_node)
         if entry is None or g_node in placed_here:
             return False
-        if not grid.is_free(entry.home):
+        home = entry.home
+        if not grid.is_free(home):
             return False
-        target = relocation_cell(grid, entry.home, self.homes)
+        target = relocation_cell(grid, home, self.homes)
         if target is None:
             return False
-        grid.occupy(entry.home, ("worldline", g_node))
-        wire = route(grid, entry.home, target)
+        grid.occupy(home, ("worldline", g_node))
+        wire = route(grid, home, target)
         if wire is None:
-            grid.release(entry.home)
+            grid.release(home)
             return False
         grid.occupy(target, ("worldline", g_node))
 
-        layer = self.layer
-        old_coord = (entry.home[0], entry.home[1], layer)
-        new_coord = (target[0], target[1], layer)
-        self.ir.add_node(old_coord, ROLE_WORLDLINE, g_node)
-        self.ir.add_temporal_edge(entry.last_coord, old_coord)
-        self.retrievals += 1
-        previous = entry.home
-        for step in wire:
-            grid.occupy(step, "ancilla")
-            self.ir.add_node((step[0], step[1], layer), ROLE_ANCILLA, None)
-            self.ir.add_spatial_edge(
-                (previous[0], previous[1], layer), (step[0], step[1], layer)
-            )
-            previous = step
-            self.ancilla_cells += 1
+        self._retrieve(entry)
+        previous = self._lay_wire(home, wire, grid)
         # The wire's new end arrives spatially (no temporal predecessor) but
         # keeps the program node's identity: it is the same logical wire.
+        new_coord = (target[0], target[1], self.layer)
         self.ir.add_node(new_coord, ROLE_WORLDLINE, g_node)
-        self.ir.add_spatial_edge((previous[0], previous[1], layer), new_coord)
-        self._unhome(entry.home)
+        self.ir.add_spatial_edge(previous, new_coord)
+        self._unhome(home)
         entry.home = target
         self.homes[target] = 1
         self._restamp(entry, new_coord)
@@ -590,15 +581,27 @@ class _MapperState:
         return True
 
     def _store_leftovers(self, placed_here: dict[int, Coord2D]) -> None:
-        """Split still-pending edges into per-node memory entries and defer
-        edges whose both endpoints are already mapped but unrouted."""
-        for g_node in list(placed_here):
-            if g_node not in self.memory:
+        """Defer the still-pending edges of this layer's stored nodes whose
+        other endpoint is already mapped.
+
+        An edge is attempted in the iteration order of the frozenset that
+        first deferred it (CPython's hash-slot order, which for some pairs
+        puts the larger id first); the router's direction and the
+        relocation mover follow that order, so numeric order would change
+        mappings.
+        """
+        deferred = self.deferred_edges
+        consumed = self.consumed
+        memory = self.memory
+        for g_node in placed_here:
+            entry = memory.get(g_node)
+            if entry is None:
                 continue
-            entry = self.memory[g_node]
-            for nb in list(entry.pending):
-                if nb in self.consumed:
-                    self.deferred_edges.add(frozenset((g_node, nb)))
+            for nb in entry.pending:
+                if nb in consumed:
+                    key = (g_node, nb) if g_node < nb else (nb, g_node)
+                    if key not in deferred:
+                        deferred[key] = tuple(frozenset((g_node, nb)))
 
     # -- memory accounting and refresh ---------------------------------
 
@@ -638,10 +641,6 @@ class _MapperState:
                 if entry.home in used_homes:
                     break  # home conflict: push to the next refresh layer
                 used_homes.add(entry.home)
-                coord = (entry.home[0], entry.home[1], self.layer)
-                self.ir.add_node(coord, ROLE_WORLDLINE, entry.g_node)
-                self.ir.add_temporal_edge(entry.last_coord, coord)
-                self.retrievals += 1
-                self._restamp(entry, coord)
+                self._retrieve(entry)
                 index += 1
         self.layers_since_refresh = 0

@@ -1,10 +1,11 @@
 """Test-only reference implementations the product kernels are pinned to.
 
 Each oracle is the original formulation of a kernel that now runs on the
-compiled frontier engine, on shrinking index vectors, on one batched draw
-or on incrementally kept state; the property suites assert the two agree
-exactly, including the work counts the Fig. 14 cost proxy is built from,
-the fusion draws the device RNG makes and every offline mapper decision.
+compiled frontier engine, on shrinking index vectors, on flat cell
+indices, on one batched draw or on incrementally kept state; the property
+suites assert the two agree exactly, including the work counts the
+Fig. 14 cost proxy is built from, the fusion draws the device RNG makes
+and every offline mapper decision.
 
 :func:`build_exact_layer` is the ground truth under the site/bond
 abstraction itself: it builds the real graph state of one small RSL with
@@ -63,7 +64,7 @@ from repro.online.timelike import (
     ReshapeMetrics,
 )
 from repro.utils.dsu import DisjointSet
-from repro.utils.gridgeom import Coord2D
+from repro.utils.gridgeom import Coord2D, grid_neighbors4, iter_grid
 
 # ``repro.online`` re-exports the ``renormalize`` function under the
 # submodule's name, so the module is fetched by its full name.
@@ -832,6 +833,34 @@ def relocation_cell_scan(
         (c for c in by_distance if c != home and c not in other_homes), None
     )
 
+
+
+def route_scan(grid: LayerGrid, start: Coord2D, goal: Coord2D) -> list[Coord2D] | None:
+    """The router before layers kept flat occupancy: a deque BFS over
+    ``(row, col)`` tuples, with a tuple-keyed neighbour table, seen set and
+    parent map.  Same contract as ``repro.offline.routing.route``."""
+    if abs(start[0] - goal[0]) + abs(start[1] - goal[1]) == 1:
+        return []
+    table = {cell: tuple(grid_neighbors4(cell, grid.width)) for cell in iter_grid(grid.width)}
+    occupied = {cell for cell in table if not grid.is_free(cell)}
+    parents: dict[Coord2D, Coord2D] = {}
+    seen = {start}
+    queue: deque[Coord2D] = deque([start])
+    while queue:
+        current = queue.popleft()
+        for neighbor in table[current]:
+            if neighbor == goal and current != start:
+                path = [current]
+                while path[-1] != start:
+                    path.append(parents[path[-1]])
+                path.reverse()
+                return path[1:] if path and path[0] == start else path
+            if neighbor in seen or neighbor in occupied:
+                continue
+            seen.add(neighbor)
+            parents[neighbor] = current
+            queue.append(neighbor)
+    return None
 
 #: Keep exact layers small: every qubit is a real graph node.
 MAX_EXACT_SIDE = 16

@@ -1,5 +1,7 @@
 """Tests for the FlexLattice IR and the instruction set."""
 
+import re
+
 import pytest
 
 from repro.errors import InstructionError, IRError
@@ -66,6 +68,26 @@ class TestFlexLatticeIR:
         ir.add_node((2, 2, 0), ROLE_ANCILLA)
         with pytest.raises(IRError):
             ir.add_spatial_edge((0, 0, 0), (2, 2, 0))
+
+    @pytest.mark.parametrize("missing_first", [True, False], ids=["a", "b"])
+    def test_spatial_edge_endpoint_without_node(self, missing_first):
+        ir = FlexLatticeIR(3)
+        ir.add_node((0, 0, 0), ROLE_ANCILLA)
+        ends = [(0, 1, 0), (0, 0, 0)] if missing_first else [(0, 0, 0), (0, 1, 0)]
+        with pytest.raises(IRError, match=re.escape("no node at (0, 1, 0)")):
+            ir.add_spatial_edge(*ends)
+        assert not ir.spatial_edges
+
+    @pytest.mark.parametrize("missing_first", [True, False], ids=["earlier", "later"])
+    def test_temporal_edge_endpoint_without_node(self, missing_first):
+        ir = FlexLatticeIR(2)
+        present, missing = ((0, 0, 1), (0, 0, 0)) if missing_first else ((0, 0, 0), (0, 0, 1))
+        ir.add_node(present, ROLE_ANCILLA)
+        ends = (missing, present) if missing_first else (present, missing)
+        with pytest.raises(IRError, match=re.escape(f"no node at {missing}")):
+            ir.add_temporal_edge(*ends)
+        assert ir.node_at(present).temporal_prev is None
+        assert ir.node_at(present).temporal_next is None
 
     def test_temporal_edge_one_per_direction(self):
         """Rule 3 of the virtual hardware (Section 6.1)."""

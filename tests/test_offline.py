@@ -8,16 +8,17 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import placement_cell_scan, relocation_cell_scan
+from oracles import placement_cell_scan, relocation_cell_scan, route_scan
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
 from repro.errors import MappingError, MemoryBudgetExceeded
 from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import translate_circuit
 from repro.offline import LayerGrid, OfflineMapper, route
-from repro.offline.mapper import placement_cell, relocation_cell
+from repro.offline.mapper import _MapperState, placement_cell, relocation_cell
 from repro.passes.rewrite import RewritePass
 from repro.pipeline import OfflineMapPass, Pipeline, PipelineSettings, TranslatePass
+from repro.utils.gridgeom import grid_neighbors4
 
 #: fig14's compile settings (every scale maps at ``virtual_size=2``).
 FIG14_SETTINGS = PipelineSettings(
@@ -64,16 +65,21 @@ class TestLayerGrid:
     def test_nearest_free_tier_ranks_before_distance(self):
         grid = LayerGrid(3)
         far = (2, 2)
-        assert grid.nearest_free([(0, 0)], lambda c: 0 if c == far else 1) == far
-        assert grid.nearest_free([(0, 0)], lambda c: None if c != far else 5) == far
-        assert grid.nearest_free([(0, 0)], lambda c: None) is None
+        cells = {(row, col) for row in range(3) for col in range(3)}
+        near = cells - {far}
+        # Nobody's home beats a home; a home beats a neighbour's home.
+        assert grid.nearest_free([(0, 0)], near) == far
+        assert grid.nearest_free([(0, 0)], cells, near) == far
+        # Without neighbour homes, homes are off limits.
+        assert grid.nearest_free([(0, 0)], near, None) == far
+        assert grid.nearest_free([(0, 0)], cells, None) is None
 
 
 @st.composite
 def layer_states(draw):
     """A partly occupied layer, anchors, stored homes and the subset of
     them that belong to a node's mapped neighbours."""
-    width = draw(st.integers(2, 5))
+    width = draw(st.integers(1, 12))
     cells = [(row, col) for row in range(width) for col in range(width)]
     grid = LayerGrid(width)
     for cell in draw(st.sets(st.sampled_from(cells))):
@@ -126,6 +132,55 @@ class TestRoute:
         wire = route(grid, (0, 0), (4, 4))
         for cell in wire:
             assert grid.is_free(cell)
+
+
+@st.composite
+def routing_layers(draw):
+    """A layer of width 1-12 filled from empty to full, and two endpoints,
+    each free or occupied: anywhere, adjacent, with the start boxed in, or
+    on opposite sides of a fully occupied row."""
+    width = draw(st.integers(1, 12))
+    cells = [(row, col) for row in range(width) for col in range(width)]
+    density = draw(st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    grid = LayerGrid(width)
+    for cell in cells:
+        if rng.random() < density:
+            grid.occupy(cell, "x")
+    start = draw(st.sampled_from(cells))
+    shape = draw(st.sampled_from(["anywhere", "adjacent", "boxed", "walled"]))
+    around = list(grid_neighbors4(start, width))
+    goal = draw(st.sampled_from(around if shape == "adjacent" and around else cells))
+    if shape == "boxed":
+        walls = [cell for cell in around if cell != goal]
+    elif shape == "walled":
+        row = draw(st.integers(0, width - 1))
+        walls = [(row, col) for col in range(width) if (row, col) not in (start, goal)]
+    else:
+        walls = []
+    for cell in walls:
+        if grid.is_free(cell):
+            grid.occupy(cell, "wall")
+    for end in (start, goal):
+        if grid.is_free(end) and draw(st.booleans()):
+            grid.occupy(end, "end")
+    return grid, start, goal
+
+
+@given(routing_layers())
+@settings(max_examples=400, deadline=None)
+def test_flat_router_matches_deque_scan(layer):
+    """The flat-index BFS returns the deque BFS's wire, or ``None``, with
+    the same tie-break among shortest wires."""
+    grid, start, goal = layer
+    wire = route(grid, start, goal)
+    assert wire == route_scan(grid, start, goal)
+    if wire:
+        assert all(grid.is_free(cell) for cell in wire)
+        chain = [start, *wire, goal]
+        assert all(
+            abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 for a, b in zip(chain, chain[1:])
+        )
 
 
 class TestOfflineMapper:
@@ -251,6 +306,34 @@ class TestOfflineMapper:
         expected = {frozenset((u, v)) for u, v in pattern.graph.edges()}
         assert result.ir.connected_graph_pairs() == expected
 
+
+@given(
+    family=st.sampled_from(["qaoa", "qft", "rca", "vqe"]),
+    qubits=st.sampled_from([4, 9]),
+    seed=st.integers(0, 3),
+    width=st.integers(2, 5),
+    dynamic=st.booleans(),
+    refresh=st.sampled_from([None, 3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_stored_entry_owes_an_edge(family, qubits, seed, width, dynamic, refresh):
+    """After every layer, each memory entry still has a pending edge, so
+    "memory is non-empty" is exactly "some stored node owes an edge"."""
+    pattern = translate_circuit(make_benchmark(family, qubits, seed=seed))
+    mapper = OfflineMapper(width=width, dynamic_scheduling=dynamic, refresh_every=refresh)
+    state = _MapperState(mapper, pattern)
+    map_one_layer = state._map_one_layer
+
+    def checked_layer() -> bool:
+        progress = map_one_layer()
+        assert all(entry.pending for entry in state.memory.values())
+        return progress
+
+    state._map_one_layer = checked_layer
+    try:
+        state.run()
+    except MappingError:
+        pass  # a stall ends the run; every layer before it was checked
 
 @pytest.mark.xfail(
     strict=True,
