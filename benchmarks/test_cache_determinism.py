@@ -13,11 +13,14 @@ fig14 (compile jobs on tiny RSLs plus fn jobs) covers the full matrix
 cheaply; table2 — the paper's headline sweep, with OneQ baseline jobs whose
 repeat-until-success runs are the expensive part — covers the disk cache
 shared from a serial cold run into warm process runs at two pool widths.
+The last leg runs every experiment through one memory cache, so entries
+cross experiments and sweep points wherever their chained keys allow.
 """
 
 from golden_records import assert_matches_golden
 
-from repro.experiments import get_experiment, make_runner
+from repro import obs
+from repro.experiments import experiment_names, get_experiment, make_runner
 from repro.pipeline import DiskCache, MemoryCache
 
 
@@ -78,3 +81,28 @@ def test_table2_disk_cache_shared_across_runners(tmp_path):
         )
         _assert_all(warm_process, "table2", "cache_hits")
         assert warm_process.cache_stats()["hit_rate"] == 1.0
+
+
+def test_every_experiment_through_one_shared_memory_cache():
+    runner = make_runner("serial", cache=MemoryCache())
+    for name in experiment_names():
+        with obs.session() as tele:
+            result = get_experiment(name).run("bench", 0, runner)
+        assert_matches_golden(name, result.records)
+        if name != "fig12":
+            continue
+        # fig12's 24 points map 6 distinct (pattern, virtual size) inputs:
+        # the mapper reads neither the fusion rate, the RSL size nor the
+        # star size, so at least 18 points reuse a mapping.
+        offline_hits = [
+            event for event in tele.events.events
+            if event["kind"] == "cache_hit" and event["stage"] == "offline-map"
+        ]
+        assert len(offline_hits) >= 18
+        # Every fusion-rate point (panel c) hits translate, rewrite and
+        # offline-map and runs only online-reshape, which reads the rate.
+        rate_points = [r for r in result.records if r.job.startswith("c/")]
+        assert len(rate_points) == 8
+        for record in rate_points:
+            counts = (record.metrics["cache_hits"], record.metrics["cache_misses"])
+            assert counts == (3, 1), record.job

@@ -7,11 +7,10 @@ reshape workload.  The contraction is a Pauli-frame simplification — it
 preserves program semantics exactly — so the unrewritten chain
 (``rewrite="off"``) stays available as a byte-identity oracle.
 
-The pass is ``cacheable``: its output is a pure function of the incoming
-pattern and the settings, and because ``rewrite`` itself is a
-:class:`~repro.pipeline.settings.PipelineSettings` knob that rides in the
-context options, every cache key downstream of this choice differs between
-the rewritten and unrewritten chains — the two never share entries.
+The pass is ``cacheable`` and declares no ``reads``: its output is a pure
+function of the incoming pattern.  Its cache key chains on the key of that
+pattern, and every key downstream chains on its own, so the rewritten and
+unrewritten chains share the translate entry and nothing after it.
 """
 
 from __future__ import annotations

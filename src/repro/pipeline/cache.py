@@ -1,31 +1,43 @@
 """Content-addressed artifact cache for the compiler pipeline.
 
-Seed sweeps re-run the deterministic ``translate`` and ``offline-map``
-stages once per seed even though only the online stages consume randomness.
-This module removes that waste: a :class:`CachePass` wraps any cacheable
-pass and memoizes its artifacts under a **content address** — a stable hash
-of everything that feeds the stage:
+The paper splits compilation into a deterministic offline pass, run once
+per program, and an online pass that runs per shot.  This module keeps the
+offline half from being recomputed: a :class:`CachePass` wraps any
+cacheable pass and memoizes its artifacts under a **chained key**, a hash
+of exactly what produced them:
 
-* the circuit fingerprint (gate list, qubit count, name);
-* the resolved hardware config and virtual size;
-* the :class:`~repro.pipeline.settings.PipelineSettings`-derived options;
+* the pass name;
+* the pass's declared ``reads`` (:class:`~repro.pipeline.passes.
+  CompilerPass`): the circuit fingerprint for ``translate``; the virtual
+  size and the mapper options for ``offline-map``; the hardware config,
+  virtual size and RSL cap for ``online-reshape``; and so on;
+* the key of every artifact the pass ``requires`` — the key of the pass
+  that produced it, so a key captures the whole chain that led to the
+  pass's inputs (a Merkle chain over the pass sequence);
 * for stochastic stages (``online-reshape``, ``baseline``), the derived
   child-stream seed the stage would draw from — the exact
   ``RandomStream.child(*labels, circuit.name)`` derivation, so two runs
   that would sample identical streams share one entry while different
   seeds never collide.
 
-Deterministic stages omit the seed part, which is what lets a sweep over
-the *seed axis* (same circuits, different online randomness) reuse the
-translate/offline-map prefix across every rollout.
+A pass therefore shares entries with every compilation that fed it the
+same inputs, whatever else differs: the offline prefix is shared across
+seeds, fusion rates and RSL sizes, while a pipeline with an extra
+pattern-changing pass keys everything after it apart.  An artifact written
+by a pass the cache does not wrap (lowering, a custom in-place pass, a
+pass left out by ``only=``) is **unkeyed**, and every cached pass
+downstream of it runs uncached.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
 dict; serves the serial runner and the serve layer) and :class:`DiskCache`
 (a directory of pickle files with atomic writes; shareable across process
-pools and across runs).  Both store *pickled bytes* and deserialize on
-every hit, so a cached artifact is never aliased between compilations —
-bit-identical results cannot be perturbed by downstream mutation.  A
-``max_bytes`` budget with LRU eviction (recency = entry file mtime,
+pools and across runs).  An entry pickles each artifact on its own inside
+the payload.  A hit binds every artifact **lazily**, as a
+:class:`~repro.pipeline.context.DeferredArtifact` that is unpickled — a
+fresh copy, never aliased between compilations — on first read, so a warm
+compile that never reads the offline IR never loads it.  An entry or an
+artifact that fails to load is dropped, counted as a miss and recomputed.
+A ``max_bytes`` budget with LRU eviction (recency = entry file mtime,
 refreshed on every hit) keeps long-running disk stores bounded.
 
 Hit/miss counts are recorded twice: on the cache object (session totals,
@@ -41,12 +53,14 @@ import os
 import pickle
 import tempfile
 import threading
+from collections.abc import Mapping
+from functools import partial
 from pathlib import Path
 from typing import Any
 
 from repro import obs
 from repro.errors import CompilationError
-from repro.pipeline.context import PassContext
+from repro.pipeline.context import DeferredArtifact, PassContext
 from repro.pipeline.passes import CompilerPass
 
 #: Bump when the key derivation or payload schema changes: stale entries
@@ -54,8 +68,10 @@ from repro.pipeline.passes import CompilerPass
 #: option vocabulary grew the ``rewrite`` knob (pattern-rewrite pass on or
 #: off), which keys rewritten and unrewritten chains apart.  v3: the
 #: path-search selector left the option vocabulary (one renormalizer, its
-#: oracles test-only), so every key's option list changed.
-CACHE_SCHEMA_VERSION = 3
+#: oracles test-only), so every key's option list changed.  v4: chained
+#: keys over each pass's declared reads, and one pickle per artifact inside
+#: the payload.
+CACHE_SCHEMA_VERSION = 4
 
 
 def circuit_fingerprint(circuit) -> str:
@@ -73,10 +89,72 @@ def circuit_fingerprint(circuit) -> str:
     return digest.hexdigest()
 
 
+#: Declared reads that name a context field rather than an option.
+_CONTEXT_READS = {
+    "circuit": lambda ctx: circuit_fingerprint(ctx.circuit),
+    "config": lambda ctx: repr(ctx.config),
+    "virtual_size": lambda ctx: repr(ctx.virtual_size),
+}
+
+
+def _read_value(ctx: PassContext, read: str) -> str:
+    field = _CONTEXT_READS.get(read)
+    return field(ctx) if field is not None else repr(ctx.option(read))
+
+
+class ArtifactBlobs(Mapping):
+    """A fetched payload's artifacts: name -> pickled blob.
+
+    Indexing unpickles a fresh copy; :attr:`blobs` hands out the raw
+    bytes, which is how :class:`CachePass` binds a hit without loading it.
+    """
+
+    def __init__(self, blobs: dict[str, bytes]) -> None:
+        self.blobs = blobs
+
+    def __getitem__(self, name: str) -> Any:
+        return pickle.loads(self.blobs[name])
+
+    def __iter__(self):
+        return iter(self.blobs)
+
+    def __len__(self) -> int:
+        return len(self.blobs)
+
+
+def _pack(payload: dict[str, Any]) -> bytes:
+    """An entry's bytes: the payload with each artifact pickled on its own."""
+    artifacts = {
+        name: pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        for name, value in payload["artifacts"].items()
+    }
+    return pickle.dumps(
+        {**payload, "artifacts": artifacts}, protocol=pickle.HIGHEST_PROTOCOL
+    )
+
+
+def _unpack(blob: bytes) -> dict[str, Any]:
+    """The payload of an entry's bytes, artifacts still pickled.
+
+    Raises on anything that is not an entry :func:`_pack` wrote.
+    """
+    entry = pickle.loads(blob)
+    if not isinstance(entry, dict):
+        raise ValueError("entry payload is not a dict")
+    artifacts = entry.get("artifacts")
+    if not isinstance(artifacts, dict) or not all(
+        isinstance(value, bytes) for value in artifacts.values()
+    ):
+        raise ValueError("entry artifacts are not pickled blobs")
+    entry["artifacts"] = ArtifactBlobs(artifacts)
+    return entry
+
+
 class ArtifactCache:
     """Backend-agnostic half of the cache: keys, counters, (de)serialization.
 
-    Subclasses implement :meth:`_read` / :meth:`_write` over raw bytes.
+    Subclasses implement :meth:`_read` / :meth:`_write` / :meth:`_discard`
+    over raw bytes.
     ``hits``/``misses`` are session-local totals (they do not persist and,
     for process pools, do not aggregate across workers — per-job counts in
     ``PassContext.metrics`` do).
@@ -91,16 +169,21 @@ class ArtifactCache:
 
     # -- key derivation -----------------------------------------------------
 
-    def key_for(self, stage: CompilerPass, ctx: PassContext) -> str:
-        """The content address of ``stage``'s output for ``ctx``."""
-        parts = [
-            f"schema={CACHE_SCHEMA_VERSION}",
-            f"pass={stage.name}",
-            f"circuit={circuit_fingerprint(ctx.circuit)}",
-            f"config={ctx.config!r}",
-            f"virtual={ctx.virtual_size}",
-            f"options={sorted(ctx.options.items(), key=lambda kv: kv[0])!r}",
-        ]
+    def key_for(self, stage: CompilerPass, ctx: PassContext) -> str | None:
+        """The chained key of ``stage``'s output for ``ctx``.
+
+        Hashes the pass name, the keys of the artifacts it requires and
+        the values of its declared reads.  ``None`` when a required
+        artifact is unkeyed: its lineage is unknown, so the pass's output
+        has no address.
+        """
+        parts = [f"schema={CACHE_SCHEMA_VERSION}", f"pass={stage.name}"]
+        for name in stage.requires:
+            lineage = ctx.artifact_keys.get(name)
+            if lineage is None:
+                return None
+            parts.append(f"<{name}={lineage}")
+        parts.extend(f"{read}={_read_value(ctx, read)}" for read in stage.reads)
         if stage.rng_labels:
             # The exact child-seed the stage's generator would start from:
             # stochastic stages are deterministic *given* this value.
@@ -112,20 +195,41 @@ class ArtifactCache:
     # -- payloads -----------------------------------------------------------
 
     def fetch(self, key: str) -> dict[str, Any] | None:
-        """The stored payload for ``key`` (a fresh deserialized copy), or None."""
+        """The stored payload for ``key``, or None.
+
+        The payload's ``artifacts`` is an :class:`ArtifactBlobs`: each
+        artifact unpickles, as a fresh copy, only when read.  An entry
+        that does not load is dropped and reads as a miss.
+        """
         blob = self._read(key)
+        payload = None
+        if blob is not None:
+            try:
+                payload = _unpack(blob)
+            except Exception:
+                self._discard(key)
+                obs.event("cache_dropped", key=key)
         with self._lock:
-            if blob is None:
+            if payload is None:
                 self.misses += 1
             else:
                 self.hits += 1
-        if blob is None:
-            return None
-        return pickle.loads(blob)
+        return payload
 
     def store(self, key: str, payload: dict[str, Any]) -> None:
         """Persist ``payload`` under ``key`` (last write wins; same content)."""
-        self._write(key, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        self._write(key, _pack(payload))
+
+    def invalidate(self, key: str) -> None:
+        """Drop ``key``'s entry after one of its artifacts failed to load.
+
+        The fetch that found the entry counted a hit; it becomes a miss.
+        """
+        self._discard(key)
+        with self._lock:
+            self.hits -= 1
+            self.misses += 1
+        obs.event("cache_dropped", key=key)
 
     @property
     def lookups(self) -> int:
@@ -145,6 +249,9 @@ class ArtifactCache:
         raise NotImplementedError
 
     def _write(self, key: str, blob: bytes) -> None:
+        raise NotImplementedError
+
+    def _discard(self, key: str) -> None:
         raise NotImplementedError
 
     # -- pickling (process pools) -------------------------------------------
@@ -184,6 +291,10 @@ class MemoryCache(ArtifactCache):
     def _write(self, key: str, blob: bytes) -> None:
         with self._lock:
             self._store[key] = blob
+
+    def _discard(self, key: str) -> None:
+        with self._lock:
+            self._store.pop(key, None)
 
 
 def _entry_path(root: Path, key: str) -> Path:
@@ -259,6 +370,17 @@ class DiskCache(ArtifactCache):
         except OSError:
             pass  # concurrently evicted after the read — the hit stands
         return blob
+
+    def _discard(self, key: str) -> None:
+        path = self._path(key)
+        try:
+            size = path.stat().st_size
+            path.unlink()
+        except OSError:
+            return  # already gone: a concurrent eviction or drop
+        if self.max_bytes is not None:
+            with self._lock:
+                self._approx_bytes -= size
 
     def _write(self, key: str, blob: bytes) -> None:
         if self.max_bytes is not None and len(blob) > self.max_bytes:
@@ -363,9 +485,9 @@ class DiskCache(ArtifactCache):
         verification is the rest of the threat model: a torn write on a
         non-atomic filesystem, bit rot, or a foreign file in the entry
         namespace, any of which would otherwise
-        surface later as an unpickling error in the middle of a request.
-        Verification at service startup converts that latent failure into
-        a counted miss: each entry's pickle is loaded once and failures
+        surface later as a dropped entry and a recompute in the middle of
+        a request.  Verification at service startup finds them up front:
+        each entry and each artifact inside it is loaded once and failures
         are unlinked.  Emits ``cache.verify_dropped`` and a
         ``cache_verified`` event so dashboards see store health.
         """
@@ -378,9 +500,8 @@ class DiskCache(ArtifactCache):
                 continue  # raced with a concurrent eviction
             checked += 1
             try:
-                payload = pickle.loads(blob)
-                if not isinstance(payload, dict):
-                    raise ValueError("entry payload is not a dict")
+                for artifact in _unpack(blob)["artifacts"].blobs.values():
+                    pickle.loads(artifact)
             except Exception:
                 path.unlink(missing_ok=True)
                 dropped += 1
@@ -433,6 +554,13 @@ class CachePass(CompilerPass):
     metrics or executes the inner pass and stores what it produced.  The
     payload captures the pass's *metrics delta* alongside its artifacts so
     a hit reproduces ``ctx.metrics`` exactly as a miss would.
+
+    The lookup runs in :meth:`prepare`, before the pipeline starts the
+    pass timer: a hit reads none of the inner pass's inputs, and a miss
+    loads them there.  A hit binds each artifact as a
+    :class:`~repro.pipeline.context.DeferredArtifact`, loaded on first
+    read; either way the outputs are keyed with this pass's key, which is
+    what chains the keys of the passes downstream.
     """
 
     def __init__(self, inner: CompilerPass, cache: ArtifactCache) -> None:
@@ -448,20 +576,23 @@ class CachePass(CompilerPass):
         self.name = inner.name
         self.requires = inner.requires
         self.provides = inner.provides
+        self.reads = inner.reads
         self.rng_labels = inner.rng_labels
 
+    def prepare(self, ctx: PassContext) -> None:
+        key, payload = ctx.lookups[self] = self._lookup(ctx)
+        if payload is None:
+            self.inner.prepare(ctx)
+
     def run(self, ctx: PassContext) -> None:
-        key = self.cache.key_for(self.inner, ctx)
-        payload = self.cache.fetch(key)
+        key, payload = ctx.lookups.pop(self, None) or self._lookup(ctx)
         if payload is not None:
-            for artifact_name, value in payload["artifacts"].items():
-                ctx.put(artifact_name, value)
-            ctx.metrics.update(payload["metrics"])
-            self._count(ctx, "cache_hits")
-            # Event only, never a registry counter: ``cache.*`` counters
-            # derive exclusively from record metrics at adoption time, so
-            # both runner backends reconcile to one source of truth.
-            obs.event("cache_hit", stage=self.name, circuit=ctx.circuit.name)
+            self._bind(ctx, key, payload)
+            return
+        if key is None:
+            # An unkeyed input: there is no address to look up or store.
+            obs.event("cache_bypass", stage=self.name, circuit=ctx.circuit.name)
+            self.inner.run(ctx)
             return
         obs.event("cache_miss", stage=self.name, circuit=ctx.circuit.name)
         before = dict(ctx.metrics)
@@ -473,7 +604,35 @@ class CachePass(CompilerPass):
         }
         artifacts = {name: ctx.artifacts[name] for name in self.inner.provides}
         self.cache.store(key, {"artifacts": artifacts, "metrics": delta})
+        self._key_outputs(ctx, key)
         self._count(ctx, "cache_misses")
+
+    def _lookup(self, ctx: PassContext) -> tuple[str | None, dict | None]:
+        key = self.cache.key_for(self.inner, ctx)
+        return key, (None if key is None else self.cache.fetch(key))
+
+    def _bind(self, ctx: PassContext, key: str, payload: dict[str, Any]) -> None:
+        """Replay a hit: metrics now, artifacts deferred."""
+        self._count(ctx, "cache_hits")
+        # Event only, never a registry counter: ``cache.*`` counters
+        # derive exclusively from record metrics at adoption time, so
+        # both runner backends reconcile to one source of truth.
+        obs.event("cache_hit", stage=self.name, circuit=ctx.circuit.name)
+        ctx.metrics.update(payload["metrics"])
+        inputs = {name: ctx.artifacts[name] for name in self.requires}
+        recover = _Recovery(self, ctx, key, inputs)
+        # Recovery recomputes from the inputs as bound now.  A deferred
+        # input reloads a fresh copy; an already-loaded one may still be
+        # mutated by a later in-place pass, so then load the hit now.
+        lazy = all(type(value) is DeferredArtifact for value in inputs.values())
+        for name, blob in payload["artifacts"].blobs.items():
+            artifact = DeferredArtifact(blob, partial(recover, name))
+            ctx.put(name, artifact if lazy else artifact.load())
+        self._key_outputs(ctx, key)
+
+    def _key_outputs(self, ctx: PassContext, key: str) -> None:
+        for name in self.provides:
+            ctx.artifact_keys[name] = key
 
     @staticmethod
     def _count(ctx: PassContext, counter: str) -> None:
@@ -481,6 +640,38 @@ class CachePass(CompilerPass):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CachePass {self.name!r} via {self.cache.name}>"
+
+
+class _Recovery:
+    """Recomputes a hit's artifact when its blob fails to load.
+
+    The first failure drops the entry and turns the hit into a miss, on
+    the cache and in the compilation's metrics; each call then runs the
+    wrapped pass on the inputs bound at the hit.  Holds the context's
+    parts, not the context, so a deferred artifact does not keep the
+    whole compilation alive.
+    """
+
+    def __init__(
+        self, stage: CachePass, ctx: PassContext, key: str, inputs: dict[str, Any]
+    ) -> None:
+        self.stage = stage
+        self.key = key
+        self.inputs = inputs
+        self.metrics = ctx.metrics
+        self.program = (ctx.circuit, ctx.config, ctx.virtual_size, ctx.stream, ctx.options)
+        self.dropped = False
+
+    def __call__(self, name: str) -> Any:
+        stage = self.stage
+        if not self.dropped:
+            self.dropped = True
+            stage.cache.invalidate(self.key)
+            self.metrics["cache_hits"] -= 1
+            self.metrics["cache_misses"] = self.metrics.get("cache_misses", 0) + 1
+        scratch = PassContext(*self.program, artifacts=dict(self.inputs))
+        stage.inner.run(scratch)
+        return scratch.artifacts[name]
 
 
 def cache_summary(hits: int, misses: int) -> dict[str, Any]:
@@ -506,9 +697,11 @@ def cached_passes(
     """Wrap every cacheable pass of ``passes`` in a :class:`CachePass`.
 
     ``only`` restricts wrapping to the named passes (e.g. just the
-    deterministic prefix, ``("translate", "offline-map")``); by default
-    every pass that declares itself cacheable is wrapped.  Already-wrapped
-    and non-cacheable passes are kept as-is.
+    deterministic prefix, ``("translate", "rewrite", "offline-map")``); by
+    default every pass that declares itself cacheable is wrapped.
+    Already-wrapped and non-cacheable passes are kept as-is.  A pass left
+    unwrapped leaves its outputs unkeyed, so the passes downstream of it
+    run uncached even if wrapped.
     """
     wrapped = []
     for stage in passes:

@@ -11,6 +11,8 @@ stages insertable, reorderable, and ablatable.
 
 from __future__ import annotations
 
+import pickle
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,6 +70,40 @@ def aggregate_timings_split(timings: list[PassTiming]) -> dict[str, dict[str, fl
     return out
 
 
+class DeferredArtifact:
+    """An artifact bound from a cache hit, still pickled.
+
+    :meth:`load` unpickles a fresh copy on every call; if the blob does
+    not load, ``recover`` (when given) recomputes the artifact instead.
+    :class:`PassContext` loads a deferred artifact on its first
+    ``require``/``get`` and keeps the loaded value, so a cache hit whose
+    artifacts nobody reads never unpickles them.  Pickling a deferred
+    artifact pickles its loaded value, so the recovery hook never crosses
+    a process boundary.
+    """
+
+    __slots__ = ("blob", "recover")
+
+    def __init__(self, blob: bytes, recover: Callable[[], Any] | None = None) -> None:
+        self.blob = blob
+        self.recover = recover
+
+    def load(self) -> Any:
+        try:
+            return pickle.loads(self.blob)
+        except Exception:
+            if self.recover is None:
+                raise
+            return self.recover()
+
+    def __reduce__(self):
+        return _loaded, (self.load(),)
+
+
+def _loaded(value: Any) -> Any:
+    return value
+
+
 @dataclass
 class PassContext:
     """Everything a pass may read or produce during one compilation.
@@ -76,7 +112,9 @@ class PassContext:
     it ``requires`` and ``provides`` (see :class:`~repro.pipeline.passes.
     CompilerPass`), and the pipeline enforces the contract before running
     the pass.  ``options`` holds the knobs that are not part of the hardware
-    config proper (occupancy limit, refresh period, RSL cap, ...).
+    config proper (occupancy limit, refresh period, RSL cap, ...).  An
+    artifact bound from a cache hit sits in ``artifacts`` as a
+    :class:`DeferredArtifact` until ``require``/``get`` first reads it.
     """
 
     circuit: Circuit
@@ -91,6 +129,13 @@ class PassContext:
     #: see :mod:`repro.obs.trace`).  Out-of-band by contract: results carry
     #: them across process boundaries, but nothing may compute from them.
     spans: list[dict[str, Any]] = field(default_factory=list)
+    #: Artifact name -> cache key of the chain that produced it (see
+    #: :mod:`repro.pipeline.cache`).  An artifact without an entry is
+    #: unkeyed: the pipeline drops a stage's output keys before it runs,
+    #: and only a cache wrapper keys them again.
+    artifact_keys: dict[str, str] = field(default_factory=dict)
+    #: Cache lookups made by a stage's ``prepare`` for its ``run``.
+    lookups: dict[Any, Any] = field(default_factory=dict)
 
     # -- randomness ---------------------------------------------------------
 
@@ -109,17 +154,26 @@ class PassContext:
         self.artifacts[name] = value
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self.artifacts.get(name, default)
+        if name not in self.artifacts:
+            return default
+        return self.require(name)
 
-    def require(self, name: str) -> Any:
-        """Fetch an artifact a pass depends on, failing loudly if absent."""
+    def require(self, name: str, load: bool = True) -> Any:
+        """Fetch an artifact a pass depends on, failing loudly if absent.
+
+        ``load=False`` returns a deferred artifact as it is bound, for a
+        caller that hands it on rather than reading it.
+        """
         try:
-            return self.artifacts[name]
+            value = self.artifacts[name]
         except KeyError:
             raise CompilationError(
                 f"artifact {name!r} is not available; did an earlier pass "
                 f"run? (present: {sorted(self.artifacts)})"
             ) from None
+        if load and type(value) is DeferredArtifact:
+            value = self.artifacts[name] = value.load()
+        return value
 
     def option(self, name: str, default: Any = None) -> Any:
         return self.options.get(name, default)

@@ -21,12 +21,15 @@ class CompilerPass:
     ``provides`` (keys the pass is expected to create), and implement
     :meth:`run`.
 
-    Two further attributes describe a pass to the artifact cache
+    Three further attributes describe a pass to the artifact cache
     (:mod:`repro.pipeline.cache`): ``cacheable`` declares that the pass's
-    artifacts are a pure function of the cache key, and ``rng_labels``
-    names the child random streams the pass consumes (empty for
-    deterministic passes) — the cache folds the derived stream seed into
-    the key so stochastic stages memoize per (inputs, seed) while
+    artifacts are a pure function of its cache key; ``reads`` names what
+    the pass reads besides its ``requires`` artifacts — context fields
+    (``circuit``, ``config``, ``virtual_size``) or option names — which
+    the key hashes together with the keys of those artifacts; and
+    ``rng_labels`` names the child random streams the pass consumes (empty
+    for deterministic passes) — the cache folds the derived stream seed
+    into the key so stochastic stages memoize per (inputs, seed) while
     deterministic ones share entries across the whole seed axis.
     """
 
@@ -34,7 +37,18 @@ class CompilerPass:
     requires: tuple[str, ...] = ()
     provides: tuple[str, ...] = ()
     cacheable: bool = False
+    reads: tuple[str, ...] = ()
     rng_labels: tuple[str, ...] = ()
+
+    def prepare(self, ctx: PassContext) -> None:
+        """Untimed set-up before :meth:`run`: load the inputs it reads.
+
+        The pipeline calls this outside the pass timer, so an input bound
+        lazily from a cache hit is unpickled here and the pass timing
+        measures the pass's own work.
+        """
+        for name in self.requires:
+            ctx.require(name)
 
     def run(self, ctx: PassContext) -> None:
         raise NotImplementedError
@@ -49,6 +63,7 @@ class TranslatePass(CompilerPass):
     name = "translate"
     provides = ("pattern",)
     cacheable = True
+    reads = ("circuit",)
 
     def run(self, ctx: PassContext) -> None:
         from repro.mbqc.translate import translate_circuit
@@ -63,6 +78,13 @@ class OfflineMapPass(CompilerPass):
     requires = ("pattern",)
     provides = ("mapping",)
     cacheable = True
+    reads = (
+        "virtual_size",
+        "occupancy_limit",
+        "refresh_every",
+        "memory_budget_bytes",
+        "bytes_per_node_layer",
+    )
 
     def run(self, ctx: PassContext) -> None:
         from repro.offline.mapper import OfflineMapper
@@ -85,14 +107,19 @@ class OfflineMapPass(CompilerPass):
 class LowerIRPass(CompilerPass):
     """FlexLattice IR -> intermediate-level instruction stream (Section 6.3).
 
-    Lowering is skipped (an empty stream is recorded) unless the
-    ``emit_instructions`` option asks for it — the instruction list is
-    bulky and only the hardware-facing consumers need it.
+    Lowering is skipped (an empty stream is recorded, and the mapping is
+    never loaded) unless the ``emit_instructions`` option asks for it —
+    the instruction list is bulky and only the hardware-facing consumers
+    need it.
     """
 
     name = "lower-ir"
     requires = ("mapping",)
     provides = ("instructions",)
+
+    def prepare(self, ctx: PassContext) -> None:
+        if ctx.option("emit_instructions", False):
+            super().prepare(ctx)
 
     def run(self, ctx: PassContext) -> None:
         from repro.ir.instructions import lower_ir
@@ -110,6 +137,7 @@ class OnlineReshapePass(CompilerPass):
     requires = ("mapping",)
     provides = ("reshape",)
     cacheable = True
+    reads = ("config", "virtual_size", "max_rsl")
     rng_labels = ("online",)
 
     def run(self, ctx: PassContext) -> None:
@@ -134,6 +162,7 @@ class BaselinePass(CompilerPass):
     requires = ("pattern",)
     provides = ("baseline",)
     cacheable = True
+    reads = ("config", "max_rsl")
     rng_labels = ("baseline",)
 
     def run(self, ctx: PassContext) -> None:

@@ -185,6 +185,10 @@ class Pipeline:
     def run(self, ctx: PassContext) -> PassContext:
         """Run every pass over ``ctx``, enforcing contracts and timing each.
 
+        Each stage's :meth:`~repro.pipeline.passes.CompilerPass.prepare`
+        (cache lookups, loading deferred inputs) runs before its timer
+        starts, so pass timings never include unpickling cached artifacts.
+
         With ``telemetry`` enabled — explicitly, or implicitly because a
         telemetry session is active in this process — the loop additionally
         records one ``pass:<name>`` span per stage under a ``compile`` root,
@@ -196,7 +200,7 @@ class Pipeline:
         if self.telemetry or obs.active() is not None:
             return self._run_traced(ctx)
         for stage in self.passes:
-            self._check_requires(stage, ctx)
+            self._prepare(stage, ctx)
             cpu0 = time.thread_time()
             start = time.perf_counter()
             stage.run(ctx)
@@ -219,7 +223,7 @@ class Pipeline:
                 qubits=ctx.circuit.num_qubits,
             ):
                 for stage in self.passes:
-                    self._check_requires(stage, ctx)
+                    self._prepare(stage, ctx)
                     with tracer.span(f"pass:{stage.name}") as sp:
                         stage.run(ctx)
                     ctx.record_timing(stage.name, sp.wall, sp.cpu)
@@ -227,13 +231,25 @@ class Pipeline:
         return ctx
 
     @staticmethod
-    def _check_requires(stage: CompilerPass, ctx: PassContext) -> None:
+    def _prepare(stage: CompilerPass, ctx: PassContext) -> None:
+        """A stage's untimed set-up: contract check, ``prepare``, unkeying.
+
+        The stage's outputs lose their cache keys once ``prepare`` has
+        read them (an in-place refinement keys its output on its input's
+        key), so an artifact rewritten by a pass the cache does not wrap
+        is unkeyed, and every cached pass downstream of it runs uncached.
+        """
         missing = [key for key in stage.requires if key not in ctx.artifacts]
         if missing:
             raise CompilationError(
                 f"pass {stage.name!r} requires artifacts {missing} that no "
                 f"earlier pass provided (present: {sorted(ctx.artifacts)})"
             )
+        stage.prepare(ctx)
+        keys = ctx.artifact_keys
+        if keys:
+            for key in stage.provides:
+                keys.pop(key, None)
 
     @staticmethod
     def _check_provides(stage: CompilerPass, ctx: PassContext) -> None:
@@ -258,7 +274,8 @@ class Pipeline:
         """This pipeline with every cacheable pass wrapped in a ``CachePass``.
 
         ``only`` limits wrapping to the named passes (e.g. just the
-        deterministic prefix ``("translate", "offline-map")``).  The
+        deterministic prefix ``("translate", "rewrite", "offline-map")``;
+        see :func:`~repro.pipeline.cache.cached_passes`).  The
         returned pipeline shares ``cache``, so every compilation it (or a
         sibling) runs reads and feeds the same artifact store; a ``cache``
         of ``None`` returns an equivalent uncached pipeline.  Existing
@@ -341,7 +358,7 @@ class Pipeline:
             rsl_count=reshape.rsl_consumed,
             fusion_count=reshape.fusions,
             logical_layers=reshape.logical_layers,
-            mapping=ctx.require("mapping"),
+            mapping=ctx.require("mapping", load=False),
             reshape=reshape,
             offline_seconds=ctx.seconds_for(OfflineMapPass.name),
             online_seconds=ctx.seconds_for(OnlineReshapePass.name),

@@ -12,6 +12,7 @@ from repro.ir.instructions import Instruction
 from repro.offline.mapper import MappingResult
 from repro.online.timelike import ReshapeMetrics
 from repro.pipeline.context import (
+    DeferredArtifact,
     PassTiming,
     aggregate_timings,
     aggregate_timings_split,
@@ -20,7 +21,11 @@ from repro.pipeline.context import (
 
 @dataclass
 class CompilationResult:
-    """Everything measured for one program compilation."""
+    """Everything measured for one program compilation.
+
+    ``mapping`` may be bound from a cache hit still pickled; it is loaded
+    on first read (see :data:`CompilationResult.mapping`).
+    """
 
     circuit_name: str
     num_qubits: int
@@ -62,3 +67,22 @@ class CompilationResult:
     def timings_split_by_pass(self) -> dict[str, dict[str, float]]:
         """Pass name -> ``{"wall_seconds", "cpu_seconds"}`` split."""
         return aggregate_timings_split(self.pass_timings)
+
+
+def _get_mapping(result: CompilationResult) -> MappingResult:
+    mapping = result.__dict__["_mapping"]
+    if type(mapping) is DeferredArtifact:
+        mapping = result.__dict__["_mapping"] = mapping.load()
+    return mapping
+
+
+def _set_mapping(result: CompilationResult, mapping) -> None:
+    result.__dict__["_mapping"] = mapping
+
+
+# Installed after the dataclass is built, so ``mapping`` stays an ordinary
+# constructor field while reads go through the loader: a warm compile
+# whose caller never reads the IR never unpickles it.
+CompilationResult.mapping = property(
+    _get_mapping, _set_mapping, doc="The offline mapping, loaded on first read."
+)

@@ -58,8 +58,8 @@ class PipelineSettings:
     emit_instructions: bool = False
     #: Pattern-rewrite pass gate: "on" puts RewritePass in the default
     #: chain after translate, "off" is the unrewritten byte-identity
-    #: oracle.  Rides in the context options, so rewritten and unrewritten
-    #: compilations never share artifact-cache entries.
+    #: oracle.  No pass reads it: the artifact cache keys the chains apart
+    #: from translate on, because their keys chain over different passes.
     rewrite: str = "on"
 
     def hardware_for(self, num_qubits: int) -> tuple[HardwareConfig, int]:

@@ -140,7 +140,8 @@ class _NotifyingPass:
     Wraps an already cache-wrapped stage (so a cache *hit* still counts as
     the pass completing) and forwards the full pass interface; the server
     wraps a pipeline's pass chain with these so a compile request streams
-    one ``pass`` frame per stage as it finishes.
+    one ``pass`` frame per stage as it finishes.  ``prepare`` (the cache
+    lookup) is forwarded untimed, as the pipeline runs it.
     """
 
     def __init__(self, inner, callback: Callable[[str, float], None]) -> None:
@@ -149,8 +150,12 @@ class _NotifyingPass:
         self.name = inner.name
         self.requires = inner.requires
         self.provides = inner.provides
+        self.reads = inner.reads
         self.rng_labels = inner.rng_labels
         self.cacheable = inner.cacheable
+
+    def prepare(self, ctx) -> None:
+        self.inner.prepare(ctx)
 
     def run(self, ctx) -> None:
         start = time.perf_counter()

@@ -6,25 +6,31 @@ cache's own contract: key derivation, backend behavior, hit replay fidelity,
 pipeline wiring, and the process-pool pickling rules.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.circuits import make_benchmark
 from repro.errors import CompilationError
+from repro.mbqc.translate import translate_circuit
 from repro.pipeline import (
     CachePass,
+    CompilerPass,
     DiskCache,
     LowerIRPass,
     MemoryCache,
     Pipeline,
     PipelineSettings,
     TranslatePass,
+    baseline_passes,
     cached_passes,
     circuit_fingerprint,
     default_passes,
     make_cache,
 )
+from repro.pipeline.context import DeferredArtifact, PassContext
+from repro.utils.rng import RandomStream
 
 SETTINGS = PipelineSettings(fusion_success_rate=0.9, rsl_size=24, virtual_size=2, max_rsl=10**5)
 CIRCUIT = make_benchmark("qaoa", 4, seed=0)
@@ -169,9 +175,12 @@ class TestCachedCompilation:
         )
         a = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
         b = Pipeline(loose, cache=cache).compile(CIRCUIT, seed=0)
-        assert b.metrics["cache_misses"] == 4  # nothing reused across settings
-        assert _metrics(b) == _metrics(Pipeline(loose).compile(CIRCUIT, seed=0))
         assert a.metrics["cache_misses"] == 4
+        # translate and rewrite read nothing the settings change, so they
+        # hit; offline-map reads the occupancy limit and misses, and so
+        # does online-reshape, whose input now has a different key.
+        assert (b.metrics["cache_hits"], b.metrics["cache_misses"]) == (2, 2)
+        assert _metrics(b) == _metrics(Pipeline(loose).compile(CIRCUIT, seed=0))
 
     def test_baseline_chain_cached(self):
         reference = Pipeline(SETTINGS).compile_baseline(CIRCUIT, seed=3)
@@ -399,3 +408,282 @@ class TestMaintenance:
         cache._path("00k").write_bytes(b"garbage")
         cache.verify()
         assert cache._approx_bytes == cache.total_bytes() == 0
+
+
+class UnsimplifiedLowering(CompilerPass):
+    """Swaps in the unsimplified {J, CZ} lowering of the circuit.
+
+    A pattern-changing pass the cache does not wrap: it leaves the
+    pattern unkeyed.
+    """
+
+    name = "unsimplified"
+    requires = ("pattern",)
+    provides = ("pattern",)
+
+    def run(self, ctx):
+        ctx.put("pattern", translate_circuit(ctx.circuit, simplify=False))
+
+
+class CachedUnsimplifiedLowering(UnsimplifiedLowering):
+    cacheable = True
+    reads = ("circuit",)
+
+
+class TestChainedKeys:
+    """Keys chain over the passes that produced a pass's inputs."""
+
+    def test_inserted_pattern_pass_never_reads_the_plain_chain(self):
+        settings = PipelineSettings(rewrite="off")
+        circuit = make_benchmark("qaoa", 4, seed=0)
+        custom = Pipeline(settings, seed=0).insert_pass(
+            UnsimplifiedLowering(), after="translate"
+        )
+        uncached = custom.compile(circuit)
+        assert (uncached.rsl_count, uncached.logical_layers) == (114, 34)
+        cache = MemoryCache()
+        plain = Pipeline(settings, seed=0, cache=cache).compile(circuit)
+        assert (plain.rsl_count, plain.logical_layers) == (57, 17)
+        cached = custom.with_cache(cache).compile(circuit)
+        assert _metrics(cached) == _metrics(uncached)
+        # Only translate is shared; the unkeyed pattern sends everything
+        # downstream of the inserted pass round the cache.
+        assert cached.metrics["cache_hits"] == 1
+        assert "cache_misses" not in cached.metrics
+
+    def test_cached_inserted_pass_keys_its_own_chain(self):
+        settings = PipelineSettings(rewrite="off")
+        circuit = make_benchmark("qaoa", 4, seed=0)
+        cache = MemoryCache()
+        Pipeline(settings, seed=0, cache=cache).compile(circuit)
+        custom = Pipeline(settings, seed=0, cache=cache).insert_pass(
+            CachedUnsimplifiedLowering(), after="translate"
+        )
+        cold = custom.compile(circuit)
+        warm = custom.compile(circuit)
+        assert (cold.rsl_count, cold.logical_layers) == (114, 34)
+        assert _metrics(warm) == _metrics(cold)
+        assert (cold.metrics["cache_hits"], cold.metrics["cache_misses"]) == (1, 3)
+        assert warm.metrics["cache_hits"] == 4
+
+    def test_fusion_rate_siblings_share_the_offline_prefix(self):
+        cache = MemoryCache()
+        Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        sibling = dataclasses.replace(SETTINGS, fusion_success_rate=0.75, rsl_size=48)
+        result = Pipeline(sibling, cache=cache).compile(CIRCUIT, seed=0)
+        # translate, rewrite and offline-map read neither the rate nor the
+        # RSL size; online-reshape reads the config and misses.
+        assert (result.metrics["cache_hits"], result.metrics["cache_misses"]) == (3, 1)
+        assert _metrics(result) == _metrics(Pipeline(sibling).compile(CIRCUIT, seed=0))
+
+
+class TestLazyHits:
+    def test_warm_compile_leaves_the_mapping_pickled_until_read(self):
+        cache = MemoryCache()
+        cold = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        warm = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        assert type(warm.__dict__["_mapping"]) is DeferredArtifact
+        assert warm.mapping.layer_count == cold.mapping.layer_count
+        assert warm.mapping is warm.mapping  # loaded once, then kept
+
+    def test_every_load_is_a_fresh_copy(self):
+        cache = MemoryCache()
+        Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        first = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        second = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        assert first.mapping is not second.mapping
+        assert first.reshape is not second.reshape
+
+    def test_inputs_load_before_the_pass_timer(self, monkeypatch):
+        from repro.pipeline.passes import OnlineReshapePass
+
+        seen = []
+        real_run = OnlineReshapePass.run
+
+        def probe(stage, ctx):
+            seen.append(type(ctx.artifacts["mapping"]))
+            real_run(stage, ctx)
+
+        monkeypatch.setattr(OnlineReshapePass, "run", probe)
+        cache = MemoryCache()
+        Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        # A new seed: offline-map hits (its mapping is bound deferred) and
+        # online-reshape misses, so the pipeline loads its input first.
+        result = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=1)
+        assert result.metrics["cache_hits"] == 3
+        assert seen[-1] is not DeferredArtifact
+
+    def test_hit_over_a_loaded_input_binds_eagerly(self):
+        cache = MemoryCache()
+        cold = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        cache._discard(cache.key_for(TranslatePass(), SETTINGS.context_for(CIRCUIT, 0)))
+        # translate misses, so rewrite's input is a loaded pattern: every
+        # hit downstream binds its artifacts loaded, not deferred.
+        ctx = Pipeline(SETTINGS, cache=cache).run_circuit(CIRCUIT, seed=0)
+        assert (ctx.metrics["cache_hits"], ctx.metrics["cache_misses"]) == (3, 1)
+        assert not any(
+            type(value) is DeferredArtifact for value in ctx.artifacts.values()
+        )
+        assert ctx.artifacts["reshape"].rsl_consumed == cold.rsl_count
+
+    def test_result_pickles_with_its_mapping_loaded(self):
+        cache = MemoryCache()
+        cold = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        warm = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        clone = pickle.loads(pickle.dumps(warm))
+        assert type(clone.__dict__["_mapping"]) is not DeferredArtifact
+        assert clone.mapping.layer_count == cold.mapping.layer_count
+
+
+class TestCorruptEntries:
+    """An entry or artifact that fails to load is a counted miss."""
+
+    def test_truncated_entries_become_misses(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        pipeline = Pipeline(SETTINGS, cache=cache)
+        cold = pipeline.compile(CIRCUIT, seed=0)
+        entries = list(cache._entries())
+        assert len(entries) == 4
+        for path in entries:
+            blob = path.read_bytes()
+            path.write_bytes(blob[: len(blob) // 2])
+        again = pipeline.compile(CIRCUIT, seed=0)
+        assert _metrics(again) == _metrics(cold)
+        assert again.metrics["cache_misses"] == 4
+        assert "cache_hits" not in again.metrics
+        # The misses stored fresh entries over the dropped ones.
+        warm = pipeline.compile(CIRCUIT, seed=0)
+        assert warm.metrics["cache_hits"] == 4
+        assert _metrics(warm) == _metrics(cold)
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    def test_artifact_that_fails_to_load_is_recomputed(self, backend, tmp_path):
+        cache = MemoryCache() if backend == "memory" else DiskCache(tmp_path)
+        pipeline = Pipeline(SETTINGS, cache=cache)
+        cold = pipeline.compile(CIRCUIT, seed=0)
+        # Keep every entry readable but truncate each artifact inside it.
+        for key in _keys(cache):
+            entry = pickle.loads(cache._read(key))
+            entry["artifacts"] = {
+                name: blob[: len(blob) // 2]
+                for name, blob in entry["artifacts"].items()
+            }
+            cache._write(key, pickle.dumps(entry))
+        again = pipeline.compile(CIRCUIT, seed=0)
+        assert _metrics(again) == _metrics(cold)
+        assert again.mapping.layer_count == cold.mapping.layer_count
+        # Loading the reshape recomputed the whole chain: four hits became
+        # four misses and every entry was dropped.
+        assert again.metrics["cache_misses"] == 4
+        assert again.metrics.get("cache_hits", 0) == 0
+        assert len(cache) == 0
+
+    def test_verify_loads_every_artifact(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.store("00k", {"artifacts": {"x": list(range(50))}, "metrics": {}})
+        path = cache._path("00k")
+        entry = pickle.loads(path.read_bytes())
+        entry["artifacts"]["x"] = entry["artifacts"]["x"][:5]
+        path.write_bytes(pickle.dumps(entry))
+        assert cache.verify() == 1
+        assert len(cache) == 0
+
+
+def _keys(cache):
+    if isinstance(cache, MemoryCache):
+        return list(cache._store)
+    return [path.stem for path in cache._entries()]
+
+
+#: Context fields a pass may read; everything else it reads is an option.
+#: ``stream`` stands for the seed: a stochastic pass's key holds the child
+#: seed it derives, a deterministic pass must not read the stream at all.
+CONTEXT_FIELDS = {"circuit", "config", "virtual_size", "stream"}
+
+#: Two values of every context field and option.  The second changes the
+#: output of any pass that reads it, which is what gives the property the
+#: power to catch an undeclared read.  The two circuits share a name, as a
+#: stochastic pass sees the circuit name only through its child seed.
+VARIANTS = {
+    "circuit": (CIRCUIT, make_benchmark("qaoa", 4, seed=1)),
+    "config": (
+        SETTINGS.hardware_for(4)[0],
+        dataclasses.replace(SETTINGS, fusion_success_rate=0.75).hardware_for(4)[0],
+    ),
+    "virtual_size": (2, 3),
+    "stream": (0, 1),
+    "occupancy_limit": (0.25, 0.5),
+    "refresh_every": (None, 2),
+    "memory_budget_bytes": (None, 1),
+    "bytes_per_node_layer": (None, 1),
+    "max_rsl": (10**5, 3),
+    "emit_instructions": (False, True),
+    "rewrite": ("on", "off"),
+}
+
+CACHEABLE = list(
+    {stage.name: stage for stage in (*default_passes(), *baseline_passes())
+     if stage.cacheable}.values()
+)
+
+
+def _declared(stage):
+    return set(stage.reads) | ({"stream"} if stage.rng_labels else set())
+
+
+def _outcome(stage, values, inputs):
+    """What one run of ``stage`` produces: artifacts and metrics, or the error."""
+    options = {name: value for name, value in values.items() if name not in CONTEXT_FIELDS}
+    ctx = PassContext(
+        circuit=values["circuit"],
+        config=values["config"],
+        virtual_size=values["virtual_size"],
+        stream=RandomStream(values["stream"]),
+        options=options,
+        artifacts={name: pickle.loads(blob) for name, blob in inputs.items()},
+    )
+    try:
+        stage.run(ctx)
+    except Exception as exc:  # noqa: BLE001 - an error is an outcome too
+        return ("raised", type(exc).__name__, str(exc))
+    artifacts = {name: pickle.dumps(ctx.artifacts[name]) for name in stage.provides}
+    return artifacts, ctx.metrics
+
+
+def _undeclared_reads_are_inert(stage, declared):
+    """Does varying every field outside ``declared`` leave the output alone?"""
+    upstream = Pipeline(SETTINGS).run_circuit(CIRCUIT, seed=0).artifacts
+    inputs = {name: pickle.dumps(upstream[name]) for name in stage.requires}
+    base = {name: pair[0] for name, pair in VARIANTS.items()}
+    varied = {
+        name: pair[0] if name in declared else pair[1]
+        for name, pair in VARIANTS.items()
+    }
+    return _outcome(stage, base, inputs) == _outcome(stage, varied, inputs)
+
+
+class TestKeyCompleteness:
+    """A pass's key holds everything its artifacts depend on.
+
+    The key hashes a pass's declared reads and the keys of its inputs; the
+    property is that nothing else the pass could read changes its output.
+    """
+
+    def test_variants_cover_every_field_and_option(self):
+        options = SETTINGS.context_for(CIRCUIT).options
+        assert set(VARIANTS) == CONTEXT_FIELDS | set(options)
+        assert {stage.name for stage in CACHEABLE} == {
+            "translate", "rewrite", "offline-map", "online-reshape", "baseline",
+        }
+
+    @pytest.mark.parametrize("stage", CACHEABLE, ids=lambda stage: stage.name)
+    def test_undeclared_fields_do_not_change_artifacts(self, stage):
+        assert _undeclared_reads_are_inert(stage, _declared(stage))
+
+    @pytest.mark.parametrize(
+        "stage, read",
+        [(stage, read) for stage in CACHEABLE for read in sorted(_declared(stage))],
+        ids=lambda value: value if isinstance(value, str) else value.name,
+    )
+    def test_dropping_a_declared_read_breaks_the_property(self, stage, read):
+        assert not _undeclared_reads_are_inert(stage, _declared(stage) - {read})

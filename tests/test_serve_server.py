@@ -203,6 +203,21 @@ class TestGoldenIdentity:
         assert run.result["rsl_count"] > 0
         assert run.summary["op"] == "compile"
 
+    def test_warm_compile_streams_every_pass_from_the_cache(self, tmp_path):
+        request = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                   "rate": 0.9, "rsl_size": 24, "virtual_size": 2,
+                   "max_rsl": 10**5}
+        with ServerThread(ServeConfig(port=0, cache=DiskCache(tmp_path))) as st:
+            cold = _client(st).submit(request).raise_for_error()
+            warm = _client(st).submit(request).raise_for_error()
+        # The notifier wrappers sit outside the cache wrappers; the keys
+        # still chain through them, so every cacheable stage hits.
+        assert [p["pass"] for p in warm.passes] == [p["pass"] for p in cold.passes]
+        assert cold.result["cache"]["misses"] == 4
+        assert warm.result["cache"] == {"hits": 4, "misses": 0, "hit_rate": 1.0}
+        for field in ("rsl_count", "fusion_count", "logical_layers", "pl_ratio"):
+            assert warm.result[field] == cold.result[field]
+
     def test_baseline_request(self):
         with ServerThread(ServeConfig(port=0)) as st:
             run = _client(st).submit(
