@@ -5,17 +5,20 @@ Run:  PYTHONPATH=src python benchmarks/map_replay.py [--repeats 5] [--write]
 Records each ``map_pattern`` call (the measurement pattern and the mapper's
 settings) that every registered experiment makes at ``scale="bench"``, seed
 0, on the serial runner, then replays the recorded calls ``--repeats`` times
-and prints the median replay time.  It also prints a sha256 over every
-mapping, in the canonical form ``tests/test_offline.py::mapping_dump``
-pins (a call that raises ``MappingError`` hashes its error type and
-message), and exits 1 if that digest differs from the one committed next to
-this script (``map_replay_digest.txt``); ``--write`` re-pins it after an
-intended change of the mapping.
+and prints the median replay time and the garbage collections per
+generation one replay triggers (``gc.get_stats()`` deltas).  It also prints
+a sha256 over every mapping, in the canonical form
+``tests/test_offline.py::mapping_dump`` pins (a call that raises
+``MappingError`` hashes its error type and message), and exits 1 if that
+digest differs from the one committed next to this script
+(``map_replay_digest.txt``); ``--write`` re-pins it after an intended
+change of the mapping.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import statistics
@@ -60,14 +63,19 @@ def map_once(settings: dict, pattern):
         return error
 
 
-def replay(calls: list[tuple]) -> float:
-    """Seconds to run every recorded call once.  Each mapping is dropped as
-    soon as it is made, as a compile does: holding all of them would time
-    the garbage collector's scans of them too."""
+def replay(calls: list[tuple]) -> tuple[float, list[int]]:
+    """Seconds to run every recorded call once, and the garbage collections
+    per generation it triggered.  Each mapping is dropped as soon as it is
+    made, as a compile does.  Holding all 108 instead takes about as long
+    (1.00x on a 2-vCPU container, with twice the gen-0 collections): the
+    IR's columns leave the collector nothing per node to scan."""
+    before = [generation["collections"] for generation in gc.get_stats()]
     start = time.perf_counter()
     for settings, pattern in calls:
         map_once(settings, pattern)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    after = [generation["collections"] for generation in gc.get_stats()]
+    return seconds, [b - a for a, b in zip(before, after)]
 
 
 def digest(calls: list[tuple]) -> str:
@@ -94,10 +102,19 @@ def main() -> int:
     start = time.perf_counter()
     calls = record_calls()
     print(f"recorded {len(calls)} calls ({time.perf_counter() - start:.1f} s)")
-    times = [replay(calls) for _ in range(max(1, args.repeats))]
+    runs = [replay(calls) for _ in range(max(1, args.repeats))]
+    times = [seconds for seconds, _collections in runs]
     print(
         f"replay: median {statistics.median(times):.3f} s over {len(times)} "
         f"repeats (min {min(times):.3f} s, max {max(times):.3f} s)"
+    )
+    per_generation = zip(*(collections for _seconds, collections in runs))
+    print(
+        "gc collections per replay (median): "
+        + ", ".join(
+            f"gen-{generation} {statistics.median(counts):g}"
+            for generation, counts in enumerate(per_generation)
+        )
     )
     actual = digest(calls)
     print(f"digest: {actual}")

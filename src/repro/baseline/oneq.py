@@ -87,12 +87,11 @@ def plan_oneq(
     spatial_by_layer = [0] * result.layer_count
     nodes_by_layer = [0] * result.layer_count
     inter_by_layer = [0] * result.layer_count
-    for key in result.ir.spatial_edges:
-        a, _b = tuple(key)
+    for a, _b in result.ir.spatial_edges:
         spatial_by_layer[a[2]] += 1
-    for coord in result.ir.nodes:
+    for coord in result.ir.role:
         nodes_by_layer[coord[2]] += 1
-    for _earlier, later in result.ir.temporal_edges():
+    for later in result.ir.temporal_next.values():
         inter_by_layer[later[2]] += 1
 
     layers = [

@@ -14,10 +14,19 @@ structural rules (Section 6.1):
 
 Spatial edges join 4-adjacent nodes within a layer.  Nodes are either mapped
 program-graph nodes or ancillas (routing wire).
+
+The IR is stored as columns: plain dicts keyed by coordinate (role, program
+node id, temporal predecessor and successor) and a set of canonical
+``(lower, higher)`` coordinate pairs for the spatial edges.  Everything in
+them is an int, a string or a tuple of those, which CPython's cyclic
+garbage collector stops tracking, so a finished mapping of ~10^5 nodes
+costs the collector a handful of objects rather than one per node and edge.
+:class:`VNode` is a snapshot built on read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import IRError
@@ -32,9 +41,12 @@ ROLE_WORLDLINE = "worldline"
 ROLE_ANCILLA = "ancilla"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VNode:
-    """One virtual-hardware node of the IR program."""
+    """One virtual-hardware node of the IR program, as read off the columns.
+
+    A snapshot: the IR does not keep it, so it cannot be edited in place.
+    """
 
     coord: Coord3D  # (row, col, layer)
     role: str = ROLE_ANCILLA
@@ -42,38 +54,73 @@ class VNode:
     temporal_prev: Coord3D | None = None
     temporal_next: Coord3D | None = None
 
-    def __post_init__(self) -> None:
-        role = self.role
-        if role == ROLE_ANCILLA:
-            if self.g_node is not None:
-                raise IRError(f"ancilla at {self.coord} cannot carry a g_node id")
-        elif role == ROLE_GRAPH or role == ROLE_WORLDLINE:
-            if self.g_node is None:
-                raise IRError(f"{role} node at {self.coord} must carry a g_node id")
-        else:
-            raise IRError(f"unknown node role {role!r}")
+
+class NodeView(Mapping):
+    """Read-only ``coord -> VNode`` view of an IR's nodes, in insertion order."""
+
+    __slots__ = ("_ir",)
+
+    def __init__(self, ir: FlexLatticeIR) -> None:
+        self._ir = ir
+
+    def __getitem__(self, coord: Coord3D) -> VNode:
+        ir = self._ir
+        return VNode(
+            coord,
+            ir.role[coord],
+            ir.g_node.get(coord),
+            ir.temporal_prev.get(coord),
+            ir.temporal_next.get(coord),
+        )
+
+    def __contains__(self, coord: object) -> bool:
+        return coord in self._ir.role
+
+    def __iter__(self) -> Iterator[Coord3D]:
+        return iter(self._ir.role)
+
+    def __len__(self) -> int:
+        return len(self._ir.role)
 
 
 class FlexLatticeIR:
-    """A FlexLattice program: nodes, spatial edges, temporal edges."""
+    """A FlexLattice program: nodes, spatial edges, temporal edges.
+
+    The columns are public for reading; write only through the ``add_*``
+    methods, which enforce the structural rules.
+
+    * ``role``: coord -> node role, one entry per node in placement order;
+    * ``g_node``: coord -> program node id, for graph and worldline nodes;
+    * ``temporal_prev`` / ``temporal_next``: coord -> the coordinate its
+      temporal edge to an earlier / later layer lands on;
+    * ``spatial_edges``: ``(lower, higher)`` coordinate pairs.
+    """
 
     def __init__(self, width: int) -> None:
         if width < 1:
             raise IRError(f"virtual hardware width must be >= 1, got {width}")
         self.width = width
-        self.nodes: dict[Coord3D, VNode] = {}
-        self.spatial_edges: set[frozenset[Coord3D]] = set()
+        self.role: dict[Coord3D, str] = {}
+        self.g_node: dict[Coord3D, int] = {}
+        self.temporal_prev: dict[Coord3D, Coord3D] = {}
+        self.temporal_next: dict[Coord3D, Coord3D] = {}
+        self.spatial_edges: set[tuple[Coord3D, Coord3D]] = set()
 
     # ------------------------------------------------------------------
 
     @property
+    def nodes(self) -> NodeView:
+        """Every node as a read-only ``coord -> VNode`` mapping."""
+        return NodeView(self)
+
+    @property
     def layer_count(self) -> int:
         """Number of layers touched (max layer index + 1)."""
-        if not self.nodes:
+        if not self.role:
             return 0
-        return 1 + max(coord[2] for coord in self.nodes)
+        return 1 + max(coord[2] for coord in self.role)
 
-    def add_node(self, coord: Coord3D, role: str, g_node: int | None = None) -> VNode:
+    def add_node(self, coord: Coord3D, role: str, g_node: int | None = None) -> None:
         """Place a node; each coordinate can be used at most once."""
         row, col, layer = coord
         width = self.width
@@ -81,10 +128,18 @@ class FlexLatticeIR:
             raise IRError(f"{coord} outside the {width}x{width} layer")
         if layer < 0:
             raise IRError(f"negative layer in {coord}")
-        if coord in self.nodes:
+        if coord in self.role:
             raise IRError(f"coordinate {coord} is already occupied")
-        node = self.nodes[coord] = VNode(coord, role, g_node)
-        return node
+        if role == ROLE_ANCILLA:
+            if g_node is not None:
+                raise IRError(f"ancilla at {coord} cannot carry a g_node id")
+        elif role == ROLE_GRAPH or role == ROLE_WORLDLINE:
+            if g_node is None:
+                raise IRError(f"{role} node at {coord} must carry a g_node id")
+            self.g_node[coord] = g_node
+        else:
+            raise IRError(f"unknown node role {role!r}")
+        self.role[coord] = role
 
     def node_at(self, coord: Coord3D) -> VNode:
         try:
@@ -97,16 +152,16 @@ class FlexLatticeIR:
 
     def add_spatial_edge(self, a: Coord3D, b: Coord3D) -> None:
         """Join two 4-adjacent nodes of the same layer."""
-        nodes = self.nodes
-        if a not in nodes:
+        role = self.role
+        if a not in role:
             raise IRError(f"no node at {a}")
-        if b not in nodes:
+        if b not in role:
             raise IRError(f"no node at {b}")
         if a[2] != b[2]:
             raise IRError(f"spatial edge {a}-{b} spans layers")
         if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
             raise IRError(f"spatial edge {a}-{b} joins non-adjacent coordinates")
-        key = frozenset((a, b))
+        key = (a, b) if a < b else (b, a)
         if key in self.spatial_edges:
             raise IRError(f"spatial edge {a}-{b} already enabled")
         self.spatial_edges.add(key)
@@ -116,12 +171,10 @@ class FlexLatticeIR:
 
         Enforces rule 3: one temporal edge per direction per node.
         """
-        nodes = self.nodes
-        node_earlier = nodes.get(earlier)
-        if node_earlier is None:
+        role = self.role
+        if earlier not in role:
             raise IRError(f"no node at {earlier}")
-        node_later = nodes.get(later)
-        if node_later is None:
+        if later not in role:
             raise IRError(f"no node at {later}")
         if earlier[0] != later[0] or earlier[1] != later[1]:
             raise IRError(
@@ -129,54 +182,49 @@ class FlexLatticeIR:
             )
         if not earlier[2] < later[2]:
             raise IRError(f"temporal edge {earlier}-{later} must go forward in time")
-        if node_earlier.temporal_next is not None:
+        if earlier in self.temporal_next:
             raise IRError(f"{earlier} already has a temporal edge to a later layer")
-        if node_later.temporal_prev is not None:
+        if later in self.temporal_prev:
             raise IRError(f"{later} already has a temporal edge to an earlier layer")
-        node_earlier.temporal_next = later
-        node_later.temporal_prev = earlier
+        self.temporal_next[earlier] = later
+        self.temporal_prev[later] = earlier
 
     # ------------------------------------------------------------------
 
     def temporal_edges(self) -> list[tuple[Coord3D, Coord3D]]:
         """All temporal edges as (earlier, later) pairs."""
-        return sorted(
-            (node.coord, node.temporal_next)
-            for node in self.nodes.values()
-            if node.temporal_next is not None
-        )
+        return sorted(self.temporal_next.items())
 
     def layer_nodes(self, layer: int) -> list[VNode]:
         """Nodes on ``layer``, row-major."""
-        return sorted(
-            (node for node in self.nodes.values() if node.coord[2] == layer),
-            key=lambda node: node.coord,
-        )
+        nodes = self.nodes
+        return [
+            nodes[coord] for coord in sorted(c for c in self.role if c[2] == layer)
+        ]
 
     def graph_nodes(self) -> dict[int, Coord3D]:
         """Map from program graph node id to its coordinate."""
         placed: dict[int, Coord3D] = {}
-        for node in self.nodes.values():
-            if node.role == ROLE_GRAPH:
-                if node.g_node in placed:
-                    raise IRError(f"g_node {node.g_node} mapped twice")
-                placed[node.g_node] = node.coord
+        g_node = self.g_node
+        for coord, role in self.role.items():
+            if role == ROLE_GRAPH:
+                node_id = g_node[coord]
+                if node_id in placed:
+                    raise IRError(f"g_node {node_id} mapped twice")
+                placed[node_id] = coord
         return placed
 
     def validate(self) -> None:
         """Re-check all structural invariants (cheap; used by tests)."""
-        for key in self.spatial_edges:
-            a, b = tuple(key)
-            if a not in self.nodes or b not in self.nodes:
+        role = self.role
+        for a, b in self.spatial_edges:
+            if a not in role or b not in role:
                 raise IRError(f"spatial edge {a}-{b} references missing nodes")
-        for node in self.nodes.values():
-            if node.temporal_next is not None:
-                other = self.node_at(node.temporal_next)
-                if other.temporal_prev != node.coord:
-                    raise IRError(
-                        f"temporal edge {node.coord}->{node.temporal_next} "
-                        "is not mirrored"
-                    )
+        for earlier, later in self.temporal_next.items():
+            if later not in role:
+                raise IRError(f"no node at {later}")
+            if self.temporal_prev.get(later) != earlier:
+                raise IRError(f"temporal edge {earlier}->{later} is not mirrored")
         self.graph_nodes()  # raises on duplicates
 
     def structurally_equal(self, other: "FlexLatticeIR") -> bool:
@@ -188,17 +236,17 @@ class FlexLatticeIR:
         """
         if self.width != other.width:
             return False
-        if set(self.nodes) != set(other.nodes):
+        if self.role.keys() != other.role.keys():
             return False
         if self.spatial_edges != other.spatial_edges:
             return False
-        if self.temporal_edges() != other.temporal_edges():
+        if self.temporal_next != other.temporal_next:
             return False
-        for coord, node in self.nodes.items():
-            twin = other.nodes[coord]
-            if (node.role == ROLE_GRAPH) != (twin.role == ROLE_GRAPH):
+        for coord, role in self.role.items():
+            twin = other.role[coord]
+            if (role == ROLE_GRAPH) != (twin == ROLE_GRAPH):
                 return False
-            if node.role == ROLE_GRAPH and node.g_node != twin.g_node:
+            if role == ROLE_GRAPH and self.g_node[coord] != other.g_node[coord]:
                 return False
         return True
 
@@ -212,14 +260,10 @@ class FlexLatticeIR:
         """
         from repro.utils.dsu import DisjointSet
 
-        def identity(coord: Coord3D) -> int | None:
-            node = self.nodes[coord]
-            return node.g_node  # None exactly for anonymous ancillas
-
-        dsu: DisjointSet = DisjointSet(self.nodes.keys())
-        adjacency: dict[Coord3D, list[Coord3D]] = {c: [] for c in self.nodes}
-        for key in self.spatial_edges:
-            a, b = tuple(key)
+        identity = self.g_node.get  # None exactly for anonymous ancillas
+        dsu: DisjointSet = DisjointSet(self.role)
+        adjacency: dict[Coord3D, list[Coord3D]] = {c: [] for c in self.role}
+        for a, b in self.spatial_edges:
             adjacency[a].append(b)
             adjacency[b].append(a)
         for earlier, later in self.temporal_edges():

@@ -91,16 +91,24 @@ def lower_ir(ir: FlexLatticeIR) -> list[Instruction]:
       store / retrieve-at-``n-1`` / enable triple, the retrieved photons
       passing *in transit* through layer ``n - 1`` without occupying its
       resident slot (the Section 6.3 non-conflict note).
+
+    Each layer emits its nodes row-major, then the temporal landings and
+    direct enables that end on it, its spatial edges in sorted order, and
+    the stores and in-transit retrieves that leave it.  Nodes and edges
+    are sorted once and grouped by layer, so the stream costs one sort of
+    each rather than one per layer.
     """
     program: list[Instruction] = []
     stores: dict[int, list[Coord3D]] = {}
     transit_retrieves: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
     landings: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
     direct_enables: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
+    nodes_by_layer: dict[int, list[Coord3D]] = {}
+    spatial_by_layer: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
+    role = ir.role
 
     for earlier, later in ir.temporal_edges():
-        later_node = ir.node_at(later)
-        if later_node.role == ROLE_WORLDLINE:
+        if role[later] == ROLE_WORLDLINE:
             stores.setdefault(earlier[2], []).append(earlier)
             # The retrieve itself is emitted in the node phase of `later`'s
             # layer, keyed off the node's temporal_prev.
@@ -111,22 +119,26 @@ def lower_ir(ir: FlexLatticeIR) -> list[Instruction]:
             waypoint = (later[0], later[1], later[2] - 1)
             transit_retrieves.setdefault(later[2] - 1, []).append((earlier, waypoint))
             landings.setdefault(later[2], []).append((waypoint, later))
+    for coord in sorted(role):
+        nodes_by_layer.setdefault(coord[2], []).append(coord)
+    for edge in sorted(ir.spatial_edges):
+        spatial_by_layer.setdefault(edge[0][2], []).append(edge)
 
     for layer in range(ir.layer_count):
-        for node in ir.layer_nodes(layer):
-            if node.role == ROLE_GRAPH:
-                program.append(MapVNode(v_node=node.coord, g_node=node.g_node))
-            elif node.role == ROLE_WORLDLINE:
-                if node.temporal_prev is None:
+        for coord in nodes_by_layer.get(layer, ()):
+            node_role = role[coord]
+            if node_role == ROLE_GRAPH:
+                program.append(MapVNode(v_node=coord, g_node=ir.g_node[coord]))
+            elif node_role == ROLE_WORLDLINE:
+                previous = ir.temporal_prev.get(coord)
+                if previous is None:
                     # A home relocation: the wire end arrived spatially, so
                     # at the instruction level it is ordinary routing wire.
-                    program.append(MakeVNodeAncilla(v_node=node.coord))
+                    program.append(MakeVNodeAncilla(v_node=coord))
                 else:
-                    program.append(
-                        RetrieveVNode(v_node=node.temporal_prev, position=node.coord)
-                    )
+                    program.append(RetrieveVNode(v_node=previous, position=coord))
             else:
-                program.append(MakeVNodeAncilla(v_node=node.coord))
+                program.append(MakeVNodeAncilla(v_node=coord))
         for waypoint, later in landings.get(layer, ()):
             program.append(
                 EnableTemporalVEdge(v_node=waypoint, adjacent_v_node=later)
@@ -135,10 +147,8 @@ def lower_ir(ir: FlexLatticeIR) -> list[Instruction]:
             program.append(
                 EnableTemporalVEdge(v_node=earlier, adjacent_v_node=later)
             )
-        for key in sorted(ir.spatial_edges, key=sorted):
-            a, b = sorted(key)
-            if a[2] == layer:
-                program.append(EnableSpatialVEdge(v_node=a, adjacent_v_node=b))
+        for a, b in spatial_by_layer.get(layer, ()):
+            program.append(EnableSpatialVEdge(v_node=a, adjacent_v_node=b))
         for earlier in stores.get(layer, ()):
             program.append(StoreVNode(v_node=earlier))
         for earlier, waypoint in transit_retrieves.get(layer, ()):
@@ -199,7 +209,7 @@ class InstructionInterpreter:
                 raise InstructionError(
                     f"two retrievals in transit at {position}"
                 )
-            if position in self.ir.nodes:
+            if position in self.ir.role:
                 # A resident node already sits there: the retrieved photons
                 # pass *in transit* (Section 6.3's non-conflict note) and
                 # land with the next temporal enable.

@@ -216,14 +216,11 @@ class _MapperState:
         """
         adjacent = [0] * (self.layer + 1)
         cross: list[tuple[Coord3D, Coord3D]] = []
-        for node in self.ir.nodes.values():
-            later = node.temporal_next
-            if later is None:
-                continue
-            if later[2] - node.coord[2] == 1:
+        for earlier, later in self.ir.temporal_next.items():
+            if later[2] - earlier[2] == 1:
                 adjacent[later[2]] += 1
             else:
-                cross.append((node.coord, later))
+                cross.append((earlier, later))
         cross_gaps: list[list[int]] = [[] for _ in range(self.layer + 1)]
         for earlier, later in sorted(cross):
             cross_gaps[later[2]].append(later[2] - earlier[2])

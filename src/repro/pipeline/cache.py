@@ -70,8 +70,9 @@ from repro.pipeline.passes import CompilerPass
 #: path-search selector left the option vocabulary (one renormalizer, its
 #: oracles test-only), so every key's option list changed.  v4: chained
 #: keys over each pass's declared reads, and one pickle per artifact inside
-#: the payload.
-CACHE_SCHEMA_VERSION = 4
+#: the payload.  v5: the FlexLattice IR inside a mapping is stored as
+#: columns; a v4 mapping would unpickle without them.
+CACHE_SCHEMA_VERSION = 5
 
 
 def circuit_fingerprint(circuit) -> str:

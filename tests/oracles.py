@@ -47,6 +47,18 @@ from repro.graphstate.resource import ResourceStateInstance, ResourceStateSpec, 
 from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
+from repro.ir import (
+    ROLE_GRAPH,
+    ROLE_WORLDLINE,
+    EnableSpatialVEdge,
+    EnableTemporalVEdge,
+    FlexLatticeIR,
+    Instruction,
+    MakeVNodeAncilla,
+    MapVNode,
+    RetrieveVNode,
+    StoreVNode,
+)
 from repro.mbqc.dependency import DependencyDAG
 from repro.offline.routing import LayerGrid
 from repro.online.fusion_strategy import TEMPORAL_RESERVE
@@ -64,7 +76,7 @@ from repro.online.timelike import (
     ReshapeMetrics,
 )
 from repro.utils.dsu import DisjointSet
-from repro.utils.gridgeom import Coord2D, grid_neighbors4, iter_grid
+from repro.utils.gridgeom import Coord2D, Coord3D, grid_neighbors4, iter_grid
 
 # ``repro.online`` re-exports the ``renormalize`` function under the
 # submodule's name, so the module is fetched by its full name.
@@ -861,6 +873,61 @@ def route_scan(grid: LayerGrid, start: Coord2D, goal: Coord2D) -> list[Coord2D] 
             parents[neighbor] = current
             queue.append(neighbor)
     return None
+
+
+def lower_ir_scan(ir: FlexLatticeIR) -> list[Instruction]:
+    """``lower_ir`` before it grouped the IR by layer: every layer re-sorts
+    all spatial edges and rescans all nodes.  Same stream, quadratic in the
+    layer count."""
+    program: list[Instruction] = []
+    stores: dict[int, list[Coord3D]] = {}
+    transit_retrieves: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
+    landings: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
+    direct_enables: dict[int, list[tuple[Coord3D, Coord3D]]] = {}
+
+    for earlier, later in ir.temporal_edges():
+        later_node = ir.node_at(later)
+        if later_node.role == ROLE_WORLDLINE:
+            stores.setdefault(earlier[2], []).append(earlier)
+        elif later[2] == earlier[2] + 1:
+            direct_enables.setdefault(later[2], []).append((earlier, later))
+        else:
+            stores.setdefault(earlier[2], []).append(earlier)
+            waypoint = (later[0], later[1], later[2] - 1)
+            transit_retrieves.setdefault(later[2] - 1, []).append((earlier, waypoint))
+            landings.setdefault(later[2], []).append((waypoint, later))
+
+    for layer in range(ir.layer_count):
+        for node in ir.layer_nodes(layer):
+            if node.role == ROLE_GRAPH:
+                program.append(MapVNode(v_node=node.coord, g_node=node.g_node))
+            elif node.role == ROLE_WORLDLINE:
+                if node.temporal_prev is None:
+                    program.append(MakeVNodeAncilla(v_node=node.coord))
+                else:
+                    program.append(
+                        RetrieveVNode(v_node=node.temporal_prev, position=node.coord)
+                    )
+            else:
+                program.append(MakeVNodeAncilla(v_node=node.coord))
+        for waypoint, later in landings.get(layer, ()):
+            program.append(
+                EnableTemporalVEdge(v_node=waypoint, adjacent_v_node=later)
+            )
+        for earlier, later in direct_enables.get(layer, ()):
+            program.append(
+                EnableTemporalVEdge(v_node=earlier, adjacent_v_node=later)
+            )
+        for key in sorted(ir.spatial_edges, key=sorted):
+            a, b = sorted(key)
+            if a[2] == layer:
+                program.append(EnableSpatialVEdge(v_node=a, adjacent_v_node=b))
+        for earlier in stores.get(layer, ()):
+            program.append(StoreVNode(v_node=earlier))
+        for earlier, waypoint in transit_retrieves.get(layer, ()):
+            program.append(RetrieveVNode(v_node=earlier, position=waypoint))
+    return program
+
 
 #: Keep exact layers small: every qubit is a real graph node.
 MAX_EXACT_SIDE = 16

@@ -477,6 +477,23 @@ class TestChainedKeys:
         assert _metrics(result) == _metrics(Pipeline(sibling).compile(CIRCUIT, seed=0))
 
 
+class TestSchema:
+    def test_schema_4_entries_are_misses(self, monkeypatch):
+        """A schema-4 mapping pickled the IR without its columns; schema 5
+        never derives a schema-4 key, so such an entry cannot be hit."""
+        import repro.pipeline.cache as cache_module
+
+        cache = MemoryCache()
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA_VERSION", 4)
+            Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        assert len(cache) == 4
+        result = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
+        assert "cache_hits" not in result.metrics
+        assert result.metrics["cache_misses"] == 4
+        assert len(cache) == 8
+
+
 class TestLazyHits:
     def test_warm_compile_leaves_the_mapping_pickled_until_read(self):
         cache = MemoryCache()

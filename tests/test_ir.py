@@ -1,8 +1,11 @@
 """Tests for the FlexLattice IR and the instruction set."""
 
+import dataclasses
+import random
 import re
 
 import pytest
+from oracles import lower_ir_scan
 
 from repro.errors import InstructionError, IRError
 from repro.ir import (
@@ -16,8 +19,43 @@ from repro.ir import (
     MapVNode,
     RetrieveVNode,
     StoreVNode,
+    VNode,
     lower_ir,
 )
+
+
+def random_ir(seed: int, width: int = 3, layers: int = 6) -> FlexLatticeIR:
+    """A small IR with every temporal situation ``lower_ir`` tells apart:
+    worldline retrievals and relocations, direct enables between adjacent
+    layers and cross-layer landings on resident nodes."""
+    rng = random.Random(seed)
+    ir = FlexLatticeIR(width)
+    for layer in range(layers):
+        for row in range(width):
+            for col in range(width):
+                draw = rng.random()
+                coord = (row, col, layer)
+                if draw < 0.15:
+                    ir.add_node(coord, ROLE_GRAPH, rng.randrange(50))
+                elif draw < 0.3:
+                    ir.add_node(coord, ROLE_WORLDLINE, rng.randrange(50))
+                elif draw < 0.75:
+                    ir.add_node(coord, ROLE_ANCILLA)
+    coords = list(ir.role)
+    rng.shuffle(coords)
+    for a in coords:
+        for b in ((a[0] + 1, a[1], a[2]), (a[0], a[1] - 1, a[2])):
+            if b in ir.nodes and rng.random() < 0.5:
+                ir.add_spatial_edge(a, b)
+        later = [
+            (a[0], a[1], layer)
+            for layer in range(a[2] + 1, layers)
+            if (a[0], a[1], layer) in ir.nodes
+            and (a[0], a[1], layer) not in ir.temporal_prev
+        ]
+        if later and rng.random() < 0.6:
+            ir.add_temporal_edge(a, rng.choice(later))
+    return ir
 
 
 class TestFlexLatticeIR:
@@ -179,6 +217,58 @@ class TestFlexLatticeIR:
         other.add_node((1, 1, 0), ROLE_ANCILLA)
         assert not build().structurally_equal(other)
 
+    def test_structural_equality_reads_every_column(self):
+        def build(edge=True, temporal=True, g_node=1, upper_role=ROLE_WORLDLINE):
+            ir = FlexLatticeIR(2)
+            ir.add_node((0, 0, 0), ROLE_GRAPH, g_node)
+            ir.add_node((0, 1, 0), ROLE_ANCILLA)
+            ir.add_node((0, 0, 2), upper_role, None if upper_role == ROLE_ANCILLA else 1)
+            if edge:
+                ir.add_spatial_edge((0, 0, 0), (0, 1, 0))
+            if temporal:
+                ir.add_temporal_edge((0, 0, 0), (0, 0, 2))
+            return ir
+
+        reference = build()
+        # Lowering forgets which wires are worldlines, so that may differ.
+        assert reference.structurally_equal(build(upper_role=ROLE_ANCILLA))
+        for variant in (
+            build(edge=False),
+            build(temporal=False),
+            build(g_node=2),
+            build(upper_role=ROLE_GRAPH),
+        ):
+            assert not reference.structurally_equal(variant)
+            assert not variant.structurally_equal(reference)
+
+    def test_nodes_are_read_only_snapshots_of_the_columns(self):
+        ir = FlexLatticeIR(2)
+        ir.add_node((0, 1, 0), ROLE_GRAPH, 4)
+        ir.add_node((0, 0, 0), ROLE_ANCILLA)
+        ir.add_node((0, 1, 2), ROLE_WORLDLINE, 4)
+        ir.add_temporal_edge((0, 1, 0), (0, 1, 2))
+        assert list(ir.nodes) == [(0, 1, 0), (0, 0, 0), (0, 1, 2)]
+        assert len(ir.nodes) == 3
+        assert (0, 1, 2) in ir.nodes and (0, 1, 1) not in ir.nodes
+        assert ir.nodes[(0, 1, 0)] == VNode((0, 1, 0), ROLE_GRAPH, 4, None, (0, 1, 2))
+        assert ir.node_at((0, 1, 2)) == VNode((0, 1, 2), ROLE_WORLDLINE, 4, (0, 1, 0))
+        assert ir.nodes[(0, 0, 0)] == VNode((0, 0, 0))
+        node = ir.node_at((0, 0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.role = ROLE_GRAPH
+        with pytest.raises(TypeError):
+            ir.nodes[(1, 1, 0)] = node
+        assert ir.role[(0, 0, 0)] == ROLE_ANCILLA
+
+    def test_spatial_edges_are_canonical_pairs(self):
+        ir = FlexLatticeIR(2)
+        ir.add_node((1, 0, 0), ROLE_ANCILLA)
+        ir.add_node((0, 0, 0), ROLE_ANCILLA)
+        ir.add_spatial_edge((1, 0, 0), (0, 0, 0))
+        assert ir.spatial_edges == {((0, 0, 0), (1, 0, 0))}
+        with pytest.raises(IRError, match="already enabled"):
+            ir.add_spatial_edge((0, 0, 0), (1, 0, 0))
+
     def test_validate_passes_on_consistent_ir(self):
         ir = FlexLatticeIR(2)
         ir.add_node((0, 0, 0), ROLE_GRAPH, 1)
@@ -291,6 +381,28 @@ class TestInstructions:
         rebuilt = InstructionInterpreter(3).run(program)
         assert rebuilt.structurally_equal(ir)
         assert rebuilt.connected_graph_pairs() == ir.connected_graph_pairs()
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_lower_ir_matches_per_layer_scan(self, seed):
+        """The layer-grouped lowering emits the oracle's stream exactly."""
+        ir = random_ir(seed)
+        assert lower_ir(ir) == lower_ir_scan(ir)
+
+    def test_random_irs_cover_every_temporal_situation(self):
+        kinds = set()
+        for seed in range(25):
+            ir = random_ir(seed)
+            for coord, role in ir.role.items():
+                if role == ROLE_WORLDLINE and coord not in ir.temporal_prev:
+                    kinds.add("relocation")
+            for earlier, later in ir.temporal_next.items():
+                if ir.role[later] == ROLE_WORLDLINE:
+                    kinds.add("retrieve")
+                elif later[2] == earlier[2] + 1:
+                    kinds.add("direct")
+                else:
+                    kinds.add("landing")
+        assert kinds == {"relocation", "retrieve", "direct", "landing"}
 
     def test_lower_ir_emits_store_retrieve_for_worldlines(self):
         ir = FlexLatticeIR(2)

@@ -1,14 +1,16 @@
 """Tests for the offline mapper, routing and refresh/memory accounting."""
 
+import gc
 import hashlib
 import json
+import pickle
 import re
 from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import placement_cell_scan, relocation_cell_scan, route_scan
+from oracles import lower_ir_scan, placement_cell_scan, relocation_cell_scan, route_scan
 
 from repro.circuits import Circuit, make_benchmark, qaoa, qft, vqe
 from repro.errors import MappingError, MemoryBudgetExceeded
@@ -434,6 +436,62 @@ def mapping_digests() -> dict[str, str]:
         ).hexdigest()
         for key, run in mapping_cases().items()
     }
+
+
+def mapped_cases():
+    """``(case id, pattern, MappingResult)`` of every digest case that maps."""
+    for key, run in mapping_cases().items():
+        try:
+            result = run()
+        except MappingError:
+            continue
+        yield key, run.args[0], result
+
+
+def test_lowering_certificate_on_every_digest_mapping():
+    """Each of the 138 digest mappings lowers to an instruction stream that
+    re-executes to the same IR, and its wires realize exactly the
+    pattern's edge set."""
+    mapped = 0
+    for key, pattern, result in mapped_cases():
+        ir = result.ir
+        rebuilt = InstructionInterpreter(ir.width).run(lower_ir(ir))
+        assert rebuilt.structurally_equal(ir), key
+        expected = {frozenset((u, v)) for u, v in pattern.graph.edges()}
+        assert ir.connected_graph_pairs() == expected, key
+        mapped += 1
+    assert mapped == 138
+
+
+def test_lower_ir_matches_per_layer_scan_on_digest_mappings():
+    """The layer-grouped lowering emits the oracle's stream on every digest
+    mapping of up to 9 qubits (the oracle is quadratic in the layers)."""
+    for key, _pattern, result in mapped_cases():
+        if re.match(r"[a-z]+16-", key):
+            continue
+        assert lower_ir(result.ir) == lower_ir_scan(result.ir), key
+
+
+def test_held_mapping_ir_leaves_the_collector_almost_nothing():
+    """The IR's columns hold only ints, strings and tuples of them, which
+    the garbage collector stops tracking: holding a qft-16 mapping's IR adds
+    fewer tracked objects than a tenth of its nodes.  (The whole
+    ``MappingResult`` also holds one ``LayerDemand`` per layer.)"""
+    pattern = translate_circuit(qft(16))
+    mapper = OfflineMapper(width=3)
+    gc.collect()
+    before = len(gc.get_objects())
+    ir = mapper.map_pattern(pattern).ir
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert added < len(ir.nodes) / 10
+
+
+def test_mapping_pickle_round_trip():
+    result = OfflineMapper(width=3).map_pattern(translate_circuit(qft(9)))
+    clone = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+    assert mapping_dump(lambda: clone) == mapping_dump(lambda: result)
+    assert clone.ir.structurally_equal(result.ir)
 
 
 def test_mapping_digests_unchanged():
