@@ -14,7 +14,7 @@ count, and streaming are pure wall-clock knobs.
 import pytest
 
 from golden_records import assert_matches_golden
-from oracles import ScalarCarver, renormalize_module
+from oracles import ScalarCarver, renormalize_module, unrewritten_passes
 
 from repro import obs
 from repro.experiments import (
@@ -22,7 +22,9 @@ from repro.experiments import (
     experiment_names,
     get_experiment,
     make_runner,
+    shutdown_pools,
 )
+from repro.pipeline import pipeline as pipeline_module
 
 #: Process-pool widths per experiment, (streamed, blocking) — deliberately
 #: varied so the suite covers single-worker pools, odd widths, and more
@@ -86,18 +88,26 @@ def test_scalar_oracle_matches_fig14_golden(monkeypatch):
 
 
 @pytest.mark.parametrize("runner_kind", ["serial", "process"])
-def test_rewrite_off_matches_golden_on_every_runner(runner_kind):
-    """Disabling the pattern-rewrite pass reproduces the golden records —
-    which the regeneration bench pins to the default ``rewrite="on"`` chain
-    — on both backends.  That is the rewrite's oracle contract: on the
-    (simplified) golden workloads the contraction finds nothing, so the
-    rewritten and unrewritten pipelines must emit identical bytes.  fig14
-    again: compile jobs pick the override up through settings, FnJobs are
-    (by design) left untouched."""
-    runner = make_runner(runner_kind, max_workers=2)
-    result = get_experiment("fig14").run("bench", 0, runner, rewrite="off")
+def test_rewrite_off_matches_golden_on_every_runner(runner_kind, monkeypatch):
+    """The unrewritten oracle chain reproduces the golden records — which
+    the regeneration bench pins to the default chain, rewrite included —
+    on both backends: on the (simplified) golden workloads the contraction
+    finds nothing.  The oracle is swapped in for ``default_passes``; the
+    process pool is rebuilt around the swap so its forked workers inherit
+    it, and retired afterwards so no later test gets those workers.  Every
+    compile record's pass timings show the swap reached the job."""
+    shutdown_pools()
+    monkeypatch.setattr(pipeline_module, "default_passes", unrewritten_passes)
+    try:
+        runner = make_runner(runner_kind, max_workers=2)
+        result = get_experiment("fig14").run("bench", 0, runner)
+    finally:
+        shutdown_pools()
     assert result.runner == runner_kind
     assert_matches_golden("fig14", result.records)
+    compiled = [record for record in result.records if "translate" in record.timings]
+    assert compiled
+    assert not any("rewrite" in record.timings for record in compiled)
 
 
 @pytest.mark.parametrize("runner_kind", ["serial", "process"])

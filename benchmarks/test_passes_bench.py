@@ -10,8 +10,9 @@ Three measurements land in ``benchmarks/out/BENCH_passes.json``:
   family — the rewrite's raison d'être, gated.
 
 * **Online reshape, rewrite on vs off** — the same unsimplified circuits
-  compiled end-to-end through the pipeline with ``rewrite="on"`` and
-  ``rewrite="off"``: fewer nodes means fewer logical layers means fewer
+  compiled end-to-end through the default chain and through the
+  unrewritten oracle chain (``tests/oracles.py::unrewritten_passes``):
+  fewer nodes means fewer logical layers means fewer
   RSLs consumed online.  The layer reduction is deterministic and gated;
   the wall-clock ratio is informative only (shared runners are noisy).
 
@@ -22,11 +23,12 @@ Three measurements land in ``benchmarks/out/BENCH_passes.json``:
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import platform
 import time
 from pathlib import Path
+
+from oracles import unrewritten_passes
 
 from repro.circuits.benchmarks import make_benchmark
 from repro.circuits.jcz import to_jcz
@@ -71,7 +73,7 @@ def test_rewrite_shrink_and_reshape_snapshot():
 
     # -- end-to-end: rewrite on vs off through the full pipeline -----------
     on = Pipeline(SETTINGS)
-    off = Pipeline(dataclasses.replace(SETTINGS, rewrite="off"))
+    off = Pipeline(SETTINGS, passes=unrewritten_passes())
     circuits = [_unsimplified(family) for family in FAMILIES]
     on.compile(circuits[0], seed=0)  # warm-up: lazy imports, dispatch
 

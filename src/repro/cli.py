@@ -5,7 +5,6 @@ Usage (also via ``python -m repro.cli``)::
 
     python -m repro.cli compile --benchmark qaoa --qubits 4 --rate 0.75
     python -m repro.cli compile --benchmark qaoa --qubits 4 --json
-    python -m repro.cli compile --benchmark qft --qubits 4 --rewrite off
     python -m repro.cli compile --benchmark qft --qubits 9 \\
         --passes validate-connectivity,validate-rsg
     python -m repro.cli baseline --benchmark qft --qubits 4 --rate 0.75
@@ -48,7 +47,6 @@ from repro.experiments.common import SCALES
 from repro.experiments.runners import RUNNERS, make_runner
 from repro.experiments.streams import CsvStreamWriter, make_stream_writer
 from repro.passes import (
-    REWRITES,
     DeviceValidatorPass,
     UnknownPassError,
     ValidationError,
@@ -73,13 +71,6 @@ def _add_common_compile_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rsl-size", type=int, default=None)
     parser.add_argument("--virtual-size", type=int, default=None)
     parser.add_argument("--max-rsl", type=int, default=10**6)
-    parser.add_argument(
-        "--rewrite",
-        default="on",
-        choices=list(REWRITES),
-        help="pattern-rewrite pass between translate and offline-map "
-        "(results are byte-identical; 'off' is the unrewritten oracle)",
-    )
     parser.add_argument(
         "--passes",
         metavar="NAMES",
@@ -196,7 +187,6 @@ def _build_pipeline(args: argparse.Namespace) -> Pipeline:
         rsl_size=args.rsl_size,
         virtual_size=args.virtual_size,
         max_rsl=args.max_rsl,
-        rewrite=args.rewrite,
     )
     pipeline = Pipeline(settings, seed=args.seed, cache=_cache_from(args))
     # Reversed so the chain order after the slot matches the listed order.
@@ -341,9 +331,7 @@ def _run_streamed(experiment, args: argparse.Namespace, runner) -> ExperimentRes
     writer = make_stream_writer(args.out) if args.out else None
     records = []
     try:
-        stream = experiment.iter_records(
-            args.scale, seed=args.seed, runner=runner, rewrite=args.rewrite
-        )
+        stream = experiment.iter_records(args.scale, seed=args.seed, runner=runner)
         for record in stream:
             records.append(record)
             if writer is not None:
@@ -418,9 +406,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if args.stream:
             result = _run_streamed(experiment, args, runner)
         else:
-            result = experiment.run(
-                args.scale, seed=args.seed, runner=runner, rewrite=args.rewrite
-            )
+            result = experiment.run(args.scale, seed=args.seed, runner=runner)
     payload = result.to_json_obj()
     if cache is not None:
         # The cache object's own session totals (coordinator-side lookups
@@ -538,7 +524,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "runner": args.runner,
             "workers": args.workers,
-            "rewrite": args.rewrite,
         }
     if args.benchmark:
         return {
@@ -549,7 +534,6 @@ def _submit_request(args: argparse.Namespace) -> dict:
             "stars": args.stars,
             "seed": args.seed,
             "max_rsl": args.max_rsl,
-            "rewrite": args.rewrite or "on",
             "passes": args.passes,
         }
     raise ReproError(
@@ -693,13 +677,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment_parser.add_argument("--scale", default="bench", choices=list(SCALES))
     experiment_parser.add_argument("--seed", type=int, default=0)
     experiment_parser.add_argument(
-        "--rewrite",
-        default=None,
-        choices=list(REWRITES),
-        help="force the pattern-rewrite pass on or off for every compile "
-        "job (records are byte-identical; 'off' is the unrewritten oracle)",
-    )
-    experiment_parser.add_argument(
         "--runner",
         default="serial",
         choices=list(RUNNERS),
@@ -831,9 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="server-side execution backend for experiment requests",
     )
     submit_parser.add_argument("--workers", type=int, default=None, metavar="N")
-    submit_parser.add_argument(
-        "--rewrite", default=None, choices=list(REWRITES)
-    )
     submit_parser.add_argument(
         "--passes", metavar="NAMES", default=None,
         help="compile requests only: comma-separated extra passes "

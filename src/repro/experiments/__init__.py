@@ -32,7 +32,6 @@ from repro.experiments.api import (
     experiment_names,
     get_experiment,
     group_cells,
-    override_rewrite,
     register,
     run_experiment,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "SerialRunner",
     "UnknownExperimentError",
     "canonical_json",
-    "override_rewrite",
     "passes_ablation",
     "chunk_size_for",
     "experiment_names",

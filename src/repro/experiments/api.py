@@ -351,16 +351,11 @@ class Experiment(ABC):
         scale: str = "bench",
         seed: int = 0,
         runner: "Runner | str | None" = None,
-        rewrite: str | None = None,
     ) -> ExperimentResult:
-        """Build jobs, execute them on ``runner``, reduce the records.
-
-        ``rewrite`` (when given) forces the pattern-rewrite pass on or off
-        for every compile job — see :func:`override_rewrite`.
-        """
+        """Build jobs, execute them on ``runner``, reduce the records."""
         self._check_scale(scale)
         runner = _resolve_runner(runner)
-        jobs = override_rewrite(self.build_jobs(scale, seed), rewrite)
+        jobs = self.build_jobs(scale, seed)
         records = runner.run_jobs(jobs, experiment=self.name, scale=scale, seed=seed)
         result = self.reduce(records)
         result.runner = runner.name
@@ -371,7 +366,6 @@ class Experiment(ABC):
         scale: str = "bench",
         seed: int = 0,
         runner: "Runner | str | None" = None,
-        rewrite: str | None = None,
     ) -> Iterator[ExperimentRecord]:
         """Stream records in canonical job order as execution completes.
 
@@ -386,39 +380,8 @@ class Experiment(ABC):
         """
         self._check_scale(scale)
         runner = _resolve_runner(runner)
-        jobs = override_rewrite(self.build_jobs(scale, seed), rewrite)
+        jobs = self.build_jobs(scale, seed)
         return runner.iter_jobs(jobs, experiment=self.name, scale=scale, seed=seed)
-
-
-def override_rewrite(jobs: list[Job], rewrite: str | None) -> list[Job]:
-    """Rewrite a job list to force the pattern-rewrite pass on or off.
-
-    ``None`` leaves the experiment's defaults alone.  Only compile jobs
-    are touched: for them the knob is semantics-preserving by construction
-    (records byte-identical either way — the determinism suite's
-    contract).  Function jobs always pass through untouched, even when the
-    function accepts a ``rewrite`` argument: an FnJob with a ``rewrite``
-    parameter is *sweeping* it as an axis (the ``passes`` ablation), and
-    collapsing the axis to one value would change the record set.
-    """
-    if rewrite is None:
-        return jobs
-    from repro.passes.rewrite import REWRITES
-
-    if rewrite not in REWRITES:
-        raise ReproError(
-            f"unknown rewrite mode {rewrite!r}; use one of: {', '.join(REWRITES)}"
-        )
-    import dataclasses
-
-    return [
-        dataclasses.replace(
-            job, settings=dataclasses.replace(job.settings, rewrite=rewrite)
-        )
-        if isinstance(job, CompileJob)
-        else job
-        for job in jobs
-    ]
 
 
 def _resolve_runner(runner: "Runner | str | None"):
@@ -481,7 +444,6 @@ def run_experiment(
     scale: str = "bench",
     seed: int = 0,
     runner: "Runner | str | None" = None,
-    rewrite: str | None = None,
 ) -> ExperimentResult:
     """One-call entry point: ``run_experiment("fig14", "bench")``."""
-    return get_experiment(name).run(scale=scale, seed=seed, runner=runner, rewrite=rewrite)
+    return get_experiment(name).run(scale=scale, seed=seed, runner=runner)

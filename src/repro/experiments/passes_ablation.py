@@ -11,9 +11,8 @@ RSLs consumed).  The rewrite's own wall clock rides in the timings (out of
 band, like every timing).
 
 ``runner`` is an execution knob (byte-identical records), while here
-``rewrite`` is swept as a *field*, so the records quantify what the knob
-buys.  That is also why :func:`~repro.experiments.api.override_rewrite`
-never touches FnJobs — forcing one value would collapse this axis.
+``rewrite`` is swept as a *field*, so the records quantify what the
+default chain's rewrite pass buys on input that needs it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Photonic hardware model: RSGs, layers, fusion devices, folding."""
+"""Photonic hardware model: RSGs, layers, fusion devices."""
 
 from repro.hardware.architecture import (
     HYPER_ADVANCED_FUSION_RATE,
@@ -9,12 +9,6 @@ from repro.hardware.architecture import (
 )
 from repro.hardware.fusion import FusionDevice, FusionTally
 from repro.hardware.rsg import MergeResult, ResourceStateLayer, RSGArray
-from repro.hardware.folding import (
-    FoldingPlan,
-    folding_overhead_fraction,
-    max_effective_side,
-    plan_folding,
-)
 
 __all__ = [
     "HardwareConfig",
@@ -27,8 +21,4 @@ __all__ = [
     "RSGArray",
     "ResourceStateLayer",
     "MergeResult",
-    "FoldingPlan",
-    "plan_folding",
-    "max_effective_side",
-    "folding_overhead_fraction",
 ]

@@ -5,8 +5,8 @@ refactor, via :meth:`~repro.pipeline.pipeline.Pipeline.insert_pass`) hosts
 two pass families, modeled on the braket emulator-pass shape:
 
 * :class:`~repro.passes.rewrite.RewritePass` — zero-angle pair contraction
-  that shrinks the MBQC pattern before mapping (``--rewrite on|off``, the
-  unrewritten chain kept as a byte-identity oracle);
+  that shrinks the MBQC pattern before mapping (always in the default
+  chain);
 * device validators (:mod:`repro.passes.validators`) — fail-fast gates
   checking the program against the hardware profile, with structured JSON
   diagnostics.
@@ -18,7 +18,7 @@ experiment registry).
 """
 
 from repro.errors import ReproError
-from repro.passes.rewrite import REWRITES, RewritePass
+from repro.passes.rewrite import RewritePass
 from repro.passes.validators import (
     DIAGNOSTICS_SCHEMA_VERSION,
     SEVERITIES,
@@ -68,7 +68,6 @@ __all__ = [
     "DeviceValidatorPass",
     "Diagnostic",
     "PASS_REGISTRY",
-    "REWRITES",
     "RewritePass",
     "RsgConstraintValidatorPass",
     "SEVERITIES",

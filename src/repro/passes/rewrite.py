@@ -4,23 +4,19 @@
 of the MBQC pattern (:func:`repro.mbqc.optimize.optimize_pattern`) before
 offline mapping sees it, shrinking both the mapping problem and the online
 reshape workload.  The contraction is a Pauli-frame simplification — it
-preserves program semantics exactly — so the unrewritten chain
-(``rewrite="off"``) stays available as a byte-identity oracle.
+preserves program semantics exactly.  The built-in circuits reach it
+already simplified (it contracts nothing on them); it earns its slot on
+unsimplified {J, CZ} circuits handed to the Python API.
 
 The pass is ``cacheable`` and declares no ``reads``: its output is a pure
 function of the incoming pattern.  Its cache key chains on the key of that
-pattern, and every key downstream chains on its own, so the rewritten and
-unrewritten chains share the translate entry and nothing after it.
+pattern, and every key downstream chains on its own.
 """
 
 from __future__ import annotations
 
 from repro.pipeline.context import PassContext
 from repro.pipeline.passes import CompilerPass
-
-#: The two states of the rewrite knob (a settings field, a CLI flag, and an
-#: experiment-registry axis — same vocabulary everywhere).
-REWRITES = ("on", "off")
 
 
 class RewritePass(CompilerPass):

@@ -32,25 +32,20 @@ from repro.pipeline.result import CompilationResult
 from repro.pipeline.settings import PipelineSettings
 
 
-def default_passes(rewrite: str = "on") -> tuple[CompilerPass, ...]:
-    """The paper's Fig. 2 flow as a pass chain.
-
-    ``rewrite`` gates the pattern-rewrite optimization in the slot between
-    translate and offline-map: ``"on"`` (the default) contracts zero-angle
-    pairs before mapping, ``"off"`` is the unrewritten byte-identity
-    oracle.
-    """
+def default_passes() -> tuple[CompilerPass, ...]:
+    """The paper's Fig. 2 flow as a pass chain, with the pattern-rewrite
+    optimization (zero-angle pair contraction) between translate and
+    offline-map."""
     # Lazy import: repro.passes is built on top of this module.
-    from repro.passes.rewrite import REWRITES, RewritePass
+    from repro.passes.rewrite import RewritePass
 
-    if rewrite not in REWRITES:
-        raise CompilationError(
-            f"unknown rewrite mode {rewrite!r}; use one of: {', '.join(REWRITES)}"
-        )
-    head: tuple[CompilerPass, ...] = (TranslatePass(),)
-    if rewrite == "on":
-        head += (RewritePass(),)
-    return (*head, OfflineMapPass(), LowerIRPass(), OnlineReshapePass())
+    return (
+        TranslatePass(),
+        RewritePass(),
+        OfflineMapPass(),
+        LowerIRPass(),
+        OnlineReshapePass(),
+    )
 
 
 def baseline_passes() -> tuple[CompilerPass, ...]:
@@ -163,9 +158,7 @@ class Pipeline:
     ) -> None:
         self.settings = settings or PipelineSettings()
         base: tuple[CompilerPass, ...] = (
-            tuple(passes)
-            if passes is not None
-            else default_passes(self.settings.rewrite)
+            tuple(passes) if passes is not None else default_passes()
         )
         self.cache = cache
         self.cache_only = cache_only

@@ -56,11 +56,6 @@ class PipelineSettings:
     photon_loss_rate: float = 0.0
     max_rsl: int = DEFAULT_RSL_CAP
     emit_instructions: bool = False
-    #: Pattern-rewrite pass gate: "on" puts RewritePass in the default
-    #: chain after translate, "off" is the unrewritten byte-identity
-    #: oracle.  No pass reads it: the artifact cache keys the chains apart
-    #: from translate on, because their keys chain over different passes.
-    rewrite: str = "on"
 
     def hardware_for(self, num_qubits: int) -> tuple[HardwareConfig, int]:
         """Resolve the hardware config and virtual size for a program."""
@@ -91,6 +86,5 @@ class PipelineSettings:
                 "bytes_per_node_layer": self.bytes_per_node_layer,
                 "max_rsl": self.max_rsl,
                 "emit_instructions": self.emit_instructions,
-                "rewrite": self.rewrite,
             },
         )

@@ -48,7 +48,9 @@ from repro.experiments.api import ExperimentRecord
 #: Bump on any frame- or request-schema change: a mismatched client must
 #: fail the hello handshake, never misparse a stream.  v2: experiment and
 #: compile requests grew the ``rewrite`` field (pattern-rewrite pass gate).
-PROTOCOL_VERSION = 2
+#: v3: the ``rewrite`` field left again (the rewrite pass is always in the
+#: chain); a request that still carries it is rejected as an unknown field.
+PROTOCOL_VERSION = 3
 
 #: Upper bound on one frame line (requests are small; record frames are
 #: bounded by record size).  The server passes this as the asyncio stream
@@ -224,7 +226,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "seed": ((int,), 0),
             "runner": ((str,), "serial"),
             "workers": ((int, _NoneType), None),
-            "rewrite": ((str, _NoneType), None),
         },
     ),
     "compile": (
@@ -236,7 +237,6 @@ _REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
             "rsl_size": ((int, _NoneType), None),
             "virtual_size": ((int, _NoneType), None),
             "max_rsl": ((int,), 10**6),
-            "rewrite": ((str,), "on"),
             "passes": ((str, _NoneType), None),
         },
     ),

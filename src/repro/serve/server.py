@@ -104,9 +104,7 @@ def request_key(request: dict[str, Any]) -> str:
             "op=experiment",
             *(
                 f"{name}={request[name]!r}"
-                for name in (
-                    "name", "scale", "seed", "runner", "workers", "rewrite",
-                )
+                for name in ("name", "scale", "seed", "runner", "workers")
             ),
         ]
     else:
@@ -130,7 +128,6 @@ def _settings_for(request: dict[str, Any]) -> PipelineSettings:
         rsl_size=request["rsl_size"],
         virtual_size=request["virtual_size"],
         max_rsl=request["max_rsl"],
-        rewrite=request["rewrite"],
     )
 
 
@@ -415,10 +412,7 @@ class ReproServer:
         )
         hits = misses = seq = 0
         for record in experiment.iter_records(
-            request["scale"],
-            seed=request["seed"],
-            runner=runner,
-            rewrite=request["rewrite"],
+            request["scale"], seed=request["seed"], runner=runner
         ):
             stream.publish(encode_frame(record_frame(seq, record)))
             seq += 1

@@ -64,37 +64,56 @@ def render_renormalization(
     return "\n".join("".join(row) for row in canvas)
 
 
+_GLYPH_FOR_ROLE = {
+    ROLE_GRAPH: GLYPH_GRAPH,
+    ROLE_WORLDLINE: GLYPH_WORLDLINE,
+    ROLE_ANCILLA: GLYPH_ANCILLA,
+}
+
+
+def _render_canvas(canvas: list[list[str]]) -> str:
+    return "\n".join("".join(row) for row in canvas)
+
+
 def render_ir_layer(ir: FlexLatticeIR, layer: int) -> str:
     """One virtual-hardware layer: ``G`` program node, ``W`` worldline,
     ``a`` ancilla wire, ``.`` unused.  Spatial edges are implied by
     adjacency of non-empty cells (the mapper only wires neighbours)."""
-    glyph_for = {
-        ROLE_GRAPH: GLYPH_GRAPH,
-        ROLE_WORLDLINE: GLYPH_WORLDLINE,
-        ROLE_ANCILLA: GLYPH_ANCILLA,
-    }
     canvas = [[GLYPH_EMPTY] * ir.width for _ in range(ir.width)]
-    for node in ir.layer_nodes(layer):
-        row, col, _layer = node.coord
-        canvas[row][col] = glyph_for[node.role]
-    return "\n".join("".join(row) for row in canvas)
+    for (row, col, node_layer), role in ir.role.items():
+        if node_layer == layer:
+            canvas[row][col] = _GLYPH_FOR_ROLE[role]
+    return _render_canvas(canvas)
 
 
 def render_ir(ir: FlexLatticeIR, max_layers: int | None = None) -> str:
-    """All (or the first ``max_layers``) layers of an IR program, stacked."""
-    count = ir.layer_count if max_layers is None else min(max_layers, ir.layer_count)
-    blocks = []
-    for layer in range(count):
-        nodes = ir.layer_nodes(layer)
-        temporal_in = sum(
-            1 for _earlier, later in ir.temporal_edges() if later[2] == layer
-        )
-        blocks.append(
-            f"layer {layer} ({len(nodes)} nodes, {temporal_in} temporal in)\n"
-            + render_ir_layer(ir, layer)
-        )
-    if count < ir.layer_count:
-        blocks.append(f"... ({ir.layer_count - count} more layers)")
+    """All (or the first ``max_layers``) layers of an IR program, stacked.
+
+    One pass over the node column fills every layer's canvas and node
+    count, and one over ``temporal_prev`` counts the temporal edges landing
+    on each layer, so the cost is linear in the program, not quadratic in
+    its layer count.
+    """
+    total = ir.layer_count
+    count = total if max_layers is None else min(max_layers, total)
+    width = ir.width
+    canvases = [[[GLYPH_EMPTY] * width for _ in range(width)] for _ in range(count)]
+    node_counts = [0] * count
+    temporal_in = [0] * count
+    for (row, col, layer), role in ir.role.items():
+        if layer < count:
+            canvases[layer][row][col] = _GLYPH_FOR_ROLE[role]
+            node_counts[layer] += 1
+    for later in ir.temporal_prev:
+        if later[2] < count:
+            temporal_in[later[2]] += 1
+    blocks = [
+        f"layer {layer} ({node_counts[layer]} nodes, "
+        f"{temporal_in[layer]} temporal in)\n" + _render_canvas(canvases[layer])
+        for layer in range(count)
+    ]
+    if count < total:
+        blocks.append(f"... ({total - count} more layers)")
     return "\n\n".join(blocks)
 
 

@@ -27,6 +27,9 @@ construction and joins from before results kept flat site indices.
 :func:`check_renormalization` and :func:`check_reshape_metrics` are
 certificates rather than twins: they check one result's invariants
 without recomputing it.
+
+:func:`unrewritten_passes` is the default compile chain without its
+pattern-rewrite pass, the byte-identity oracle for that pass.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
 from repro.ir import (
+    ROLE_ANCILLA,
     ROLE_GRAPH,
     ROLE_WORLDLINE,
     EnableSpatialVEdge,
@@ -75,8 +79,16 @@ from repro.online.timelike import (
     OnlineReshaper,
     ReshapeMetrics,
 )
+from repro.pipeline.passes import (
+    CompilerPass,
+    LowerIRPass,
+    OfflineMapPass,
+    OnlineReshapePass,
+    TranslatePass,
+)
 from repro.utils.dsu import DisjointSet
 from repro.utils.gridgeom import Coord2D, Coord3D, grid_neighbors4, iter_grid
+from repro.viz import GLYPH_ANCILLA, GLYPH_EMPTY, GLYPH_GRAPH, GLYPH_WORLDLINE
 
 # ``repro.online`` re-exports the ``renormalize`` function under the
 # submodule's name, so the module is fetched by its full name.
@@ -927,6 +939,47 @@ def lower_ir_scan(ir: FlexLatticeIR) -> list[Instruction]:
         for earlier, waypoint in transit_retrieves.get(layer, ()):
             program.append(RetrieveVNode(v_node=earlier, position=waypoint))
     return program
+
+
+def render_ir_scan(ir: FlexLatticeIR, max_layers: int | None = None) -> str:
+    """``viz.render_ir`` before it grouped the IR by layer: every layer
+    re-sorts all temporal edges and rescans all nodes.  Same text,
+    quadratic in the layer count."""
+    glyph_for = {
+        ROLE_GRAPH: GLYPH_GRAPH,
+        ROLE_WORLDLINE: GLYPH_WORLDLINE,
+        ROLE_ANCILLA: GLYPH_ANCILLA,
+    }
+    count = ir.layer_count if max_layers is None else min(max_layers, ir.layer_count)
+    blocks = []
+    for layer in range(count):
+        nodes = ir.layer_nodes(layer)
+        temporal_in = sum(
+            1 for _earlier, later in ir.temporal_edges() if later[2] == layer
+        )
+        canvas = [[GLYPH_EMPTY] * ir.width for _ in range(ir.width)]
+        for node in nodes:
+            row, col, _layer = node.coord
+            canvas[row][col] = glyph_for[node.role]
+        blocks.append(
+            f"layer {layer} ({len(nodes)} nodes, {temporal_in} temporal in)\n"
+            + "\n".join("".join(row) for row in canvas)
+        )
+    if count < ir.layer_count:
+        blocks.append(f"... ({ir.layer_count - count} more layers)")
+    return "\n\n".join(blocks)
+
+
+def unrewritten_passes() -> tuple[CompilerPass, ...]:
+    """The default chain without the pattern-rewrite pass.
+
+    On circuits the rewrite contracts nothing on (every built-in one), a
+    pipeline over these passes must reproduce the default chain's results
+    byte for byte.  Tests hand it to ``Pipeline(settings, passes=...)``, or
+    swap it in for ``repro.pipeline.pipeline.default_passes`` so experiment
+    runs build their pipelines from it.
+    """
+    return (TranslatePass(), OfflineMapPass(), LowerIRPass(), OnlineReshapePass())
 
 
 #: Keep exact layers small: every qubit is a real graph node.

@@ -10,6 +10,7 @@ import dataclasses
 import pickle
 
 import pytest
+from oracles import unrewritten_passes
 
 from repro.circuits import make_benchmark
 from repro.errors import CompilationError
@@ -434,15 +435,17 @@ class TestChainedKeys:
     """Keys chain over the passes that produced a pass's inputs."""
 
     def test_inserted_pattern_pass_never_reads_the_plain_chain(self):
-        settings = PipelineSettings(rewrite="off")
+        settings = PipelineSettings()
         circuit = make_benchmark("qaoa", 4, seed=0)
-        custom = Pipeline(settings, seed=0).insert_pass(
+        custom = Pipeline(settings, unrewritten_passes(), seed=0).insert_pass(
             UnsimplifiedLowering(), after="translate"
         )
         uncached = custom.compile(circuit)
         assert (uncached.rsl_count, uncached.logical_layers) == (114, 34)
         cache = MemoryCache()
-        plain = Pipeline(settings, seed=0, cache=cache).compile(circuit)
+        plain = Pipeline(
+            settings, unrewritten_passes(), seed=0, cache=cache
+        ).compile(circuit)
         assert (plain.rsl_count, plain.logical_layers) == (57, 17)
         cached = custom.with_cache(cache).compile(circuit)
         assert _metrics(cached) == _metrics(uncached)
@@ -452,13 +455,13 @@ class TestChainedKeys:
         assert "cache_misses" not in cached.metrics
 
     def test_cached_inserted_pass_keys_its_own_chain(self):
-        settings = PipelineSettings(rewrite="off")
+        settings = PipelineSettings()
         circuit = make_benchmark("qaoa", 4, seed=0)
         cache = MemoryCache()
-        Pipeline(settings, seed=0, cache=cache).compile(circuit)
-        custom = Pipeline(settings, seed=0, cache=cache).insert_pass(
-            CachedUnsimplifiedLowering(), after="translate"
-        )
+        Pipeline(settings, unrewritten_passes(), seed=0, cache=cache).compile(circuit)
+        custom = Pipeline(
+            settings, unrewritten_passes(), seed=0, cache=cache
+        ).insert_pass(CachedUnsimplifiedLowering(), after="translate")
         cold = custom.compile(circuit)
         warm = custom.compile(circuit)
         assert (cold.rsl_count, cold.logical_layers) == (114, 34)
@@ -635,7 +638,6 @@ VARIANTS = {
     "bytes_per_node_layer": (None, 1),
     "max_rsl": (10**5, 3),
     "emit_instructions": (False, True),
-    "rewrite": ("on", "off"),
 }
 
 CACHEABLE = list(

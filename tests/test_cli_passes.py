@@ -1,52 +1,74 @@
-"""CLI surface of the pass ecosystem: --rewrite, --passes, and exit codes."""
+"""CLI surface of the pass ecosystem: --passes, exit codes, and the
+rewrite pass that is always in the chain."""
 
 import json
 
 import pytest
+from oracles import unrewritten_passes
 
 from repro.cli import main
 from repro.passes import pass_names
 from repro.passes.validators import DIAGNOSTICS_SCHEMA_VERSION
+from repro.pipeline import pipeline as pipeline_module
 
 COMPILE = ["compile", "--benchmark", "qaoa", "--qubits", "4", "--json"]
 
 
 class TestRewriteFlag:
-    def test_invalid_rewrite_is_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compile", "--benchmark", "qaoa", "--qubits", "4",
-                  "--rewrite", "sometimes"])
-        assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert "--rewrite" in err
-        assert "on" in err and "off" in err
+    """The rewrite pass has no on/off switch: the flag is gone from every
+    command, and the unrewritten chain is a test oracle swapped in for the
+    default chain."""
 
-    def test_rewrite_off_drops_the_pass(self, capsys):
-        assert main(COMPILE + ["--rewrite", "off"]) == 0
-        record = json.loads(capsys.readouterr().out)
-        assert "rewrite" not in record["pass_timings"]
+    def test_invalid_rewrite_is_usage_error(self, capsys):
+        for argv in (
+            ["compile", "--benchmark", "qaoa", "--qubits", "4"],
+            ["baseline", "--benchmark", "qaoa", "--qubits", "4"],
+            ["experiment", "--name", "table2"],
+            ["submit", "--name", "table2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--rewrite", "off"])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --rewrite" in capsys.readouterr().err
+
+    def test_help_lists_no_rewrite_flag(self, capsys):
+        for name in ("compile", "baseline", "experiment", "submit"):
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            help_text = capsys.readouterr().out
+            assert "--benchmark" in help_text or "--name" in help_text
+            assert "--rewrite" not in help_text, name
+
+    def test_rewrite_off_drops_the_pass(self, capsys, monkeypatch):
+        """The default chain always runs the rewrite; only the oracle
+        chain, swapped in for ``default_passes``, leaves it out."""
         assert main(COMPILE) == 0
         default = json.loads(capsys.readouterr().out)
         assert "rewrite" in default["pass_timings"]
+        monkeypatch.setattr(pipeline_module, "default_passes", unrewritten_passes)
+        assert main(COMPILE) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert "rewrite" not in record["pass_timings"]
 
-    def test_rewrite_off_matches_on_deterministically(self, capsys):
+    def test_rewrite_off_matches_on_deterministically(self, capsys, monkeypatch):
         """The golden-workload contract at CLI level: the default translate
-        path is pre-simplified, so the rewrite finds nothing and both modes
-        produce the same deterministic outcome."""
-        assert main(COMPILE + ["--rewrite", "on"]) == 0
+        path is pre-simplified, so the rewrite finds nothing and the
+        unrewritten oracle chain produces the same deterministic outcome."""
+        assert main(COMPILE) == 0
         on = json.loads(capsys.readouterr().out)
-        assert main(COMPILE + ["--rewrite", "off"]) == 0
+        monkeypatch.setattr(pipeline_module, "default_passes", unrewritten_passes)
+        assert main(COMPILE) == 0
         off = json.loads(capsys.readouterr().out)
         for key in ("rsl_count", "fusion_count", "logical_layers"):
             assert on[key] == off[key]
 
-    def test_experiment_rewrite_off_records_identical(self, capsys):
+    def test_experiment_rewrite_off_records_identical(self, capsys, monkeypatch):
         code = main(["experiment", "--name", "fig14", "--json"])
         assert code == 0
         default = json.loads(capsys.readouterr().out)
-        code = main(
-            ["experiment", "--name", "fig14", "--json", "--rewrite", "off"]
-        )
+        # The serial runner builds every pipeline in this process.
+        monkeypatch.setattr(pipeline_module, "default_passes", unrewritten_passes)
+        code = main(["experiment", "--name", "fig14", "--json"])
         assert code == 0
         off = json.loads(capsys.readouterr().out)
         assert [entry["fields"] for entry in default["records"]] == [

@@ -4,10 +4,12 @@ import dataclasses
 import json
 
 import pytest
+from oracles import unrewritten_passes
 
-from repro.circuits.benchmarks import make_benchmark
+from repro.circuits.benchmarks import BENCHMARKS, make_benchmark
 from repro.circuits.jcz import to_jcz
 from repro.errors import ReproError
+from repro.experiments import CompileJob, experiment_names, get_experiment
 from repro.mbqc.translate import translate_circuit
 from repro.passes import (
     PASS_REGISTRY,
@@ -23,6 +25,7 @@ from repro.passes import (
 )
 from repro.passes.validators import DIAGNOSTICS_SCHEMA_VERSION
 from repro.pipeline import MemoryCache, Pipeline, PipelineSettings
+from repro.pipeline.passes import TranslatePass
 
 SETTINGS = PipelineSettings(
     fusion_success_rate=0.9, resource_state_size=4, node_side=12, max_rsl=10**5
@@ -36,6 +39,29 @@ UNSIMPLIFIED = to_jcz(CIRCUIT, simplify=False)
 
 def _deterministic(result):
     return (result.rsl_count, result.fusion_count, result.logical_layers)
+
+
+def _builtin_circuits() -> list[tuple[str, int, int]]:
+    """(family, qubits, circuit seed) of every circuit a built-in workload
+    compiles: each compile job of every registered experiment at every
+    scale and seeds 0-2, plus every family at 2-16 qubits (rca from 4, its
+    smallest adder) and seeds 0-2."""
+    keys = {
+        (family, qubits, seed)
+        for family in BENCHMARKS
+        for qubits in range(4 if family == "rca" else 2, 17)
+        for seed in range(3)
+    }
+    for name in experiment_names():
+        experiment = get_experiment(name)
+        for scale in experiment.scales:
+            for seed in range(3):
+                keys.update(
+                    (job.family, job.num_qubits, job.benchmark_seed)
+                    for job in experiment.build_jobs(scale, seed)
+                    if isinstance(job, CompileJob)
+                )
+    return sorted(keys)
 
 
 class TestRewritePass:
@@ -52,12 +78,9 @@ class TestRewritePass:
 
     def test_noop_on_simplified_lowering(self):
         """The default translate path is already simplified, so the rewrite
-        finds nothing — the invariant that keeps golden records identical
-        with ``rewrite`` on and off."""
+        finds nothing and the default chain matches the unrewritten oracle."""
         on = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
-        off = Pipeline(dataclasses.replace(SETTINGS, rewrite="off")).compile(
-            CIRCUIT, seed=1
-        )
+        off = Pipeline(SETTINGS, passes=unrewritten_passes()).compile(CIRCUIT, seed=1)
         assert on.metrics["rewrite_contracted_pairs"] == 0
         assert _deterministic(on) == _deterministic(off)
 
@@ -65,16 +88,31 @@ class TestRewritePass:
         cache = MemoryCache()
         Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
         stored = len(cache)
-        off_settings = dataclasses.replace(SETTINGS, rewrite="off")
-        off = Pipeline(off_settings, cache=cache).compile(CIRCUIT, seed=0)
-        # translate reads only the circuit, so the off-chain shares it;
-        # offline-map's input comes from translate, not rewrite, so its key
-        # differs and it and online-reshape miss.
+        off = Pipeline(SETTINGS, passes=unrewritten_passes(), cache=cache).compile(
+            CIRCUIT, seed=0
+        )
+        # translate reads only the circuit, so the unrewritten chain shares
+        # it; offline-map's input comes from translate, not rewrite, so its
+        # key differs and it and online-reshape miss.
         assert (off.metrics["cache_hits"], off.metrics["cache_misses"]) == (1, 2)
         assert len(cache) == stored + 2
         assert _deterministic(off) == _deterministic(
-            Pipeline(off_settings).compile(CIRCUIT, seed=0)
+            Pipeline(SETTINGS, passes=unrewritten_passes()).compile(CIRCUIT, seed=0)
         )
+
+    def test_contracts_nothing_on_builtin_circuits(self):
+        """Why the rewrite needs no off switch: translate already simplifies
+        every built-in circuit, so on them the pass is the identity and the
+        default chain equals the unrewritten one."""
+        circuits = _builtin_circuits()
+        assert ("qft", 64, 0) in circuits and ("rca", 4, 2) in circuits
+        for family, qubits, seed in circuits:
+            ctx = SETTINGS.context_for(make_benchmark(family, qubits, seed=seed))
+            TranslatePass().run(ctx)
+            before = ctx.require("pattern").node_count
+            RewritePass().run(ctx)
+            assert ctx.metrics["rewrite_contracted_pairs"] == 0, (family, qubits, seed)
+            assert ctx.require("pattern").node_count == before
 
     def test_compile_deterministic_with_rewrite(self):
         a = Pipeline(SETTINGS).compile(UNSIMPLIFIED, seed=3)

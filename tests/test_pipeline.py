@@ -8,7 +8,7 @@ vectorized ``components()`` hot path against its union-find reference.
 
 import numpy as np
 import pytest
-from oracles import components_dsu
+from oracles import components_dsu, unrewritten_passes
 
 from repro.circuits import make_benchmark
 from repro.compiler import OnePercCompiler
@@ -80,10 +80,14 @@ class TestPassContracts:
         ]
 
     def test_default_passes_rewrite_off(self):
-        names = [stage.name for stage in default_passes("off")]
-        assert names == ["translate", "offline-map", "lower-ir", "online-reshape"]
-        with pytest.raises(CompilationError, match="rewrite"):
-            default_passes("sometimes")
+        """The unrewritten chain is the test oracle, the default chain minus
+        its rewrite pass; the chain itself has no switch to turn it off."""
+        names = [stage.name for stage in unrewritten_passes()]
+        assert names == [
+            stage.name for stage in default_passes() if stage.name != "rewrite"
+        ]
+        with pytest.raises(TypeError):
+            default_passes("off")
 
     def test_missing_artifact_rejected_before_pass_runs(self):
         """Reordered stages fail loudly at the contract check."""

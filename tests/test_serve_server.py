@@ -42,6 +42,7 @@ from repro.serve import (
     decode_frame,
     request_key,
 )
+from repro.serve.protocol import PROTOCOL_VERSION
 
 #: Appended per job *execution* — the burst test's "exactly one compile"
 #: witness (serve toys run on the serial runner inside this process).
@@ -306,24 +307,19 @@ class TestCoalescing:
 
     def test_request_key_separates_different_work(self):
         base = {"op": "experiment", "name": "serve-toy", "scale": "bench",
-                "seed": 0, "runner": "serial", "workers": None,
-                "rewrite": None}
+                "seed": 0, "runner": "serial", "workers": None}
         assert request_key(base) == request_key(dict(base))
         assert request_key(base) != request_key({**base, "seed": 1})
         assert request_key(base) != request_key({**base, "name": "serve-gated"})
-        assert request_key(base) != request_key({**base, "rewrite": "off"})
         compile_req = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
                        "rate": 0.75, "stars": 4, "seed": 0, "rsl_size": None,
                        "virtual_size": None, "max_rsl": 10**6,
-                       "rewrite": "on", "passes": None}
+                       "passes": None}
         assert request_key(compile_req) != request_key(
             {**compile_req, "op": "baseline"}
         )
         assert request_key(compile_req) != request_key(
             {**compile_req, "qubits": 9}
-        )
-        assert request_key(compile_req) != request_key(
-            {**compile_req, "rewrite": "off"}
         )
         assert request_key(compile_req) != request_key(
             {**compile_req, "passes": "validate-rsg"}
@@ -407,6 +403,36 @@ class TestLifecycle:
                 assert "serial, process" in error["error"]
                 # the connection and the server keep serving after both
                 assert send({"op": "stats"})["frame"] == "ack"
+                assert decode_frame(reader.readline())["frame"] == "stats"
+
+    def test_removed_rewrite_field_is_an_error_frame(self):
+        """Protocol v3 dropped the ``rewrite`` field: a v3 request that
+        still carries it gets a structured error frame naming the field."""
+        import socket
+
+        assert PROTOCOL_VERSION == 3
+        with ServerThread(ServeConfig(port=0)) as st:
+            _client(st)  # waits until up
+            with socket.create_connection(("127.0.0.1", st.port)) as sock:
+                reader = sock.makefile("rb")
+                assert decode_frame(reader.readline())["frame"] == "hello"
+                for request in (
+                    {"op": "experiment", "name": "serve-toy", "rewrite": "off"},
+                    {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                     "rewrite": "on"},
+                    {"op": "baseline", "benchmark": "qaoa", "qubits": 4,
+                     "rewrite": "off"},
+                ):
+                    request["v"] = PROTOCOL_VERSION
+                    sock.sendall(json.dumps(request).encode() + b"\n")
+                    error = decode_frame(reader.readline())
+                    assert error["frame"] == "error"
+                    assert error["kind"] == "protocol"
+                    assert error["error"] == (
+                        f"{request['op']}: unknown fields ['rewrite']"
+                    )
+                sock.sendall(json.dumps({"op": "stats"}).encode() + b"\n")
+                assert decode_frame(reader.readline())["frame"] == "ack"
                 assert decode_frame(reader.readline())["frame"] == "stats"
 
     def test_client_side_validation_rejects_before_the_network(self):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from oracles import render_ir_scan
+from test_ir import random_ir
 
+from repro.circuits.benchmarks import make_benchmark
 from repro.cli import build_parser, main
 from repro.ir import ROLE_ANCILLA, ROLE_GRAPH, ROLE_WORLDLINE, FlexLatticeIR
+from repro.mbqc.translate import translate_circuit
+from repro.offline.mapper import OfflineMapper
 from repro.online import LayerDemand, renormalize, sample_lattice
 from repro.viz import (
     render_demand_profile,
@@ -64,6 +69,21 @@ class TestVizIR:
     def test_render_ir_truncation(self):
         art = render_ir(self.build_ir(), max_layers=1)
         assert "more layers" in art
+
+    def test_render_ir_matches_per_layer_scan_on_long_mapping(self):
+        """qft-25 at width 5 maps to 424 layers: the grouped renderer and
+        the per-layer scan print the same text, whole and truncated."""
+        pattern = translate_circuit(make_benchmark("qft", 25, seed=0))
+        ir = OfflineMapper(width=5).map_pattern(pattern).ir
+        assert ir.layer_count > 400
+        assert render_ir(ir) == render_ir_scan(ir)
+        assert render_ir(ir, max_layers=50) == render_ir_scan(ir, max_layers=50)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_render_ir_matches_per_layer_scan_on_random_irs(self, seed):
+        ir = random_ir(seed)
+        for max_layers in (None, 0, 3, 100):
+            assert render_ir(ir, max_layers) == render_ir_scan(ir, max_layers)
 
     def test_demand_profile(self):
         art = render_demand_profile(
