@@ -1,15 +1,12 @@
-"""Parallel-runner scaling snapshot: the warm process pool must not lose
-to serial.
+"""Parallel-runner scaling floor: the warm process pool must not lose to
+serial.
 
 Without warm pools and chunked dispatch the process runner *lost* to
 serial at bench scale, because every run paid pool startup and a pickle
 round trip per job.  This bench pins the fix.  A 12-job compile sweep
 (four benchmark families x three seeds) runs on both backends with the
 pool already warm — the steady state the warm pool registry exists to
-provide — and the snapshot in ``benchmarks/out/BENCH_scaling.json``
-records the scaling curve (``bench_trend.py`` diffs it against the
-committed ``benchmarks/BENCH_scaling.json``; CI uploads it and prints the
-headline).
+provide.
 
 Two gates:
 
@@ -17,25 +14,20 @@ Two gates:
   process with the pool warm, chunked, and reused.
 * **The floor**: on a multi-core machine the process runner must be at
   least as fast as serial (speedup >= 1.0) — parallelism that subtracts
-  performance is the bug this PR fixed.  On a single-core machine
+  performance is the bug the warm pools fixed.  On a single-core machine
   (CI containers are often 1-vCPU) there is no parallel win to have, so
   the floor is the overhead bound instead: warm-pool dispatch may cost
-  at most ~15% over serial.  The snapshot records ``cpu_count`` so a
-  trend reader knows which regime a number came from.
+  at most ~15% over serial.  The failure message names ``cpu_count`` so
+  a reader knows which regime the number came from.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import time
-from pathlib import Path
 
 from repro.experiments import CompileJob, canonical_json, make_runner
 from repro.pipeline import PipelineSettings
-
-SNAPSHOT = Path(__file__).parent / "out" / "BENCH_scaling.json"
 
 FAMILIES = ("qaoa", "qft", "rca", "vqe")
 SEEDS = (0, 1, 2)
@@ -108,24 +100,6 @@ def test_scaling_snapshot_and_floor():
         if backend != "serial"
     }
     floor = FLOOR_MULTICORE if cpu_count >= 2 else FLOOR_SINGLE_CORE
-    snapshot = {
-        "sweep": {
-            "families": list(FAMILIES),
-            "num_qubits": 4,
-            "seeds": list(SEEDS),
-            "jobs": len(FAMILIES) * len(SEEDS),
-            "workers": WORKERS,
-        },
-        "python": platform.python_version(),
-        "cpu_count": cpu_count,
-        "runner_seconds": seconds,
-        "speedup_over_serial": speedups,
-        "process_floor": floor,
-        "records_identical": True,
-    }
-    SNAPSHOT.parent.mkdir(exist_ok=True)
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
-
     assert speedups["process"] >= floor, (
         f"process runner lost to serial: {seconds['process']:.3f}s vs "
         f"{seconds['serial']:.3f}s ({speedups['process']:.2f}x, floor "

@@ -1,7 +1,6 @@
-"""Perf snapshot for the compile service (``repro.serve``).
+"""Timing floors for the compile service (``repro.serve``).
 
-Three measurements land in ``benchmarks/out/BENCH_serve.json`` (picked up by
-``bench_trend.py`` alongside the other snapshots):
+Three checks:
 
 * **Cold vs warm request latency** — one compile-heavy experiment request
   (table2) against a server holding a disk cache: the first request
@@ -18,22 +17,17 @@ Three measurements land in ``benchmarks/out/BENCH_serve.json`` (picked up by
 
 * **Golden byte-identity** — asserted, not timed: the streamed records of
   a served request equal a local ``Experiment.run``'s byte for byte, so
-  the snapshot can never be produced by a server that broke determinism.
+  the floors can never be met by a server that broke determinism.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import threading
 import time
-from pathlib import Path
 
 from repro.experiments.api import canonical_json, get_experiment
 from repro.pipeline.cache import DiskCache
 from repro.serve import ServeClient, ServeConfig, ServerThread
-
-SNAPSHOT = Path(__file__).parent / "out" / "BENCH_serve.json"
 
 #: Compile-heavy request for the cold/warm latency pair.  table2 is all
 #: CompileJobs, so its warm pass is nearly pure cache replay (fig14/fig15
@@ -100,7 +94,7 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path, monkeypatch):
         warm_s, warm = _submit_timed(client, request)
     warm_speedup = cold_s / warm_s
 
-    # byte-identity gate: the snapshot is meaningless off a broken server
+    # byte-identity gate: the floors are meaningless off a broken server
     local = get_experiment(LATENCY_EXPERIMENT).run("bench")
     assert canonical_json(cold.records) == canonical_json(local.records)
     assert canonical_json(warm.records) == canonical_json(local.records)
@@ -150,28 +144,6 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path, monkeypatch):
     assert flight["started"] == BURST_CLIENTS + 1
     assert sum(run.coalesced for run in runs) == BURST_CLIENTS - 1
     coalesce_speedup = serial_s / burst_s
-
-    snapshot = {
-        "python": platform.python_version(),
-        "latency": {
-            "experiment": LATENCY_EXPERIMENT,
-            "records": len(cold.records),
-            "cold_s": cold_s,
-            "warm_s": warm_s,
-            "warm_hit_rate": warm.summary["cache"]["hit_rate"],
-            "warm_over_cold": warm_speedup,
-        },
-        "coalescing": {
-            "experiment": BURST_EXPERIMENT,
-            "clients": BURST_CLIENTS,
-            "serial_s": serial_s,
-            "burst_s": burst_s,
-            "serial_over_burst": coalesce_speedup,
-            "singleflight_coalesced": flight["coalesced"],
-        },
-    }
-    SNAPSHOT.parent.mkdir(exist_ok=True)
-    SNAPSHOT.write_text(json.dumps(snapshot, indent=2) + "\n")
 
     assert warm_speedup >= WARM_FLOOR, (
         f"warm request only {warm_speedup:.2f}x over cold (floor {WARM_FLOOR}x)"

@@ -4,7 +4,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.circuits import qaoa
-from repro.compiler import OnePercCompiler
+from repro.pipeline import Pipeline, PipelineSettings
+
 
 def main() -> None:
     # A 4-qubit QAOA maxcut instance (half of all possible edges, seeded).
@@ -15,11 +16,13 @@ def main() -> None:
     # The practical hardware of the paper: 4-qubit star resource states and
     # a 75% fusion success rate.  RSL and virtual hardware sizes default to
     # the paper's Table 1 scaling for the qubit count.
-    compiler = OnePercCompiler(
-        fusion_success_rate=0.75,
-        resource_state_size=4,
+    compiler = Pipeline(
+        PipelineSettings(
+            fusion_success_rate=0.75,
+            resource_state_size=4,
+            emit_instructions=True,
+        ),
         seed=7,
-        emit_instructions=True,
     )
     result = compiler.compile(circuit)
 

@@ -9,9 +9,9 @@ Run:  python examples/vqe_molecule_workflow.py
 """
 
 from repro.circuits import vqe
-from repro.compiler import OnePercCompiler
 from repro.mbqc import translate_circuit
 from repro.mbqc.translate import pattern_size_summary
+from repro.pipeline import Pipeline, PipelineSettings
 from repro.utils.tables import TextTable
 
 
@@ -27,8 +27,11 @@ def main() -> None:
     print("=== Compilation cost vs molecule size (p = 0.75, 4-qubit stars) ===")
     cost = TextTable(["qubits", "#RSL", "#fusion", "logical layers", "PL ratio"])
     for qubits in (4, 9, 16):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.75, resource_state_size=4, seed=1, max_rsl=10**5
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.75, resource_state_size=4, max_rsl=10**5
+            ),
+            seed=1,
         )
         result = compiler.compile(vqe(qubits, seed=0))
         cost.add_row(
@@ -44,8 +47,11 @@ def main() -> None:
     print("=== What does a better fusion module buy? (VQE-9) ===")
     upgrade = TextTable(["fusion rate", "#RSL", "#fusion"])
     for rate in (0.70, 0.75, 0.78, 0.90):
-        compiler = OnePercCompiler(
-            fusion_success_rate=rate, resource_state_size=4, seed=1, max_rsl=10**5
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=rate, resource_state_size=4, max_rsl=10**5
+            ),
+            seed=1,
         )
         result = compiler.compile(vqe(9, seed=0))
         upgrade.add_row(rate, result.rsl_count, result.fusion_count)

@@ -8,10 +8,11 @@ offline mapping pass, and the OneQ repeat-until-success baseline.
 
 Quickstart::
 
-    from repro import OnePercCompiler, benchmarks
+    from repro import Pipeline, PipelineSettings
+    from repro.circuits import qaoa
 
-    circuit = benchmarks.qaoa(num_qubits=4, seed=1)
-    result = OnePercCompiler(fusion_success_rate=0.75).compile(circuit)
+    circuit = qaoa(num_qubits=4, seed=1)
+    result = Pipeline(PipelineSettings(fusion_success_rate=0.75), seed=7).compile(circuit)
     print(result.rsl_count, result.fusion_count)
 """
 
@@ -27,11 +28,9 @@ from repro.errors import (
 )
 from repro.graphstate import GraphState, ResourceStateSpec
 from repro.analysis import Summary, bootstrap_mean, monotone_fraction
-from repro.compiler import OnePercCompiler
 from repro.pipeline import Pipeline, PipelineSettings
 
 __all__ = [
-    "OnePercCompiler",
     "Pipeline",
     "PipelineSettings",
     "ReproError",

@@ -142,9 +142,9 @@ class PassContext:
     def rng(self, *labels: object) -> np.random.Generator:
         """Deterministic child generator for ``labels`` and this circuit.
 
-        Matches the legacy driver's derivation (``stream.child(label,
-        circuit.name)``) exactly, so pipeline compilations are bit-identical
-        to the pre-pipeline compiler for the same seed.
+        The derivation is ``stream.child(*labels, circuit.name)``, so a
+        compilation is bit-identical for the same seed and circuit name,
+        whatever else the stream has produced.
         """
         return self.stream.child(*labels, self.circuit.name).generator
 

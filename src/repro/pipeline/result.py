@@ -1,8 +1,4 @@
-"""The compilation result record (moved here from ``repro.compiler.driver``).
-
-Kept import-compatible: ``repro.compiler`` re-exports it, so downstream code
-can keep importing from either place.
-"""
+"""The compilation result record :meth:`Pipeline.compile` returns."""
 
 from __future__ import annotations
 

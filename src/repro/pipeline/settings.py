@@ -1,9 +1,9 @@
 """Compilation settings shared by every pass and the sizing heuristics.
 
-:class:`PipelineSettings` is the immutable bag of knobs that used to live as
-attributes on the monolithic ``OnePercCompiler``; a :class:`~repro.pipeline.
-pipeline.Pipeline` pairs one settings object with a pass list and stamps out
-a fresh :class:`~repro.pipeline.context.PassContext` per (circuit, seed).
+:class:`PipelineSettings` is the immutable bag of knobs of one compilation;
+a :class:`~repro.pipeline.pipeline.Pipeline` pairs one settings object with
+a pass list and stamps out a fresh :class:`~repro.pipeline.context.
+PassContext` per (circuit, seed).
 """
 
 from __future__ import annotations

@@ -71,23 +71,13 @@ _GLYPH_FOR_ROLE = {
 }
 
 
-def _render_canvas(canvas: list[list[str]]) -> str:
-    return "\n".join("".join(row) for row in canvas)
-
-
-def render_ir_layer(ir: FlexLatticeIR, layer: int) -> str:
-    """One virtual-hardware layer: ``G`` program node, ``W`` worldline,
-    ``a`` ancilla wire, ``.`` unused.  Spatial edges are implied by
-    adjacency of non-empty cells (the mapper only wires neighbours)."""
-    canvas = [[GLYPH_EMPTY] * ir.width for _ in range(ir.width)]
-    for (row, col, node_layer), role in ir.role.items():
-        if node_layer == layer:
-            canvas[row][col] = _GLYPH_FOR_ROLE[role]
-    return _render_canvas(canvas)
-
-
 def render_ir(ir: FlexLatticeIR, max_layers: int | None = None) -> str:
     """All (or the first ``max_layers``) layers of an IR program, stacked.
+
+    Each layer is a header line and a ``width`` x ``width`` canvas: ``G``
+    program node, ``W`` worldline, ``a`` ancilla wire, ``.`` unused.
+    Spatial edges are implied by adjacency of non-empty cells (the mapper
+    only wires neighbours).
 
     One pass over the node column fills every layer's canvas and node
     count, and one over ``temporal_prev`` counts the temporal edges landing
@@ -109,7 +99,8 @@ def render_ir(ir: FlexLatticeIR, max_layers: int | None = None) -> str:
             temporal_in[later[2]] += 1
     blocks = [
         f"layer {layer} ({node_counts[layer]} nodes, "
-        f"{temporal_in[layer]} temporal in)\n" + _render_canvas(canvases[layer])
+        f"{temporal_in[layer]} temporal in)\n"
+        + "\n".join("".join(row) for row in canvases[layer])
         for layer in range(count)
     ]
     if count < total:

@@ -11,14 +11,11 @@ from repro.baseline import (
     plan_width_for,
 )
 from repro.circuits import make_benchmark, qaoa
-from repro.compiler import (
-    OnePercCompiler,
-    rsl_size_for,
-    virtual_size_for,
-)
 from repro.graphstate import ResourceStateSpec
 from repro.hardware import HardwareConfig
 from repro.mbqc import translate_circuit
+from repro.pipeline import Pipeline, PipelineSettings
+from repro.pipeline.settings import rsl_size_for, virtual_size_for
 
 
 def tiny_plan(intra=3, inter=1, depth=4):
@@ -119,8 +116,13 @@ class TestSizing:
 class TestOnePercCompiler:
     @pytest.fixture(scope="class")
     def result(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.75, resource_state_size=4, seed=3, max_rsl=10**5
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.75,
+                resource_state_size=4,
+                max_rsl=10**5,
+            ),
+            seed=3,
         )
         return compiler.compile(make_benchmark("qaoa", 4, seed=1))
 
@@ -138,42 +140,64 @@ class TestOnePercCompiler:
         assert result.online_seconds_per_rsl > 0
 
     def test_compile_baseline_runs(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.9, resource_state_size=4, seed=3, max_rsl=10**4
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.9,
+                resource_state_size=4,
+                max_rsl=10**4,
+            ),
+            seed=3,
         )
         baseline = compiler.compile_baseline(make_benchmark("vqe", 4, seed=1))
         assert baseline.rsl_count > 0
 
     def test_oneq_explodes_at_practical_rate(self):
         """The paper's headline: OneQ hits the cap at p = 0.75."""
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.75, resource_state_size=4, seed=0, max_rsl=5000
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.75,
+                resource_state_size=4,
+                max_rsl=5000,
+            ),
+            seed=0,
         )
         baseline = compiler.compile_baseline(make_benchmark("qft", 4))
         assert baseline.capped
 
     def test_oneperc_survives_practical_rate(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.75, resource_state_size=4, seed=0, max_rsl=10**5
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.75,
+                resource_state_size=4,
+                max_rsl=10**5,
+            ),
+            seed=0,
         )
         result = compiler.compile(make_benchmark("qft", 4))
         assert result.rsl_count < 2000
 
     def test_instructions_emitted_on_request(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.9,
-            resource_state_size=4,
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.9,
+                resource_state_size=4,
+                max_rsl=10**5,
+                emit_instructions=True,
+            ),
             seed=1,
-            max_rsl=10**5,
-            emit_instructions=True,
         )
         result = compiler.compile(make_benchmark("qaoa", 4, seed=1))
         assert len(result.instructions) > 0
 
     def test_seeded_compilations_reproducible(self):
         def run():
-            compiler = OnePercCompiler(
-                fusion_success_rate=0.75, resource_state_size=4, seed=11, max_rsl=10**5
+            compiler = Pipeline(
+                PipelineSettings(
+                    fusion_success_rate=0.75,
+                    resource_state_size=4,
+                    max_rsl=10**5,
+                ),
+                seed=11,
             )
             return compiler.compile(make_benchmark("qaoa", 4, seed=2))
 

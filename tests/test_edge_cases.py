@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, qaoa
-from repro.compiler import OnePercCompiler
 from repro.errors import (
     CircuitError,
     GraphStateError,
@@ -23,6 +22,7 @@ from repro.online import (
     sample_lattice,
 )
 from repro.online.modular import ModularLayout
+from repro.pipeline import Pipeline, PipelineSettings
 
 
 class TestDegenerateLattices:
@@ -101,20 +101,21 @@ class TestReshaperFailureInjection:
 
 class TestCompilerConfigErrors:
     def test_zero_rate_rejected_at_hardware_level(self):
-        compiler = OnePercCompiler(fusion_success_rate=0.0)
+        compiler = Pipeline(PipelineSettings(fusion_success_rate=0.0))
         with pytest.raises(HardwareError):
             compiler.compile(qaoa(4, seed=0))
 
     def test_virtual_bigger_than_rsl_rejected(self):
-        compiler = OnePercCompiler(rsl_size=4, virtual_size=8)
+        compiler = Pipeline(PipelineSettings(rsl_size=4, virtual_size=8))
         with pytest.raises(HardwareError):
             compiler.compile(qaoa(4, seed=0))
 
     def test_single_gate_program(self):
         circuit = Circuit(2, name="tiny")
         circuit.cz(0, 1)
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.9, rsl_size=24, virtual_size=2, seed=0
+        compiler = Pipeline(
+            PipelineSettings(fusion_success_rate=0.9, rsl_size=24, virtual_size=2),
+            seed=0,
         )
         result = compiler.compile(circuit)
         assert result.rsl_count >= result.logical_layers >= 1

@@ -14,7 +14,6 @@ from repro.circuits import (
     simulate_statevector,
     states_equal_up_to_phase,
 )
-from repro.compiler import OnePercCompiler
 from repro.graphstate import GraphState, Tableau, graph_from_adjacency
 from repro.ir import InstructionInterpreter
 from repro.mbqc import DependencyDAG, run_pattern, translate_circuit
@@ -22,17 +21,20 @@ from repro.offline import OfflineMapper
 from repro.online import OnlineReshaper
 from repro.hardware import HardwareConfig
 from repro.graphstate.resource import ResourceStateSpec
+from repro.pipeline import Pipeline, PipelineSettings
 
 
 class TestPipeline:
     @pytest.fixture(scope="class")
     def compiled(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.75,
-            resource_state_size=4,
+        compiler = Pipeline(
+            PipelineSettings(
+                fusion_success_rate=0.75,
+                resource_state_size=4,
+                max_rsl=10**5,
+                emit_instructions=True,
+            ),
             seed=5,
-            max_rsl=10**5,
-            emit_instructions=True,
         )
         circuit = make_benchmark("qaoa", 4, seed=7)
         return circuit, compiler.compile(circuit)

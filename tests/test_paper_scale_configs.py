@@ -6,8 +6,8 @@ a long run cannot die on a typo.
 """
 
 from repro.circuits.benchmarks import BENCHMARKS
-from repro.compiler.driver import rsl_size_for, virtual_size_for
 from repro.experiments import fig12, fig13, fig14, fig15, fig16, loss, table2, table3
+from repro.pipeline.settings import rsl_size_for, virtual_size_for
 
 
 class TestTableConfigs:

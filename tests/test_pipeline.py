@@ -1,9 +1,8 @@
 """Tests for the composable compiler-pass pipeline.
 
-Covers the golden parity between ``Pipeline`` and the legacy
-``OnePercCompiler`` facade, the pass ordering / artifact contract, pickling
-for process-pool workers, per-pass timings, and the
-vectorized ``components()`` hot path against its union-find reference.
+Covers the pass ordering / artifact contract, pickling for process-pool
+workers, per-pass timings, and the vectorized ``components()`` hot path
+against its union-find reference.
 """
 
 import numpy as np
@@ -11,7 +10,6 @@ import pytest
 from oracles import components_dsu, unrewritten_passes
 
 from repro.circuits import make_benchmark
-from repro.compiler import OnePercCompiler
 from repro.errors import CompilationError
 from repro.online.percolation import sample_lattice
 from repro.pipeline import (
@@ -26,50 +24,6 @@ from repro.pipeline import (
 )
 
 SETTINGS = PipelineSettings(fusion_success_rate=0.75, max_rsl=10**5)
-
-
-class TestGoldenParity:
-    """Pipeline and facade must agree bit-for-bit for the same seed."""
-
-    @pytest.mark.parametrize("family", ["qaoa", "qft", "vqe"])
-    def test_compile_metrics_identical(self, family):
-        circuit = make_benchmark(family, 4, seed=1)
-        via_pipeline = Pipeline(SETTINGS, seed=9).compile(circuit)
-        via_facade = OnePercCompiler(
-            fusion_success_rate=0.75, seed=9, max_rsl=10**5
-        ).compile(circuit)
-        assert via_pipeline.rsl_count == via_facade.rsl_count
-        assert via_pipeline.fusion_count == via_facade.fusion_count
-        assert via_pipeline.pl_ratio == via_facade.pl_ratio
-        assert via_pipeline.logical_layers == via_facade.logical_layers
-
-    def test_baseline_metrics_identical(self):
-        circuit = make_benchmark("vqe", 4, seed=1)
-        settings = PipelineSettings(fusion_success_rate=0.9, max_rsl=10**4)
-        via_pipeline = Pipeline(settings, seed=3).compile_baseline(circuit)
-        via_facade = OnePercCompiler(
-            fusion_success_rate=0.9, seed=3, max_rsl=10**4
-        ).compile_baseline(circuit)
-        assert via_pipeline.rsl_count == via_facade.rsl_count
-        assert via_pipeline.fusion_count == via_facade.fusion_count
-        assert via_pipeline.restarts == via_facade.restarts
-
-
-class TestFacadeCompatibility:
-    def test_legacy_attributes_still_readable(self):
-        compiler = OnePercCompiler(
-            fusion_success_rate=0.9, rsl_size=24, refresh_every=5, seed=1
-        )
-        assert compiler.fusion_success_rate == 0.9
-        assert compiler.rsl_size == 24
-        assert compiler.refresh_every == 5
-        assert compiler.virtual_size is None
-        assert compiler.occupancy_limit == 0.25
-        assert compiler.photon_loss_rate == 0.0
-        assert compiler.emit_instructions is False
-        assert compiler.max_rsl > 0
-        with pytest.raises(AttributeError):
-            compiler.not_a_knob
 
 
 class TestPassContracts:

@@ -14,7 +14,6 @@ from repro.online import LayerDemand, renormalize, sample_lattice
 from repro.viz import (
     render_demand_profile,
     render_ir,
-    render_ir_layer,
     render_lattice,
     render_renormalization,
 )
@@ -53,13 +52,16 @@ class TestVizIR:
         ir.add_temporal_edge((0, 0, 0), (0, 0, 1))
         return ir
 
+    def layer_canvas(self, layer: int) -> list[str]:
+        """The canvas rows of one layer block of ``render_ir``."""
+        block = render_ir(self.build_ir()).split("\n\n")[layer]
+        return block.splitlines()[1:]
+
     def test_layer_glyphs(self):
-        art = render_ir_layer(self.build_ir(), 0)
-        assert art.splitlines()[0][:2] == "Ga"
+        assert self.layer_canvas(0)[0][:2] == "Ga"
 
     def test_worldline_glyph(self):
-        art = render_ir_layer(self.build_ir(), 1)
-        assert art.splitlines()[0][0] == "W"
+        assert self.layer_canvas(1)[0][0] == "W"
 
     def test_render_ir_counts_layers(self):
         art = render_ir(self.build_ir())
