@@ -11,8 +11,11 @@ Structural checks per frame kind, plus the cross-line invariants that a
 stream guarantees: at most one ``ack`` and it comes first, ``record``
 sequence numbers are dense from zero, exactly one terminal frame and it
 is last, and the ``summary``'s ``records`` count matches the record
-frames actually streamed.  ``--min-hit-rate`` additionally asserts the
-summary's record-derived cache hit rate — CI's warm-run check.
+frames actually streamed.  The ``summary`` frame and the ``stats``
+payload are pinned to their exact key sets: the server's own counters
+travel only in ``stats``, never in a response.  ``--min-hit-rate``
+additionally asserts the summary's record-derived cache hit rate — CI's
+warm-run check.
 
 Usage (exit 0 when everything validates, 1 otherwise)::
 
@@ -71,9 +74,25 @@ _CACHE_FIELDS = {
     "hit_rate": (int, float),
 }
 
+_STATS_FIELDS = {
+    "uptime_s": (int, float),
+    "draining": (bool,),
+    "max_inflight": (int,),
+    "active": (int,),
+    "singleflight": (dict,),
+    "metrics": (dict,),
+}
 
-def _type_errors(obj: dict, fields: dict, where: str) -> list[str]:
+
+def _type_errors(
+    obj: dict, fields: dict, where: str, exact: bool = False
+) -> list[str]:
+    """Missing or mistyped keys; with ``exact``, also keys not in ``fields``."""
     errors = []
+    if exact:
+        extra = sorted(set(obj) - set(fields))
+        if extra:
+            errors.append(f"{where}: unexpected keys {extra}")
     for key, types in fields.items():
         if key not in obj:
             errors.append(f"{where}: missing key {key!r}")
@@ -120,7 +139,10 @@ def validate_frames(
         if kind not in FRAME_KINDS:
             errors.append(f"{where}: unknown frame kind {kind!r}")
             continue
-        errors.extend(_type_errors(frame, _FRAME_FIELDS[kind], where))
+        errors.extend(_type_errors(
+            frame, {"frame": (str,), **_FRAME_FIELDS[kind]}, where,
+            exact=kind == "summary",
+        ))
         if frame.get("v") not in (None, PROTOCOL_VERSION):
             errors.append(
                 f"{where}: protocol v{frame['v']} != {PROTOCOL_VERSION}"
@@ -154,6 +176,10 @@ def validate_frames(
                     f"{where}: summary claims {frame.get('records')} records, "
                     f"stream carried {record_count}"
                 )
+        if kind == "stats" and isinstance(frame.get("stats"), dict):
+            errors.extend(
+                _type_errors(frame["stats"], _STATS_FIELDS, where, exact=True)
+            )
         if kind in TERMINAL_FRAMES:
             terminals += 1
             if index != len(frames) - 1:

@@ -80,12 +80,9 @@ def test_rewrite_shrink_and_reshape_snapshot():
     assert any(on_layers < off_layers for off_layers, on_layers in layers.values())
 
     # -- cache interaction: the rewrite stage is cacheable -----------------
-    cache = MemoryCache()
-    cached = on.with_cache(cache)
+    cached = on.with_cache(MemoryCache())
     cached.compile(circuits[0], seed=0)
-    cold_hits = cache.hits
-    cached.compile(circuits[0], seed=0)
-    warm_hits = cache.hits - cold_hits
+    warm_hits = cached.compile(circuits[0], seed=0).metrics.get("cache_hits", 0)
     # Re-compiling the identical job hits every cacheable stage: translate,
     # rewrite, offline-map, online-reshape.
     assert warm_hits == 4, f"warm re-compile hit {warm_hits} stages, expected 4"

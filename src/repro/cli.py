@@ -408,11 +408,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         else:
             result = experiment.run(args.scale, seed=args.seed, runner=runner)
     payload = result.to_json_obj()
-    if cache is not None:
-        # The cache object's own session totals (coordinator-side lookups
-        # only: process-pool workers count in their own copies; the
-        # record-derived "cache" block above is the complete tally).
-        payload["cache_session"] = cache.stats()
     if args.out and not args.stream:
         if args.out.lower().endswith(".csv"):
             artifact = result.to_csv()
@@ -426,18 +421,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     else:
         print(result.text)
         if cache is not None:
-            stats = result.cache_stats()
-            session = cache.stats()
-            evictions = (
-                f", {session['evictions']} evictions"
-                if "evictions" in session
-                else ""
-            )
+            # Summed from the records, so process-pool workers' lookups count.
+            stats = payload["cache"]
             print(
                 f"cache ({cache.name}): {stats['hits']} hits, "
-                f"{stats['misses']} misses, hit rate {stats['hit_rate']:.0%}"
-                f" (session: {session['hits']} hits, {session['misses']} "
-                f"misses{evictions})",
+                f"{stats['misses']} misses, hit rate {stats['hit_rate']:.0%}",
                 file=sys.stderr,
             )
     return 0

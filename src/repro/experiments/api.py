@@ -205,13 +205,6 @@ class ExperimentResult:
     records: list[ExperimentRecord]
     text: str = ""
     runner: str = "serial"
-    #: The producing *session's* cache totals (``ArtifactCache.stats()``),
-    #: when the stream's source supplied them — the serve summary frame
-    #: carries the server store's view, which a remote consumer cannot
-    #: recompute from records (the server cache outlives any one request).
-    cache_session: dict[str, Any] | None = None
-    #: The producing session's metrics-registry snapshot, same provenance.
-    session_metrics: dict[str, Any] | None = None
 
     @classmethod
     def from_stream(
@@ -219,7 +212,6 @@ class ExperimentResult:
         experiment: "Experiment",
         records: Iterable[ExperimentRecord],
         runner: "Runner | str" = "serial",
-        summary: dict[str, Any] | None = None,
     ) -> "ExperimentResult":
         """Fold an already-consumed record stream into a full result.
 
@@ -229,18 +221,9 @@ class ExperimentResult:
         you accumulated — here to get the rendered text and exports.
         Because ``iter_records`` restores canonical ordering, the result is
         byte-identical to a blocking ``run`` of the same experiment.
-
-        ``summary`` round-trips a serve summary frame: its
-        ``cache_session`` and ``metrics`` payloads attach to the result,
-        so a remote result reports
-        the producing session's cache/telemetry view alongside the
-        record-derived :meth:`cache_stats` it reconstructs exactly.
         """
         result = experiment.reduce(list(records))
         result.runner = runner if isinstance(runner, str) else runner.name
-        if summary is not None:
-            result.cache_session = summary.get("cache_session")
-            result.session_metrics = summary.get("metrics")
         return result
 
     def cache_stats(self) -> dict[str, Any]:
@@ -258,12 +241,8 @@ class ExperimentResult:
         )
 
     def to_json_obj(self) -> dict[str, Any]:
-        """Machine-readable form (fields, timings, metrics) for ``--json``.
-
-        ``cache_session`` appears only when the result carries one (remote
-        streams), keeping local ``--json`` output byte-stable.
-        """
-        obj: dict[str, Any] = {
+        """Machine-readable form (fields, timings, metrics) for ``--json``."""
+        return {
             "experiment": self.experiment,
             "scale": self.scale,
             "seed": self.seed,
@@ -279,9 +258,6 @@ class ExperimentResult:
                 for record in self.records
             ],
         }
-        if self.cache_session is not None:
-            obj["cache_session"] = self.cache_session
-        return obj
 
     def to_csv(self) -> str:
         """Flat CSV: provenance columns, then field columns, then timings."""

@@ -99,8 +99,9 @@ class Telemetry:
         Spans attached to the record are adopted with the job key stamped
         on their roots; cache hit/miss counts from ``record.metrics`` (the
         provenance channel that already survives every runner boundary)
-        feed the ``cache.*`` counters — the **single** source of those
-        counters, so serial and process runs reconcile identically.
+        feed the ``cache.*`` counters, which only ever count those
+        per-compilation metrics, so serial and process runs reconcile
+        identically.
         """
         spans = getattr(record, "spans", ()) or ()
         if spans:

@@ -24,9 +24,8 @@ A pass therefore shares entries with every compilation that fed it the
 same inputs, whatever else differs: the offline prefix is shared across
 seeds, fusion rates and RSL sizes, while a pipeline with an extra
 pattern-changing pass keys everything after it apart.  An artifact written
-by a pass the cache does not wrap (lowering, a custom in-place pass, a
-pass left out by ``only=``) is **unkeyed**, and every cached pass
-downstream of it runs uncached.
+by a pass the cache does not wrap (lowering, a custom in-place pass) is
+**unkeyed**, and every cached pass downstream of it runs uncached.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
 dict; serves the serial runner and the serve layer) and :class:`DiskCache`
@@ -40,10 +39,12 @@ artifact that fails to load is dropped, counted as a miss and recomputed.
 A ``max_bytes`` budget with LRU eviction (recency = entry file mtime,
 refreshed on every hit) keeps long-running disk stores bounded.
 
-Hit/miss counts are recorded twice: on the cache object (session totals,
-for reports) and in each compilation's ``PassContext.metrics`` (per-job
-provenance that flows into ``CompilationResult.metrics`` and from there
-into ``ExperimentRecord.metrics``, surviving process-pool boundaries).
+Hit/miss counts live in one place: each compilation's
+``PassContext.metrics`` (``cache_hits``/``cache_misses``), which flows into
+``CompilationResult.metrics`` and from there into
+``ExperimentRecord.metrics``, surviving process-pool boundaries.  Every
+report sums them with :func:`cache_summary`; the cache object counts
+nothing.
 """
 
 from __future__ import annotations
@@ -152,20 +153,15 @@ def _unpack(blob: bytes) -> dict[str, Any]:
 
 
 class ArtifactCache:
-    """Backend-agnostic half of the cache: keys, counters, (de)serialization.
+    """Backend-agnostic half of the cache: keys and (de)serialization.
 
     Subclasses implement :meth:`_read` / :meth:`_write` / :meth:`_discard`
-    over raw bytes.
-    ``hits``/``misses`` are session-local totals (they do not persist and,
-    for process pools, do not aggregate across workers — per-job counts in
-    ``PassContext.metrics`` do).
+    over raw bytes, guarded by :attr:`_lock` where they share state.
     """
 
     name = "cache"
 
     def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
         self._lock = threading.Lock()
 
     # -- key derivation -----------------------------------------------------
@@ -203,46 +199,23 @@ class ArtifactCache:
         that does not load is dropped and reads as a miss.
         """
         blob = self._read(key)
-        payload = None
-        if blob is not None:
-            try:
-                payload = _unpack(blob)
-            except Exception:
-                self._discard(key)
-                obs.event("cache_dropped", key=key)
-        with self._lock:
-            if payload is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return payload
+        if blob is None:
+            return None
+        try:
+            return _unpack(blob)
+        except Exception:
+            self._discard(key)
+            obs.event("cache_dropped", key=key)
+            return None
 
     def store(self, key: str, payload: dict[str, Any]) -> None:
         """Persist ``payload`` under ``key`` (last write wins; same content)."""
         self._write(key, _pack(payload))
 
     def invalidate(self, key: str) -> None:
-        """Drop ``key``'s entry after one of its artifacts failed to load.
-
-        The fetch that found the entry counted a hit; it becomes a miss.
-        """
+        """Drop ``key``'s entry after one of its artifacts failed to load."""
         self._discard(key)
-        with self._lock:
-            self.hits -= 1
-            self.misses += 1
         obs.event("cache_dropped", key=key)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def stats(self) -> dict[str, Any]:
-        """Session totals, for reports and the CLI."""
-        return {"backend": self.name, **cache_summary(self.hits, self.misses)}
 
     # -- backend hooks ------------------------------------------------------
 
@@ -338,10 +311,6 @@ class DiskCache(ArtifactCache):
 
     def _path(self, key: str) -> Path:
         return _entry_path(self.directory, key)
-
-    def stats(self) -> dict[str, Any]:
-        """Session totals plus this store's eviction count."""
-        return {**super().stats(), "evictions": self.evictions}
 
     def _entries(self):
         """Every entry file currently in the store (depth-2 ``*.pkl`` only)."""
@@ -526,12 +495,16 @@ def make_cache(
 ) -> ArtifactCache | None:
     """Build a cache from the CLI vocabulary (``off`` -> ``None``).
 
-    ``max_bytes`` applies to the disk backend only: it is the LRU eviction
-    budget (the memory backend lives and dies with the process).
+    ``directory`` and ``max_bytes`` apply to the disk backend only: its
+    store and its LRU eviction budget (the memory backend lives and dies
+    with the process).
     """
+    # Silently dropping either would let "--cache-dir" or
+    # "--cache-max-bytes" without a disk cache masquerade as a
+    # persistent or bounded store.
+    if directory is not None and kind != "disk":
+        raise CompilationError("a cache directory applies to the disk cache only")
     if max_bytes is not None and kind != "disk":
-        # Silently dropping a budget would let "--cache-max-bytes" without
-        # a disk cache masquerade as a bounded store.
         raise CompilationError("max_bytes budgets apply to the disk cache only")
     if kind == "off":
         return None
@@ -616,8 +589,8 @@ class CachePass(CompilerPass):
         """Replay a hit: metrics now, artifacts deferred."""
         self._count(ctx, "cache_hits")
         # Event only, never a registry counter: ``cache.*`` counters
-        # derive exclusively from record metrics at adoption time, so
-        # both runner backends reconcile to one source of truth.
+        # derive exclusively from per-compilation metrics, so both runner
+        # backends reconcile to one source of truth.
         obs.event("cache_hit", stage=self.name, circuit=ctx.circuit.name)
         ctx.metrics.update(payload["metrics"])
         inputs = {name: ctx.artifacts[name] for name in self.requires}
@@ -646,11 +619,10 @@ class CachePass(CompilerPass):
 class _Recovery:
     """Recomputes a hit's artifact when its blob fails to load.
 
-    The first failure drops the entry and turns the hit into a miss, on
-    the cache and in the compilation's metrics; each call then runs the
-    wrapped pass on the inputs bound at the hit.  Holds the context's
-    parts, not the context, so a deferred artifact does not keep the
-    whole compilation alive.
+    The first failure drops the entry and turns the hit into a miss in the
+    compilation's metrics; each call then runs the wrapped pass on the
+    inputs bound at the hit.  Holds the context's parts, not the context,
+    so a deferred artifact does not keep the whole compilation alive.
     """
 
     def __init__(
@@ -692,23 +664,16 @@ def uncached_passes(passes) -> tuple[CompilerPass, ...]:
     )
 
 
-def cached_passes(
-    passes, cache: ArtifactCache, only: tuple[str, ...] | None = None
-) -> tuple[CompilerPass, ...]:
+def cached_passes(passes, cache: ArtifactCache) -> tuple[CompilerPass, ...]:
     """Wrap every cacheable pass of ``passes`` in a :class:`CachePass`.
 
-    ``only`` restricts wrapping to the named passes (e.g. just the
-    deterministic prefix, ``("translate", "rewrite", "offline-map")``); by
-    default every pass that declares itself cacheable is wrapped.
     Already-wrapped and non-cacheable passes are kept as-is.  A pass left
     unwrapped leaves its outputs unkeyed, so the passes downstream of it
     run uncached even if wrapped.
     """
-    wrapped = []
-    for stage in passes:
-        eligible = stage.cacheable and not isinstance(stage, CachePass)
-        if eligible and (only is None or stage.name in only):
-            wrapped.append(CachePass(stage, cache))
-        else:
-            wrapped.append(stage)
-    return tuple(wrapped)
+    return tuple(
+        CachePass(stage, cache)
+        if stage.cacheable and not isinstance(stage, CachePass)
+        else stage
+        for stage in passes
+    )

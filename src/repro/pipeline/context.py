@@ -40,33 +40,12 @@ class PassTiming:
     seconds: float
     cpu_seconds: float | None = None
 
-    @property
-    def wall_seconds(self) -> float:
-        """Alias making the wall/CPU pairing explicit at use sites."""
-        return self.seconds
-
 
 def aggregate_timings(timings: list[PassTiming]) -> dict[str, float]:
     """Pass name -> accumulated wall seconds, in execution order."""
     out: dict[str, float] = {}
     for timing in timings:
         out[timing.name] = out.get(timing.name, 0.0) + timing.seconds
-    return out
-
-
-def aggregate_timings_split(timings: list[PassTiming]) -> dict[str, dict[str, float]]:
-    """Pass name -> ``{"wall_seconds", "cpu_seconds"}``, in execution order.
-
-    The serial/parallel diagnosis view: ``aggregate_timings`` folds the
-    wall column only, which made thread/process sweeps look like they
-    spent more pass time than the run's wall clock.  Missing CPU values
-    (pre-split timings) count as 0 toward the CPU column.
-    """
-    out: dict[str, dict[str, float]] = {}
-    for timing in timings:
-        row = out.setdefault(timing.name, {"wall_seconds": 0.0, "cpu_seconds": 0.0})
-        row["wall_seconds"] += timing.seconds
-        row["cpu_seconds"] += timing.cpu_seconds or 0.0
     return out
 
 
@@ -193,8 +172,3 @@ class PassContext:
     def timings_by_pass(self) -> dict[str, float]:
         """Pass name -> accumulated seconds, in execution order."""
         return aggregate_timings(self.timings)
-
-    @property
-    def timings_split_by_pass(self) -> dict[str, dict[str, float]]:
-        """Pass name -> wall/CPU second split, in execution order."""
-        return aggregate_timings_split(self.timings)

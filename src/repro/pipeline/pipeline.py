@@ -153,7 +153,6 @@ class Pipeline:
         passes: Sequence[CompilerPass] | None = None,
         seed: int | None = None,
         cache=None,
-        cache_only: tuple[str, ...] | None = None,
         telemetry: bool = False,
     ) -> None:
         self.settings = settings or PipelineSettings()
@@ -161,11 +160,10 @@ class Pipeline:
             tuple(passes) if passes is not None else default_passes()
         )
         self.cache = cache
-        self.cache_only = cache_only
         if cache is not None:
             from repro.pipeline.cache import cached_passes
 
-            base = cached_passes(base, cache, cache_only)
+            base = cached_passes(base, cache)
         self.passes = base
         self.seed = seed
         # Collection intent, not a handle: a bool survives pickling into
@@ -261,15 +259,10 @@ class Pipeline:
     def _seed_for(self, seed: int | None) -> int | None:
         return self.seed if seed is None else seed
 
-    def with_cache(
-        self, cache, only: tuple[str, ...] | None = None
-    ) -> "Pipeline":
+    def with_cache(self, cache) -> "Pipeline":
         """This pipeline with every cacheable pass wrapped in a ``CachePass``.
 
-        ``only`` limits wrapping to the named passes (e.g. just the
-        deterministic prefix ``("translate", "rewrite", "offline-map")``;
-        see :func:`~repro.pipeline.cache.cached_passes`).  The
-        returned pipeline shares ``cache``, so every compilation it (or a
+        The returned pipeline shares ``cache``, so every compilation it (or a
         sibling) runs reads and feeds the same artifact store; a ``cache``
         of ``None`` returns an equivalent uncached pipeline.  Existing
         wrappers are stripped first, so rebinding an already-cached
@@ -282,7 +275,6 @@ class Pipeline:
             uncached_passes(self.passes),
             self.seed,
             cache,
-            only,
             telemetry=self.telemetry,
         )
 
@@ -335,7 +327,6 @@ class Pipeline:
             chain,
             self.seed,
             self.cache,
-            self.cache_only,
             telemetry=self.telemetry,
         )
 
@@ -366,7 +357,7 @@ class Pipeline:
         ctx = self.settings.context_for(circuit, self._seed_for(seed))
         Pipeline(
             self.settings, baseline_passes(), cache=self.cache,
-            cache_only=self.cache_only, telemetry=self.telemetry,
+            telemetry=self.telemetry,
         ).run(ctx)
         result = ctx.require("baseline")
         result.metrics = dict(ctx.metrics)

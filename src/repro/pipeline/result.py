@@ -7,12 +7,7 @@ from dataclasses import dataclass, field
 from repro.ir.instructions import Instruction
 from repro.offline.mapper import MappingResult
 from repro.online.timelike import ReshapeMetrics
-from repro.pipeline.context import (
-    DeferredArtifact,
-    PassTiming,
-    aggregate_timings,
-    aggregate_timings_split,
-)
+from repro.pipeline.context import DeferredArtifact, PassTiming, aggregate_timings
 
 
 @dataclass
@@ -58,11 +53,6 @@ class CompilationResult:
     def timings_by_pass(self) -> dict[str, float]:
         """Pass name -> seconds, for reports and the CLI's ``--json``."""
         return aggregate_timings(self.pass_timings)
-
-    @property
-    def timings_split_by_pass(self) -> dict[str, dict[str, float]]:
-        """Pass name -> ``{"wall_seconds", "cpu_seconds"}`` split."""
-        return aggregate_timings_split(self.pass_timings)
 
 
 def _get_mapping(result: CompilationResult) -> MappingResult:

@@ -11,11 +11,11 @@ compare these), the parsed frames, and typed views (records, pass events,
 the result/summary/error payloads).
 
 A streamed experiment reconstructs the *exact* local result:
-:meth:`StreamedRun.experiment_result` folds the records plus the summary
-frame's ``cache_session``/``metrics`` through
+:meth:`StreamedRun.experiment_result` folds the records through
 :meth:`~repro.experiments.api.ExperimentResult.from_stream`, so a remote
-run renders the same tables and reports the same cache accounting as a
-local :meth:`~repro.experiments.api.Experiment.run`.
+run renders the same tables and reports the same record-derived cache
+accounting as a local :meth:`~repro.experiments.api.Experiment.run`.  The
+server's own counters come from :meth:`ServeClient.server_stats`.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ class StreamedRun:
             get_experiment(self.request["name"]),
             self.records,
             runner=self.request["runner"],
-            summary=self.summary,
         )
 
 
@@ -215,7 +214,7 @@ class ServeClient:
                     return run
 
     def server_stats(self) -> dict[str, Any]:
-        """The live introspection payload (requests, coalesces, metrics)."""
+        """The live introspection payload (singleflight, metrics registry)."""
         run = self.submit({"op": "stats"}).raise_for_error()
         if run.stats is None:
             raise ServerError("stats request returned no stats frame")

@@ -22,13 +22,14 @@ Frame kinds (server -> client):
 * ``pass`` — one per pass completion (compile/baseline requests), as the
   pipeline stage finishes.
 * ``result`` — the final compile/baseline outcome (compile requests).
-* ``summary`` — the terminal success frame: record/pass counts, elapsed
-  seconds, record-derived cache counts, the server cache's session stats,
-  and a metrics snapshot.  Shared by every subscriber of the stream.
+* ``summary`` — the terminal success frame: the record count, elapsed
+  seconds and the cache counts summed from the response's records (or
+  its compilation's metrics).  Shared by every subscriber of the stream.
 * ``error`` — the terminal failure frame (also used for per-connection
   protocol errors and request timeouts).
 * ``stats`` — the terminal frame of a ``stats`` request: the live server
-  introspection payload.
+  introspection payload, the one place the server's own counters
+  (requests, errors, cache totals over its lifetime) are served.
 
 Requests name an ``op`` (``experiment``, ``compile``, ``baseline``,
 ``stats``); :func:`validate_request` normalizes one against the schema —
@@ -50,7 +51,9 @@ from repro.experiments.api import ExperimentRecord
 #: compile requests grew the ``rewrite`` field (pattern-rewrite pass gate).
 #: v3: the ``rewrite`` field left again (the rewrite pass is always in the
 #: chain); a request that still carries it is rejected as an unknown field.
-PROTOCOL_VERSION = 3
+#: v4: the ``summary`` frame dropped the store's own totals and its copy of
+#: the server's metrics registry, which only the ``stats`` op serves.
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one frame line (requests are small; record frames are
 #: bounded by record size).  The server passes this as the asyncio stream
@@ -158,8 +161,6 @@ def summary_frame(
     records: int,
     elapsed_s: float,
     cache: dict[str, Any],
-    cache_session: dict[str, Any] | None = None,
-    metrics: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     return {
         "frame": "summary",
@@ -168,8 +169,6 @@ def summary_frame(
         "records": records,
         "elapsed_s": elapsed_s,
         "cache": cache,
-        "cache_session": cache_session,
-        "metrics": metrics,
     }
 
 

@@ -173,11 +173,9 @@ class ReproServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._draining = False
         self._started_at = time.time()
-        self._requests_total = 0
+        # Requests between validation and their terminal frame; only the
+        # event loop's coroutines touch it.
         self._requests_active = 0
-        self._requests_errors = 0
-        self._requests_by_op: dict[str, int] = {}
-        self._count_lock = threading.Lock()
         self._own_session = None  # obs.session() cm when we opened one
 
     # -- lifecycle -----------------------------------------------------------
@@ -185,10 +183,11 @@ class ReproServer:
     async def start(self) -> None:
         """Bind listeners, verify the cache, spin up the worker pool.
 
-        The server always runs under a telemetry session — the stats
-        request serves the registry snapshot — joining the active one
-        (the CLI's ``--trace-out``/``--events-out`` session) or opening
-        its own collect-only session for its lifetime.
+        The server always runs under a telemetry session — it counts its
+        requests, errors and cache lookups in that session's registry,
+        and the stats request serves the registry snapshot — joining the
+        active one (the CLI's ``--trace-out``/``--events-out`` session) or
+        opening its own collect-only session for its lifetime.
         """
         from concurrent.futures import ThreadPoolExecutor
 
@@ -250,7 +249,10 @@ class ReproServer:
             self._pool.shutdown(wait=True, cancel_futures=True)
         if self.config.unix_path is not None:
             Path(self.config.unix_path).unlink(missing_ok=True)
-        obs.event("serve_stopped", requests=self._requests_total)
+        obs.event(
+            "serve_stopped",
+            requests=int(self._tele.metrics.counter("serve.requests")),
+        )
         if self._own_session is not None:
             self._own_session.__exit__(None, None, None)
             self._own_session = None
@@ -304,11 +306,10 @@ class ReproServer:
             except ProtocolError as exc:
                 # A malformed request fails *that request*; the connection
                 # stays usable (the client may just have typoed one field).
-                self._bump(errors=True)
+                obs.count("serve.errors")
                 await self._send(writer, error_frame(str(exc), kind="protocol"))
                 continue
-            with self._count_lock:
-                self._requests_active += 1
+            self._requests_active += 1
             try:
                 await asyncio.wait_for(
                     self._dispatch(request, writer), self.config.request_timeout
@@ -317,7 +318,7 @@ class ReproServer:
                 # The subscriber is cancelled mid-frame-stream, so the line
                 # discipline is broken: error out and close the connection.
                 # A coalesced producer keeps running for other subscribers.
-                self._bump(errors=True)
+                obs.count("serve.errors")
                 await self._send(
                     writer,
                     error_frame(
@@ -327,15 +328,14 @@ class ReproServer:
                 )
                 return
             finally:
-                with self._count_lock:
-                    self._requests_active -= 1
+                self._requests_active -= 1
 
     async def _dispatch(
         self, request: dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         op = request["op"]
-        self._bump(op=op)
         obs.count("serve.requests")
+        obs.count(f"serve.requests.{op}")
         if op == "stats":
             await self._send(
                 writer, ack_frame(request["id"], op, key="stats", coalesced=False)
@@ -345,14 +345,12 @@ class ReproServer:
         try:
             key = request_key(request)
         except ReproError as exc:  # e.g. unknown benchmark family
-            self._bump(errors=True)
+            obs.count("serve.errors")
             await self._send(writer, error_frame(str(exc), kind="request"))
             return
         stream, leader = self.singleflight.join(
             key, lambda s: self._pool.submit(self._produce, s, request)
         )
-        if not leader:
-            obs.count("serve.singleflight.coalesced")
         await self._send(writer, ack_frame(request["id"], op, key, not leader))
         async for chunk in stream.asubscribe():
             writer.write(chunk)
@@ -362,14 +360,6 @@ class ReproServer:
     async def _send(writer: asyncio.StreamWriter, frame: dict[str, Any]) -> None:
         writer.write(encode_frame(frame))
         await writer.drain()
-
-    def _bump(self, op: str | None = None, errors: bool = False) -> None:
-        with self._count_lock:
-            if op is not None:
-                self._requests_total += 1
-                self._requests_by_op[op] = self._requests_by_op.get(op, 0) + 1
-            if errors:
-                self._requests_errors += 1
 
     # -- producers (worker threads) ------------------------------------------
 
@@ -391,7 +381,7 @@ class ReproServer:
             details = (
                 exc.to_json_obj() if hasattr(exc, "to_json_obj") else None
             )
-            self._bump(errors=True)
+            obs.count("serve.errors")
             self.singleflight.retire(stream.key, stream)
             stream.publish(
                 encode_frame(
@@ -410,6 +400,8 @@ class ReproServer:
             max_workers=request["workers"],
             cache=self.cache,
         )
+        # The runner adopts each record into the server's session, which
+        # adds its cache counts to ``cache.hits``/``cache.misses``.
         hits = misses = seq = 0
         for record in experiment.iter_records(
             request["scale"], seed=request["seed"], runner=runner
@@ -490,10 +482,13 @@ class ReproServer:
                 "pl_ratio": result.pl_ratio,
                 "pass_timings": dict(result.timings_by_pass),
             }
-        metrics = dict(result.metrics)
-        payload["cache"] = cache_summary(
-            int(metrics.get("cache_hits", 0)), int(metrics.get("cache_misses", 0))
-        )
+        hits = int(result.metrics.get("cache_hits", 0))
+        misses = int(result.metrics.get("cache_misses", 0))
+        # Counters only: the compilation's spans stay out of the
+        # long-lived session.
+        obs.count("cache.hits", hits)
+        obs.count("cache.misses", misses)
+        payload["cache"] = cache_summary(hits, misses)
         stream.publish(encode_frame(result_frame(request["op"], payload)))
         self._publish_summary(
             stream, request["op"], records=0, cache=payload["cache"], start=start
@@ -521,14 +516,6 @@ class ReproServer:
                     records=records,
                     elapsed_s=elapsed,
                     cache=cache,
-                    cache_session=(
-                        self.cache.stats() if self.cache is not None else None
-                    ),
-                    metrics=(
-                        self._tele.metrics.snapshot()
-                        if self._tele is not None
-                        else None
-                    ),
                 )
             )
         )
@@ -536,24 +523,18 @@ class ReproServer:
     # -- introspection -------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """The live introspection payload behind the ``stats`` op."""
-        with self._count_lock:
-            requests = {
-                "total": self._requests_total,
-                "active": self._requests_active,
-                "errors": self._requests_errors,
-                "by_op": dict(self._requests_by_op),
-            }
+        """The live introspection payload behind the ``stats`` op.
+
+        Request, error and cache totals are the registry's ``serve.*`` and
+        ``cache.*`` counters under ``metrics``.
+        """
         return {
             "uptime_s": time.time() - self._started_at,
             "draining": self._draining,
             "max_inflight": self.config.max_inflight,
-            "requests": requests,
+            "active": self._requests_active,
             "singleflight": self.singleflight.stats(),
-            "cache_session": self.cache.stats() if self.cache is not None else None,
-            "metrics": (
-                self._tele.metrics.snapshot() if self._tele is not None else None
-            ),
+            "metrics": self._tele.metrics.snapshot(),
         }
 
 

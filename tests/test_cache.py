@@ -61,10 +61,11 @@ class TestBackends:
         cache.store("00ab", {"artifacts": {"x": [1, 2]}, "metrics": {"m": 3}})
         payload = cache.fetch("00ab")
         assert payload == {"artifacts": {"x": [1, 2]}, "metrics": {"m": 3}}
-        assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate == 0.5
         assert len(cache) == 1
-        assert cache.stats()["backend"] == backend
+        assert cache.name == backend
+        # Hit/miss counts live in each compilation's metrics, never on
+        # the store, whose copies in process-pool workers never report.
+        assert not hasattr(cache, "hits") and not hasattr(cache, "stats")
 
     def test_fetch_returns_fresh_copies(self, tmp_path):
         # Isolation against downstream mutation: two hits must never alias.
@@ -95,6 +96,11 @@ class TestBackends:
             make_cache("disk")
         with pytest.raises(CompilationError, match="unknown cache kind"):
             make_cache("redis")
+        # A directory without a disk cache must error, never be ignored.
+        for kind in ("memory", "off"):
+            with pytest.raises(CompilationError, match="disk cache only"):
+                make_cache(kind, tmp_path / "never-made")
+        assert not (tmp_path / "never-made").exists()
 
 
 class TestCachePassWiring:
@@ -123,15 +129,6 @@ class TestCachePassWiring:
         ]
         rewrapped = cached_passes(wrapped, cache)
         assert [type(s).__name__ for s in rewrapped] == kinds
-
-    def test_only_restricts_to_named_prefix(self):
-        wrapped = cached_passes(
-            default_passes(), MemoryCache(), only=("translate", "offline-map")
-        )
-        assert [type(stage).__name__ for stage in wrapped] == [
-            "CachePass", "RewritePass", "CachePass", "LowerIRPass",
-            "OnlineReshapePass",
-        ]
 
 
 class TestCachedCompilation:
@@ -209,14 +206,21 @@ class TestCachedCompilation:
         real, and with_cache(None) must stop all lookups."""
         first, second = MemoryCache(), MemoryCache()
         cached = Pipeline(SETTINGS, cache=first)
+        warm = cached.compile(CIRCUIT, seed=0)
+        assert warm.metrics["cache_misses"] == 4 and len(first) == 4
         rebound = cached.with_cache(second)
         result = rebound.compile(CIRCUIT, seed=0)
+        # Cold against the new store although ``first`` holds every entry.
         assert result.metrics["cache_misses"] == 4
-        assert len(second) == 4 and second.lookups == 4
-        assert len(first) == 0 and first.lookups == 0
+        assert "cache_hits" not in result.metrics
+        assert len(second) == 4
+        assert rebound.compile(CIRCUIT, seed=0).metrics["cache_hits"] == 4
         unbound = cached.with_cache(None)
-        assert _metrics(unbound.compile(CIRCUIT, seed=0)) == _metrics(result)
-        assert first.lookups == 0  # truly uncached, not silently reading first
+        plain = unbound.compile(CIRCUIT, seed=0)
+        assert _metrics(plain) == _metrics(result)
+        # Truly uncached, not silently reading ``first``: no lookup at all.
+        assert "cache_hits" not in plain.metrics
+        assert "cache_misses" not in plain.metrics
 
     def test_disk_cache_through_process_backend(self, tmp_path):
         from repro.experiments import CompileJob, make_runner

@@ -138,6 +138,40 @@ class TestCacheFlags:
         with pytest.raises(SystemExit, match="--cache-dir"):
             main(["experiment", "--name", "fig15", "--cache", "disk"])
 
+    def test_cache_dir_without_disk_cache_is_rejected(self, tmp_path):
+        cache_dir = tmp_path / "artifacts"
+        for command in (
+            ["experiment", "--name", "fig15"],
+            ["compile", "--benchmark", "qaoa", "--qubits", "4"],
+        ):
+            with pytest.raises(SystemExit, match="^cache: .*disk cache only"):
+                main([*command, "--cache", "memory", "--cache-dir", str(cache_dir)])
+        assert not cache_dir.exists()
+
+    def test_process_pool_cache_line_sums_the_records(self, capsys, tmp_path):
+        """Workers look up in their own copies of the store, so the one
+        reported tally is the records' sum."""
+        argv = ["experiment", "--name", "fig14", "--runner", "process",
+                "--workers", "2", "--cache", "disk",
+                "--cache-dir", str(tmp_path / "artifacts")]
+        assert main(argv) == 0  # cold: fills the store
+        capsys.readouterr()
+        out = tmp_path / "warm.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        payload = json.loads(out.read_text())
+        hits = sum(r["metrics"].get("cache_hits", 0) for r in payload["records"])
+        misses = sum(r["metrics"].get("cache_misses", 0) for r in payload["records"])
+        assert hits > 0 and misses == 0
+        assert payload["cache"] == {"hits": hits, "misses": 0, "hit_rate": 1.0}
+        assert set(payload) == {
+            "experiment", "scale", "seed", "runner", "cache", "records"
+        }
+        assert (
+            f"cache (disk): {hits} hits, 0 misses, hit rate 100%"
+            in err.splitlines()
+        )
+
 
 class TestStreamingFlags:
     def test_stream_jsonl_out_matches_blocking_records(self, capsys, tmp_path):

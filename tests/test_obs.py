@@ -36,7 +36,6 @@ from repro.obs.summarize import (
     summarize_trace,
 )
 from repro.pipeline import DiskCache, MemoryCache, Pipeline, PipelineSettings
-from repro.pipeline.context import PassTiming, aggregate_timings, aggregate_timings_split
 
 SETTINGS = PipelineSettings(
     fusion_success_rate=0.9, rsl_size=24, virtual_size=2, max_rsl=10**5
@@ -315,29 +314,6 @@ class TestPipelineTelemetry:
             histograms = tele.metrics.snapshot()["histograms"]
         assert histograms["online.bfs_nodes"]["count"] > 0
         assert histograms["online.bfs_nodes"]["min"] >= 1
-
-
-class TestTimingSplit:
-    def test_aggregate_timings_split(self):
-        timings = [
-            PassTiming("a", 1.0, 0.5),
-            PassTiming("a", 2.0, 1.5),
-            PassTiming("b", 3.0, None),  # pre-split producer
-        ]
-        split = aggregate_timings_split(timings)
-        assert split["a"] == {"wall_seconds": 3.0, "cpu_seconds": 2.0}
-        assert split["b"] == {"wall_seconds": 3.0, "cpu_seconds": 0.0}
-        # The wall column still matches the legacy aggregate exactly.
-        assert {name: row["wall_seconds"] for name, row in split.items()} == (
-            aggregate_timings(timings)
-        )
-
-    def test_result_exposes_split(self):
-        result = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
-        split = result.timings_split_by_pass
-        for name, seconds in result.timings_by_pass.items():
-            assert split[name]["wall_seconds"] == seconds
-            assert 0.0 <= split[name]["cpu_seconds"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ socket), with the server hosted on a background event loop:
   ``Experiment.run`` — cache off, cache on, and on the warm second hit;
 * a concurrent same-key burst executes exactly one underlying sweep while
   every client receives the complete identical byte stream;
-* the summary frame round-trips into ``ExperimentResult`` (cache_session
-  + session metrics), the stats op exposes live counters, protocol errors
-  fail the request but not the connection, and graceful shutdown drains
-  in-flight requests to their terminal frame.
+* the summary frame round-trips into ``ExperimentResult`` (record-derived
+  cache counts only), the stats op serves the registry's request and
+  cache counters, protocol errors fail the request but not the
+  connection, and graceful shutdown drains in-flight requests to their
+  terminal frame.
 
 The experiments used here are registered toys: fast deterministic FnJobs
 plus one real (tiny) CompileJob, and a gated variant whose first job
@@ -179,16 +180,14 @@ class TestGoldenIdentity:
         assert canonical_json(result.records) == canonical_json(
             LOCAL_TOY.records
         )
-        # the satellite contract: the remote result carries the server
-        # session's cache view and metrics snapshot out of the summary
-        assert result.cache_session["backend"] == "disk"
-        assert result.cache_session["misses"] > 0
-        assert "counters" in result.session_metrics
-        obj = result.to_json_obj()
-        assert obj["cache_session"] == result.cache_session
-        # record-derived accounting reconstructs exactly (cold run: the
-        # session counters and the record sums are the same lookups)
+        # The summary is the protocol's whole terminal frame: the
+        # record-derived cache counts, which the result reconstructs.
+        assert set(run.summary) == {
+            "frame", "v", "op", "records", "elapsed_s", "cache"
+        }
+        assert run.summary["cache"]["misses"] > 0
         assert result.cache_stats() == run.summary["cache"]
+        assert result.to_json_obj()["cache"] == run.summary["cache"]
 
     def test_compile_request_streams_passes_and_result(self):
         with ServerThread(ServeConfig(port=0)) as st:
@@ -333,12 +332,47 @@ class TestLifecycle:
             client.submit(
                 {"op": "experiment", "name": "serve-toy"}
             ).raise_for_error()
+            client.submit({"op": "experiment", "name": "no-such-table"})
             stats = client.server_stats()
-        assert stats["requests"]["total"] >= 2  # experiment + stats
-        assert stats["requests"]["by_op"]["experiment"] == 1
-        assert stats["singleflight"]["started"] == 1
+        assert set(stats) == {
+            "uptime_s", "draining", "max_inflight", "active", "singleflight",
+            "metrics",
+        }
+        counters = stats["metrics"]["counters"]
+        assert counters["serve.requests"] == 3  # two experiments + stats
+        assert counters["serve.requests.experiment"] == 2
+        assert counters["serve.requests.stats"] == 1
+        assert counters["serve.errors"] == 1
+        assert stats["active"] == 1  # the stats request itself
+        assert stats["singleflight"]["started"] == 2
         assert "serve.request_seconds" in stats["metrics"]["histograms"]
         assert stats["uptime_s"] > 0
+
+    def test_registry_cache_counters_match_the_summaries(self, tmp_path):
+        """The server's ``cache.*`` counters are the sum of what its
+        responses reported: compile results counted by the server,
+        experiment records adopted by the runner, neither twice."""
+        compiles = [
+            {"op": "compile", "benchmark": family, "qubits": 4, "rate": 0.9,
+             "rsl_size": 24, "virtual_size": 2, "max_rsl": 10**5}
+            for family in ("qaoa", "qft", "qaoa")
+        ]
+        with ServerThread(ServeConfig(port=0, cache=DiskCache(tmp_path))) as st:
+            client = _client(st)
+            runs = [client.submit(request).raise_for_error() for request in compiles]
+            runs.append(
+                client.submit(
+                    {"op": "experiment", "name": "serve-toy"}
+                ).raise_for_error()
+            )
+            counters = client.server_stats()["metrics"]["counters"]
+        hits = sum(run.summary["cache"]["hits"] for run in runs)
+        misses = sum(run.summary["cache"]["misses"] for run in runs)
+        assert runs[2].summary["cache"]["hits"] == 4  # the repeated qaoa-4
+        assert hits > 0 and misses > 0
+        assert counters["cache.hits"] == hits
+        assert counters["cache.misses"] == misses
+        assert counters["serve.requests.compile"] == len(compiles)
 
     def test_unknown_experiment_is_an_error_frame(self):
         with ServerThread(ServeConfig(port=0)) as st:
@@ -406,11 +440,11 @@ class TestLifecycle:
                 assert decode_frame(reader.readline())["frame"] == "stats"
 
     def test_removed_rewrite_field_is_an_error_frame(self):
-        """Protocol v3 dropped the ``rewrite`` field: a v3 request that
-        still carries it gets a structured error frame naming the field."""
+        """Protocol v3 dropped the ``rewrite`` field: a request that still
+        carries it gets a structured error frame naming the field."""
         import socket
 
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         with ServerThread(ServeConfig(port=0)) as st:
             _client(st)  # waits until up
             with socket.create_connection(("127.0.0.1", st.port)) as sock:
@@ -493,3 +527,49 @@ class TestLifecycle:
             assert run.error is not None
             assert run.error["kind"] == "timeout"
             GATE.set()  # let the (still running) producer finish pre-drain
+
+
+class TestFrameSchema:
+    def test_captures_pass_the_checker_and_extra_keys_fail(self, capsys, tmp_path):
+        """``repro submit --frames-out`` captures are what CI's serve smoke
+        step validates; the summary frame and the stats payload are pinned
+        to their exact key sets."""
+        import sys
+        from pathlib import Path
+
+        from repro.cli import main
+
+        bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+        sys.path.insert(0, str(bench_dir))
+        try:
+            from serve_schema import validate_frames
+        finally:
+            sys.path.remove(str(bench_dir))
+        captures = {}
+        with ServerThread(ServeConfig(port=0)) as st:
+            _client(st)  # waits until up
+            for name, request in (
+                ("compile", ["--benchmark", "qaoa", "--qubits", "4",
+                             "--rate", "0.9"]),
+                ("stats", ["--stats"]),
+            ):
+                captures[name] = tmp_path / f"{name}.jsonl"
+                assert main(
+                    ["submit", "--port", str(st.port), *request,
+                     "--frames-out", str(captures[name])]
+                ) == 0
+        capsys.readouterr()
+        for path in captures.values():
+            assert validate_frames(path) == []
+        for name, inner, extra in (
+            ("compile", None, "metrics"),
+            ("stats", "stats", "requests"),
+        ):
+            lines = captures[name].read_text().splitlines()
+            terminal = json.loads(lines[-1])
+            (terminal[inner] if inner else terminal)[extra] = {}
+            tampered = tmp_path / f"{name}-tampered.jsonl"
+            tampered.write_text("\n".join([*lines[:-1], json.dumps(terminal)]) + "\n")
+            assert validate_frames(tampered) == [
+                f"line {len(lines)}: unexpected keys [{extra!r}]"
+            ]
