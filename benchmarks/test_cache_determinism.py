@@ -21,6 +21,7 @@ from golden_records import assert_matches_golden
 
 from repro import obs
 from repro.experiments import experiment_names, get_experiment, make_runner
+from repro.obs.summarize import load_events
 from repro.pipeline import DiskCache, MemoryCache
 
 
@@ -83,10 +84,11 @@ def test_table2_disk_cache_shared_across_runners(tmp_path):
         assert warm_process.cache_stats()["hit_rate"] == 1.0
 
 
-def test_every_experiment_through_one_shared_memory_cache():
+def test_every_experiment_through_one_shared_memory_cache(tmp_path):
     runner = make_runner("serial", cache=MemoryCache())
     for name in experiment_names():
-        with obs.session() as tele:
+        events_path = tmp_path / f"{name}.events.jsonl"
+        with obs.session(events_path=str(events_path)):
             result = get_experiment(name).run("bench", 0, runner)
         assert_matches_golden(name, result.records)
         if name != "fig12":
@@ -95,7 +97,7 @@ def test_every_experiment_through_one_shared_memory_cache():
         # the mapper reads neither the fusion rate, the RSL size nor the
         # star size, so at least 18 points reuse a mapping.
         offline_hits = [
-            event for event in tele.events.events
+            event for event in load_events(events_path)
             if event["kind"] == "cache_hit" and event["stage"] == "offline-map"
         ]
         assert len(offline_hits) >= 18

@@ -4,6 +4,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.circuits import qaoa
+from repro.ir import lower_ir
 from repro.pipeline import Pipeline, PipelineSettings
 
 
@@ -20,7 +21,6 @@ def main() -> None:
         PipelineSettings(
             fusion_success_rate=0.75,
             resource_state_size=4,
-            emit_instructions=True,
         ),
         seed=7,
     )
@@ -34,10 +34,13 @@ def main() -> None:
     print(f"online time per RSL:  {result.online_seconds_per_rsl*1000:.2f} ms")
     print()
 
+    # Lower the offline mapping's FlexLattice IR to the intermediate-level
+    # instruction stream a hardware controller would consume.
+    instructions = lower_ir(result.mapping.ir)
     print("First 12 intermediate-level instructions:")
-    for instruction in result.instructions[:12]:
+    for instruction in instructions[:12]:
         print(f"  {instruction}")
-    print(f"  ... ({len(result.instructions)} total)")
+    print(f"  ... ({len(instructions)} total)")
 
     # Compare with the OneQ baseline under repeat-until-success.
     baseline = compiler.compile_baseline(circuit)

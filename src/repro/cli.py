@@ -50,7 +50,7 @@ from repro.passes import (
     DeviceValidatorPass,
     UnknownPassError,
     ValidationError,
-    get_pass,
+    insert_passes,
     pass_names,
 )
 from repro.pipeline import (
@@ -167,12 +167,6 @@ def _cache_from(args: argparse.Namespace):
         raise SystemExit(f"cache: {exc}") from exc
 
 
-def _parse_pass_names(spec: str | None) -> list[str]:
-    if not spec:
-        return []
-    return [name.strip() for name in spec.split(",") if name.strip()]
-
-
 def _build_pipeline(args: argparse.Namespace) -> Pipeline:
     """Settings + default chain + any ``--passes`` insertions.
 
@@ -189,13 +183,7 @@ def _build_pipeline(args: argparse.Namespace) -> Pipeline:
         max_rsl=args.max_rsl,
     )
     pipeline = Pipeline(settings, seed=args.seed, cache=_cache_from(args))
-    # Reversed so the chain order after the slot matches the listed order.
-    for name in reversed(_parse_pass_names(getattr(args, "passes", None))):
-        cls = get_pass(name)
-        pipeline = pipeline.insert_pass(
-            cls(), after=getattr(cls, "default_slot", None)
-        )
-    return pipeline
+    return insert_passes(pipeline, getattr(args, "passes", None))
 
 
 def _cache_counts(metrics: dict) -> dict:

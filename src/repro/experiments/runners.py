@@ -23,7 +23,7 @@ calls and whole sweeps, so pool startup is paid once per process, not once
 per run.  Jobs are submitted in **chunks** sized to amortize IPC
 (:func:`~repro.experiments.pool.chunk_size_for`): each chunk executes
 in-worker and returns finished *records*, so the heavy compile artifacts
-(mapping, reshape, instruction stream) never travel back through the pool
+(mapping, reshape) never travel back through the pool
 pipe — with a :class:`~repro.pipeline.cache.DiskCache` attached they are
 already in the shared store, which is the exchange medium.
 
@@ -398,6 +398,10 @@ class ProcessRunner(Runner):
                     ) from exc
                 in_flight -= len(pairs)
                 obs.gauge("runner.jobs_in_flight", in_flight)
+                if getattr(self.cache, "max_bytes", None) is not None:
+                    # A worker's copy of the store estimates only its own
+                    # writes, so the shared budget is enforced here.
+                    self.cache._evict_to_budget()
                 for index, record in pairs:
                     buffer.push(index, record)
                 obs.observe("runner.reorder_depth", len(buffer))

@@ -1,12 +1,13 @@
-"""Lifecycle event stream: an in-memory log with a per-event-flush sink.
+"""Lifecycle event stream: a per-event-flush JSONL sink.
 
 Events are the narrative half of telemetry — job started/finished, cache
 hit, run started/finished — one flat JSON object per event with an epoch
-``ts`` and a ``kind``.  The log always buffers in memory; when a ``path``
-is given, every event is also written and flushed immediately, following
-the per-record-flush discipline of :mod:`repro.experiments.streams` — the
+``ts`` and a ``kind``.  Nothing is kept in memory, so a long-running
+process does not grow with its event count.  When a ``path`` is given,
+every event is written and flushed immediately, following the
+per-record-flush discipline of :mod:`repro.experiments.streams` — the
 file is tail-able mid-run and survives a crash with everything emitted so
-far.
+far; without one, events go nowhere.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ EVENTS_SCHEMA_VERSION = 1
 
 
 class EventLog:
-    """Append-only event buffer with an optional flush-per-line JSONL sink."""
+    """Append-only event log: a flush-per-line JSONL sink, or nowhere."""
 
     def __init__(self, path: str | None = None) -> None:
-        self.events: list[dict[str, Any]] = []
         self.path = path
         self._handle: IO[str] | None = open(path, "w") if path else None
         self._lock = threading.Lock()
@@ -35,14 +35,10 @@ class EventLog:
         re-emitting an event recorded earlier."""
         event = {"ts": time.time() if _ts is None else _ts, "kind": kind, **fields}
         with self._lock:
-            self.events.append(event)
             if self._handle is not None:
                 self._handle.write(json.dumps(event, sort_keys=True) + "\n")
                 self._handle.flush()  # the contract: every event reaches the OS
         return event
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def close(self) -> None:
         with self._lock:

@@ -12,9 +12,10 @@ two pass families, modeled on the braket emulator-pass shape:
   diagnostics.
 
 :data:`PASS_REGISTRY` names the insertable passes for the CLI's
-``--passes`` flag; :func:`get_pass` resolves a name or raises
-:class:`UnknownPassError` listing the registry (the same contract as the
-experiment registry).
+``--passes`` flag and the serve ``passes`` field; :func:`get_pass`
+resolves a name or raises :class:`UnknownPassError` listing the registry
+(the same contract as the experiment registry), and :func:`insert_passes`
+puts a comma-separated list of them into a pipeline.
 """
 
 from repro.errors import ReproError
@@ -62,6 +63,23 @@ def get_pass(name: str) -> type:
         ) from None
 
 
+def insert_passes(pipeline, spec: str | None):
+    """``pipeline`` with every pass named in ``spec`` at its default slot.
+
+    ``spec`` is a comma-separated list of registered names (``None`` or
+    empty inserts nothing).  Unknown names raise :class:`UnknownPassError`
+    and bad insertions :class:`~repro.pipeline.PassInsertionError`.
+    """
+    names = [name.strip() for name in (spec or "").split(",") if name.strip()]
+    # Reversed so the chain order after the slot matches the listed order.
+    for name in reversed(names):
+        cls = get_pass(name)
+        pipeline = pipeline.insert_pass(
+            cls(), after=getattr(cls, "default_slot", None)
+        )
+    return pipeline
+
+
 __all__ = [
     "DIAGNOSTICS_SCHEMA_VERSION",
     "ConnectivityValidatorPass",
@@ -75,5 +93,6 @@ __all__ = [
     "UnknownPassError",
     "ValidationError",
     "get_pass",
+    "insert_passes",
     "pass_names",
 ]

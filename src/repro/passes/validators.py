@@ -269,7 +269,7 @@ class StripBudgetValidatorPass(DeviceValidatorPass):
         capacity = ctx.virtual_size * ctx.virtual_size
         layers_needed = -(-pattern.measured_count // capacity)  # ceil
         rsls_needed = layers_needed * ctx.config.merged_rsls_per_layer
-        budget = ctx.option("max_rsl", 10**6)
+        budget = ctx.settings.max_rsl
         if rsls_needed > budget:
             diagnostics.append(
                 Diagnostic(

@@ -22,7 +22,6 @@ from repro.pipeline.context import PassContext, PassTiming
 from repro.pipeline.passes import (
     BaselinePass,
     CompilerPass,
-    LowerIRPass,
     OfflineMapPass,
     OnlineReshapePass,
     TranslatePass,
@@ -45,7 +44,6 @@ __all__ = [
     "CompilerPass",
     "DiskCache",
     "MemoryCache",
-    "LowerIRPass",
     "OfflineMapPass",
     "OnlineReshapePass",
     "PassContext",

@@ -9,7 +9,7 @@ of exactly what produced them:
 * the pass name;
 * the pass's declared ``reads`` (:class:`~repro.pipeline.passes.
   CompilerPass`): the circuit fingerprint for ``translate``; the virtual
-  size and the mapper options for ``offline-map``; the hardware config,
+  size and the mapper settings for ``offline-map``; the hardware config,
   virtual size and RSL cap for ``online-reshape``; and so on;
 * the key of every artifact the pass ``requires`` — the key of the pass
   that produced it, so a key captures the whole chain that led to the
@@ -24,8 +24,8 @@ A pass therefore shares entries with every compilation that fed it the
 same inputs, whatever else differs: the offline prefix is shared across
 seeds, fusion rates and RSL sizes, while a pipeline with an extra
 pattern-changing pass keys everything after it apart.  An artifact written
-by a pass the cache does not wrap (lowering, a custom in-place pass) is
-**unkeyed**, and every cached pass downstream of it runs uncached.
+by a pass the cache does not wrap (a custom in-place pass) is **unkeyed**,
+and every cached pass downstream of it runs uncached.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
 dict; serves the serial runner and the serve layer) and :class:`DiskCache`
@@ -91,7 +91,8 @@ def circuit_fingerprint(circuit) -> str:
     return digest.hexdigest()
 
 
-#: Declared reads that name a context field rather than an option.
+#: Declared reads that name a context field; every other read names a
+#: :class:`~repro.pipeline.settings.PipelineSettings` field.
 _CONTEXT_READS = {
     "circuit": lambda ctx: circuit_fingerprint(ctx.circuit),
     "config": lambda ctx: repr(ctx.config),
@@ -101,7 +102,7 @@ _CONTEXT_READS = {
 
 def _read_value(ctx: PassContext, read: str) -> str:
     field = _CONTEXT_READS.get(read)
-    return field(ctx) if field is not None else repr(ctx.option(read))
+    return field(ctx) if field is not None else repr(getattr(ctx.settings, read))
 
 
 class ArtifactBlobs(Mapping):
@@ -632,7 +633,7 @@ class _Recovery:
         self.key = key
         self.inputs = inputs
         self.metrics = ctx.metrics
-        self.program = (ctx.circuit, ctx.config, ctx.virtual_size, ctx.stream, ctx.options)
+        self.program = (ctx.circuit, ctx.config, ctx.virtual_size, ctx.stream, ctx.settings)
         self.dropped = False
 
     def __call__(self, name: str) -> Any:

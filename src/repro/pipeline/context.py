@@ -2,11 +2,12 @@
 
 A :class:`PassContext` is created once per compilation and threaded through
 every pass.  It carries the program being compiled, the resolved hardware
-configuration, a dictionary of named *artifacts* (the measurement pattern,
-the offline mapping, the reshape metrics, ...), deterministic child RNG
-streams, and per-pass wall-clock timings.  Passes communicate exclusively
-through artifacts — a pass never calls another pass — which is what makes
-stages insertable, reorderable, and ablatable.
+configuration, the settings it was made from, a dictionary of named
+*artifacts* (the measurement pattern, the offline mapping, the reshape
+metrics, ...), deterministic child RNG streams, and per-pass wall-clock
+timings.  Passes communicate exclusively through artifacts — a pass never
+calls another pass — which is what makes stages insertable, reorderable,
+and ablatable.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import pickle
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -22,6 +23,9 @@ from repro.circuits.circuit import Circuit
 from repro.errors import CompilationError
 from repro.hardware.architecture import HardwareConfig
 from repro.utils.rng import RandomStream
+
+if TYPE_CHECKING:
+    from repro.pipeline.settings import PipelineSettings
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,10 @@ class PassContext:
     ``artifacts`` is the inter-pass data bus: each pass declares which keys
     it ``requires`` and ``provides`` (see :class:`~repro.pipeline.passes.
     CompilerPass`), and the pipeline enforces the contract before running
-    the pass.  ``options`` holds the knobs that are not part of the hardware
-    config proper (occupancy limit, refresh period, RSL cap, ...).  An
+    the pass.  ``settings`` is the :class:`~repro.pipeline.settings.
+    PipelineSettings` the context was made from; passes read the knobs
+    that are not part of the hardware config proper (refresh period, RSL
+    cap, ...) from its typed fields, whose defaults live there alone.  An
     artifact bound from a cache hit sits in ``artifacts`` as a
     :class:`DeferredArtifact` until ``require``/``get`` first reads it.
     """
@@ -100,7 +106,7 @@ class PassContext:
     config: HardwareConfig
     virtual_size: int
     stream: RandomStream
-    options: dict[str, Any] = field(default_factory=dict)
+    settings: PipelineSettings
     artifacts: dict[str, Any] = field(default_factory=dict)
     timings: list[PassTiming] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -153,9 +159,6 @@ class PassContext:
         if load and type(value) is DeferredArtifact:
             value = self.artifacts[name] = value.load()
         return value
-
-    def option(self, name: str, default: Any = None) -> Any:
-        return self.options.get(name, default)
 
     # -- timings ------------------------------------------------------------
 

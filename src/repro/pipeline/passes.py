@@ -25,7 +25,8 @@ class CompilerPass:
     (:mod:`repro.pipeline.cache`): ``cacheable`` declares that the pass's
     artifacts are a pure function of its cache key; ``reads`` names what
     the pass reads besides its ``requires`` artifacts — context fields
-    (``circuit``, ``config``, ``virtual_size``) or option names — which
+    (``circuit``, ``config``, ``virtual_size``) or
+    :class:`~repro.pipeline.settings.PipelineSettings` field names — which
     the key hashes together with the keys of those artifacts; and
     ``rng_labels`` names the child random streams the pass consumes (empty
     for deterministic passes) — the cache folds the derived stream seed
@@ -80,7 +81,6 @@ class OfflineMapPass(CompilerPass):
     cacheable = True
     reads = (
         "virtual_size",
-        "occupancy_limit",
         "refresh_every",
         "memory_budget_bytes",
         "bytes_per_node_layer",
@@ -89,45 +89,16 @@ class OfflineMapPass(CompilerPass):
     def run(self, ctx: PassContext) -> None:
         from repro.offline.mapper import OfflineMapper
 
-        kwargs = dict(
+        settings = ctx.settings
+        mapping = OfflineMapper(
             width=ctx.virtual_size,
-            occupancy_limit=ctx.option("occupancy_limit", 0.25),
-            refresh_every=ctx.option("refresh_every"),
-            memory_budget_bytes=ctx.option("memory_budget_bytes"),
-        )
-        bytes_per_node_layer = ctx.option("bytes_per_node_layer")
-        if bytes_per_node_layer is not None:
-            kwargs["bytes_per_node_layer"] = bytes_per_node_layer
-        mapping = OfflineMapper(**kwargs).map_pattern(ctx.require("pattern"))
+            refresh_every=settings.refresh_every,
+            memory_budget_bytes=settings.memory_budget_bytes,
+            bytes_per_node_layer=settings.bytes_per_node_layer,
+        ).map_pattern(ctx.require("pattern"))
         ctx.put("mapping", mapping)
         ctx.metrics["logical_layers_mapped"] = mapping.layer_count
         ctx.metrics["peak_memory_bytes"] = mapping.peak_memory_bytes
-
-
-class LowerIRPass(CompilerPass):
-    """FlexLattice IR -> intermediate-level instruction stream (Section 6.3).
-
-    Lowering is skipped (an empty stream is recorded, and the mapping is
-    never loaded) unless the ``emit_instructions`` option asks for it —
-    the instruction list is bulky and only the hardware-facing consumers
-    need it.
-    """
-
-    name = "lower-ir"
-    requires = ("mapping",)
-    provides = ("instructions",)
-
-    def prepare(self, ctx: PassContext) -> None:
-        if ctx.option("emit_instructions", False):
-            super().prepare(ctx)
-
-    def run(self, ctx: PassContext) -> None:
-        from repro.ir.instructions import lower_ir
-
-        if ctx.option("emit_instructions", False):
-            ctx.put("instructions", lower_ir(ctx.require("mapping").ir))
-        else:
-            ctx.put("instructions", [])
 
 
 class OnlineReshapePass(CompilerPass):
@@ -147,7 +118,7 @@ class OnlineReshapePass(CompilerPass):
             ctx.config,
             virtual_size=ctx.virtual_size,
             rng=ctx.rng("online"),
-            max_rsl=ctx.option("max_rsl", 10**6),
+            max_rsl=ctx.settings.max_rsl,
         )
         reshape = reshaper.run(ctx.require("mapping").demands)
         ctx.put("reshape", reshape)
@@ -177,7 +148,7 @@ class BaselinePass(CompilerPass):
             ) from exc
         executor = RepeatUntilSuccessExecutor(
             ctx.config.effective_fusion_rate,
-            rsl_cap=ctx.option("max_rsl", 10**6),
+            rsl_cap=ctx.settings.max_rsl,
             rng=ctx.rng("baseline"),
         )
         ctx.put("baseline", executor.run(plan))

@@ -23,7 +23,6 @@ from repro.pipeline.context import PassContext
 from repro.pipeline.passes import (
     BaselinePass,
     CompilerPass,
-    LowerIRPass,
     OfflineMapPass,
     OnlineReshapePass,
     TranslatePass,
@@ -43,7 +42,6 @@ def default_passes() -> tuple[CompilerPass, ...]:
         TranslatePass(),
         RewritePass(),
         OfflineMapPass(),
-        LowerIRPass(),
         OnlineReshapePass(),
     )
 
@@ -346,7 +344,6 @@ class Pipeline:
             reshape=reshape,
             offline_seconds=ctx.seconds_for(OfflineMapPass.name),
             online_seconds=ctx.seconds_for(OnlineReshapePass.name),
-            instructions=ctx.get("instructions", []),
             pass_timings=list(ctx.timings),
             metrics=dict(ctx.metrics),
             spans=list(ctx.spans),

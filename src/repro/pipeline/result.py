@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ir.instructions import Instruction
 from repro.offline.mapper import MappingResult
 from repro.online.timelike import ReshapeMetrics
 from repro.pipeline.context import DeferredArtifact, PassTiming, aggregate_timings
@@ -27,7 +26,6 @@ class CompilationResult:
     reshape: ReshapeMetrics
     offline_seconds: float
     online_seconds: float
-    instructions: list[Instruction] = field(default_factory=list, repr=False)
     pass_timings: list[PassTiming] = field(default_factory=list, repr=False)
     #: The compilation's ``PassContext.metrics`` (logical layers mapped,
     #: peak memory, cache hit/miss counts, ...) — the provenance channel the

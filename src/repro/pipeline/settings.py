@@ -15,6 +15,7 @@ from repro.baseline.retry import DEFAULT_RSL_CAP
 from repro.circuits.circuit import Circuit
 from repro.graphstate.resource import ResourceStateSpec
 from repro.hardware.architecture import HardwareConfig
+from repro.offline.mapper import DEFAULT_BYTES_PER_NODE_LAYER
 from repro.pipeline.context import PassContext
 from repro.utils.rng import RandomStream
 
@@ -49,13 +50,11 @@ class PipelineSettings:
     rsl_size: int | None = None
     virtual_size: int | None = None
     node_side: int | None = None
-    occupancy_limit: float = 0.25
     refresh_every: int | None = None
     memory_budget_bytes: int | None = None
-    bytes_per_node_layer: int | None = None
+    bytes_per_node_layer: int = DEFAULT_BYTES_PER_NODE_LAYER
     photon_loss_rate: float = 0.0
     max_rsl: int = DEFAULT_RSL_CAP
-    emit_instructions: bool = False
 
     def hardware_for(self, num_qubits: int) -> tuple[HardwareConfig, int]:
         """Resolve the hardware config and virtual size for a program."""
@@ -79,12 +78,5 @@ class PipelineSettings:
             config=config,
             virtual_size=virtual,
             stream=RandomStream(seed),
-            options={
-                "occupancy_limit": self.occupancy_limit,
-                "refresh_every": self.refresh_every,
-                "memory_budget_bytes": self.memory_budget_bytes,
-                "bytes_per_node_layer": self.bytes_per_node_layer,
-                "max_rsl": self.max_rsl,
-                "emit_instructions": self.emit_instructions,
-            },
+            settings=self,
         )

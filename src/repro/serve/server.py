@@ -42,6 +42,7 @@ from repro.circuits.benchmarks import make_benchmark
 from repro.errors import ReproError
 from repro.experiments.api import get_experiment
 from repro.experiments.runners import make_runner
+from repro.passes import insert_passes
 from repro.pipeline import Pipeline, PipelineSettings
 from repro.pipeline.cache import (
     DiskCache,
@@ -431,19 +432,10 @@ class ReproServer:
             seed=request["seed"],
             cache=self.cache,
         )
-        if request["passes"]:
-            # Same vocabulary and slotting as the CLI's --passes; unknown
-            # names or bad insertions surface as error frames (exactly the
-            # validator fail-fast contract, one layer up).
-            from repro.passes import get_pass
-
-            for name in reversed(
-                [n.strip() for n in request["passes"].split(",") if n.strip()]
-            ):
-                cls = get_pass(name)
-                pipeline = pipeline.insert_pass(
-                    cls(), after=getattr(cls, "default_slot", None)
-                )
+        # Same vocabulary and slotting as the CLI's --passes; unknown
+        # names or bad insertions surface as error frames (exactly the
+        # validator fail-fast contract, one layer up).
+        pipeline = insert_passes(pipeline, request["passes"])
 
         def on_pass(name: str, seconds: float) -> None:
             stream.publish(encode_frame(pass_frame(name, seconds)))

@@ -81,7 +81,6 @@ from repro.online.timelike import (
 )
 from repro.pipeline.passes import (
     CompilerPass,
-    LowerIRPass,
     OfflineMapPass,
     OnlineReshapePass,
     TranslatePass,
@@ -979,7 +978,7 @@ def unrewritten_passes() -> tuple[CompilerPass, ...]:
     swap it in for ``repro.pipeline.pipeline.default_passes`` so experiment
     runs build their pipelines from it.
     """
-    return (TranslatePass(), OfflineMapPass(), LowerIRPass(), OnlineReshapePass())
+    return (TranslatePass(), OfflineMapPass(), OnlineReshapePass())
 
 
 #: Keep exact layers small: every qubit is a real graph node.

@@ -15,11 +15,12 @@ from oracles import unrewritten_passes
 from repro.circuits import make_benchmark
 from repro.errors import CompilationError
 from repro.mbqc.translate import translate_circuit
+from repro.offline.mapper import DEFAULT_BYTES_PER_NODE_LAYER
+from repro.passes import ConnectivityValidatorPass
 from repro.pipeline import (
     CachePass,
     CompilerPass,
     DiskCache,
-    LowerIRPass,
     MemoryCache,
     Pipeline,
     PipelineSettings,
@@ -113,7 +114,7 @@ class TestCachePassWiring:
 
     def test_non_cacheable_pass_rejected(self):
         with pytest.raises(CompilationError, match="not cacheable"):
-            CachePass(LowerIRPass(), MemoryCache())
+            CachePass(ConnectivityValidatorPass(), MemoryCache())
 
     def test_double_wrap_rejected(self):
         cache = MemoryCache()
@@ -122,10 +123,14 @@ class TestCachePassWiring:
 
     def test_cached_passes_skips_ineligible(self):
         cache = MemoryCache()
-        wrapped = cached_passes(default_passes(), cache)
+        chain = Pipeline(SETTINGS).insert_pass(
+            ConnectivityValidatorPass(), after="translate"
+        ).passes
+        wrapped = cached_passes(chain, cache)
         kinds = [type(stage).__name__ for stage in wrapped]
         assert kinds == [
-            "CachePass", "CachePass", "CachePass", "LowerIRPass", "CachePass",
+            "CachePass", "ConnectivityValidatorPass", "CachePass", "CachePass",
+            "CachePass",
         ]
         rewrapped = cached_passes(wrapped, cache)
         assert [type(s).__name__ for s in rewrapped] == kinds
@@ -169,13 +174,13 @@ class TestCachedCompilation:
         cache = MemoryCache()
         loose = PipelineSettings(
             fusion_success_rate=0.9, rsl_size=24, virtual_size=2,
-            max_rsl=10**5, occupancy_limit=0.5,
+            max_rsl=10**5, refresh_every=2,
         )
         a = Pipeline(SETTINGS, cache=cache).compile(CIRCUIT, seed=0)
         b = Pipeline(loose, cache=cache).compile(CIRCUIT, seed=0)
         assert a.metrics["cache_misses"] == 4
         # translate and rewrite read nothing the settings change, so they
-        # hit; offline-map reads the occupancy limit and misses, and so
+        # hit; offline-map reads the refresh period and misses, and so
         # does online-reshape, whose input now has a different key.
         assert (b.metrics["cache_hits"], b.metrics["cache_misses"]) == (2, 2)
         assert _metrics(b) == _metrics(Pipeline(loose).compile(CIRCUIT, seed=0))
@@ -329,6 +334,17 @@ class TestEviction:
         assert reopened.total_bytes() <= 1500
         assert reopened.evictions > 0
 
+    def test_process_runner_keeps_the_budget(self, tmp_path):
+        # A worker's unpickled store estimates only its own writes, so the
+        # parent enforces the budget as chunks come back; before it did,
+        # this run left 16 entries (50,851 B) under its 30,000 B budget.
+        from repro.experiments import get_experiment, make_runner
+
+        cache = DiskCache(tmp_path, max_bytes=30_000)
+        runner = make_runner("process", max_workers=2, cache=cache)
+        get_experiment("fig14").run("bench", 0, runner)
+        assert cache.total_bytes() <= 30_000
+
     def test_overwrites_keep_the_size_estimate_flat(self, tmp_path, monkeypatch):
         # Re-storing one key replaces its file, so the estimate must stay
         # at ~one entry.  The old bug charged the full blob on every
@@ -382,6 +398,7 @@ class TestMaintenance:
 
     def test_verify_drops_corrupt_entries_and_counts(self, tmp_path):
         from repro import obs
+        from repro.obs.summarize import load_events
 
         cache = DiskCache(tmp_path)
         cache.store("00good", {"artifacts": {"x": 1}, "metrics": {}})
@@ -391,14 +408,15 @@ class TestMaintenance:
         trunc = cache._path("11trunc")
         trunc.write_bytes(trunc.read_bytes()[:7])
         cache._path("22alien").write_bytes(pickle.dumps([1, 2, 3]))
-        with obs.session() as tele:
+        events_path = tmp_path / "events.jsonl"
+        with obs.session(events_path=str(events_path)) as tele:
             dropped = cache.verify()
         assert dropped == 2
         assert len(cache) == 1
         assert cache.fetch("00good") is not None
         assert cache.fetch("11trunc") is None  # a counted miss, not a crash
         assert tele.metrics.snapshot()["counters"]["cache.verify_dropped"] == 2
-        kinds = [event["kind"] for event in tele.events.events]
+        kinds = [event["kind"] for event in load_events(events_path)]
         assert "cache_verified" in kinds
 
     def test_verify_clean_store_is_a_no_op(self, tmp_path):
@@ -619,16 +637,14 @@ def _keys(cache):
     return [path.stem for path in cache._entries()]
 
 
-#: Context fields a pass may read; everything else it reads is an option.
-#: ``stream`` stands for the seed: a stochastic pass's key holds the child
-#: seed it derives, a deterministic pass must not read the stream at all.
-CONTEXT_FIELDS = {"circuit", "config", "virtual_size", "stream"}
-
-#: Two values of every context field and option.  The second changes the
+#: Two values of every context field a pass may read; every other read
+#: names a ``PipelineSettings`` field.  ``stream`` stands for the seed: a
+#: stochastic pass's key holds the child seed it derives, a deterministic
+#: pass must not read the stream at all.  The second value changes the
 #: output of any pass that reads it, which is what gives the property the
 #: power to catch an undeclared read.  The two circuits share a name, as a
 #: stochastic pass sees the circuit name only through its child seed.
-VARIANTS = {
+CONTEXT_VARIANTS = {
     "circuit": (CIRCUIT, make_benchmark("qaoa", 4, seed=1)),
     "config": (
         SETTINGS.hardware_for(4)[0],
@@ -636,13 +652,29 @@ VARIANTS = {
     ),
     "virtual_size": (2, 3),
     "stream": (0, 1),
-    "occupancy_limit": (0.25, 0.5),
+}
+
+#: Two values of every ``PipelineSettings`` field, the first as in
+#: ``SETTINGS``.  A pass reads the settings through ``ctx.settings``; the
+#: fields the context already resolves (``virtual_size`` through the
+#: ``virtual_size`` context field, the rest through ``config``) vary here
+#: apart from their context fields, so a pass reading the raw setting is
+#: caught too.
+SETTINGS_VARIANTS = {
+    "fusion_success_rate": (0.9, 0.75),
+    "resource_state_size": (4, 6),
+    "rsl_size": (24, 36),
+    "virtual_size": (2, 3),
+    "node_side": (None, 24),
     "refresh_every": (None, 2),
     "memory_budget_bytes": (None, 1),
-    "bytes_per_node_layer": (None, 1),
+    "bytes_per_node_layer": (DEFAULT_BYTES_PER_NODE_LAYER, 1),
+    "photon_loss_rate": (0.0, 0.1),
     "max_rsl": (10**5, 3),
-    "emit_instructions": (False, True),
 }
+
+#: The ``PassContext`` fields that are the pass bus, not inputs to read.
+BUS_FIELDS = {"artifacts", "timings", "metrics", "spans", "artifact_keys", "lookups"}
 
 CACHEABLE = list(
     {stage.name: stage for stage in (*default_passes(), *baseline_passes())
@@ -654,15 +686,14 @@ def _declared(stage):
     return set(stage.reads) | ({"stream"} if stage.rng_labels else set())
 
 
-def _outcome(stage, values, inputs):
+def _outcome(stage, context, settings, inputs):
     """What one run of ``stage`` produces: artifacts and metrics, or the error."""
-    options = {name: value for name, value in values.items() if name not in CONTEXT_FIELDS}
     ctx = PassContext(
-        circuit=values["circuit"],
-        config=values["config"],
-        virtual_size=values["virtual_size"],
-        stream=RandomStream(values["stream"]),
-        options=options,
+        circuit=context["circuit"],
+        config=context["config"],
+        virtual_size=context["virtual_size"],
+        stream=RandomStream(context["stream"]),
+        settings=PipelineSettings(**settings),
         artifacts={name: pickle.loads(blob) for name, blob in inputs.items()},
     )
     try:
@@ -673,16 +704,34 @@ def _outcome(stage, values, inputs):
     return artifacts, ctx.metrics
 
 
+def _values(variants, kept):
+    """The first value of every variant in ``kept``, the second of the rest."""
+    return {
+        name: pair[0] if name in kept else pair[1] for name, pair in variants.items()
+    }
+
+
 def _undeclared_reads_are_inert(stage, declared):
-    """Does varying every field outside ``declared`` leave the output alone?"""
+    """Does varying every field outside ``declared`` leave the output alone?
+
+    A declared read names a context field when there is one of that name,
+    so the settings field of the same name is always varied.
+    """
     upstream = Pipeline(SETTINGS).run_circuit(CIRCUIT, seed=0).artifacts
     inputs = {name: pickle.dumps(upstream[name]) for name in stage.requires}
-    base = {name: pair[0] for name, pair in VARIANTS.items()}
-    varied = {
-        name: pair[0] if name in declared else pair[1]
-        for name, pair in VARIANTS.items()
-    }
-    return _outcome(stage, base, inputs) == _outcome(stage, varied, inputs)
+    base = _outcome(
+        stage,
+        _values(CONTEXT_VARIANTS, CONTEXT_VARIANTS),
+        _values(SETTINGS_VARIANTS, SETTINGS_VARIANTS),
+        inputs,
+    )
+    varied = _outcome(
+        stage,
+        _values(CONTEXT_VARIANTS, declared),
+        _values(SETTINGS_VARIANTS, declared - set(CONTEXT_VARIANTS)),
+        inputs,
+    )
+    return base == varied
 
 
 class TestKeyCompleteness:
@@ -693,11 +742,16 @@ class TestKeyCompleteness:
     """
 
     def test_variants_cover_every_field_and_option(self):
-        options = SETTINGS.context_for(CIRCUIT).options
-        assert set(VARIANTS) == CONTEXT_FIELDS | set(options)
+        context_fields = {field.name for field in dataclasses.fields(PassContext)}
+        assert context_fields - BUS_FIELDS == set(CONTEXT_VARIANTS) | {"settings"}
+        settings_fields = {field.name for field in dataclasses.fields(PipelineSettings)}
+        assert set(SETTINGS_VARIANTS) == settings_fields
+        assert _values(SETTINGS_VARIANTS, settings_fields) == dataclasses.asdict(SETTINGS)
         assert {stage.name for stage in CACHEABLE} == {
             "translate", "rewrite", "offline-map", "online-reshape", "baseline",
         }
+        for stage in CACHEABLE:
+            assert set(stage.reads) <= set(CONTEXT_VARIANTS) | settings_fields
 
     @pytest.mark.parametrize("stage", CACHEABLE, ids=lambda stage: stage.name)
     def test_undeclared_fields_do_not_change_artifacts(self, stage):

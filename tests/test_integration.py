@@ -15,7 +15,7 @@ from repro.circuits import (
     states_equal_up_to_phase,
 )
 from repro.graphstate import GraphState, Tableau, graph_from_adjacency
-from repro.ir import InstructionInterpreter
+from repro.ir import InstructionInterpreter, lower_ir
 from repro.mbqc import DependencyDAG, run_pattern, translate_circuit
 from repro.offline import OfflineMapper
 from repro.online import OnlineReshaper
@@ -32,7 +32,6 @@ class TestPipeline:
                 fusion_success_rate=0.75,
                 resource_state_size=4,
                 max_rsl=10**5,
-                emit_instructions=True,
             ),
             seed=5,
         )
@@ -42,7 +41,7 @@ class TestPipeline:
     def test_instruction_stream_is_legal(self, compiled):
         _circuit, result = compiled
         width = result.mapping.ir.width
-        rebuilt = InstructionInterpreter(width).run(result.instructions)
+        rebuilt = InstructionInterpreter(width).run(lower_ir(result.mapping.ir))
         assert rebuilt.structurally_equal(result.mapping.ir)
 
     def test_ir_realizes_program_graph(self, compiled):

@@ -172,8 +172,8 @@ class TestEvents:
         assert json.loads(lines[0])["kind"] == "job_started"
         log.emit("job_finished", job="a")
         log.close()
-        assert len(log.events) == 2
         assert len(load_events(path)) == 2
+        assert not hasattr(log, "events")  # the file is the only copy
 
     def test_reemit_preserves_original_timestamp(self):
         log = obs.EventLog()
@@ -195,15 +195,16 @@ class TestSession:
         obs.event("nothing")
         assert obs.span("nothing") is obs.NULL_SPAN
 
-    def test_session_scopes_collection(self):
-        with obs.session() as tele:
+    def test_session_scopes_collection(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with obs.session(events_path=str(path)) as tele:
             assert obs.active() is tele
             obs.count("c", 2)
             obs.event("e")
             with obs.span("s"):
                 pass
             assert tele.metrics.snapshot()["counters"] == {"c": 2}
-            assert len(tele.events) == 1
+            assert len(load_events(path)) == 1
             assert [record["name"] for record in tele.tracer.spans] == ["s"]
         assert obs.active() is None
 
@@ -330,11 +331,12 @@ def _runner_for(name, tmp_path):
 class TestRunnerProvenance:
     @pytest.mark.parametrize("name", ["serial", "process"])
     def test_counters_reconcile_and_spans_arrive(self, name, tmp_path):
-        with obs.session() as tele:
+        events_path = tmp_path / "events.jsonl"
+        with obs.session(events_path=str(events_path)) as tele:
             result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))
             counters = tele.metrics.snapshot()["counters"]
             spans = list(tele.tracer.spans)
-            events = list(tele.events.events)
+        events = load_events(events_path)
         # Records are byte-identical to the no-telemetry serial reference.
         assert canonical_json(result.records) == canonical_json(REFERENCE.records)
         # Session counters == record-derived sums: one source of truth,

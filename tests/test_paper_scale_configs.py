@@ -1,8 +1,11 @@
 """Consistency checks on the paper-scale parameter sets (without running them).
 
-`scale="paper"` runs take hours; these tests make sure the configurations
-are at least well-formed and match the paper's Table 1 / figure captions, so
-a long run cannot die on a typo.
+Every `scale="paper"` experiment that completes does so in under a minute
+(ROADMAP item 3 lists them; fig12, fig14, fig15 and table2 still fail at
+paper scale), but together they take minutes, too long for the unit
+suite.  These tests make sure the configurations are well-formed and match
+the paper's Table 1 / figure captions, so a paper run cannot die on a
+typo.
 """
 
 from repro.circuits.benchmarks import BENCHMARKS

@@ -39,7 +39,7 @@ class TestAnchors:
         after = base.insert_pass(ConnectivityValidatorPass(), after="translate")
         assert _names(after) == [
             "translate", "validate-connectivity", "rewrite", "offline-map",
-            "lower-ir", "online-reshape",
+            "online-reshape",
         ]
         before = base.insert_pass(ConnectivityValidatorPass(), before="rewrite")
         assert _names(before) == _names(after)

@@ -30,7 +30,7 @@ class TestPassContracts:
     def test_default_pass_order(self):
         names = [stage.name for stage in default_passes()]
         assert names == [
-            "translate", "rewrite", "offline-map", "lower-ir", "online-reshape",
+            "translate", "rewrite", "offline-map", "online-reshape",
         ]
 
     def test_default_passes_rewrite_off(self):
@@ -86,24 +86,13 @@ class TestPassContracts:
         assert "mapping" in ctx.artifacts
         assert "reshape" not in ctx.artifacts
 
-    def test_instructions_gated_by_option(self):
-        with_ir = Pipeline(
-            PipelineSettings(max_rsl=10**5, emit_instructions=True), seed=1
-        ).compile(make_benchmark("qaoa", 4, seed=1))
-        without = Pipeline(
-            PipelineSettings(max_rsl=10**5), seed=1
-        ).compile(make_benchmark("qaoa", 4, seed=1))
-        assert len(with_ir.instructions) > 0
-        assert without.instructions == []
-        assert with_ir.rsl_count == without.rsl_count  # lowering never perturbs RNG
-
 
 class TestTimings:
     def test_every_pass_timed(self):
         result = Pipeline(SETTINGS, seed=2).compile(make_benchmark("qaoa", 4, seed=2))
         names = [timing.name for timing in result.pass_timings]
         assert names == [
-            "translate", "rewrite", "offline-map", "lower-ir", "online-reshape",
+            "translate", "rewrite", "offline-map", "online-reshape",
         ]
         assert all(timing.seconds >= 0.0 for timing in result.pass_timings)
         assert result.offline_seconds == result.timings_by_pass["offline-map"]

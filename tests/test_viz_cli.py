@@ -149,7 +149,7 @@ class TestCli:
         assert code == 0
         assert record["rsl_count"] > 0
         assert set(record["pass_timings"]) == {
-            "translate", "rewrite", "offline-map", "lower-ir", "online-reshape"
+            "translate", "rewrite", "offline-map", "online-reshape"
         }
 
     def test_baseline_json_output(self, capsys):
