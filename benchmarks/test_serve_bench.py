@@ -87,8 +87,9 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path, monkeypatch):
 
     # -- cold vs warm latency against a disk-cached server ------------------
     cache = DiskCache(tmp_path / "store")
-    with ServerThread(ServeConfig(port=0, cache=cache)) as st:
-        client = ServeClient(port=st.port)
+    with ServerThread(ServeConfig(port=0, cache=cache)) as st, ServeClient(
+        port=st.port
+    ) as client:
         client.wait_until_up()
         cold_s, cold = _submit_timed(client, request)
         warm_s, warm = _submit_timed(client, request)
@@ -134,6 +135,8 @@ def test_serve_latency_and_coalescing_snapshot(tmp_path, monkeypatch):
             thread.join(timeout=120)
         burst_s = time.perf_counter() - burst_start
         flight = st.server.singleflight.stats()
+        for client in clients:
+            client.close()
     for run in runs:
         run.raise_for_error()
     # every client of the burst received the complete identical stream

@@ -133,19 +133,20 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _telemetry_session(args: argparse.Namespace):
+def _telemetry_session(args: argparse.Namespace, spans: bool = True):
     """A telemetry session scoped to one command, when any output was asked.
 
     Yields the session (or ``None`` when telemetry is off); on exit the
     trace file is written in the requested format.  The events file is
-    streamed live by the session itself.
+    streamed live by the session itself.  ``spans=False`` keeps counters
+    and events only (``serve``).
     """
     trace_out = getattr(args, "trace_out", None)
     events_out = getattr(args, "events_out", None)
     if not trace_out and not events_out:
         yield None
         return
-    with obs.session(events_path=events_out) as tele:
+    with obs.session(events_path=events_out, spans=spans) as tele:
         try:
             yield tele
         finally:
@@ -480,8 +481,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     # The telemetry session wraps the whole server lifetime, so the trace
     # written at exit covers startup cache verification, every request,
-    # and the drain.
-    with _telemetry_session(args):
+    # and the drain: the server's lifecycle and counters, no request's
+    # spans (a long-lived session must not grow with its traffic).
+    with _telemetry_session(args, spans=False):
         try:
             return asyncio.run(_run())
         except KeyboardInterrupt:
@@ -559,6 +561,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
         print(f"submit: {exc}", file=sys.stderr)
         return 1
     finally:
+        client.close()
         if args.out and writer is not None:
             writer.close()
             print(

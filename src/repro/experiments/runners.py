@@ -84,9 +84,9 @@ def _group_pipelines(
     """One cache-wrapped pipeline per ``(settings, baseline)`` group.
 
     ``telemetry`` is the collection intent: the serial runner passes
-    whether a session is active here, the process runner ships the same
-    flag to its workers (which cannot see the parent's session), so
-    records carry their compile spans on either backend.
+    whether a session that keeps spans is active here, the process runner
+    ships the same flag to its workers (which cannot see the parent's
+    session), so records carry their compile spans on either backend.
     """
     pipelines: dict[tuple, Pipeline] = {}
     for job in jobs:
@@ -272,8 +272,10 @@ class Runner:
         observed out-of-band: a ``run:<experiment>`` span brackets the
         whole call, ``run_started``/``run_finished`` events mark its
         lifecycle, and every record's spans and cache provenance are
-        adopted into the session as the record passes through.  Records
-        themselves are byte-identical either way.
+        adopted into the session as the record passes through.  A
+        counters-only session (``spans=False``) gets the events and the
+        cache counts, and neither span.  Records themselves are
+        byte-identical either way.
         """
         jobs = list(jobs)
         tele = obs.active()
@@ -301,12 +303,13 @@ class Runner:
                 yielded += 1
                 yield record
         finally:
-            tele.tracer.add_span(
-                f"run:{experiment}",
-                ts=t0,
-                dur=time.perf_counter() - wall0,
-                attrs={"runner": self.name, "jobs": yielded},
-            )
+            if tele.spans:
+                tele.tracer.add_span(
+                    f"run:{experiment}",
+                    ts=t0,
+                    dur=time.perf_counter() - wall0,
+                    attrs={"runner": self.name, "jobs": yielded},
+                )
             tele.events.emit(
                 "run_finished", experiment=experiment, runner=self.name, jobs=yielded
             )
@@ -325,7 +328,7 @@ class Runner:
         core is the same one the process runner's chunk workers run.
         """
         self._check_jobs(jobs)
-        pipelines = _group_pipelines(jobs, self.cache, obs.active() is not None)
+        pipelines = _group_pipelines(jobs, self.cache, obs.tracing())
         for job in jobs:
             obs.event("job_started", job=job.key, experiment=experiment)
             yield _execute_job(
@@ -363,7 +366,7 @@ class ProcessRunner(Runner):
         self._check_jobs(jobs)
         pool = get_pool(self.max_workers)
         size = chunk_size_for(len(jobs), resolve_workers(self.max_workers))
-        telemetry = obs.active() is not None
+        telemetry = obs.tracing()
         futures = {
             pool.submit(
                 run_chunk,

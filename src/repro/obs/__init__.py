@@ -76,6 +76,7 @@ __all__ = [
     "push_tracer",
     "session",
     "span",
+    "tracing",
     "write_trace_jsonl",
 ]
 
@@ -84,12 +85,20 @@ TRACE_FORMATS = ("jsonl", "chrome")
 
 
 class Telemetry:
-    """One session's collectors: a tracer, a registry, an event log."""
+    """One session's collectors: a tracer, a registry, an event log.
 
-    def __init__(self, events_path: str | None = None) -> None:
+    ``spans=False`` makes a counters-only session: no pipeline traces
+    under it (:func:`tracing` is False), so the records it adopts carry no
+    spans, and runners add no ``run:`` span; its tracer stays empty
+    however long it lives (the serve session, which lasts the server's
+    lifetime).
+    """
+
+    def __init__(self, events_path: str | None = None, spans: bool = True) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.events = EventLog(events_path)
+        self.spans = spans
 
     # -- adoption: telemetry that crossed a process boundary ----------------
 
@@ -162,12 +171,19 @@ def active() -> Telemetry | None:
     return _ACTIVE
 
 
+def tracing() -> bool:
+    """Whether the active session keeps spans (False without a session)."""
+    tele = _ACTIVE
+    return tele is not None and tele.spans
+
+
 @contextmanager
-def session(events_path: str | None = None) -> Iterator[Telemetry]:
+def session(events_path: str | None = None, spans: bool = True) -> Iterator[Telemetry]:
     """Activate a telemetry session for a scope (reentrant: nested sessions
-    stack, the inner one collecting until it exits)."""
+    stack, the inner one collecting until it exits).  ``spans=False``
+    collects counters, histograms and events only."""
     global _ACTIVE
-    tele = Telemetry(events_path=events_path)
+    tele = Telemetry(events_path=events_path, spans=spans)
     with _ACTIVE_LOCK:
         previous, _ACTIVE = _ACTIVE, tele
     try:

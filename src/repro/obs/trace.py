@@ -213,14 +213,15 @@ def push_tracer(tracer: "Tracer | None") -> _PushTracer:
 
 
 def current_tracer() -> "Tracer | None":
-    """The thread's ambient tracer, else the active session's, else None."""
+    """The thread's ambient tracer, else the active session's (unless it
+    keeps counters only), else None."""
     tracer = getattr(_TLS, "tracer", None)
     if tracer is not None:
         return tracer
     from repro import obs
 
     session = obs.active()
-    return session.tracer if session is not None else None
+    return session.tracer if session is not None and session.spans else None
 
 
 def span(name: str, **attrs: Any):

@@ -272,11 +272,6 @@ class MemoryCache(ArtifactCache):
             self._store.pop(key, None)
 
 
-def _entry_path(root: Path, key: str) -> Path:
-    """Where ``key``'s pickle lives under ``root`` (two-char fan-out)."""
-    return root / key[:2] / f"{key}.pkl"
-
-
 class DiskCache(ArtifactCache):
     """On-disk backend: one pickle file per entry, fanned out by key prefix.
 
@@ -303,6 +298,9 @@ class DiskCache(ArtifactCache):
             raise CompilationError(f"max_bytes must be positive, got {max_bytes}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        # The store root as a string: a hit's read joins strings, with no
+        # per-fetch ``Path`` objects.
+        self._root = os.fspath(self.directory) + os.sep
         self.max_bytes = max_bytes
         self.evictions = 0
         # Running payload estimate so a budgeted store does not pay a full
@@ -310,8 +308,12 @@ class DiskCache(ArtifactCache):
         # write, re-synced to truth by every authoritative eviction scan.
         self._approx_bytes = self.total_bytes() if max_bytes is not None else 0
 
+    def _file(self, key: str) -> str:
+        """Where ``key``'s pickle lives (two-char fan-out)."""
+        return f"{self._root}{key[:2]}{os.sep}{key}.pkl"
+
     def _path(self, key: str) -> Path:
-        return _entry_path(self.directory, key)
+        return Path(self._file(key))
 
     def _entries(self):
         """Every entry file currently in the store (depth-2 ``*.pkl`` only)."""
@@ -331,9 +333,10 @@ class DiskCache(ArtifactCache):
         return total
 
     def _read(self, key: str) -> bytes | None:
-        path = self._path(key)
+        path = self._file(key)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except FileNotFoundError:
             return None
         try:
@@ -343,10 +346,10 @@ class DiskCache(ArtifactCache):
         return blob
 
     def _discard(self, key: str) -> None:
-        path = self._path(key)
+        path = self._file(key)
         try:
-            size = path.stat().st_size
-            path.unlink()
+            size = os.stat(path).st_size
+            os.unlink(path)
         except OSError:
             return  # already gone: a concurrent eviction or drop
         if self.max_bytes is not None:

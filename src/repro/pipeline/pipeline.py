@@ -179,14 +179,15 @@ class Pipeline:
         starts, so pass timings never include unpickling cached artifacts.
 
         With ``telemetry`` enabled — explicitly, or implicitly because a
-        telemetry session is active in this process — the loop additionally
-        records one ``pass:<name>`` span per stage under a ``compile`` root,
-        measured from the *same* clock reads that feed
+        telemetry session that keeps spans is active in this process (a
+        counters-only one, such as the serve session, traces nothing) —
+        the loop additionally records one ``pass:<name>`` span per stage
+        under a ``compile`` root, measured from the *same* clock reads that feed
         ``PassContext.timings``, so trace summaries reconcile with pass
         timings exactly.  Timings and artifacts are identical either way:
         spans are out-of-band.
         """
-        if self.telemetry or obs.active() is not None:
+        if self.telemetry or obs.tracing():
             return self._run_traced(ctx)
         for stage in self.passes:
             self._prepare(stage, ctx)

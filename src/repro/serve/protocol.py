@@ -271,7 +271,7 @@ def validate_request(obj: Any) -> dict[str, Any]:
     if not isinstance(obj, dict):
         raise ProtocolError(f"request is not a JSON object: {obj!r}")
     op = obj.get("op")
-    if op not in _REQUEST_SPEC:
+    if not isinstance(op, str) or op not in _REQUEST_SPEC:
         raise ProtocolError(
             f"unknown op {op!r}; expected one of: {', '.join(OPS)}"
         )

@@ -6,22 +6,31 @@ a bounded thread pool (``max_inflight`` concurrent compiles) so a traffic
 burst queues instead of forking the machine.  The asyncio side only ever
 shuttles bytes: producers run in worker threads, publish encoded frames
 into an :class:`~repro.serve.singleflight.InflightStream`, and every
-connection subscribed to that stream forwards the identical bytes.
+connection subscribed to that stream forwards the identical bytes.  A
+connection serves requests one after another for as long as the client
+keeps it open (:class:`~repro.serve.client.ServeClient` pools them).
 
-Single-flight coalescing happens at request-key granularity: a compile
-request's key hashes the *circuit fingerprint* plus the resolved settings
-(the same :func:`~repro.pipeline.cache.circuit_fingerprint` the artifact
-cache keys on), an experiment request's key hashes the normalized request,
-so simultaneous identical requests cost one compile and N subscriptions.
-Repeat traffic that misses the single-flight window still hits the shared
-artifact cache — the server holds one cache for its whole lifetime,
-verified (unreadable entries dropped, counted) at startup.
+Single-flight coalescing happens at request-key granularity:
+:func:`request_key` hashes the normalized request fields — for a compile
+the family (lowercased), qubit count, seed, resolved settings and
+inserted passes, which determine the circuit — so the event loop never
+builds a circuit, and simultaneous identical requests cost one compile
+and N subscriptions.  The worker builds the circuit once, inside the
+producer.  Repeat traffic that misses the single-flight window still hits
+the shared artifact cache — the server holds one cache for its whole
+lifetime, verified (unreadable entries dropped, counted) at startup.
 
 Shutdown is a drain, not a guillotine: listeners close first (no new
 connections), in-flight requests run to their terminal frame (bounded by
-``drain_timeout``), stragglers are cancelled, and the worker pool shuts
-down with queued work cancelled.  A request arriving on a live connection
-mid-drain gets an ``error`` frame with kind ``draining``.
+``drain_timeout``), then every connection still open, idle or not, is
+cancelled, and the worker pool shuts down with queued work cancelled.  A
+request arriving on a live connection mid-drain gets an ``error`` frame
+with kind ``draining``.
+
+The serve session keeps counters only (:func:`repro.obs.session` with
+``spans=False``: the server's own, or the one ``repro serve`` opens for
+``--trace-out``): no compile or experiment span enters it, so a server
+that runs for weeks holds a bounded registry, not a growing span list.
 
 :class:`ServerThread` hosts a server on a background event loop for tests,
 benchmarks, and synchronous embedders.
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,11 +54,7 @@ from repro.experiments.api import get_experiment
 from repro.experiments.runners import make_runner
 from repro.passes import insert_passes
 from repro.pipeline import Pipeline, PipelineSettings
-from repro.pipeline.cache import (
-    DiskCache,
-    cache_summary,
-    circuit_fingerprint,
-)
+from repro.pipeline.cache import DiskCache, cache_summary
 from repro.pipeline.pipeline import baseline_passes
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -92,13 +98,16 @@ class ServeConfig:
 def request_key(request: dict[str, Any]) -> str:
     """The single-flight key of a normalized request.
 
-    Compile/baseline requests key on the circuit's content fingerprint
-    (reusing the cache's :func:`circuit_fingerprint` verbatim) plus the
-    resolved :class:`PipelineSettings` and seed — the same identity the
-    artifact cache addresses, one level up.  Experiment requests key on
-    the normalized request fields (runner config included: coalesced
-    subscribers share *one* stream, so its execution backend must be part
-    of the identity).
+    Compile/baseline requests key on the fields that determine their
+    work: the benchmark family lowercased (as
+    :func:`~repro.circuits.benchmarks.make_benchmark` reads it), the
+    qubit count and seed that build the circuit, the resolved
+    :class:`PipelineSettings` and the inserted ``passes``.  No circuit is
+    built: the key costs microseconds on the event loop, and a request
+    the family's factory rejects fails in its producer.  Experiment
+    requests key on the normalized request fields (runner config
+    included: coalesced subscribers share *one* stream, so its execution
+    backend must be part of the identity).
     """
     if request["op"] == "experiment":
         parts = [
@@ -109,14 +118,12 @@ def request_key(request: dict[str, Any]) -> str:
             ),
         ]
     else:
-        circuit = make_benchmark(
-            request["benchmark"], request["qubits"], seed=request["seed"]
-        )
         parts = [
             f"op={request['op']}",
-            f"circuit={circuit_fingerprint(circuit)}",
-            f"config={_settings_for(request)!r}",
+            f"benchmark={request['benchmark'].lower()!r}",
+            f"qubits={request['qubits']}",
             f"seed={request['seed']}",
+            f"config={_settings_for(request)!r}",
             f"passes={request['passes']!r}",
         ]
     return hashlib.blake2b("\n".join(parts).encode(), digest_size=20).hexdigest()
@@ -130,6 +137,11 @@ def _settings_for(request: dict[str, Any]) -> PipelineSettings:
         virtual_size=request["virtual_size"],
         max_rsl=request["max_rsl"],
     )
+
+
+class _RequestError(ReproError):
+    """A request naming work that cannot exist (e.g. a circuit its
+    family's factory rejects); its error frame has kind ``request``."""
 
 
 class _NotifyingPass:
@@ -188,12 +200,12 @@ class ReproServer:
         requests, errors and cache lookups in that session's registry,
         and the stats request serves the registry snapshot — joining the
         active one (the CLI's ``--trace-out``/``--events-out`` session) or
-        opening its own collect-only session for its lifetime.
+        opening its own counters-only session for its lifetime.
         """
         from concurrent.futures import ThreadPoolExecutor
 
         if obs.active() is None:
-            self._own_session = obs.session()
+            self._own_session = obs.session(spans=False)
             self._own_session.__enter__()
         self._tele = obs.active()
         if isinstance(self.cache, DiskCache):
@@ -237,15 +249,20 @@ class ReproServer:
         self._draining = True
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            await server.wait_closed()
         deadline = time.monotonic() + drain_timeout
         while self._requests_active and time.monotonic() < deadline:
             await asyncio.sleep(0.05)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
+        # Clients keep connections open between requests, so idle ones
+        # close here with the stragglers.  Only then can the listeners'
+        # wait_closed return: from Python 3.12 on it waits for every
+        # connection the listener accepted.  Loop: a connection accepted
+        # just before the close may start its handler during the gather.
+        while self._conn_tasks:
+            for task in list(self._conn_tasks):
+                task.cancel()
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        for server in self._servers:
+            await server.wait_closed()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
         if self.config.unix_path is not None:
@@ -265,6 +282,7 @@ class ReproServer:
     ) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        obs.count("serve.connections")
         try:
             await self._serve_connection(reader, writer)
         except (
@@ -343,12 +361,7 @@ class ReproServer:
             )
             await self._send(writer, stats_frame(self.stats()))
             return
-        try:
-            key = request_key(request)
-        except ReproError as exc:  # e.g. unknown benchmark family
-            obs.count("serve.errors")
-            await self._send(writer, error_frame(str(exc), kind="request"))
-            return
+        key = request_key(request)
         stream, leader = self.singleflight.join(
             key, lambda s: self._pool.submit(self._produce, s, request)
         )
@@ -382,12 +395,11 @@ class ReproServer:
             details = (
                 exc.to_json_obj() if hasattr(exc, "to_json_obj") else None
             )
+            kind = "request" if isinstance(exc, _RequestError) else type(exc).__name__
             obs.count("serve.errors")
             self.singleflight.retire(stream.key, stream)
             stream.publish(
-                encode_frame(
-                    error_frame(str(exc), kind=type(exc).__name__, details=details)
-                )
+                encode_frame(error_frame(str(exc), kind=kind, details=details))
             )
         finally:
             self.singleflight.finish(stream.key, stream)
@@ -422,9 +434,12 @@ class ReproServer:
         self, stream: InflightStream, request: dict[str, Any], start: float
     ) -> None:
         settings = _settings_for(request)
-        circuit = make_benchmark(
-            request["benchmark"], request["qubits"], seed=request["seed"]
-        )
+        try:
+            circuit = make_benchmark(
+                request["benchmark"], request["qubits"], seed=request["seed"]
+            )
+        except ReproError as exc:  # unknown family, or a size it rejects
+            raise _RequestError(str(exc)) from exc
         baseline = request["op"] == "baseline"
         pipeline = Pipeline(
             settings,
@@ -531,11 +546,12 @@ class ReproServer:
 
 
 def _parse_request(line: bytes) -> Any:
-    import json
-
+    # ValueError covers bad JSON and bytes that are not UTF-8; nesting
+    # deeper than the decoder's recursion limit raises RecursionError.
+    # Either would otherwise escape the handler and drop the connection.
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"unparsable request: {exc}") from None
 
 

@@ -11,7 +11,10 @@ socket), with the server hosted on a background event loop:
   cache counts only), the stats op serves the registry's request and
   cache counters, protocol errors fail the request but not the
   connection, and graceful shutdown drains in-flight requests to their
-  terminal frame.
+  terminal frame;
+* a client reuses one connection across submits and never reuses one
+  whose stream did not end cleanly, request keys build no circuit, and
+  every malformed request line (fuzzed) gets exactly one protocol error.
 
 The experiments used here are registered toys: fast deterministic FnJobs
 plus one real (tiny) CompileJob, and a gated variant whose first job
@@ -20,10 +23,13 @@ blocks on a module Event so tests can hold a request in flight on purpose
 """
 
 import json
+import socket
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hs
 
+from repro.circuits.benchmarks import make_benchmark
 from repro.errors import ReproError
 from repro.experiments.api import (
     CompileJob,
@@ -43,7 +49,7 @@ from repro.serve import (
     decode_frame,
     request_key,
 )
-from repro.serve.protocol import PROTOCOL_VERSION
+from repro.serve.protocol import MAX_FRAME_BYTES, OPS, PROTOCOL_VERSION
 
 #: Appended per job *execution* — the burst test's "exactly one compile"
 #: witness (serve toys run on the serial runner inside this process).
@@ -131,16 +137,24 @@ def _registered_toys():
         EXPERIMENT_REGISTRY.pop(name, None)
 
 
+#: Clients made by :func:`_client`; each test's teardown closes them, so
+#: no pooled connection outlives its test.
+CLIENTS: list[ServeClient] = []
+
+
 @pytest.fixture(autouse=True)
 def _reset_gate():
     GATE.clear()
     EXECUTED.clear()
     yield
     GATE.set()  # never leave a worker blocked across tests
+    while CLIENTS:
+        CLIENTS.pop().close()
 
 
 def _client(st: ServerThread, **kwargs) -> ServeClient:
     client = ServeClient(port=st.port, **kwargs)
+    CLIENTS.append(client)
     client.wait_until_up()
     return client
 
@@ -386,8 +400,6 @@ class TestLifecycle:
                 run.experiment_result()
 
     def test_protocol_error_does_not_kill_the_connection(self):
-        import socket
-
         with ServerThread(ServeConfig(port=0)) as st:
             _client(st)  # waits until up
             with socket.create_connection(("127.0.0.1", st.port)) as sock:
@@ -403,8 +415,6 @@ class TestLifecycle:
                 assert decode_frame(reader.readline())["frame"] == "stats"
 
     def test_removed_runner_options_are_error_frames(self):
-        import socket
-
         with ServerThread(ServeConfig(port=0)) as st:
             _client(st)  # waits until up
             with socket.create_connection(("127.0.0.1", st.port)) as sock:
@@ -442,8 +452,6 @@ class TestLifecycle:
     def test_removed_rewrite_field_is_an_error_frame(self):
         """Protocol v3 dropped the ``rewrite`` field: a request that still
         carries it gets a structured error frame naming the field."""
-        import socket
-
         assert PROTOCOL_VERSION == 4
         with ServerThread(ServeConfig(port=0)) as st:
             _client(st)  # waits until up
@@ -480,11 +488,11 @@ class TestLifecycle:
             ServeConfig(port=None, unix_path=path)
         ) as st:
             assert st.port is None
-            client = ServeClient(unix_path=path)
-            client.wait_until_up()
-            run = client.submit(
-                {"op": "experiment", "name": "serve-toy"}
-            ).raise_for_error()
+            with ServeClient(unix_path=path) as client:
+                client.wait_until_up()
+                run = client.submit(
+                    {"op": "experiment", "name": "serve-toy"}
+                ).raise_for_error()
         assert canonical_json(run.records) == canonical_json(LOCAL_TOY.records)
 
     def test_graceful_shutdown_drains_in_flight_request(self):
@@ -529,6 +537,303 @@ class TestLifecycle:
             GATE.set()  # let the (still running) producer finish pre-drain
 
 
+_COMPILE = {"op": "compile", "benchmark": "qaoa", "qubits": 4, "rate": 0.9,
+            "rsl_size": 24, "virtual_size": 2, "max_rsl": 10**5}
+
+
+def _connections(client: ServeClient) -> int:
+    """Connections the server has accepted so far (the stats request
+    itself rides a pooled connection when one is idle)."""
+    return client.server_stats()["metrics"]["counters"]["serve.connections"]
+
+
+class TestConnections:
+    """``ServeClient`` keeps its handshaken connections open across
+    submits, and never reuses one whose stream did not end cleanly."""
+
+    def test_sequential_submits_share_one_connection(self):
+        with ServerThread(ServeConfig(port=0)) as st:
+            client = _client(st)
+            for _ in range(3):
+                client.submit(_COMPILE).raise_for_error()
+            client.submit(
+                {"op": "experiment", "name": "serve-toy"}
+            ).raise_for_error()
+            # wait_until_up's handshake, four requests and the stats
+            # request: one connection
+            assert _connections(client) == 1
+
+    def test_next_submit_after_a_request_timeout_reconnects(self):
+        with ServerThread(ServeConfig(port=0, request_timeout=0.2)) as st:
+            client = _client(st)
+            run = client.submit({"op": "experiment", "name": "serve-gated"})
+            assert run.error["kind"] == "timeout"
+            GATE.set()  # let the (still running) producer finish pre-drain
+            again = client.submit(
+                {"op": "experiment", "name": "serve-toy"}
+            ).raise_for_error()
+            assert canonical_json(again.records) == canonical_json(
+                LOCAL_TOY.records
+            )
+            assert _connections(client) == 2
+
+    def test_threads_sharing_one_client_coalesce(self):
+        with ServerThread(ServeConfig(port=0, max_inflight=2)) as st:
+            client = _client(st)
+            runs: list = [None, None]
+
+            def submit(slot):
+                runs[slot] = client.submit(
+                    {"op": "experiment", "name": "serve-gated"}
+                )
+
+            threads = [threading.Thread(target=submit, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for _ in range(200):
+                stats = st.server.singleflight.stats()
+                if stats["started"] + stats["coalesced"] >= 2:
+                    break
+                threading.Event().wait(0.05)
+            GATE.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            # each in-flight submit had a connection of its own
+            assert _connections(client) == 2
+        for run in runs:
+            run.raise_for_error()
+        assert EXECUTED.count("gated/0") == 1
+        assert sorted(run.coalesced for run in runs) == [False, True]
+        assert runs[0].raw == runs[1].raw
+
+    def test_concurrent_submits_never_share_a_connection(self):
+        """More threads than cores on one client, with a short switch
+        interval: a connection handed to two submits at once would mix
+        their streams, and a lost pool update would leak or duplicate."""
+        import sys
+
+        from repro.pipeline.cache import MemoryCache
+
+        threads, rounds = 6, 4
+        requests = [
+            {**_COMPILE, "benchmark": family, "seed": seed}
+            for family in ("qaoa", "qft", "rca")
+            for seed in (0, 1)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServerThread(
+                ServeConfig(port=0, cache=MemoryCache(), max_inflight=2)
+            ) as st:
+                client = _client(st)
+                mismatched: list = []
+                errors: list = []
+
+                def work(slot):
+                    try:
+                        for k in range(rounds):
+                            request = requests[(slot + k) % len(requests)]
+                            run = client.submit(request).raise_for_error()
+                            family = run.result["benchmark"].split("-")[0]
+                            if family != request["benchmark"]:
+                                mismatched.append((request, run.result))
+                    except Exception as exc:  # surfaced after join
+                        errors.append(exc)
+
+                pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in pool)
+                accepted = _connections(client)
+                idle = len(client._idle)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not mismatched
+        assert 1 <= accepted <= threads
+        assert idle == accepted  # every connection came back exactly once
+
+    def test_exception_in_on_frame_discards_the_connection(self):
+        def fail_on_first_record(frame):
+            if frame["frame"] == "record":
+                raise RuntimeError("consumer failed")
+
+        with ServerThread(ServeConfig(port=0)) as st:
+            client = _client(st)
+            request = {"op": "experiment", "name": "serve-toy"}
+            with pytest.raises(RuntimeError, match="consumer failed"):
+                client.submit(request, on_frame=fail_on_first_record)
+            # A reused half-read connection would replay the abandoned
+            # stream's tail here instead of this request's response.
+            run = client.submit(request).raise_for_error()
+            assert canonical_json(run.records) == canonical_json(
+                LOCAL_TOY.records
+            )
+            assert _connections(client) == 2
+
+    def test_close_and_context_manager_close_idle_connections(self):
+        with ServerThread(ServeConfig(port=0)) as st:
+            with ServeClient(port=st.port) as client:
+                client.wait_until_up()
+                client.submit(_COMPILE).raise_for_error()
+                assert len(client._idle) == 1
+            assert client._idle == []
+            # a closed client still serves, keeping nothing open
+            client.submit({"op": "stats"}).raise_for_error()
+            assert client._idle == []
+
+
+class TestRequestKey:
+    def test_key_builds_no_circuit(self, monkeypatch):
+        request = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                   "rate": 0.75, "stars": 4, "seed": 0, "rsl_size": None,
+                   "virtual_size": None, "max_rsl": 10**6, "passes": None}
+        key = request_key(request)
+
+        def no_circuits(*args, **kwargs):
+            raise AssertionError("request_key built a circuit")
+
+        monkeypatch.setattr("repro.serve.server.make_benchmark", no_circuits)
+        assert request_key(request) == key
+
+    def test_family_case_does_not_split_the_key(self):
+        request = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                   "rate": 0.75, "stars": 4, "seed": 0, "rsl_size": None,
+                   "virtual_size": None, "max_rsl": 10**6, "passes": None}
+        assert request_key({**request, "benchmark": "QAOA"}) == request_key(request)
+
+    @pytest.mark.parametrize("family, qubits", [("nope", 4), ("rca", 3)])
+    def test_circuits_the_factory_rejects_end_in_one_request_error(
+        self, family, qubits
+    ):
+        with pytest.raises(ReproError) as factory:
+            make_benchmark(family, qubits, seed=0)
+        with ServerThread(ServeConfig(port=0)) as st:
+            client = _client(st)
+            run = client.submit(
+                {"op": "compile", "benchmark": family, "qubits": qubits}
+            )
+            # the connection keeps serving after a request error
+            client.submit(_COMPILE).raise_for_error()
+            assert _connections(client) == 1
+        assert run.frames == [run.error]
+        assert run.error["kind"] == "request"
+        assert run.error["error"] == str(factory.value)
+
+
+#: JSON values for the wrong-type fuzz (``bool`` is never a number).
+_JSON_SCALARS = (
+    hs.none() | hs.booleans() | hs.integers() | hs.floats(allow_nan=False)
+    | hs.text(max_size=8)
+)
+_JSON_VALUES = hs.recursive(
+    _JSON_SCALARS,
+    lambda inner: hs.lists(inner, max_size=3)
+    | hs.dictionaries(hs.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: A valid request per op, and the JSON types each of its fields admits.
+_VALID = {
+    "compile": (_COMPILE, {
+        "benchmark": (str,), "qubits": (int,), "rate": (int, float),
+        "stars": (int,), "seed": (int,), "rsl_size": (int, type(None)),
+        "virtual_size": (int, type(None)), "max_rsl": (int,),
+        "passes": (str, type(None)), "id": (str, type(None)), "v": (int,),
+    }),
+    "experiment": ({"op": "experiment", "name": "serve-toy"}, {
+        "name": (str,), "scale": (str,), "seed": (int,), "runner": (str,),
+        "workers": (int, type(None)), "id": (str, type(None)), "v": (int,),
+    }),
+}
+
+
+def _wrongly_typed(value, types) -> bool:
+    return isinstance(value, bool) or not isinstance(value, types)
+
+
+@hs.composite
+def _wrong_field_type(draw) -> bytes:
+    op = draw(hs.sampled_from(sorted(_VALID)))
+    request, fields = _VALID[op]
+    field = draw(hs.sampled_from(sorted(fields)))
+    value = draw(_JSON_VALUES.filter(lambda v: _wrongly_typed(v, fields[field])))
+    return json.dumps({**request, field: value}).encode()
+
+
+_NOT_JSON = hs.binary(min_size=1, max_size=40).filter(
+    lambda line: b"\n" not in line and line.strip()
+)
+_NOT_OBJECTS = _JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(
+    lambda v: json.dumps(v).encode()
+)
+_UNKNOWN_OPS = hs.builds(
+    lambda op, extra: json.dumps({"op": op, **extra}).encode(),
+    _JSON_VALUES.filter(lambda op: op not in OPS),
+    hs.dictionaries(hs.text(max_size=4), _JSON_SCALARS, max_size=2),
+)
+_MALFORMED = _NOT_JSON | _NOT_OBJECTS | _UNKNOWN_OPS | _wrong_field_type()
+
+
+def _read_response(reader) -> list[dict]:
+    """Frames up to and including the terminal one."""
+    frames = []
+    while not frames or frames[-1]["frame"] not in ("summary", "error", "stats"):
+        frames.append(decode_frame(reader.readline()))
+    return frames
+
+
+class TestFrontDoorFuzz:
+    """Malformed request lines each end in exactly one ``protocol`` error
+    frame, and never cost the connection or the server."""
+
+    def test_malformed_lines_get_one_protocol_error_each(self):
+        with ServerThread(ServeConfig(port=0)) as st:
+            _client(st)  # waits until up
+            with (
+                socket.create_connection(("127.0.0.1", st.port)) as sock,
+                sock.makefile("rb") as reader,
+            ):
+                assert decode_frame(reader.readline())["frame"] == "hello"
+
+                @settings(
+                    max_examples=150,
+                    deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much],
+                )
+                @given(_MALFORMED)
+                def one_error_frame(line):
+                    sock.sendall(line + b"\n")
+                    error = decode_frame(reader.readline())
+                    assert error["frame"] == "error"
+                    assert error["kind"] == "protocol"
+
+                one_error_frame()
+                # Lines are answered in order, so a second frame for any
+                # malformed line would arrive here before the ack.
+                sock.sendall(json.dumps(_COMPILE).encode() + b"\n")
+                frames = _read_response(reader)
+        assert frames[0]["frame"] == "ack"
+        assert [f["frame"] for f in frames[-2:]] == ["result", "summary"]
+
+    def test_over_limit_line_closes_and_the_next_submit_reconnects(self):
+        with ServerThread(ServeConfig(port=0)) as st:
+            client = _client(st)
+            (conn,) = client._idle  # the pooled connection wait_until_up made
+            try:
+                conn.sock.sendall(b"x" * (MAX_FRAME_BYTES + 1) + b"\n")
+                error = decode_frame(conn.reader.readline())
+                assert error["kind"] == "protocol"
+                assert conn.reader.readline() == b""  # closed by the server
+            except ConnectionResetError:
+                pass  # the close reset the connection before the frame
+            run = client.submit(_COMPILE).raise_for_error()
+            assert run.result["rsl_count"] > 0
+            assert _connections(client) == 2
+
+
 def _session_span_counts(requests: list[dict]) -> list[int]:
     """The server session's span count after each of ``requests``."""
     counts = []
@@ -550,16 +855,13 @@ class TestBoundedGrowth:
                    "max_rsl": 10**5}
         assert _session_span_counts([request] * 3) == [0, 0, 0]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 6: Runner.iter_jobs adopts every record's "
-        "spans and a run: span into the server's session",
-    )
     def test_experiment_requests_add_no_spans(self):
+        """The serve session keeps counters only: neither the records'
+        compile spans nor the runner's ``run:`` span enter it."""
         counts = _session_span_counts(
             [{"op": "experiment", "name": "serve-toy"}] * 3
         )
-        assert counts == [counts[0]] * 3
+        assert counts == [0, 0, 0]
 
 
 class TestFrameSchema:
