@@ -5,7 +5,7 @@ Run:  python examples/quickstart.py
 
 from repro.circuits import qaoa
 from repro.ir import lower_ir
-from repro.pipeline import Pipeline, PipelineSettings
+from repro.pipeline import Pipeline, PipelineSettings, baseline_passes
 
 
 def main() -> None:
@@ -43,7 +43,9 @@ def main() -> None:
     print(f"  ... ({len(instructions)} total)")
 
     # Compare with the OneQ baseline under repeat-until-success.
-    baseline = compiler.compile_baseline(circuit)
+    baseline = Pipeline(
+        compiler.settings, passes=baseline_passes(), seed=compiler.seed
+    ).compile(circuit)
     cap = "(hit the cap)" if baseline.capped else ""
     print()
     print(f"OneQ baseline #RSL:   {baseline.rsl_count} {cap}")

@@ -35,12 +35,30 @@ class BaselineResult:
     fusion_count: int
     restarts: int
     capped: bool = False
-    #: Pipeline ``PassContext.metrics`` provenance (cache hit/miss counts,
-    #: ...), attached by ``Pipeline.compile_baseline`` after the run.
+    #: The per-pass timings, ``PassContext.metrics`` provenance (cache
+    #: hit/miss counts, ...) and telemetry spans (out-of-band; empty unless
+    #: tracing) of the compilation, attached by ``Pipeline.compile`` after
+    #: the run.
+    pass_timings: list = field(default_factory=list, compare=False, repr=False)
     metrics: dict = field(default_factory=dict, compare=False, repr=False)
-    #: Telemetry spans from the compilation (out-of-band; attached by
-    #: ``Pipeline.compile_baseline`` when tracing, else empty).
     spans: list = field(default_factory=list, compare=False, repr=False)
+
+    def fields(self) -> dict:
+        """The deterministic summary: what records, payloads and reports show."""
+        return {
+            "rsl_count": int(self.rsl_count),
+            "fusion_count": int(self.fusion_count),
+            "restarts": int(self.restarts),
+            "capped": bool(self.capped),
+        }
+
+    @property
+    def timings_by_pass(self) -> dict[str, float]:
+        """Pass name -> seconds, as :class:`CompilationResult` reports them."""
+        # Lazy import: repro.pipeline imports this module.
+        from repro.pipeline.context import aggregate_timings
+
+        return aggregate_timings(self.pass_timings)
 
 
 def _geometric(rng, success_probability: float, cap: int) -> int:

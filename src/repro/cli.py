@@ -34,6 +34,7 @@ import sys
 from contextlib import contextmanager
 
 from repro import obs
+from repro.baseline import BaselineResult
 from repro.circuits.benchmarks import BENCHMARKS, make_benchmark
 from repro.experiments.api import (
     EXPERIMENT_REGISTRY,
@@ -47,7 +48,6 @@ from repro.experiments.common import SCALES
 from repro.experiments.runners import RUNNERS, make_runner
 from repro.experiments.streams import CsvStreamWriter, make_stream_writer
 from repro.passes import (
-    DeviceValidatorPass,
     UnknownPassError,
     ValidationError,
     insert_passes,
@@ -57,6 +57,7 @@ from repro.pipeline import (
     PassInsertionError,
     Pipeline,
     PipelineSettings,
+    baseline_passes,
     make_cache,
 )
 from repro.pipeline.cache import CACHE_KINDS, cache_summary
@@ -118,13 +119,6 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         "results are byte-identical with tracing on or off",
     )
     parser.add_argument(
-        "--trace-format",
-        default="jsonl",
-        choices=list(obs.TRACE_FORMATS),
-        help="trace file format: 'jsonl' (one span per line, for "
-        "'repro telemetry summarize') or 'chrome' (chrome://tracing JSON)",
-    )
-    parser.add_argument(
         "--events-out",
         metavar="FILE",
         help="stream lifecycle events (run/job/cache) to FILE as JSON "
@@ -137,9 +131,9 @@ def _telemetry_session(args: argparse.Namespace, spans: bool = True):
     """A telemetry session scoped to one command, when any output was asked.
 
     Yields the session (or ``None`` when telemetry is off); on exit the
-    trace file is written in the requested format.  The events file is
-    streamed live by the session itself.  ``spans=False`` keeps counters
-    and events only (``serve``).
+    trace file is written as JSONL.  The events file is streamed live by
+    the session itself.  ``spans=False`` keeps counters and events only
+    (``serve``).
     """
     trace_out = getattr(args, "trace_out", None)
     events_out = getattr(args, "events_out", None)
@@ -151,7 +145,7 @@ def _telemetry_session(args: argparse.Namespace, spans: bool = True):
             yield tele
         finally:
             if trace_out:
-                tele.write_trace(trace_out, fmt=args.trace_format)
+                tele.write_trace(trace_out)
                 print(f"wrote {trace_out}", file=sys.stderr)
             if events_out:
                 print(f"wrote {events_out}", file=sys.stderr)
@@ -169,12 +163,13 @@ def _cache_from(args: argparse.Namespace):
 
 
 def _build_pipeline(args: argparse.Namespace) -> Pipeline:
-    """Settings + default chain + any ``--passes`` insertions.
+    """Settings + the command's chain + any ``--passes`` insertions.
 
-    Unknown pass names raise :class:`~repro.passes.UnknownPassError`
-    (listing the registry) and bad insertions raise
-    :class:`~repro.pipeline.PassInsertionError` — both usage errors the
-    command handlers turn into exit 2.
+    ``baseline`` compiles with ``baseline_passes()``, ``compile`` with the
+    default OnePerc chain.  Unknown pass names raise
+    :class:`~repro.passes.UnknownPassError` (listing the registry) and bad
+    insertions raise :class:`~repro.pipeline.PassInsertionError` — both
+    usage errors the command handler turns into exit 2.
     """
     settings = PipelineSettings(
         fusion_success_rate=args.rate,
@@ -183,7 +178,12 @@ def _build_pipeline(args: argparse.Namespace) -> Pipeline:
         virtual_size=args.virtual_size,
         max_rsl=args.max_rsl,
     )
-    pipeline = Pipeline(settings, seed=args.seed, cache=_cache_from(args))
+    pipeline = Pipeline(
+        settings,
+        passes=baseline_passes() if args.command == "baseline" else None,
+        seed=args.seed,
+        cache=_cache_from(args),
+    )
     return insert_passes(pipeline, getattr(args, "passes", None))
 
 
@@ -195,11 +195,13 @@ def _cache_counts(metrics: dict) -> dict:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    """``compile`` and ``baseline``: one circuit through the command's chain."""
+    command = args.command
     circuit = make_benchmark(args.benchmark, args.qubits, seed=args.seed)
     try:
         pipeline = _build_pipeline(args)
     except (UnknownPassError, PassInsertionError) as exc:
-        print(f"compile: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
     try:
         with _telemetry_session(args) as tele:
@@ -210,41 +212,45 @@ def cmd_compile(args: argparse.Namespace) -> int:
         # Machine-readable diagnostics on stdout (the contract CI's smoke
         # step schema-checks), human summary on stderr, usage-error exit.
         print(exc.to_json())
-        print(f"compile: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:
         # A configuration the compile cannot honour (RSL cap, oversized
-        # virtual hardware, a mapper stall): one line, not a traceback.
-        print(f"compile: {exc}", file=sys.stderr)
+        # virtual hardware, a mapper stall, OneQ failing to embed): one
+        # line, not a traceback.
+        print(f"{command}: {exc}", file=sys.stderr)
         return 1
+    fields = result.fields()
+    baseline = isinstance(result, BaselineResult)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "compile",
-                    "benchmark": circuit.name,
-                    "num_qubits": result.num_qubits,
-                    "seed": args.seed,
-                    "fusion_success_rate": args.rate,
-                    "rsl_count": result.rsl_count,
-                    "fusion_count": result.fusion_count,
-                    "logical_layers": result.logical_layers,
-                    "pl_ratio": result.pl_ratio,
-                    "offline_seconds": result.offline_seconds,
-                    "online_seconds": result.online_seconds,
-                    "pass_timings": result.timings_by_pass,
-                    "metrics": result.metrics,
-                    "cache": _cache_counts(result.metrics),
-                },
-                indent=2,
-            )
-        )
+        record = {
+            "command": command,
+            "benchmark": circuit.name,
+            "num_qubits": circuit.num_qubits,
+            "seed": args.seed,
+            "fusion_success_rate": args.rate,
+            **fields,
+        }
+        if not baseline:
+            record["offline_seconds"] = result.offline_seconds
+            record["online_seconds"] = result.online_seconds
+        record["pass_timings"] = result.timings_by_pass
+        record["metrics"] = result.metrics
+        record["cache"] = _cache_counts(result.metrics)
+        print(json.dumps(record, indent=2))
+        return 0
+    if baseline:
+        capped = " (hit the cap)" if fields["capped"] else ""
+        print(f"benchmark: {circuit.name}")
+        print(f"#RSL:      {fields['rsl_count']}{capped}")
+        print(f"#fusion:   {fields['fusion_count']}")
+        print(f"restarts:  {fields['restarts']}")
         return 0
     print(f"benchmark:      {circuit.name}")
-    print(f"#RSL:           {result.rsl_count}")
-    print(f"#fusion:        {result.fusion_count}")
-    print(f"logical layers: {result.logical_layers}")
-    print(f"PL ratio:       {result.pl_ratio:.2f}")
+    print(f"#RSL:           {fields['rsl_count']}")
+    print(f"#fusion:        {fields['fusion_count']}")
+    print(f"logical layers: {fields['logical_layers']}")
+    print(f"PL ratio:       {fields['pl_ratio']:.2f}")
     for name, seconds in result.timings_by_pass.items():
         print(f"{name + ' time:':<21}{seconds:.3f} s")
     if args.show_ir:
@@ -252,60 +258,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
         print()
         print(render_ir(result.mapping.ir, max_layers=args.show_ir))
-    return 0
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    circuit = make_benchmark(args.benchmark, args.qubits, seed=args.seed)
-    try:
-        pipeline = _build_pipeline(args)
-    except (UnknownPassError, PassInsertionError) as exc:
-        print(f"baseline: {exc}", file=sys.stderr)
-        return 2
-    try:
-        # compile_baseline swaps in the baseline chain, so inserted device
-        # validators gate the submission here instead — same fail-fast
-        # contract, same diagnostics, before any compile work happens.
-        scratch = pipeline.settings.context_for(circuit)
-        for stage in pipeline.passes:
-            inner = getattr(stage, "inner", stage)  # unwrap CachePass
-            if isinstance(inner, DeviceValidatorPass):
-                inner.run(scratch)
-        with _telemetry_session(args) as tele:
-            result = pipeline.compile_baseline(circuit)
-            if tele is not None:
-                tele.adopt_compile(result, circuit=circuit.name)
-    except ValidationError as exc:
-        print(exc.to_json())
-        print(f"baseline: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"baseline: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "baseline",
-                    "benchmark": circuit.name,
-                    "num_qubits": args.qubits,
-                    "seed": args.seed,
-                    "fusion_success_rate": args.rate,
-                    "rsl_count": result.rsl_count,
-                    "fusion_count": result.fusion_count,
-                    "restarts": result.restarts,
-                    "capped": result.capped,
-                    "cache": _cache_counts(result.metrics),
-                },
-                indent=2,
-            )
-        )
-        return 0
-    capped = " (hit the cap)" if result.capped else ""
-    print(f"benchmark: {circuit.name}")
-    print(f"#RSL:      {result.rsl_count}{capped}")
-    print(f"#fusion:   {result.fusion_count}")
-    print(f"restarts:  {result.restarts}")
     return 0
 
 
@@ -641,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline", help="run the OneQ repeat-until-success baseline"
     )
     _add_common_compile_args(baseline_parser)
-    baseline_parser.set_defaults(handler=cmd_baseline)
+    baseline_parser.set_defaults(handler=cmd_compile)
 
     experiment_parser = commands.add_parser(
         "experiment", help="regenerate a table/figure via the experiment registry"

@@ -14,18 +14,19 @@ been yielded.  ``run_jobs`` is simply ``list(iter_jobs(...))``, so both
 backends stream for free.
 
 Every job runs through one execution core, :func:`_execute_job`: compile
-jobs call ``Pipeline.compile``/``Pipeline.compile_baseline`` on their
-``(settings, baseline)`` group's shared pipeline, fn jobs call their
-module-level function.  The process runner draws its executor from the
-**warm pool registry** (:mod:`repro.experiments.pool`): one process pool
-per worker count, created on first use and reused across ``iter_jobs``
-calls and whole sweeps, so pool startup is paid once per process, not once
-per run.  Jobs are submitted in **chunks** sized to amortize IPC
+jobs call ``Pipeline.compile`` on their ``(settings, baseline)`` group's
+shared pipeline (the OnePerc chain, or ``baseline_passes()`` for a
+baseline group), fn jobs call their module-level function.  The process
+runner draws its executor from the **warm pool registry**
+(:mod:`repro.experiments.pool`): one process pool per worker count,
+created on first use and reused across ``iter_jobs`` calls and whole
+sweeps, so pool startup is paid once per process, not once per run.  Jobs
+are submitted in **chunks** sized to amortize IPC
 (:func:`~repro.experiments.pool.chunk_size_for`): each chunk executes
 in-worker and returns finished *records*, so the heavy compile artifacts
-(mapping, reshape) never travel back through the pool
-pipe — with a :class:`~repro.pipeline.cache.DiskCache` attached they are
-already in the shared store, which is the exchange medium.
+(mapping, reshape) never travel back through the pool pipe — with a
+:class:`~repro.pipeline.cache.DiskCache` attached they are already in the
+shared store, which is the exchange medium.
 
 One caveat follows from "only the wall clock differs": records' ``timings``
 are measured while jobs *contend* for cores, so the timing columns of the
@@ -53,7 +54,7 @@ from repro.experiments.pool import (
     get_pool,
     resolve_workers,
 )
-from repro.pipeline import Pipeline
+from repro.pipeline import Pipeline, baseline_passes
 
 
 def _call_fn_job(job: FnJob) -> Any:
@@ -94,7 +95,10 @@ def _group_pipelines(
             group = (job.settings, job.baseline)
             if group not in pipelines:
                 pipelines[group] = Pipeline(
-                    job.settings, cache=cache, telemetry=telemetry
+                    job.settings,
+                    passes=baseline_passes() if job.baseline else None,
+                    cache=cache,
+                    telemetry=telemetry,
                 )
     return pipelines
 
@@ -116,9 +120,8 @@ def _execute_job(
     """
     if isinstance(job, CompileJob):
         pipeline = pipelines[(job.settings, job.baseline)]
-        compile_one = pipeline.compile_baseline if job.baseline else pipeline.compile
         circuit = make_benchmark(job.family, job.num_qubits, seed=job.benchmark_seed)
-        outcome = _named(job, experiment, lambda: compile_one(circuit, job.seed))
+        outcome = _named(job, experiment, lambda: pipeline.compile(circuit, job.seed))
         return _compile_record(
             job, outcome, experiment=experiment, scale=scale, seed=seed
         )
@@ -425,44 +428,25 @@ def _compile_record(
     seed: int,
 ) -> ExperimentRecord:
     """A uniform record from one compile outcome (OnePerc or baseline)."""
-    if job.baseline:
-        fields = {
-            **job.meta,
-            "rsl_count": int(outcome.rsl_count),
-            "fusion_count": int(outcome.fusion_count),
-            "restarts": int(outcome.restarts),
-            "capped": bool(outcome.capped),
-        }
-        timings: dict[str, float] = {}
-    else:
-        fields = {
-            **job.meta,
-            "rsl_count": int(outcome.rsl_count),
-            "fusion_count": int(outcome.fusion_count),
-            "logical_layers": int(outcome.logical_layers),
-            "pl_ratio": float(outcome.pl_ratio),
-        }
-        timings = dict(outcome.timings_by_pass)
     # PassContext.metrics provenance: logical layers mapped, peak memory,
     # cache hit/miss counts.  Rides the outcome across pickle boundaries,
     # so process-pool runs account correctly too.
-    metrics = dict(getattr(outcome, "metrics", {}) or {})
-    pass_timings = getattr(outcome, "pass_timings", None)
-    if pass_timings:
+    metrics = dict(outcome.metrics)
+    if outcome.pass_timings:
         # The CPU half of the wall/CPU split: summed pass wall seconds from
         # pool runners include contention, and this is what quantifies it.
         metrics["cpu_seconds_total"] = sum(
-            timing.cpu_seconds or 0.0 for timing in pass_timings
+            timing.cpu_seconds or 0.0 for timing in outcome.pass_timings
         )
     return ExperimentRecord(
         experiment=experiment,
         scale=scale,
         seed=seed,
         job=job.key,
-        fields=fields,
-        timings=timings,
+        fields={**job.meta, **outcome.fields()},
+        timings=dict(outcome.timings_by_pass),
         metrics=metrics,
-        spans=tuple(getattr(outcome, "spans", ()) or ()),
+        spans=tuple(outcome.spans),
     )
 
 

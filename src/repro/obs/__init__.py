@@ -5,8 +5,7 @@ the whole stack — pipeline passes, the artifact cache, and every runner
 backend:
 
 * **tracing** (:mod:`repro.obs.trace`) — hierarchical spans with monotonic
-  durations and parent links, exportable as JSONL and as Chrome
-  ``trace_event`` JSON for ``chrome://tracing``;
+  durations and parent links, exported as JSONL;
 * **metrics** (:mod:`repro.obs.metrics`) — counters/gauges/histograms
   (cache hits, evictions, BFS wavefront sizes, reorder-buffer depth);
 * **events** (:mod:`repro.obs.events`) — a per-event-flush JSONL lifecycle
@@ -24,64 +23,50 @@ compilation spans and cache hit/miss counts attach to
 ``CompilationResult``/``ExperimentRecord`` and are adopted by the
 consuming runner as each record passes through.
 
+Spans are recorded by the pipeline (one ``compile`` root and one
+``pass:<name>`` span per stage, on a tracer of each compilation's own)
+and by the runners (``run:``); deeper code records counters, histograms
+and events, which need no handle threading.
+
 Usage::
 
     from repro import obs
 
     with obs.session(events_path="events.jsonl") as tele:
-        pipeline.compile(circuit)          # pass spans, cache counters
-        tele.write_trace("trace.jsonl")    # or fmt="chrome"
+        result = pipeline.compile(circuit)  # pass spans, cache counters
+        tele.adopt_compile(result)
+        tele.write_trace("trace.jsonl")
 
-    # deep instrumentation, no handle threading:
-    with obs.span("bfs", nodes=n): ...
     obs.count("cache.hits"); obs.observe("online.bfs_nodes", 128)
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from typing import Any, Iterator
 
 from repro.obs.events import EVENTS_SCHEMA_VERSION, EventLog
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.trace import (
-    NULL_SPAN,
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    chrome_trace_obj,
-    current_tracer,
-    push_tracer,
-    span,
-    write_trace_jsonl,
-)
+from repro.obs.trace import TRACE_SCHEMA_VERSION, Tracer, write_trace_jsonl
 
 __all__ = [
     "EVENTS_SCHEMA_VERSION",
     "EventLog",
     "Histogram",
     "MetricsRegistry",
-    "NULL_SPAN",
     "TRACE_SCHEMA_VERSION",
     "Telemetry",
     "Tracer",
     "active",
-    "chrome_trace_obj",
     "count",
-    "current_tracer",
     "event",
     "gauge",
     "observe",
-    "push_tracer",
     "session",
-    "span",
     "tracing",
     "write_trace_jsonl",
 ]
-
-#: Valid ``--trace-format`` vocabulary (see :meth:`Telemetry.write_trace`).
-TRACE_FORMATS = ("jsonl", "chrome")
 
 
 class Telemetry:
@@ -125,34 +110,23 @@ class Telemetry:
         self.events.emit("job_finished", job=record.job, experiment=record.experiment)
 
     def adopt_compile(self, result: Any, circuit: str | None = None) -> None:
-        """Fold one raw compilation outcome in (the CLI compile path)."""
-        spans = getattr(result, "spans", ()) or ()
+        """Fold one ``Pipeline.compile`` outcome in (the CLI compile path)."""
         attrs = {"circuit": circuit} if circuit else None
-        if spans:
-            self.tracer.adopt(spans, root_attrs=attrs)
-        metrics = getattr(result, "metrics", None) or {}
+        if result.spans:
+            self.tracer.adopt(result.spans, root_attrs=attrs)
         for source, counter in (("cache_hits", "cache.hits"),
                                 ("cache_misses", "cache.misses")):
-            value = metrics.get(source, 0)
+            value = result.metrics.get(source, 0)
             if value:
                 self.metrics.inc(counter, value)
         self.events.emit("compile_finished", circuit=circuit)
 
     # -- exports -------------------------------------------------------------
 
-    def write_trace(self, path: str, fmt: str = "jsonl") -> None:
-        """Export the session trace: ``jsonl`` span lines (plus the metrics
-        snapshot) or a Chrome ``trace_event`` JSON object."""
-        if fmt == "jsonl":
-            write_trace_jsonl(path, self.tracer.spans, metrics=self.metrics.snapshot())
-        elif fmt == "chrome":
-            with open(path, "w") as handle:
-                json.dump(chrome_trace_obj(self.tracer.spans), handle)
-                handle.write("\n")
-        else:
-            raise ValueError(
-                f"unknown trace format {fmt!r}; use one of: {', '.join(TRACE_FORMATS)}"
-            )
+    def write_trace(self, path: str) -> None:
+        """Export the session trace: JSONL span lines plus the metrics
+        snapshot."""
+        write_trace_jsonl(path, self.tracer.spans, metrics=self.metrics.snapshot())
 
     def close(self) -> None:
         self.events.close()

@@ -1,4 +1,4 @@
-"""Hierarchical tracing spans: monotonic clocks, ids, parent links, exports.
+"""Hierarchical tracing spans: monotonic clocks, ids, parent links, JSONL export.
 
 A :class:`Tracer` records **spans** — named intervals with a wall-clock
 start (``ts``, epoch seconds, comparable across processes on one host), a
@@ -9,24 +9,8 @@ JSON-ready dicts, which is what lets them ride the same pickle channels
 compilation results and experiment records already travel (a subprocess's
 spans come back attached to its outcomes, not through shared state).
 
-Two ambient lookups make instrumentation non-invasive:
-
-* a *thread-local* tracer pushed by :func:`push_tracer` — the pipeline
-  pushes its per-compilation tracer so deep code (the online wavefront
-  search, the cache) can open spans with :func:`span` without threading a
-  handle through every signature;
-* the process-global telemetry session (see :mod:`repro.obs`) as the
-  fallback, so parent-side orchestration code traces into the session
-  directly.
-
-When neither is active, :func:`span` returns a shared no-op context
-manager — the disabled path allocates nothing.
-
-Exports: :func:`write_trace_jsonl` (one JSON object per line — a ``meta``
-header, one ``span`` line each, an optional trailing ``metrics`` snapshot)
-and :func:`chrome_trace_obj` (the ``chrome://tracing`` / Perfetto
-``trace_event`` format, complete-``"X"`` events with microsecond
-timestamps).
+Export: :func:`write_trace_jsonl` (one JSON object per line — a ``meta``
+header, one ``span`` line each, an optional trailing ``metrics`` snapshot).
 """
 
 from __future__ import annotations
@@ -45,24 +29,6 @@ TRACE_SCHEMA_VERSION = 1
 #: Process-wide tracer sequence: tracers adopted into one trace (one per
 #: compilation) must not collide on span ids.
 _TRACER_SEQ = itertools.count(1)
-
-_TLS = threading.local()
-
-
-class _NullSpan:
-    """The disabled path: a reusable, allocation-free context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-NULL_SPAN = _NullSpan()
-
 
 class _SpanContext:
     """One open span; closing it stamps ``dur``/``cpu`` into the record."""
@@ -186,53 +152,6 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Ambient tracer (thread-local, with the session as fallback)
-# ---------------------------------------------------------------------------
-
-
-class _PushTracer:
-    """Context manager installing ``tracer`` as this thread's ambient one."""
-
-    __slots__ = ("tracer", "_previous")
-
-    def __init__(self, tracer: "Tracer | None") -> None:
-        self.tracer = tracer
-
-    def __enter__(self) -> "Tracer | None":
-        self._previous = getattr(_TLS, "tracer", None)
-        _TLS.tracer = self.tracer
-        return self.tracer
-
-    def __exit__(self, *exc_info: Any) -> None:
-        _TLS.tracer = self._previous
-
-
-def push_tracer(tracer: "Tracer | None") -> _PushTracer:
-    """Install ``tracer`` as the thread's ambient tracer for a scope."""
-    return _PushTracer(tracer)
-
-
-def current_tracer() -> "Tracer | None":
-    """The thread's ambient tracer, else the active session's (unless it
-    keeps counters only), else None."""
-    tracer = getattr(_TLS, "tracer", None)
-    if tracer is not None:
-        return tracer
-    from repro import obs
-
-    session = obs.active()
-    return session.tracer if session is not None and session.spans else None
-
-
-def span(name: str, **attrs: Any):
-    """Open a span on the ambient tracer; a shared no-op when disabled."""
-    tracer = current_tracer()
-    if tracer is None:
-        return NULL_SPAN
-    return tracer.span(name, **attrs)
-
-
-# ---------------------------------------------------------------------------
 # Exports
 # ---------------------------------------------------------------------------
 
@@ -269,31 +188,3 @@ def write_trace_jsonl(
             )
     return count
 
-
-def chrome_trace_obj(spans: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    """The ``chrome://tracing`` / Perfetto ``trace_event`` JSON object.
-
-    Complete (``"ph": "X"``) events with microsecond timestamps rebased to
-    the earliest span, so the viewer's timeline starts at zero.  Span
-    attrs, ids, parent links, and CPU seconds ride in ``args``.
-    """
-    spans = list(spans)
-    base = min((record["ts"] for record in spans), default=0.0)
-    events = [
-        {
-            "name": record["name"],
-            "ph": "X",
-            "ts": (record["ts"] - base) * 1e6,
-            "dur": record["dur"] * 1e6,
-            "pid": record.get("pid", 0),
-            "tid": record.get("pid", 0),
-            "args": {
-                "id": record.get("id"),
-                "parent": record.get("parent"),
-                "cpu": record.get("cpu"),
-                **record.get("attrs", {}),
-            },
-        }
-        for record in spans
-    ]
-    return {"traceEvents": events, "displayTimeUnit": "ms"}

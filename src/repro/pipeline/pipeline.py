@@ -140,8 +140,9 @@ def check_chain(passes: Sequence[CompilerPass]) -> None:
 class Pipeline:
     """A compiler: settings + an ordered pass chain.
 
-    The default chain reproduces the end-to-end OnePerc compiler; custom
-    chains ablate or extend it (e.g. the memory experiments run only
+    The default chain reproduces the end-to-end OnePerc compiler;
+    ``baseline_passes()`` is the OneQ comparison compiler; custom chains
+    ablate or extend either (e.g. the memory experiments run only
     ``TranslatePass -> OfflineMapPass``).
     """
 
@@ -206,18 +207,17 @@ class Pipeline:
         """The ``run`` loop with span recording around every stage."""
         tracer = obs.Tracer()
         ctx.spans = tracer.spans  # spans land directly in the context
-        with obs.push_tracer(tracer):
-            with tracer.span(
-                "compile",
-                circuit=ctx.circuit.name,
-                qubits=ctx.circuit.num_qubits,
-            ):
-                for stage in self.passes:
-                    self._prepare(stage, ctx)
-                    with tracer.span(f"pass:{stage.name}") as sp:
-                        stage.run(ctx)
-                    ctx.record_timing(stage.name, sp.wall, sp.cpu)
-                    self._check_provides(stage, ctx)
+        with tracer.span(
+            "compile",
+            circuit=ctx.circuit.name,
+            qubits=ctx.circuit.num_qubits,
+        ):
+            for stage in self.passes:
+                self._prepare(stage, ctx)
+                with tracer.span(f"pass:{stage.name}") as sp:
+                    stage.run(ctx)
+                ctx.record_timing(stage.name, sp.wall, sp.cpu)
+                self._check_provides(stage, ctx)
         return ctx
 
     @staticmethod
@@ -252,11 +252,8 @@ class Pipeline:
 
     def run_circuit(self, circuit: Circuit, seed: int | None = None) -> PassContext:
         """Build a fresh context for ``circuit`` and run the chain over it."""
-        ctx = self.settings.context_for(circuit, self._seed_for(seed))
+        ctx = self.settings.context_for(circuit, self.seed if seed is None else seed)
         return self.run(ctx)
-
-    def _seed_for(self, seed: int | None) -> int | None:
-        return self.seed if seed is None else seed
 
     def with_cache(self, cache) -> "Pipeline":
         """This pipeline with every cacheable pass wrapped in a ``CachePass``.
@@ -329,11 +326,25 @@ class Pipeline:
             telemetry=self.telemetry,
         )
 
-    # -- one-shot entry points ---------------------------------------------
+    # -- the one-shot entry point -----------------------------------------
 
-    def compile(self, circuit: Circuit, seed: int | None = None) -> CompilationResult:
-        """Full OnePerc compilation of ``circuit``; see the paper's Fig. 2."""
+    def compile(
+        self, circuit: Circuit, seed: int | None = None
+    ) -> CompilationResult | BaselineResult:
+        """Run this pipeline's chain over ``circuit``; return its outcome.
+
+        A chain that provides ``baseline`` (``baseline_passes()``, plus
+        any inserted passes) yields the OneQ :class:`BaselineResult` of
+        Section 7.1; any other chain yields the OnePerc
+        :class:`CompilationResult` of the paper's Fig. 2.
+        """
         ctx = self.run_circuit(circuit, seed)
+        if "baseline" in ctx.artifacts:
+            result = ctx.require("baseline")
+            result.pass_timings = list(ctx.timings)
+            result.metrics = dict(ctx.metrics)
+            result.spans = list(ctx.spans)
+            return result
         reshape = ctx.require("reshape")
         return CompilationResult(
             circuit_name=circuit.name,
@@ -349,15 +360,3 @@ class Pipeline:
             metrics=dict(ctx.metrics),
             spans=list(ctx.spans),
         )
-
-    def compile_baseline(self, circuit: Circuit, seed: int | None = None) -> BaselineResult:
-        """OneQ + repeat-until-success on the same hardware (Section 7.1)."""
-        ctx = self.settings.context_for(circuit, self._seed_for(seed))
-        Pipeline(
-            self.settings, baseline_passes(), cache=self.cache,
-            telemetry=self.telemetry,
-        ).run(ctx)
-        result = ctx.require("baseline")
-        result.metrics = dict(ctx.metrics)
-        result.spans = list(ctx.spans)
-        return result

@@ -1,4 +1,4 @@
-"""The compilation result record :meth:`Pipeline.compile` returns."""
+"""The OnePerc compilation record :meth:`Pipeline.compile` returns."""
 
 from __future__ import annotations
 
@@ -40,6 +40,15 @@ class CompilationResult:
     @property
     def pl_ratio(self) -> float:
         return self.reshape.pl_ratio
+
+    def fields(self) -> dict:
+        """The deterministic summary: what records, payloads and reports show."""
+        return {
+            "rsl_count": int(self.rsl_count),
+            "fusion_count": int(self.fusion_count),
+            "logical_layers": int(self.logical_layers),
+            "pl_ratio": float(self.pl_ratio),
+        }
 
     @property
     def online_seconds_per_rsl(self) -> float:

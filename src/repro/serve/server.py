@@ -440,10 +440,9 @@ class ReproServer:
             )
         except ReproError as exc:  # unknown family, or a size it rejects
             raise _RequestError(str(exc)) from exc
-        baseline = request["op"] == "baseline"
         pipeline = Pipeline(
             settings,
-            passes=baseline_passes() if baseline else None,
+            passes=baseline_passes() if request["op"] == "baseline" else None,
             seed=request["seed"],
             cache=self.cache,
         )
@@ -461,34 +460,13 @@ class ReproServer:
         pipeline.passes = tuple(
             _NotifyingPass(stage, on_pass) for stage in pipeline.passes
         )
-        if baseline:
-            # compile_baseline would rebuild the chain (losing the
-            # notifiers); run the context against our wrapped chain and
-            # finish the result exactly as compile_baseline does.
-            ctx = settings.context_for(circuit, request["seed"])
-            pipeline.run(ctx)
-            result = ctx.require("baseline")
-            result.metrics = dict(ctx.metrics)
-            result.spans = list(ctx.spans)
-            payload = {
-                "benchmark": circuit.name,
-                "num_qubits": request["qubits"],
-                "rsl_count": result.rsl_count,
-                "fusion_count": result.fusion_count,
-                "restarts": result.restarts,
-                "capped": result.capped,
-            }
-        else:
-            result = pipeline.compile(circuit)
-            payload = {
-                "benchmark": circuit.name,
-                "num_qubits": result.num_qubits,
-                "rsl_count": result.rsl_count,
-                "fusion_count": result.fusion_count,
-                "logical_layers": result.logical_layers,
-                "pl_ratio": result.pl_ratio,
-                "pass_timings": dict(result.timings_by_pass),
-            }
+        result = pipeline.compile(circuit)
+        payload = {
+            "benchmark": circuit.name,
+            "num_qubits": circuit.num_qubits,
+            **result.fields(),
+            "pass_timings": result.timings_by_pass,
+        }
         hits = int(result.metrics.get("cache_hits", 0))
         misses = int(result.metrics.get("cache_misses", 0))
         # Counters only: the compilation's spans stay out of the

@@ -15,7 +15,7 @@ from repro.graphstate import ResourceStateSpec
 from repro.hardware import HardwareConfig
 from repro.ir import lower_ir
 from repro.mbqc import translate_circuit
-from repro.pipeline import Pipeline, PipelineSettings
+from repro.pipeline import Pipeline, PipelineSettings, baseline_passes
 from repro.pipeline.settings import rsl_size_for, virtual_size_for
 
 
@@ -147,9 +147,10 @@ class TestOnePercCompiler:
                 resource_state_size=4,
                 max_rsl=10**4,
             ),
+            passes=baseline_passes(),
             seed=3,
         )
-        baseline = compiler.compile_baseline(make_benchmark("vqe", 4, seed=1))
+        baseline = compiler.compile(make_benchmark("vqe", 4, seed=1))
         assert baseline.rsl_count > 0
 
     def test_oneq_explodes_at_practical_rate(self):
@@ -160,9 +161,10 @@ class TestOnePercCompiler:
                 resource_state_size=4,
                 max_rsl=5000,
             ),
+            passes=baseline_passes(),
             seed=0,
         )
-        baseline = compiler.compile_baseline(make_benchmark("qft", 4))
+        baseline = compiler.compile(make_benchmark("qft", 4))
         assert baseline.capped
 
     def test_oneperc_survives_practical_rate(self):

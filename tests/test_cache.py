@@ -186,11 +186,13 @@ class TestCachedCompilation:
         assert _metrics(b) == _metrics(Pipeline(loose).compile(CIRCUIT, seed=0))
 
     def test_baseline_chain_cached(self):
-        reference = Pipeline(SETTINGS).compile_baseline(CIRCUIT, seed=3)
+        reference = Pipeline(SETTINGS, passes=baseline_passes()).compile(
+            CIRCUIT, seed=3
+        )
         cache = MemoryCache()
-        cached = Pipeline(SETTINGS, cache=cache)
-        cold = cached.compile_baseline(CIRCUIT, seed=3)
-        warm = cached.compile_baseline(CIRCUIT, seed=3)
+        cached = Pipeline(SETTINGS, passes=baseline_passes(), cache=cache)
+        cold = cached.compile(CIRCUIT, seed=3)
+        warm = cached.compile(CIRCUIT, seed=3)
         for result in (cold, warm):
             assert (result.rsl_count, result.fusion_count, result.restarts) == (
                 reference.rsl_count, reference.fusion_count, reference.restarts,

@@ -322,15 +322,14 @@ class TestTelemetryFlags:
         for field in ("rsl_count", "fusion_count", "logical_layers", "pl_ratio"):
             assert traced[field] == plain[field], field
 
-    def test_compile_chrome_trace_format(self, tmp_path):
-        trace = tmp_path / "trace.json"
-        code = main(
-            ["compile", "--benchmark", "qaoa", "--qubits", "4", "--json",
-             "--trace-out", str(trace), "--trace-format", "chrome"]
-        )
-        assert code == 0
-        obj = json.loads(trace.read_text())
-        assert obj["traceEvents"] and obj["traceEvents"][0]["ph"] == "X"
+    def test_trace_format_is_not_an_option(self, tmp_path, capsys):
+        """Traces are JSONL only: the old format switch is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--benchmark", "qaoa", "--qubits", "4",
+                  "--trace-out", str(tmp_path / "trace.json"),
+                  "--trace-format", "chrome"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace-format" in capsys.readouterr().err
 
     def test_experiment_telemetry_and_summarize(self, capsys, tmp_path):
         trace = tmp_path / "trace.jsonl"

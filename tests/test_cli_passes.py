@@ -139,3 +139,30 @@ class TestPassesFlag:
         capture = tmp_path / "diag.json"
         capture.write_text(capsys.readouterr().out)
         assert validate_diagnostics(capture) == []
+
+
+class TestFrontDoorParity:
+    """``repro baseline`` and a serve ``baseline`` request run one chain:
+    an inserted validator sees the translated pattern through either door.
+    qaoa-9's circuit passes the connectivity rules; its pattern does not."""
+
+    ARGS = {"benchmark": "qaoa", "qubits": 9, "max_rsl": 1000,
+            "passes": "validate-connectivity"}
+
+    def test_cli_and_server_reject_with_the_same_diagnostics(self, capsys):
+        from repro.serve import ServeClient, ServeConfig, ServerThread
+
+        code = main(
+            ["baseline", "--benchmark", "qaoa", "--qubits", "9",
+             "--passes", "validate-connectivity", "--max-rsl", "1000"]
+        )
+        cli = json.loads(capsys.readouterr().out)
+        assert code == 2
+        with ServerThread(ServeConfig(port=0)) as st:
+            with ServeClient(port=st.port) as client:
+                client.wait_until_up()
+                run = client.submit({"op": "baseline", **self.ARGS})
+        assert run.error is not None
+        served = run.error["details"]["diagnostics"]
+        assert [d["rule"] for d in served] == ["connectivity/degree"] * 3
+        assert cli["diagnostics"] == served

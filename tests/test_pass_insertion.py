@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baseline.retry import BaselineResult
 from repro.circuits.benchmarks import make_benchmark
 from repro.passes import ConnectivityValidatorPass, RewritePass
 from repro.pipeline import (
@@ -9,6 +10,7 @@ from repro.pipeline import (
     PassInsertionError,
     Pipeline,
     PipelineSettings,
+    baseline_passes,
     check_chain,
 )
 from repro.pipeline.context import PassContext
@@ -158,3 +160,18 @@ class TestCacheInteraction:
         assert (plain.rsl_count, plain.fusion_count) == (
             gated.rsl_count, gated.fusion_count,
         )
+
+
+class TestBaselineChain:
+    """A baseline compiler is ``baseline_passes()``; insertions stay in it."""
+
+    def test_inserted_validator_runs_inside_compile(self):
+        pipeline = Pipeline(SETTINGS, passes=baseline_passes()).insert_pass(
+            ConnectivityValidatorPass(), after="translate"
+        )
+        result = pipeline.compile(CIRCUIT, seed=0)
+        assert isinstance(result, BaselineResult)
+        assert list(result.timings_by_pass) == [
+            "translate", "validate-connectivity", "baseline",
+        ]
+

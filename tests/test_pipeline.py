@@ -20,6 +20,7 @@ from repro.pipeline import (
     Pipeline,
     PipelineSettings,
     TranslatePass,
+    baseline_passes,
     default_passes,
 )
 
@@ -121,8 +122,10 @@ class TestPickling:
         restored = pickle.loads(pickle.dumps(original))
         assert restored.rsl_count == original.rsl_count
         baseline = Pipeline(
-            PipelineSettings(fusion_success_rate=0.9, max_rsl=10**4), seed=0
-        ).compile_baseline(self.CIRCUITS[0])
+            PipelineSettings(fusion_success_rate=0.9, max_rsl=10**4),
+            passes=baseline_passes(),
+            seed=0,
+        ).compile(self.CIRCUITS[0])
         assert pickle.loads(pickle.dumps(baseline)).rsl_count == baseline.rsl_count
 
 
