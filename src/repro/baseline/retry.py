@@ -35,13 +35,11 @@ class BaselineResult:
     fusion_count: int
     restarts: int
     capped: bool = False
-    #: The per-pass timings, ``PassContext.metrics`` provenance (cache
-    #: hit/miss counts, ...) and telemetry spans (out-of-band; empty unless
-    #: tracing) of the compilation, attached by ``Pipeline.compile`` after
-    #: the run.
+    #: The per-pass timings and ``PassContext.metrics`` provenance (cache
+    #: hit/miss counts, ...) of the compilation, attached by
+    #: ``Pipeline.compile`` after the run.
     pass_timings: list = field(default_factory=list, compare=False, repr=False)
     metrics: dict = field(default_factory=dict, compare=False, repr=False)
-    spans: list = field(default_factory=list, compare=False, repr=False)
 
     def fields(self) -> dict:
         """The deterministic summary: what records, payloads and reports show."""

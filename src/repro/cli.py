@@ -43,7 +43,7 @@ from repro.experiments.api import (
     experiment_names,
     get_experiment,
 )
-from repro.errors import CompilationError, ReproError
+from repro.errors import CircuitError, CompilationError, ReproError
 from repro.experiments.common import SCALES
 from repro.experiments.runners import RUNNERS, make_runner
 from repro.experiments.streams import CsvStreamWriter, make_stream_writer
@@ -197,17 +197,17 @@ def _cache_counts(metrics: dict) -> dict:
 def cmd_compile(args: argparse.Namespace) -> int:
     """``compile`` and ``baseline``: one circuit through the command's chain."""
     command = args.command
-    circuit = make_benchmark(args.benchmark, args.qubits, seed=args.seed)
     try:
+        circuit = make_benchmark(args.benchmark, args.qubits, seed=args.seed)
         pipeline = _build_pipeline(args)
-    except (UnknownPassError, PassInsertionError) as exc:
+    except (CircuitError, UnknownPassError, PassInsertionError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
     try:
         with _telemetry_session(args) as tele:
             result = pipeline.compile(circuit)
             if tele is not None:
-                tele.adopt_compile(result, circuit=circuit.name)
+                tele.adopt_compile(result, circuit)
     except ValidationError as exc:
         # Machine-readable diagnostics on stdout (the contract CI's smoke
         # step schema-checks), human summary on stderr, usage-error exit.

@@ -133,11 +133,15 @@ class ExperimentRecord:
     fields: dict[str, Any]
     timings: dict[str, float] = field(default_factory=dict)
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: Telemetry spans from the job's compilation, riding the record across
-    #: process boundaries for the consuming runner to adopt.  Out-of-band:
-    #: excluded from :meth:`canonical` *and* :meth:`flat`, so golden
-    #: records and CSV exports are byte-identical with tracing on or off.
-    spans: tuple = ()
+    #: The job's compilation for the consuming telemetry session to trace
+    #: (:meth:`repro.obs.Telemetry.adopt_record`): its pass timings and
+    #: its circuit's name and qubit count, riding the record across
+    #: process boundaries.  Out-of-band: excluded from :meth:`canonical`,
+    #: :meth:`payload` *and* :meth:`flat`, so golden records and exports
+    #: are byte-identical with tracing on or off.
+    pass_timings: tuple = ()
+    circuit: str | None = None
+    qubits: int | None = None
 
     def canonical(self) -> dict[str, Any]:
         """The deterministic portion, as a plain JSON-ready dict."""
@@ -147,6 +151,19 @@ class ExperimentRecord:
             "seed": self.seed,
             "job": self.job,
             "fields": dict(self.fields),
+        }
+
+    def payload(self) -> dict[str, Any]:
+        """The full JSON-ready record: canonical part, timings, metrics.
+
+        One JSONL stream line and one serve ``record`` frame each carry
+        exactly this; ``repro.serve.protocol.record_from_payload`` is its
+        inverse.
+        """
+        return {
+            **self.canonical(),
+            "timings": dict(self.timings),
+            "metrics": dict(self.metrics),
         }
 
     def flat(self) -> dict[str, Any]:

@@ -79,16 +79,8 @@ def _split_output(out: Any) -> tuple[dict[str, Any], dict[str, float]]:
     return dict(out), {}
 
 
-def _group_pipelines(
-    jobs: Sequence[Job], cache, telemetry: bool
-) -> dict[tuple, Pipeline]:
-    """One cache-wrapped pipeline per ``(settings, baseline)`` group.
-
-    ``telemetry`` is the collection intent: the serial runner passes
-    whether a session that keeps spans is active here, the process runner
-    ships the same flag to its workers (which cannot see the parent's
-    session), so records carry their compile spans on either backend.
-    """
+def _group_pipelines(jobs: Sequence[Job], cache) -> dict[tuple, Pipeline]:
+    """One cache-wrapped pipeline per ``(settings, baseline)`` group."""
     pipelines: dict[tuple, Pipeline] = {}
     for job in jobs:
         if isinstance(job, CompileJob):
@@ -98,7 +90,6 @@ def _group_pipelines(
                     job.settings,
                     passes=baseline_passes() if job.baseline else None,
                     cache=cache,
-                    telemetry=telemetry,
                 )
     return pipelines
 
@@ -123,7 +114,7 @@ def _execute_job(
         circuit = make_benchmark(job.family, job.num_qubits, seed=job.benchmark_seed)
         outcome = _named(job, experiment, lambda: pipeline.compile(circuit, job.seed))
         return _compile_record(
-            job, outcome, experiment=experiment, scale=scale, seed=seed
+            job, circuit, outcome, experiment=experiment, scale=scale, seed=seed
         )
     out = _named(job, experiment, lambda: _call_fn_job(job))
     return _fn_record(job, out, experiment=experiment, scale=scale, seed=seed)
@@ -134,10 +125,12 @@ class ChunkTask:
     """One pool dispatch quantum: a contiguous slice of a sweep's jobs.
 
     A chunk carries no live resources — indexed self-seeded jobs,
-    provenance, the cache handle (pickled, which for a
+    provenance, and the cache handle (pickled, which for a
     :class:`~repro.pipeline.cache.DiskCache` means *by path*, so workers
-    read and feed the one shared store), and the telemetry intent flag.
-    One chunk costs one pickle round trip however many jobs it holds.
+    read and feed the one shared store).  It says nothing about
+    telemetry: every record carries its pass timings home, and the
+    parent's session builds spans from them if it keeps any.  One chunk
+    costs one pickle round trip however many jobs it holds.
     """
 
     experiment: str
@@ -145,7 +138,6 @@ class ChunkTask:
     seed: int
     jobs: tuple[tuple[int, Job], ...]  # (canonical index, job) pairs
     cache: Any = None
-    telemetry: bool = False
 
 
 def run_chunk(task: ChunkTask) -> list[tuple[int, ExperimentRecord]]:
@@ -153,13 +145,13 @@ def run_chunk(task: ChunkTask) -> list[tuple[int, ExperimentRecord]]:
 
     Module-level so process pools pickle it by reference.  Records are
     built *worker-side*: only the record's scalars, timings, metrics, and
-    spans travel back through the pool pipe, never the heavy compile
+    pass timings travel back through the pool pipe, never the heavy compile
     artifacts behind them (with a ``DiskCache`` attached those are
     already in the shared store — the cache directory is the exchange
     medium, so shipping the blobs again would pay for them twice).
     """
     jobs = [job for _index, job in task.jobs]
-    pipelines = _group_pipelines(jobs, task.cache, task.telemetry)
+    pipelines = _group_pipelines(jobs, task.cache)
     return [
         (
             index,
@@ -274,11 +266,11 @@ class Runner:
         With a telemetry session active, the stream is additionally
         observed out-of-band: a ``run:<experiment>`` span brackets the
         whole call, ``run_started``/``run_finished`` events mark its
-        lifecycle, and every record's spans and cache provenance are
-        adopted into the session as the record passes through.  A
-        counters-only session (``spans=False``) gets the events and the
-        cache counts, and neither span.  Records themselves are
-        byte-identical either way.
+        lifecycle, and every record's pass timings (as its
+        ``compile``/``pass:`` spans) and cache provenance are adopted into
+        the session as the record passes through.  A counters-only session
+        (``spans=False``) gets the events and the cache counts, and no
+        span.  Records themselves are byte-identical either way.
         """
         jobs = list(jobs)
         tele = obs.active()
@@ -331,7 +323,7 @@ class Runner:
         core is the same one the process runner's chunk workers run.
         """
         self._check_jobs(jobs)
-        pipelines = _group_pipelines(jobs, self.cache, obs.tracing())
+        pipelines = _group_pipelines(jobs, self.cache)
         for job in jobs:
             obs.event("job_started", job=job.key, experiment=experiment)
             yield _execute_job(
@@ -369,7 +361,6 @@ class ProcessRunner(Runner):
         self._check_jobs(jobs)
         pool = get_pool(self.max_workers)
         size = chunk_size_for(len(jobs), resolve_workers(self.max_workers))
-        telemetry = obs.tracing()
         futures = {
             pool.submit(
                 run_chunk,
@@ -379,7 +370,6 @@ class ProcessRunner(Runner):
                     seed=seed,
                     jobs=tuple(chunk),
                     cache=self.cache,
-                    telemetry=telemetry,
                 ),
             ): chunk
             for chunk in chunked(list(enumerate(jobs)), size)
@@ -421,6 +411,7 @@ class ProcessRunner(Runner):
 
 def _compile_record(
     job: CompileJob,
+    circuit,
     outcome,
     *,
     experiment: str,
@@ -436,7 +427,7 @@ def _compile_record(
         # The CPU half of the wall/CPU split: summed pass wall seconds from
         # pool runners include contention, and this is what quantifies it.
         metrics["cpu_seconds_total"] = sum(
-            timing.cpu_seconds or 0.0 for timing in outcome.pass_timings
+            timing.cpu_seconds for timing in outcome.pass_timings
         )
     return ExperimentRecord(
         experiment=experiment,
@@ -446,7 +437,9 @@ def _compile_record(
         fields={**job.meta, **outcome.fields()},
         timings=dict(outcome.timings_by_pass),
         metrics=metrics,
-        spans=tuple(outcome.spans),
+        pass_timings=tuple(outcome.pass_timings),
+        circuit=circuit.name,
+        qubits=circuit.num_qubits,
     )
 
 

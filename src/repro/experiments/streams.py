@@ -64,12 +64,7 @@ class JsonlStreamWriter(RecordStreamWriter):
     """One JSON object per line: full record fidelity, flushed per record."""
 
     def _emit(self, record: ExperimentRecord) -> None:
-        line = {
-            **record.canonical(),
-            "timings": dict(record.timings),
-            "metrics": dict(record.metrics),
-        }
-        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
+        self._handle.write(json.dumps(record.payload(), sort_keys=True) + "\n")
 
 
 #: Provenance columns every record's flat row leads with — the header a

@@ -17,24 +17,28 @@ off (enforced by test).  Collection is scoped to a :func:`session` — with
 no session active, every module-level helper short-circuits on one global
 ``None`` check and the hot paths pay nothing.
 
-Cross-process contract: a subprocess cannot see the parent's session, so
-its telemetry rides the same pickle channels its results already use —
-compilation spans and cache hit/miss counts attach to
-``CompilationResult``/``ExperimentRecord`` and are adopted by the
-consuming runner as each record passes through.
+Cross-process contract: a subprocess cannot see the parent's session, and
+it never needs to.  Every compilation records its pass timings
+(``PassContext.timings``: start, wall and CPU seconds per pass) whether
+or not anyone traces, and the timings and cache hit/miss counts ride the
+pickle channels results already use (``CompilationResult``/
+``BaselineResult``, then ``ExperimentRecord``).  The consuming session
+adopts each outcome as it passes through: a session that keeps spans
+builds one ``compile`` root and one ``pass:<name>`` child per timing from
+them (:meth:`Tracer.add_compile`); every session counts the cache hits
+and misses.
 
-Spans are recorded by the pipeline (one ``compile`` root and one
-``pass:<name>`` span per stage, on a tracer of each compilation's own)
-and by the runners (``run:``); deeper code records counters, histograms
-and events, which need no handle threading.
+Spans therefore come from adoption and from the runners (``run:``);
+deeper code records counters, histograms and events, which need no
+handle threading.
 
 Usage::
 
     from repro import obs
 
     with obs.session(events_path="events.jsonl") as tele:
-        result = pipeline.compile(circuit)  # pass spans, cache counters
-        tele.adopt_compile(result)
+        result = pipeline.compile(circuit)  # timings, cache metrics
+        tele.adopt_compile(result, circuit)  # compile/pass: spans, counters
         tele.write_trace("trace.jsonl")
 
     obs.count("cache.hits"); obs.observe("online.bfs_nodes", 128)
@@ -64,7 +68,6 @@ __all__ = [
     "gauge",
     "observe",
     "session",
-    "tracing",
     "write_trace_jsonl",
 ]
 
@@ -72,11 +75,10 @@ __all__ = [
 class Telemetry:
     """One session's collectors: a tracer, a registry, an event log.
 
-    ``spans=False`` makes a counters-only session: no pipeline traces
-    under it (:func:`tracing` is False), so the records it adopts carry no
-    spans, and runners add no ``run:`` span; its tracer stays empty
-    however long it lives (the serve session, which lasts the server's
-    lifetime).
+    ``spans=False`` makes a counters-only session: the outcomes it adopts
+    add no ``compile``/``pass:`` spans, and runners add no ``run:`` span;
+    its tracer stays empty however long it lives (the serve session,
+    which lasts the server's lifetime).
     """
 
     def __init__(self, events_path: str | None = None, spans: bool = True) -> None:
@@ -90,36 +92,32 @@ class Telemetry:
     def adopt_record(self, record: Any) -> None:
         """Fold one experiment record's out-of-band telemetry in.
 
-        Spans attached to the record are adopted with the job key stamped
-        on their roots; cache hit/miss counts from ``record.metrics`` (the
-        provenance channel that already survives every runner boundary)
-        feed the ``cache.*`` counters, which only ever count those
-        per-compilation metrics, so serial and process runs reconcile
-        identically.
+        A compile record's pass timings become its ``compile``/``pass:``
+        spans, with the job key on the root; cache hit/miss counts from
+        ``record.metrics`` (the provenance channel that already survives
+        every runner boundary) feed the ``cache.*`` counters, which only
+        ever count those per-compilation metrics, so serial and process
+        runs reconcile identically.
         """
-        spans = getattr(record, "spans", ()) or ()
-        if spans:
-            self.tracer.adopt(spans, root_attrs={"job": record.job})
-        metrics = getattr(record, "metrics", None) or {}
-        hits = metrics.get("cache_hits", 0)
-        misses = metrics.get("cache_misses", 0)
-        if hits:
-            self.metrics.inc("cache.hits", hits)
-        if misses:
-            self.metrics.inc("cache.misses", misses)
+        attrs = {"circuit": record.circuit, "qubits": record.qubits, "job": record.job}
+        self._adopt(record.pass_timings, record.metrics, attrs)
         self.events.emit("job_finished", job=record.job, experiment=record.experiment)
 
-    def adopt_compile(self, result: Any, circuit: str | None = None) -> None:
-        """Fold one ``Pipeline.compile`` outcome in (the CLI compile path)."""
-        attrs = {"circuit": circuit} if circuit else None
-        if result.spans:
-            self.tracer.adopt(result.spans, root_attrs=attrs)
+    def adopt_compile(self, result: Any, circuit: Any) -> None:
+        """Fold one ``Pipeline.compile`` outcome for ``circuit`` in (the
+        CLI compile path)."""
+        attrs = {"circuit": circuit.name, "qubits": circuit.num_qubits}
+        self._adopt(result.pass_timings, result.metrics, attrs)
+        self.events.emit("compile_finished", circuit=circuit.name)
+
+    def _adopt(self, timings: Any, metrics: dict, attrs: dict[str, Any]) -> None:
+        if self.spans:
+            self.tracer.add_compile(timings, attrs)
         for source, counter in (("cache_hits", "cache.hits"),
                                 ("cache_misses", "cache.misses")):
-            value = result.metrics.get(source, 0)
+            value = metrics.get(source, 0)
             if value:
                 self.metrics.inc(counter, value)
-        self.events.emit("compile_finished", circuit=circuit)
 
     # -- exports -------------------------------------------------------------
 
@@ -143,12 +141,6 @@ _ACTIVE_LOCK = threading.Lock()
 def active() -> Telemetry | None:
     """The process's active telemetry session, or None (the common case)."""
     return _ACTIVE
-
-
-def tracing() -> bool:
-    """Whether the active session keeps spans (False without a session)."""
-    tele = _ACTIVE
-    return tele is not None and tele.spans
 
 
 @contextmanager

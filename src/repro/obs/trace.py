@@ -1,13 +1,15 @@
-"""Hierarchical tracing spans: monotonic clocks, ids, parent links, JSONL export.
+"""Hierarchical tracing spans: ids, parent links, JSONL export.
 
 A :class:`Tracer` records **spans** — named intervals with a wall-clock
 start (``ts``, epoch seconds, comparable across processes on one host), a
 duration (``dur``, measured with ``time.perf_counter`` so it never goes
-backwards), a per-thread CPU time (``cpu``, from ``time.thread_time``), a
-process-unique ``id``, and a ``parent`` link.  Spans are stored as plain
-JSON-ready dicts, which is what lets them ride the same pickle channels
-compilation results and experiment records already travel (a subprocess's
-spans come back attached to its outcomes, not through shared state).
+backwards), a per-thread CPU time (``cpu``, from ``time.thread_time``), an
+``id`` unique to the recording process and tracer, and a ``parent`` link.
+Spans are stored as plain JSON-ready dicts.  Nothing opens a span around
+live work: a compilation's spans are built from the pass timings its
+outcome already carries, in whichever process adopts that outcome
+(:meth:`Tracer.add_compile`), so a subprocess sends timings home, never
+spans.
 
 Export: :func:`write_trace_jsonl` (one JSON object per line — a ``meta``
 header, one ``span`` line each, an optional trailing ``metrics`` snapshot).
@@ -20,88 +22,30 @@ import json
 import os
 import threading
 import time
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 #: Bump when the span line schema changes; the schema checker in
 #: benchmarks/telemetry_schema.py validates against this.
 TRACE_SCHEMA_VERSION = 1
 
-#: Process-wide tracer sequence: tracers adopted into one trace (one per
-#: compilation) must not collide on span ids.
+#: Process-wide tracer sequence: span ids stay unique across tracers.
 _TRACER_SEQ = itertools.count(1)
-
-class _SpanContext:
-    """One open span; closing it stamps ``dur``/``cpu`` into the record."""
-
-    __slots__ = ("tracer", "record", "_wall0", "_cpu0")
-
-    def __init__(self, tracer: "Tracer", record: dict[str, Any]) -> None:
-        self.tracer = tracer
-        self.record = record
-
-    def __enter__(self) -> "_SpanContext":
-        self.record["ts"] = time.time()
-        self._cpu0 = time.thread_time()
-        self._wall0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.record["dur"] = time.perf_counter() - self._wall0
-        self.record["cpu"] = time.thread_time() - self._cpu0
-        self.tracer._close(self.record)
-
-    # Convenience accessors for callers that reuse the span's clocks
-    # (the pipeline feeds PassTiming from these instead of re-reading).
-
-    @property
-    def wall(self) -> float:
-        return self.record["dur"]
-
-    @property
-    def cpu(self) -> float:
-        return self.record["cpu"]
 
 
 class Tracer:
-    """An append-only span collection with an open-span stack.
+    """An append-only span collection.
 
-    One tracer serves one logical unit (a compilation, a CLI session); the
-    stack is therefore single-threaded by construction — concurrent
-    compilations each get their own tracer and the spans merge later via
-    :meth:`adopt`.  ``spans`` holds plain dicts in *completion* order.
+    Every span is recorded already measured: :meth:`add_span` takes an
+    interval observed elsewhere (a runner's ``run:`` span), and
+    :meth:`add_compile` builds one compilation's spans from its pass
+    timings.  ``spans`` holds plain dicts in recording order.
     """
 
     def __init__(self) -> None:
         self.spans: list[dict[str, Any]] = []
         self._prefix = f"{os.getpid():x}.{next(_TRACER_SEQ):x}"
         self._seq = itertools.count(1)
-        self._stack: list[str] = []
         self._lock = threading.Lock()
-
-    def span(self, name: str, **attrs: Any) -> _SpanContext:
-        """Open a child span of the innermost open span (context manager)."""
-        record: dict[str, Any] = {
-            "name": name,
-            "ts": 0.0,
-            "dur": 0.0,
-            "cpu": 0.0,
-            "id": f"{self._prefix}.{next(self._seq)}",
-            "parent": self._stack[-1] if self._stack else None,
-            "pid": os.getpid(),
-            "attrs": attrs,
-        }
-        self._stack.append(record["id"])
-        return _SpanContext(self, record)
-
-    def _close(self, record: dict[str, Any]) -> None:
-        # Spans close LIFO in correct code, but an exception unwinding
-        # several at once must not corrupt the stack: pop to the record.
-        while self._stack and self._stack[-1] != record["id"]:
-            self._stack.pop()
-        if self._stack:
-            self._stack.pop()
-        with self._lock:
-            self.spans.append(record)
 
     def add_span(
         self,
@@ -129,26 +73,34 @@ class Tracer:
             self.spans.append(record)
         return record
 
-    def adopt(
-        self,
-        spans: Iterable[dict[str, Any]],
-        root_attrs: dict[str, Any] | None = None,
-    ) -> int:
-        """Fold spans recorded elsewhere (another tracer, another process).
+    def add_compile(self, timings: Sequence[Any], attrs: dict[str, Any]) -> None:
+        """Record one compilation from its pass timings.
 
-        ``root_attrs`` is merged into the attrs of adopted *root* spans
-        (``parent is None``) — the adoption point knows provenance (which
-        job, which circuit) the recording point did not.  Returns the number
-        of spans adopted.
+        ``timings`` are the compilation's
+        :class:`~repro.pipeline.context.PassTiming` list; each becomes a
+        ``pass:<name>`` span with the timing's own clock reads, so a trace
+        reconciles with pass timings exactly.  Their parent is one
+        ``compile`` root carrying ``attrs`` (circuit, qubits, job), which
+        runs from the first pass's start to the last pass's end.
         """
-        adopted = []
-        for record in spans:
-            if root_attrs and record.get("parent") is None:
-                record = {**record, "attrs": {**record.get("attrs", {}), **root_attrs}}
-            adopted.append(record)
-        with self._lock:
-            self.spans.extend(adopted)
-        return len(adopted)
+        if not timings:
+            return
+        first, last = timings[0], timings[-1]
+        root = self.add_span(
+            "compile",
+            ts=first.start,
+            dur=max(last.start + last.seconds - first.start, 0.0),
+            cpu=sum(timing.cpu_seconds for timing in timings),
+            attrs=attrs,
+        )
+        for timing in timings:
+            self.add_span(
+                f"pass:{timing.name}",
+                ts=timing.start,
+                dur=timing.seconds,
+                cpu=timing.cpu_seconds,
+                parent=root["id"],
+            )
 
 
 # ---------------------------------------------------------------------------

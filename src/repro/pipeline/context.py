@@ -30,19 +30,22 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PassTiming:
-    """Time spent inside one pass: wall clock, plus the CPU split.
+    """Time spent inside one pass: when it started, wall clock, CPU split.
 
     ``seconds`` is wall-clock time (``time.perf_counter``).
     ``cpu_seconds`` is the executing thread's CPU time over the same
     interval (``time.thread_time``); the split is what lets summed pass
     timings from thread/process runners be reconciled against wall time —
     under contention wall exceeds CPU, and the ratio says by how much.
-    ``None`` marks a timing recorded by a pre-split producer.
+    ``start`` is the epoch second the pass began (``time.time``),
+    comparable across processes on one host: it places the pass's trace
+    span (see :meth:`repro.obs.Tracer.add_compile`).
     """
 
     name: str
     seconds: float
-    cpu_seconds: float | None = None
+    cpu_seconds: float
+    start: float
 
 
 def aggregate_timings(timings: list[PassTiming]) -> dict[str, float]:
@@ -110,10 +113,6 @@ class PassContext:
     artifacts: dict[str, Any] = field(default_factory=dict)
     timings: list[PassTiming] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: Telemetry spans recorded during this compilation (JSON-ready dicts,
-    #: see :mod:`repro.obs.trace`).  Out-of-band by contract: results carry
-    #: them across process boundaries, but nothing may compute from them.
-    spans: list[dict[str, Any]] = field(default_factory=list)
     #: Artifact name -> cache key of the chain that produced it (see
     #: :mod:`repro.pipeline.cache`).  An artifact without an entry is
     #: unkeyed: the pipeline drops a stage's output keys before it runs,
@@ -161,11 +160,6 @@ class PassContext:
         return value
 
     # -- timings ------------------------------------------------------------
-
-    def record_timing(
-        self, name: str, seconds: float, cpu_seconds: float | None = None
-    ) -> None:
-        self.timings.append(PassTiming(name, seconds, cpu_seconds))
 
     def seconds_for(self, name: str) -> float:
         """Total seconds recorded for passes named ``name`` (0.0 if none)."""

@@ -15,11 +15,10 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 
-from repro import obs
 from repro.baseline.retry import BaselineResult
 from repro.circuits.circuit import Circuit
 from repro.errors import CompilationError
-from repro.pipeline.context import PassContext
+from repro.pipeline.context import PassContext, PassTiming
 from repro.pipeline.passes import (
     BaselinePass,
     CompilerPass,
@@ -152,7 +151,6 @@ class Pipeline:
         passes: Sequence[CompilerPass] | None = None,
         seed: int | None = None,
         cache=None,
-        telemetry: bool = False,
     ) -> None:
         self.settings = settings or PipelineSettings()
         base: tuple[CompilerPass, ...] = (
@@ -165,10 +163,6 @@ class Pipeline:
             base = cached_passes(base, cache)
         self.passes = base
         self.seed = seed
-        # Collection intent, not a handle: a bool survives pickling into
-        # process-pool workers, where the parent's session is invisible.
-        # The recorded spans ride back on the result (``ctx.spans``).
-        self.telemetry = telemetry
 
     # -- core execution -----------------------------------------------------
 
@@ -178,46 +172,26 @@ class Pipeline:
         Each stage's :meth:`~repro.pipeline.passes.CompilerPass.prepare`
         (cache lookups, loading deferred inputs) runs before its timer
         starts, so pass timings never include unpickling cached artifacts.
-
-        With ``telemetry`` enabled — explicitly, or implicitly because a
-        telemetry session that keeps spans is active in this process (a
-        counters-only one, such as the serve session, traces nothing) —
-        the loop additionally records one ``pass:<name>`` span per stage
-        under a ``compile`` root, measured from the *same* clock reads that feed
-        ``PassContext.timings``, so trace summaries reconcile with pass
-        timings exactly.  Timings and artifacts are identical either way:
-        spans are out-of-band.
+        ``ctx.timings`` is the compilation's one per-pass record: a
+        telemetry session builds its ``compile``/``pass:`` spans from it
+        when it adopts the outcome (:mod:`repro.obs`), so tracing adds no
+        work here.
         """
-        if self.telemetry or obs.tracing():
-            return self._run_traced(ctx)
         for stage in self.passes:
             self._prepare(stage, ctx)
+            start = time.time()
             cpu0 = time.thread_time()
-            start = time.perf_counter()
+            wall0 = time.perf_counter()
             stage.run(ctx)
-            ctx.record_timing(
-                stage.name,
-                time.perf_counter() - start,
-                time.thread_time() - cpu0,
+            ctx.timings.append(
+                PassTiming(
+                    stage.name,
+                    time.perf_counter() - wall0,
+                    time.thread_time() - cpu0,
+                    start,
+                )
             )
             self._check_provides(stage, ctx)
-        return ctx
-
-    def _run_traced(self, ctx: PassContext) -> PassContext:
-        """The ``run`` loop with span recording around every stage."""
-        tracer = obs.Tracer()
-        ctx.spans = tracer.spans  # spans land directly in the context
-        with tracer.span(
-            "compile",
-            circuit=ctx.circuit.name,
-            qubits=ctx.circuit.num_qubits,
-        ):
-            for stage in self.passes:
-                self._prepare(stage, ctx)
-                with tracer.span(f"pass:{stage.name}") as sp:
-                    stage.run(ctx)
-                ctx.record_timing(stage.name, sp.wall, sp.cpu)
-                self._check_provides(stage, ctx)
         return ctx
 
     @staticmethod
@@ -266,13 +240,7 @@ class Pipeline:
         """
         from repro.pipeline.cache import uncached_passes
 
-        return Pipeline(
-            self.settings,
-            uncached_passes(self.passes),
-            self.seed,
-            cache,
-            telemetry=self.telemetry,
-        )
+        return Pipeline(self.settings, uncached_passes(self.passes), self.seed, cache)
 
     def insert_pass(
         self,
@@ -318,13 +286,7 @@ class Pipeline:
             index = names.index(anchor) + (1 if after is not None else 0)
         chain.insert(index, stage)
         check_chain(chain)
-        return Pipeline(
-            self.settings,
-            chain,
-            self.seed,
-            self.cache,
-            telemetry=self.telemetry,
-        )
+        return Pipeline(self.settings, chain, self.seed, self.cache)
 
     # -- the one-shot entry point -----------------------------------------
 
@@ -343,7 +305,6 @@ class Pipeline:
             result = ctx.require("baseline")
             result.pass_timings = list(ctx.timings)
             result.metrics = dict(ctx.metrics)
-            result.spans = list(ctx.spans)
             return result
         reshape = ctx.require("reshape")
         return CompilationResult(
@@ -358,5 +319,4 @@ class Pipeline:
             online_seconds=ctx.seconds_for(OnlineReshapePass.name),
             pass_timings=list(ctx.timings),
             metrics=dict(ctx.metrics),
-            spans=list(ctx.spans),
         )

@@ -31,11 +31,6 @@ class CompilationResult:
     #: peak memory, cache hit/miss counts, ...) — the provenance channel the
     #: experiment layer surfaces into ``ExperimentRecord.metrics``.
     metrics: dict = field(default_factory=dict, repr=False)
-    #: Telemetry spans recorded during this compilation (empty unless the
-    #: pipeline ran with ``telemetry=True``).  Out-of-band by contract:
-    #: consumers adopt them into a session trace, nothing computes from
-    #: them — results are identical with or without.
-    spans: list = field(default_factory=list, repr=False)
 
     @property
     def pl_ratio(self) -> float:

@@ -134,16 +134,13 @@ def ack_frame(
 
 
 def record_frame(seq: int, record: ExperimentRecord) -> dict[str, Any]:
-    """One record as a frame — exactly the ``JsonlStreamWriter`` payload,
-    so a streamed file of these reconciles with ``--stream --out`` output."""
+    """One record as a frame — :meth:`ExperimentRecord.payload`, exactly
+    a ``JsonlStreamWriter`` line, so a streamed file of these reconciles
+    with ``--stream --out`` output."""
     return {
         "frame": "record",
         "seq": seq,
-        "record": {
-            **record.canonical(),
-            "timings": dict(record.timings),
-            "metrics": dict(record.metrics),
-        },
+        "record": record.payload(),
     }
 
 
@@ -191,7 +188,7 @@ def stats_frame(payload: dict[str, Any]) -> dict[str, Any]:
 def record_from_payload(payload: dict[str, Any]) -> ExperimentRecord:
     """Reconstruct an :class:`ExperimentRecord` from a record frame payload.
 
-    The inverse of :func:`record_frame`: a client folds these into
+    The inverse of :meth:`ExperimentRecord.payload`: a client folds these into
     :meth:`~repro.experiments.api.ExperimentResult.from_stream` and gets a
     result whose canonical JSON is byte-identical to the local run's.
     """

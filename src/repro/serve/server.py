@@ -469,8 +469,8 @@ class ReproServer:
         }
         hits = int(result.metrics.get("cache_hits", 0))
         misses = int(result.metrics.get("cache_misses", 0))
-        # Counters only: the compilation's spans stay out of the
-        # long-lived session.
+        # Counters only: the compilation's pass timings are never built
+        # into spans in the long-lived session.
         obs.count("cache.hits", hits)
         obs.count("cache.misses", misses)
         payload["cache"] = cache_summary(hits, misses)

@@ -676,7 +676,7 @@ SETTINGS_VARIANTS = {
 }
 
 #: The ``PassContext`` fields that are the pass bus, not inputs to read.
-BUS_FIELDS = {"artifacts", "timings", "metrics", "spans", "artifact_keys", "lookups"}
+BUS_FIELDS = {"artifacts", "timings", "metrics", "artifact_keys", "lookups"}
 
 CACHEABLE = list(
     {stage.name: stage for stage in (*default_passes(), *baseline_passes())

@@ -2,15 +2,16 @@
 
 Pins the tentpole guarantees:
 
-* collection primitives work standalone (span nesting and parent links,
+* collection primitives work standalone (span ids and recorded intervals,
   counter/gauge/histogram registry semantics, per-event-flush logs);
-* trace files round-trip (JSONL and Chrome ``trace_event``) and summarize
-  into per-pass / per-run / cache tables;
-* the pipeline's pass spans carry the *same* clock reads as
-  ``PassContext.timings``, so traces reconcile with timings exactly;
+* trace files round-trip (JSONL) and summarize into per-pass / per-run /
+  cache tables;
+* an adopted compilation's pass spans carry the *same* clock reads as its
+  pass timings, so traces reconcile with timings exactly;
 * telemetry provenance survives every runner boundary: session counters
   equal the record-derived sums for the serial and process backends
-  alike, and each compile record brings its spans home;
+  alike, and each compile record brings its pass timings home, where the
+  session builds its spans;
 * **determinism**: canonical records are byte-identical with a telemetry
   session active or not, on the serial and the process runner both.
 """
@@ -81,51 +82,28 @@ REFERENCE = TeleToy().run("bench", seed=3)
 
 
 class TestTracer:
-    def test_nesting_and_parent_links(self):
-        tracer = obs.Tracer()
-        with tracer.span("outer", kind="root"):
-            with tracer.span("inner"):
-                pass
-        inner, outer = tracer.spans  # completion order: inner closes first
-        assert inner["name"] == "inner" and outer["name"] == "outer"
-        assert outer["parent"] is None
-        assert inner["parent"] == outer["id"]
-        assert outer["attrs"] == {"kind": "root"}
-        assert inner["dur"] >= 0.0 and inner["cpu"] >= 0.0
-        assert outer["dur"] >= inner["dur"]
-
     def test_span_ids_unique_across_tracers(self):
         ids = set()
         for _ in range(3):
             tracer = obs.Tracer()
-            with tracer.span("a"):
-                pass
+            tracer.add_span("a", ts=0.0, dur=0.0)
             ids.add(tracer.spans[0]["id"])
         assert len(ids) == 3
 
-    def test_exception_unwinds_stack(self):
-        tracer = obs.Tracer()
-        with pytest.raises(ValueError):
-            with tracer.span("outer"):
-                with tracer.span("inner"):
-                    raise ValueError("boom")
-        with tracer.span("after"):
-            pass
-        assert tracer.spans[-1]["parent"] is None  # stack fully unwound
-
     def test_adopt_stamps_root_attrs_only(self):
-        child = obs.Tracer()
-        with child.span("compile"):
-            with child.span("pass:translate"):
-                pass
-        parent = obs.Tracer()
-        adopted = parent.adopt(child.spans, root_attrs={"job": "j1"})
-        assert adopted == 2
-        by_name = {record["name"]: record for record in parent.spans}
-        assert by_name["compile"]["attrs"]["job"] == "j1"
-        assert "job" not in by_name["pass:translate"]["attrs"]
-        # Adoption copies the stamped roots; the child's records are untouched.
-        assert all("job" not in record["attrs"] for record in child.spans)
+        record = REFERENCE.records[0]
+        with obs.session() as tele:
+            tele.adopt_record(record)
+        root, *children = tele.tracer.spans
+        assert root["name"] == "compile" and root["parent"] is None
+        assert root["attrs"] == {
+            "circuit": "qaoa-4", "qubits": 4, "job": record.job,
+        }
+        assert [child["name"] for child in children] == [
+            f"pass:{timing.name}" for timing in record.pass_timings
+        ]
+        assert all(child["parent"] == root["id"] for child in children)
+        assert all(child["attrs"] == {} for child in children)
 
     def test_add_span_records_given_interval(self):
         tracer = obs.Tracer()
@@ -193,7 +171,6 @@ class TestSession:
         obs.gauge("y", 1)
         obs.observe("z", 2.0)
         obs.event("nothing")
-        assert not obs.tracing()
 
     def test_session_scopes_collection(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -201,8 +178,7 @@ class TestSession:
             assert obs.active() is tele
             obs.count("c", 2)
             obs.event("e")
-            with tele.tracer.span("s"):
-                pass
+            tele.tracer.add_span("s", ts=0.0, dur=0.0)
             assert tele.metrics.snapshot()["counters"] == {"c": 2}
             assert len(load_events(path)) == 1
             assert [record["name"] for record in tele.tracer.spans] == ["s"]
@@ -227,7 +203,7 @@ class TestTraceFiles:
     def _session_with_work(self, tmp_path):
         with obs.session() as tele:
             result = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
-            tele.adopt_compile(result, circuit=CIRCUIT.name)
+            tele.adopt_compile(result, CIRCUIT)
             path = tmp_path / "trace.jsonl"
             tele.write_trace(str(path))
         return path
@@ -264,20 +240,32 @@ class TestTraceFiles:
 class TestPipelineTelemetry:
     def test_untraced_compile_has_no_spans_but_cpu_timings(self):
         result = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
-        assert result.spans == []
-        assert all(t.cpu_seconds is not None for t in result.pass_timings)
+        assert not hasattr(result, "spans")
+        assert [t.name for t in result.pass_timings] == [
+            "translate", "rewrite", "offline-map", "online-reshape",
+        ]
+        assert all(type(t.cpu_seconds) is float for t in result.pass_timings)
+        # A counters-only session adopts the outcome without a span.
+        with obs.session(spans=False) as tele:
+            tele.adopt_compile(result, CIRCUIT)
+        assert tele.tracer.spans == []
 
     def test_traced_spans_share_timing_clock_reads(self):
-        with obs.session():
-            result = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
-        by_name = {record["name"]: record for record in result.spans}
-        roots = [r for r in result.spans if r["parent"] is None]
+        result = Pipeline(SETTINGS).compile(CIRCUIT, seed=1)
+        with obs.session() as tele:
+            tele.adopt_compile(result, CIRCUIT)
+        spans = tele.tracer.spans
+        by_name = {record["name"]: record for record in spans}
+        roots = [r for r in spans if r["parent"] is None]
         assert [r["name"] for r in roots] == ["compile"]
         assert roots[0]["attrs"] == {"circuit": CIRCUIT.name, "qubits": 4}
+        assert roots[0]["ts"] == result.pass_timings[0].start
+        assert len(spans) == 1 + len(result.pass_timings)
         for timing in result.pass_timings:
             span = by_name[f"pass:{timing.name}"]
-            # Identical floats, not approximations: the pipeline feeds
-            # record_timing from the span's own clock reads.
+            # Identical floats, not approximations: the span is built from
+            # the timing's own clock reads.
+            assert span["ts"] == timing.start
             assert span["dur"] == timing.seconds
             assert span["cpu"] == timing.cpu_seconds
             assert span["parent"] == roots[0]["id"]
@@ -329,10 +317,21 @@ class TestRunnerProvenance:
         assert counters.get("cache.hits", 0) == hits
         assert counters.get("cache.misses", 0) == misses
         assert misses > 0  # a cold cache actually exercised the channel
-        # Every compile job's spans crossed the boundary and were adopted.
-        compile_roots = [s for s in spans if s["name"] == "compile"]
-        assert len(compile_roots) == len(result.records)
-        assert all(s["attrs"].get("job") for s in compile_roots)
+        # Every compile job's pass timings crossed the boundary and became
+        # one compile root whose pass: children carry the record's timings.
+        compile_roots = {s["attrs"]["job"]: s for s in spans if s["name"] == "compile"}
+        assert sorted(compile_roots) == sorted(r.job for r in result.records)
+        for record in result.records:
+            root = compile_roots[record.job]
+            children = [s for s in spans if s["parent"] == root["id"]]
+            assert [(s["name"], s["dur"], s["cpu"]) for s in children] == [
+                (f"pass:{t.name}", t.seconds, t.cpu_seconds)
+                for t in record.pass_timings
+            ]
+        assert all(
+            s["parent"] in {root["id"] for root in compile_roots.values()}
+            for s in spans if s["name"].startswith("pass:")
+        )
         # Run lifecycle: one run span (parent side) and start/finish events.
         assert [s["name"] for s in spans if s["name"].startswith("run:")].count(
             "run:tele-toy"
@@ -349,12 +348,25 @@ class TestRunnerProvenance:
                 "bench", seed=3, runner=_runner_for(name, tmp_path / "on")
             )
         assert canonical_json(plain.records) == canonical_json(traced.records)
-        # Flat rows (the CSV surface, m_ columns included) match too: spans
-        # never leak into exports.
+        # Flat rows (the CSV surface, m_ columns included) match too: pass
+        # timings reach exports only as the t_ columns.
         assert [r.flat() for r in plain.records] and all(
-            not any(key.startswith("m_spans") or key == "spans" for key in row)
-            for row in (r.flat() for r in traced.records)
+            "pass_timings" not in row for row in (r.flat() for r in traced.records)
         )
+
+    @pytest.mark.parametrize("name", ["serial", "process"])
+    def test_counters_only_session_counts_cache_but_adopts_no_span(
+        self, name, tmp_path
+    ):
+        with obs.session(spans=False) as tele:
+            result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))
+            counters = tele.metrics.snapshot()["counters"]
+        hits = sum(r.metrics.get("cache_hits", 0) for r in result.records)
+        misses = sum(r.metrics.get("cache_misses", 0) for r in result.records)
+        assert hits > 0 and misses > 0
+        assert counters.get("cache.hits", 0) == hits
+        assert counters.get("cache.misses", 0) == misses
+        assert tele.tracer.spans == []
 
     def test_trace_reconciles_with_record_timings(self, tmp_path):
         with obs.session() as tele:

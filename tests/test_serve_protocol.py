@@ -1,8 +1,12 @@
 """The serve wire protocol: frame round-trips and request validation."""
 
+import io
+import json
+
 import pytest
 
 from repro.experiments.api import ExperimentRecord
+from repro.experiments.streams import JsonlStreamWriter
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     TERMINAL_FRAMES,
@@ -62,15 +66,14 @@ class TestFrames:
         assert back == record
 
     def test_record_payload_matches_jsonl_writer_shape(self):
-        # The record frame carries exactly the JsonlStreamWriter line
-        # payload, so server streams and local --stream files line up.
+        # The record frame carries exactly the JsonlStreamWriter line, so
+        # server streams and local --stream files line up.
         record = _record()
-        payload = record_frame(0, record)["record"]
-        assert payload == {
-            **record.canonical(),
-            "timings": dict(record.timings),
-            "metrics": dict(record.metrics),
-        }
+        handle = io.StringIO()
+        JsonlStreamWriter(handle).write(record)
+        payload = decode_frame(encode_frame(record_frame(0, record)))["record"]
+        assert json.dumps(payload, sort_keys=True) + "\n" == handle.getvalue()
+        assert set(payload) == {*record.canonical(), "timings", "metrics"}
 
     def test_malformed_record_payload(self):
         with pytest.raises(ProtocolError):

@@ -226,6 +226,18 @@ class TestCli:
         assert lines[0].startswith(f"{argv[0]}: ")
         assert kind in lines[0]
 
+    @pytest.mark.parametrize("command", ["compile", "baseline"])
+    def test_bad_circuit_size_is_one_line_usage_error(self, capsys, command):
+        """A size the benchmark factory rejects is a bad argument: one
+        stderr line with the factory's message and exit 2, no traceback."""
+        code = main([command, "--benchmark", "rca", "--qubits", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{command}: the smallest Cuccaro adder needs 4 qubits"
+        ]
+
     def test_compile_json_reports_cache(self, capsys):
         import json
 
