@@ -1,9 +1,12 @@
 """Heralded fusion sampling and accounting.
 
-A :class:`FusionDevice` is the single point through which every simulated
-fusion outcome flows, so #fusion (the paper's second metric) is counted in
-exactly one place.  Outcomes are heralded (Section 1): the classical control
-learns success/failure immediately and feeds subsequent decisions.
+A :class:`FusionDevice` is the single source of every simulated fusion
+outcome (its ``rng`` at its ``success_rate``) and its :class:`FusionTally`
+the single place #fusion (the paper's second metric) is counted.  Layer
+formation, which draws in rounds, reads ``rng`` directly and records each
+merge or bond orientation in one tally call; everything else goes through
+the ``attempt*`` methods.  Outcomes are heralded (Section 1): the classical
+control learns success/failure immediately and feeds subsequent decisions.
 """
 
 from __future__ import annotations
@@ -81,16 +84,3 @@ class FusionDevice:
         outcomes = self.rng.random(shape) < self.success_rate
         self.tally.record(kind, outcomes.size, int(np.count_nonzero(outcomes)))
         return outcomes
-
-    def attempt_with_retries(self, retries: int, kind: str) -> tuple[bool, int]:
-        """Attempt up to ``1 + retries`` times; returns (success, attempts used).
-
-        Models the collective retry of Section 4.3: a failed connection is
-        retried with redundant degrees while any remain.
-        """
-        attempts = 0
-        for _ in range(1 + max(0, retries)):
-            attempts += 1
-            if self.attempt(kind):
-                return True, attempts
-        return False, attempts

@@ -91,17 +91,21 @@ class RSGArray:
         run out, i.e. after ``min(start, star)`` failures, and keeps
         ``start - f``; a site already dead is never pending, so it keeps
         ``f = 0`` and its degree.  ``alive`` and ``degrees`` are written
-        once per merge.  Attempts are drawn in row-major order of the
-        pending sites, round by round.
+        once per merge.  Attempts are drawn from ``device.rng`` in row-major
+        order of the pending sites, round by round; a round keeps the sites
+        whose draw failed, and its wins are the sites it drops.  The tally
+        gets one ``root-leaf`` record per call, when anything was attempted.
         """
         config = self.config
         n = config.rsl_size
         star = config.resource_state.max_degree
         merges = config.merged_rsls_per_layer - 1
+        rng = device.rng
+        rate = device.success_rate
 
         alive = np.ones(n * n, dtype=bool)
         degrees = np.full(n * n, star, dtype=np.int64)
-        merge_fusions = 0
+        merge_fusions = wins = 0
         for merge in range(merges):
             if merge:
                 pending = alive.nonzero()[0]
@@ -116,15 +120,18 @@ class RSGArray:
                 if merge and r:
                     # Alive sites hold >= 1 leaf, so round 0 never drops one.
                     pending = pending[degrees[pending] > r]
-                if not pending.shape[0]:
+                count = pending.shape[0]
+                if not count:
                     break
-                won = device.attempt_batch(pending.shape[0], "root-leaf")
-                merge_fusions += pending.shape[0]
-                pending = pending[~won]
+                pending = pending[rng.random(count) >= rate]
+                merge_fusions += count
+                wins += count - pending.shape[0]
                 fails[pending] = r + 1
             joined = (fails < limit) & alive
             degrees = degrees - fails + joined * (star - 1 - fails)
             alive = joined
+        if merge_fusions:
+            device.tally.record("root-leaf", merge_fusions, wins)
         return MergeResult(
             alive=alive.reshape(n, n),
             degrees=degrees.reshape(n, n),

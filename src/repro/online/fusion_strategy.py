@@ -63,9 +63,14 @@ def _attempt_bonds_with_retry(
     ``red_a``/``red_b`` are views of the site-indexed redundancy array at
     the two endpoint grids of the bond array.  Failed bonds retry once where
     *both* endpoints still hold a redundant leaf, consuming one from each.
+    Both rounds draw from ``device.rng``; the tally gets one ``leaf-leaf``
+    record for the pair, its successes counted after the retry round (a
+    retried bond's first draw failed, so its final outcome is its retry's).
     Returns (bond outcomes, attempts, retries).
     """
-    outcomes = device.attempt_grid(red_a.shape, "leaf-leaf")
+    rng = device.rng
+    rate = device.success_rate
+    outcomes = rng.random(red_a.shape) < rate
     retry = red_a > 0
     retry &= red_b > 0
     np.greater(retry, outcomes, out=retry)  # and the first attempt failed
@@ -73,8 +78,10 @@ def _attempt_bonds_with_retry(
     if retries:
         red_a -= retry
         red_b -= retry
-        outcomes[retry] = device.attempt_batch(retries, "leaf-leaf")
-    return outcomes, outcomes.size + retries, retries
+        outcomes[retry] = rng.random(retries) < rate
+    attempts = outcomes.size + retries
+    device.tally.record("leaf-leaf", attempts, int(np.count_nonzero(outcomes)))
+    return outcomes, attempts, retries
 
 
 def form_layer(config: HardwareConfig, device: FusionDevice) -> LayerFormation:

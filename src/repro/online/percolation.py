@@ -109,7 +109,11 @@ def frontier_bfs(
     Runs scipy's compiled kernel ``_breadth_first_directed`` (the loop
     inside ``breadth_first_order``) on the caller's arrays directly: every
     graph here is built in-process, so the public entry's ``csr_array``
-    and ``validate_graph`` round trip is pure overhead.  The output buffers
+    and ``validate_graph`` round trip is pure overhead.  ``indptr`` and
+    ``indices`` go in unconverted, as the C-contiguous ``int32`` arrays
+    every caller builds, so the kernel's typed signature is the only check:
+    a strided array, or an ``int64`` array paired with an ``int32`` one,
+    raises ``ValueError`` rather than being traversed.  The output buffers
     are allocated per call, so concurrent calls (``repro serve`` compiles
     on a thread pool) share nothing.
 
@@ -121,13 +125,7 @@ def frontier_bfs(
     node_count = indptr.shape[0] - 1
     order = np.empty(node_count, dtype=np.int32)
     predecessors = np.full(node_count, NO_PREDECESSOR, dtype=np.int32)
-    length = _breadth_first_directed(
-        source,
-        np.ascontiguousarray(indices, dtype=np.int32),
-        np.ascontiguousarray(indptr, dtype=np.int32),
-        order,
-        predecessors,
-    )
+    length = _breadth_first_directed(source, indices, indptr, order, predecessors)
     if obs.active() is not None:
         # Out-of-band wavefront-size telemetry; the ``active`` gate keeps
         # the untraced hot path to one global read.

@@ -127,7 +127,7 @@ _ALONG, _ACROSS, _FREE_FRAME, _ENTER, _CROSS = range(5)
 
 
 class _MoveGeometry(NamedTuple):
-    """Shape-only half of a strip's move table, rows = cells, cols = moves.
+    """Shape-only half of a strip's move table, one entry per CSR slot.
 
     ``gather`` addresses the flattened ``(5, n + 4, w + 4)`` frame stack of
     :meth:`_Carver.find_path` (two cells of ``False`` padding on every
@@ -137,17 +137,20 @@ class _MoveGeometry(NamedTuple):
     onward bond to ``cell + 2d`` and ``cell + 2d`` free, so a strip with
     no crossing gathers only the first two.  ``indptr`` is the strip's
     fixed-stride CSR row pointer: four slots per cell, ``w`` for the
-    super-source ``n * w``, none for the sink ``n * w + 1``.  The one-hop
-    and two-hop offsets are the flat strip-view targets ``cell + d`` and
-    ``cell + 2d`` less the sink, so a query's CSR ``indices`` are the sink
-    plus the offsets of the moves it keeps.
+    super-source ``n * w``, none for the sink ``n * w + 1``.  The
+    super-source's slots are the moves of a virtual row ``-1``, one step
+    down per lane: a lane starts one-hop on a free near-edge cell, or
+    two-hop across a perpendicular-owned one onto the free cell one row
+    inward.  Their bond plane reads the padding cell ``(0, 0)`` of the
+    along-bond frame, which no cell's move reads and ``find_path`` sets
+    ``True``.  The one-hop and two-hop offsets are the flat strip-view
+    targets ``cell + d`` and ``cell + 2d`` less the sink, so a query's CSR
+    ``indices`` are the sink plus the offsets of the moves it keeps.
     """
 
-    gather: np.ndarray  # (5, n * w, 4) frame-stack indices
+    gather: np.ndarray  # (5, 4 * n * w + w) frame-stack indices
     one_hop: np.ndarray  # flat target cell + d, less the sink (int32)
     two_hop: np.ndarray  # flat target cell + 2d, less the sink (int32)
-    lanes: np.ndarray  # near-edge start cells, lane order (int32)
-    inward: np.ndarray  # the cells one row inward of the lanes (int32)
     indptr: np.ndarray  # fixed-stride CSR row pointer (int32)
     sites: np.ndarray  # flat lattice site of each cell, strip at offset 0
     one_hop_steps: frozenset  # flat index steps of the one-hop moves
@@ -181,19 +184,29 @@ def _move_geometry(n: int, width: int, vertical: bool) -> _MoveGeometry:
     sites = span * n + lane if vertical else lane * n + span
     # Each plane is written in place: the stack is the geometry's largest
     # array, and a stack of temporaries would double it at build time.
-    gather = np.empty((5, n * width, MOVE_SLOTS), dtype=np.intp)
-    np.add(cell, bonds, out=gather[0])
+    slots = MOVE_SLOTS * n * width
+    gather = np.empty((5, slots + width), dtype=np.intp)
+    moves = gather[:, :slots].reshape(5, n * width, MOVE_SLOTS)
+    np.add(cell, bonds, out=moves[0])
     enter = np.where(span + d_span == n - 1, _ENTER, _FREE_FRAME)
-    np.add(cell, step + enter * frame_size, out=gather[1])
-    np.add(cell, step + _CROSS * frame_size, out=gather[2])
-    np.add(cell, step + bonds, out=gather[3])
-    np.add(cell, 2 * step + _FREE_FRAME * frame_size, out=gather[4])
+    np.add(cell, step + enter * frame_size, out=moves[1])
+    np.add(cell, step + _CROSS * frame_size, out=moves[2])
+    np.add(cell, step + bonds, out=moves[3])
+    np.add(cell, 2 * step + _FREE_FRAME * frame_size, out=moves[4])
+    # The start row's down moves from row -1: the always-true bond, the
+    # near-edge cell free or crossable, its along bond, the next cell free
+    # (``n >= 2``, so row 0 is never the goal row).
+    near = cell[:width, 0]
+    gather[0, slots:] = _ALONG * frame_size
+    gather[1, slots:] = near + _FREE_FRAME * frame_size
+    gather[2, slots:] = near + _CROSS * frame_size
+    gather[3, slots:] = near + _ALONG * frame_size
+    gather[4, slots:] = near + padded + _FREE_FRAME * frame_size
+    lanes = np.arange(width)
     return _MoveGeometry(
         gather=gather,
-        one_hop=(flat + flat_step - sink).astype(np.int32),
-        two_hop=(flat + 2 * flat_step - sink).astype(np.int32),
-        lanes=np.arange(width, dtype=np.int32),
-        inward=np.arange(width, 2 * width, dtype=np.int32),
+        one_hop=(np.append(flat + flat_step, lanes) - sink).astype(np.int32),
+        two_hop=(np.append(flat + 2 * flat_step, lanes + width) - sink).astype(np.int32),
         indptr=move_table_indptr(n * width, width),
         sites=sites.ravel(),
         one_hop_steps=frozenset((1, -1, width, -width)),
@@ -259,7 +272,9 @@ class _Carver:
         move order, a virtual super-source ``n * w`` has one slot per lane in
         lane order, and each slot without an edge (a missing move, or a lane
         that is no start) points at the sink ``n * w + 1``, a node with no
-        out-edges.  The row pointer is then shape-only too, and the CSR
+        out-edges.  The super-source's slots are gathered with the cells'
+        as the down moves of a virtual row ``-1``, so one gather builds
+        every slot.  The row pointer is then shape-only too, and the CSR
         ``indices`` are the sink plus the one-hop or two-hop offset of each
         kept move (the two kinds never compete for a slot).  Popping the
         sink enqueues nothing, so the other nodes keep the scalar BFS's
@@ -276,9 +291,12 @@ class _Carver:
         overwritten (the padding, the along-bond row of the goal row and
         the crossable goal row are never written, so they stay ``False``;
         of the enterable frame only the goal row is written, since one-hop
-        moves onto any other row read the free frame).
-        A strip with no perpendicular-owned cell has no crossings, so it
-        gathers only the bond and enterable planes.
+        moves onto any other row read the free frame).  The frames are
+        read off the claim state: the strip holds no cell of its own
+        orientation yet, so a goal-row cell is enterable exactly when it is
+        alive, and it holds a perpendicular-owned cell exactly when a
+        perpendicular path is claimed (each spans every strip).  A strip
+        with no crossings gathers only the bond and enterable planes.
 
         The search runs *before* the strip pre-check: any path it finds
         also spans the relaxed graph, so the pre-check would have said yes.
@@ -320,50 +338,51 @@ class _Carver:
         frames = self._frames.get(width)
         if frames is None:
             frames = self._frames[width] = np.zeros((5, n + 4, width + 4), dtype=bool)
+            frames[_ALONG, 0, 0] = True  # the start row's bond
         frames[_ALONG, 2 : n + 1, 2:-2] = usable_along
         frames[_ACROSS, 2:-2, 2 : width + 1] = usable_across
-        free = owner == _FREE
-        frames[_FREE_FRAME, 2:-2, 2:-2] = free
-        other = owner == other_owner
-        crossings = bool(other.any())
+        np.equal(owner, _FREE, out=frames[_FREE_FRAME, 2:-2, 2:-2])
+        # The strip holds no cell of its own orientation (its path is not
+        # claimed yet), so a goal-row cell is enterable, free or
+        # perpendicular-owned, exactly when it is alive.
+        np.not_equal(owner[-1], _DEAD, out=frames[_ENTER, n + 1, 2:-2])
+        # A claimed perpendicular path spans every strip and owns its cells
+        # in this one, so the strip holds a perpendicular-owned cell
+        # exactly when one is claimed.
+        crossings = bool(self.claimed[not vertical])
         if crossings:
-            np.logical_or(free[-1], other[-1], out=frames[_ENTER, n + 1, 2:-2])
-            frames[_CROSS, 2 : n + 1, 2:-2] = other[:-1]
-        else:
-            frames[_ENTER, n + 1, 2:-2] = free[-1]
+            np.equal(owner[:-1], other_owner, out=frames[_CROSS, 2 : n + 1, 2:-2])
         total = n * width
         sink = total + 1
 
         # The CSR indices: the move table is their first ``4 * n * w``
-        # slots and the super-source's start row the last ``w``.  Start
-        # cells on the near edge, one slot per lane: free cells start
-        # normally; perpendicular-owned cells are entered one row inward
-        # (the owned cell rejoins the path as a reconstruction prefix);
-        # other lanes point at the sink.
+        # slots and the super-source's start row the last ``w``.  A lane
+        # starts on a free near-edge cell, or one row inward across a
+        # perpendicular-owned one (the owned cell rejoins the path as a
+        # reconstruction prefix), or points at the sink.
         indices = np.empty(MOVE_SLOTS * total + width, dtype=np.int32)
-        moves = indices[:-width].reshape(total, MOVE_SLOTS)
         flat_frames = frames.ravel()
         if crossings:
             bond, enter, cross, onward_bond, landing = flat_frames.take(geometry.gather)
-            np.multiply(bond & enter, geometry.one_hop, out=moves)
-            moves += (bond & cross & onward_bond & landing) * geometry.two_hop
-            inward = other[0] & free[1] & usable_along[0]
-            start = np.where(inward, geometry.inward, sink)
+            np.multiply(bond & enter, geometry.one_hop, out=indices)
+            indices += (bond & cross & onward_bond & landing) * geometry.two_hop
         else:
             bond, enter = flat_frames.take(geometry.gather[:2])
-            np.multiply(bond & enter, geometry.one_hop, out=moves)
-            start = sink
-        moves += sink
-        indices[-width:] = np.where(free[0], geometry.lanes, start)
+            np.multiply(bond & enter, geometry.one_hop, out=indices)
+        indices += sink
 
         pop_order, parents = frontier_bfs(geometry.indptr, indices, total)
         # The super-source pops first; after it, the only nodes numbered
-        # ``total - width`` or more are the sink and the goal-row cells.
-        marks = np.flatnonzero(pop_order >= total - width)[1:3].tolist()
-        sink_first = bool(marks) and pop_order.item(marks[0]) == sink
+        # ``total - width`` or more are the sink (at most once) and the
+        # goal-row cells.  ``argmax`` finds the first such pop, 0 if none.
+        marks = pop_order >= total - width
+        marks[0] = False
+        found = int(marks.argmax())
+        sink_first = pop_order.item(found) == sink
         if sink_first:
-            del marks[0]
-        if not marks:
+            marks[found] = False
+            found = int(marks.argmax())
+        if not found:
             # Every enqueued cell was popped without reaching the far edge.
             # Only a spanning relaxed graph charges those pops; otherwise
             # the pre-check alone would have answered.
@@ -372,14 +391,15 @@ class _Carver:
             return None
         # Cell pops up to (and including) the goal are the scalar BFS's
         # visited count: neither the super-source nor an earlier sink.
-        found = marks[0]
         self.visited_sites += found - sink_first
 
-        # One walk from the goal back to the super-source.  A step that is
-        # no one-hop move is a two-hop edge, two cells along one view axis;
-        # the skipped crossing site is its midpoint.
+        # One walk from the goal back to the super-source, reading the
+        # predecessors through a memoryview (a python int per step, without
+        # ``ndarray.item``'s call overhead).  A step that is no one-hop move
+        # is a two-hop edge, two cells along one view axis; the skipped
+        # crossing site is its midpoint.
         one_hop_steps = geometry.one_hop_steps
-        parent_of = parents.item
+        parent_of = memoryview(parents).__getitem__
         node = pop_order.item(found)
         path = [node]
         previous = parent_of(node)
@@ -394,7 +414,8 @@ class _Carver:
             path.append(node - width)
         # The strip's first lane shifts the shape's sites by ``low``
         # columns (a column strip) or ``low`` rows (a row band).
-        return geometry.sites[path[::-1]] + (low if vertical else low * n)
+        steps = np.array(path[::-1], dtype=np.intp)
+        return geometry.sites[steps] + (low if vertical else low * n)
 
     def claim(self, sites: np.ndarray, vertical: bool) -> None:
         """Mark a found path's sites with their orientation ownership.
@@ -404,10 +425,8 @@ class _Carver:
         orientation) keep their original owner — they are exactly the
         renormalized nodes.
         """
-        marker = _VERTICAL if vertical else _HORIZONTAL
         owner = self.owner.reshape(-1)
-        current = owner[sites]
-        owner[sites] = np.where(current == _FREE, marker, current)
+        owner[sites[owner[sites] == _FREE]] = _VERTICAL if vertical else _HORIZONTAL
         self.claimed[vertical].append(sites)
 
     def result(self, target_size: int) -> RenormalizationResult:

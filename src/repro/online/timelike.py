@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import HardwareError
 from repro.hardware.architecture import HardwareConfig
 from repro.hardware.fusion import FusionDevice
@@ -78,13 +76,6 @@ class ReshapeMetrics:
         if self.logical_layers == 0:
             return float("nan")
         return self.rsl_consumed / self.logical_layers
-
-    @property
-    def mean_visited_sites(self) -> float:
-        """Average path-search work per RSL (the Fig. 14 cost proxy)."""
-        if not self.visited_sites_per_attempt:
-            return float("nan")
-        return float(np.mean(self.visited_sites_per_attempt))
 
 
 class OnlineReshaper:

@@ -84,14 +84,6 @@ class TestFusionDevice:
         device.attempt_batch(4000)
         assert abs(device.tally.observed_rate - 0.75) < 0.03
 
-    def test_retries(self):
-        device = FusionDevice(1.0, rng=0)
-        success, attempts = device.attempt_with_retries(3, "leaf-leaf")
-        assert success and attempts == 1
-        always_fail = FusionDevice(1e-12, rng=0)
-        success, attempts = always_fail.attempt_with_retries(2, "leaf-leaf")
-        assert not success and attempts == 3
-
     def test_tally_merge(self):
         a = FusionTally()
         a.record("x", 10, 7)

@@ -247,6 +247,21 @@ class TestFusionStrategy:
         # by four bonds, so the all-retry bound is out of reach.
         assert 0.8 < open_bonds / total_bonds < effective_bond_probability(config)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2 (leaf double-spend): both retries of a middle "
+        "site's two failed bonds are granted from its one redundant leaf; "
+        "28 of 2,304 sites end at -1 here",
+    )
+    def test_retries_never_overspend_a_leaf(self):
+        """A leaf is a qubit: a site cannot spend more redundant leaves on
+        retries than it holds, so no site's redundancy ends below 0."""
+        config = HardwareConfig(
+            rsl_size=48, resource_state=ResourceStateSpec(4), fusion_success_rate=0.75
+        )
+        formation = form_layer(config, FusionDevice(config.effective_fusion_rate, rng=0))
+        assert formation.redundancy.min() >= 0
+
 
 @given(
     rsl_size=st.integers(2, 40),

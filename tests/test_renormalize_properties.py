@@ -534,6 +534,20 @@ def test_frontier_bfs_reuses_graphs_across_edge_counts():
             _assert_bfs_matches_python(graph)
 
 
+def test_frontier_bfs_rejects_arrays_it_would_have_to_convert():
+    """``frontier_bfs`` hands its arrays to the compiled kernel unconverted,
+    so an ``int64`` ``indices`` beside the ``int32`` ``indptr``, or a
+    strided ``indptr``, must raise instead of being traversed."""
+    indptr, indices, source = _random_frontier_graph(7, 30, 60)
+    assert indptr.dtype == indices.dtype == np.int32
+    with pytest.raises(ValueError):
+        percolation.frontier_bfs(indptr, indices.astype(np.int64), source)
+    strided = np.repeat(indptr, 2)[::2]
+    assert np.array_equal(strided, indptr) and not strided.flags.c_contiguous
+    with pytest.raises(ValueError):
+        percolation.frontier_bfs(strided, indices, source)
+
+
 def test_frontier_bfs_graph_reuse_is_per_thread():
     """Two threads traverse different graphs of one node count 3,000 times
     each with a tiny switch interval; any buffer shared between the
@@ -749,6 +763,39 @@ def test_first_vertical_query_has_no_crossings_later_ones_do(monkeypatch):
     # move can do.
     crossing = result.node_sites[(1, 1)]
     assert 0 < crossing[1] < lattice.size - 1
+
+
+@given(pathfind_cases())
+@settings(max_examples=60, deadline=None)
+def test_crossings_follow_from_claimed_perpendicular_paths(case):
+    """``find_path`` reads its frames off the claim state: before every
+    query of a carve, "some perpendicular path is claimed" must equal "the
+    strip holds a perpendicular-owned cell", and the strip must hold no
+    cell of its own orientation (so an alive goal-row cell is enterable),
+    on lossless and lossy lattices and work-budget cuts alike."""
+    size, target, bond_probability, loss, budget, seed = case
+    lattice = _lattice_with_loss(size, bond_probability, loss, seed)
+    carver_class = renormalize_module._Carver
+    original = carver_class.find_path
+    queries = []
+
+    def checking(carver, vertical, index, count):
+        low, high = carver._strip_range(index, count)
+        strip = carver.owner[:, low:high] if vertical else carver.owner[low:high, :]
+        other = renormalize_module._HORIZONTAL if vertical else renormalize_module._VERTICAL
+        own = renormalize_module._VERTICAL if vertical else renormalize_module._HORIZONTAL
+        assert not (strip == own).any()
+        queries.append((bool(carver.claimed[not vertical]), bool((strip == other).any())))
+        return original(carver, vertical, index, count)
+
+    carver_class.find_path = checking
+    try:
+        renormalize(lattice, target, work_budget=budget)
+    finally:
+        carver_class.find_path = original
+    assert queries
+    for claimed, owned in queries:
+        assert claimed == owned
 
 
 @given(pathfind_cases())
