@@ -10,7 +10,7 @@ Run:  python examples/mbqc_feed_forward.py
 import numpy as np
 
 from repro.circuits import qft, simulate_statevector, states_equal_up_to_phase
-from repro.mbqc import DependencyDAG, run_pattern, translate_circuit
+from repro.mbqc import DependencyDAG, FrontLayer, run_pattern, translate_circuit
 
 
 def main() -> None:
@@ -23,7 +23,11 @@ def main() -> None:
     )
 
     dag = DependencyDAG(pattern)
-    print(f"dependency DAG depth: {dag.depth()} (front layer drives the mapper)")
+    front = FrontLayer(dag)
+    print(
+        f"dependency DAG: {sum(dag.indegree.values())} flow constraints, "
+        f"{len(front.ready)} nodes in the first front layer (it drives the mapper)"
+    )
     print()
 
     zero = np.zeros(2**3, dtype=complex)

@@ -52,11 +52,6 @@ class Gate:
                 f"got {len(self.params)}"
             )
 
-    @property
-    def is_entangling(self) -> bool:
-        """Whether the gate acts on more than one qubit."""
-        return len(self.qubits) > 1
-
     def __str__(self) -> str:
         args = ", ".join(str(q) for q in self.qubits)
         if self.params:

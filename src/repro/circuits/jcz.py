@@ -10,14 +10,25 @@ The MBQC translation (Fig. 3 of the paper) consumes circuits written with
 * ``CX(c, t) = (J(0) on t) CZ (J(0) on t)``
 * ``CCX`` via the standard 7-T decomposition, ``SWAP`` via three ``CX``.
 
-Adjacent ``J`` cancellation (``J(0) J(0) = I`` and angle merging through
-``P``) is applied as a peephole pass, mirroring how PyZX would simplify the
-pattern before mapping.
+:data:`LOWERING` holds each gate's expansion as a tuple of op tuples in
+application order, with qubits named by their slot in the gate:
+
+* ``(J, slot, angle)``: ``J(angle)`` with a constant ``angle``;
+* ``(JP, slot, scale)``: ``J(scale * theta)``, ``theta`` the gate's
+  parameter;
+* ``(CZ, slot_a, slot_b)``.
+
+:func:`jcz_ops` streams a circuit's expansion with adjacent ``J``
+cancellation (``J(0) J(0) = I``) applied as a peephole, mirroring how PyZX
+would simplify the pattern before mapping; :func:`to_jcz` builds gates from
+the stream, and ``repro.mbqc.translate`` builds the pattern from it
+directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
@@ -25,133 +36,134 @@ from repro.errors import CircuitError
 
 _PI = math.pi
 
+#: Op codes of :data:`LOWERING`.
+J = 0
+JP = 1
+CZ = 2
 
-def _lower_gate(gate: Gate, out: Circuit) -> None:
-    """Append the ``{J, CZ}`` expansion of ``gate`` to ``out``."""
-    name = gate.name
-    qubits = gate.qubits
-    if name == "j":
-        out.j(gate.params[0], qubits[0])
-    elif name == "cz":
-        out.cz(*qubits)
-    elif name == "h":
-        out.j(0.0, qubits[0])
-    elif name in ("rz", "p"):
-        out.j(gate.params[0], qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "z":
-        out.j(_PI, qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "s":
-        out.j(_PI / 2, qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "sdg":
-        out.j(-_PI / 2, qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "t":
-        out.j(_PI / 4, qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "tdg":
-        out.j(-_PI / 4, qubits[0])
-        out.j(0.0, qubits[0])
-    elif name == "x":
-        out.j(0.0, qubits[0])
-        out.j(_PI, qubits[0])
-    elif name == "rx":
-        out.j(0.0, qubits[0])
-        out.j(gate.params[0], qubits[0])
-    elif name == "y":
-        # Y = i X Z: lower as Z then X (global phase dropped).
-        _lower_gate(Gate("z", qubits), out)
-        _lower_gate(Gate("x", qubits), out)
-    elif name == "ry":
-        # Ry(t) = Rz(pi/2) Rx(t) Rz(-pi/2) as matrices; rightmost runs first.
-        _lower_gate(Gate("rz", qubits, (-_PI / 2,)), out)
-        _lower_gate(Gate("rx", qubits, gate.params), out)
-        _lower_gate(Gate("rz", qubits, (_PI / 2,)), out)
-    elif name == "cx":
-        control, target = qubits
-        out.j(0.0, target)
-        out.cz(control, target)
-        out.j(0.0, target)
-    elif name == "cp":
-        # Controlled phase via two CX and three Rz (exact up to global phase).
-        theta = gate.params[0]
-        control, target = qubits
-        _lower_gate(Gate("rz", (control,), (theta / 2,)), out)
-        _lower_gate(Gate("rz", (target,), (theta / 2,)), out)
-        _lower_gate(Gate("cx", (control, target)), out)
-        _lower_gate(Gate("rz", (target,), (-theta / 2,)), out)
-        _lower_gate(Gate("cx", (control, target)), out)
-    elif name == "swap":
-        a, b = qubits
-        for pair in ((a, b), (b, a), (a, b)):
-            _lower_gate(Gate("cx", pair), out)
-    elif name == "ccx":
-        c1, c2, target = qubits
-        steps = [
-            Gate("h", (target,)),
-            Gate("cx", (c2, target)),
-            Gate("tdg", (target,)),
-            Gate("cx", (c1, target)),
-            Gate("t", (target,)),
-            Gate("cx", (c2, target)),
-            Gate("tdg", (target,)),
-            Gate("cx", (c1, target)),
-            Gate("t", (c2,)),
-            Gate("t", (target,)),
-            Gate("h", (target,)),
-            Gate("cx", (c1, c2)),
-            Gate("t", (c1,)),
-            Gate("tdg", (c2,)),
-            Gate("cx", (c1, c2)),
-        ]
-        for step in steps:
-            _lower_gate(step, out)
-    else:
-        raise CircuitError(f"no {{J, CZ}} lowering for gate {name!r}")
+Op = tuple[int, int, float]
 
 
-def _merge_adjacent_j(circuit: Circuit) -> Circuit:
-    """Peephole pass: cancel ``J(0) J(0)`` pairs per wire.
+def _build_lowering() -> dict[str, tuple[Op, ...]]:
+    table: dict[str, tuple[Op, ...]] = {
+        "j": ((JP, 0, 1.0),),
+        "cz": ((CZ, 0, 1),),
+        "h": ((J, 0, 0.0),),
+        "rz": ((JP, 0, 1.0), (J, 0, 0.0)),
+        "z": ((J, 0, _PI), (J, 0, 0.0)),
+        "s": ((J, 0, _PI / 2), (J, 0, 0.0)),
+        "sdg": ((J, 0, -_PI / 2), (J, 0, 0.0)),
+        "t": ((J, 0, _PI / 4), (J, 0, 0.0)),
+        "tdg": ((J, 0, -_PI / 4), (J, 0, 0.0)),
+        "x": ((J, 0, 0.0), (J, 0, _PI)),
+        "rx": ((J, 0, 0.0), (JP, 0, 1.0)),
+        "cx": ((J, 1, 0.0), (CZ, 0, 1), (J, 1, 0.0)),
+    }
+    table["p"] = table["rz"]
 
-    ``J(0) = H`` so two adjacent ``J(0)`` on the same wire (with nothing in
-    between on that wire) are the identity.  This is the only always-safe
-    J-merge; angle fusion through ``P`` is left to the measurement pattern,
-    where it happens for free (adjacent ``E(0)`` measurements).
-    """
-    out = Circuit(circuit.num_qubits, name=circuit.name)
-    pending: dict[int, Gate] = {}  # wire -> buffered J(0)
-
-    def flush(qubit: int) -> None:
-        gate = pending.pop(qubit, None)
-        if gate is not None:
-            out.append(gate)
-
-    for gate in circuit.gates:
-        if gate.name == "j" and gate.params[0] == 0.0:
-            qubit = gate.qubits[0]
-            if qubit in pending:
-                pending.pop(qubit)  # J(0) J(0) = I
+    def on(name: str, *slots: int, angle: float | None = None, scale: float = 1.0):
+        """``name``'s ops on the given slots, its parameter a constant
+        ``angle`` or ``scale`` times the composite gate's own."""
+        ops = []
+        for code, a, b in table[name]:
+            if code == CZ:
+                ops.append((CZ, slots[a], slots[b]))
+            elif code == J:
+                ops.append((J, slots[a], b))
+            elif angle is not None:
+                ops.append((J, slots[a], b * angle))
             else:
-                pending[qubit] = gate
-            continue
-        for qubit in gate.qubits:
-            flush(qubit)
-        out.append(gate)
-    for qubit in sorted(pending):
-        flush(qubit)
-    return out
+                ops.append((JP, slots[a], b * scale))
+        return tuple(ops)
+
+    # Y = i X Z: lower as Z then X (global phase dropped).
+    table["y"] = on("z", 0) + on("x", 0)
+    # Ry(t) = Rz(pi/2) Rx(t) Rz(-pi/2) as matrices; rightmost runs first.
+    table["ry"] = on("rz", 0, angle=-_PI / 2) + on("rx", 0) + on("rz", 0, angle=_PI / 2)
+    # Controlled phase via two CX and three Rz (exact up to global phase).
+    table["cp"] = (
+        on("rz", 0, scale=0.5)
+        + on("rz", 1, scale=0.5)
+        + on("cx", 0, 1)
+        + on("rz", 1, scale=-0.5)
+        + on("cx", 0, 1)
+    )
+    table["swap"] = on("cx", 0, 1) + on("cx", 1, 0) + on("cx", 0, 1)
+    c1, c2, target = 0, 1, 2
+    table["ccx"] = (
+        on("h", target)
+        + on("cx", c2, target)
+        + on("tdg", target)
+        + on("cx", c1, target)
+        + on("t", target)
+        + on("cx", c2, target)
+        + on("tdg", target)
+        + on("cx", c1, target)
+        + on("t", c2)
+        + on("t", target)
+        + on("h", target)
+        + on("cx", c1, c2)
+        + on("t", c1)
+        + on("tdg", c2)
+        + on("cx", c1, c2)
+    )
+    return table
+
+
+#: Gate name -> its ``{J, CZ}`` expansion (see the module docstring).
+LOWERING: dict[str, tuple[Op, ...]] = _build_lowering()
+
+
+def jcz_ops(circuit: Circuit, simplify: bool = True) -> Iterator[Op]:
+    """``circuit``'s ``{J, CZ}`` ops in order, on wires: ``(J, wire, angle)``
+    and ``(CZ, wire_a, wire_b)`` (global phases dropped).
+
+    With ``simplify`` (default) adjacent ``J(0)`` pairs are cancelled: ``J(0)
+    = H``, so two ``J(0)`` on one wire with nothing between them there are
+    the identity.  This is the only always-safe J-merge; angle fusion
+    through ``P`` is left to the measurement pattern, where it happens for
+    free (adjacent ``E(0)`` measurements).  A ``J(0)`` is held until the
+    next op on its wire, and those still held at the end come out in wire
+    order.
+    """
+    pending: dict[int, float] = {}  # wire -> angle of its held J(0)
+    for gate in circuit.gates:
+        ops = LOWERING.get(gate.name)
+        if ops is None:
+            raise CircuitError(f"no {{J, CZ}} lowering for gate {gate.name!r}")
+        qubits = gate.qubits
+        for code, a, b in ops:
+            if code == CZ:
+                wire_a = qubits[a]
+                wire_b = qubits[b]
+                if wire_a in pending:
+                    yield J, wire_a, pending.pop(wire_a)
+                if wire_b in pending:
+                    yield J, wire_b, pending.pop(wire_b)
+                yield CZ, wire_a, wire_b
+                continue
+            wire = qubits[a]
+            angle = b if code == J else float(b * gate.params[0])
+            if simplify and angle == 0.0:
+                if wire in pending:
+                    del pending[wire]  # J(0) J(0) = I
+                else:
+                    pending[wire] = angle
+                continue
+            if wire in pending:
+                yield J, wire, pending.pop(wire)
+            yield J, wire, angle
+    for wire in sorted(pending):
+        yield J, wire, pending[wire]
 
 
 def to_jcz(circuit: Circuit, simplify: bool = True) -> Circuit:
-    """Lower ``circuit`` to ``{J(alpha), CZ}`` (global phases dropped).
-
-    With ``simplify`` (default) adjacent ``J(0)`` pairs are cancelled.
-    """
+    """Lower ``circuit`` to a ``{J(alpha), CZ}`` circuit: :func:`jcz_ops`
+    as gates."""
     lowered = Circuit(circuit.num_qubits, name=f"{circuit.name}:jcz")
-    for gate in circuit.gates:
-        _lower_gate(gate, lowered)
-    if simplify:
-        lowered = _merge_adjacent_j(lowered)
+    for code, a, b in jcz_ops(circuit, simplify):
+        if code == CZ:
+            lowered.append(Gate("cz", (a, b)))
+        else:
+            lowered.j(b, a)
     return lowered

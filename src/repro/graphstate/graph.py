@@ -229,11 +229,23 @@ class GraphState:
                     sub.add_edge(node, neighbor)
         return sub
 
+    @classmethod
+    def adopt(cls, adjacency: dict[Hashable, set[Hashable]]) -> "GraphState":
+        """A state over ``adjacency`` itself, not a copy.
+
+        The sets must be symmetric and loop-free; their iteration order is
+        kept, so code that makes them with ``add_edge``'s and
+        ``toggle_edge``'s set operations gets the state those calls would.
+        """
+        state = cls()
+        state._adjacency = adjacency
+        return state
+
     def copy(self) -> "GraphState":
         """Deep copy of the graph structure (node ids are shared)."""
-        clone = GraphState()
-        clone._adjacency = {node: set(nbrs) for node, nbrs in self._adjacency.items()}
-        return clone
+        return GraphState.adopt(
+            {node: set(nbrs) for node, nbrs in self._adjacency.items()}
+        )
 
     def relabeled(self, mapping: dict[Hashable, Hashable]) -> "GraphState":
         """A copy with node ids sent through ``mapping`` (identity if absent)."""

@@ -10,70 +10,73 @@ flow successor ``f(i)`` and every other neighbour of ``f(i)``.
 
 from __future__ import annotations
 
+import heapq
+
 from repro.errors import TranslationError
 from repro.mbqc.pattern import MeasurementPattern
 
 
 class DependencyDAG:
-    """Flow-derived partial order; :class:`FrontLayer` iterates it."""
+    """Flow-derived partial order; :class:`FrontLayer` iterates it.
+
+    Built in one pass over each measured node's flow successor and that
+    successor's adjacency: ``successors[i]`` holds the nodes that must come
+    after ``i`` and ``indegree[i]`` counts the nodes that must come before
+    it.  Both are read-only after construction.
+    """
 
     def __init__(self, pattern: MeasurementPattern) -> None:
         self.pattern = pattern
-        self._successors: dict[int, set[int]] = {node: set() for node in pattern.nodes}
-        self._predecessors: dict[int, set[int]] = {node: set() for node in pattern.nodes}
+        graph = pattern.graph
+        successors: dict[int, set[int]] = {}
+        indegree = dict.fromkeys(pattern.nodes, 0)
         for node_id, node in pattern.nodes.items():
-            if node.is_output:
+            if node.angle is None:  # an output: nothing waits on it
+                successors[node_id] = set()
                 continue
-            later_nodes = {node.successor}
-            later_nodes.update(
-                neighbor
-                for neighbor in pattern.graph.neighbors(node.successor)
-                if neighbor != node_id
-            )
-            for later in later_nodes:
-                self._successors[node_id].add(later)
-                self._predecessors[later].add(node_id)
+            flow = node.successor
+            later = graph.neighbors(flow)
+            later.discard(node_id)
+            later.add(flow)
+            successors[node_id] = later
+            for after in later:
+                indegree[after] += 1
+        self.successors = successors
+        self.indegree = indegree
         self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        if len(self.topological_order()) != len(self._successors):
+        """Kahn's count, in no particular order: every node retires iff no
+        cycle holds any back."""
+        successors = self.successors
+        waiting = dict(self.indegree)
+        ready = [node for node, count in waiting.items() if not count]
+        retired = 0
+        while ready:
+            retired += 1
+            for later in successors[ready.pop()]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    ready.append(later)
+        if retired != len(waiting):
             raise TranslationError("dependency graph has a cycle; no causal flow")
 
-    # ------------------------------------------------------------------
-
-    def successors(self, node: int) -> set[int]:
-        """Nodes that must come after ``node``."""
-        return set(self._successors[node])
-
-    def predecessors(self, node: int) -> set[int]:
-        """Nodes that must come before ``node``."""
-        return set(self._predecessors[node])
-
     def topological_order(self) -> list[int]:
-        """One full order consistent with the DAG (deterministic)."""
-        indegree = {node: len(preds) for node, preds in self._predecessors.items()}
-        ready = sorted(node for node, count in indegree.items() if count == 0)
+        """One full order consistent with the DAG: the smallest ready node
+        first (deterministic)."""
+        successors = self.successors
+        waiting = dict(self.indegree)
+        ready = [node for node, count in waiting.items() if not count]
+        heapq.heapify(ready)
         order: list[int] = []
         while ready:
-            current = ready.pop(0)
+            current = heapq.heappop(ready)
             order.append(current)
-            inserted = False
-            for later in sorted(self._successors[current]):
-                indegree[later] -= 1
-                if indegree[later] == 0:
-                    ready.append(later)
-                    inserted = True
-            if inserted:
-                ready.sort()
+            for later in successors[current]:
+                waiting[later] -= 1
+                if not waiting[later]:
+                    heapq.heappush(ready, later)
         return order
-
-    def depth(self) -> int:
-        """Length of the longest dependency chain (a lower bound on layers)."""
-        level: dict[int, int] = {}
-        for node in self.topological_order():
-            preds = self._predecessors[node]
-            level[node] = 1 + max((level[p] for p in preds), default=0)
-        return max(level.values(), default=0)
 
 
 class FrontLayer:
@@ -86,9 +89,9 @@ class FrontLayer:
     """
 
     def __init__(self, dag: DependencyDAG) -> None:
-        self._successors = dag._successors
-        self._waiting = {node: len(preds) for node, preds in dag._predecessors.items()}
-        self.ready = {node for node, count in self._waiting.items() if count == 0}
+        self._successors = dag.successors
+        self._waiting = dict(dag.indegree)
+        self.ready = {node for node, count in self._waiting.items() if not count}
 
     def consume(self, node: int) -> None:
         """Retire the ready ``node``; successors it was last to wait on join."""

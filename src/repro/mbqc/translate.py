@@ -6,66 +6,68 @@ current node, and marks the current node for an equatorial measurement with
 the gadget angle ``alpha``; a ``CZ`` gate toggles an edge between the two
 wires' current nodes.  The wire-ends at the end of the circuit are the output
 nodes.
+
+The ``{J, CZ}`` ops come straight from :func:`repro.circuits.jcz.jcz_ops`
+(the lowering table with its ``J(0) J(0)`` peephole), so no ``{J, CZ}``
+circuit is built.  The graph's adjacency sets see the same ``add``/``remove``
+sequence a ``GraphState`` built edge by edge would, so their iteration order
+(which the offline mapper reads) is the same too.
 """
 
 from __future__ import annotations
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.jcz import to_jcz
+from repro.circuits.jcz import CZ, jcz_ops
 from repro.errors import TranslationError
 from repro.graphstate.graph import GraphState
 from repro.mbqc.pattern import MeasurementPattern, PatternNode
 
 
-def translate_circuit(circuit: Circuit, simplify: bool = True) -> MeasurementPattern:
+def translate_circuit(circuit: Circuit) -> MeasurementPattern:
     """Translate ``circuit`` into a measurement pattern on a program graph state.
 
-    Non-``{J, CZ}`` circuits are lowered first.  Node ids are dense integers
-    in creation order; the returned pattern validates cleanly and has a causal
-    flow order by construction.
+    Non-``{J, CZ}`` circuits are lowered with the ``J(0) J(0)`` peephole; a
+    circuit already in ``{J, CZ}`` is translated as written.  Node ids are
+    dense integers in creation order; the returned pattern validates
+    cleanly and has a causal flow order by construction.
     """
-    jcz = circuit if circuit.is_jcz() else to_jcz(circuit, simplify=simplify)
-    graph = GraphState()
+    adjacency: dict[int, set[int]] = {}
     nodes: dict[int, PatternNode] = {}
-    current: list[int] = []
-    next_id = 0
-
-    def new_node(wire: int) -> int:
-        nonlocal next_id
-        node_id = next_id
-        next_id += 1
-        graph.add_node(node_id)
-        nodes[node_id] = PatternNode(node_id=node_id, wire=wire)
-        return node_id
-
-    for wire in range(jcz.num_qubits):
-        current.append(new_node(wire))
+    for wire in range(circuit.num_qubits):
+        adjacency[wire] = set()
+        nodes[wire] = PatternNode(wire, wire)
+    current = list(range(circuit.num_qubits))
     inputs = list(current)
-
-    for gate in jcz.gates:
-        if gate.name == "j":
-            wire = gate.qubits[0]
-            fresh = new_node(wire)
-            old = current[wire]
-            graph.add_edge(old, fresh)
-            nodes[old].angle = float(gate.params[0])
-            nodes[old].successor = fresh
-            current[wire] = fresh
-        elif gate.name == "cz":
-            a, b = gate.qubits
-            if current[a] == current[b]:
+    for code, a, b in jcz_ops(circuit, simplify=not circuit.is_jcz()):
+        if code == CZ:
+            u = current[a]
+            v = current[b]
+            if u == v:
                 raise TranslationError("CZ on a single wire is impossible")
-            graph.toggle_edge(current[a], current[b])
+            around = adjacency[u]
+            if v in around:
+                around.remove(v)
+                adjacency[v].remove(u)
+            else:
+                around.add(v)
+                adjacency[v].add(u)
         else:
-            raise TranslationError(
-                f"translation expects a {{J, CZ}} circuit, found {gate.name!r}"
-            )
+            # J(b) on wire a: a fresh node takes the wire over.
+            old = current[a]
+            fresh = len(nodes)
+            adjacency[old].add(fresh)
+            adjacency[fresh] = {old}
+            node = nodes[old]
+            node.angle = b
+            node.successor = fresh
+            nodes[fresh] = PatternNode(fresh, a)
+            current[a] = fresh
 
     pattern = MeasurementPattern(
-        graph=graph,
+        graph=GraphState.adopt(adjacency),
         nodes=nodes,
         inputs=inputs,
-        outputs=list(current),
+        outputs=current,
         name=f"{circuit.name}:pattern",
     )
     pattern.validate()

@@ -30,11 +30,21 @@ without recomputing it.
 
 :func:`unrewritten_passes` is the default compile chain without its
 pattern-rewrite pass, the byte-identity oracle for that pass.
+
+The front end's oracles are the code the lowering table and the one-pass
+translation and DAG replaced: :func:`to_jcz_gates` (gate-by-gate lowering, then the
+``J(0) J(0)`` peephole as a pass over the lowered circuit),
+:func:`translate_circuit_gates` (the pattern built through ``GraphState``
+calls) and :class:`SetDependencyDAG` (successor and predecessor sets).
+:func:`pattern_dump` is the canonical form they are compared in, adjacency
+iteration order included; :func:`dag_predecessors` and :func:`dag_depth`
+are the queries the product DAG no longer offers.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -42,7 +52,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import HardwareError, RenormalizationError
+from repro.circuits.circuit import Circuit
+from repro.circuits.gates import Gate
+from repro.errors import CircuitError, HardwareError, RenormalizationError, TranslationError
 from repro.graphstate.fusion import apply_fusion
 from repro.graphstate.graph import GraphState
 from repro.graphstate.local_ops import LocalOpLedger
@@ -64,6 +76,7 @@ from repro.ir import (
     StoreVNode,
 )
 from repro.mbqc.dependency import DependencyDAG
+from repro.mbqc.pattern import MeasurementPattern, PatternNode
 from repro.offline.routing import LayerGrid
 from repro.online.fusion_strategy import TEMPORAL_RESERVE
 from repro.online.modular import ModularLayout, ModularResult, _module_lattice
@@ -800,6 +813,241 @@ def suitable_node_size_exhaustive(
     return rsl_size
 
 
+_PI = math.pi
+
+
+def lower_gate(gate: Gate, out: Circuit) -> None:
+    """Append the ``{J, CZ}`` expansion of ``gate`` to ``out``, one validated
+    ``Gate`` at a time: the recursive lowering ``repro.circuits.jcz.LOWERING``
+    replaced."""
+    name = gate.name
+    qubits = gate.qubits
+    if name == "j":
+        out.j(gate.params[0], qubits[0])
+    elif name == "cz":
+        out.cz(*qubits)
+    elif name == "h":
+        out.j(0.0, qubits[0])
+    elif name in ("rz", "p"):
+        out.j(gate.params[0], qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "z":
+        out.j(_PI, qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "s":
+        out.j(_PI / 2, qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "sdg":
+        out.j(-_PI / 2, qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "t":
+        out.j(_PI / 4, qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "tdg":
+        out.j(-_PI / 4, qubits[0])
+        out.j(0.0, qubits[0])
+    elif name == "x":
+        out.j(0.0, qubits[0])
+        out.j(_PI, qubits[0])
+    elif name == "rx":
+        out.j(0.0, qubits[0])
+        out.j(gate.params[0], qubits[0])
+    elif name == "y":
+        lower_gate(Gate("z", qubits), out)
+        lower_gate(Gate("x", qubits), out)
+    elif name == "ry":
+        lower_gate(Gate("rz", qubits, (-_PI / 2,)), out)
+        lower_gate(Gate("rx", qubits, gate.params), out)
+        lower_gate(Gate("rz", qubits, (_PI / 2,)), out)
+    elif name == "cx":
+        control, target = qubits
+        out.j(0.0, target)
+        out.cz(control, target)
+        out.j(0.0, target)
+    elif name == "cp":
+        theta = gate.params[0]
+        control, target = qubits
+        lower_gate(Gate("rz", (control,), (theta / 2,)), out)
+        lower_gate(Gate("rz", (target,), (theta / 2,)), out)
+        lower_gate(Gate("cx", (control, target)), out)
+        lower_gate(Gate("rz", (target,), (-theta / 2,)), out)
+        lower_gate(Gate("cx", (control, target)), out)
+    elif name == "swap":
+        a, b = qubits
+        for pair in ((a, b), (b, a), (a, b)):
+            lower_gate(Gate("cx", pair), out)
+    elif name == "ccx":
+        c1, c2, target = qubits
+        steps = [
+            Gate("h", (target,)),
+            Gate("cx", (c2, target)),
+            Gate("tdg", (target,)),
+            Gate("cx", (c1, target)),
+            Gate("t", (target,)),
+            Gate("cx", (c2, target)),
+            Gate("tdg", (target,)),
+            Gate("cx", (c1, target)),
+            Gate("t", (c2,)),
+            Gate("t", (target,)),
+            Gate("h", (target,)),
+            Gate("cx", (c1, c2)),
+            Gate("t", (c1,)),
+            Gate("tdg", (c2,)),
+            Gate("cx", (c1, c2)),
+        ]
+        for step in steps:
+            lower_gate(step, out)
+    else:
+        raise CircuitError(f"no {{J, CZ}} lowering for gate {name!r}")
+
+
+def merge_adjacent_j(circuit: Circuit) -> Circuit:
+    """The ``J(0) J(0)`` peephole as a pass over a lowered circuit: buffer a
+    ``J(0)`` per wire, cancel it against the next, flush it before any other
+    gate on its wire and, at the end, in wire order."""
+    out = Circuit(circuit.num_qubits, name=circuit.name)
+    pending: dict[int, Gate] = {}
+
+    def flush(qubit: int) -> None:
+        gate = pending.pop(qubit, None)
+        if gate is not None:
+            out.append(gate)
+
+    for gate in circuit.gates:
+        if gate.name == "j" and gate.params[0] == 0.0:
+            qubit = gate.qubits[0]
+            if qubit in pending:
+                pending.pop(qubit)
+            else:
+                pending[qubit] = gate
+            continue
+        for qubit in gate.qubits:
+            flush(qubit)
+        out.append(gate)
+    for qubit in sorted(pending):
+        flush(qubit)
+    return out
+
+
+def to_jcz_gates(circuit: Circuit, simplify: bool = True) -> Circuit:
+    """``to_jcz`` as it was: lower gate by gate, then run the peephole over
+    the lowered circuit."""
+    lowered = Circuit(circuit.num_qubits, name=f"{circuit.name}:jcz")
+    for gate in circuit.gates:
+        lower_gate(gate, lowered)
+    return merge_adjacent_j(lowered) if simplify else lowered
+
+
+def translate_circuit_gates(circuit: Circuit, simplify: bool = True) -> MeasurementPattern:
+    """``translate_circuit`` as it was: lower to a ``{J, CZ}`` circuit (unless
+    the input already is one), then build the pattern through ``GraphState``
+    calls, one gate at a time."""
+    jcz = circuit if circuit.is_jcz() else to_jcz_gates(circuit, simplify=simplify)
+    graph = GraphState()
+    nodes: dict[int, PatternNode] = {}
+    current: list[int] = []
+
+    def new_node(wire: int) -> int:
+        node_id = len(nodes)
+        graph.add_node(node_id)
+        nodes[node_id] = PatternNode(node_id=node_id, wire=wire)
+        return node_id
+
+    for wire in range(jcz.num_qubits):
+        current.append(new_node(wire))
+    inputs = list(current)
+    for gate in jcz.gates:
+        if gate.name == "j":
+            wire = gate.qubits[0]
+            fresh = new_node(wire)
+            old = current[wire]
+            graph.add_edge(old, fresh)
+            nodes[old].angle = float(gate.params[0])
+            nodes[old].successor = fresh
+            current[wire] = fresh
+        else:
+            a, b = gate.qubits
+            graph.toggle_edge(current[a], current[b])
+    pattern = MeasurementPattern(
+        graph=graph,
+        nodes=nodes,
+        inputs=inputs,
+        outputs=list(current),
+        name=f"{circuit.name}:pattern",
+    )
+    pattern.validate()
+    return pattern
+
+
+def pattern_dump(pattern: MeasurementPattern) -> list:
+    """A pattern in canonical JSON-able form, iteration orders included: its
+    name, every node's (id, wire, angle, successor) in dict order, inputs,
+    outputs, and every node's adjacency in the order its set iterates (the
+    order the offline mapper reads it in)."""
+    return [
+        pattern.name,
+        [[n.node_id, n.wire, n.angle, n.successor] for n in pattern.nodes.values()],
+        list(pattern.inputs),
+        list(pattern.outputs),
+        [[node, list(around)] for node, around in pattern.graph._adjacency.items()],
+    ]
+
+
+class SetDependencyDAG:
+    """``DependencyDAG`` as it was: a successor and a predecessor set per
+    node, acyclicity checked by a sorted topological order."""
+
+    def __init__(self, pattern: MeasurementPattern) -> None:
+        self.pattern = pattern
+        self.successors: dict[int, set[int]] = {node: set() for node in pattern.nodes}
+        self.predecessors: dict[int, set[int]] = {node: set() for node in pattern.nodes}
+        for node_id, node in pattern.nodes.items():
+            if node.is_output:
+                continue
+            later_nodes = {node.successor}
+            later_nodes.update(
+                neighbor
+                for neighbor in pattern.graph.neighbors(node.successor)
+                if neighbor != node_id
+            )
+            for later in later_nodes:
+                self.successors[node_id].add(later)
+                self.predecessors[later].add(node_id)
+        if len(self.topological_order()) != len(self.successors):
+            raise TranslationError("dependency graph has a cycle; no causal flow")
+
+    def topological_order(self) -> list[int]:
+        indegree = {node: len(preds) for node, preds in self.predecessors.items()}
+        ready = sorted(node for node, count in indegree.items() if count == 0)
+        order: list[int] = []
+        while ready:
+            current = ready.pop(0)
+            order.append(current)
+            inserted = False
+            for later in sorted(self.successors[current]):
+                indegree[later] -= 1
+                if indegree[later] == 0:
+                    ready.append(later)
+                    inserted = True
+            if inserted:
+                ready.sort()
+        return order
+
+
+def dag_predecessors(dag: DependencyDAG, node: int) -> set[int]:
+    """Nodes that must come before ``node`` (a scan over every successor set)."""
+    return {before for before, later in dag.successors.items() if node in later}
+
+
+def dag_depth(dag: DependencyDAG) -> int:
+    """Length of the longest dependency chain (a lower bound on layers)."""
+    level = dict.fromkeys(dag.successors, 1)
+    for node in dag.topological_order():
+        for later in dag.successors[node]:
+            level[later] = max(level[later], level[node] + 1)
+    return max(level.values(), default=0)
+
+
 def front_layer_scan(dag: DependencyDAG, consumed: Iterable[int]) -> list[int]:
     """The mapper's original per-layer front: rescan every pattern node for
     an unconsumed one whose predecessors are all consumed, sorted."""
@@ -807,7 +1055,7 @@ def front_layer_scan(dag: DependencyDAG, consumed: Iterable[int]) -> list[int]:
     return sorted(
         node
         for node in dag.pattern.nodes
-        if node not in done and dag.predecessors(node) <= done
+        if node not in done and dag_predecessors(dag, node) <= done
     )
 
 

@@ -12,7 +12,7 @@ import pickle
 import pytest
 from oracles import unrewritten_passes
 
-from repro.circuits import make_benchmark
+from repro.circuits import make_benchmark, to_jcz
 from repro.errors import CompilationError
 from repro.mbqc.translate import translate_circuit
 from repro.offline.mapper import DEFAULT_BYTES_PER_NODE_LAYER
@@ -447,7 +447,9 @@ class UnsimplifiedLowering(CompilerPass):
     provides = ("pattern",)
 
     def run(self, ctx):
-        ctx.put("pattern", translate_circuit(ctx.circuit, simplify=False))
+        lowered = to_jcz(ctx.circuit, simplify=False)
+        lowered.name = ctx.circuit.name  # the pattern keeps "<circuit>:pattern"
+        ctx.put("pattern", translate_circuit(lowered))
 
 
 class CachedUnsimplifiedLowering(UnsimplifiedLowering):

@@ -7,6 +7,7 @@ module boundaries.
 
 import numpy as np
 import pytest
+from oracles import dag_predecessors
 
 from repro.circuits import (
     make_benchmark,
@@ -163,5 +164,5 @@ class TestDependencyMapperAgreement:
         mapping = OfflineMapper(width=2).map_pattern(pattern)
         layer_of = {g: coord[2] for g, coord in mapping.ir.graph_nodes().items()}
         for node in pattern.nodes:
-            for predecessor in dag.predecessors(node):
+            for predecessor in dag_predecessors(dag, node):
                 assert layer_of[predecessor] <= layer_of[node]

@@ -1,11 +1,19 @@
 """Tests for translation, patterns, dependency DAG and the MBQC simulator."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import front_layer_scan
+from oracles import (
+    SetDependencyDAG,
+    dag_depth,
+    front_layer_scan,
+    pattern_dump,
+    to_jcz_gates,
+    translate_circuit_gates,
+)
 
 from repro.circuits import (
     Circuit,
@@ -14,12 +22,17 @@ from repro.circuits import (
     rca,
     simulate_statevector,
     states_equal_up_to_phase,
+    to_jcz,
     vqe,
 )
+from repro.circuits.gates import FIXED_GATES, PARAM_GATES
 from repro.errors import TranslationError
+from repro.graphstate.graph import GraphState
 from repro.mbqc import (
     DependencyDAG,
     FrontLayer,
+    MeasurementPattern,
+    PatternNode,
     run_pattern,
     translate_circuit,
 )
@@ -140,7 +153,7 @@ class TestDependencyDAG:
         dag = DependencyDAG(pattern)
         position = {n: i for i, n in enumerate(dag.topological_order())}
         for node in pattern.nodes:
-            for successor in dag.successors(node):
+            for successor in dag.successors[node]:
                 assert position[node] < position[successor]
 
     def test_depth_at_least_wire_length(self):
@@ -148,7 +161,117 @@ class TestDependencyDAG:
         for _ in range(5):
             circuit.j(0.1, 0)
         dag = DependencyDAG(translate_circuit(circuit))
-        assert dag.depth() >= 6  # 5 measured nodes + output
+        assert dag_depth(dag) >= 6  # 5 measured nodes + output
+
+
+#: Every gate of the vocabulary, with its arity.
+ALL_GATES = {**FIXED_GATES, **PARAM_GATES}
+#: Angles that hit the peephole (both signed zeros) and the table's
+#: constants, plus arbitrary ones.
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, math.pi / 2, -math.pi / 4, 2 * math.pi]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def any_circuits(draw, max_qubits=4, max_gates=16, jcz_only=False):
+    """Random circuits over every gate in ``FIXED_GATES`` and
+    ``PARAM_GATES`` (or over ``j`` and ``cz`` only)."""
+    num_qubits = draw(st.integers(1, max_qubits))
+    names = sorted(
+        name
+        for name, arity in ALL_GATES.items()
+        if arity <= num_qubits and (not jcz_only or name in ("j", "cz"))
+    )
+    circuit = Circuit(num_qubits, name=draw(st.sampled_from(["front", "qft-4"])))
+    for _ in range(draw(st.integers(0, max_gates))):
+        name = draw(st.sampled_from(names))
+        qubits = draw(st.permutations(range(num_qubits)))[: ALL_GATES[name]]
+        param = draw(ANGLES) if name in PARAM_GATES else None
+        circuit.add(name, *qubits, param=param)
+    return circuit
+
+
+def dumped(pattern) -> str:
+    """The pattern's canonical dump as text, so signed zeros compare."""
+    return json.dumps(pattern_dump(pattern))
+
+
+class TestFrontEndOracles:
+    """The lowering table and the one-pass translation and DAG against the
+    gate-by-gate lowering, the ``GraphState``-call translation and the
+    set-based DAG they replaced: identical down to each node's adjacency
+    iteration order, which the offline mapper reads."""
+
+    @given(any_circuits(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_lowering_table_matches_gate_lowering(self, circuit, simplify):
+        table = to_jcz(circuit, simplify=simplify)
+        gates = to_jcz_gates(circuit, simplify=simplify)
+        assert table.name == gates.name
+        assert [repr(gate) for gate in table] == [repr(gate) for gate in gates]
+
+    @given(any_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_translation_matches_gate_translation(self, circuit):
+        assert dumped(translate_circuit(circuit)) == dumped(translate_circuit_gates(circuit))
+
+    @given(any_circuits())
+    @settings(max_examples=60, deadline=None)
+    def test_unsimplified_translation_matches(self, circuit):
+        lowered = to_jcz(circuit, simplify=False)
+        expected = translate_circuit_gates(to_jcz_gates(circuit, simplify=False))
+        assert dumped(translate_circuit(lowered)) == dumped(expected)
+
+    @given(any_circuits(jcz_only=True, max_gates=24))
+    @settings(max_examples=100, deadline=None)
+    def test_jcz_input_is_translated_as_written(self, circuit):
+        """No peephole: ``J(0) J(0)`` on a wire stays two measured nodes."""
+        pattern = translate_circuit(circuit)
+        assert dumped(pattern) == dumped(translate_circuit_gates(circuit))
+        assert pattern.measured_count == circuit.count("j")
+        assert pattern.name == f"{circuit.name}:pattern"
+
+    @given(any_circuits(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dag_matches_set_dag(self, circuit, data):
+        pattern = translate_circuit(circuit)
+        dag = DependencyDAG(pattern)
+        oracle = SetDependencyDAG(pattern)
+        assert dag.successors == oracle.successors
+        assert dag.indegree == {node: len(p) for node, p in oracle.predecessors.items()}
+        assert dag.topological_order() == oracle.topological_order()
+        front = FrontLayer(dag)
+        done: set[int] = set()
+        while True:
+            expected = sorted(
+                node
+                for node, before in oracle.predecessors.items()
+                if node not in done and before <= done
+            )
+            assert sorted(front.ready) == expected
+            if not expected:
+                break
+            node = data.draw(st.sampled_from(expected))
+            front.consume(node)
+            done.add(node)
+
+    def test_flow_cycle_raises(self):
+        """Two measured nodes, each the other's flow successor."""
+        pattern = MeasurementPattern(
+            graph=GraphState([(0, 1)]),
+            nodes={
+                0: PatternNode(0, 0, angle=0.0, successor=1),
+                1: PatternNode(1, 0, angle=0.0, successor=0),
+            },
+            inputs=[0],
+            outputs=[1],
+            name="cycle",
+        )
+        for build in (DependencyDAG, SetDependencyDAG):
+            with pytest.raises(TranslationError, match="cycle"):
+                build(pattern)
 
 
 class TestMBQCExecution:

@@ -293,10 +293,10 @@ class TestPipelineTelemetry:
 # ---------------------------------------------------------------------------
 
 
-def _runner_for(name, tmp_path):
+def _runner_for(name, tmp_path, workers=2):
     if name == "serial":
         return make_runner("serial", cache=MemoryCache())
-    return make_runner(name, max_workers=2, cache=DiskCache(tmp_path / "cache"))
+    return make_runner(name, max_workers=workers, cache=DiskCache(tmp_path / "cache"))
 
 
 class TestRunnerProvenance:
@@ -358,8 +358,13 @@ class TestRunnerProvenance:
     def test_counters_only_session_counts_cache_but_adopts_no_span(
         self, name, tmp_path
     ):
+        # One worker runs the jobs in order, so the second online seed of
+        # each circuit finds the first one's prefix in the cache.  With two,
+        # both seeds of a circuit can compile at once and both miss.
         with obs.session(spans=False) as tele:
-            result = TeleToy().run("bench", seed=3, runner=_runner_for(name, tmp_path))
+            result = TeleToy().run(
+                "bench", seed=3, runner=_runner_for(name, tmp_path, workers=1)
+            )
             counters = tele.metrics.snapshot()["counters"]
         hits = sum(r.metrics.get("cache_hits", 0) for r in result.records)
         misses = sum(r.metrics.get("cache_misses", 0) for r in result.records)
