@@ -66,7 +66,7 @@ def _jobs():
 
 def _run(backend: str, kwargs: dict):
     runner = make_runner(backend, **kwargs)
-    return runner.run_jobs(_jobs(), experiment="scaling", scale="bench", seed=0)
+    return list(runner.iter_jobs(_jobs(), experiment="scaling", scale="bench", seed=0))
 
 
 def test_scaling_snapshot_and_floor():

@@ -19,8 +19,14 @@ Usage (also via ``python -m repro.cli``)::
     python -m repro.cli experiment --name fig14 --trace-out trace.jsonl \\
         --events-out events.jsonl
     python -m repro.cli telemetry summarize --trace trace.jsonl --events events.jsonl
+    python -m repro.cli submit --port 8731 --benchmark qaoa --qubits 4 \\
+        --rsl-size 24 --virtual-size 2
     python -m repro.cli percolate --size 24 --rate 0.75 --node 8
 
+``compile``, ``baseline``, ``experiment`` and ``submit`` build requests
+from one schema (:mod:`repro.request`, shared with the server): one flag
+per request field, each defaulting to ``None`` so the schema fills every
+default, and one builder of the compile and of its reported outcome.
 The ``experiment`` subcommand is a thin shell over the experiment registry
 (:mod:`repro.experiments.api`): names, scales, and runner backends all come
 from the registry and runner table, never from lists duplicated here.
@@ -35,7 +41,7 @@ from contextlib import contextmanager
 
 from repro import obs
 from repro.baseline import BaselineResult
-from repro.circuits.benchmarks import BENCHMARKS, make_benchmark
+from repro.circuits.benchmarks import BENCHMARKS
 from repro.experiments.api import (
     EXPERIMENT_REGISTRY,
     ExperimentResult,
@@ -43,49 +49,75 @@ from repro.experiments.api import (
     experiment_names,
     get_experiment,
 )
-from repro.errors import CircuitError, CompilationError, ReproError
+from repro.errors import CompilationError, ReproError
 from repro.experiments.common import SCALES
 from repro.experiments.runners import RUNNERS, make_runner
 from repro.experiments.streams import CsvStreamWriter, make_stream_writer
-from repro.passes import (
-    UnknownPassError,
-    ValidationError,
-    insert_passes,
-    pass_names,
+from repro.passes import UnknownPassError, ValidationError, pass_names
+from repro.pipeline import PassInsertionError, make_cache
+from repro.pipeline.cache import CACHE_KINDS
+from repro.request import (
+    REQUEST_FIELDS,
+    RequestError,
+    build_compile,
+    compile_payload,
+    normalize,
 )
-from repro.pipeline import (
-    PassInsertionError,
-    Pipeline,
-    PipelineSettings,
-    baseline_passes,
-    make_cache,
-)
-from repro.pipeline.cache import CACHE_KINDS, cache_summary
 
 
-def _add_common_compile_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--benchmark", required=True, choices=sorted(BENCHMARKS))
-    parser.add_argument("--qubits", type=int, required=True)
-    parser.add_argument("--rate", type=float, default=0.75, help="fusion success rate")
-    parser.add_argument("--stars", type=int, default=4, help="resource state size")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rsl-size", type=int, default=None)
-    parser.add_argument("--virtual-size", type=int, default=None)
-    parser.add_argument("--max-rsl", type=int, default=10**6)
-    parser.add_argument(
-        "--passes",
-        metavar="NAMES",
-        help="comma-separated extra passes to insert at their default slot: "
-        + ", ".join(pass_names()),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit a machine-readable JSON record (with per-pass timings) "
-        "instead of the human-readable report",
-    )
-    _add_cache_args(parser)
-    _add_telemetry_args(parser)
+def _add_request_args(
+    parser: argparse.ArgumentParser, *ops: str, required: bool = False, lead=None
+) -> None:
+    """One flag per field of the ``ops`` requests (:mod:`repro.request`).
+
+    Each flag is named after its field (``rsl_size`` -> ``--rsl-size``)
+    and defaults to ``None``, so :func:`~repro.request.normalize` fills
+    every default.  ``required`` makes the required fields required flags;
+    ``lead`` (an argparse group) takes each op's first required field, the
+    one that names the work.
+    """
+    options = {
+        "benchmark": {"choices": sorted(BENCHMARKS)},
+        "rate": {"help": "fusion success rate"},
+        "stars": {"help": "resource state size"},
+        "rsl_size": {"help": "RSL side (default: Table 1 sizing)"},
+        "virtual_size": {"help": "virtual hardware side (default: Table 1 sizing)"},
+        "passes": {"metavar": "NAMES", "help": "comma-separated extra passes to "
+                   "insert at their default slot: " + ", ".join(pass_names())},
+        "name": {"help": "registered experiment name: " + ", ".join(experiment_names())},
+        "scale": {"choices": list(SCALES)},
+        "runner": {"choices": list(RUNNERS), "help": "execution backend for the jobs"},
+        "workers": {"metavar": "N", "help": "worker count for --runner process "
+                    "(records are identical for any N)"},
+    }
+    fields: dict[str, tuple] = {}
+    needed: set[str] = set()
+    leads: set[str] = set()
+    for op in ops:
+        required_fields, optional = REQUEST_FIELDS[op]
+        leads.add(next(iter(required_fields)))
+        needed.update(required_fields)
+        fields.update(required_fields)
+        fields.update((name, types) for name, (types, _) in optional.items())
+    for name, types in fields.items():
+        kwargs = {
+            "type": float if float in types else types[0],
+            "default": None,
+            **options.get(name, {}),
+        }
+        target = parser
+        if lead is not None and name in leads:
+            target = lead
+        elif required and name in needed:
+            kwargs["required"] = True
+        target.add_argument("--" + name.replace("_", "-"), **kwargs)
+
+
+def _request_from(args: argparse.Namespace, op: str) -> dict:
+    """``op``'s request from the flags given; the schema fills the rest."""
+    required, optional = REQUEST_FIELDS[op]
+    given = {name: getattr(args, name) for name in (*required, *optional)}
+    return {"op": op, **{k: v for k, v in given.items() if v is not None}}
 
 
 def _add_cache_args(parser: argparse.ArgumentParser) -> None:
@@ -162,45 +194,13 @@ def _cache_from(args: argparse.Namespace):
         raise SystemExit(f"cache: {exc}") from exc
 
 
-def _build_pipeline(args: argparse.Namespace) -> Pipeline:
-    """Settings + the command's chain + any ``--passes`` insertions.
-
-    ``baseline`` compiles with ``baseline_passes()``, ``compile`` with the
-    default OnePerc chain.  Unknown pass names raise
-    :class:`~repro.passes.UnknownPassError` (listing the registry) and bad
-    insertions raise :class:`~repro.pipeline.PassInsertionError` — both
-    usage errors the command handler turns into exit 2.
-    """
-    settings = PipelineSettings(
-        fusion_success_rate=args.rate,
-        resource_state_size=args.stars,
-        rsl_size=args.rsl_size,
-        virtual_size=args.virtual_size,
-        max_rsl=args.max_rsl,
-    )
-    pipeline = Pipeline(
-        settings,
-        passes=baseline_passes() if args.command == "baseline" else None,
-        seed=args.seed,
-        cache=_cache_from(args),
-    )
-    return insert_passes(pipeline, getattr(args, "passes", None))
-
-
-def _cache_counts(metrics: dict) -> dict:
-    """The cache provenance block of a ``--json`` record."""
-    return cache_summary(
-        int(metrics.get("cache_hits", 0)), int(metrics.get("cache_misses", 0))
-    )
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     """``compile`` and ``baseline``: one circuit through the command's chain."""
     command = args.command
+    request = normalize(_request_from(args, command))
     try:
-        circuit = make_benchmark(args.benchmark, args.qubits, seed=args.seed)
-        pipeline = _build_pipeline(args)
-    except (CircuitError, UnknownPassError, PassInsertionError) as exc:
+        circuit, pipeline = build_compile(request, cache=_cache_from(args))
+    except (RequestError, UnknownPassError, PassInsertionError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -220,25 +220,23 @@ def cmd_compile(args: argparse.Namespace) -> int:
         # line, not a traceback.
         print(f"{command}: {exc}", file=sys.stderr)
         return 1
-    fields = result.fields()
     baseline = isinstance(result, BaselineResult)
     if args.json:
+        # The serve ``result`` payload, extended with the request's seed
+        # and rate, the split timings and the compilation's metrics.
         record = {
             "command": command,
-            "benchmark": circuit.name,
-            "num_qubits": circuit.num_qubits,
-            "seed": args.seed,
-            "fusion_success_rate": args.rate,
-            **fields,
+            "seed": request["seed"],
+            "fusion_success_rate": request["rate"],
+            **compile_payload(circuit, result),
+            "metrics": result.metrics,
         }
         if not baseline:
             record["offline_seconds"] = result.offline_seconds
             record["online_seconds"] = result.online_seconds
-        record["pass_timings"] = result.timings_by_pass
-        record["metrics"] = result.metrics
-        record["cache"] = _cache_counts(result.metrics)
         print(json.dumps(record, indent=2))
         return 0
+    fields = result.fields()
     if baseline:
         capped = " (hit the cap)" if fields["capped"] else ""
         print(f"benchmark: {circuit.name}")
@@ -261,27 +259,73 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_streamed(experiment, args: argparse.Namespace, runner) -> ExperimentResult:
-    """Drain ``iter_records``, flushing each record to ``--out`` as it lands.
-
-    Records appear incrementally (``tail -f`` the output file mid-sweep; a
-    crash keeps everything completed so far) and the folded result is
-    byte-identical to the blocking path — ``from_stream`` reduces the very
-    same canonical-order records ``run`` would have produced.
-    """
-    writer = make_stream_writer(args.out) if args.out else None
-    records = []
+def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.list:
+        names = experiment_names()  # ensures the registry is populated
+        width = max(len(name) for name in names)
+        for name in names:
+            print(f"{name:<{width}}  {EXPERIMENT_REGISTRY[name].description}")
+        return 0
+    if not args.name:
+        print("experiment: --name is required (or use --list)", file=sys.stderr)
+        return 2
+    request = normalize(_request_from(args, "experiment"))
     try:
-        stream = experiment.iter_records(args.scale, seed=args.seed, runner=runner)
-        for record in stream:
-            records.append(record)
+        experiment = get_experiment(request["name"])
+    except UnknownExperimentError as exc:
+        print(f"experiment: {exc}", file=sys.stderr)
+        return 2
+    cache = _cache_from(args)
+    try:
+        runner = make_runner(
+            request["runner"],
+            max_workers=request["workers"],
+            cache=cache,
+        )
+    except ReproError as exc:
+        # A nonpositive worker count is a usage error.
+        print(f"experiment: {exc}", file=sys.stderr)
+        return 2
+    if cache is not None and cache.name == "memory" and runner.name == "process":
+        print(
+            "note: a memory cache cannot share entries across a process "
+            "pool; use --cache disk --cache-dir DIR for parallel sharing",
+            file=sys.stderr,
+        )
+    if request["workers"] is not None and runner.name == "serial":
+        print(
+            "note: the serial runner ignores --workers; pass "
+            "--runner process for a parallel run",
+            file=sys.stderr,
+        )
+    if runner.name != "serial":
+        print(
+            "note: the process runner measures wall-clock timings under "
+            "contention; deterministic fields are unaffected, but use "
+            "--runner serial when the seconds columns are the point "
+            "(Figs. 14-15)",
+            file=sys.stderr,
+        )
+    # Under --stream --out each record is flushed as it lands (``tail -f``
+    # the file mid-sweep; a crash keeps everything completed so far); the
+    # folded result is the same either way.
+    writer = make_stream_writer(args.out) if args.stream and args.out else None
+    records = []
+    with _telemetry_session(args):
+        try:
+            for record in experiment.iter_records(
+                request["scale"], seed=request["seed"], runner=runner
+            ):
+                records.append(record)
+                if writer is not None:
+                    writer.write(record)
+                if args.stream and not args.json:
+                    print(f"streamed {len(records)}: {record.job}", file=sys.stderr)
+        finally:
             if writer is not None:
-                writer.write(record)
-            if not args.json:
-                print(f"streamed {len(records)}: {record.job}", file=sys.stderr)
-    finally:
-        if writer is not None:
-            writer.close()
+                writer.close()
+        result = ExperimentResult.from_stream(experiment, records, runner)
+    payload = result.to_json_obj()
     if writer is not None:
         if isinstance(writer, CsvStreamWriter) and writer.dropped_keys:
             print(
@@ -294,62 +338,7 @@ def _run_streamed(experiment, args: argparse.Namespace, runner) -> ExperimentRes
             f"wrote {args.out} ({writer.records_written} records, streamed)",
             file=sys.stderr,
         )
-    return ExperimentResult.from_stream(experiment, records, runner=runner.name)
-
-
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.list:
-        names = experiment_names()  # ensures the registry is populated
-        width = max(len(name) for name in names)
-        for name in names:
-            print(f"{name:<{width}}  {EXPERIMENT_REGISTRY[name].description}")
-        return 0
-    if not args.name:
-        print("experiment: --name is required (or use --list)", file=sys.stderr)
-        return 2
-    try:
-        experiment = get_experiment(args.name)
-    except UnknownExperimentError as exc:
-        print(f"experiment: {exc}", file=sys.stderr)
-        return 2
-    cache = _cache_from(args)
-    try:
-        runner = make_runner(
-            args.runner,
-            max_workers=args.workers,
-            cache=cache,
-        )
-    except ReproError as exc:
-        # A nonpositive worker count is a usage error.
-        print(f"experiment: {exc}", file=sys.stderr)
-        return 2
-    if cache is not None and cache.name == "memory" and args.runner == "process":
-        print(
-            "note: a memory cache cannot share entries across a process "
-            "pool; use --cache disk --cache-dir DIR for parallel sharing",
-            file=sys.stderr,
-        )
-    if args.workers is not None and args.runner == "serial":
-        print(
-            "note: the serial runner ignores --workers; pass "
-            "--runner process for a parallel run",
-            file=sys.stderr,
-        )
-    if args.runner != "serial":
-        print(
-            "note: the process runner measures wall-clock timings under "
-            "contention; deterministic fields are unaffected, but use "
-            "--runner serial when the seconds columns are the point "
-            "(Figs. 14-15)",
-            file=sys.stderr,
-        )
-    with _telemetry_session(args):
-        if args.stream:
-            result = _run_streamed(experiment, args, runner)
-        else:
-            result = experiment.run(args.scale, seed=args.seed, runner=runner)
-    payload = result.to_json_obj()
-    if args.out and not args.stream:
+    elif args.out:
         if args.out.lower().endswith(".csv"):
             artifact = result.to_csv()
         else:
@@ -446,30 +435,9 @@ def _submit_request(args: argparse.Namespace) -> dict:
     """Map ``repro submit`` flags onto one protocol request."""
     if args.stats:
         return {"op": "stats"}
-    if args.name:
-        return {
-            "op": "experiment",
-            "name": args.name,
-            "scale": args.scale,
-            "seed": args.seed,
-            "runner": args.runner,
-            "workers": args.workers,
-        }
-    if args.benchmark:
-        return {
-            "op": "baseline" if args.baseline else "compile",
-            "benchmark": args.benchmark,
-            "qubits": args.qubits,
-            "rate": args.rate,
-            "stars": args.stars,
-            "seed": args.seed,
-            "max_rsl": args.max_rsl,
-            "passes": args.passes,
-        }
-    raise ReproError(
-        "submit: pick a request — --name EXPERIMENT, "
-        "--benchmark NAME --qubits N [--baseline], or --stats"
-    )
+    if args.name is not None:
+        return _request_from(args, "experiment")
+    return _request_from(args, "baseline" if args.baseline else "compile")
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -478,11 +446,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve import ServeClient, ServerError
     from repro.serve.protocol import record_from_payload
 
-    try:
-        request = _submit_request(args)
-    except ReproError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    request = _submit_request(args)
     client = ServeClient(
         host=args.host,
         port=args.port,
@@ -582,44 +546,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    compile_parser = commands.add_parser("compile", help="compile with OnePerc")
-    _add_common_compile_args(compile_parser)
-    compile_parser.add_argument(
-        "--show-ir", type=int, default=0, metavar="N", help="print the first N IR layers"
-    )
-    compile_parser.set_defaults(handler=cmd_compile)
-
-    baseline_parser = commands.add_parser(
-        "baseline", help="run the OneQ repeat-until-success baseline"
-    )
-    _add_common_compile_args(baseline_parser)
-    baseline_parser.set_defaults(handler=cmd_compile)
+    for name, help_text in (
+        ("compile", "compile with OnePerc"),
+        ("baseline", "run the OneQ repeat-until-success baseline"),
+    ):
+        compile_parser = commands.add_parser(name, help=help_text)
+        _add_request_args(compile_parser, name, required=True)
+        compile_parser.add_argument(
+            "--json",
+            action="store_true",
+            help="emit a machine-readable JSON record (with per-pass timings) "
+            "instead of the human-readable report",
+        )
+        if name == "compile":
+            compile_parser.add_argument(
+                "--show-ir", type=int, default=0, metavar="N",
+                help="print the first N IR layers",
+            )
+        _add_cache_args(compile_parser)
+        _add_telemetry_args(compile_parser)
+        compile_parser.set_defaults(handler=cmd_compile)
 
     experiment_parser = commands.add_parser(
         "experiment", help="regenerate a table/figure via the experiment registry"
     )
-    experiment_parser.add_argument(
-        "--name",
-        help="registered experiment name: " + ", ".join(experiment_names()),
-    )
+    _add_request_args(experiment_parser, "experiment")
     experiment_parser.add_argument(
         "--list", action="store_true", help="list registered experiments and exit"
-    )
-    experiment_parser.add_argument("--scale", default="bench", choices=list(SCALES))
-    experiment_parser.add_argument("--seed", type=int, default=0)
-    experiment_parser.add_argument(
-        "--runner",
-        default="serial",
-        choices=list(RUNNERS),
-        help="execution backend for the experiment's jobs",
-    )
-    experiment_parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for --runner process (records are identical "
-        "for any N)",
     )
     experiment_parser.add_argument(
         "--stream",
@@ -729,36 +682,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="poll until the server accepts connections before submitting "
         "(races startup; bare --wait polls for 10 s)",
     )
-    submit_parser.add_argument(
-        "--name", help="experiment request: a registered experiment name"
-    )
-    submit_parser.add_argument("--scale", default="bench", choices=list(SCALES))
-    submit_parser.add_argument("--seed", type=int, default=0)
-    submit_parser.add_argument(
-        "--runner", default="serial", choices=list(RUNNERS),
-        help="server-side execution backend for experiment requests",
-    )
-    submit_parser.add_argument("--workers", type=int, default=None, metavar="N")
-    submit_parser.add_argument(
-        "--passes", metavar="NAMES", default=None,
-        help="compile requests only: comma-separated extra passes "
-        "(server-side vocabulary: " + ", ".join(pass_names()) + ")",
-    )
-    submit_parser.add_argument(
-        "--benchmark", choices=sorted(BENCHMARKS),
-        help="compile request: benchmark family (with --qubits)",
-    )
-    submit_parser.add_argument("--qubits", type=int, default=None)
-    submit_parser.add_argument("--rate", type=float, default=0.75)
-    submit_parser.add_argument("--stars", type=int, default=4)
-    submit_parser.add_argument("--max-rsl", type=int, default=10**6)
-    submit_parser.add_argument(
-        "--baseline", action="store_true",
-        help="run the OneQ baseline instead of the OnePerc compile",
-    )
-    submit_parser.add_argument(
+    request_group = submit_parser.add_mutually_exclusive_group(required=True)
+    _add_request_args(submit_parser, "experiment", "compile", lead=request_group)
+    request_group.add_argument(
         "--stats", action="store_true",
         help="fetch the server's live introspection snapshot",
+    )
+    submit_parser.add_argument(
+        "--baseline", action="store_true",
+        help="with --benchmark: run the OneQ baseline instead of the OnePerc "
+        "compile",
     )
     submit_parser.add_argument(
         "--json", action="store_true",

@@ -232,12 +232,10 @@ class ExperimentResult:
     ) -> "ExperimentResult":
         """Fold an already-consumed record stream into a full result.
 
-        The streaming counterpart of :meth:`Experiment.run`: drain
-        :meth:`Experiment.iter_records` (writing records wherever they need
-        to go as they arrive), then hand the same iterator — or the list
-        you accumulated — here to get the rendered text and exports.
-        Because ``iter_records`` restores canonical ordering, the result is
-        byte-identical to a blocking ``run`` of the same experiment.
+        :meth:`Experiment.run` is this fold over
+        :meth:`Experiment.iter_records`; a consumer that writes records
+        wherever they need to go as they arrive hands the list it
+        accumulated here to get the same rendered text and exports.
         """
         result = experiment.reduce(list(records))
         result.runner = runner if isinstance(runner, str) else runner.name
@@ -345,14 +343,11 @@ class Experiment(ABC):
         seed: int = 0,
         runner: "Runner | str | None" = None,
     ) -> ExperimentResult:
-        """Build jobs, execute them on ``runner``, reduce the records."""
-        self._check_scale(scale)
+        """Drain :meth:`iter_records` on ``runner`` and reduce the records."""
         runner = _resolve_runner(runner)
-        jobs = self.build_jobs(scale, seed)
-        records = runner.run_jobs(jobs, experiment=self.name, scale=scale, seed=seed)
-        result = self.reduce(records)
-        result.runner = runner.name
-        return result
+        return ExperimentResult.from_stream(
+            self, self.iter_records(scale, seed=seed, runner=runner), runner
+        )
 
     def iter_records(
         self,
@@ -362,14 +357,13 @@ class Experiment(ABC):
     ) -> Iterator[ExperimentRecord]:
         """Stream records in canonical job order as execution completes.
 
-        The generator half of :meth:`run`: a long sweep yields each record
-        the moment its job (or, on the process runner, its chunk) finishes
-        instead of materializing the whole list first, so a service or an
-        incremental writer can observe partial results mid-sweep.  Record
-        content and order are exactly ``run``'s — finish the stream with
-        :meth:`ExperimentResult.from_stream` to get the identical result
-        object.  Scale/runner validation happens here, eagerly, not at
-        first ``next()`` — a usage error must surface at the call site.
+        What :meth:`run` folds: a long sweep yields each record the moment
+        its job (or, on the process runner, its chunk) finishes instead of
+        materializing the whole list first, so a service or an incremental
+        writer can observe partial results mid-sweep.  Finish the stream
+        with :meth:`ExperimentResult.from_stream` to get ``run``'s result.
+        Scale/runner validation happens here, eagerly, not at first
+        ``next()`` — a usage error must surface at the call site.
         """
         self._check_scale(scale)
         runner = _resolve_runner(runner)

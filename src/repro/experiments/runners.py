@@ -10,8 +10,8 @@ Execution is **streaming end-to-end**: the primitive is
 :meth:`Runner.iter_jobs`, a generator that yields each record as its job
 finishes, with canonical (input) ordering restored by a reorder buffer —
 out-of-order completions wait in the buffer until every earlier record has
-been yielded.  ``run_jobs`` is simply ``list(iter_jobs(...))``, so both
-backends stream for free.
+been yielded.  Both backends stream; a caller that wants the whole list
+takes ``list(iter_jobs(...))``.
 
 Every job runs through one execution core, :func:`_execute_job`: compile
 jobs call ``Pipeline.compile`` on their ``(settings, baseline)`` group's
@@ -214,9 +214,9 @@ class Runner:
     """Serial execution: the reference backend the process runner must match.
 
     ``cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`) is shared
-    by every compile job of every ``iter_jobs``/``run_jobs`` call on this
-    runner: each compile group's pipeline is cache-wrapped before dispatch,
-    so one cache serves the whole experiment run regardless of backend.
+    by every compile job of every ``iter_jobs`` call on this runner: each
+    compile group's pipeline is cache-wrapped before dispatch, so one
+    cache serves the whole experiment run regardless of backend.
     Records are byte-identical with the cache off, cold, or warm — hit/miss
     counts land in the records' non-canonical ``metrics``.  (A
     ``MemoryCache`` shares within the serial runner only; the process
@@ -233,19 +233,6 @@ class Runner:
 
     # -- the runner contract ------------------------------------------------
 
-    def run_jobs(
-        self,
-        jobs: Sequence[Job],
-        *,
-        experiment: str,
-        scale: str,
-        seed: int,
-    ) -> list[ExperimentRecord]:
-        """Execute every job; records come back in job order."""
-        return list(
-            self.iter_jobs(jobs, experiment=experiment, scale=scale, seed=seed)
-        )
-
     def iter_jobs(
         self,
         jobs: Sequence[Job],
@@ -259,7 +246,7 @@ class Runner:
 
         Pool backends complete jobs out of order; a reorder buffer holds
         early completions until every lower-index record has been yielded,
-        so consumers always observe the exact ``run_jobs`` sequence — just
+        so consumers always observe the records in job order — just
         incrementally.  The serial backend executes in input order and
         yields immediately.
 

@@ -223,7 +223,8 @@ class StripBudgetValidatorPass(DeviceValidatorPass):
 
     def check_circuit(self, circuit: Circuit, ctx: PassContext) -> list[Diagnostic]:
         diagnostics = []
-        strip = ctx.config.rsl_size // ctx.virtual_size
+        # A virtual size below 1 leaves no strip at all.
+        strip = ctx.config.rsl_size // ctx.virtual_size if ctx.virtual_size >= 1 else 0
         if strip < MIN_STRIP_WIDTH:
             diagnostics.append(
                 Diagnostic(
@@ -266,6 +267,8 @@ class StripBudgetValidatorPass(DeviceValidatorPass):
         self, pattern: MeasurementPattern, ctx: PassContext
     ) -> list[Diagnostic]:
         diagnostics = []
+        if ctx.virtual_size < 1:
+            return diagnostics  # check_circuit's strip/width rejects it
         capacity = ctx.virtual_size * ctx.virtual_size
         layers_needed = -(-pattern.measured_count // capacity)  # ceil
         rsls_needed = layers_needed * ctx.config.merged_rsls_per_layer

@@ -58,10 +58,16 @@ class PipelineSettings:
 
     def hardware_for(self, num_qubits: int) -> tuple[HardwareConfig, int]:
         """Resolve the hardware config and virtual size for a program."""
-        virtual = self.virtual_size or virtual_size_for(num_qubits)
-        rsl = self.rsl_size or rsl_size_for(
-            num_qubits, self.fusion_success_rate, node_side=self.node_side
-        )
+        # Only ``None`` is unset: a pinned 0 must reach the hardware and
+        # mapper checks.
+        virtual = self.virtual_size
+        if virtual is None:
+            virtual = virtual_size_for(num_qubits)
+        rsl = self.rsl_size
+        if rsl is None:
+            rsl = rsl_size_for(
+                num_qubits, self.fusion_success_rate, node_side=self.node_side
+            )
         config = HardwareConfig(
             rsl_size=rsl,
             resource_state=ResourceStateSpec(self.resource_state_size),

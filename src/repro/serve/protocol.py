@@ -33,7 +33,8 @@ Frame kinds (server -> client):
 
 Requests name an ``op`` (``experiment``, ``compile``, ``baseline``,
 ``stats``); :func:`validate_request` normalizes one against the schema —
-defaults filled in, types checked, unknown keys rejected — so the server
+defaults filled in, types checked, unknown keys rejected; the compile
+and experiment fields are :mod:`repro.request`'s, the CLI's too — so the server
 executes only fully-specified requests and two textually different
 requests for the same work normalize to the same single-flight key.
 """
@@ -43,8 +44,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.errors import ReproError
 from repro.experiments.api import ExperimentRecord
+from repro.request import REQUEST_FIELDS, ProtocolError, normalize
 
 #: Bump on any frame- or request-schema change: a mismatched client must
 #: fail the hello handshake, never misparse a stream.  v2: experiment and
@@ -73,13 +74,6 @@ FRAME_KINDS = (
 
 #: Frames that end a request's stream (the client stops reading after one).
 TERMINAL_FRAMES = ("summary", "error", "stats")
-
-OPS = ("experiment", "compile", "baseline", "stats")
-
-
-class ProtocolError(ReproError):
-    """Malformed request or frame (bad JSON, unknown op, wrong types)."""
-
 
 # ---------------------------------------------------------------------------
 # Frame (de)serialization
@@ -210,51 +204,18 @@ def record_from_payload(payload: dict[str, Any]) -> ExperimentRecord:
 # Request validation
 # ---------------------------------------------------------------------------
 
-_NoneType = type(None)
+#: op -> (required ``field: types``, optional ``field: (types, default)``):
+#: the shared compile/experiment tables (:mod:`repro.request`) plus the
+#: service's own ``stats`` op.
+_REQUEST_SPEC: dict[str, tuple[dict, dict]] = {**REQUEST_FIELDS, "stats": ({}, {})}
 
-#: op -> (required ``field: types``, optional ``field: (types, default)``).
-#: Floats admit ints (JSON has one number type); bools are never numbers.
-_REQUEST_SPEC: dict[str, tuple[dict, dict]] = {
-    "experiment": (
-        {"name": (str,)},
-        {
-            "scale": ((str,), "bench"),
-            "seed": ((int,), 0),
-            "runner": ((str,), "serial"),
-            "workers": ((int, _NoneType), None),
-        },
-    ),
-    "compile": (
-        {"benchmark": (str,), "qubits": (int,)},
-        {
-            "rate": ((int, float), 0.75),
-            "stars": ((int,), 4),
-            "seed": ((int,), 0),
-            "rsl_size": ((int, _NoneType), None),
-            "virtual_size": ((int, _NoneType), None),
-            "max_rsl": ((int,), 10**6),
-            "passes": ((str, _NoneType), None),
-        },
-    ),
-    "stats": ({}, {}),
-}
-_REQUEST_SPEC["baseline"] = _REQUEST_SPEC["compile"]
+OPS = tuple(_REQUEST_SPEC)
 
 #: Fields every request may carry regardless of op.
 _COMMON_OPTIONAL: dict[str, tuple[tuple, Any]] = {
-    "id": ((str, _NoneType), None),
+    "id": ((str, type(None)), None),
     "v": ((int,), PROTOCOL_VERSION),
 }
-
-
-def _check_type(op: str, field: str, value: Any, types: tuple) -> None:
-    if isinstance(value, bool) and bool not in types:
-        raise ProtocolError(f"{op}: field {field!r} is a bool, expected number")
-    if not isinstance(value, types):
-        names = "/".join(t.__name__ for t in types)
-        raise ProtocolError(
-            f"{op}: field {field!r} is {type(value).__name__}, expected {names}"
-        )
 
 
 def validate_request(obj: Any) -> dict[str, Any]:
@@ -265,28 +226,7 @@ def validate_request(obj: Any) -> dict[str, Any]:
     normalized request: two clients omitting vs. spelling out a default
     coalesce onto the same in-flight compile.
     """
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"request is not a JSON object: {obj!r}")
-    op = obj.get("op")
-    if not isinstance(op, str) or op not in _REQUEST_SPEC:
-        raise ProtocolError(
-            f"unknown op {op!r}; expected one of: {', '.join(OPS)}"
-        )
-    required, optional = _REQUEST_SPEC[op]
-    request: dict[str, Any] = {"op": op}
-    known = {"op", *required, *optional, *_COMMON_OPTIONAL}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ProtocolError(f"{op}: unknown fields {unknown}")
-    for field, types in required.items():
-        if field not in obj:
-            raise ProtocolError(f"{op}: missing required field {field!r}")
-        _check_type(op, field, obj[field], types)
-        request[field] = obj[field]
-    for field, (types, default) in {**optional, **_COMMON_OPTIONAL}.items():
-        value = obj.get(field, default)
-        _check_type(op, field, value, types)
-        request[field] = value
+    request = normalize(obj, _REQUEST_SPEC, common=_COMMON_OPTIONAL)
     if request["v"] != PROTOCOL_VERSION:
         raise ProtocolError(
             f"protocol version {request['v']} != server's {PROTOCOL_VERSION}"

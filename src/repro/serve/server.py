@@ -48,14 +48,16 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.circuits.benchmarks import make_benchmark
 from repro.errors import ReproError
 from repro.experiments.api import get_experiment
 from repro.experiments.runners import make_runner
-from repro.passes import insert_passes
-from repro.pipeline import Pipeline, PipelineSettings
 from repro.pipeline.cache import DiskCache, cache_summary
-from repro.pipeline.pipeline import baseline_passes
+from repro.request import (
+    RequestError,
+    build_compile,
+    compile_payload,
+    settings_for,
+)
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -123,25 +125,10 @@ def request_key(request: dict[str, Any]) -> str:
             f"benchmark={request['benchmark'].lower()!r}",
             f"qubits={request['qubits']}",
             f"seed={request['seed']}",
-            f"config={_settings_for(request)!r}",
+            f"config={settings_for(request)!r}",
             f"passes={request['passes']!r}",
         ]
     return hashlib.blake2b("\n".join(parts).encode(), digest_size=20).hexdigest()
-
-
-def _settings_for(request: dict[str, Any]) -> PipelineSettings:
-    return PipelineSettings(
-        fusion_success_rate=request["rate"],
-        resource_state_size=request["stars"],
-        rsl_size=request["rsl_size"],
-        virtual_size=request["virtual_size"],
-        max_rsl=request["max_rsl"],
-    )
-
-
-class _RequestError(ReproError):
-    """A request naming work that cannot exist (e.g. a circuit its
-    family's factory rejects); its error frame has kind ``request``."""
 
 
 class _NotifyingPass:
@@ -395,7 +382,7 @@ class ReproServer:
             details = (
                 exc.to_json_obj() if hasattr(exc, "to_json_obj") else None
             )
-            kind = "request" if isinstance(exc, _RequestError) else type(exc).__name__
+            kind = "request" if isinstance(exc, RequestError) else type(exc).__name__
             obs.count("serve.errors")
             self.singleflight.retire(stream.key, stream)
             stream.publish(
@@ -433,23 +420,7 @@ class ReproServer:
     def _produce_compile(
         self, stream: InflightStream, request: dict[str, Any], start: float
     ) -> None:
-        settings = _settings_for(request)
-        try:
-            circuit = make_benchmark(
-                request["benchmark"], request["qubits"], seed=request["seed"]
-            )
-        except ReproError as exc:  # unknown family, or a size it rejects
-            raise _RequestError(str(exc)) from exc
-        pipeline = Pipeline(
-            settings,
-            passes=baseline_passes() if request["op"] == "baseline" else None,
-            seed=request["seed"],
-            cache=self.cache,
-        )
-        # Same vocabulary and slotting as the CLI's --passes; unknown
-        # names or bad insertions surface as error frames (exactly the
-        # validator fail-fast contract, one layer up).
-        pipeline = insert_passes(pipeline, request["passes"])
+        circuit, pipeline = build_compile(request, self.cache)
 
         def on_pass(name: str, seconds: float) -> None:
             stream.publish(encode_frame(pass_frame(name, seconds)))
@@ -461,19 +432,10 @@ class ReproServer:
             _NotifyingPass(stage, on_pass) for stage in pipeline.passes
         )
         result = pipeline.compile(circuit)
-        payload = {
-            "benchmark": circuit.name,
-            "num_qubits": circuit.num_qubits,
-            **result.fields(),
-            "pass_timings": result.timings_by_pass,
-        }
-        hits = int(result.metrics.get("cache_hits", 0))
-        misses = int(result.metrics.get("cache_misses", 0))
-        # Counters only: the compilation's pass timings are never built
-        # into spans in the long-lived session.
-        obs.count("cache.hits", hits)
-        obs.count("cache.misses", misses)
-        payload["cache"] = cache_summary(hits, misses)
+        # The serve session keeps counters only: adoption adds the cache
+        # counts and builds no span.
+        self._tele.adopt_compile(result, circuit)
+        payload = compile_payload(circuit, result)
         stream.publish(encode_frame(result_frame(request["op"], payload)))
         self._publish_summary(
             stream, request["op"], records=0, cache=payload["cache"], start=start

@@ -246,8 +246,8 @@ class TestCachedCompilation:
         cache = DiskCache(tmp_path)
         runner = make_runner("process", max_workers=2, cache=cache)
         kwargs = dict(experiment="cache-probe", scale="bench", seed=0)
-        cold = runner.run_jobs(jobs, **kwargs)
-        warm = runner.run_jobs(jobs, **kwargs)
+        cold = list(runner.iter_jobs(jobs, **kwargs))
+        warm = list(runner.iter_jobs(jobs, **kwargs))
         serial = [Pipeline(SETTINGS).compile(CIRCUIT, seed=s) for s in (0, 1)]
         expected = [(r.rsl_count, r.fusion_count) for r in serial]
         for records in (cold, warm):

@@ -2,6 +2,7 @@
 rewrite pass that is always in the chain."""
 
 import json
+import re
 
 import pytest
 from oracles import unrewritten_passes
@@ -9,6 +10,7 @@ from oracles import unrewritten_passes
 from repro.cli import main
 from repro.passes import pass_names
 from repro.passes.validators import DIAGNOSTICS_SCHEMA_VERSION
+from repro.pipeline import PipelineSettings
 from repro.pipeline import pipeline as pipeline_module
 
 COMPILE = ["compile", "--benchmark", "qaoa", "--qubits", "4", "--json"]
@@ -166,3 +168,112 @@ class TestFrontDoorParity:
         served = run.error["details"]["diagnostics"]
         assert [d["rule"] for d in served] == ["connectivity/degree"] * 3
         assert cli["diagnostics"] == served
+
+    #: One compile request with the sizes and the passes pinned.
+    REQUEST = {"benchmark": "qaoa", "qubits": 4, "rate": 0.9, "rsl_size": 36,
+               "virtual_size": 3, "max_rsl": 10**5,
+               "passes": "validate-connectivity"}
+
+    def test_cli_and_server_compile_to_the_same_result(self, capsys):
+        """``repro compile --json`` extends the serve ``result`` payload:
+        the same fields give the same circuit and the same ``fields()``."""
+        from repro.serve import ServeClient, ServeConfig, ServerThread
+
+        argv = ["compile", "--json"]
+        for name, value in self.REQUEST.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        cli = json.loads(capsys.readouterr().out)
+        with ServerThread(ServeConfig(port=0)) as st:
+            with ServeClient(port=st.port) as client:
+                client.wait_until_up()
+                run = client.submit({"op": "compile", **self.REQUEST})
+        served = run.raise_for_error().result
+        assert set(served) <= set(cli)
+        deterministic = set(served) - {"pass_timings", "cache"}
+        assert {"benchmark", "num_qubits", "rsl_count", "pl_ratio"} <= deterministic
+        assert {key: cli[key] for key in deterministic} == {
+            key: served[key] for key in deterministic
+        }
+        assert set(cli["pass_timings"]) == set(served["pass_timings"])
+        assert "validate-connectivity" in served["pass_timings"]
+
+    def test_submit_offers_a_flag_for_every_compile_field(self, capsys):
+        from repro.serve.protocol import _REQUEST_SPEC
+
+        with pytest.raises(SystemExit):
+            main(["submit", "--help"])
+        help_text = capsys.readouterr().out
+        required, optional = _REQUEST_SPEC["compile"]
+        for field in (*required, *optional):
+            flag = "--" + field.replace("_", "-")
+            assert re.search(rf"{flag}\b", help_text), flag
+
+    @pytest.mark.parametrize(
+        "request_flags",
+        [
+            ["--name", "table2", "--benchmark", "qaoa", "--qubits", "4"],
+            ["--name", "table2", "--stats"],
+            ["--benchmark", "qaoa", "--qubits", "4", "--stats"],
+        ],
+    )
+    def test_submit_request_kinds_exclude_each_other(
+        self, capsys, monkeypatch, request_flags
+    ):
+        """Two request kinds in one ``repro submit`` are a usage error
+        before any connection, never a silently dropped request."""
+
+        def no_client(*args, **kwargs):
+            raise AssertionError("submit built a client")
+
+        monkeypatch.setattr("repro.serve.ServeClient", no_client)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--port", "9", *request_flags])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
+class TestPinnedZeroSizes:
+    """A pinned size of 0 is a size, not "unset": it reaches the hardware
+    and mapper checks instead of turning into Table 1 sizing."""
+
+    def test_settings_keep_a_pinned_zero(self):
+        assert PipelineSettings(virtual_size=0).hardware_for(4)[1] == 0
+        assert PipelineSettings().hardware_for(4)[1] == 2
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (["--virtual-size", "0"], 1,
+             "compile: virtual hardware width must be >= 2, got 0"),
+            (["--rsl-size", "0"], 1, "compile: RSL size must be >= 2, got 0"),
+            (["--virtual-size", "0", "--passes", "validate-strip-budget"], 2,
+             "compile: validator 'validate-strip-budget' rejected the program: "
+             "1 error(s) [strip/width]"),
+        ],
+    )
+    def test_cli_ends_in_one_stderr_line(self, capsys, flags, code, message):
+        argv = ["compile", "--benchmark", "qaoa", "--qubits", "4", *flags]
+        assert main(argv) == code
+        assert capsys.readouterr().err.splitlines() == [message]
+
+    @pytest.mark.parametrize(
+        "field, kind, message",
+        [
+            ("virtual_size", "MappingError",
+             "virtual hardware width must be >= 2, got 0"),
+            ("rsl_size", "HardwareError", "RSL size must be >= 2, got 0"),
+        ],
+    )
+    def test_serve_request_ends_in_one_error_frame(self, field, kind, message):
+        from repro.serve import ServeClient, ServeConfig, ServerThread
+
+        with ServerThread(ServeConfig(port=0)) as st:
+            with ServeClient(port=st.port) as client:
+                client.wait_until_up()
+                run = client.submit(
+                    {"op": "compile", "benchmark": "qaoa", "qubits": 4, field: 0}
+                )
+        errors = [frame for frame in run.frames if frame["frame"] == "error"]
+        assert errors == [run.frames[-1]]
+        assert (run.error["kind"], run.error["error"]) == (kind, message)

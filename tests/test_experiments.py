@@ -259,7 +259,7 @@ class TestRunners:
     def test_failures_name_the_job(self, runner):
         jobs = [FnJob(key="boom/1", fn=_exploding_point, kwargs={})]
         with pytest.raises(ReproError, match="boom/1"):
-            runner.run_jobs(jobs, experiment="toy", scale="bench", seed=0)
+            list(runner.iter_jobs(jobs, experiment="toy", scale="bench", seed=0))
 
 
 class TestJobBuilders:

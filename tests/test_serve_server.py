@@ -695,7 +695,7 @@ class TestRequestKey:
         def no_circuits(*args, **kwargs):
             raise AssertionError("request_key built a circuit")
 
-        monkeypatch.setattr("repro.serve.server.make_benchmark", no_circuits)
+        monkeypatch.setattr("repro.request.make_benchmark", no_circuits)
         assert request_key(request) == key
 
     def test_family_case_does_not_split_the_key(self):

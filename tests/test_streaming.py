@@ -3,8 +3,8 @@
 Pins the guarantees at toy scale (bench-scale golden coverage lives in
 benchmarks/test_experiment_determinism.py):
 
-* ``iter_jobs`` yields records in canonical order, byte-identical to
-  ``run_jobs``, for both backends and for varying worker counts;
+* ``iter_jobs`` yields records in canonical order, byte-identical to a
+  blocking serial ``run``, for both backends and for varying worker counts;
 * records really stream — the serial generator yields record N before job
   N+1 runs, and the process generator drains through the reorder buffer;
 * ``Experiment.iter_records`` + ``ExperimentResult.from_stream`` rebuild
@@ -86,7 +86,8 @@ REFERENCE = StreamToy().run("bench", seed=5, runner=SerialRunner())
 
 
 class TestIterJobs:
-    """iter_jobs == run_jobs, for both backends and several widths."""
+    """iter_jobs yields the blocking run's records, for both backends and
+    several widths."""
 
     @pytest.mark.parametrize(
         "runner_name,kwargs",
