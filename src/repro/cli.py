@@ -113,10 +113,15 @@ def _add_request_args(
         target.add_argument("--" + name.replace("_", "-"), **kwargs)
 
 
+def _fields(op: str) -> tuple[str, ...]:
+    """The field names of an ``op`` request, required ones first."""
+    required, optional = REQUEST_FIELDS[op]
+    return (*required, *optional)
+
+
 def _request_from(args: argparse.Namespace, op: str) -> dict:
     """``op``'s request from the flags given; the schema fills the rest."""
-    required, optional = REQUEST_FIELDS[op]
-    given = {name: getattr(args, name) for name in (*required, *optional)}
+    given = {name: getattr(args, name) for name in _fields(op)}
     return {"op": op, **{k: v for k, v in given.items() if v is not None}}
 
 
@@ -432,12 +437,30 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _submit_request(args: argparse.Namespace) -> dict:
-    """Map ``repro submit`` flags onto one protocol request."""
+    """Map ``repro submit`` flags onto one protocol request.
+
+    A flag the chosen request kind does not take raises
+    :class:`RequestError` naming it, rather than being dropped.
+    """
     if args.stats:
-        return {"op": "stats"}
-    if args.name is not None:
-        return _request_from(args, "experiment")
-    return _request_from(args, "baseline" if args.baseline else "compile")
+        op, takes = "stats", ()
+    elif args.name is not None:
+        op, takes = "experiment", _fields("experiment")
+    else:
+        op = "baseline" if args.baseline else "compile"
+        takes = (*_fields(op), "baseline")
+    names = (*_fields("experiment"), *_fields("compile"))
+    given = {name: getattr(args, name) for name in names}
+    given["baseline"] = args.baseline or None
+    foreign = [
+        "--" + name.replace("_", "-")
+        for name, value in given.items()
+        if value is not None and name not in takes
+    ]
+    if foreign:
+        verb = "does" if len(foreign) == 1 else "do"
+        raise RequestError(f"{', '.join(foreign)} {verb} not apply to {op} requests")
+    return {"op": "stats"} if op == "stats" else _request_from(args, op)
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
@@ -446,7 +469,11 @@ def cmd_submit(args: argparse.Namespace) -> int:
     from repro.serve import ServeClient, ServerError
     from repro.serve.protocol import record_from_payload
 
-    request = _submit_request(args)
+    try:
+        request = _submit_request(args)
+    except RequestError as exc:
+        print(f"submit: {exc}", file=sys.stderr)
+        return 2
     client = ServeClient(
         host=args.host,
         port=args.port,

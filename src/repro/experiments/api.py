@@ -77,8 +77,8 @@ class CompileJob(Job):
     """Compile one benchmark circuit under one settings object.
 
     Runners group compile jobs by ``(settings, baseline)`` and compile
-    every job of a group on that group's one shared (cache-wrapped)
-    pipeline, in-line or in a process-pool worker.
+    every job of a group on that group's one shared pipeline (holding
+    the runner's cache), in-line or in a process-pool worker.
     """
 
     family: str

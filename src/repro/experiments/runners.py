@@ -80,7 +80,7 @@ def _split_output(out: Any) -> tuple[dict[str, Any], dict[str, float]]:
 
 
 def _group_pipelines(jobs: Sequence[Job], cache) -> dict[tuple, Pipeline]:
-    """One cache-wrapped pipeline per ``(settings, baseline)`` group."""
+    """One pipeline over ``cache`` per ``(settings, baseline)`` group."""
     pipelines: dict[tuple, Pipeline] = {}
     for job in jobs:
         if isinstance(job, CompileJob):
@@ -215,8 +215,8 @@ class Runner:
 
     ``cache`` (an :class:`~repro.pipeline.cache.ArtifactCache`) is shared
     by every compile job of every ``iter_jobs`` call on this runner: each
-    compile group's pipeline is cache-wrapped before dispatch, so one
-    cache serves the whole experiment run regardless of backend.
+    compile group's pipeline holds it before dispatch, so one cache
+    serves the whole experiment run regardless of backend.
     Records are byte-identical with the cache off, cold, or warm — hit/miss
     counts land in the records' non-canonical ``metrics``.  (A
     ``MemoryCache`` shares within the serial runner only; the process

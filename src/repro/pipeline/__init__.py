@@ -9,14 +9,11 @@ the experiment runners (:mod:`repro.experiments.runners`), which call
 
 from repro.pipeline.cache import (
     ArtifactCache,
-    CachePass,
     DiskCache,
     MemoryCache,
     cache_summary,
-    cached_passes,
     circuit_fingerprint,
     make_cache,
-    uncached_passes,
 )
 from repro.pipeline.context import PassContext, PassTiming
 from repro.pipeline.passes import (
@@ -39,7 +36,6 @@ from repro.pipeline.settings import PipelineSettings, rsl_size_for, virtual_size
 __all__ = [
     "ArtifactCache",
     "BaselinePass",
-    "CachePass",
     "CompilationResult",
     "CompilerPass",
     "DiskCache",
@@ -54,12 +50,10 @@ __all__ = [
     "TranslatePass",
     "baseline_passes",
     "cache_summary",
-    "cached_passes",
     "check_chain",
     "circuit_fingerprint",
     "default_passes",
     "make_cache",
-    "uncached_passes",
     "rsl_size_for",
     "virtual_size_for",
 ]

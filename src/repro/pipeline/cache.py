@@ -2,9 +2,10 @@
 
 The paper splits compilation into a deterministic offline pass, run once
 per program, and an online pass that runs per shot.  This module keeps the
-offline half from being recomputed: a :class:`CachePass` wraps any
-cacheable pass and memoizes its artifacts under a **chained key**, a hash
-of exactly what produced them:
+offline half from being recomputed: ``Pipeline.run`` looks up every
+cacheable pass of a pipeline that holds a cache before running it, and
+memoizes its artifacts under a **chained key**, a hash of exactly what
+produced them:
 
 * the pass name;
 * the pass's declared ``reads`` (:class:`~repro.pipeline.passes.
@@ -24,8 +25,8 @@ A pass therefore shares entries with every compilation that fed it the
 same inputs, whatever else differs: the offline prefix is shared across
 seeds, fusion rates and RSL sizes, while a pipeline with an extra
 pattern-changing pass keys everything after it apart.  An artifact written
-by a pass the cache does not wrap (a custom in-place pass) is **unkeyed**,
-and every cached pass downstream of it runs uncached.
+by a pass that is not cacheable (a custom in-place pass) is **unkeyed**,
+and every cacheable pass downstream of it runs uncached.
 
 Two backends exist behind one interface: :class:`MemoryCache` (per-process
 dict; serves the serial runner and the serve layer) and :class:`DiskCache`
@@ -109,7 +110,8 @@ class ArtifactBlobs(Mapping):
     """A fetched payload's artifacts: name -> pickled blob.
 
     Indexing unpickles a fresh copy; :attr:`blobs` hands out the raw
-    bytes, which is how :class:`CachePass` binds a hit without loading it.
+    bytes, which is how :meth:`ArtifactCache.replay` binds a hit without
+    loading it.
     """
 
     def __init__(self, blobs: dict[str, bytes]) -> None:
@@ -154,7 +156,9 @@ def _unpack(blob: bytes) -> dict[str, Any]:
 
 
 class ArtifactCache:
-    """Backend-agnostic half of the cache: keys and (de)serialization.
+    """Backend-agnostic half of the cache: keys, (de)serialization, and the
+    hit and miss steps of ``Pipeline.run`` (:meth:`replay`,
+    :meth:`run_and_store`).
 
     Subclasses implement :meth:`_read` / :meth:`_write` / :meth:`_discard`
     over raw bytes, guarded by :attr:`_lock` where they share state.
@@ -217,6 +221,48 @@ class ArtifactCache:
         """Drop ``key``'s entry after one of its artifacts failed to load."""
         self._discard(key)
         obs.event("cache_dropped", key=key)
+
+    # -- one stage of Pipeline.run ------------------------------------------
+
+    def replay(
+        self, stage: CompilerPass, ctx: PassContext, key: str, payload: dict[str, Any]
+    ) -> None:
+        """Stand in for ``stage`` with a hit: metrics now, artifacts deferred.
+
+        The payload carries the stage's metrics delta, so the hit leaves
+        ``ctx.metrics`` as a run would.  Each artifact is bound as a
+        :class:`~repro.pipeline.context.DeferredArtifact` that recomputes
+        it with ``stage`` if its blob fails to load.
+        """
+        _count(ctx, "cache_hits")
+        # Event only, never a registry counter: ``cache.*`` counters
+        # derive exclusively from per-compilation metrics, so both runner
+        # backends reconcile to one source of truth.
+        obs.event("cache_hit", stage=stage.name, circuit=ctx.circuit.name)
+        ctx.metrics.update(payload["metrics"])
+        inputs = {name: ctx.artifacts[name] for name in stage.requires}
+        recover = _Recovery(self, stage, ctx, key, inputs)
+        # Recovery recomputes from the inputs as bound now.  A deferred
+        # input reloads a fresh copy; an already-loaded one may still be
+        # mutated by a later in-place pass, so then load the hit now.
+        lazy = all(type(value) is DeferredArtifact for value in inputs.values())
+        for name, blob in payload["artifacts"].blobs.items():
+            artifact = DeferredArtifact(blob, partial(recover, name))
+            ctx.put(name, artifact if lazy else artifact.load())
+
+    def run_and_store(self, stage: CompilerPass, ctx: PassContext, key: str) -> None:
+        """Run ``stage`` on a miss and store its artifacts and metrics delta."""
+        obs.event("cache_miss", stage=stage.name, circuit=ctx.circuit.name)
+        before = dict(ctx.metrics)
+        stage.run(ctx)
+        delta = {
+            name: value
+            for name, value in ctx.metrics.items()
+            if name not in before or before[name] != value
+        }
+        artifacts = {name: ctx.artifacts[name] for name in stage.provides}
+        self.store(key, {"artifacts": artifacts, "metrics": delta})
+        _count(ctx, "cache_misses")
 
     # -- backend hooks ------------------------------------------------------
 
@@ -523,115 +569,28 @@ def make_cache(
     )
 
 
-class CachePass(CompilerPass):
-    """A memoizing wrapper around one cacheable pass.
-
-    Presents the wrapped pass's ``name``/``requires``/``provides`` (so
-    pipeline contracts, timing entries, and downstream consumers are
-    oblivious), and on each run either replays the stored artifacts and
-    metrics or executes the inner pass and stores what it produced.  The
-    payload captures the pass's *metrics delta* alongside its artifacts so
-    a hit reproduces ``ctx.metrics`` exactly as a miss would.
-
-    The lookup runs in :meth:`prepare`, before the pipeline starts the
-    pass timer: a hit reads none of the inner pass's inputs, and a miss
-    loads them there.  A hit binds each artifact as a
-    :class:`~repro.pipeline.context.DeferredArtifact`, loaded on first
-    read; either way the outputs are keyed with this pass's key, which is
-    what chains the keys of the passes downstream.
-    """
-
-    def __init__(self, inner: CompilerPass, cache: ArtifactCache) -> None:
-        if isinstance(inner, CachePass):
-            raise CompilationError(f"pass {inner.name!r} is already cached")
-        if not inner.cacheable:
-            raise CompilationError(
-                f"pass {inner.name!r} is not cacheable (outputs are not a pure "
-                "function of the cache key)"
-            )
-        self.inner = inner
-        self.cache = cache
-        self.name = inner.name
-        self.requires = inner.requires
-        self.provides = inner.provides
-        self.reads = inner.reads
-        self.rng_labels = inner.rng_labels
-
-    def prepare(self, ctx: PassContext) -> None:
-        key, payload = ctx.lookups[self] = self._lookup(ctx)
-        if payload is None:
-            self.inner.prepare(ctx)
-
-    def run(self, ctx: PassContext) -> None:
-        key, payload = ctx.lookups.pop(self, None) or self._lookup(ctx)
-        if payload is not None:
-            self._bind(ctx, key, payload)
-            return
-        if key is None:
-            # An unkeyed input: there is no address to look up or store.
-            obs.event("cache_bypass", stage=self.name, circuit=ctx.circuit.name)
-            self.inner.run(ctx)
-            return
-        obs.event("cache_miss", stage=self.name, circuit=ctx.circuit.name)
-        before = dict(ctx.metrics)
-        self.inner.run(ctx)
-        delta = {
-            name: value
-            for name, value in ctx.metrics.items()
-            if name not in before or before[name] != value
-        }
-        artifacts = {name: ctx.artifacts[name] for name in self.inner.provides}
-        self.cache.store(key, {"artifacts": artifacts, "metrics": delta})
-        self._key_outputs(ctx, key)
-        self._count(ctx, "cache_misses")
-
-    def _lookup(self, ctx: PassContext) -> tuple[str | None, dict | None]:
-        key = self.cache.key_for(self.inner, ctx)
-        return key, (None if key is None else self.cache.fetch(key))
-
-    def _bind(self, ctx: PassContext, key: str, payload: dict[str, Any]) -> None:
-        """Replay a hit: metrics now, artifacts deferred."""
-        self._count(ctx, "cache_hits")
-        # Event only, never a registry counter: ``cache.*`` counters
-        # derive exclusively from per-compilation metrics, so both runner
-        # backends reconcile to one source of truth.
-        obs.event("cache_hit", stage=self.name, circuit=ctx.circuit.name)
-        ctx.metrics.update(payload["metrics"])
-        inputs = {name: ctx.artifacts[name] for name in self.requires}
-        recover = _Recovery(self, ctx, key, inputs)
-        # Recovery recomputes from the inputs as bound now.  A deferred
-        # input reloads a fresh copy; an already-loaded one may still be
-        # mutated by a later in-place pass, so then load the hit now.
-        lazy = all(type(value) is DeferredArtifact for value in inputs.values())
-        for name, blob in payload["artifacts"].blobs.items():
-            artifact = DeferredArtifact(blob, partial(recover, name))
-            ctx.put(name, artifact if lazy else artifact.load())
-        self._key_outputs(ctx, key)
-
-    def _key_outputs(self, ctx: PassContext, key: str) -> None:
-        for name in self.provides:
-            ctx.artifact_keys[name] = key
-
-    @staticmethod
-    def _count(ctx: PassContext, counter: str) -> None:
-        ctx.metrics[counter] = ctx.metrics.get(counter, 0) + 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CachePass {self.name!r} via {self.cache.name}>"
+def _count(ctx: PassContext, counter: str) -> None:
+    ctx.metrics[counter] = ctx.metrics.get(counter, 0) + 1
 
 
 class _Recovery:
     """Recomputes a hit's artifact when its blob fails to load.
 
     The first failure drops the entry and turns the hit into a miss in the
-    compilation's metrics; each call then runs the wrapped pass on the
-    inputs bound at the hit.  Holds the context's parts, not the context,
-    so a deferred artifact does not keep the whole compilation alive.
+    compilation's metrics; each call then runs the stage on the inputs
+    bound at the hit.  Holds the context's parts, not the context, so a
+    deferred artifact does not keep the whole compilation alive.
     """
 
     def __init__(
-        self, stage: CachePass, ctx: PassContext, key: str, inputs: dict[str, Any]
+        self,
+        cache: ArtifactCache,
+        stage: CompilerPass,
+        ctx: PassContext,
+        key: str,
+        inputs: dict[str, Any],
     ) -> None:
+        self.cache = cache
         self.stage = stage
         self.key = key
         self.inputs = inputs
@@ -640,14 +599,13 @@ class _Recovery:
         self.dropped = False
 
     def __call__(self, name: str) -> Any:
-        stage = self.stage
         if not self.dropped:
             self.dropped = True
-            stage.cache.invalidate(self.key)
+            self.cache.invalidate(self.key)
             self.metrics["cache_hits"] -= 1
             self.metrics["cache_misses"] = self.metrics.get("cache_misses", 0) + 1
         scratch = PassContext(*self.program, artifacts=dict(self.inputs))
-        stage.inner.run(scratch)
+        self.stage.run(scratch)
         return scratch.artifacts[name]
 
 
@@ -659,25 +617,3 @@ def cache_summary(hits: int, misses: int) -> dict[str, Any]:
         "misses": misses,
         "hit_rate": hits / lookups if lookups else 0.0,
     }
-
-
-def uncached_passes(passes) -> tuple[CompilerPass, ...]:
-    """Strip every :class:`CachePass` wrapper, restoring the bare chain."""
-    return tuple(
-        stage.inner if isinstance(stage, CachePass) else stage for stage in passes
-    )
-
-
-def cached_passes(passes, cache: ArtifactCache) -> tuple[CompilerPass, ...]:
-    """Wrap every cacheable pass of ``passes`` in a :class:`CachePass`.
-
-    Already-wrapped and non-cacheable passes are kept as-is.  A pass left
-    unwrapped leaves its outputs unkeyed, so the passes downstream of it
-    run uncached even if wrapped.
-    """
-    return tuple(
-        CachePass(stage, cache)
-        if stage.cacheable and not isinstance(stage, CachePass)
-        else stage
-        for stage in passes
-    )

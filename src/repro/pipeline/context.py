@@ -116,10 +116,10 @@ class PassContext:
     #: Artifact name -> cache key of the chain that produced it (see
     #: :mod:`repro.pipeline.cache`).  An artifact without an entry is
     #: unkeyed: the pipeline drops a stage's output keys before it runs,
-    #: and only a cache wrapper keys them again.
+    #: and keys them again only when the stage was looked up in a cache.
     artifact_keys: dict[str, str] = field(default_factory=dict)
-    #: Cache lookups made by a stage's ``prepare`` for its ``run``.
-    lookups: dict[Any, Any] = field(default_factory=dict)
+    #: Called with each stage's :class:`PassTiming` as the stage finishes.
+    on_pass: Callable[[PassTiming], None] | None = None
 
     # -- randomness ---------------------------------------------------------
 

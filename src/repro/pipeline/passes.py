@@ -19,11 +19,13 @@ class CompilerPass:
     Subclasses set ``name`` (used for timing entries and diagnostics),
     ``requires`` (artifact keys that must exist before the pass runs) and
     ``provides`` (keys the pass is expected to create), and implement
-    :meth:`run`.
+    :meth:`run`.  The pipeline loads every ``requires`` artifact before
+    its timer starts, so the pass timing measures the pass's own work.
 
     Three further attributes describe a pass to the artifact cache
     (:mod:`repro.pipeline.cache`): ``cacheable`` declares that the pass's
-    artifacts are a pure function of its cache key; ``reads`` names what
+    artifacts are a pure function of its cache key, so a pipeline with a
+    cache looks the pass up and runs it only on a miss; ``reads`` names what
     the pass reads besides its ``requires`` artifacts — context fields
     (``circuit``, ``config``, ``virtual_size``) or
     :class:`~repro.pipeline.settings.PipelineSettings` field names — which
@@ -40,16 +42,6 @@ class CompilerPass:
     cacheable: bool = False
     reads: tuple[str, ...] = ()
     rng_labels: tuple[str, ...] = ()
-
-    def prepare(self, ctx: PassContext) -> None:
-        """Untimed set-up before :meth:`run`: load the inputs it reads.
-
-        The pipeline calls this outside the pass timer, so an input bound
-        lazily from a cache hit is unpickled here and the pass timing
-        measures the pass's own work.
-        """
-        for name in self.requires:
-            ctx.require(name)
 
     def run(self, ctx: PassContext) -> None:
         raise NotImplementedError

@@ -13,8 +13,9 @@ process without changing a result.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
+from repro import obs
 from repro.baseline.retry import BaselineResult
 from repro.circuits.circuit import Circuit
 from repro.errors import CompilationError
@@ -153,15 +154,10 @@ class Pipeline:
         cache=None,
     ) -> None:
         self.settings = settings or PipelineSettings()
-        base: tuple[CompilerPass, ...] = (
+        self.passes: tuple[CompilerPass, ...] = (
             tuple(passes) if passes is not None else default_passes()
         )
         self.cache = cache
-        if cache is not None:
-            from repro.pipeline.cache import cached_passes
-
-            base = cached_passes(base, cache)
-        self.passes = base
         self.seed = seed
 
     # -- core execution -----------------------------------------------------
@@ -169,39 +165,57 @@ class Pipeline:
     def run(self, ctx: PassContext) -> PassContext:
         """Run every pass over ``ctx``, enforcing contracts and timing each.
 
-        Each stage's :meth:`~repro.pipeline.passes.CompilerPass.prepare`
-        (cache lookups, loading deferred inputs) runs before its timer
-        starts, so pass timings never include unpickling cached artifacts.
-        ``ctx.timings`` is the compilation's one per-pass record: a
-        telemetry session builds its ``compile``/``pass:`` spans from it
-        when it adopts the outcome (:mod:`repro.obs`), so tracing adds no
-        work here.
+        With a cache, each cacheable stage is looked up first: a hit
+        replays the stored artifacts and metrics in place of the run
+        (:meth:`~repro.pipeline.cache.ArtifactCache.replay`), a miss runs
+        the stage and stores what it made
+        (:meth:`~repro.pipeline.cache.ArtifactCache.run_and_store`), and a
+        stage with an unkeyed input runs uncached (a ``cache_bypass``
+        event).  The lookup, and the loading of a running stage's deferred
+        inputs, happen before the stage's timer starts, so pass timings
+        never include unpickling cached artifacts.  ``ctx.timings`` is the
+        compilation's one per-pass record: a telemetry session builds its
+        ``compile``/``pass:`` spans from it when it adopts the outcome
+        (:mod:`repro.obs`), so tracing adds no work here.  Each stage's
+        timing is also handed to ``ctx.on_pass``, when set.
         """
+        cache = self.cache
         for stage in self.passes:
-            self._prepare(stage, ctx)
+            key, payload = self._prepare(stage, ctx)
             start = time.time()
             cpu0 = time.thread_time()
             wall0 = time.perf_counter()
-            stage.run(ctx)
-            ctx.timings.append(
-                PassTiming(
-                    stage.name,
-                    time.perf_counter() - wall0,
-                    time.thread_time() - cpu0,
-                    start,
-                )
+            if payload is not None:
+                cache.replay(stage, ctx, key, payload)
+            elif key is not None:
+                cache.run_and_store(stage, ctx, key)
+            else:
+                stage.run(ctx)
+            timing = PassTiming(
+                stage.name,
+                time.perf_counter() - wall0,
+                time.thread_time() - cpu0,
+                start,
             )
+            ctx.timings.append(timing)
             self._check_provides(stage, ctx)
+            if key is not None:
+                for name in stage.provides:
+                    ctx.artifact_keys[name] = key
+            if ctx.on_pass is not None:
+                ctx.on_pass(timing)
         return ctx
 
-    @staticmethod
-    def _prepare(stage: CompilerPass, ctx: PassContext) -> None:
-        """A stage's untimed set-up: contract check, ``prepare``, unkeying.
+    def _prepare(self, stage: CompilerPass, ctx: PassContext):
+        """A stage's untimed set-up: contract check, lookup, loading, unkeying.
 
-        The stage's outputs lose their cache keys once ``prepare`` has
-        read them (an in-place refinement keys its output on its input's
-        key), so an artifact rewritten by a pass the cache does not wrap
-        is unkeyed, and every cached pass downstream of it runs uncached.
+        Returns the stage's cache key (``None``: not looked up) and the
+        fetched payload (``None``: the stage runs, so its deferred inputs
+        are loaded here).  The stage's outputs lose their keys once the
+        lookup has read them (an in-place refinement keys its output on
+        its input's key), so an artifact rewritten by a pass that is not
+        looked up is unkeyed, and every cacheable pass downstream of it
+        runs uncached.
         """
         missing = [key for key in stage.requires if key not in ctx.artifacts]
         if missing:
@@ -209,11 +223,21 @@ class Pipeline:
                 f"pass {stage.name!r} requires artifacts {missing} that no "
                 f"earlier pass provided (present: {sorted(ctx.artifacts)})"
             )
-        stage.prepare(ctx)
+        key = payload = None
+        if self.cache is not None and stage.cacheable:
+            key = self.cache.key_for(stage, ctx)
+            if key is None:
+                obs.event("cache_bypass", stage=stage.name, circuit=ctx.circuit.name)
+            else:
+                payload = self.cache.fetch(key)
+        if payload is None:
+            for name in stage.requires:
+                ctx.require(name)
         keys = ctx.artifact_keys
         if keys:
-            for key in stage.provides:
-                keys.pop(key, None)
+            for name in stage.provides:
+                keys.pop(name, None)
+        return key, payload
 
     @staticmethod
     def _check_provides(stage: CompilerPass, ctx: PassContext) -> None:
@@ -224,23 +248,24 @@ class Pipeline:
                     "did not produce it"
                 )
 
-    def run_circuit(self, circuit: Circuit, seed: int | None = None) -> PassContext:
+    def run_circuit(
+        self,
+        circuit: Circuit,
+        seed: int | None = None,
+        on_pass: Callable[[PassTiming], None] | None = None,
+    ) -> PassContext:
         """Build a fresh context for ``circuit`` and run the chain over it."""
         ctx = self.settings.context_for(circuit, self.seed if seed is None else seed)
+        ctx.on_pass = on_pass
         return self.run(ctx)
 
     def with_cache(self, cache) -> "Pipeline":
-        """This pipeline with every cacheable pass wrapped in a ``CachePass``.
+        """This pipeline's chain over ``cache`` (``None``: uncached).
 
         The returned pipeline shares ``cache``, so every compilation it (or a
-        sibling) runs reads and feeds the same artifact store; a ``cache``
-        of ``None`` returns an equivalent uncached pipeline.  Existing
-        wrappers are stripped first, so rebinding an already-cached
-        pipeline to a different store (or to none) takes full effect.
+        sibling) runs reads and feeds the same artifact store.
         """
-        from repro.pipeline.cache import uncached_passes
-
-        return Pipeline(self.settings, uncached_passes(self.passes), self.seed, cache)
+        return Pipeline(self.settings, self.passes, self.seed, cache)
 
     def insert_pass(
         self,
@@ -256,12 +281,10 @@ class Pipeline:
         resulting chain is validated by :func:`check_chain` *at insertion
         time*, so an unsatisfied requirement or a provides collision
         raises a structured :class:`PassInsertionError` naming both passes
-        instead of failing mid-compilation.  Cache wrappers are stripped
-        before inserting and rebuilt by the new pipeline's constructor, so
-        an inserted cacheable pass is wrapped like any other.
+        instead of failing mid-compilation.  The new pipeline shares this
+        one's cache, which looks up an inserted cacheable pass like any
+        other.
         """
-        from repro.pipeline.cache import uncached_passes
-
         if after is not None and before is not None:
             raise PassInsertionError(
                 f"inserting {stage.name!r}: give either after= or before=, "
@@ -269,7 +292,7 @@ class Pipeline:
                 kind="anchor",
                 new_pass=stage.name,
             )
-        chain = list(uncached_passes(self.passes))
+        chain = list(self.passes)
         names = [existing.name for existing in chain]
         if after is None and before is None:
             index = len(chain)
@@ -291,16 +314,21 @@ class Pipeline:
     # -- the one-shot entry point -----------------------------------------
 
     def compile(
-        self, circuit: Circuit, seed: int | None = None
+        self,
+        circuit: Circuit,
+        seed: int | None = None,
+        on_pass: Callable[[PassTiming], None] | None = None,
     ) -> CompilationResult | BaselineResult:
         """Run this pipeline's chain over ``circuit``; return its outcome.
 
         A chain that provides ``baseline`` (``baseline_passes()``, plus
         any inserted passes) yields the OneQ :class:`BaselineResult` of
         Section 7.1; any other chain yields the OnePerc
-        :class:`CompilationResult` of the paper's Fig. 2.
+        :class:`CompilationResult` of the paper's Fig. 2.  ``on_pass``, if
+        given, is called with each stage's :class:`PassTiming` as the
+        stage finishes (the serve layer's ``pass`` frames).
         """
-        ctx = self.run_circuit(circuit, seed)
+        ctx = self.run_circuit(circuit, seed, on_pass)
         if "baseline" in ctx.artifacts:
             result = ctx.require("baseline")
             result.pass_timings = list(ctx.timings)

@@ -45,13 +45,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro import obs
 from repro.errors import ReproError
 from repro.experiments.api import get_experiment
 from repro.experiments.runners import make_runner
 from repro.pipeline.cache import DiskCache, cache_summary
+from repro.pipeline.context import PassTiming
 from repro.request import (
     RequestError,
     build_compile,
@@ -129,35 +130,6 @@ def request_key(request: dict[str, Any]) -> str:
             f"passes={request['passes']!r}",
         ]
     return hashlib.blake2b("\n".join(parts).encode(), digest_size=20).hexdigest()
-
-
-class _NotifyingPass:
-    """A pass wrapper that reports completion — the per-pass streaming hook.
-
-    Wraps an already cache-wrapped stage (so a cache *hit* still counts as
-    the pass completing) and forwards the full pass interface; the server
-    wraps a pipeline's pass chain with these so a compile request streams
-    one ``pass`` frame per stage as it finishes.  ``prepare`` (the cache
-    lookup) is forwarded untimed, as the pipeline runs it.
-    """
-
-    def __init__(self, inner, callback: Callable[[str, float], None]) -> None:
-        self.inner = inner
-        self.callback = callback
-        self.name = inner.name
-        self.requires = inner.requires
-        self.provides = inner.provides
-        self.reads = inner.reads
-        self.rng_labels = inner.rng_labels
-        self.cacheable = inner.cacheable
-
-    def prepare(self, ctx) -> None:
-        self.inner.prepare(ctx)
-
-    def run(self, ctx) -> None:
-        start = time.perf_counter()
-        self.inner.run(ctx)
-        self.callback(self.name, time.perf_counter() - start)
 
 
 class ReproServer:
@@ -422,16 +394,11 @@ class ReproServer:
     ) -> None:
         circuit, pipeline = build_compile(request, self.cache)
 
-        def on_pass(name: str, seconds: float) -> None:
-            stream.publish(encode_frame(pass_frame(name, seconds)))
-            obs.observe(f"serve.pass_seconds.{name}", seconds)
+        def on_pass(timing: PassTiming) -> None:
+            stream.publish(encode_frame(pass_frame(timing.name, timing.seconds)))
+            obs.observe(f"serve.pass_seconds.{timing.name}", timing.seconds)
 
-        # Wrap *after* construction so cache wrappers sit inside: a cache
-        # hit still completes the pass and still streams its frame.
-        pipeline.passes = tuple(
-            _NotifyingPass(stage, on_pass) for stage in pipeline.passes
-        )
-        result = pipeline.compile(circuit)
+        result = pipeline.compile(circuit, on_pass=on_pass)
         # The serve session keeps counters only: adoption adds the cache
         # counts and builds no span.
         self._tele.adopt_compile(result, circuit)

@@ -18,7 +18,6 @@ from repro.mbqc.translate import translate_circuit
 from repro.offline.mapper import DEFAULT_BYTES_PER_NODE_LAYER
 from repro.passes import ConnectivityValidatorPass
 from repro.pipeline import (
-    CachePass,
     CompilerPass,
     DiskCache,
     MemoryCache,
@@ -26,7 +25,6 @@ from repro.pipeline import (
     PipelineSettings,
     TranslatePass,
     baseline_passes,
-    cached_passes,
     circuit_fingerprint,
     default_passes,
     make_cache,
@@ -105,35 +103,50 @@ class TestBackends:
 
 
 class TestCachePassWiring:
-    def test_wrapper_presents_inner_contract(self):
-        cache = MemoryCache()
-        wrapped = CachePass(TranslatePass(), cache)
-        assert wrapped.name == "translate"
-        assert wrapped.provides == ("pattern",)
-        assert wrapped.requires == ()
+    def test_cached_passes_skips_ineligible(self, monkeypatch, tmp_path):
+        """Only cacheable stages are looked up: an inserted validator runs
+        on every compile and is never keyed, and a cacheable stage
+        downstream of an uncached in-place pass bypasses the cache."""
+        from repro import obs
+        from repro.obs.summarize import load_events
 
-    def test_non_cacheable_pass_rejected(self):
-        with pytest.raises(CompilationError, match="not cacheable"):
-            CachePass(ConnectivityValidatorPass(), MemoryCache())
+        keyed, validated = [], []
+        key_for = MemoryCache.key_for
 
-    def test_double_wrap_rejected(self):
-        cache = MemoryCache()
-        with pytest.raises(CompilationError, match="already cached"):
-            CachePass(CachePass(TranslatePass(), cache), cache)
+        def spy(cache, stage, ctx):
+            keyed.append(stage.name)
+            return key_for(cache, stage, ctx)
 
-    def test_cached_passes_skips_ineligible(self):
+        monkeypatch.setattr(MemoryCache, "key_for", spy)
+
+        class CountingValidator(ConnectivityValidatorPass):
+            def run(self, ctx):
+                validated.append(ctx.circuit.name)
+                super().run(ctx)
+
         cache = MemoryCache()
-        chain = Pipeline(SETTINGS).insert_pass(
-            ConnectivityValidatorPass(), after="translate"
-        ).passes
-        wrapped = cached_passes(chain, cache)
-        kinds = [type(stage).__name__ for stage in wrapped]
-        assert kinds == [
-            "CachePass", "ConnectivityValidatorPass", "CachePass", "CachePass",
-            "CachePass",
+        gated = Pipeline(SETTINGS, cache=cache).insert_pass(
+            CountingValidator(), after="translate"
+        )
+        cold = gated.compile(CIRCUIT, seed=0)
+        warm = gated.compile(CIRCUIT, seed=0)
+        assert validated == [CIRCUIT.name] * 2
+        assert keyed == ["translate", "rewrite", "offline-map", "online-reshape"] * 2
+        assert cold.metrics["cache_misses"] == 4
+        assert warm.metrics["cache_hits"] == 4
+
+        events_path = tmp_path / "events.jsonl"
+        with obs.session(events_path=str(events_path)):
+            custom = Pipeline(SETTINGS, cache=cache).insert_pass(
+                UnsimplifiedLowering(), after="translate"
+            ).compile(CIRCUIT, seed=0)
+        assert custom.metrics["cache_hits"] == 1  # translate
+        assert "cache_misses" not in custom.metrics
+        bypassed = [
+            event["stage"] for event in load_events(events_path)
+            if event["kind"] == "cache_bypass"
         ]
-        rewrapped = cached_passes(wrapped, cache)
-        assert [type(s).__name__ for s in rewrapped] == kinds
+        assert bypassed == ["rewrite", "offline-map", "online-reshape"]
 
 
 class TestCachedCompilation:
@@ -678,7 +691,7 @@ SETTINGS_VARIANTS = {
 }
 
 #: The ``PassContext`` fields that are the pass bus, not inputs to read.
-BUS_FIELDS = {"artifacts", "timings", "metrics", "artifact_keys", "lookups"}
+BUS_FIELDS = {"artifacts", "timings", "metrics", "artifact_keys", "on_pass"}
 
 CACHEABLE = list(
     {stage.name: stage for stage in (*default_passes(), *baseline_passes())

@@ -232,6 +232,30 @@ class TestFrontDoorParity:
         assert excinfo.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "request_flags, message",
+        [
+            (["--name", "table2", "--rate", "0.9", "--baseline"],
+             "submit: --rate, --baseline do not apply to experiment requests"),
+            (["--benchmark", "qaoa", "--qubits", "4", "--scale", "paper"],
+             "submit: --scale does not apply to compile requests"),
+            (["--stats", "--seed", "0"],
+             "submit: --seed does not apply to stats requests"),
+        ],
+    )
+    def test_submit_rejects_flags_foreign_to_the_request_kind(
+        self, capsys, monkeypatch, request_flags, message
+    ):
+        """A flag the chosen request does not take is a usage error before
+        any connection, never silently left out of the request."""
+
+        def no_client(*args, **kwargs):
+            raise AssertionError("submit built a client")
+
+        monkeypatch.setattr("repro.serve.ServeClient", no_client)
+        assert main(["submit", "--port", "9", *request_flags]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+
 
 class TestPinnedZeroSizes:
     """A pinned size of 0 is a size, not "unset": it reaches the hardware

@@ -224,13 +224,28 @@ class TestGoldenIdentity:
         with ServerThread(ServeConfig(port=0, cache=DiskCache(tmp_path))) as st:
             cold = _client(st).submit(request).raise_for_error()
             warm = _client(st).submit(request).raise_for_error()
-        # The notifier wrappers sit outside the cache wrappers; the keys
-        # still chain through them, so every cacheable stage hits.
+        # A hit still completes its stage, so it still streams a frame.
         assert [p["pass"] for p in warm.passes] == [p["pass"] for p in cold.passes]
         assert cold.result["cache"]["misses"] == 4
         assert warm.result["cache"] == {"hits": 4, "misses": 0, "hit_rate": 1.0}
         for field in ("rsl_count", "fusion_count", "logical_layers", "pl_ratio"):
             assert warm.result[field] == cold.result[field]
+
+    def test_pass_frames_report_the_result_timings(self, tmp_path):
+        """A ``pass`` frame carries the compile's own timing of its stage,
+        cold (misses) and warm (hits) alike."""
+        request = {"op": "compile", "benchmark": "qaoa", "qubits": 4,
+                   "rate": 0.9, "rsl_size": 24, "virtual_size": 2,
+                   "max_rsl": 10**5}
+        with ServerThread(ServeConfig(port=0, cache=DiskCache(tmp_path))) as st:
+            cold = _client(st).submit(request).raise_for_error()
+            warm = _client(st).submit(request).raise_for_error()
+        assert warm.result["cache"]["hits"] == 4
+        for run in (cold, warm):
+            timings = run.result["pass_timings"]
+            assert sorted(p["pass"] for p in run.passes) == sorted(timings)
+            for frame in run.passes:
+                assert frame["seconds"] == timings[frame["pass"]]
 
     def test_baseline_request(self):
         with ServerThread(ServeConfig(port=0)) as st:
