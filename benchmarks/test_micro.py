@@ -9,9 +9,10 @@ online RSL cycle, the tableau, and the mapper at a small and a paper size.
 import numpy as np
 
 from oracles import components_dsu
+from semantics import Tableau
 
 from repro.circuits import make_benchmark, qaoa
-from repro.graphstate import GraphState, ResourceStateSpec, Tableau
+from repro.graphstate import GraphState, ResourceStateSpec
 from repro.hardware import FusionDevice, HardwareConfig, RSGArray
 from repro.mbqc import translate_circuit
 from repro.offline import OfflineMapper

@@ -1,10 +1,14 @@
 """OnePerc reproduction: a randomness-aware compiler for photonic MBQC.
 
-This package reimplements the full system of *OnePerc: A Randomness-aware
-Compiler for Photonic Quantum Computing* (ASPLOS 2024): the graph-state and
-stabilizer substrates, the photonic hardware model, the online percolation /
-renormalization passes, the FlexLattice IR with its instruction set, the
-offline mapping pass, and the OneQ repeat-until-success baseline.
+This package is the compiler of *OnePerc: A Randomness-aware Compiler for
+Photonic Quantum Computing* (ASPLOS 2024): the circuit front end and its
+translation to measurement patterns, the offline mapping pass onto the
+FlexLattice IR, the online percolation / renormalization passes over the
+photonic hardware model, the OneQ repeat-until-success baseline, and the
+pipeline, cache, experiments and service around them.  The semantic oracles
+that show translation and rewriting preserve the circuit (statevector and
+feed-forward simulators, the stabilizer tableau, the graph rewrite rules)
+live with the tests, in ``tests/semantics/``.
 
 Quickstart::
 
@@ -26,8 +30,7 @@ from repro.errors import (
     MemoryBudgetExceeded,
     ReproError,
 )
-from repro.graphstate import GraphState, ResourceStateSpec
-from repro.analysis import Summary, bootstrap_mean, monotone_fraction
+from repro.graphstate import ResourceStateSpec
 from repro.pipeline import Pipeline, PipelineSettings
 
 __all__ = [
@@ -41,11 +44,7 @@ __all__ = [
     "MemoryBudgetExceeded",
     "CompilationError",
     "BaselineExploded",
-    "GraphState",
     "ResourceStateSpec",
-    "Summary",
-    "bootstrap_mean",
-    "monotone_fraction",
     "__version__",
 ]
 

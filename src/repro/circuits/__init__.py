@@ -1,7 +1,7 @@
-"""Circuit frontend: gate IR, {J, CZ} lowering, benchmarks, dense validation."""
+"""Circuit frontend: gate IR, {J, CZ} lowering, benchmarks."""
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import Gate, gate_matrix
+from repro.circuits.gates import Gate
 from repro.circuits.jcz import to_jcz
 from repro.circuits.benchmarks import (
     BENCHMARKS,
@@ -12,17 +12,10 @@ from repro.circuits.benchmarks import (
     rca,
     vqe,
 )
-from repro.circuits.simulate import (
-    simulate_statevector,
-    simulate_unitary,
-    states_equal_up_to_phase,
-    unitaries_equal_up_to_phase,
-)
 
 __all__ = [
     "Circuit",
     "Gate",
-    "gate_matrix",
     "to_jcz",
     "BENCHMARKS",
     "make_benchmark",
@@ -31,8 +24,4 @@ __all__ = [
     "rca",
     "vqe",
     "random_maxcut_graph",
-    "simulate_statevector",
-    "simulate_unitary",
-    "states_equal_up_to_phase",
-    "unitaries_equal_up_to_phase",
 ]

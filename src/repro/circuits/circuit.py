@@ -108,10 +108,6 @@ class Circuit:
 
     # -- queries --------------------------------------------------------------
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
     def count(self, name: str) -> int:
         """Number of gates named ``name``."""
         return sum(1 for gate in self.gates if gate.name == name)

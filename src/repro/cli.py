@@ -58,6 +58,7 @@ from repro.pipeline import PassInsertionError, make_cache
 from repro.pipeline.cache import CACHE_KINDS
 from repro.request import (
     REQUEST_FIELDS,
+    ProtocolError,
     RequestError,
     build_compile,
     compile_payload,
@@ -202,9 +203,12 @@ def _cache_from(args: argparse.Namespace):
 def cmd_compile(args: argparse.Namespace) -> int:
     """``compile`` and ``baseline``: one circuit through the command's chain."""
     command = args.command
-    request = normalize(_request_from(args, command))
     try:
+        request = normalize(_request_from(args, command))
         circuit, pipeline = build_compile(request, cache=_cache_from(args))
+    except ProtocolError as exc:
+        print(exc, file=sys.stderr)  # already prefixed with the op
+        return 2
     except (RequestError, UnknownPassError, PassInsertionError) as exc:
         print(f"{command}: {exc}", file=sys.stderr)
         return 2
@@ -274,7 +278,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not args.name:
         print("experiment: --name is required (or use --list)", file=sys.stderr)
         return 2
-    request = normalize(_request_from(args, "experiment"))
+    try:
+        request = normalize(_request_from(args, "experiment"))
+    except ProtocolError as exc:
+        print(exc, file=sys.stderr)  # already prefixed with the op
+        return 2
     try:
         experiment = get_experiment(request["name"])
     except UnknownExperimentError as exc:
@@ -555,6 +563,15 @@ def cmd_percolate(args: argparse.Namespace) -> int:
     from repro.online.renormalize import renormalize
     from repro.viz import render_renormalization
 
+    for bad, message in (
+        (args.size < 1, f"--size must be >= 1, got {args.size}"),
+        (not 0.0 <= args.rate <= 1.0, f"--rate must be in [0, 1], got {args.rate}"),
+        (args.node < 1, f"--node must be >= 1, got {args.node}"),
+        (args.seed < 0, f"--seed must be >= 0, got {args.seed}"),
+    ):
+        if bad:
+            print(f"percolate: {message}", file=sys.stderr)
+            return 2
     lattice = sample_lattice(args.size, args.rate, rng=args.seed)
     target = max(1, args.size // args.node)
     result = renormalize(lattice.copy(), target)

@@ -1,39 +1,9 @@
-"""Graph states, fusions, local-Clifford bookkeeping and the stabilizer oracle."""
+"""Graph states and the hardware's star resource states."""
 
 from repro.graphstate.graph import GraphState
-from repro.graphstate.fusion import (
-    FusionOutcome,
-    apply_fusion,
-    apply_fusion_sampled,
-    classify_fusion,
-)
-from repro.graphstate.resource import (
-    ResourceStateInstance,
-    ResourceStateSpec,
-    emit_star,
-    make_star,
-)
-from repro.graphstate.local_ops import Axis, LocalOpLedger, QuarterTurn
-from repro.graphstate.stabilizer import (
-    PauliProduct,
-    Tableau,
-    graph_from_adjacency,
-)
+from repro.graphstate.resource import ResourceStateSpec
 
 __all__ = [
     "GraphState",
-    "FusionOutcome",
-    "apply_fusion",
-    "apply_fusion_sampled",
-    "classify_fusion",
-    "ResourceStateInstance",
     "ResourceStateSpec",
-    "emit_star",
-    "make_star",
-    "Axis",
-    "LocalOpLedger",
-    "QuarterTurn",
-    "PauliProduct",
-    "Tableau",
-    "graph_from_adjacency",
 ]

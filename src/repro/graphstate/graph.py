@@ -1,53 +1,32 @@
-"""Graph states and their rewrite rules.
+"""Graph states over hashable node ids.
 
 A graph state ``|G>`` over a graph ``G = (V, E)`` is the joint +1 eigenstate
 of the stabilizers ``S_i = X_i (prod_{j in N(i)} Z_j)`` (Section 2.1 of the
-paper).  Everything the compiler does to quantum states — Z-measuring out
-redundant qubits, local complementation to remove irregular structures, and
-type-II fusions — acts on ``|G>`` purely through graph rewrites, so this class
-is the workhorse of both the online and offline passes.
-
-The rewrite rules implemented here are the standard ones (Hein et al. 2006):
-
-* ``Z``-measurement of ``v``: delete ``v`` and its edges.
-* ``Y``-measurement of ``v``: local-complement at ``v``, then delete ``v``.
-* ``X``-measurement of ``v``: local-complement at a chosen neighbour ``b``,
-  ``Y``-measure ``v``, then local-complement at ``b`` again.
-* local complementation ``tau_v``: toggle every edge among the neighbours
-  of ``v``.
-
-All rules are exact up to local Clifford corrections on the remaining qubits;
-the corrections are tracked separately by :mod:`repro.graphstate.local_ops`
-and validated against the stabilizer tableau in the test-suite.
+paper).  The compiler holds a measurement pattern's program graph in one
+(:class:`~repro.mbqc.pattern.MeasurementPattern`): translation builds it,
+the rewrite pass contracts ``J(0) J(0)`` wires in it, and the offline mapper
+reads its adjacency.  The graph rewrite rules of measurements, local
+complementation and fusions are test oracles (``tests/semantics/``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
-from itertools import combinations
-from typing import TypeVar
 
 from repro.errors import GraphStateError
-
-Node = TypeVar("Node", bound=Hashable)
 
 
 class GraphState:
     """A graph state represented by adjacency sets over hashable node ids.
 
-    The class is deliberately mutable: the online pass performs millions of
-    in-place rewrites per resource state layer, so copy-on-write semantics
-    would dominate the runtime.  Use :meth:`copy` where a snapshot is needed.
+    The class is mutable: the rewrite pass edits a pattern's graph in
+    place.  Use :meth:`copy` where a snapshot is needed.
     """
 
     def __init__(self, edges: Iterable[tuple[Hashable, Hashable]] = ()) -> None:
         self._adjacency: dict[Hashable, set[Hashable]] = {}
         for u, v in edges:
             self.add_edge(u, v)
-
-    # ------------------------------------------------------------------
-    # Basic structure
-    # ------------------------------------------------------------------
 
     def __contains__(self, node: Hashable) -> bool:
         return node in self._adjacency
@@ -94,23 +73,6 @@ class GraphState:
         self._adjacency.setdefault(u, set()).add(v)
         self._adjacency.setdefault(v, set()).add(u)
 
-    def remove_edge(self, u: Hashable, v: Hashable) -> None:
-        """Remove the edge between ``u`` and ``v`` (must exist)."""
-        try:
-            self._adjacency[u].remove(v)
-            self._adjacency[v].remove(u)
-        except KeyError as exc:
-            raise GraphStateError(f"no edge between {u!r} and {v!r}") from exc
-
-    def toggle_edge(self, u: Hashable, v: Hashable) -> None:
-        """Flip the presence of edge ``(u, v)`` — the CZ action on graph states."""
-        if u == v:
-            raise GraphStateError(f"self-loop on {u!r} is not a valid CZ edge")
-        if v in self._adjacency.get(u, ()):
-            self.remove_edge(u, v)
-        else:
-            self.add_edge(u, v)
-
     def has_edge(self, u: Hashable, v: Hashable) -> bool:
         """Whether ``u`` and ``v`` are entangled."""
         return v in self._adjacency.get(u, ())
@@ -138,104 +100,13 @@ class GraphState:
         for neighbor in neighbors:
             self._adjacency[neighbor].discard(node)
 
-    # ------------------------------------------------------------------
-    # Rewrite rules
-    # ------------------------------------------------------------------
-
-    def local_complement(self, node: Hashable) -> None:
-        """Apply ``tau_node``: toggle all edges among the neighbours of ``node``.
-
-        This is the graph action of the local Clifford
-        ``U_v(G) = exp(-i pi/4 X_v) prod_{u in N(v)} exp(i pi/4 Z_u)``
-        (Section 4.2 of the paper).
-        """
-        nbrs = sorted(self.neighbors(node), key=repr)
-        for u, v in combinations(nbrs, 2):
-            self.toggle_edge(u, v)
-
-    def measure_z(self, node: Hashable) -> None:
-        """Measure ``node`` in the Z basis: remove it from the graph.
-
-        Z-measurements are how the reshaping pass eliminates redundant qubits
-        of the random physical graph state (Section 1, feature 3).
-        """
-        self.remove_node(node)
-
-    def measure_y(self, node: Hashable) -> None:
-        """Measure ``node`` in the Y basis: local-complement, then remove."""
-        self.local_complement(node)
-        self.remove_node(node)
-
-    def measure_x(self, node: Hashable, special_neighbor: Hashable | None = None) -> None:
-        """Measure ``node`` in the X basis.
-
-        Uses the standard rule ``tau_b . tau_node . tau_b`` with a designated
-        neighbour ``b`` (any neighbour gives locally-equivalent results).  An
-        isolated node is simply removed (its X-measurement is deterministic).
-        """
-        nbrs = self.neighbors(node)
-        if not nbrs:
-            self.remove_node(node)
-            return
-        if special_neighbor is None:
-            special_neighbor = min(nbrs, key=repr)
-        elif special_neighbor not in nbrs:
-            raise GraphStateError(
-                f"{special_neighbor!r} is not a neighbour of {node!r}"
-            )
-        self.local_complement(special_neighbor)
-        self.measure_y(node)
-        self.local_complement(special_neighbor)
-
-    # ------------------------------------------------------------------
-    # Queries used by the compiler passes
-    # ------------------------------------------------------------------
-
-    def connected_components(self) -> list[set[Hashable]]:
-        """All connected components, largest first."""
-        remaining = set(self._adjacency)
-        components: list[set[Hashable]] = []
-        while remaining:
-            start = next(iter(remaining))
-            stack = [start]
-            component = {start}
-            while stack:
-                node = stack.pop()
-                for neighbor in self._adjacency[node]:
-                    if neighbor not in component:
-                        component.add(neighbor)
-                        stack.append(neighbor)
-            components.append(component)
-            remaining -= component
-        components.sort(key=len, reverse=True)
-        return components
-
-    def largest_component(self) -> set[Hashable]:
-        """Nodes of the largest connected component (empty set if empty graph)."""
-        components = self.connected_components()
-        return components[0] if components else set()
-
-    def subgraph(self, nodes: Iterable[Hashable]) -> "GraphState":
-        """The induced subgraph on ``nodes`` as a new :class:`GraphState`."""
-        keep = set(nodes)
-        sub = GraphState()
-        for node in keep:
-            if node not in self._adjacency:
-                raise GraphStateError(f"unknown qubit {node!r}")
-            sub.add_node(node)
-        for node in keep:
-            for neighbor in self._adjacency[node]:
-                if neighbor in keep:
-                    sub.add_edge(node, neighbor)
-        return sub
-
     @classmethod
     def adopt(cls, adjacency: dict[Hashable, set[Hashable]]) -> "GraphState":
         """A state over ``adjacency`` itself, not a copy.
 
         The sets must be symmetric and loop-free; their iteration order is
-        kept, so code that makes them with ``add_edge``'s and
-        ``toggle_edge``'s set operations gets the state those calls would.
+        kept, so code that makes them with ``add_edge``'s set operations
+        gets the state those calls would.
         """
         state = cls()
         state._adjacency = adjacency
@@ -246,17 +117,6 @@ class GraphState:
         return GraphState.adopt(
             {node: set(nbrs) for node, nbrs in self._adjacency.items()}
         )
-
-    def relabeled(self, mapping: dict[Hashable, Hashable]) -> "GraphState":
-        """A copy with node ids sent through ``mapping`` (identity if absent)."""
-        clone = GraphState()
-        for node in self._adjacency:
-            clone.add_node(mapping.get(node, node))
-        for u, v in self.edges():
-            clone.add_edge(mapping.get(u, u), mapping.get(v, v))
-        if len(clone) != len(self):
-            raise GraphStateError("relabeling collapsed distinct nodes")
-        return clone
 
     def is_isomorphic_as_labelled(self, other: "GraphState") -> bool:
         """Whether both states have identical node sets and edge sets."""

@@ -10,11 +10,9 @@ enough degree for 3D lattices.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import HardwareError
-from repro.graphstate.graph import GraphState
 
 #: Minimum meaningful star size: one root plus one leaf.
 MIN_RESOURCE_STATE_SIZE = 2
@@ -72,50 +70,3 @@ class ResourceStateSpec:
             degree += self.max_degree - 1
             stars += 1
         return stars
-
-
-@dataclass
-class ResourceStateInstance:
-    """One emitted resource state with concrete node ids inside a larger graph."""
-
-    root: Hashable
-    leaves: list[Hashable] = field(default_factory=list)
-
-    @property
-    def qubits(self) -> list[Hashable]:
-        """All node ids, root first."""
-        return [self.root, *self.leaves]
-
-    @property
-    def size(self) -> int:
-        return 1 + len(self.leaves)
-
-
-def make_star(
-    graph: GraphState,
-    root: Hashable,
-    leaves: list[Hashable],
-) -> ResourceStateInstance:
-    """Add a star resource state with the given node ids to ``graph``."""
-    if not leaves:
-        raise HardwareError("a star resource state needs at least one leaf")
-    graph.add_node(root)
-    for leaf in leaves:
-        graph.add_edge(root, leaf)
-    return ResourceStateInstance(root=root, leaves=list(leaves))
-
-
-def emit_star(
-    graph: GraphState,
-    spec: ResourceStateSpec,
-    tag: Hashable,
-) -> ResourceStateInstance:
-    """Emit a fresh ``spec.size``-qubit star whose node ids are ``(tag, k)``.
-
-    ``k = 0`` is the root; ``k = 1 .. size-1`` are leaves.  ``tag`` is
-    typically an (RSL index, row, col) triple so node ids are globally unique
-    across the space-time array of resource states.
-    """
-    root = (tag, 0)
-    leaves = [(tag, index) for index in range(1, spec.size)]
-    return make_star(graph, root, leaves)

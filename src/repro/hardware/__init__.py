@@ -1,4 +1,4 @@
-"""Photonic hardware model: RSGs, layers, fusion devices."""
+"""Photonic hardware model: RSG arrays, layer merging, fusion devices."""
 
 from repro.hardware.architecture import (
     HYPER_ADVANCED_FUSION_RATE,
@@ -8,7 +8,7 @@ from repro.hardware.architecture import (
     HardwareConfig,
 )
 from repro.hardware.fusion import FusionDevice, FusionTally
-from repro.hardware.rsg import MergeResult, ResourceStateLayer, RSGArray
+from repro.hardware.rsg import MergeResult, RSGArray
 
 __all__ = [
     "HardwareConfig",
@@ -19,6 +19,5 @@ __all__ = [
     "FusionDevice",
     "FusionTally",
     "RSGArray",
-    "ResourceStateLayer",
     "MergeResult",
 ]

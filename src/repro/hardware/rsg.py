@@ -1,11 +1,9 @@
-"""Resource state generation: RSG arrays and resource state layers.
+"""Resource state generation: the RSG array's per-site layer merging.
 
-An :class:`RSGArray` emits one :class:`ResourceStateLayer` per cycle: an
-``N x N`` grid of star resource states.  For experiments that need the full
-graph-state machinery (small scales), :meth:`ResourceStateLayer.build_graph`
-materializes every star into a :class:`~repro.graphstate.graph.GraphState`;
-the large-scale online pass instead works on the site/bond abstraction of
-:mod:`repro.online.percolation`, which this module's merge simulation feeds.
+An :class:`RSGArray` emits one ``N x N`` grid of star resource states per
+cycle.  The online pass never materializes those stars as a graph state: it
+works on the site/bond abstraction of :mod:`repro.online.percolation`, which
+this module's merge simulation (:meth:`RSGArray.merge_layers`) feeds.
 """
 
 from __future__ import annotations
@@ -14,34 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphstate.graph import GraphState
-from repro.graphstate.resource import ResourceStateInstance, ResourceStateSpec, emit_star
 from repro.hardware.architecture import HardwareConfig
 from repro.hardware.fusion import FusionDevice
-
-
-@dataclass
-class ResourceStateLayer:
-    """One RSG cycle's worth of resource states, arranged on a grid."""
-
-    index: int
-    size: int
-    spec: ResourceStateSpec
-
-    def build_graph(self) -> tuple[GraphState, dict[tuple[int, int], ResourceStateInstance]]:
-        """Materialize all stars of the layer into one graph state.
-
-        Node ids are ``((layer, row, col), k)`` with ``k = 0`` the root.
-        Only practical for small layers — a 240x240 layer with 7-qubit stars
-        is 400k qubits.
-        """
-        graph = GraphState()
-        stars: dict[tuple[int, int], ResourceStateInstance] = {}
-        for row in range(self.size):
-            for col in range(self.size):
-                tag = (self.index, row, col)
-                stars[(row, col)] = emit_star(graph, self.spec, tag)
-        return graph, stars
 
 
 @dataclass
@@ -54,29 +26,19 @@ class MergeResult:
 
 
 class RSGArray:
-    """The generator array: emits layers and performs the per-site merging."""
+    """The generator array: performs the per-site merging of its layers."""
 
     def __init__(self, config: HardwareConfig) -> None:
         self.config = config
-        self._next_index = 0
-
-    def emit_layer(self) -> ResourceStateLayer:
-        """Emit the next RSL in sequence."""
-        layer = ResourceStateLayer(
-            index=self._next_index,
-            size=self.config.rsl_size,
-            spec=self.config.resource_state,
-        )
-        self._next_index += 1
-        return layer
 
     def merge_layers(self, device: FusionDevice) -> MergeResult:
         """Merge ``merged_rsls_per_layer`` RSLs into one high-degree layer.
 
         Each site attempts ``m - 1`` root-leaf fusions to chain ``m`` stars
         into one ``site_degree``-degree star.  A failed merge burns one leaf
-        on each side (the photons are destroyed; the LC cleanup of Fig. 8 is
-        tracked by the ledger elsewhere) and is retried while the joining
+        on each side (the photons are destroyed; the LC cleanup of Fig. 8
+        is checked on real graph states by the exact-layer oracle,
+        ``tests/oracles.py::build_exact_layer``) and is retried while the joining
         star still has spare leaves — the collective retry of Section 4.3.
 
         A site stays alive if every chain join eventually succeeded; its

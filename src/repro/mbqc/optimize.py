@@ -31,10 +31,6 @@ class OptimizationReport:
     nodes_after: int
     contracted_pairs: int
 
-    @property
-    def nodes_removed(self) -> int:
-        return self.nodes_before - self.nodes_after
-
 
 def _is_zero(angle: float | None) -> bool:
     return angle is not None and abs(angle) <= _ZERO_TOLERANCE

@@ -71,11 +71,6 @@ class MappingResult:
     deferred_edge_realizations: int
     ancilla_cells: int
 
-    @property
-    def logical_layer_count(self) -> int:
-        """Layers the online pass must realize (mapping + refresh layers)."""
-        return self.layer_count
-
 
 class OfflineMapper:
     """Maps a measurement pattern onto the virtual hardware."""

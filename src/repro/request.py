@@ -80,6 +80,8 @@ def normalize(
     Returns a *new* dict with every optional field (and every ``common``
     field, which any op may carry) present, defaults filled in: two
     requests omitting vs. spelling out a default normalize identically.
+    A negative ``seed`` is rejected here, for every op that takes one:
+    numpy would reject it only once the work had started.
     """
     if not isinstance(obj, dict):
         raise ProtocolError(f"request is not a JSON object: {obj!r}")
@@ -103,6 +105,8 @@ def normalize(
         value = obj.get(field, default)
         _check_type(op, field, value, types)
         request[field] = value
+    if request.get("seed", 0) < 0:
+        raise ProtocolError(f"{op}: seed must be >= 0")
     return request
 
 

@@ -195,12 +195,6 @@ class ReproServer:
             "serve_started", port=self.port, unix_path=self.config.unix_path
         )
 
-    async def serve_forever(self) -> None:
-        """Block until the listeners close (i.e. until :meth:`shutdown`)."""
-        await asyncio.gather(
-            *(server.wait_closed() for server in self._servers)
-        )
-
     async def shutdown(self, drain_timeout: float | None = None) -> None:
         """Graceful drain: stop accepting, finish in-flight, then tear down."""
         if drain_timeout is None:

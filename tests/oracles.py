@@ -51,14 +51,20 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from semantics import (
+    LocalOpLedger,
+    ResourceStateInstance,
+    apply_fusion,
+    emit_star,
+    local_complement,
+    toggle_edge,
+)
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gates import Gate
 from repro.errors import CircuitError, HardwareError, RenormalizationError, TranslationError
-from repro.graphstate.fusion import apply_fusion
 from repro.graphstate.graph import GraphState
-from repro.graphstate.local_ops import LocalOpLedger
-from repro.graphstate.resource import ResourceStateInstance, ResourceStateSpec, emit_star
+from repro.graphstate.resource import ResourceStateSpec
 from repro.hardware.architecture import LATTICE_DEGREE_2D, HardwareConfig
 from repro.hardware.fusion import FusionDevice
 from repro.hardware.rsg import MergeResult
@@ -967,7 +973,7 @@ def translate_circuit_gates(circuit: Circuit, simplify: bool = True) -> Measurem
             current[wire] = fresh
         else:
             a, b = gate.qubits
-            graph.toggle_edge(current[a], current[b])
+            toggle_edge(graph, current[a], current[b])
     pattern = MeasurementPattern(
         graph=graph,
         nodes=nodes,
@@ -1305,7 +1311,7 @@ def _merge_site(
                 ledger.record_local_complement(
                     survivor, graph.neighbors(survivor)
                 )
-                graph.local_complement(survivor)
+                local_complement(graph, survivor)
                 cleanups += 1
                 # survivor is now the root of a (smaller) star; use it as
                 # the joiner root for the retry.

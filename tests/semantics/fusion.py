@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.errors import GraphStateError
 from repro.graphstate.graph import GraphState
+from semantics.graph_rules import measure_y, toggle_edge
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,13 @@ def apply_fusion(
         for a in neighbors_a:
             for b in neighbors_b:
                 if a != b:
-                    graph.toggle_edge(a, b)
+                    toggle_edge(graph, a, b)
     else:
         # Failure destroys each photon after a local complementation on it
         # (the Y-measurement rule).  The two qubits are non-adjacent, so the
         # two removals commute.
-        graph.measure_y(qubit_a)
-        graph.measure_y(qubit_b)
+        measure_y(graph, qubit_a)
+        measure_y(graph, qubit_b)
 
     return FusionOutcome(qubit_a, qubit_b, success, kind)
 

@@ -1,7 +1,7 @@
 """Aaronson–Gottesman stabilizer tableau simulator.
 
-The graph rewrite rules in :mod:`repro.graphstate.graph` and
-:mod:`repro.graphstate.fusion` are *claims* about what measurements and
+The graph rewrite rules in :mod:`semantics.graph_rules` and
+:mod:`semantics.fusion` are *claims* about what measurements and
 fusions do to graph states.  This module provides an independent ground truth:
 a binary-symplectic CHP tableau (Aaronson & Gottesman 2004) extended with
 
@@ -199,18 +199,6 @@ class Tableau:
             % 2
         )
         return overlap == 1
-
-    def _row_times_pauli_phase(self, row: int, pauli: PauliProduct) -> int:
-        """Power of ``i`` (mod 4) in (row Pauli) * ``pauli``, before sign bits."""
-        phase = 0
-        for qubit in range(self.num_qubits):
-            phase += _phase_exponent(
-                int(self.x[row, qubit]),
-                int(self.z[row, qubit]),
-                int(pauli.x[qubit]),
-                int(pauli.z[qubit]),
-            )
-        return phase % 4
 
     # ------------------------------------------------------------------
     # Measurement

@@ -1,4 +1,4 @@
-"""Dense statevector simulation of circuits (validation oracle).
+"""Dense statevector simulation of circuits, and the gate matrices it applies.
 
 Used by the test-suite to check that (a) the ``{J, CZ}`` lowering preserves
 every benchmark's unitary action and (b) the MBQC execution of a measurement
@@ -8,11 +8,76 @@ compiler itself — compilation never simulates amplitudes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gates import gate_matrix
+from repro.circuits.gates import Gate
 from repro.errors import CircuitError
+
+_SQRT1_2 = 1 / math.sqrt(2)
+
+
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Unitary matrix of ``gate`` in the computational basis (little care for
+    global phase — comparisons in the tests are phase-insensitive)."""
+    name = gate.name
+    if name == "h":
+        return np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT1_2
+    if name == "x":
+        return np.array([[0, 1], [1, 0]], dtype=complex)
+    if name == "y":
+        return np.array([[0, -1j], [1j, 0]], dtype=complex)
+    if name == "z":
+        return np.diag([1, -1]).astype(complex)
+    if name == "s":
+        return np.diag([1, 1j]).astype(complex)
+    if name == "sdg":
+        return np.diag([1, -1j]).astype(complex)
+    if name == "t":
+        return np.diag([1, np.exp(1j * math.pi / 4)])
+    if name == "tdg":
+        return np.diag([1, np.exp(-1j * math.pi / 4)])
+    if name == "rz":
+        (theta,) = gate.params
+        return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
+    if name == "rx":
+        (theta,) = gate.params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    if name == "ry":
+        (theta,) = gate.params
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if name == "p":
+        (theta,) = gate.params
+        return np.diag([1, np.exp(1j * theta)])
+    if name == "j":
+        (alpha,) = gate.params
+        return np.array(
+            [[1, np.exp(1j * alpha)], [1, -np.exp(1j * alpha)]], dtype=complex
+        ) * _SQRT1_2
+    if name == "cx":
+        return np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+    if name == "cz":
+        return np.diag([1, 1, 1, -1]).astype(complex)
+    if name == "cp":
+        (theta,) = gate.params
+        return np.diag([1, 1, 1, np.exp(1j * theta)])
+    if name == "swap":
+        return np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
+    if name == "ccx":
+        matrix = np.eye(8, dtype=complex)
+        matrix[6, 6] = matrix[7, 7] = 0
+        matrix[6, 7] = matrix[7, 6] = 1
+        return matrix
+    raise CircuitError(f"no matrix for gate {name!r}")
+
 
 #: Refuse dense simulation beyond this width (2^14 amplitudes is plenty for tests).
 MAX_DENSE_QUBITS = 14

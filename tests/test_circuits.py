@@ -5,20 +5,22 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from semantics import (
+    gate_matrix,
+    simulate_statevector,
+    simulate_unitary,
+    unitaries_equal_up_to_phase,
+)
 
 from repro.circuits import (
     Circuit,
     Gate,
-    gate_matrix,
     make_benchmark,
     qaoa,
     qft,
     random_maxcut_graph,
     rca,
-    simulate_statevector,
-    simulate_unitary,
     to_jcz,
-    unitaries_equal_up_to_phase,
     vqe,
 )
 from repro.errors import CircuitError

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from semantics import Tableau, apply_fusion
 
 from repro.circuits import Circuit, qaoa
 from repro.errors import (
@@ -10,7 +11,7 @@ from repro.errors import (
     HardwareError,
     RenormalizationError,
 )
-from repro.graphstate import GraphState, ResourceStateSpec, Tableau
+from repro.graphstate import GraphState, ResourceStateSpec
 from repro.hardware import FusionDevice, HardwareConfig
 from repro.mbqc import translate_circuit
 from repro.online import (
@@ -139,7 +140,6 @@ class TestPatternEdges:
 
 class TestGraphStateEdges:
     def test_fusion_on_missing_qubits(self):
-        from repro.graphstate import apply_fusion
 
         graph = GraphState()
         graph.add_node("a")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from oracles import MAX_EXACT_SIDE, bond_consistency, build_exact_layer
+from semantics import connected_components
 
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
@@ -112,7 +113,7 @@ class TestExactLayer:
         roots = {
             site.root for site in layer.sites.values() if site.root is not None
         }
-        components = layer.graph.connected_components()
+        components = connected_components(layer.graph)
         best_root_cluster = max(
             (len(component & roots) for component in components), default=0
         )

@@ -2,17 +2,16 @@
 
 import numpy as np
 import pytest
-
-from repro.errors import GraphStateError, HardwareError
-from repro.graphstate import (
-    GraphState,
-    ResourceStateSpec,
+from semantics import (
     apply_fusion,
     apply_fusion_sampled,
     classify_fusion,
     emit_star,
     make_star,
 )
+
+from repro.errors import GraphStateError, HardwareError
+from repro.graphstate import GraphState, ResourceStateSpec
 
 
 def two_stars():

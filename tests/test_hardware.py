@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import merge_layers_masks
+from semantics import LayerEmitter
 
 from repro.errors import HardwareError
 from repro.graphstate import ResourceStateSpec
@@ -101,13 +102,13 @@ class TestFusionDevice:
 
 class TestRSGArray:
     def test_emit_layers_sequential(self):
-        array = RSGArray(HardwareConfig(rsl_size=4))
-        assert array.emit_layer().index == 0
-        assert array.emit_layer().index == 1
+        emitter = LayerEmitter(HardwareConfig(rsl_size=4))
+        assert emitter.emit_layer().index == 0
+        assert emitter.emit_layer().index == 1
 
     def test_layer_graph_build(self):
         config = HardwareConfig(rsl_size=2, resource_state=ResourceStateSpec(4))
-        layer = RSGArray(config).emit_layer()
+        layer = LayerEmitter(config).emit_layer()
         graph, stars = layer.build_graph()
         assert len(stars) == 4
         assert graph.node_count == 16  # 4 sites x 4 qubits

@@ -8,16 +8,21 @@ module boundaries.
 import numpy as np
 import pytest
 from oracles import dag_predecessors
-
-from repro.circuits import (
-    make_benchmark,
-    qaoa,
+from semantics import (
+    Tableau,
+    apply_fusion,
+    emit_star,
+    graph_from_adjacency,
+    measure_z,
+    run_pattern,
     simulate_statevector,
     states_equal_up_to_phase,
 )
-from repro.graphstate import GraphState, Tableau, graph_from_adjacency
+
+from repro.circuits import make_benchmark, qaoa
+from repro.graphstate import GraphState
 from repro.ir import InstructionInterpreter, lower_ir
-from repro.mbqc import DependencyDAG, run_pattern, translate_circuit
+from repro.mbqc import DependencyDAG, translate_circuit
 from repro.offline import OfflineMapper
 from repro.online import OnlineReshaper
 from repro.hardware import HardwareConfig
@@ -98,8 +103,6 @@ class TestQuantumSemanticEndToEnd:
     def test_percolated_layer_is_a_real_graph_state(self):
         """Build a tiny RSL's physical graph state with real fusions and
         verify the lattice abstraction agrees with the graph-state picture."""
-        from repro.graphstate import apply_fusion, emit_star
-
         size = 3
         graph = GraphState()
         stars = {}
@@ -147,7 +150,7 @@ class TestQuantumSemanticEndToEnd:
         expected = graph.copy()
         for node in graph.nodes():
             if node not in keep_path:
-                expected.measure_z(node)
+                measure_z(expected, node)
                 tableau.measure_letter(index[node], "Z", postselect=0)
         keep = [index[n] for n in keep_path]
         adjacency, _ = tableau.extract_graph(keep)

@@ -4,9 +4,9 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from semantics import Axis, LocalOpLedger, QuarterTurn
 
 from repro.errors import GraphStateError
-from repro.graphstate.local_ops import Axis, LocalOpLedger, QuarterTurn
 
 
 class TestAxis:

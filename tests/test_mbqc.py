@@ -14,14 +14,13 @@ from oracles import (
     to_jcz_gates,
     translate_circuit_gates,
 )
+from semantics import run_pattern, simulate_statevector, states_equal_up_to_phase
 
 from repro.circuits import (
     Circuit,
     qaoa,
     qft,
     rca,
-    simulate_statevector,
-    states_equal_up_to_phase,
     to_jcz,
     vqe,
 )
@@ -33,7 +32,6 @@ from repro.mbqc import (
     FrontLayer,
     MeasurementPattern,
     PatternNode,
-    run_pattern,
     translate_circuit,
 )
 from repro.mbqc.translate import pattern_size_summary
@@ -309,6 +307,19 @@ class TestMBQCExecution:
         )
         assert set(outcomes.values()) == {0}
         assert states_equal_up_to_phase(output, simulate_statevector(circuit))
+
+    def test_qft3_random_outcomes_and_postselected_branch(self):
+        """qft-3 over five outcome seeds and its all-zero branch each give the circuit's state."""
+        circuit = qft(3)
+        pattern = translate_circuit(circuit)
+        reference = simulate_statevector(circuit)
+        for seed in range(5):
+            output, _ = run_pattern(
+                pattern, input_state=zero_input(pattern), rng=np.random.default_rng(seed)
+            )
+            assert states_equal_up_to_phase(output, reference)
+        output, _ = run_pattern(pattern, input_state=zero_input(pattern), postselect_zeros=True)
+        assert states_equal_up_to_phase(output, reference)
 
     def test_plus_input_default(self):
         """Default input |+...+> equals running the circuit after H-walls."""

@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
+from semantics import run_pattern, simulate_statevector, states_equal_up_to_phase
 
-from repro.circuits import (
-    Circuit,
-    qft,
-    simulate_statevector,
-    states_equal_up_to_phase,
-    to_jcz,
-)
-from repro.mbqc import merge_zero_pairs, optimize_pattern, run_pattern, translate_circuit
+from repro.circuits import Circuit, qft, to_jcz
+from repro.mbqc import merge_zero_pairs, optimize_pattern, translate_circuit
 
 
 def unsimplified_pattern(circuit):

@@ -10,10 +10,11 @@ import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
+from semantics import run_pattern, simulate_statevector, states_equal_up_to_phase
 
-from repro.circuits import Circuit, simulate_statevector, states_equal_up_to_phase
+from repro.circuits import Circuit
 from repro.ir import InstructionInterpreter, lower_ir
-from repro.mbqc import DependencyDAG, run_pattern, translate_circuit
+from repro.mbqc import DependencyDAG, translate_circuit
 from repro.offline import OfflineMapper
 
 

@@ -833,6 +833,31 @@ class TestFrontDoorFuzz:
         assert frames[0]["frame"] == "ack"
         assert [f["frame"] for f in frames[-2:]] == ["result", "summary"]
 
+    def test_negative_seed_is_one_protocol_error(self):
+        """A negative seed fails validation for every op that takes one,
+        before any work starts, and the connection keeps serving."""
+        with ServerThread(ServeConfig(port=0)) as st:
+            _client(st)  # waits until up
+            with (
+                socket.create_connection(("127.0.0.1", st.port)) as sock,
+                sock.makefile("rb") as reader,
+            ):
+                assert decode_frame(reader.readline())["frame"] == "hello"
+                for request in (
+                    {**_COMPILE, "seed": -1},
+                    {**_COMPILE, "op": "baseline", "seed": -1},
+                    {"op": "experiment", "name": "serve-toy", "seed": -1},
+                ):
+                    sock.sendall(json.dumps(request).encode() + b"\n")
+                    frames = _read_response(reader)
+                    assert [f["frame"] for f in frames] == ["error"]
+                    assert frames[0]["kind"] == "protocol"
+                    assert frames[0]["error"] == f"{request['op']}: seed must be >= 0"
+                sock.sendall(json.dumps(_COMPILE).encode() + b"\n")
+                frames = _read_response(reader)
+        assert frames[0]["frame"] == "ack"
+        assert [f["frame"] for f in frames[-2:]] == ["result", "summary"]
+
     def test_over_limit_line_closes_and_the_next_submit_reconnects(self):
         with ServerThread(ServeConfig(port=0)) as st:
             client = _client(st)

@@ -7,8 +7,9 @@ under random Clifford noise that should not change the graph.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from semantics import PauliProduct, Tableau, graph_from_adjacency
 
-from repro.graphstate import GraphState, PauliProduct, Tableau, graph_from_adjacency
+from repro.graphstate import GraphState
 
 
 def random_graph(num_nodes: int, edge_bits: int) -> GraphState:

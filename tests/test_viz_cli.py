@@ -238,6 +238,42 @@ class TestCli:
             f"{command}: the smallest Cuccaro adder needs 4 qubits"
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compile", "--benchmark", "qaoa", "--qubits", "4", "--seed", "-1"],
+            ["baseline", "--benchmark", "qaoa", "--qubits", "4", "--seed", "-1"],
+            ["experiment", "--name", "table2", "--seed", "-1"],
+        ],
+        ids=["compile", "baseline", "experiment"],
+    )
+    def test_negative_seed_is_one_line_usage_error(self, capsys, argv):
+        """A negative seed is rejected by the request normalizer before any
+        work starts: one stderr line and exit 2, not numpy's traceback."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"{argv[0]}: seed must be >= 0"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--node", "0"], "--node must be >= 1, got 0"),
+            (["--node", "-2"], "--node must be >= 1, got -2"),
+            (["--size", "0"], "--size must be >= 1, got 0"),
+            (["--rate", "1.5"], "--rate must be in [0, 1], got 1.5"),
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+        ],
+        ids=["node-0", "node-negative", "size-0", "rate-1.5", "seed-negative"],
+    )
+    def test_percolate_bad_flag_is_one_line_usage_error(self, capsys, flags, message):
+        code = main(["percolate", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"percolate: {message}"]
+
     def test_compile_json_reports_cache(self, capsys):
         import json
 
